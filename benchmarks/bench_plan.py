@@ -1,12 +1,11 @@
 """Batched plan execution vs the per-call loop it replaced.
 
 Figure 17's grid is the motivating case: the per-call path runs one
-``evaluate_scheme`` (and constructs one process pool) per (scheme, load)
-cell — 8 pools for this benchmark's 4 schemes x 2 loads — while the plan
-path executes the whole grid as ONE engine pass over a single shared
-pool, interleaving tasks from every stream.  At bench scale pool
-spin-up is a large share of each per-call invocation (see
-``BENCH_dispatch.json``'s coordinator-overhead numbers), so the batched
+``ExperimentEngine.run`` (and constructs one process pool) per (scheme,
+load) cell — 8 pools for this benchmark's 4 schemes x 2 loads — while
+the plan path executes the whole grid as ONE engine pass over a single
+shared pool, interleaving tasks from every stream.  At bench scale pool
+spin-up is a large share of each per-call invocation, so the batched
 plan must win; this benchmark records both wall times to
 ``BENCH_plan.json`` and fails if batching ever stops paying for itself.
 
@@ -17,9 +16,9 @@ actually construct pools), ensemble size with ``REPRO_BENCH_NETWORKS``.
 import time
 
 from benchmarks.conftest import N_WORKERS, record_bench_json
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.figures import fig17_plan
 from repro.experiments.plan import execute_plan
-from repro.experiments.runner import evaluate_scheme
 
 WORKERS = max(2, N_WORKERS)
 LOADS = (0.6, 0.9)
@@ -33,12 +32,9 @@ def test_batched_plan_beats_per_call(benchmark, standard_workload):
     # (and one fresh pool) per stream.
     start = time.perf_counter()
     per_call = {
-        key: evaluate_scheme(
-            stream.factory,
-            stream.workload,
-            stream.matrices_per_network,
-            n_workers=WORKERS,
-        )
+        key: ExperimentEngine(n_workers=WORKERS).run(
+            stream.factory, stream.workload, stream.matrices_per_network
+        ).outcomes
         for key, stream in plan.streams.items()
     }
     per_call_s = time.perf_counter() - start

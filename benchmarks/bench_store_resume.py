@@ -14,7 +14,7 @@ from benchmarks.conftest import (
     assert_warm_beats_cold,
     record_bench_json,
 )
-from repro.experiments.runner import evaluate_scheme
+from repro.experiments.engine import ExperimentEngine
 from repro.routing import ShortestPathRouting
 
 
@@ -26,25 +26,22 @@ def test_store_cold_vs_stored(benchmark, standard_workload, tmp_path_factory):
     store_dir = str(tmp_path_factory.mktemp("result-store"))
 
     start = time.perf_counter()
-    cold = evaluate_scheme(
-        sp_factory,
-        standard_workload,
-        n_workers=N_WORKERS,
-        store_dir=store_dir,
-        scheme="SP",
+    cold = ExperimentEngine(n_workers=N_WORKERS, store_dir=store_dir).run(
+        sp_factory, standard_workload, scheme="SP"
     )
     cold_s = time.perf_counter() - start
 
     stored = benchmark.pedantic(
-        evaluate_scheme,
+        ExperimentEngine(store_dir=store_dir, store_only=True).run,
         args=(sp_factory, standard_workload),
-        kwargs={"store_dir": store_dir, "scheme": "SP", "store_only": True},
+        kwargs={"scheme": "SP"},
         rounds=1,
         iterations=1,
     )
     stored_s = benchmark.stats.stats.total
 
-    assert stored == cold  # bit-identical round trip through the store
+    # bit-identical round trip through the store
+    assert stored.outcomes == cold.outcomes
     record_bench_json(
         "store",
         {

@@ -13,9 +13,8 @@ cross-check the two sides statically:
   hard-coded paths: any module defining ``_result_to_record`` anchors
   the *store-record* family (its dict-literal keys are the write set;
   variables named ``record``/``header`` are its readers), and any module
-  defining ``build_manifest``/``build_plan_manifest`` anchors the
-  *manifest* family (readers: ``manifest``/``entry``/``task``/
-  ``stream``/``summary``).
+  defining ``build_plan_manifest`` anchors the *manifest* family
+  (readers: ``manifest``/``entry``/``task``/``stream``/``summary``).
 * **C302** — a manifest writer emits a ``version`` constant the
   ``load_manifest`` validator does not accept: a freshly written
   manifest would be rejected by the very code that wrote it.
@@ -148,7 +147,7 @@ class SchemaDriftPass(Pass):
         ]
         manifest_writers = [
             m for m in modules
-            if _module_defines(m, {"build_manifest", "build_plan_manifest"})
+            if _module_defines(m, {"build_plan_manifest"})
         ]
         yield from self._check_family(
             modules,

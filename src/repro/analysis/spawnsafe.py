@@ -10,9 +10,9 @@ vehicle; these rules catch the constructs that silently reintroduce
 fork-only (or single-host-only) behavior:
 
 * **S201** — a ``lambda`` passed directly into a pool boundary call
-  (``run_plan``/``stream_plan``/``execute_plan``/``evaluate_scheme``/
-  executor ``submit``/``map`` — or ``plan.add(...)``, the stream
-  registration every engine pass consumes).
+  (``run_plan``/``stream_plan``/``execute_plan``/executor
+  ``submit``/``map`` — or ``plan.add(...)``, the stream registration
+  every engine pass consumes).
 * **S202** — a locally-defined function (a ``def`` nested inside
   another function) passed by name into the same boundary calls.
 * **S203** — a registered scheme spec that does not survive the JSON +
@@ -45,7 +45,7 @@ from repro.analysis.base import (
 #: match both ``run_plan(...)`` and ``engine.run_plan(...)``.
 BOUNDARY_NAMES = frozenset(
     {
-        "run_plan", "stream_plan", "execute_plan", "evaluate_scheme",
+        "run_plan", "stream_plan", "execute_plan",
         "submit", "map_async", "apply_async", "imap", "imap_unordered",
     }
 )

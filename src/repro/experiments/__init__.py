@@ -2,9 +2,10 @@
 
 Shared by the benchmark suite (one bench per paper figure) and the example
 scripts.  :mod:`repro.experiments.workloads` builds (network, traffic
-matrix ensemble) pairs; :mod:`repro.experiments.runner` evaluates routing
-schemes over them; :mod:`repro.experiments.plan` declares whole-figure
-evaluation grids (every scheme and sweep point) as flat batches;
+matrix ensemble) pairs; :mod:`repro.experiments.runner` holds the
+per-matrix outcome record and its per-network reduction;
+:mod:`repro.experiments.plan` declares whole-figure evaluation grids
+(every scheme and sweep point) as flat batches;
 :mod:`repro.experiments.engine` executes plans on one shared process pool
 with persistent KSP caches; :mod:`repro.experiments.cost` predicts
 per-task costs (static shape model plus measured timings replayed from
@@ -19,7 +20,7 @@ as text.
 """
 
 from repro.experiments.workloads import ZooWorkload, build_zoo_workload
-from repro.experiments.runner import SchemeOutcome, evaluate_scheme
+from repro.experiments.runner import SchemeOutcome
 from repro.experiments.plan import (
     EvalPlan,
     EvalTask,
@@ -40,7 +41,6 @@ __all__ = [
     "ZooWorkload",
     "build_zoo_workload",
     "SchemeOutcome",
-    "evaluate_scheme",
     "EvalPlan",
     "EvalTask",
     "PlanReport",

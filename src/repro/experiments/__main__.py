@@ -41,15 +41,15 @@ pure sequencing — results are bit-identical to the default interleave
 schedule.  ``store ls --timings`` shows the stored per-stream seconds
 the predictions replay.
 
-``dispatch <scheme>`` shards the standard workload (one scheme) and
-``dispatch <figure>`` shards the figure's whole multi-scheme plan into
-self-contained JSON shard manifests, evaluates them in separate
-``worker`` subprocesses (each appending to its own store), and merges the
-worker stores back into ``--store-dir`` — the same cycle a multi-host run
-performs by copying manifests out and store directories back.  ``worker``
-is that subprocess's entry point and runs anywhere the package is
-importable.  ``store ls`` / ``store gc`` list and prune the store's
-streams.
+``dispatch <scheme>`` shards the standard workload (one scheme — a
+one-stream plan) and ``dispatch <figure>`` shards the figure's whole
+multi-scheme plan into self-contained JSON shard manifests, evaluates
+them in separate ``worker`` subprocesses (each appending to its own
+store), and merges the worker stores back into ``--store-dir`` — the
+same cycle a multi-host run performs by copying manifests out and store
+directories back.  ``worker`` is that subprocess's entry point and runs
+anywhere the package is importable.  ``store ls`` / ``store gc`` list
+and prune the store's streams.
 
 ``--trace-dir`` records span telemetry for any run, render, dispatch or
 worker invocation: every process appends its spans and metrics to JSONL
@@ -400,35 +400,27 @@ def run_dispatch_command(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        from repro.experiments.dispatch import dispatch_plan
-
         plan = figure.plan(args)
-        dispatch_plan(
-            plan,
-            n_shards=args.shards,
-            store_dir=args.store_dir,
-            work_dir=args.work_dir,
-            cache_dir=args.cache_dir,
-            cache_max_paths=args.cache_max_paths,
-            resume=args.resume,
-            scheduler=args.schedule,
-        )
-        print(
-            f"dispatch: {args.shards} shard worker(s) evaluated the "
-            f"{args.target} plan ({len(plan.streams)} stream(s), "
-            f"{plan.n_tasks} task(s)); merged into {args.store_dir} — "
-            f"`render {args.target}` re-draws it from there"
-        )
-        return 0
+        what = f"the {args.target} plan"
+        hint = f" — `render {args.target}` re-draws it from there"
+    else:
+        # One scheme over the standard workload is a one-stream plan;
+        # keying the stream by the scheme name makes the merged store
+        # the one the figures read (`render fig03` after `dispatch SP`).
+        from repro.experiments.plan import EvalPlan
 
-    from repro.experiments.dispatch import dispatch_run
+        params = json.loads(args.params) if args.params else {}
+        plan = EvalPlan()
+        plan.add(
+            args.target, SchemeSpec(args.target, params), build_workload(args)
+        )
+        what = f"scheme {args.target!r}"
+        hint = ""
 
-    params = json.loads(args.params) if args.params else {}
-    spec = SchemeSpec(args.target, params)
-    workload = build_workload(args)
-    outcomes = dispatch_run(
-        spec,
-        workload,
+    from repro.experiments.dispatch import dispatch_plan
+
+    dispatch_plan(
+        plan,
         n_shards=args.shards,
         store_dir=args.store_dir,
         work_dir=args.work_dir,
@@ -438,10 +430,9 @@ def run_dispatch_command(args) -> int:
         scheduler=args.schedule,
     )
     print(
-        f"dispatch: {args.shards} shard worker(s) evaluated "
-        f"{len(workload.networks)} networks "
-        f"({len(outcomes)} outcomes) for scheme {spec.scheme!r}; "
-        f"merged into {args.store_dir}"
+        f"dispatch: {args.shards} shard worker(s) evaluated {what} "
+        f"({len(plan.streams)} stream(s), {plan.n_tasks} task(s)); "
+        f"merged into {args.store_dir}{hint}"
     )
     return 0
 

@@ -11,26 +11,24 @@ stream), a worker is any interpreter anywhere running
 and collection is a merge of the worker's result-store streams back into
 the main store.  N-host dispatch is therefore: copy N manifests to N
 hosts, run N workers, copy N store directories back, merge.  The local
-coordinators (:func:`dispatch_run` for one scheme, :func:`dispatch_plan`
-for a whole multi-scheme evaluation plan) do exactly that with
-subprocesses and temp directories, so the single-host path exercises the
-same manifest/worker/merge machinery a cluster run would.
+coordinator :func:`dispatch_plan` does exactly that with subprocesses
+and temp directories, so the single-host path exercises the same
+manifest/worker/merge machinery a cluster run would.
 
-Manifests come in two versions: version 1 carries one scheme over one
-workload (the classic ``dispatch <scheme>`` cycle), version 2 carries an
-entire :class:`~repro.experiments.plan.EvalPlan` shard — a stream table
-(spec + signature per stream) plus a flat task list, so every worker
-gets a mix of schemes and sweep points rather than one scheme's
-heaviest networks.  How work is split across shards is a scheduling
-choice: the default cuts equal-*count* shards (version 1 stripes
-indices round-robin; version 2 chunks the interleaved task order), and
-a cost-aware scheduler (``--schedule lpt``) instead balances predicted
-*makespan* — greedy LPT bin-packing over the cost model's per-task
-predictions (:mod:`repro.experiments.cost`), so one worker is never
-handed all the heavy LP solves.  The merge is version-blind and
-order-blind either way: worker stores are just (signature, scheme)
-streams, deduplicated by network index, so any partitioning yields the
-same merged store.
+There is one manifest generation: a shard of an
+:class:`~repro.experiments.plan.EvalPlan` — a stream table (spec +
+signature per stream) plus a flat task list, so every worker gets a mix
+of schemes and sweep points rather than one scheme's heaviest networks.
+A single scheme over one workload (the classic ``dispatch <scheme>``
+cycle) is simply a one-stream plan.  How work is split across shards is
+a scheduling choice: the default cuts equal-*count* contiguous chunks of
+the interleaved task order, and a cost-aware scheduler (``--schedule
+lpt``) instead balances predicted *makespan* — greedy LPT bin-packing
+over the cost model's per-task predictions
+(:mod:`repro.experiments.cost`), so one worker is never handed all the
+heavy LP solves.  The merge is order-blind either way: worker stores are
+just (signature, scheme) streams, deduplicated by network index, so any
+partitioning yields the same merged store.
 
 Determinism
 -----------
@@ -40,9 +38,9 @@ forms (floats round-trip exactly), resolves the scheme spec through the
 registry, and evaluates each item with the *original* workload index — so
 its :class:`~repro.experiments.engine.NetworkResult` records are
 bit-identical to what the in-process engine would have produced, and the
-merged store serves outcomes equal to a serial
-:func:`~repro.experiments.runner.evaluate_scheme` run
-(:func:`dispatch_run` with ``verify=True`` asserts this).
+merged store serves outcomes equal to a serial in-process
+:meth:`~repro.experiments.engine.ExperimentEngine.run_plan` run
+(:func:`dispatch_plan` with ``verify=True`` asserts this).
 
 The merge deduplicates by (workload signature, scheme, network index):
 re-merging a worker store is a no-op, and two workers that redundantly
@@ -60,7 +58,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import telemetry
 from repro.experiments.engine import ExperimentEngine, NetworkResult
@@ -71,25 +69,22 @@ from repro.experiments.plan import (
     PlanReport,
     Scheduler,
 )
-
-if TYPE_CHECKING:
-    from repro.experiments.cost import CostModel
 from repro.experiments.spec import SchemeSpec, is_spawn_safe
 from repro.experiments.store import (
+    MultiStreamWriter,
     ResultStore,
     StoreError,
     StoreMismatchError,
     workload_signature,
 )
-from repro.experiments.workloads import NetworkWorkload, ZooWorkload
+from repro.experiments.workloads import NetworkWorkload
 from repro.net.io import from_json as network_from_json
 from repro.net.io import to_json as network_to_json
 from repro.tm.matrix import from_json as tm_from_json
 from repro.tm.matrix import to_json as tm_to_json
 
 MANIFEST_FORMAT = "repro-shard-manifest"
-MANIFEST_VERSION = 1
-#: Version tag of whole-plan shard manifests (stream table + task list).
+#: Version tag of plan shard manifests (stream table + task list).
 PLAN_MANIFEST_VERSION = 2
 
 
@@ -100,149 +95,47 @@ class DispatchError(StoreError):
 # ----------------------------------------------------------------------
 # Manifests
 # ----------------------------------------------------------------------
-def shard_indices(n_networks: int, n_shards: int) -> List[List[int]]:
-    """Stripe workload indices across shards (round-robin).
-
-    This is the **version-1** (single-scheme) default partitioning only:
-    striping balances better than contiguous chunks when network size
-    correlates with position (the zoo generator tends to emit similar
-    sizes in runs), and every index appears in exactly one shard.
-    Version-2 whole-plan manifests do NOT use it — their flat task list
-    is already interleaved across streams, so
-    :func:`write_plan_manifests` cuts contiguous chunks of that order
-    (stride striping there would resonate with the stream count).  Both
-    paths switch to cost-balanced LPT bin-packing when given a
-    cost-aware scheduler; see :func:`write_shard_manifests` and
-    :func:`write_plan_manifests`.
-    """
-    if n_shards < 1:
-        raise ValueError(f"need at least one shard, got {n_shards}")
-    shards: List[List[int]] = [[] for _ in range(min(n_shards, n_networks))]
-    for index in range(n_networks):
-        shards[index % len(shards)].append(index)
-    return shards
-
-
-def build_manifest(
-    spec: SchemeSpec,
-    workload: ZooWorkload,
-    indices: Sequence[int],
-    scheme: str,
-    signature: str,
-    shard_index: int,
-    n_shards: int,
-    matrices_per_network: Optional[int] = None,
-) -> dict:
-    """The self-contained JSON payload for one shard."""
-    entries = []
-    for index in indices:
-        item = workload.networks[index]
-        matrices = item.matrices
-        if matrices_per_network is not None:
-            matrices = matrices[:matrices_per_network]
-        entries.append(
-            {
-                "index": index,
-                "llpd": item.llpd,
-                "network": json.loads(network_to_json(item.network)),
-                "matrices": [json.loads(tm_to_json(tm)) for tm in matrices],
-            }
-        )
-    return {
-        "format": MANIFEST_FORMAT,
-        "version": MANIFEST_VERSION,
-        "scheme": scheme,
-        "spec": spec.to_jsonable(),
-        "signature": signature,
-        "n_networks": len(workload.networks),
-        "matrices_per_network": matrices_per_network,
-        "shard_index": shard_index,
-        "n_shards": n_shards,
-        "shaping": {
-            "locality": workload.locality,
-            "growth_factor": workload.growth_factor,
-            "seed": workload.seed,
-        },
-        "networks": entries,
-    }
-
-
-def write_shard_manifests(
-    spec: SchemeSpec,
-    workload: ZooWorkload,
-    n_shards: int,
-    out_dir: "os.PathLike[str] | str",
-    scheme: Optional[str] = None,
-    matrices_per_network: Optional[int] = None,
-    cost_model: Optional["CostModel"] = None,
-) -> List[Path]:
-    """Split a workload into shard manifest files under ``out_dir``.
-
-    ``scheme`` names the result-store stream (defaults to the spec's
-    registry name); the signature stored in every manifest is the *full*
-    workload's, so all shards append into one mergeable key.  Without a
-    ``cost_model`` indices are striped round-robin
-    (:func:`shard_indices`); with one, shards are balanced by greedy
-    LPT bin-packing over predicted per-network costs, so no worker is
-    handed all the heavy networks.
-    """
-    scheme = scheme or spec.scheme
-    signature = workload_signature(workload, matrices_per_network)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: List[Path] = []
-    if cost_model is not None and workload.networks:
-        from repro.experiments.cost import lpt_partition
-
-        indices = list(range(len(workload.networks)))
-        costs = [
-            cost_model.predict_item(
-                spec,
-                workload.networks[i],
-                n_matrices=matrices_per_network,
-                scheme=scheme,
-            )
-            for i in indices
-        ]
-        shards = lpt_partition(indices, costs, n_shards)
-    else:
-        shards = shard_indices(len(workload.networks), n_shards)
-    recorder = telemetry.recorder()
-    for shard_index, indices in enumerate(shards):
-        with recorder.span("manifest_write", {"shard_index": shard_index}):
-            manifest = build_manifest(
-                spec,
-                workload,
-                indices,
-                scheme=scheme,
-                signature=signature,
-                shard_index=shard_index,
-                n_shards=len(shards),
-                matrices_per_network=matrices_per_network,
-            )
-            path = out / f"shard-{shard_index:03d}.json"
-            path.write_text(json.dumps(manifest, indent=2))
-        paths.append(path)
-    return paths
+#: Fields every manifest carries (``scenarios``/``task_chunks`` are
+#: optional additions).
+_REQUIRED_FIELDS = ("shard_index", "n_shards", "streams", "items", "tasks")
 
 
 def load_manifest(path: "os.PathLike[str] | str") -> dict:
-    """Read and validate a shard manifest file (either version)."""
+    """Read and validate a shard manifest file.
+
+    Manifests are copied between hosts, so the file is outside input:
+    anything that is not a complete plan manifest raises
+    :class:`DispatchError` rather than failing later inside the worker.
+    """
     with open(path) as handle:
-        manifest = json.load(handle)
-    if manifest.get("format") != MANIFEST_FORMAT:
+        try:
+            manifest = json.load(handle)
+        except json.JSONDecodeError as error:
+            raise DispatchError(
+                f"{path}: not valid JSON (truncated copy?): {error}"
+            ) from error
+    if not isinstance(manifest, dict) or (
+        manifest.get("format") != MANIFEST_FORMAT
+    ):
         raise DispatchError(f"{path}: not a {MANIFEST_FORMAT} document")
-    if manifest.get("version") not in (MANIFEST_VERSION, PLAN_MANIFEST_VERSION):
+    if manifest.get("version") != PLAN_MANIFEST_VERSION:
+        version = manifest.get("version")
+        if version == 1:
+            raise DispatchError(
+                f"{path}: version 1 is the retired single-scheme manifest "
+                f"layout; re-dispatch the run to write plan manifests"
+            )
         raise DispatchError(
-            f"{path}: unsupported manifest version "
-            f"{manifest.get('version')!r}"
+            f"{path}: unsupported manifest version {version!r}"
+        )
+    missing = [name for name in _REQUIRED_FIELDS if name not in manifest]
+    if missing:
+        raise DispatchError(
+            f"{path}: manifest is missing {', '.join(missing)}"
         )
     return manifest
 
 
-# ----------------------------------------------------------------------
-# Plan manifests (version 2)
-# ----------------------------------------------------------------------
 def build_plan_manifest(
     plan: EvalPlan,
     tasks: Sequence[EvalTask],
@@ -410,23 +303,6 @@ def write_plan_manifests(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def manifest_items(manifest: dict) -> List[tuple]:
-    """(global index, rebuilt :class:`NetworkWorkload`) per shard entry."""
-    items = []
-    for entry in manifest["networks"]:
-        network = network_from_json(json.dumps(entry["network"]))
-        matrices = [tm_from_json(json.dumps(tm)) for tm in entry["matrices"]]
-        items.append(
-            (
-                entry["index"],
-                NetworkWorkload(
-                    network=network, llpd=entry["llpd"], matrices=matrices
-                ),
-            )
-        )
-    return items
-
-
 def run_worker(
     manifest_path: "os.PathLike[str] | str",
     store_dir: "os.PathLike[str] | str",
@@ -434,95 +310,19 @@ def run_worker(
     cache_max_paths: Optional[int] = None,
     resume: bool = True,
 ) -> dict:
-    """Evaluate one shard and append its results to ``store_dir``.
+    """Evaluate one plan shard and append its results to ``store_dir``.
 
-    The worker's store streams carry the manifest's full-workload
-    signatures, so several workers' stores merge into one key set.
-    Already-stored indices are skipped (a re-run worker resumes like the
-    engine does).  Handles both single-scheme (version 1) and whole-plan
-    (version 2) manifests.  Returns a summary dict for logging.
+    One store stream per plan stream, each carrying the manifest's
+    full-workload signature, so several workers' stores merge into one
+    key set.  Each task resolves its spec through the registry, rebuilds
+    its workload item from the shared item table, and evaluates under
+    its *original* global index — so the worker's records are
+    bit-identical to the in-process engine's and merge conflict-free by
+    (signature, scheme, index).  Already-stored indices are skipped (a
+    re-run worker resumes like the engine does).  Returns a summary dict
+    for logging.
     """
     manifest = load_manifest(manifest_path)
-    if manifest["version"] == PLAN_MANIFEST_VERSION:
-        return _run_plan_worker(
-            manifest,
-            store_dir,
-            cache_dir=cache_dir,
-            cache_max_paths=cache_max_paths,
-            resume=resume,
-        )
-    spec = SchemeSpec.from_jsonable(manifest["spec"])
-    scheme = manifest["scheme"]
-    signature = manifest["signature"]
-    recorder = telemetry.recorder()
-    if recorder.enabled:
-        # The manifest's (scheme, signature) pair derives the same trace
-        # id the coordinator uses: shards converge without handing an id
-        # across the process boundary.
-        recorder.begin_trace(
-            telemetry.trace_id_for_streams([(scheme, signature)])
-        )
-    engine = ExperimentEngine(
-        n_workers=1, cache_dir=cache_dir, cache_max_paths=cache_max_paths
-    )
-    store = ResultStore(store_dir)
-    writer = store.open_writer(
-        signature, scheme, n_networks=manifest["n_networks"], resume=resume
-    )
-    evaluated = skipped = 0
-    attrs = None
-    if recorder.enabled:
-        attrs = {
-            "shard_index": manifest["shard_index"],
-            "n_shards": manifest["n_shards"],
-        }
-    try:
-        with recorder.span("worker", attrs):
-            for index, item in manifest_items(manifest):
-                if index in writer.stored:
-                    skipped += 1
-                    continue
-                result = engine._evaluate_network(
-                    spec,
-                    item,
-                    manifest["matrices_per_network"],
-                    index,
-                    scheme=scheme,
-                )
-                writer.append(result)
-                evaluated += 1
-            if recorder.enabled and skipped:
-                recorder.counter("engine.resume_skipped", skipped)
-    finally:
-        writer.close()
-    return {
-        "shard_index": manifest["shard_index"],
-        "n_shards": manifest["n_shards"],
-        "scheme": scheme,
-        "signature": signature,
-        "evaluated": evaluated,
-        "skipped": skipped,
-        "stream": os.fspath(store.stream_path(signature, scheme)),
-    }
-
-
-def _run_plan_worker(
-    manifest: dict,
-    store_dir: "os.PathLike[str] | str",
-    cache_dir: Optional["os.PathLike[str] | str"] = None,
-    cache_max_paths: Optional[int] = None,
-    resume: bool = True,
-) -> dict:
-    """Evaluate one whole-plan shard (version 2 manifest).
-
-    One store stream per plan stream; each task resolves its spec
-    through the registry, rebuilds its workload item from the shared
-    item table, and evaluates under its *original* global index — so the
-    worker's records are bit-identical to the in-process engine's and
-    merge conflict-free by (signature, scheme, index).
-    """
-    from repro.experiments.store import MultiStreamWriter
-
     recorder = telemetry.recorder()
     if recorder.enabled:
         # The stream table always carries the *whole* plan's streams, so
@@ -804,110 +604,6 @@ def _run_shard_workers(
     return [worker_store for _, worker_store, _ in procs]
 
 
-def dispatch_run(
-    spec: SchemeSpec,
-    workload: ZooWorkload,
-    n_shards: int,
-    store_dir: "os.PathLike[str] | str",
-    scheme: Optional[str] = None,
-    matrices_per_network: Optional[int] = None,
-    work_dir: Optional["os.PathLike[str] | str"] = None,
-    cache_dir: Optional["os.PathLike[str] | str"] = None,
-    cache_max_paths: Optional[int] = None,
-    resume: bool = True,
-    verify: bool = False,
-    scheduler: "str | Scheduler | None" = None,
-) -> List:
-    """Shard, run workers as subprocesses, merge, and serve the results.
-
-    The full coordinator cycle on one machine: write ``n_shards`` shard
-    manifests under ``work_dir`` (a temp directory by default), launch one
-    ``python -m repro.experiments worker`` subprocess per manifest (each
-    appending to its own store directory), merge the worker stores into
-    ``store_dir``, and return the outcomes served from the merged store —
-    in workload order, equal to what a serial in-process run returns.
-
-    ``scheduler`` picks the shard partitioning: the default stripes
-    indices round-robin; a cost-aware scheduler (``"lpt"``, resolving
-    its cost model against ``store_dir`` so previously measured
-    timings replay) balances shards by predicted makespan instead.
-    Partitioning never changes the merged, served results.
-
-    ``resume=False`` discards the main store's existing stream for this
-    (workload, scheme) before merging, so the freshly dispatched results
-    replace — rather than lose to — whatever the store already held.  The
-    discard happens only after every worker succeeded; a failed dispatch
-    never destroys existing results.
-
-    ``verify=True`` additionally runs the in-process serial engine and
-    raises :class:`DispatchError` on any outcome difference; it exists for
-    tests and smoke checks, since it obviously re-pays the whole
-    evaluation cost.
-    """
-    from repro.experiments.cost import make_scheduler
-
-    scheme = scheme or spec.scheme
-    recorder = telemetry.recorder()
-    if recorder.enabled:
-        recorder.begin_trace(
-            telemetry.trace_id_for_streams(
-                [(scheme, workload_signature(workload, matrices_per_network))]
-            )
-        )
-    resolved = make_scheduler(
-        scheduler,
-        store_dir=store_dir,
-        trace_dir=telemetry.active_trace_dir(),
-    )
-    own_work_dir = None
-    if work_dir is None:
-        own_work_dir = tempfile.TemporaryDirectory(prefix="repro-dispatch-")
-        work_dir = own_work_dir.name
-    work = Path(work_dir)
-    try:
-        manifests = write_shard_manifests(
-            spec,
-            workload,
-            n_shards,
-            work / "manifests",
-            scheme=scheme,
-            matrices_per_network=matrices_per_network,
-            cost_model=getattr(resolved, "cost_model", None),
-        )
-        worker_stores = _run_shard_workers(
-            manifests, work, cache_dir, cache_max_paths
-        )
-        if not resume:
-            # Reset the main stream so merged records replace, not lose
-            # to, stale ones the store already held for this key.
-            ResultStore(store_dir).open_writer(
-                workload_signature(workload, matrices_per_network),
-                scheme,
-                n_networks=len(workload.networks),
-                resume=False,
-            ).close()
-        for worker_store in worker_stores:
-            merge_worker_store(store_dir, worker_store)
-    finally:
-        if own_work_dir is not None:
-            own_work_dir.cleanup()
-
-    served = ExperimentEngine(store_dir=store_dir, store_only=True).run(
-        spec, workload, matrices_per_network, scheme
-    )
-    outcomes = served.outcomes
-    if verify:
-        direct = ExperimentEngine(n_workers=1).run(
-            spec, workload, matrices_per_network
-        )
-        if outcomes != direct.outcomes:
-            raise DispatchError(
-                "dispatched outcomes differ from the in-process engine's "
-                f"for scheme {scheme!r}"
-            )
-    return outcomes
-
-
 def dispatch_plan(
     plan: EvalPlan,
     n_shards: int,
@@ -921,8 +617,13 @@ def dispatch_plan(
 ) -> PlanReport:
     """Shard a whole evaluation plan across worker subprocesses and merge.
 
-    The multi-scheme analogue of :func:`dispatch_run`: the plan's flat
-    task list — every (scheme, sweep point, network) cell of a figure —
+    The full coordinator cycle on one machine: write shard manifests
+    under ``work_dir`` (a temp directory by default), launch one
+    ``python -m repro.experiments worker`` subprocess per manifest (each
+    appending to its own store directory), merge the worker stores into
+    ``store_dir``, and serve the report from the merged store.  The
+    plan's flat task list — every (scheme, sweep point, network) cell of
+    a figure, or one scheme's networks for a one-stream plan —
     is partitioned across ``n_shards`` manifests by the ``scheduler``
     (default: contiguous chunks of the round-robin interleave, so each
     worker evaluates a mix of *all* streams; ``"lpt"`` balances shards

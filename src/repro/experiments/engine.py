@@ -33,9 +33,9 @@ Sharding/determinism contract
 * Consequently plan execution returns **bit-identical** outcome lists
   for any ``n_workers`` *and any task order* (schedulers sequence, they
   never re-shard) — and bit-identical to running each stream through a
-  separate ``evaluate_scheme`` call, which is why the figure layer
-  could move from per-(scheme, sweep-point) calls to whole-figure plans
-  without changing a single output.
+  separate :meth:`ExperimentEngine.run` call, which is why the figure
+  layer could move from per-(scheme, sweep-point) calls to whole-figure
+  plans without changing a single output.
 * Worker processes prefer the ``fork`` start method so that scheme
   factories (possibly closures) and workloads never need to be pickled;
   only (stream key, network index) tasks travel to the workers and only
@@ -75,7 +75,12 @@ import itertools
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -111,7 +116,7 @@ SchemeFactory = Callable[[NetworkWorkload], RoutingScheme]
 
 #: Worker-side state inherited through ``fork``, keyed by a per-run token
 #: so concurrently advanced streams (different engines, different threads)
-#: never clobber each other; see :meth:`_stream_plan_parallel`.
+#: never clobber each other; see :meth:`_stream_forked`.
 _FORK_STATE: Dict[int, Tuple] = {}
 _FORK_STATE_LOCK = threading.Lock()
 _FORK_TOKENS = itertools.count()
@@ -435,9 +440,9 @@ class ExperimentEngine:
         if workers > 1:
             methods = multiprocessing.get_all_start_methods()
             if "fork" in methods:
-                return self._stream_plan_parallel(plan, tasks, workers)
+                return self._stream_forked(plan, tasks, workers)
             if "spawn" in methods and plan.spawn_safe():
-                return self._stream_plan_spawn(plan, tasks, workers)
+                return self._stream_spawned(plan, tasks, workers)
             recorder = telemetry.recorder()
             if recorder.enabled:
                 recorder.counter("engine.serial_fallback")
@@ -468,27 +473,87 @@ class ExperimentEngine:
                 scheme=stream.scheme,
             )
 
-    def _stream_plan_parallel(
+    def _stream_forked(
         self, plan: EvalPlan, tasks: Iterable[EvalTask], workers: int
     ) -> Iterator[Tuple[Hashable, NetworkResult]]:
         # Workers are forked, so factories/workloads (closures, caches,
         # live generators — none of it picklable) are inherited by memory
         # image instead of serialized.  Only the run token and the task
-        # (stream key + network index) cross the pipe.  Tasks are
-        # submitted a bounded window at a time (like the spawn path):
-        # a 10^5-task scenario fleet must not materialize as 10^5
-        # pending futures.
-        context = multiprocessing.get_context("fork")
+        # (stream key + network index) cross the pipe.
         with _FORK_STATE_LOCK:
             token = next(_FORK_TOKENS)
             _FORK_STATE[token] = (self, plan)
-        pool = None
+
+        def submit(pool: ProcessPoolExecutor, task: EvalTask) -> Future:
+            return pool.submit(
+                _forked_evaluate, token, task.stream, task.index
+            )
+
         try:
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-            recorder = telemetry.recorder()
+            yield from self._stream_pool("fork", submit, tasks, workers)
+        finally:
+            with _FORK_STATE_LOCK:
+                _FORK_STATE.pop(token, None)
+
+    def _stream_spawned(
+        self, plan: EvalPlan, tasks: Iterable[EvalTask], workers: int
+    ) -> Iterator[Tuple[Hashable, NetworkResult]]:
+        # Spawned workers share no memory with the parent, so each task
+        # carries everything it needs in picklable form: the spec, the
+        # item's network and matrices (plain data), and the KSP cache's
+        # materialized paths (its dump() payload, bounded like persisted
+        # cache files — the live Yen generators cannot cross the boundary,
+        # but they rebuild lazily on demand).
+        engine_kwargs = dict(
+            n_workers=1,
+            cache_dir=self.cache_dir,
+            cache_max_paths=self.cache_max_paths,
+        )
+
+        def submit(pool: ProcessPoolExecutor, task: EvalTask) -> Future:
+            stream = plan.streams[task.stream]
+            item = stream.workload.networks[task.index]
+            matrices = item.matrices
+            if stream.matrices_per_network is not None:
+                matrices = matrices[: stream.matrices_per_network]
+            return pool.submit(
+                _spawned_evaluate,
+                task.stream,
+                engine_kwargs,
+                stream.factory,
+                item.network,
+                item.llpd,
+                matrices,
+                item.cache.dump(max_paths_per_pair=self.cache_max_paths),
+                stream.matrices_per_network,
+                task.index,
+                stream.scheme,
+                item.scenario,
+            )
+
+        return self._stream_pool("spawn", submit, tasks, workers)
+
+    @staticmethod
+    def _stream_pool(
+        start_method: str,
+        submit: Callable[[ProcessPoolExecutor, EvalTask], Future],
+        tasks: Iterable[EvalTask],
+        workers: int,
+    ) -> Iterator[Tuple[Hashable, NetworkResult]]:
+        """The one pool loop: ``submit`` says how a task is shipped.
+
+        Tasks are submitted lazily, a bounded window at a time: a
+        10^5-task scenario fleet must not materialize as 10^5 pending
+        futures, and a spawn pool must not hold every task's matrices
+        and cache dump in flight at once.
+        """
+        context = multiprocessing.get_context(start_method)
+        recorder = telemetry.recorder()
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        try:
             remaining = iter(tasks)
             pending = {
-                pool.submit(_forked_evaluate, token, task.stream, task.index)
+                submit(pool, task)
                 for task in itertools.islice(remaining, 2 * workers)
             }
             while pending:
@@ -497,81 +562,12 @@ class ExperimentEngine:
                     recorder.gauge("pool.pending", len(pending))
                 for future in done:
                     for task in itertools.islice(remaining, 1):
-                        pending.add(
-                            pool.submit(
-                                _forked_evaluate,
-                                token,
-                                task.stream,
-                                task.index,
-                            )
-                        )
+                        pending.add(submit(pool, task))
                     yield future.result()
         finally:
             # A consumer abandoning the iterator early must not wait out
             # the whole plan: drop everything not yet started.
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-            with _FORK_STATE_LOCK:
-                _FORK_STATE.pop(token, None)
-
-    def _stream_plan_spawn(
-        self, plan: EvalPlan, tasks: Iterable[EvalTask], workers: int
-    ) -> Iterator[Tuple[Hashable, NetworkResult]]:
-        # Spawned workers share no memory with the parent, so each task
-        # carries everything it needs in picklable form: the spec, the
-        # item's network and matrices (plain data), and the KSP cache's
-        # materialized paths (its dump() payload, bounded like persisted
-        # cache files — the live Yen generators cannot cross the boundary,
-        # but they rebuild lazily on demand).  Tasks are submitted lazily,
-        # a bounded window at a time: serializing the whole plan into the
-        # executor up front would hold every task's matrices and cache
-        # dump in flight at once.
-        context = multiprocessing.get_context("spawn")
-        engine_kwargs = dict(
-            n_workers=1,
-            cache_dir=self.cache_dir,
-            cache_max_paths=self.cache_max_paths,
-        )
-
-        pool = None
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-
-            def submit(task: EvalTask):
-                stream = plan.streams[task.stream]
-                item = stream.workload.networks[task.index]
-                matrices = item.matrices
-                if stream.matrices_per_network is not None:
-                    matrices = matrices[: stream.matrices_per_network]
-                return pool.submit(
-                    _spawned_evaluate,
-                    task.stream,
-                    engine_kwargs,
-                    stream.factory,
-                    item.network,
-                    item.llpd,
-                    matrices,
-                    item.cache.dump(max_paths_per_pair=self.cache_max_paths),
-                    stream.matrices_per_network,
-                    task.index,
-                    stream.scheme,
-                    item.scenario,
-                )
-
-            remaining = iter(tasks)
-            pending = {
-                submit(task)
-                for task in itertools.islice(remaining, 2 * workers)
-            }
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    for task in itertools.islice(remaining, 1):
-                        pending.add(submit(task))
-                    yield future.result()
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------
     def _evaluate_network(

@@ -31,7 +31,7 @@ Every multi-call figure (4, 8, 16, 17, 18, 20) is a thin pair of
 
 The plan executes as ONE engine pass over one shared process pool —
 schemes and sweep points interleave instead of running one
-``evaluate_scheme`` call (and one pool) at a time — with results
+single-scheme engine run (and one pool) at a time — with results
 bit-identical to the per-call path for any worker count.  Store stream
 names are unchanged, so stores written by the per-call path resume
 seamlessly under plans and vice versa.

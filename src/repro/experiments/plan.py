@@ -1,7 +1,7 @@
 """Evaluation plans: whole-figure batches across schemes and sweeps.
 
 The paper's headline scaling result (its Figure 15) is about evaluation
-runtime, yet running a figure one ``evaluate_scheme`` call at a time
+runtime, yet running a figure one single-scheme engine run at a time
 serializes the outer loops: Figure 17 is 16 calls (4 loads x 4 schemes)
 and Figure 18 is 20, each paying for a fresh process pool while tasks
 from different schemes and sweep points never overlap.  An
@@ -34,8 +34,8 @@ returns a :class:`PlanReport` keyed by stream.  Because every task is
 the same pure per-network function the per-call path runs, plan
 execution is bit-identical to per-call execution for any worker count
 *and any task order* — scheduling is pure sequencing, never semantics;
-:func:`execute_plan` is the one-call convenience wrapper mirroring
-:func:`repro.experiments.runner.evaluate_scheme`.
+:func:`execute_plan` is the one-call convenience wrapper the figures
+use.
 """
 
 from __future__ import annotations
@@ -460,7 +460,7 @@ def execute_plan(
     cache_max_paths: Optional[int] = None,
     scheduler: "str | Scheduler | None" = None,
 ) -> PlanReport:
-    """Run a whole plan on one shared pool; mirror of ``evaluate_scheme``.
+    """Run a whole plan on one shared pool (build an engine, ``run_plan``).
 
     All engine knobs behave exactly as they do for single-scheme runs:
     ``cache_dir`` warm-starts per-network KSP caches, ``store_dir``
@@ -472,8 +472,8 @@ def execute_plan(
     ``None`` for the round-robin default; with ``"lpt"`` and a
     ``store_dir`` the cost model replays learned timings from that
     store.  Results are bit-identical to looping
-    :func:`~repro.experiments.runner.evaluate_scheme` over the plan's
-    streams, for any worker count, task order, and on fork and spawn
+    :meth:`~repro.experiments.engine.ExperimentEngine.run` over the
+    plan's streams, for any worker count, task order, and on fork and spawn
     pools alike.
     """
     from repro.experiments.engine import ExperimentEngine

@@ -1,14 +1,11 @@
-"""Evaluate routing schemes over workloads and collect the paper's metrics."""
+"""The paper's per-(network, matrix) metrics record and its reduction."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-
-from repro.experiments.workloads import NetworkWorkload, ZooWorkload
-from repro.routing.base import RoutingScheme
 
 
 @dataclass
@@ -26,56 +23,6 @@ class SchemeOutcome:
     #: are not unique, so grouping keys on this, not ``network_name``;
     #: empty (hand-built outcomes) falls back to (name, llpd).
     network_id: str = ""
-
-
-def evaluate_scheme(
-    scheme_factory: Callable[[NetworkWorkload], RoutingScheme],
-    workload: ZooWorkload,
-    matrices_per_network: Optional[int] = None,
-    n_workers: int = 1,
-    cache_dir: Optional[str] = None,
-    store_dir: Optional[str] = None,
-    scheme: Optional[str] = None,
-    resume: bool = True,
-    store_only: bool = False,
-    cache_max_paths: Optional[int] = None,
-) -> List[SchemeOutcome]:
-    """Run a scheme across the whole workload.
-
-    ``scheme_factory`` receives the per-network workload so schemes can
-    share its KSP cache; a fresh scheme per network keeps state clean.  It
-    can be an ad-hoc closure or — preferably — a declarative
-    :class:`~repro.experiments.spec.SchemeSpec`, which additionally works
-    on ``spawn``-only platforms and under multi-host dispatch
-    (:mod:`repro.experiments.dispatch`).
-
-    Evaluation is delegated to :class:`repro.experiments.engine.
-    ExperimentEngine`: ``n_workers>1`` shards networks across a process
-    pool, and ``cache_dir`` persists each network's KSP cache across runs
-    (``cache_max_paths`` bounds those files).  Results are identical for
-    any worker count.
-
-    With a ``store_dir``, per-network results are persisted to (and served
-    from) the durable result store under the stream named by ``scheme``
-    (required in that case): stored networks are not re-evaluated when
-    ``resume`` is true, and ``store_only=True`` serves entirely from the
-    store, raising :class:`~repro.experiments.store.StoreMissError` rather
-    than evaluating anything.  Stored outcomes compare equal to freshly
-    computed ones.
-    """
-    from repro.experiments.engine import ExperimentEngine
-
-    engine = ExperimentEngine(
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        store_dir=store_dir,
-        resume=resume,
-        store_only=store_only,
-        cache_max_paths=cache_max_paths,
-    )
-    return engine.run(
-        scheme_factory, workload, matrices_per_network, scheme
-    ).outcomes
 
 
 def per_network_quantiles(

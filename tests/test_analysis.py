@@ -505,7 +505,7 @@ def test_c302_manifest_version_drift(tmp_path):
         FORMAT_V1 = 1
         FORMAT_V2 = 2
 
-        def build_manifest(tasks):
+        def build_plan_manifest(tasks):
             return {"version": FORMAT_V2, "tasks": tasks}
 
         def load_manifest(payload):
@@ -525,7 +525,7 @@ def test_c302_matching_version_is_clean(tmp_path):
         """
         FORMAT_V1 = 1
 
-        def build_manifest(tasks):
+        def build_plan_manifest(tasks):
             return {"version": FORMAT_V1, "tasks": tasks}
 
         def load_manifest(payload):

@@ -5,17 +5,16 @@ import json
 import pytest
 
 from repro.experiments.dispatch import (
+    MANIFEST_FORMAT,
     DispatchError,
-    dispatch_run,
+    dispatch_plan,
     load_manifest,
-    manifest_items,
     merge_worker_store,
     run_worker,
-    shard_indices,
     write_plan_manifests,
-    write_shard_manifests,
 )
 from repro.experiments.engine import ExperimentEngine
+from repro.experiments.plan import EvalPlan
 from repro.experiments.spec import SchemeSpec
 from repro.experiments.store import (
     ResultStore,
@@ -23,6 +22,8 @@ from repro.experiments.store import (
     workload_signature,
 )
 from repro.experiments.workloads import build_zoo_workload
+from repro.net.io import from_json as network_from_json
+from repro.tm.matrix import from_json as tm_from_json
 
 
 @pytest.fixture(scope="module")
@@ -32,61 +33,71 @@ def workload():
     )
 
 
+def scheme_plan(workload, scheme="SP", matrices_per_network=None):
+    """One scheme over one workload: a one-stream plan keyed by its name."""
+    plan = EvalPlan()
+    plan.add(
+        scheme,
+        SchemeSpec(scheme),
+        workload,
+        matrices_per_network=matrices_per_network,
+    )
+    return plan
+
+
 class TestSharding:
-    def test_stripes_cover_every_index_once(self):
-        shards = shard_indices(7, 3)
-        assert sorted(i for shard in shards for i in shard) == list(range(7))
-        assert [len(s) for s in shards] == [3, 2, 2]
+    def test_more_shards_than_networks(self, tmp_path):
+        workload = build_zoo_workload(
+            n_networks=2, n_matrices=1, seed=1, include_named=False
+        )
+        paths = write_plan_manifests(scheme_plan(workload), 5, tmp_path)
+        assert [
+            [task["index"] for task in load_manifest(path)["tasks"]]
+            for path in paths
+        ] == [[0], [1]]
 
-    def test_more_shards_than_networks(self):
-        assert shard_indices(2, 5) == [[0], [1]]
-
-    def test_zero_shards_rejected(self):
+    def test_zero_shards_rejected(self, workload, tmp_path):
         with pytest.raises(ValueError):
-            shard_indices(4, 0)
+            write_plan_manifests(scheme_plan(workload), 0, tmp_path)
 
 
 class TestManifests:
     def test_manifest_round_trips_items(self, workload, tmp_path):
         spec = SchemeSpec("SP")
-        paths = write_shard_manifests(spec, workload, 2, tmp_path)
+        paths = write_plan_manifests(scheme_plan(workload), 2, tmp_path)
         assert len(paths) == 2
         seen = {}
         for path in paths:
             manifest = load_manifest(path)
-            assert manifest["signature"] == workload_signature(workload)
-            assert manifest["n_networks"] == len(workload.networks)
-            assert SchemeSpec.from_jsonable(manifest["spec"]) == spec
-            for index, item in manifest_items(manifest):
-                seen[index] = item
+            (stream,) = manifest["streams"]
+            assert stream["scheme"] == "SP"
+            assert stream["signature"] == workload_signature(workload)
+            assert stream["n_networks"] == len(workload.networks)
+            assert SchemeSpec.from_jsonable(stream["spec"]) == spec
+            for task in manifest["tasks"]:
+                seen[task["index"]] = manifest["items"][task["item"]]
         assert sorted(seen) == list(range(len(workload.networks)))
-        for index, item in seen.items():
+        for index, entry in seen.items():
             original = workload.networks[index]
-            assert item.network.name == original.network.name
-            assert item.llpd == original.llpd  # floats survive JSON exactly
-            assert item.matrices == original.matrices
+            network = network_from_json(json.dumps(entry["network"]))
+            assert network.name == original.network.name
+            # floats survive JSON exactly
+            assert entry["llpd"] == original.llpd
+            assert [
+                tm_from_json(json.dumps(tm)) for tm in entry["matrices"]
+            ] == original.matrices
 
     def test_manifest_respects_matrices_per_network(self, tmp_path):
         workload = build_zoo_workload(
             n_networks=2, n_matrices=3, seed=1, include_named=False
         )
-        paths = write_shard_manifests(
-            SchemeSpec("SP"), workload, 1, tmp_path, matrices_per_network=1
+        paths = write_plan_manifests(
+            scheme_plan(workload, matrices_per_network=1), 1, tmp_path
         )
         manifest = load_manifest(paths[0])
-        assert all(len(e["matrices"]) == 1 for e in manifest["networks"])
-        assert manifest["signature"] == workload_signature(workload, 1)
-
-    def test_manifest_carries_shaping_params(self, workload, tmp_path):
-        path = write_shard_manifests(
-            SchemeSpec("SP"), workload, 1, tmp_path
-        )[0]
-        shaping = load_manifest(path)["shaping"]
-        assert shaping == {
-            "locality": workload.locality,
-            "growth_factor": workload.growth_factor,
-            "seed": workload.seed,
-        }
+        assert all(len(e["matrices"]) == 1 for e in manifest["items"])
+        (stream,) = manifest["streams"]
+        assert stream["signature"] == workload_signature(workload, 1)
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "not-a-manifest.json"
@@ -94,13 +105,53 @@ class TestManifests:
         with pytest.raises(DispatchError):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"format": "repro-shard-manifest", "vers', "not valid JSON"),
+            (json.dumps([1, 2, 3]), "not a repro-shard-manifest"),
+            (
+                json.dumps({"format": MANIFEST_FORMAT, "version": 2}),
+                "missing shard_index, n_shards, streams, items, tasks",
+            ),
+            (
+                json.dumps(
+                    {
+                        "format": MANIFEST_FORMAT,
+                        "version": 1,
+                        "scheme": "SP",
+                        "networks": [],
+                    }
+                ),
+                "retired single-scheme manifest",
+            ),
+        ],
+        ids=["truncated", "non-object", "missing-tables", "version-1"],
+    )
+    def test_malformed_manifest_is_one_line_cli_error(
+        self, tmp_path, capsys, text, message
+    ):
+        """Manifests cross hosts: a bad copy is an error, not a traceback."""
+        from repro.experiments.__main__ import main
+
+        path = tmp_path / "shard-000.json"
+        path.write_text(text)
+        with pytest.raises(DispatchError, match=message):
+            load_manifest(path)
+        assert main(
+            ["worker", str(path), "--store-dir", str(tmp_path / "store")]
+        ) == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "store").exists()
+
 
 class TestWorkerAndMerge:
     def test_workers_plus_merge_match_in_process(self, workload, tmp_path):
         """The acceptance path: shard -> worker x2 -> merge -> compare."""
         spec = SchemeSpec("SP")
-        manifests = write_shard_manifests(
-            spec, workload, 2, tmp_path / "manifests"
+        manifests = write_plan_manifests(
+            scheme_plan(workload), 2, tmp_path / "manifests"
         )
         for i, manifest in enumerate(manifests):
             run_worker(manifest, tmp_path / f"worker-{i}")
@@ -114,9 +165,8 @@ class TestWorkerAndMerge:
         assert served.outcomes == direct.outcomes
 
     def test_merge_is_idempotent(self, workload, tmp_path):
-        spec = SchemeSpec("SP")
-        manifests = write_shard_manifests(
-            spec, workload, 2, tmp_path / "manifests"
+        manifests = write_plan_manifests(
+            scheme_plan(workload), 2, tmp_path / "manifests"
         )
         for i, manifest in enumerate(manifests):
             run_worker(manifest, tmp_path / f"worker-{i}")
@@ -131,9 +181,8 @@ class TestWorkerAndMerge:
         assert stream.stat().st_size == size_before
 
     def test_worker_resumes_stored_indices(self, workload, tmp_path):
-        spec = SchemeSpec("SP")
-        manifest = write_shard_manifests(
-            spec, workload, 1, tmp_path / "manifests"
+        manifest = write_plan_manifests(
+            scheme_plan(workload), 1, tmp_path / "manifests"
         )[0]
         first = run_worker(manifest, tmp_path / "store")
         assert first["evaluated"] == len(workload.networks)
@@ -142,9 +191,8 @@ class TestWorkerAndMerge:
         assert second["skipped"] == len(workload.networks)
 
     def test_merge_rejects_conflicting_network_ids(self, workload, tmp_path):
-        spec = SchemeSpec("SP")
-        manifest = write_shard_manifests(
-            spec, workload, 1, tmp_path / "manifests"
+        manifest = write_plan_manifests(
+            scheme_plan(workload), 1, tmp_path / "manifests"
         )[0]
         run_worker(manifest, tmp_path / "worker")
         merge_worker_store(tmp_path / "main", tmp_path / "worker")
@@ -163,34 +211,37 @@ class TestWorkerAndMerge:
 
 
 class TestDispatchRun:
+    """The coordinator cycle for one scheme: a one-stream dispatch_plan."""
+
     @pytest.mark.parametrize("scheme", ["SP", "MinMaxK10"])
     def test_dispatched_equals_in_process(self, workload, tmp_path, scheme):
         """Acceptance: 2 subprocess workers == serial in-process engine."""
-        spec = SchemeSpec(scheme)
-        outcomes = dispatch_run(
-            spec,
-            workload,
+        report = dispatch_plan(
+            scheme_plan(workload, scheme),
             n_shards=2,
             store_dir=tmp_path / "store",
             work_dir=tmp_path / "work",
             verify=True,  # raises DispatchError on any outcome difference
         )
-        direct = ExperimentEngine(n_workers=1).run(spec, workload)
-        assert outcomes == direct.outcomes
+        direct = ExperimentEngine(n_workers=1).run(
+            SchemeSpec(scheme), workload
+        )
+        assert report.outcomes(scheme) == direct.outcomes
 
     def test_dispatch_populates_renderable_store(self, workload, tmp_path):
-        spec = SchemeSpec("SP")
-        dispatch_run(spec, workload, n_shards=2, store_dir=tmp_path / "store")
+        dispatch_plan(
+            scheme_plan(workload), n_shards=2, store_dir=tmp_path / "store"
+        )
         # A store-only engine serves the dispatched results without
         # constructing a single scheme.
         served = ExperimentEngine(
             store_dir=tmp_path / "store", store_only=True
-        ).run(spec, workload, scheme="SP")
+        ).run(SchemeSpec("SP"), workload, scheme="SP")
         assert len(served.outcomes) == len(workload.networks)
 
     def test_no_resume_replaces_stale_store_results(self, workload, tmp_path):
-        spec = SchemeSpec("SP")
-        dispatch_run(spec, workload, n_shards=2, store_dir=tmp_path / "store")
+        plan = scheme_plan(workload)
+        dispatch_plan(plan, n_shards=2, store_dir=tmp_path / "store")
         # Corrupt one stored outcome in place: with resume (the default) a
         # re-dispatch loses to it, with resume=False it is replaced.
         stream = next((tmp_path / "store").glob("*/*.jsonl"))
@@ -200,27 +251,22 @@ class TestDispatchRun:
         lines[1] = json.dumps(record, separators=(",", ":"))
         stream.write_text("\n".join(lines) + "\n")
 
-        kept = dispatch_run(
-            spec, workload, n_shards=2, store_dir=tmp_path / "store"
-        )
+        kept = dispatch_plan(
+            plan, n_shards=2, store_dir=tmp_path / "store"
+        ).outcomes("SP")
         assert any(o.max_utilization == 123.0 for o in kept)
-        replaced = dispatch_run(
-            spec,
-            workload,
-            n_shards=2,
-            store_dir=tmp_path / "store",
-            resume=False,
-        )
+        replaced = dispatch_plan(
+            plan, n_shards=2, store_dir=tmp_path / "store", resume=False
+        ).outcomes("SP")
         assert not any(o.max_utilization == 123.0 for o in replaced)
-        direct = ExperimentEngine(n_workers=1).run(spec, workload)
+        direct = ExperimentEngine(n_workers=1).run(SchemeSpec("SP"), workload)
         assert replaced == direct.outcomes
 
     def test_work_dir_keeps_manifests_and_worker_stores(
         self, workload, tmp_path
     ):
-        dispatch_run(
-            SchemeSpec("SP"),
-            workload,
+        dispatch_plan(
+            scheme_plan(workload),
             n_shards=2,
             store_dir=tmp_path / "store",
             work_dir=tmp_path / "work",
@@ -233,13 +279,32 @@ class TestDispatchRun:
         # worker subprocess fail; the coordinator must report the failure
         # (with the worker's stderr) instead of serving a partial store.
         with pytest.raises(DispatchError, match="exited"):
-            dispatch_run(
-                SchemeSpec("NoSuchScheme"),
-                workload,
+            dispatch_plan(
+                scheme_plan(workload, "NoSuchScheme"),
                 n_shards=1,
                 store_dir=tmp_path / "store",
                 work_dir=tmp_path / "work",
             )
+        # ... and a failed dispatch never touches the main store.
+        assert not (tmp_path / "store").exists()
+
+    def test_cli_scheme_dispatch_renders_fig03(self, tmp_path, capsys):
+        """`dispatch SP` then `render fig03` == a direct `fig03` run."""
+        from repro.experiments.__main__ import main
+
+        size = ["--networks", "4", "--tms", "1"]
+        assert main(["fig03", *size]) == 0
+        direct = capsys.readouterr().out
+        store = str(tmp_path / "store")
+        work = tmp_path / "work"
+        assert main(
+            ["dispatch", "SP", "--shards", "2", *size,
+             "--store-dir", store, "--work-dir", str(work)]
+        ) == 0
+        capsys.readouterr()
+        assert len(list((work / "manifests").glob("shard-*.json"))) == 2
+        assert main(["render", "fig03", *size, "--store-dir", store]) == 0
+        assert capsys.readouterr().out == direct
 
 
 class TestCostBalancedSharding:
@@ -343,30 +408,7 @@ class TestCostBalancedSharding:
             )
         assert max(balanced) <= max(contiguous)
 
-    def test_scheme_manifests_balance_indices(self, tmp_path):
-        from repro.experiments.cost import CostModel
-
-        plan = self.skewed_plan()
-        workload = plan.streams["MinMaxK10"].workload
-        spec = SchemeSpec("MinMaxK10")
-        model = CostModel()
-        paths = write_shard_manifests(
-            spec, workload, 2, tmp_path, cost_model=model
-        )
-        shards = [
-            [entry["index"] for entry in load_manifest(p)["networks"]]
-            for p in paths
-        ]
-        assert sorted(i for s in shards for i in s) == list(
-            range(len(workload.networks))
-        )
-        # The big grid (index 3) is the predicted long pole: LPT places
-        # it first in its shard, and not alongside all the other work.
-        big_shard = next(s for s in shards if 3 in s)
-        assert big_shard[0] == 3
-
     def test_dispatch_plan_lpt_matches_in_process(self, workload, tmp_path):
-        from repro.experiments.dispatch import dispatch_plan
         from repro.experiments.figures import fig04_plan
 
         plan = fig04_plan(

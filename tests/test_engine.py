@@ -9,7 +9,6 @@ from repro.experiments.engine import (
     NetworkResult,
     network_id,
 )
-from repro.experiments.runner import evaluate_scheme
 from repro.experiments.workloads import ZooWorkload, build_zoo_workload
 from repro.routing import LatencyOptimalRouting, ShortestPathRouting
 
@@ -36,11 +35,13 @@ class TestSerialParallelEquivalence:
         # The LP path exercises warm counts and cache growth inside the
         # shard; a closure factory also exercises the fork-no-pickle path.
         factory = lambda item: LatencyOptimalRouting(cache=item.cache)
-        serial = evaluate_scheme(factory, workload, matrices_per_network=1)
-        parallel = evaluate_scheme(
-            factory, workload, matrices_per_network=1, n_workers=4
+        serial = ExperimentEngine(n_workers=1).run(
+            factory, workload, matrices_per_network=1
         )
-        assert serial == parallel
+        parallel = ExperimentEngine(n_workers=4).run(
+            factory, workload, matrices_per_network=1
+        )
+        assert serial.outcomes == parallel.outcomes
 
     def test_matrices_per_network_respected(self, workload):
         report = ExperimentEngine(n_workers=2).run(

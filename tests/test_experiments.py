@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.render import render_cdf, render_scatter_summary, render_series
-from repro.experiments.runner import (
-    SchemeOutcome,
-    evaluate_scheme,
-    per_network_quantiles,
-)
+from repro.experiments.engine import ExperimentEngine
+from repro.experiments.runner import SchemeOutcome, per_network_quantiles
 from repro.experiments.workloads import (
     NetworkWorkload,
     ZooWorkload,
@@ -53,11 +50,17 @@ class TestWorkloads:
         assert [w.llpd for w in a.networks] == [w.llpd for w in b.networks]
 
 
+def sp_outcomes(workload, matrices_per_network=None):
+    return ExperimentEngine().run(
+        lambda item: ShortestPathRouting(item.cache),
+        workload,
+        matrices_per_network,
+    ).outcomes
+
+
 class TestRunner:
-    def test_evaluate_scheme_outcome_count(self, tiny_workload):
-        outcomes = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache), tiny_workload
-        )
+    def test_engine_run_outcome_count(self, tiny_workload):
+        outcomes = sp_outcomes(tiny_workload)
         assert len(outcomes) == 4 * 2
         for outcome in outcomes:
             assert 0.0 <= outcome.congested_fraction <= 1.0
@@ -66,33 +69,23 @@ class TestRunner:
             assert outcome.latency_stretch == pytest.approx(1.0)
 
     def test_matrices_per_network_limits(self, tiny_workload):
-        outcomes = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache),
-            tiny_workload,
-            matrices_per_network=1,
-        )
+        outcomes = sp_outcomes(tiny_workload, matrices_per_network=1)
         assert len(outcomes) == 4
 
     def test_quantiles_sorted_by_llpd(self, tiny_workload):
-        outcomes = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache), tiny_workload
-        )
+        outcomes = sp_outcomes(tiny_workload)
         points = per_network_quantiles(outcomes, "congested_fraction", 0.5)
         assert len(points) == 4
         xs = [x for x, _ in points]
         assert xs == sorted(xs)
 
     def test_quantile_validation(self, tiny_workload):
-        outcomes = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache), tiny_workload
-        )
+        outcomes = sp_outcomes(tiny_workload)
         with pytest.raises(ValueError):
             per_network_quantiles(outcomes, "congested_fraction", 1.5)
 
     def test_outcomes_carry_unique_network_ids(self, tiny_workload):
-        outcomes = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache), tiny_workload
-        )
+        outcomes = sp_outcomes(tiny_workload)
         ids = {o.network_id for o in outcomes}
         assert len(ids) == len(tiny_workload.networks)
         assert all(o.network_id for o in outcomes)

@@ -2,8 +2,8 @@
 
 The contract under test is the tentpole one: executing a figure's whole
 (scheme x sweep-point x network) grid as ONE engine pass over a single
-shared pool is **bit-identical** to the pre-refactor path of one
-``evaluate_scheme`` call (one pool) per (scheme, sweep point) — for any
+shared pool is **bit-identical** to one single-scheme
+``ExperimentEngine.run`` (one pool) per (scheme, sweep point) — for any
 worker count, on fork and spawn pools, fresh or resumed mid-plan.
 """
 
@@ -21,7 +21,6 @@ from repro.experiments.figures import (
     scheme_factories,
 )
 from repro.experiments.plan import EvalPlan, EvalTask, Scheduler, execute_plan
-from repro.experiments.runner import evaluate_scheme
 from repro.experiments.spec import SchemeSpec
 from repro.experiments.workloads import (
     NetworkWorkload,
@@ -61,11 +60,11 @@ def sweep_items():
 
 
 def per_call_reference(plan):
-    """The pre-refactor execution: one evaluate_scheme call per stream."""
+    """The per-stream oracle: one engine run (one pool) per stream."""
     return {
-        key: evaluate_scheme(
+        key: ExperimentEngine().run(
             stream.factory, stream.workload, stream.matrices_per_network
-        )
+        ).outcomes
         for key, stream in plan.streams.items()
     }
 
@@ -370,17 +369,17 @@ class TestPlanStore:
         # A store populated by the classic per-call path must serve a
         # plan run without any re-evaluation, and vice versa: stream
         # names and signatures are unchanged by the plan layer.
-        evaluate_scheme(
-            SchemeSpec("SP"), workload, store_dir=tmp_path, scheme="SP"
+        ExperimentEngine(store_dir=tmp_path).run(
+            SchemeSpec("SP"), workload, scheme="SP"
         )
         plan = EvalPlan()
         factory = CountingFactory()
         plan.add("SP", factory, workload)
         report = execute_plan(plan, store_dir=tmp_path, store_only=True)
         assert factory.calls == 0
-        assert report.outcomes("SP") == evaluate_scheme(
+        assert report.outcomes("SP") == ExperimentEngine().run(
             SchemeSpec("SP"), workload
-        )
+        ).outcomes
 
     def test_duplicate_store_streams_rejected(self, workload, tmp_path):
         from repro.experiments.store import StoreError

@@ -123,18 +123,33 @@ class TestRoundTrip:
 
 
 class TestSpawnPool:
-    def test_spawn_pool_matches_serial_and_fork(self, workload, monkeypatch):
+    def test_spawn_pool_matches_serial_and_fork(
+        self, workload, monkeypatch, tmp_path
+    ):
         import multiprocessing
+
+        from repro.experiments import telemetry
 
         spec = SchemeSpec("SP")
         serial = ExperimentEngine(n_workers=1).run(spec, workload)
-        fork = ExperimentEngine(n_workers=2).run(spec, workload)
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
-        spawn = ExperimentEngine(n_workers=2).run(spec, workload)
+        try:
+            telemetry.configure(tmp_path / "fork")
+            fork = ExperimentEngine(n_workers=2).run(spec, workload)
+            monkeypatch.setattr(
+                multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+            )
+            telemetry.configure(tmp_path / "spawn")
+            spawn = ExperimentEngine(n_workers=2).run(spec, workload)
+        finally:
+            telemetry.disable()
         assert spawn.outcomes == serial.outcomes
         assert fork.outcomes == serial.outcomes
+        # Both start methods run the same pool loop, so both report its
+        # in-flight window.
+        for method in ("fork", "spawn"):
+            trace = telemetry.load_trace(tmp_path / method)
+            assert "pool.pending.max" in trace.gauges
+            assert len(trace.by_name("task")) == len(workload.networks)
 
     def test_spawn_pool_uses_persistent_caches(self, workload, monkeypatch, tmp_path):
         import multiprocessing

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.runner import evaluate_scheme
 from repro.experiments.store import (
     ResultStore,
     StoreMismatchError,
@@ -32,7 +31,9 @@ def workload():
 @pytest.fixture(scope="module")
 def reference_outcomes(workload):
     """Outcomes of a plain storeless run, the ground truth for equality."""
-    return evaluate_scheme(lambda item: ShortestPathRouting(item.cache), workload)
+    return ExperimentEngine().run(
+        lambda item: ShortestPathRouting(item.cache), workload
+    ).outcomes
 
 
 class CountingFactory:
@@ -273,22 +274,18 @@ class TestTornLineRecovery:
 
 class TestStoredEqualsRecomputed:
     def test_across_worker_counts(self, workload, tmp_path, reference_outcomes):
-        stored_parallel = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache),
-            workload,
-            n_workers=4,
-            store_dir=tmp_path,
-            scheme="SP",
+        stored_parallel = ExperimentEngine(
+            n_workers=4, store_dir=tmp_path
+        ).run(
+            lambda item: ShortestPathRouting(item.cache), workload, scheme="SP"
         )
-        assert stored_parallel == reference_outcomes
-        served_serial = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache),
-            workload,
-            n_workers=1,
-            store_dir=tmp_path,
-            scheme="SP",
+        assert stored_parallel.outcomes == reference_outcomes
+        served_serial = ExperimentEngine(
+            n_workers=1, store_dir=tmp_path
+        ).run(
+            lambda item: ShortestPathRouting(item.cache), workload, scheme="SP"
         )
-        assert served_serial == reference_outcomes
+        assert served_serial.outcomes == reference_outcomes
 
     def test_store_only_serves_without_evaluating(
         self, workload, tmp_path, reference_outcomes
@@ -350,10 +347,9 @@ class TestLifecycleTooling:
 
     def populate(self, store_dir, workload, schemes=("SP",)):
         for scheme in schemes:
-            evaluate_scheme(
+            ExperimentEngine(store_dir=store_dir).run(
                 lambda item: ShortestPathRouting(item.cache),
                 workload,
-                store_dir=store_dir,
                 scheme=scheme,
             )
         return workload_signature(workload)
