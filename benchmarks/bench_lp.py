@@ -7,10 +7,10 @@ once per model, not once per solve.  This benchmark replays a small
 MinMax sweep and records wall times to ``BENCH_lp.json``:
 
 * **assembly, cold vs warm** — model assembly (builder + both MinMax
-  stage models) with the structure cache disabled vs pre-warmed.  The
-  cache saves exactly this work, so warm assembly must beat cold or
-  reuse has silently broken; this is the CI guard least exposed to
-  solver-time noise.
+  stage models) with the structure cache cleared before every case vs
+  pre-warmed.  The cache saves exactly this work, so warm assembly must
+  beat cold or reuse has silently broken; this is the CI guard least
+  exposed to solver-time noise.
 * **exact sweep, cold vs warm** — end-to-end solve times for context
   (solver time dominates both; recorded, not guarded).  Warm must be
   bit-identical to cold: reuse is purely a performance change.
@@ -22,6 +22,7 @@ MinMax sweep and records wall times to ``BENCH_lp.json``:
 Scale the ensemble with ``REPRO_BENCH_NETWORKS``.
 """
 
+import gc
 import time
 
 from benchmarks.conftest import record_bench_json
@@ -29,7 +30,6 @@ from repro.lp import resolve_backend
 from repro.routing.pathlp import (
     _PathLpBuilder,
     clear_structure_cache,
-    set_structure_cache_enabled,
     solve_minmax_approx,
     solve_minmax_lp,
 )
@@ -57,16 +57,20 @@ def _sweep_cases(items):
     return cases
 
 
-def _assemble_all(cases):
+def _assemble_all(cases, cold=False):
     for network, path_sets in cases:
+        if cold:
+            clear_structure_cache()
         builder = _PathLpBuilder(network, path_sets)
         builder.minmax_stage1_model()
         builder.minmax_stage2_model(1.0)
 
 
-def _run_exact(cases):
+def _run_exact(cases, cold=False):
     out = []
     for network, path_sets in cases:
+        if cold:
+            clear_structure_cache()
         result, cap = solve_minmax_lp(network, path_sets)
         out.append((result.fractions, cap))
     return out
@@ -85,32 +89,26 @@ def _run_approx(cases):
     return out
 
 
+def _timed(fn):
+    """``(fn(), wall seconds)``; garbage is collected first so a gen-2
+    pause owed to earlier allocations is not billed to ``fn``."""
+    gc.collect()
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
+
+
 def test_lp_reuse_and_approx_fast_path(benchmark, standard_workload):
     items = standard_workload.networks[:6]
     cases = _sweep_cases(items)
 
     # Assembly alone, cold vs warm: the work the structure cache saves.
-    set_structure_cache_enabled(False)
-    try:
-        start = time.perf_counter()
-        _assemble_all(cases)
-        assemble_cold_s = time.perf_counter() - start
-    finally:
-        set_structure_cache_enabled(True)
-    clear_structure_cache()
+    _, assemble_cold_s = _timed(lambda: _assemble_all(cases, cold=True))
     _assemble_all(cases)  # populate the cache
-    start = time.perf_counter()
-    _assemble_all(cases)
-    assemble_warm_s = time.perf_counter() - start
+    _, assemble_warm_s = _timed(lambda: _assemble_all(cases))
 
     # Exact end-to-end sweeps (solver time dominates; context numbers).
-    set_structure_cache_enabled(False)
-    try:
-        start = time.perf_counter()
-        cold = _run_exact(cases)
-        cold_s = time.perf_counter() - start
-    finally:
-        set_structure_cache_enabled(True)
+    cold, cold_s = _timed(lambda: _run_exact(cases, cold=True))
     warm = benchmark.pedantic(
         lambda: _run_exact(cases), rounds=1, iterations=1
     )
@@ -120,9 +118,7 @@ def test_lp_reuse_and_approx_fast_path(benchmark, standard_workload):
     assert warm == cold, "structure-cache reuse changed exact results"
 
     # Approx: the same sweep through the certified fast path.
-    start = time.perf_counter()
-    approx = _run_approx(cases)
-    approx_s = time.perf_counter() - start
+    approx, approx_s = _timed(lambda: _run_approx(cases))
 
     worst_gap = 0.0
     for result, (_, exact_cap) in zip(approx, cold):

@@ -19,7 +19,7 @@ import statistics
 import time
 
 from benchmarks.conftest import record_bench_json
-from repro.experiments import telemetry
+from repro import telemetry
 from repro.experiments.plan import EvalPlan, execute_plan
 from repro.experiments.spec import SchemeSpec
 

@@ -16,7 +16,7 @@ severity.  The plumbing here keeps the passes small:
   ``store gc --max-age-days`` fundamentally needs.  A module whose first
   non-code lines (before any statement past the docstring) contain
   ``# analysis: allow-module[D102]`` suppresses the listed rules for the
-  whole file — for modules like :mod:`repro.experiments.telemetry` whose
+  whole file — for modules like :mod:`repro.telemetry` whose
   entire purpose is the sanctioned exception, declared once at the top
   instead of per line.  ``allow-module`` always names rules explicitly;
   there is deliberately no blanket whole-file opt-out.

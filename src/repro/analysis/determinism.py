@@ -35,13 +35,6 @@ the constructs that silently break it:
   dispatch coordinator and its workers must derive the *same* fleet
   independently.  The parameter is keyword-only today; this rule keeps
   call sites explicit even if a default ever creeps in.
-* **D107** — ``LinearProgram()`` constructed inside a loop whose body
-  also calls ``.solve()``: every iteration pays full model assembly for
-  a structure that usually repeats.  Compile once and mutate the
-  :class:`~repro.lp.model.CompiledLP` payload in place (or reuse a
-  cached builder); a deliberate per-iteration rebuild carries
-  ``# analysis: allow[D107]``.  WARNING severity — a perf contract,
-  not a correctness one.
 * **D108** — dense all-pairs materialization:
   ``all_pairs_shortest_paths(...)`` / ``node_pairs(...)`` calls build a
   quadratic structure — 10^8 entries on the ingest-scale (10k+ node)
@@ -50,7 +43,7 @@ the constructs that silently break it:
   (:class:`repro.net.index.LocalityPruner`) or region aggregation
   (:mod:`repro.tm.regions`); a deliberately zoo-scale call site carries
   ``# analysis: allow[D108]``.  WARNING severity — a scalability
-  contract, like D107.
+  contract, not a correctness one.
 """
 
 from __future__ import annotations
@@ -152,7 +145,6 @@ class DeterminismPass(Pass):
         "D104": "iteration over a set-annotated value feeding ordered output",
         "D105": "assert statement in library code (stripped under -O)",
         "D106": "scenario sampling without an explicit seed",
-        "D107": "LinearProgram rebuilt and solved every loop iteration",
         "D108": "dense all-pairs materialization on a potentially "
                 "ingest-scale graph",
     }
@@ -163,7 +155,6 @@ class DeterminismPass(Pass):
         time_aliases = _import_aliases(module.tree, "time")
         datetime_aliases = _import_aliases(module.tree, "datetime")
         scopes: Dict[Optional[ast.AST], AnnotationScope] = {}
-        rebuilt_lps: Set[tuple] = set()
 
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
@@ -183,9 +174,6 @@ class DeterminismPass(Pass):
                     yield finding
             elif isinstance(node, ast.For):
                 yield from self._check_for(module, node, scopes)
-                yield from self._check_loop_rebuild(module, node, rebuilt_lps)
-            elif isinstance(node, ast.While):
-                yield from self._check_loop_rebuild(module, node, rebuilt_lps)
             elif isinstance(
                 node, (ast.ListComp, ast.DictComp, ast.GeneratorExp, ast.SetComp)
             ):
@@ -344,49 +332,6 @@ class DeterminismPass(Pass):
                 )
                 if finding:
                     yield finding
-
-    def _check_loop_rebuild(
-        self,
-        module: ModuleSource,
-        node: ast.stmt,
-        reported: Set[tuple],
-    ) -> Iterator[Finding]:
-        """D107: ``LinearProgram()`` built and ``.solve()``d per iteration.
-
-        Nested loops walk the same statements more than once; ``reported``
-        dedups constructor sites by position so each fires at most once.
-        """
-        constructors = []
-        has_solve = False
-        body: list = list(node.body) + list(node.orelse)  # type: ignore[attr-defined]
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                if not isinstance(sub, ast.Call):
-                    continue
-                name = call_name(sub)
-                if name is not None and name.split(".")[-1] == "LinearProgram":
-                    constructors.append(sub)
-                if (
-                    isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "solve"
-                ):
-                    has_solve = True
-        if not has_solve:
-            return
-        for ctor in constructors:
-            key = (ctor.lineno, ctor.col_offset)
-            if key in reported:
-                continue
-            reported.add(key)
-            finding = module.finding(
-                "D107", Severity.WARNING, ctor,
-                "`LinearProgram()` rebuilt every iteration of a loop that "
-                "also solves it; compile once and mutate the CompiledLP "
-                "payload (`# analysis: allow[D107]` if the rebuild is "
-                "deliberate)",
-            )
-            if finding:
-                yield finding
 
     def _check_comprehension(
         self,

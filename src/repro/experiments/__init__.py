@@ -19,6 +19,10 @@ each paper figure's series; :mod:`repro.experiments.render` prints them
 as text.
 """
 
+# The tracer lives at the package root (a stdlib-only leaf that ``net`` and
+# ``lp`` import directly); re-bound here because
+# ``from repro.experiments import telemetry`` is a public spelling.
+from repro import telemetry
 from repro.experiments.workloads import ZooWorkload, build_zoo_workload
 from repro.experiments.runner import SchemeOutcome
 from repro.experiments.plan import (
@@ -55,4 +59,5 @@ __all__ = [
     "make_scheduler",
     "SchemeSpec",
     "registered_schemes",
+    "telemetry",
 ]

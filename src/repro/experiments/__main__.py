@@ -446,7 +446,7 @@ def dispatchable_figures() -> list:
 
 def _traced_scheme_phases(trace_dir) -> Dict[str, Dict[str, float]]:
     """Per-scheme phase seconds pooled across every trace in a dir."""
-    from repro.experiments import telemetry
+    from repro import telemetry
 
     pooled: Dict[str, Dict[str, float]] = {}
     for trace_id in telemetry.list_traces(trace_dir):
@@ -613,7 +613,7 @@ def run_store_command(args) -> int:
             # With a trace dir, the coarse per-stream seconds gain a
             # span-derived breakdown: where inside the tasks those
             # seconds went (ksp / lp_solve / place / ...).
-            from repro.experiments.telemetry import format_phases
+            from repro.telemetry import format_phases
 
             phases_by_scheme = _traced_scheme_phases(args.trace_dir)
         for record in streams:
@@ -673,7 +673,7 @@ def run_trace_command(args) -> int:
     import dataclasses
     import json
 
-    from repro.experiments import telemetry
+    from repro import telemetry
 
     action = args.target or "summary"
     if action not in ("summary", "tree", "critical-path", "ls"):
@@ -1071,7 +1071,7 @@ def main(argv=None) -> int:
 
     figure = args.figure
     if args.trace_dir is not None and figure not in ("trace", "store", "list"):
-        from repro.experiments import telemetry
+        from repro import telemetry
 
         telemetry.configure(args.trace_dir, trace=args.trace_id)
 
@@ -1140,7 +1140,7 @@ def main(argv=None) -> int:
             print(f"evicted {len(removed)} KSP cache file(s) from "
                   f"{args.cache_dir}")
     if args.trace_dir is not None:
-        from repro.experiments import telemetry
+        from repro import telemetry
 
         telemetry.recorder().flush()
     return 0

@@ -185,7 +185,7 @@ class CostModel:
                         key = (timing.network_signature, scheme)
                         totals.setdefault(key, []).append(timing.seconds)
             if self.trace_dir is not None:
-                from repro.experiments import telemetry
+                from repro import telemetry
 
                 for signature, scheme, seconds in telemetry.task_timings(
                     self.trace_dir

@@ -60,7 +60,7 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments import telemetry
+from repro import telemetry
 from repro.experiments.engine import ExperimentEngine, NetworkResult
 from repro.experiments.plan import (
     EvalPlan,

@@ -96,7 +96,7 @@ from typing import (
 
 import multiprocessing
 
-from repro.experiments import telemetry
+from repro import telemetry
 from repro.experiments.plan import (
     EvalPlan,
     EvalTask,

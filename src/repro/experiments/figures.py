@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core.metrics import ApaParameters, apa_all_pairs, apa_cdf, llpd
 from repro.experiments.plan import EvalPlan, PlanReport, execute_plan
-from repro.experiments.telemetry import traced
+from repro.telemetry import traced
 from repro.experiments.runner import per_network_quantiles
 from repro.experiments.spec import SchemeSpec
 from repro.experiments.workloads import (

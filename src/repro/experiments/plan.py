@@ -418,7 +418,7 @@ class PlanReport:
         """
         phase_rows: Dict[Tuple[str, str], Dict[str, float]] = {}
         if trace_dir is not None:
-            from repro.experiments import telemetry
+            from repro import telemetry
 
             for trace_id in telemetry.list_traces(trace_dir):
                 try:

@@ -51,7 +51,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-from repro.experiments import telemetry
+from repro import telemetry
 from repro.experiments.runner import SchemeOutcome
 from repro.experiments.workloads import ZooWorkload
 from repro.net.io import to_json as network_to_json

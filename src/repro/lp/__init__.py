@@ -5,9 +5,10 @@ A small modelling layer over the HiGHS solver — via
 bindings, selected by ``REPRO_LP_BACKEND``.  The paper's optimizations —
 the latency-optimal path LP (its Figure 12), the MinMax two-stage LPs,
 the locality redistribution LP and the traffic-matrix scaler — are all
-built on this.  :class:`CompiledLP` is the reusable solver-ready form:
-vectorized assembly once, in-place payload mutation and warm re-solves
-after.
+built on this.  :class:`LinearProgram` is the named scalar builder;
+:class:`CompiledLP` is the immutable solver-ready form, and
+:meth:`CompiledLP.from_coo` is the array entry point for vectorized
+assembly (one fresh model per solve).
 """
 
 from repro.lp.model import (

@@ -15,20 +15,16 @@ beyond plain tuples), and a small, explicit API::
 Only what the routing formulations need is implemented: continuous
 variables, <= / >= / == constraints and a linear objective (minimization).
 
-Two layers:
+Two front doors onto one immutable model:
 
-* :class:`LinearProgram` is the builder.  Incremental, name-carrying,
-  accepts both :class:`LinExpr` rows and bulk coordinate blocks
-  (:meth:`LinearProgram.add_variables` / :meth:`LinearProgram.add_rows`),
-  and compiles to —
+* :class:`LinearProgram` is the named scalar builder: variables carry
+  names, rows are :class:`LinExpr` expressions, and ``solve()`` compiles
+  to —
 * :class:`CompiledLP`, the solver-ready form: one canonical CSR matrix
-  plus senses, rhs, objective and bounds arrays.  The numeric payload
-  (rhs, objective, bounds, column scales) can be mutated in place and the
-  model re-solved without re-assembly; rows and columns can also be
-  appended.  A compiled model remembers that it has been solved, so
-  repeat solves are *warm*: the scipy path skips re-splitting the matrix
-  and the optional HiGHS path re-uses one ``Highs`` instance whose basis
-  carries over between solves.
+  plus senses, rhs, objective and bounds arrays.
+  :meth:`CompiledLP.from_coo` is the array entry point for vectorized
+  assembly.  A compiled model is built once and solved once; a different
+  model is a new ``from_coo`` call.
 
 Backends
 --------
@@ -36,8 +32,7 @@ Backends
 when importable, else scipy), ``scipy`` (:func:`scipy.optimize.linprog`
 ``method="highs"``), or ``highs`` (the native ``highspy`` bindings; an
 error when the package is missing).  Both backends drive the same HiGHS
-solver, and exact results are bit-identical between them; the native
-backend additionally keeps a warm simplex basis across payload mutations.
+solver, and exact results are bit-identical between them.
 """
 
 from __future__ import annotations
@@ -63,22 +58,10 @@ import numpy.typing as npt
 from scipy import sparse
 from scipy.optimize import linprog
 
+from repro.telemetry import Recorder, recorder
+
 FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]
-
-#: Lazily bound telemetry module (a module-level import would drag the
-#: whole experiments package into every LP import; see
-#: :mod:`repro.net.paths` for the same idiom).
-_telemetry: Optional[ModuleType] = None
-
-
-def _recorder() -> Any:
-    global _telemetry
-    if _telemetry is None:
-        from repro.experiments import telemetry
-
-        _telemetry = telemetry
-    return _telemetry.recorder()
 
 
 # ----------------------------------------------------------------------
@@ -254,44 +237,15 @@ def _as_index_array(values: Union[Sequence[int], IntArray]) -> IntArray:
     return np.ascontiguousarray(np.asarray(values, dtype=np.int64))
 
 
-def sense_codes(
-    senses: Union[str, Sequence[str], npt.NDArray[np.int8]], n_rows: int
-) -> npt.NDArray[np.int8]:
-    """Normalize a sense spec (one string, strings, or codes) to int8."""
-    if isinstance(senses, str):
-        if senses not in _SENSE_CODE:
-            raise ValueError(f"unknown constraint sense {senses!r}")
-        return np.full(n_rows, _SENSE_CODE[senses], dtype=np.int8)
-    if isinstance(senses, np.ndarray) and senses.dtype == np.int8:
-        if senses.shape != (n_rows,):
-            raise ValueError(
-                f"senses shape {senses.shape} != ({n_rows},)"
-            )
-        return np.ascontiguousarray(senses)
-    codes = np.empty(n_rows, dtype=np.int8)
-    items = list(cast(Sequence[str], senses))
-    if len(items) != n_rows:
-        raise ValueError(f"{len(items)} senses for {n_rows} rows")
-    for i, sense in enumerate(items):
-        if sense not in _SENSE_CODE:
-            raise ValueError(f"unknown constraint sense {sense!r}")
-        codes[i] = _SENSE_CODE[sense]
-    return codes
-
-
 class CompiledLP:
-    """A solver-ready LP: canonical CSR matrix plus numeric payload.
+    """A solver-ready LP: canonical CSR matrix plus senses, rhs, objective
+    and bounds.
 
     The matrix holds every row in insertion order with its *original*
-    sense (no ``>=`` negation baked in); scipy's ``A_ub``/``A_eq`` split
-    is derived lazily and cached.  Payload mutators (:meth:`set_rhs`,
-    :meth:`set_objective`, :meth:`set_variable_bounds`) keep the matrix —
-    and any warm solver state — intact; structural mutators
-    (:meth:`scale_columns`, :meth:`add_rows`, :meth:`add_columns`)
-    invalidate the derived views and the native-backend model.
-
-    A model that has been solved once is *warm*: repeat solves skip the
-    split (scipy) or re-enter HiGHS with the previous basis (highspy).
+    sense (no ``>=`` negation baked in); each backend derives its own
+    view (scipy's ``A_ub``/``A_eq`` split, HiGHS row bounds) at solve
+    time.  Immutable: built once (:meth:`from_coo`), and nothing is kept
+    between solves.
     """
 
     def __init__(
@@ -319,10 +273,11 @@ class CompiledLP:
             or self._upper.shape[0] != n_cols
         ):
             raise ValueError("c/bounds length != matrix column count")
-        # Lazily derived scipy views: (ub_idx, eq_idx, a_ub, a_eq).
-        self._split: Optional[Tuple[IntArray, IntArray, Any, Any]] = None
-        self._highs: Any = None
-        self._solved = False
+        bad_sense = (self._senses < SENSE_LE) | (self._senses > SENSE_EQ)
+        if bool(bad_sense.any()):
+            raise ValueError(
+                "sense codes must be SENSE_LE, SENSE_GE or SENSE_EQ"
+            )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -359,221 +314,46 @@ class CompiledLP:
     def n_rows(self) -> int:
         return int(self._a.shape[0])
 
-    @property
-    def warm(self) -> bool:
-        """Whether this model has been solved at least once."""
-        return self._solved
-
-    @property
-    def c(self) -> FloatArray:
-        """The objective vector (mutable in place)."""
-        return self._c
-
-    @property
-    def rhs(self) -> FloatArray:
-        """The right-hand-side vector (mutable in place)."""
-        return self._rhs
-
-    # ------------------------------------------------------------------
-    # Payload mutators: keep the matrix and warm solver state.
-    # ------------------------------------------------------------------
-    def set_rhs(
-        self,
-        rows: Union[Sequence[int], IntArray, None],
-        values: Union[float, Sequence[float], FloatArray],
-    ) -> None:
-        """Overwrite rhs entries (``rows=None`` addresses every row)."""
-        if rows is None:
-            self._rhs[:] = np.asarray(values, dtype=np.float64)
-        else:
-            self._rhs[_as_index_array(rows)] = np.asarray(
-                values, dtype=np.float64
-            )
-
-    def set_objective(
-        self,
-        cols: Union[Sequence[int], IntArray, None],
-        values: Union[float, Sequence[float], FloatArray],
-    ) -> None:
-        """Overwrite objective entries (``cols=None`` addresses all)."""
-        if cols is None:
-            self._c[:] = np.asarray(values, dtype=np.float64)
-        else:
-            self._c[_as_index_array(cols)] = np.asarray(
-                values, dtype=np.float64
-            )
-
-    def set_variable_bounds(
-        self,
-        cols: Union[Sequence[int], IntArray, None],
-        lower: Union[float, Sequence[float], FloatArray, None] = None,
-        upper: Union[float, Sequence[float], FloatArray, None] = None,
-    ) -> None:
-        """Overwrite variable bounds (``cols=None`` addresses all)."""
-        index: Union[slice, IntArray]
-        index = slice(None) if cols is None else _as_index_array(cols)
-        if lower is not None:
-            self._lower[index] = np.asarray(lower, dtype=np.float64)
-        if upper is not None:
-            self._upper[index] = np.asarray(upper, dtype=np.float64)
-
-    # ------------------------------------------------------------------
-    # Structural mutators: invalidate derived views and native state.
-    # ------------------------------------------------------------------
-    def _touch_structure(self) -> None:
-        self._split = None
-        self._highs = None
-        self._solved = False
-
-    def scale_columns(
-        self,
-        cols: Union[Sequence[int], IntArray],
-        factors: Union[float, Sequence[float], FloatArray],
-    ) -> None:
-        """Multiply whole columns of the matrix by per-column factors."""
-        scale = np.ones(self.n_variables, dtype=np.float64)
-        scale[_as_index_array(cols)] = np.asarray(factors, dtype=np.float64)
-        self._a.data *= scale[self._a.indices]
-        self._touch_structure()
-
-    def add_rows(
-        self,
-        data: Union[Sequence[float], FloatArray],
-        rows: Union[Sequence[int], IntArray],
-        cols: Union[Sequence[int], IntArray],
-        senses: Union[str, Sequence[str], npt.NDArray[np.int8]],
-        rhs: Union[Sequence[float], FloatArray],
-    ) -> None:
-        """Append rows given as local-coordinate COO arrays."""
-        rhs_arr = _as_float_array(rhs)
-        n_new = rhs_arr.shape[0]
-        codes = sense_codes(senses, n_new)
-        data_arr = _as_float_array(data)
-        rows_arr = _as_index_array(rows)
-        cols_arr = _as_index_array(cols)
-        keep = data_arr != 0.0
-        if not bool(keep.all()):
-            data_arr = data_arr[keep]
-            rows_arr = rows_arr[keep]
-            cols_arr = cols_arr[keep]
-        block = sparse.csr_matrix(
-            (data_arr, (rows_arr, cols_arr)),
-            shape=(n_new, self.n_variables),
-        )
-        self._a = sparse.vstack([self._a, block], format="csr")
-        self._a.sum_duplicates()
-        self._senses = np.concatenate([self._senses, codes])
-        self._rhs = np.concatenate([self._rhs, rhs_arr])
-        self._touch_structure()
-
-    def add_columns(
-        self,
-        count: int,
-        lower: Union[float, Sequence[float], FloatArray] = 0.0,
-        upper: Union[float, Sequence[float], FloatArray] = np.inf,
-        objective: Union[float, Sequence[float], FloatArray] = 0.0,
-        data: Union[Sequence[float], FloatArray, None] = None,
-        rows: Union[Sequence[int], IntArray, None] = None,
-        cols: Union[Sequence[int], IntArray, None] = None,
-    ) -> int:
-        """Append ``count`` columns; returns the first new column index.
-
-        ``data``/``rows``/``cols`` (optional) populate existing rows at
-        the new columns, with ``cols`` local to the new block (0-based).
-        """
-        start = self.n_variables
-        n_rows = self.n_rows
-        if data is None:
-            block = sparse.csr_matrix((n_rows, count))
-        else:
-            if rows is None or cols is None:
-                raise ValueError("data requires rows and cols")
-            block = sparse.csr_matrix(
-                (
-                    _as_float_array(data),
-                    (_as_index_array(rows), _as_index_array(cols)),
-                ),
-                shape=(n_rows, count),
-            )
-        self._a = sparse.hstack([self._a, block], format="csr")
-        self._a.sum_duplicates()
-        self._c = np.concatenate(
-            [self._c, np.broadcast_to(np.asarray(objective, dtype=np.float64), (count,))]
-        )
-        self._lower = np.concatenate(
-            [self._lower, np.broadcast_to(np.asarray(lower, dtype=np.float64), (count,))]
-        )
-        self._upper = np.concatenate(
-            [self._upper, np.broadcast_to(np.asarray(upper, dtype=np.float64), (count,))]
-        )
-        self._touch_structure()
-        return start
-
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def _ensure_split(self) -> Tuple[IntArray, IntArray, Any, Any]:
-        """The cached scipy view: ub/eq row ids + sign-applied slices."""
-        if self._split is None:
-            ub_idx = cast(
-                IntArray, np.flatnonzero(self._senses != SENSE_EQ).astype(np.int64)
-            )
-            eq_idx = cast(
-                IntArray, np.flatnonzero(self._senses == SENSE_EQ).astype(np.int64)
-            )
-            a_ub = None
-            if ub_idx.size:
-                a_ub = self._a[ub_idx]
-                signs = np.where(
-                    self._senses[ub_idx] == SENSE_GE, -1.0, 1.0
-                )
-                a_ub.data *= np.repeat(signs, np.diff(a_ub.indptr))
-            a_eq = self._a[eq_idx] if eq_idx.size else None
-            self._split = (ub_idx, eq_idx, a_ub, a_eq)
-        return self._split
-
-    def _span_attrs(
-        self, backend: str, warm: bool
-    ) -> Optional[Dict[str, object]]:
-        recorder = _recorder()
-        if not recorder.enabled:
-            return None
-        return {
-            "backend": backend,
-            "warm": warm,
-            "n_variables": self.n_variables,
-            "n_constraints": self.n_rows,
-        }
-
     def solve(self, backend: Optional[str] = None) -> Solution:
         """Solve; raises on infeasible/unbounded models.
 
-        The exact optimum is backend-independent; only wall time and
-        warm-start behaviour differ.
+        The exact optimum is backend-independent; only wall time
+        differs.
         """
         resolved = resolve_backend(backend)
-        warm = self._solved
-        recorder = _recorder()
-        attrs = self._span_attrs(resolved, warm)
+        rec = recorder()
+        attrs: Optional[Dict[str, object]] = None
+        if rec.enabled:
+            attrs = {
+                "backend": resolved,
+                "n_variables": self.n_variables,
+                "n_constraints": self.n_rows,
+            }
         if resolved == "highs":
-            solution = self._solve_highs(recorder, attrs)
-        else:
-            solution = self._solve_scipy(recorder, attrs)
-        self._solved = True
-        return solution
+            return self._solve_highs(rec, attrs)
+        return self._solve_scipy(rec, attrs)
 
     def _solve_scipy(
-        self, recorder: Any, attrs: Optional[Dict[str, object]]
+        self, rec: Recorder, attrs: Optional[Dict[str, object]]
     ) -> Solution:
-        with recorder.span("lp_assemble", attrs):
-            ub_idx, eq_idx, a_ub, a_eq = self._ensure_split()
+        with rec.span("lp_assemble", attrs):
+            # scipy's view: ub/eq row ids + sign-applied slices.
+            ub_idx = np.flatnonzero(self._senses != SENSE_EQ)
+            eq_idx = np.flatnonzero(self._senses == SENSE_EQ)
+            a_ub = None
             b_ub = None
             if ub_idx.size:
                 signs = np.where(self._senses[ub_idx] == SENSE_GE, -1.0, 1.0)
+                a_ub = self._a[ub_idx]
+                a_ub.data *= np.repeat(signs, np.diff(a_ub.indptr))
                 b_ub = signs * self._rhs[ub_idx]
+            a_eq = self._a[eq_idx] if eq_idx.size else None
             b_eq = self._rhs[eq_idx] if eq_idx.size else None
             bounds = np.column_stack([self._lower, self._upper])
-        with recorder.span("lp_solve", attrs):
+        with rec.span("lp_solve", attrs):
             result = linprog(
                 self._c,
                 A_ub=a_ub,
@@ -592,48 +372,31 @@ class CompiledLP:
         return Solution(float(result.fun), np.asarray(result.x))
 
     def _solve_highs(
-        self, recorder: Any, attrs: Optional[Dict[str, object]]
+        self, rec: Recorder, attrs: Optional[Dict[str, object]]
     ) -> Solution:  # pragma: no cover - exercised only with highspy
         module = _highspy()
         if module is None:
             raise RuntimeError("highspy backend selected but not installed")
-        with recorder.span("lp_assemble", attrs):
+        with rec.span("lp_assemble", attrs):
             le = self._senses == SENSE_LE
             ge = self._senses == SENSE_GE
-            row_lower = np.where(le, -np.inf, self._rhs)
-            row_upper = np.where(ge, np.inf, self._rhs)
-            highs = self._highs
-            if highs is None:
-                highs = module.Highs()
-                highs.setOptionValue("output_flag", False)
-                highs.setOptionValue("threads", 1)
-                lp = module.HighsLp()
-                lp.num_col_ = self.n_variables
-                lp.num_row_ = self.n_rows
-                lp.col_cost_ = self._c
-                lp.col_lower_ = self._lower
-                lp.col_upper_ = self._upper
-                lp.row_lower_ = row_lower
-                lp.row_upper_ = row_upper
-                lp.a_matrix_.format_ = module.MatrixFormat.kRowwise
-                lp.a_matrix_.start_ = self._a.indptr
-                lp.a_matrix_.index_ = self._a.indices
-                lp.a_matrix_.value_ = self._a.data
-                highs.passModel(lp)
-                self._highs = highs
-            else:
-                # Re-apply the (cheap, vectorized) numeric payload; the
-                # instance keeps its basis, so this is the warm path.
-                col_idx = np.arange(self.n_variables, dtype=np.int32)
-                row_idx = np.arange(self.n_rows, dtype=np.int32)
-                highs.changeColsCost(self.n_variables, col_idx, self._c)
-                highs.changeColsBounds(
-                    self.n_variables, col_idx, self._lower, self._upper
-                )
-                highs.changeRowsBounds(
-                    self.n_rows, row_idx, row_lower, row_upper
-                )
-        with recorder.span("lp_solve", attrs):
+            highs = module.Highs()
+            highs.setOptionValue("output_flag", False)
+            highs.setOptionValue("threads", 1)
+            lp = module.HighsLp()
+            lp.num_col_ = self.n_variables
+            lp.num_row_ = self.n_rows
+            lp.col_cost_ = self._c
+            lp.col_lower_ = self._lower
+            lp.col_upper_ = self._upper
+            lp.row_lower_ = np.where(le, -np.inf, self._rhs)
+            lp.row_upper_ = np.where(ge, np.inf, self._rhs)
+            lp.a_matrix_.format_ = module.MatrixFormat.kRowwise
+            lp.a_matrix_.start_ = self._a.indptr
+            lp.a_matrix_.index_ = self._a.indices
+            lp.a_matrix_.value_ = self._a.data
+            highs.passModel(lp)
+        with rec.span("lp_solve", attrs):
             highs.run()
         status = highs.getModelStatus()
         statuses = module.HighsModelStatus
@@ -648,48 +411,25 @@ class CompiledLP:
         return Solution(objective, point)
 
 
-@dataclass
-class _RowBlock:
-    """A bulk batch of rows held in local-coordinate COO form."""
-
-    data: FloatArray
-    rows: IntArray
-    cols: IntArray
-    senses: npt.NDArray[np.int8]
-    rhs: FloatArray
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.rhs.shape[0])
-
-
 class LinearProgram:
     """An LP under construction.
 
     Variables default to being non-negative and unbounded above, which is
     the natural domain for flow fractions, loads and overloads.
 
-    ``solve()`` compiles to a :class:`CompiledLP` and caches it; repeat
-    solves without intervening edits reuse the compiled model (and its
-    warm solver state).  Call :meth:`compile` for a standalone compiled
-    model to mutate and re-solve directly.
+    ``solve()`` compiles to a fresh :class:`CompiledLP` and solves it.
     """
 
     def __init__(self) -> None:
-        self._names: List[Optional[str]] = []
+        self._names: List[str] = []
         self._lower: List[float] = []
         self._upper: List[Optional[float]] = []
-        self._rows: List[Union[Constraint, _RowBlock]] = []
+        self._rows: List[Constraint] = []
         self._objective: Optional[LinExpr] = None
-        self._objective_vector: Optional[FloatArray] = None
-        self._compiled: Optional[CompiledLP] = None
 
     # ------------------------------------------------------------------
     # Model building
     # ------------------------------------------------------------------
-    def _invalidate(self) -> None:
-        self._compiled = None
-
     def variable(
         self,
         name: str,
@@ -703,7 +443,6 @@ class LinearProgram:
         self._names.append(name)
         self._lower.append(float(lower))
         self._upper.append(None if upper is None else float(upper))
-        self._invalidate()
         return Variable(index, name)
 
     def variables(
@@ -712,26 +451,6 @@ class LinearProgram:
         """Create ``count`` variables named ``prefix[i]``."""
         return [self.variable(f"{prefix}[{i}]", lower, upper) for i in range(count)]
 
-    def add_variables(
-        self,
-        count: int,
-        lower: float = 0.0,
-        upper: Optional[float] = None,
-    ) -> int:
-        """Bulk-create ``count`` anonymous columns; returns the first index.
-
-        No :class:`Variable` handles (or names) are materialized — address
-        the columns by index in bulk rows/objective arrays.
-        """
-        start = len(self._names)
-        self._names.extend([None] * count)
-        self._lower.extend([float(lower)] * count)
-        self._upper.extend(
-            [None if upper is None else float(upper)] * count
-        )
-        self._invalidate()
-        return start
-
     def add_constraint(
         self, expr: Union[LinExpr, Variable], sense: str, rhs: float
     ) -> Constraint:
@@ -739,41 +458,10 @@ class LinearProgram:
             expr = LinExpr({expr: 1.0})
         constraint = Constraint(expr, sense, float(rhs))
         self._rows.append(constraint)
-        self._invalidate()
         return constraint
-
-    def add_rows(
-        self,
-        data: Union[Sequence[float], FloatArray],
-        rows: Union[Sequence[int], IntArray],
-        cols: Union[Sequence[int], IntArray],
-        senses: Union[str, Sequence[str], npt.NDArray[np.int8]],
-        rhs: Union[Sequence[float], FloatArray],
-    ) -> None:
-        """Bulk-append rows as COO arrays (``rows`` local to this batch)."""
-        rhs_arr = _as_float_array(rhs)
-        block = _RowBlock(
-            data=_as_float_array(data),
-            rows=_as_index_array(rows),
-            cols=_as_index_array(cols),
-            senses=sense_codes(senses, rhs_arr.shape[0]),
-            rhs=rhs_arr,
-        )
-        self._rows.append(block)
-        self._invalidate()
 
     def minimize(self, expr: LinExpr) -> None:
         self._objective = expr
-        self._objective_vector = None
-        self._invalidate()
-
-    def minimize_coefficients(
-        self, c: Union[Sequence[float], FloatArray]
-    ) -> None:
-        """Set the objective as one dense coefficient vector."""
-        self._objective_vector = _as_float_array(c)
-        self._objective = None
-        self._invalidate()
 
     @property
     def num_variables(self) -> int:
@@ -781,108 +469,62 @@ class LinearProgram:
 
     @property
     def num_constraints(self) -> int:
-        return sum(
-            1 if isinstance(row, Constraint) else row.n_rows
-            for row in self._rows
-        )
+        return len(self._rows)
 
     # ------------------------------------------------------------------
     # Compiling / solving
     # ------------------------------------------------------------------
     def compile(self) -> CompiledLP:
-        """Assemble the compiled (solver-ready, reusable) form."""
-        n = self.num_variables
-        if self._objective_vector is not None:
-            if self._objective_vector.shape[0] != n:
-                raise ValueError(
-                    f"objective vector has {self._objective_vector.shape[0]} "
-                    f"coefficients for {n} variables"
-                )
-            c = self._objective_vector.copy()
-        elif self._objective is not None:
-            c = np.zeros(n)
-            for variable, coefficient in self._objective.terms.items():
-                c[variable.index] += coefficient
-        else:
+        """Assemble the solver-ready form (one COO entry per term)."""
+        if self._objective is None:
             raise ValueError("no objective set; call minimize() first")
+        n = self.num_variables
+        c = np.zeros(n)
+        for variable, coefficient in self._objective.terms.items():
+            c[variable.index] += coefficient
 
-        data_parts: List[FloatArray] = []
-        row_parts: List[IntArray] = []
-        col_parts: List[IntArray] = []
-        sense_parts: List[npt.NDArray[np.int8]] = []
-        rhs_parts: List[FloatArray] = []
-        offset = 0
-        for row in self._rows:
-            if isinstance(row, Constraint):
-                terms = row.expr.terms
-                cols = np.fromiter(
-                    (variable.index for variable in terms), dtype=np.int64,
-                    count=len(terms),
-                )
-                vals = np.fromiter(
-                    (coefficient for coefficient in terms.values()),
-                    dtype=np.float64, count=len(terms),
-                )
-                data_parts.append(vals)
-                col_parts.append(cols)
-                row_parts.append(np.full(len(terms), offset, dtype=np.int64))
-                sense_parts.append(
-                    np.array([_SENSE_CODE[row.sense]], dtype=np.int8)
-                )
-                rhs_parts.append(np.array([row.rhs], dtype=np.float64))
-                offset += 1
-            else:
-                data_parts.append(row.data)
-                col_parts.append(row.cols)
-                row_parts.append(row.rows + offset)
-                sense_parts.append(row.senses)
-                rhs_parts.append(row.rhs)
-                offset += row.n_rows
-
-        def _concat_f(parts: List[FloatArray]) -> FloatArray:
-            return np.concatenate(parts) if parts else np.empty(0)
-
-        lower = np.asarray(self._lower, dtype=np.float64)
-        upper = np.asarray(
-            [np.inf if u is None else u for u in self._upper],
-            dtype=np.float64,
+        m = len(self._rows)
+        sizes = np.fromiter(
+            (len(row.expr.terms) for row in self._rows),
+            dtype=np.int64, count=m,
         )
+        nnz = int(sizes.sum())
         return CompiledLP.from_coo(
             n_variables=n,
-            data=_concat_f(data_parts),
-            rows=(
-                np.concatenate(row_parts)
-                if row_parts
-                else np.empty(0, dtype=np.int64)
+            data=np.fromiter(
+                (
+                    coefficient
+                    for row in self._rows
+                    for coefficient in row.expr.terms.values()
+                ),
+                dtype=np.float64, count=nnz,
             ),
-            cols=(
-                np.concatenate(col_parts)
-                if col_parts
-                else np.empty(0, dtype=np.int64)
+            rows=np.repeat(np.arange(m, dtype=np.int64), sizes),
+            cols=np.fromiter(
+                (
+                    variable.index
+                    for row in self._rows
+                    for variable in row.expr.terms
+                ),
+                dtype=np.int64, count=nnz,
             ),
-            senses=(
-                np.concatenate(sense_parts)
-                if sense_parts
-                else np.empty(0, dtype=np.int8)
+            senses=np.fromiter(
+                (_SENSE_CODE[row.sense] for row in self._rows),
+                dtype=np.int8, count=m,
             ),
-            rhs=_concat_f(rhs_parts),
+            rhs=np.fromiter(
+                (row.rhs for row in self._rows), dtype=np.float64, count=m
+            ),
             c=c,
-            lower=lower,
-            upper=upper,
+            lower=np.asarray(self._lower, dtype=np.float64),
+            upper=np.asarray(
+                [np.inf if u is None else u for u in self._upper],
+                dtype=np.float64,
+            ),
         )
 
     def solve(self, backend: Optional[str] = None) -> Solution:
-        """Solve (compiling if needed); raises on infeasible/unbounded."""
-        if self._compiled is None:
-            recorder = _recorder()
-            attrs: Optional[Dict[str, object]] = None
-            if recorder.enabled:
-                attrs = {
-                    "backend": resolve_backend(backend),
-                    "warm": False,
-                    "n_variables": self.num_variables,
-                    "n_constraints": self.num_constraints,
-                }
-            with recorder.span("lp_assemble", attrs):
-                self._compiled = self.compile()
-        return self._compiled.solve(backend)
+        """Compile and solve; raises on infeasible/unbounded."""
+        with recorder().span("lp_assemble"):
+            compiled = self.compile()
+        return compiled.solve(backend)

@@ -34,12 +34,13 @@ mutate-and-undo cycle that restores the same signature value.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.net.graph import Network
+from repro.telemetry import recorder
 
 Path = Tuple[str, ...]
 IdPath = Tuple[int, ...]
@@ -47,20 +48,6 @@ FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]
 
 _INF = float("inf")
-
-#: Lazily bound telemetry module (same pattern as :mod:`repro.net.paths`:
-#: a top-level import would cycle through ``repro.experiments``).
-_telemetry: Any = None
-
-
-def _recorder() -> Any:
-    global _telemetry
-    if _telemetry is None:
-        from repro.experiments import telemetry
-
-        _telemetry = telemetry
-    return _telemetry.recorder()
-
 
 class NoPathError(Exception):
     """Raised when no path exists between the requested endpoints.
@@ -397,10 +384,10 @@ def graph_index(network: Network) -> GraphIndex:
     if cached is not None and token is not None and cached[0] is token:
         return cached[1]
     token = network_signature(network)
-    recorder = _recorder()
-    if recorder.enabled:
-        recorder.counter("index.build")
-    with recorder.span("index_build"):
+    rec = recorder()
+    if rec.enabled:
+        rec.counter("index.build")
+    with rec.span("index_build"):
         index = GraphIndex(network)
     network._graph_index = (token, index)
     return index

@@ -40,6 +40,7 @@ from repro.net.index import (
     NoPathError,
     graph_index,
 )
+from repro.telemetry import recorder
 
 __all__ = [
     "GraphIndex",
@@ -66,23 +67,6 @@ __all__ = [
 ]
 
 Path = Tuple[str, ...]
-
-#: Lazily bound telemetry module.  A module-level import would run
-#: ``repro.experiments.__init__`` (which imports the engine, which
-#: imports this module) mid-import; binding on first use keeps this
-#: low-level module cycle-free while the disabled-recorder fast path
-#: stays two attribute lookups and a call.
-_telemetry: Any = None
-
-
-def _recorder() -> Any:
-    global _telemetry
-    if _telemetry is None:
-        from repro.experiments import telemetry
-
-        _telemetry = telemetry
-    return _telemetry.recorder()
-
 
 class KspCacheMismatchError(ValueError):
     """Raised when a persisted KSP cache does not match the network.
@@ -386,7 +370,7 @@ class KspCache:
 
     #: Version tag of the :meth:`dump` payload layout.  Format 2 stores
     #: paths as integer indexes into a dumped name table; :meth:`load`
-    #: still accepts format-1 (full node-name list) payloads.
+    #: rejects every other format (the file is a cache: it is recomputed).
     DUMP_FORMAT = 2
 
     def __init__(
@@ -421,25 +405,25 @@ class KspCache:
             and not self._pruner.admits(src, dst)
         ):
             limit = 1
-            recorder = _recorder()
-            if recorder.enabled:
-                recorder.counter("ksp.pruned")
+            rec = recorder()
+            if rec.enabled:
+                rec.counter("ksp.pruned")
         key = (src, dst)
         if key not in self._paths:
             self._paths[key] = []
         paths = self._paths[key]
         if len(paths) >= limit or key in self._exhausted:
-            recorder = _recorder()
-            if recorder.enabled:
-                recorder.counter("ksp.cache_hit")
+            rec = recorder()
+            if rec.enabled:
+                rec.counter("ksp.cache_hit")
             return paths[:limit]
-        recorder = _recorder()
-        if recorder.enabled:
-            recorder.counter("ksp.cache_miss")
+        rec = recorder()
+        if rec.enabled:
+            rec.counter("ksp.cache_miss")
         # The span covers only materialization (running Yen's), never
         # cache hits — "ksp" trace seconds are the paper's "readily
         # cached" bottleneck, not dictionary lookups.
-        with recorder.span("ksp"):
+        with rec.span("ksp"):
             while len(paths) < limit and key not in self._exhausted:
                 try:
                     paths.append(next(self._generator(key)))
@@ -537,13 +521,13 @@ class KspCache:
     def load(cls, payload: Dict[str, Any], network: Network) -> "KspCache":
         """Rebuild a cache from :meth:`dump` output.
 
-        Accepts the current integer-indexed payload (format 2) and the
-        older full-name layout (format 1).  Raises
-        :class:`KspCacheMismatchError` if the payload was dumped for a
-        different (or since-mutated) network, or uses an unknown format.
+        Raises :class:`KspCacheMismatchError` if the payload was dumped
+        for a different (or since-mutated) network, uses another format
+        (a persisted file is a cache: callers recompute and rewrite it),
+        or is malformed.
         """
         fmt = payload.get("format")
-        if fmt not in (1, cls.DUMP_FORMAT):
+        if fmt != cls.DUMP_FORMAT:
             raise KspCacheMismatchError(
                 f"unsupported KSP cache format {fmt!r}"
             )
@@ -555,25 +539,18 @@ class KspCache:
             )
         cache = cls(network)
         try:
-            if fmt == 1:
-                for entry in payload["pairs"]:
-                    key = (entry["src"], entry["dst"])
-                    cache._paths[key] = [
-                        tuple(path) for path in entry["paths"]
-                    ]
-                    if entry["exhausted"]:
-                        cache._exhausted.add(key)
-            else:
-                table: List[str] = list(payload["nodes"])
-                for entry in payload["pairs"]:
-                    key = (table[entry["src"]], table[entry["dst"]])
-                    cache._paths[key] = [
-                        tuple(table[i] for i in path)
-                        for path in entry["paths"]
-                    ]
-                    if entry["exhausted"]:
-                        cache._exhausted.add(key)
-        except (KeyError, TypeError, IndexError) as exc:
+            # A dict, not the list: a negative or otherwise foreign index
+            # must miss (KeyError), never wrap around to the wrong node.
+            table: Dict[object, str] = dict(enumerate(payload["nodes"]))
+            for entry in payload["pairs"]:
+                key = (table[entry["src"]], table[entry["dst"]])
+                cache._paths[key] = [
+                    tuple(table[i] for i in path)
+                    for path in entry["paths"]
+                ]
+                if entry["exhausted"]:
+                    cache._exhausted.add(key)
+        except (KeyError, TypeError) as exc:
             # Malformed structure (hand-edited file, external writer, schema
             # drift without a format bump) must hit the same rejected-cache
             # path as a wrong signature, not crash the caller.

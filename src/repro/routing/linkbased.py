@@ -16,7 +16,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.lp import LinearProgram
+from repro.lp import CompiledLP
+from repro.lp.model import SENSE_EQ, SENSE_LE
 from repro.net.graph import Network
 from repro.net.paths import shortest_path_delays
 from repro.routing.base import Placement, RoutingScheme, normalize_allocations
@@ -26,6 +27,7 @@ from repro.routing.pathlp import (
     M2_MAX_OVERLOAD,
     M3_TOTAL_OVERLOAD,
 )
+from repro.telemetry import recorder
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 
@@ -66,10 +68,14 @@ class LinkBasedOptimalRouting(RoutingScheme):
             delay_unit = 1e-3
 
         # Column layout: flow variables aggregate-major (``ai * L + li``),
-        # then Omax, then one O_l per link — the same order the scalar
-        # assembly produced, so solutions are bit-identical.
+        # then Omax, then one O_l per link.  Row layout: conservation rows
+        # aggregate-major, then the capacity block.  The order reaches the
+        # solver, so it is pinned (tests/test_regression_pins.py).
         n_aggs = len(aggregates)
         n_links = len(links)
+        omax_col = n_aggs * n_links
+        o_start = omax_col + 1
+        n_variables = o_start + n_links
         node_names = list(routed.node_names)
         n_nodes = len(node_names)
         node_pos = {name: ni for ni, name in enumerate(node_names)}
@@ -82,9 +88,6 @@ class LinkBasedOptimalRouting(RoutingScheme):
             )
             / capacity_unit
         )
-
-        lp = LinearProgram()
-        flow_start = lp.add_variables(n_aggs * n_links)
 
         # Conservation per aggregate and node, in capacity units: build the
         # one-aggregate incidence pattern once (each link leaves its src row
@@ -115,29 +118,25 @@ class LinkBasedOptimalRouting(RoutingScheme):
         )
         cons_rhs[agg_index * n_nodes + agg_src] = demand_units
         cons_rhs[agg_index * n_nodes + agg_dst] = -demand_units
-        lp.add_rows(cons_data, cons_rows, cons_cols, "==", cons_rhs)
 
         # Capacity with overload variables, as in Figure 12: per link one
         # capacity row (all aggregates' flows minus O_l * capacity) and one
         # O_l <= Omax row, interleaved.
-        omax = lp.variable("Omax", lower=1.0)
-        o_start = lp.add_variables(n_links, lower=1.0)
         capacities = np.fromiter(
             (link.capacity_bps for link in links),
             dtype=np.float64, count=n_links,
         )
-        cap_rows = np.concatenate([
+        cap_rows = n_aggs * n_nodes + np.concatenate([
             np.repeat(2 * link_index, n_aggs),
             2 * link_index,
             2 * link_index + 1,
             2 * link_index + 1,
         ])
         cap_cols = np.concatenate([
-            (link_index[:, None] + agg_index[None, :] * n_links).ravel()
-            + flow_start,
+            (link_index[:, None] + agg_index[None, :] * n_links).ravel(),
             o_start + link_index,
             o_start + link_index,
-            np.full(n_links, omax.index, dtype=np.int64),
+            np.full(n_links, omax_col, dtype=np.int64),
         ])
         cap_data = np.concatenate([
             np.ones(n_aggs * n_links),
@@ -145,9 +144,6 @@ class LinkBasedOptimalRouting(RoutingScheme):
             np.ones(n_links),
             -np.ones(n_links),
         ])
-        lp.add_rows(
-            cap_data, cap_rows, cap_cols, "<=", np.zeros(2 * n_links)
-        )
 
         # Objective: delay (with the RTT tie-break), then overload layers.
         # sum_l f_al * d_l / B_a  ==  flow-fraction-weighted path delay.
@@ -175,21 +171,37 @@ class LinkBasedOptimalRouting(RoutingScheme):
         coefficient = coefficient * (
             1.0 + M1_TIEBREAK * (delay_unit / shortest_delay)
         )[:, None]
-        c = np.zeros(lp.num_variables)
-        c[flow_start:flow_start + n_aggs * n_links] = coefficient.ravel()
-        c[omax.index] = M2_MAX_OVERLOAD
-        c[o_start:o_start + n_links] = M3_TOTAL_OVERLOAD
-        lp.minimize_coefficients(c)
+        c = np.concatenate([
+            coefficient.ravel(),
+            np.array([M2_MAX_OVERLOAD]),
+            np.full(n_links, M3_TOTAL_OVERLOAD),
+        ])
 
-        solution = lp.solve()
+        with recorder().span("lp_assemble"):
+            model = CompiledLP.from_coo(
+                n_variables=n_variables,
+                data=np.concatenate([cons_data, cap_data]),
+                rows=np.concatenate([cons_rows, cap_rows]),
+                cols=np.concatenate([cons_cols, cap_cols]),
+                senses=np.concatenate([
+                    np.full(n_aggs * n_nodes, SENSE_EQ, dtype=np.int8),
+                    np.full(2 * n_links, SENSE_LE, dtype=np.int8),
+                ]),
+                rhs=np.concatenate([cons_rhs, np.zeros(2 * n_links)]),
+                c=c,
+                lower=np.concatenate([
+                    np.zeros(n_aggs * n_links), np.ones(1 + n_links)
+                ]),
+                upper=np.full(n_variables, np.inf),
+            )
+        solution = model.solve()
         values = solution.x
 
         raw: Dict[Aggregate, List[Tuple[tuple, float]]] = {}
         unplaced: Dict[Aggregate, float] = {}
         for ai, agg in enumerate(aggregates):
             flow_values = (
-                values[flow_start + ai * n_links:
-                       flow_start + (ai + 1) * n_links]
+                values[ai * n_links:(ai + 1) * n_links]
                 * capacity_unit
             ).tolist()
             link_flow = {
@@ -204,7 +216,7 @@ class LinkBasedOptimalRouting(RoutingScheme):
                 )
             raw[agg] = splits
         allocations = normalize_allocations(raw)
-        max_overload = solution.value(omax)
+        max_overload = float(values[omax_col])
         if max_overload > 1.0 + 1e-6:
             from repro.net.paths import path_links
 

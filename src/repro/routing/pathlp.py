@@ -32,9 +32,9 @@ cached in a small module-level LRU keyed by the network's content
 signature plus the exact path sets.  Sweep points that reuse a path set
 under different traffic matrices (figures 8/16/17, LDR's repeated rounds,
 scenario fleets) skip the dominant build loops entirely; the per-solve
-work is a handful of numpy operations feeding a
-:class:`repro.lp.CompiledLP`.  The produced models are bit-identical to
-the historical per-coefficient construction.
+work is a handful of numpy operations feeding one fresh
+:meth:`repro.lp.CompiledLP.from_coo` model, solved once.  The produced
+models are bit-identical to the historical per-coefficient construction.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ import math
 import numpy as np
 
 from repro.lp import CompiledLP, Solution
-from repro.lp.model import SENSE_EQ, SENSE_LE, _recorder, resolve_backend
+from repro.lp.model import SENSE_EQ, SENSE_LE, resolve_backend
 from repro.net.graph import Network
 from repro.net.paths import Path, network_signature, path_links
+from repro.telemetry import recorder
 from repro.tm.matrix import Aggregate
 
 # Priority layers of the Figure 12 objective (normalized units).
@@ -202,20 +203,11 @@ class _PathSetStructure:
 #: of the key — the structure is demand-independent by construction.
 _STRUCTURE_CACHE: "OrderedDict[tuple, _PathSetStructure]" = OrderedDict()
 _STRUCTURE_CACHE_MAX = 32
-_structure_cache_enabled = True
 
 
 def clear_structure_cache() -> None:
     """Drop every cached path-set structure (benchmarks, tests)."""
     _STRUCTURE_CACHE.clear()
-
-
-def set_structure_cache_enabled(enabled: bool) -> bool:
-    """Toggle the structure cache; returns the previous setting."""
-    global _structure_cache_enabled
-    previous = _structure_cache_enabled
-    _structure_cache_enabled = bool(enabled)
-    return previous
 
 
 def _structure_for(
@@ -230,8 +222,6 @@ def _structure_for(
     insertion order — two equal-content networks enumerated differently
     would differ in final ulps.
     """
-    if not _structure_cache_enabled:
-        return _PathSetStructure(network, aggregates, path_lists), False
     key = (
         network_signature(network),
         tuple(link.key for link in network.links()),
@@ -435,8 +425,7 @@ class _PathLpBuilder:
         return fractions
 
     def _assemble_attrs(self) -> Optional[dict]:
-        recorder = _recorder()
-        if not recorder.enabled:
+        if not recorder().enabled:
             return None
         return {
             "backend": resolve_backend(),
@@ -488,7 +477,7 @@ def solve_latency_lp(
     """One solve of the Figure 12 latency-optimization LP."""
     if builder is None:
         builder = _PathLpBuilder(network, path_sets)
-    with _recorder().span("lp_assemble", builder._assemble_attrs()):
+    with recorder().span("lp_assemble", builder._assemble_attrs()):
         model = builder.latency_model()
     solution = model.solve()
 
@@ -523,14 +512,14 @@ def solve_minmax_lp(
     if builder is None:
         builder = _PathLpBuilder(network, path_sets)
     if utilization_cap is None:
-        with _recorder().span("lp_assemble", builder._assemble_attrs()):
+        with recorder().span("lp_assemble", builder._assemble_attrs()):
             stage1 = builder.minmax_stage1_model()
         utilization_cap = float(
             stage1.solve().x[builder.structure.n_paths]
         )
 
     cap = utilization_cap * (1.0 + 1e-6) + 1e-9
-    with _recorder().span("lp_assemble", builder._assemble_attrs()):
+    with recorder().span("lp_assemble", builder._assemble_attrs()):
         stage2 = builder.minmax_stage2_model(cap)
     solution = stage2.solve()
 

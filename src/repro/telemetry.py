@@ -52,9 +52,10 @@ Span vocabulary (what :func:`summary` / ``trace critical-path`` report):
 ``place``                 one traffic matrix placement inside a task
 ``ksp``                   Yen's k-shortest-paths materialization
 ``lp_assemble``           LP model assembly / compilation to solver
-                          form; attrs carry backend + warm/cold
+                          form; attrs carry backend (path LPs add
+                          ``warm``: structure-cache hit or miss)
 ``lp_solve``              one LP solve (scipy-HiGHS or highspy); attrs
-                          carry backend + warm/cold
+                          carry backend + model size
 ``cache_load``/``_dump``  persistent KSP cache file I/O
 ``store_append``          one result-store record append
 ``manifest_write``        shard manifest serialization (dispatch)
@@ -82,7 +83,15 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    ContextManager,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 #: Environment variables child processes inherit tracing through.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
@@ -123,7 +132,9 @@ class Recorder:
     trace: Optional[str] = None
     trace_dir: Optional[str] = None
 
-    def span(self, name: str, attrs: Optional[dict] = None) -> object:
+    def span(
+        self, name: str, attrs: Optional[dict] = None
+    ) -> ContextManager[object]:
         return _NOOP_SPAN
 
     def counter(self, name: str, n: int = 1) -> None:

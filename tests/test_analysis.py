@@ -288,54 +288,6 @@ def test_d106_quiet_with_seed_splat_or_pragma(tmp_path):
     assert rules == []
 
 
-def test_d107_lp_rebuilt_in_loop(tmp_path):
-    rules = rules_in(
-        tmp_path,
-        """
-        from repro.lp import LinearProgram
-
-        def sweep(points):
-            results = []
-            for point in points:
-                lp = LinearProgram()
-                lp.variable("x")
-                results.append(lp.solve())
-            while points:
-                model = LinearProgram()
-                points = points[1:] if model.solve() else []
-            return results
-        """,
-        [DeterminismPass()],
-    )
-    assert rules == ["D107", "D107"]
-
-
-def test_d107_quiet_on_reuse_hoist_or_pragma(tmp_path):
-    rules = rules_in(
-        tmp_path,
-        """
-        from repro.lp import LinearProgram
-
-        def sweep(points, compiled):
-            lp = LinearProgram()  # hoisted: built once, solved many
-            results = []
-            for point in points:
-                compiled.set_rhs([point])
-                results.append(compiled.solve())
-                results.append(lp.solve())
-            for point in points:
-                fresh = LinearProgram()  # built per point, never solved here
-                results.append(fresh)
-            for point in points:
-                waived = LinearProgram()  # analysis: allow[D107]
-                results.append(waived.solve())
-            return results
-        """,
-        [DeterminismPass()],
-    )
-    assert rules == []
-
-
 def test_d108_dense_pair_materialization(tmp_path):
     rules = rules_in(
         tmp_path,
@@ -615,7 +567,7 @@ def test_rule_table_covers_every_pass():
     table = rule_table()
     for rule in (
         "E001", "D101", "D102", "D103", "D104", "D105", "D106",
-        "D107", "D108",
+        "D108",
         "S201", "S202", "S203", "C301", "C302", "C303",
     ):
         assert rule in table

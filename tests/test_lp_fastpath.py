@@ -1,15 +1,14 @@
-"""The LP hot path: compiled reuse, backends, and the approximate solver.
+"""The LP hot path: vectorized assembly, backends, approximate solver.
 
 Three layers:
 
 * **byte-identity properties** — the vectorized assembly in
   :mod:`repro.routing.pathlp` must produce *bit-identical* results to the
   scalar, build-per-solve reference implementation it replaced (ported
-  below as ``_legacy_*``), with the structure cache on, off, or shared
+  below as ``_legacy_*``), with the structure cache cold, hit, or shared
   across solves, and under every available backend;
-* **CompiledLP unit tests** — payload mutation keeps warm state,
-  structural mutation invalidates it, and the bulk builder APIs agree
-  with the scalar ones;
+* **CompiledLP unit tests** — construction (``from_coo`` and the scalar
+  builder's ``compile``), input validation and solver outcomes;
 * **approximate fast path** — the certified bounds bracket the exact
   optimum and the heuristic is deterministic.
 """
@@ -30,6 +29,7 @@ from repro.lp import (
     available_backends,
     resolve_backend,
 )
+from repro.lp.model import SENSE_GE, SENSE_LE
 from repro.net.paths import KspCache
 from repro.net.units import Gbps
 from repro.routing.minmax import MinMaxRouting
@@ -38,7 +38,6 @@ from repro.routing.pathlp import (
     M2_MAX_OVERLOAD,
     M3_TOTAL_OVERLOAD,
     clear_structure_cache,
-    set_structure_cache_enabled,
     solve_latency_lp,
     solve_minmax_approx,
     solve_minmax_lp,
@@ -191,7 +190,6 @@ def _paper_case(gts):
 def _fresh_structure_cache():
     clear_structure_cache()
     yield
-    set_structure_cache_enabled(True)
     clear_structure_cache()
 
 
@@ -219,23 +217,19 @@ class TestByteIdentity:
 
     def test_structure_cache_changes_nothing(self, gts):
         path_sets = _paper_case(gts)
-        set_structure_cache_enabled(False)
-        cold = solve_latency_lp(gts, path_sets)
-        set_structure_cache_enabled(True)
-        clear_structure_cache()
-        miss = solve_latency_lp(gts, path_sets)  # populates the cache
+        cold = solve_latency_lp(gts, path_sets)  # miss: populates the cache
         hit = solve_latency_lp(gts, path_sets)  # warm structure
-        for warm in (miss, hit):
-            assert warm.fractions == cold.fractions
-            assert warm.link_overload == cold.link_overload
-            assert warm.max_overload == cold.max_overload
-            assert warm.objective == cold.objective
+        clear_structure_cache()
+        again = solve_latency_lp(gts, path_sets)  # cold once more
+        for other in (hit, again):
+            assert other.fractions == cold.fractions
+            assert other.link_overload == cold.link_overload
+            assert other.max_overload == cold.max_overload
+            assert other.objective == cold.objective
 
     def test_shared_builder_warm_equals_cold(self, gts):
         path_sets = _paper_case(gts)
-        set_structure_cache_enabled(False)
         cold = solve_minmax_lp(gts, path_sets)
-        set_structure_cache_enabled(True)
         warm = solve_minmax_lp(gts, path_sets)
         assert warm[0].fractions == cold[0].fractions
         assert warm[1] == cold[1]
@@ -308,74 +302,39 @@ class TestCompiledLP:
     def test_compile_once_solve_many(self):
         lp, x, y = _small_lp()
         compiled = lp.compile()
-        assert not compiled.warm
         first = compiled.solve()
-        assert compiled.warm
         assert first.value(x) == pytest.approx(2.0)
-        again = compiled.solve()  # warm repeat: identical
+        # Solving derives per-backend views (sign-flipped >= rows) from
+        # copies; the model itself is untouched, so a repeat is identical.
+        again = compiled.solve()
         assert again.x.tolist() == first.x.tolist()
         assert again.objective == first.objective
 
-    def test_set_rhs_keeps_warm_state(self):
-        lp, x, y = _small_lp()
-        compiled = lp.compile()
-        compiled.solve()
-        compiled.set_rhs([0], [6.0])  # x + y >= 6 now
-        assert compiled.warm
-        moved = compiled.solve()
-        assert moved.value(x) == pytest.approx(6.0)
-
-    def test_set_objective_and_bounds(self):
-        lp, x, y = _small_lp()
-        compiled = lp.compile()
-        compiled.set_objective(None, [2.0, 1.0])  # now prefer y
-        compiled.set_variable_bounds([1], upper=1.5)
-        solution = compiled.solve()
-        assert solution.value(y) == pytest.approx(1.5)
-        assert solution.value(x) == pytest.approx(0.5)
-
-    def test_scale_columns_invalidates_warmth(self):
-        lp, x, y = _small_lp()
-        compiled = lp.compile()
-        compiled.solve()
-        compiled.scale_columns([0], [2.0])  # 2x + y >= 2
-        assert not compiled.warm
-        solution = compiled.solve()
-        assert solution.value(x) == pytest.approx(1.0)
-
-    def test_add_rows_and_columns(self):
-        lp, x, y = _small_lp()
-        compiled = lp.compile()
-        compiled.solve()
-        compiled.add_rows([1.0], [0], [0], ">=", [1.0])  # x >= 1
-        assert not compiled.warm
-        assert compiled.n_rows == 3
-        solution = compiled.solve()
-        assert solution.value(x) == pytest.approx(2.0)
-        # A new column that relaxes the >= row with zero cost: unbounded
-        # usefulness is capped by its upper bound.
-        z = compiled.add_columns(
-            1, lower=0.0, upper=1.0, objective=0.0,
-            data=[1.0], rows=[0], cols=[0],
-        )
-        assert z == 2
-        assert compiled.n_variables == 3
-        solution = compiled.solve()
-        assert solution.x[z] == pytest.approx(1.0)
-        assert solution.value(x) == pytest.approx(1.0)
-
     def test_bulk_builder_matches_scalar(self):
         scalar, x, y = _small_lp()
-        bulk = LinearProgram()
-        start = bulk.add_variables(2)
-        bulk.add_rows(
-            [1.0, 1.0, 1.0], [0, 0, 1], [start, start + 1, start + 1],
-            [">=", "<="], [2.0, 4.0],
+        bulk = CompiledLP.from_coo(
+            n_variables=2,
+            data=np.array([1.0, 1.0, 1.0]),
+            rows=np.array([0, 0, 1]),
+            cols=np.array([0, 1, 1]),
+            senses=np.array([SENSE_GE, SENSE_LE], dtype=np.int8),
+            rhs=np.array([2.0, 4.0]),
+            c=np.array([1.0, 2.0]),
+            lower=np.zeros(2),
+            upper=np.full(2, np.inf),
         )
-        bulk.minimize_coefficients([1.0, 2.0])
         a, b = scalar.solve(), bulk.solve()
         assert a.x.tolist() == b.x.tolist()
         assert a.objective == b.objective
+
+    def test_sense_codes_validated(self):
+        with pytest.raises(ValueError, match="sense codes"):
+            CompiledLP.from_coo(
+                n_variables=1, data=np.array([1.0]),
+                rows=np.array([0]), cols=np.array([0]),
+                senses=np.array([3], dtype=np.int8), rhs=np.array([1.0]),
+                c=np.array([1.0]), lower=np.zeros(1), upper=np.ones(1),
+            )
 
     def test_infeasible_and_unbounded(self):
         lp = LinearProgram()

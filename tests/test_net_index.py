@@ -254,7 +254,7 @@ class TestLocalityPruner:
         assert pruned.get(src, dst, 1) == exact.get(src, dst, 1)
 
     def test_pruned_metric_recorded(self, gts, tmp_path):
-        from repro.experiments import telemetry
+        from repro import telemetry
 
         names = sorted(gts.node_names)
         telemetry.configure(tmp_path)

@@ -1,5 +1,6 @@
 """Unit tests for shortest paths, Yen's KSP and the path cache."""
 
+import json
 import os
 
 import pytest
@@ -285,7 +286,7 @@ class TestDumpBounds:
         decoded = [tuple(names[i] for i in path) for path in entry["paths"]]
         assert decoded == expected
 
-    def test_format1_payload_still_loads(self, square):
+    def test_format1_file_rejected_and_regenerated(self, square, tmp_path):
         cache = KspCache(square)
         expected = cache.get("a", "c", 99)
         legacy = {
@@ -300,8 +301,33 @@ class TestDumpBounds:
                 }
             ],
         }
-        restored = KspCache.load(legacy, square)
+        with pytest.raises(KspCacheMismatchError, match="format 1"):
+            KspCache.load(legacy, square)
+        # A persisted file is only a cache: the consumer starts cold,
+        # recomputes the same paths and rewrites the file as format 2.
+        path = tmp_path / "ksp.json"
+        path.write_text(json.dumps(legacy))
+        assert KspCache.try_load_file(path, square) is None
+        fresh = KspCache(square)
+        assert fresh.get("a", "c", 99) == expected
+        fresh.dump_file(path)
+        assert json.loads(path.read_text())["format"] == 2
+        restored = KspCache.try_load_file(path, square)
         assert restored.get("a", "c", 99) == expected
+
+    @pytest.mark.parametrize("bad", [-1, 99, 1.5, "0"])
+    @pytest.mark.parametrize("where", ["src", "dst", "path"])
+    def test_bad_node_index_rejected(self, square, where, bad):
+        cache = KspCache(square)
+        cache.get("a", "c", 2)
+        payload = cache.dump()
+        entry = payload["pairs"][0]
+        if where == "path":
+            entry["paths"][0][1] = bad
+        else:
+            entry[where] = bad
+        with pytest.raises(KspCacheMismatchError, match="malformed"):
+            KspCache.load(payload, square)
 
     def test_dump_file_bound(self, diamond, tmp_path):
         cache = KspCache(diamond)

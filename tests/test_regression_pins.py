@@ -5,6 +5,8 @@ change moves one of these numbers, it changed behaviour — intentionally or
 not — and this file makes that visible at review time.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,14 @@ from repro.net.zoo import (
     google_like,
     gts_like,
 )
-from repro.routing import LatencyOptimalRouting, MinMaxRouting
-from tests.conftest import loaded_gts_tm
+from repro.net.units import Gbps
+from repro.routing import (
+    LatencyOptimalRouting,
+    LinkBasedOptimalRouting,
+    MinMaxRouting,
+)
+from repro.tm.matrix import TrafficMatrix
+from tests.conftest import build_diamond, loaded_gts_tm
 
 
 class TestNamedReplicaPins:
@@ -65,3 +73,46 @@ class TestWorkloadPins:
         scheme = MinMaxRouting()
         scheme.place(network, tm)
         assert scheme.last_max_utilization == pytest.approx(1 / 1.3, abs=1e-4)
+
+
+class TestLinkBasedPin:
+    """Exact LinkBased output: every (path, fraction) of every aggregate.
+
+    The node-arc LP is assembled straight into ``CompiledLP.from_coo``;
+    column order, row order and coefficient arithmetic all reach the
+    solver, so any drift in the assembly moves these digests.
+    """
+
+    PINS = {
+        ("gts", 0.0):
+            "03996b21aac985c05e04cdaf312eae1d46ed5b2dda97d5c7c1594d76ea332382",
+        ("gts", 0.2):
+            "b641460738ff3b7396cf90e3eb97d30a26883f4888b4127685eebae3f869618d",
+        ("diamond", 0.0):
+            "7c64c29fe306b8c9a11f8d6e5c458255ddde32f30a6e9f609f4c1d47d4d5c217",
+        ("diamond", 0.2):
+            "ff040c1ee0be60dbe48a4b4ce2f15bebfbf22337868dc7e6063a5a4191888d26",
+    }
+
+    @staticmethod
+    def _case(name):
+        if name == "gts":
+            network = gts_like()
+            return network, loaded_gts_tm(network, seed=0)
+        return build_diamond(), TrafficMatrix({("s", "t"): Gbps(20)})
+
+    @pytest.mark.parametrize("name,headroom", sorted(PINS))
+    def test_allocations_exact(self, name, headroom):
+        network, tm = self._case(name)
+        placement = LinkBasedOptimalRouting(headroom=headroom).place(
+            network, tm
+        )
+        listing = [
+            (agg.src, agg.dst, [
+                (alloc.path, alloc.fraction.hex())
+                for alloc in placement.paths_for(agg)
+            ])
+            for agg in placement.aggregates
+        ]
+        digest = hashlib.sha256(repr(listing).encode()).hexdigest()
+        assert digest == self.PINS[(name, headroom)]

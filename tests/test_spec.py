@@ -128,7 +128,7 @@ class TestSpawnPool:
     ):
         import multiprocessing
 
-        from repro.experiments import telemetry
+        from repro import telemetry
 
         spec = SchemeSpec("SP")
         serial = ExperimentEngine(n_workers=1).run(spec, workload)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import telemetry
+from repro import telemetry
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.plan import EvalPlan, execute_plan
 from repro.experiments.spec import SchemeSpec
@@ -318,7 +318,7 @@ class TestProcessMerge:
             [
                 sys.executable,
                 "-c",
-                "from repro.experiments import telemetry\n"
+                "from repro import telemetry\n"
                 "recorder = telemetry.recorder()\n"
                 "assert recorder.enabled\n"
                 "with recorder.span('child_work'):\n"
