@@ -1,8 +1,8 @@
 """Static analysis for the repro codebase: ``python -m repro.analysis``.
 
 An AST-based linter with codebase-specific passes enforcing the
-invariants every layer of the execution stack (plan → schedule → engine
-→ store → dispatch) rests on but runtime tests can only sample:
+invariants every layer of the execution stack (plan → engine → store →
+dispatch) rests on but runtime tests can only sample:
 
 * :class:`~repro.analysis.determinism.DeterminismPass` (D1xx) —
   unseeded RNGs, wall-clock reads, hash-seed-ordered set iteration

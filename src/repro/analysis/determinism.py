@@ -13,7 +13,7 @@ the constructs that silently break it:
   fine for *instrumentation*, fatal when they leak into results or
   control flow.  ``time.perf_counter()`` is deliberately not flagged —
   it is the designated instrumentation clock (the engine's measured
-  ``seconds``), and scheduling built on it is order-only by contract.
+  ``seconds``), which no result ever reads.
   Genuinely wall-clock-dependent features (``store gc --max-age-days``)
   carry an ``# analysis: allow[D102]`` pragma; a module whose whole
   purpose is sanctioned instrumentation (the telemetry layer) declares

@@ -92,9 +92,9 @@ def _constant_reads(
 def _subscript_writes(module: ModuleSource, names: frozenset) -> Set[str]:
     """Keys written via ``var["key"] = ...`` / ``var.setdefault("key", ...)``.
 
-    Dict literals are not the only way a writer populates a record —
-    ``list_streams`` adds its timing columns by subscript assignment —
-    so the write set must include stored subscripts too.
+    Dict literals are not the only way a writer populates a record — a
+    field can be added afterwards by subscript assignment — so the write
+    set must include stored subscripts too.
     """
     written: Set[str] = set()
     for node in ast.walk(module.tree):

@@ -7,10 +7,7 @@ per-matrix outcome record and its per-network reduction;
 :mod:`repro.experiments.plan` declares whole-figure evaluation grids
 (every scheme and sweep point) as flat batches;
 :mod:`repro.experiments.engine` executes plans on one shared process pool
-with persistent KSP caches; :mod:`repro.experiments.cost` predicts
-per-task costs (static shape model plus measured timings replayed from
-the result store) so schedulers can order longest-first and dispatch can
-balance shard makespans; :mod:`repro.experiments.spec` names schemes
+with persistent KSP caches; :mod:`repro.experiments.spec` names schemes
 declaratively (picklable, registry-resolved) so evaluations can cross
 process and host boundaries; :mod:`repro.experiments.dispatch` shards a
 plan into self-contained manifests, runs them in worker subprocesses and
@@ -28,9 +25,7 @@ from repro.experiments.runner import SchemeOutcome
 from repro.experiments.plan import (
     EvalPlan,
     EvalTask,
-    InterleaveScheduler,
     PlanReport,
-    Scheduler,
     execute_plan,
 )
 from repro.experiments.engine import (
@@ -38,7 +33,6 @@ from repro.experiments.engine import (
     ExperimentEngine,
     NetworkResult,
 )
-from repro.experiments.cost import CostModel, LptScheduler, make_scheduler
 from repro.experiments.spec import SchemeSpec, registered_schemes
 
 __all__ = [
@@ -48,15 +42,10 @@ __all__ = [
     "EvalPlan",
     "EvalTask",
     "PlanReport",
-    "Scheduler",
-    "InterleaveScheduler",
     "execute_plan",
     "EngineReport",
     "ExperimentEngine",
     "NetworkResult",
-    "CostModel",
-    "LptScheduler",
-    "make_scheduler",
     "SchemeSpec",
     "registered_schemes",
     "telemetry",

@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.experiments fig03 [--networks 18] [--tms 2] [--workers 4]
     python -m repro.experiments fig03 --store-dir results/   # persist + resume
-    python -m repro.experiments fig17 --workers 8 --schedule lpt  # cost-aware
     python -m repro.experiments render fig03 --store-dir results/
     python -m repro.experiments dispatch SP --shards 2 --store-dir results/
     python -m repro.experiments dispatch fig17 --shards 2 --store-dir results/
@@ -33,14 +32,6 @@ restarted with the same arguments evaluates only the missing tasks
 (``--resume``, the default; ``--no-resume`` discards the stored streams
 and recomputes).
 
-``--schedule lpt`` makes execution cost-aware: plan tasks run
-longest-predicted-first and dispatch shards are balanced by predicted
-makespan, with per-task costs replayed from timings the store already
-measured (falling back to a static shape predictor).  Scheduling is
-pure sequencing — results are bit-identical to the default interleave
-schedule.  ``store ls --timings`` shows the stored per-stream seconds
-the predictions replay.
-
 ``dispatch <scheme>`` shards the standard workload (one scheme — a
 one-stream plan) and ``dispatch <figure>`` shards the figure's whole
 multi-scheme plan into self-contained JSON shard manifests, evaluates
@@ -49,7 +40,8 @@ store), and merges the worker stores back into ``--store-dir`` — the
 same cycle a multi-host run performs by copying manifests out and store
 directories back.  ``worker`` is that subprocess's entry point and runs
 anywhere the package is importable.  ``store ls`` / ``store gc`` list
-and prune the store's streams.
+and prune the store's streams; ``store ls --timings`` adds each stream's
+stored evaluation seconds.
 
 ``--trace-dir`` records span telemetry for any run, render, dispatch or
 worker invocation: every process appends its spans and metrics to JSONL
@@ -107,7 +99,6 @@ def engine_options(args) -> dict:
         resume=args.resume,
         store_only=args.store_only,
         cache_max_paths=args.cache_max_paths,
-        scheduler=args.schedule,
     )
 
 
@@ -427,7 +418,6 @@ def run_dispatch_command(args) -> int:
         cache_dir=args.cache_dir,
         cache_max_paths=args.cache_max_paths,
         resume=args.resume,
-        scheduler=args.schedule,
     )
     print(
         f"dispatch: {args.shards} shard worker(s) evaluated {what} "
@@ -560,7 +550,6 @@ def run_scenarios_command(args) -> int:
             cache_dir=args.cache_dir,
             cache_max_paths=args.cache_max_paths,
             resume=args.resume,
-            scheduler=args.schedule,
         )
         for key, results in plan_report.results.items():
             for result in results:
@@ -602,9 +591,7 @@ def run_store_command(args) -> int:
         return 2
     store = ResultStore(args.store_dir)
     if args.target == "ls":
-        # --timings rides the same light scanner the cost model's
-        # learned-replay table reads; one pass per stream either way.
-        streams = store.list_streams(timings=args.timings)
+        streams = store.list_streams()
         if not streams:
             print(f"store {args.store_dir}: empty")
             return 0
@@ -798,6 +785,18 @@ def run_ingest_command(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type`` for count flags: an integer of at least 1.
+
+    The function's name appears in argparse's message for a non-integer
+    (``invalid positive_int value: 'x'``).
+    """
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -821,8 +820,8 @@ def main(argv=None) -> int:
         "summary|tree|critical-path|ls), topology file or 'synth' "
         "(ingest)",
     )
-    parser.add_argument("--networks", type=int, default=12)
-    parser.add_argument("--tms", type=int, default=1)
+    parser.add_argument("--networks", type=positive_int, default=12)
+    parser.add_argument("--tms", type=positive_int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--growth-factor",
@@ -835,20 +834,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=1,
         help="shard evaluation tasks across this many processes (results "
         "identical); multi-call figures run their whole grid on one pool",
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=("interleave", "lpt"),
-        default="interleave",
-        help="task scheduling policy: 'interleave' (round-robin across "
-        "streams, the default) or 'lpt' (longest-predicted-first "
-        "ordering and makespan-balanced dispatch shards; replays "
-        "measured timings from --store-dir when available).  Results "
-        "are identical either way",
     )
     parser.add_argument(
         "--cache-dir",
@@ -887,7 +876,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--shards",
-        type=int,
+        type=positive_int,
         default=2,
         help="number of shard manifests / worker subprocesses (dispatch)",
     )
@@ -927,8 +916,8 @@ def main(argv=None) -> int:
         "--timings",
         action="store_true",
         help="store ls: add a per-stream column with total/mean stored "
-        "evaluation seconds (the timings the 'lpt' schedule replays); "
-        "with --trace-dir also a span-derived per-phase breakdown",
+        "evaluation seconds; with --trace-dir also a span-derived "
+        "per-phase breakdown",
     )
     parser.add_argument(
         "--log-level",

@@ -20,15 +20,11 @@ There is one manifest generation: a shard of an
 signature per stream) plus a flat task list, so every worker gets a mix
 of schemes and sweep points rather than one scheme's heaviest networks.
 A single scheme over one workload (the classic ``dispatch <scheme>``
-cycle) is simply a one-stream plan.  How work is split across shards is
-a scheduling choice: the default cuts equal-*count* contiguous chunks of
-the interleaved task order, and a cost-aware scheduler (``--schedule
-lpt``) instead balances predicted *makespan* — greedy LPT bin-packing
-over the cost model's per-task predictions
-(:mod:`repro.experiments.cost`), so one worker is never handed all the
-heavy LP solves.  The merge is order-blind either way: worker stores are
-just (signature, scheme) streams, deduplicated by network index, so any
-partitioning yields the same merged store.
+cycle) is simply a one-stream plan.  Shards are equal-*count*
+contiguous chunks of the plan's round-robin task order.  The merge is
+order-blind: worker stores are just (signature, scheme) streams,
+deduplicated by network index, so any partitioning yields the same
+merged store.
 
 Determinism
 -----------
@@ -62,13 +58,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.experiments.engine import ExperimentEngine, NetworkResult
-from repro.experiments.plan import (
-    EvalPlan,
-    EvalTask,
-    InterleaveScheduler,
-    PlanReport,
-    Scheduler,
-)
+from repro.experiments.plan import EvalPlan, EvalTask, PlanReport
 from repro.experiments.spec import SchemeSpec, is_spawn_safe
 from repro.experiments.store import (
     MultiStreamWriter,
@@ -257,45 +247,42 @@ def write_plan_manifests(
     plan: EvalPlan,
     n_shards: int,
     out_dir: "os.PathLike[str] | str",
-    scheduler: Optional[Scheduler] = None,
 ) -> List[Path]:
     """Split a whole plan into shard manifest files under ``out_dir``.
 
-    Partitioning is the scheduler's :meth:`~repro.experiments.plan.
-    Scheduler.partition` policy.  The default (round-robin interleave)
-    splits :meth:`EvalPlan.tasks` into contiguous, equal-size chunks of
-    the interleaved order, so every worker receives a mix of *all*
+    :meth:`EvalPlan.tasks` is cut into contiguous, equal-size chunks of
+    its round-robin order, so every worker receives a mix of *all*
     schemes and sweep points.  (Stride striping would resonate with the
     stream count — with 4 schemes and 2 shards, every other task is the
     same two schemes — whereas a contiguous chunk of a round-robin list
-    cycles through every stream.)  A cost-aware scheduler
-    (:class:`~repro.experiments.cost.LptScheduler`) instead balances
-    shards by predicted makespan: greedy LPT bin-packing, heaviest task
-    onto the lightest shard, each shard internally ordered
-    longest-first.  Either way every stream's signature is the full
-    workload's, so all shards append into the same mergeable store keys
-    the in-process plan run would use — partitioning never changes the
-    merged results.
+    cycles through every stream.)  Always writes at least one manifest,
+    never more manifests than tasks.  Every stream's signature is the
+    full workload's, so all shards append into the same mergeable store
+    keys the in-process plan run would use — partitioning never changes
+    the merged results.
     """
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")
-    if scheduler is None:
-        scheduler = InterleaveScheduler()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    tasks = plan.tasks()
+    n_effective = min(n_shards, max(len(tasks), 1))
+    base, extra = divmod(len(tasks), n_effective)
     paths: List[Path] = []
-    shards = scheduler.partition(plan, n_shards)
     recorder = telemetry.recorder()
-    for shard_index, shard_tasks in enumerate(shards):
+    position = 0
+    for shard_index in range(n_effective):
+        size = base + (1 if shard_index < extra else 0)
         with recorder.span("manifest_write", {"shard_index": shard_index}):
             manifest = build_plan_manifest(
                 plan,
-                shard_tasks,
+                tasks[position:position + size],
                 shard_index=shard_index,
-                n_shards=len(shards),
+                n_shards=n_effective,
             )
             path = out / f"shard-{shard_index:03d}.json"
             path.write_text(json.dumps(manifest, indent=2))
+        position += size
         paths.append(path)
     return paths
 
@@ -534,7 +521,7 @@ def _worker_command(
         command += ["--cache-dir", os.fspath(cache_dir)]
     if cache_max_paths is not None:
         command += ["--cache-max-paths", str(cache_max_paths)]
-    trace_dir = telemetry.active_trace_dir()
+    trace_dir = telemetry.recorder().trace_dir
     if trace_dir is not None:
         # Local workers would inherit REPRO_TRACE_DIR anyway; the flag
         # also documents exactly what a remote host must be handed.  The
@@ -613,7 +600,6 @@ def dispatch_plan(
     cache_max_paths: Optional[int] = None,
     resume: bool = True,
     verify: bool = False,
-    scheduler: "str | Scheduler | None" = None,
 ) -> PlanReport:
     """Shard a whole evaluation plan across worker subprocesses and merge.
 
@@ -624,11 +610,9 @@ def dispatch_plan(
     ``store_dir``, and serve the report from the merged store.  The
     plan's flat task list — every (scheme, sweep point, network) cell of
     a figure, or one scheme's networks for a one-stream plan —
-    is partitioned across ``n_shards`` manifests by the ``scheduler``
-    (default: contiguous chunks of the round-robin interleave, so each
-    worker evaluates a mix of *all* streams; ``"lpt"`` balances shards
-    by predicted makespan, replaying learned timings from
-    ``store_dir``).  Worker stores merge back into ``store_dir`` with
+    is cut into ``n_shards`` contiguous chunks of the round-robin order
+    (:func:`write_plan_manifests`), so each worker evaluates a mix of
+    *all* streams.  Worker stores merge back into ``store_dir`` with
     the usual idempotent, conflict-checked (signature, scheme, index)
     dedup, and the merged store then serves the full
     :class:`~repro.experiments.plan.PlanReport` — equal to what an
@@ -640,25 +624,16 @@ def dispatch_plan(
     before merging, and only after every worker succeeded — a failed
     dispatch never destroys existing results.
     """
-    from repro.experiments.cost import make_scheduler
-
     recorder = telemetry.recorder()
     if recorder.enabled:
         recorder.begin_trace(telemetry.plan_trace_id(plan))
-    resolved = make_scheduler(
-        scheduler,
-        store_dir=store_dir,
-        trace_dir=telemetry.active_trace_dir(),
-    )
     own_work_dir = None
     if work_dir is None:
         own_work_dir = tempfile.TemporaryDirectory(prefix="repro-dispatch-")
         work_dir = own_work_dir.name
     work = Path(work_dir)
     try:
-        manifests = write_plan_manifests(
-            plan, n_shards, work / "manifests", scheduler=resolved
-        )
+        manifests = write_plan_manifests(plan, n_shards, work / "manifests")
         worker_stores = _run_shard_workers(
             manifests, work, cache_dir, cache_max_paths
         )

@@ -13,10 +13,8 @@ between runs via :meth:`KspCache.dump` / :meth:`KspCache.load`.
 The unit of execution is an :class:`~repro.experiments.plan.EvalPlan`: a
 flat batch of (stream, network-index) tasks spanning every scheme and
 sweep point of a figure.  :meth:`ExperimentEngine.run_plan` executes an
-entire plan on **one** process pool, sequencing tasks through a
-pluggable :class:`~repro.experiments.plan.Scheduler` (round-robin
-interleave by default; cost-aware longest-first via
-:class:`~repro.experiments.cost.LptScheduler`); the classic
+entire plan on **one** process pool, in the plan's round-robin task
+order (:meth:`~repro.experiments.plan.EvalPlan.iter_tasks`); the classic
 single-scheme entry points (:meth:`run`, :meth:`stream`) are one-stream
 plans, so both paths share one execution spine and one determinism
 contract.
@@ -31,8 +29,8 @@ Sharding/determinism contract
   workload item and scheme factory.  (Warm KSP-cache state affects only
   timing, never results.)
 * Consequently plan execution returns **bit-identical** outcome lists
-  for any ``n_workers`` *and any task order* (schedulers sequence, they
-  never re-shard) — and bit-identical to running each stream through a
+  for any ``n_workers`` *and any task order* (tasks commute) — and
+  bit-identical to running each stream through a
   separate :meth:`ExperimentEngine.run` call, which is why the figure
   layer could move from per-(scheme, sweep-point) calls to whole-figure
   plans without changing a single output.
@@ -97,13 +95,7 @@ from typing import (
 import multiprocessing
 
 from repro import telemetry
-from repro.experiments.plan import (
-    EvalPlan,
-    EvalTask,
-    InterleaveScheduler,
-    PlanReport,
-    Scheduler,
-)
+from repro.experiments.plan import EvalPlan, EvalTask, PlanReport
 from repro.experiments.runner import SchemeOutcome
 from repro.experiments.workloads import NetworkWorkload, ZooWorkload
 from repro.logutil import get_logger
@@ -147,9 +139,9 @@ class NetworkResult:
     paths_preloaded: int = 0
     #: Content hash of the evaluated network
     #: (:func:`repro.net.paths.network_signature`).  Persisted with the
-    #: result so the cost model can replay measured ``seconds`` for the
-    #: same network under any workload; empty on records written before
-    #: signatures were stored.
+    #: result so measured ``seconds`` can be joined to the same network
+    #: under any workload; empty on records written before signatures
+    #: were stored.
     network_signature: str = ""
 
 
@@ -187,12 +179,7 @@ class ExperimentEngine:
     streams first), and ``store_only`` forbids evaluation altogether —
     missing results raise
     :class:`~repro.experiments.store.StoreMissError` instead of being
-    computed.  ``scheduler`` picks the default task sequencing policy
-    for plan runs — a :class:`~repro.experiments.plan.Scheduler`, a
-    schedule name (``"interleave"``/``"lpt"``) or ``None`` for the
-    round-robin default; :meth:`run_plan`/:meth:`stream_plan` accept a
-    per-call override.  Sequencing never changes results.  See the
-    module docstring for the full contract.
+    computed.  See the module docstring for the full contract.
     """
 
     def __init__(
@@ -203,7 +190,6 @@ class ExperimentEngine:
         resume: bool = True,
         store_only: bool = False,
         cache_max_paths: Optional[int] = None,
-        scheduler: "str | Scheduler | None" = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
@@ -215,26 +201,6 @@ class ExperimentEngine:
         self.resume = resume
         self.store_only = store_only
         self.cache_max_paths = cache_max_paths
-        self.scheduler = scheduler
-
-    def _resolve_scheduler(
-        self, override: "str | Scheduler | None" = None
-    ) -> Scheduler:
-        """The scheduler a plan run uses: override, engine default, or
-        round-robin.  Names resolve through the cost layer so ``"lpt"``
-        replays learned timings from this engine's store."""
-        choice = override if override is not None else self.scheduler
-        if choice is None:
-            return InterleaveScheduler()
-        if isinstance(choice, Scheduler):
-            return choice
-        from repro.experiments.cost import make_scheduler
-
-        return make_scheduler(
-            choice,
-            store_dir=self.store_dir,
-            trace_dir=telemetry.active_trace_dir(),
-        )
 
     # ------------------------------------------------------------------
     # Single-scheme entry points (one-stream plans)
@@ -285,52 +251,29 @@ class ExperimentEngine:
     # ------------------------------------------------------------------
     # Plan entry points
     # ------------------------------------------------------------------
-    def run_plan(
-        self,
-        plan: EvalPlan,
-        scheduler: "str | Scheduler | None" = None,
-    ) -> PlanReport:
-        """Execute a whole plan; per-stream results in workload order.
-
-        ``scheduler`` overrides the engine's default sequencing policy
-        for this run.  When the scheduler is cost-aware its per-task
-        predictions are recorded in :attr:`PlanReport.predicted`, next
-        to the measured per-task ``seconds`` on each result —
-        :meth:`PlanReport.cost_report` joins the two.
-        """
-        resolved = self._resolve_scheduler(scheduler)
+    def run_plan(self, plan: EvalPlan) -> PlanReport:
+        """Execute a whole plan; per-stream results in workload order."""
         collected: Dict[Hashable, Dict[int, NetworkResult]] = {
             key: {} for key in plan.streams
         }
-        for key, result in self.stream_plan(plan, resolved):
+        for key, result in self.stream_plan(plan):
             collected[key][result.index] = result
-        predicted: Dict[Hashable, Dict[int, float]] = {}
-        for (key, index), cost in resolved.predictions(plan).items():
-            predicted.setdefault(key, {})[index] = cost
         return PlanReport(
             results={
                 key: [collected[key][i] for i in sorted(collected[key])]
                 for key in plan.streams
             },
-            predicted=predicted,
-            schemes={
-                key: stream.scheme
-                for key, stream in plan.streams.items()
-                if stream.scheme
-            },
         )
 
     def stream_plan(
-        self,
-        plan: EvalPlan,
-        scheduler: "str | Scheduler | None" = None,
+        self, plan: EvalPlan
     ) -> Iterator[Tuple[Hashable, NetworkResult]]:
         """Yield ``(stream key, result)`` pairs as tasks complete.
 
         Store-backed runs yield each stream's stored results first (in
         index order, stream by stream), then freshly evaluated tasks in
-        completion order.  The whole plan runs on one process pool;
-        ``scheduler`` decides the order tasks are handed to it.
+        completion order.  The whole plan runs on one process pool, fed
+        in :meth:`~repro.experiments.plan.EvalPlan.iter_tasks` order.
         """
         if not plan.streams:
             return iter(())
@@ -341,13 +284,10 @@ class ExperimentEngine:
             # children, dispatch workers on other hosts — independently
             # derives the same trace id and their shards merge.
             recorder.begin_trace(telemetry.plan_trace_id(plan))
-        resolved = self._resolve_scheduler(scheduler)
         if self.store_dir is not None:
-            inner = self._stream_plan_stored(plan, resolved)
+            inner = self._stream_plan_stored(plan)
         else:
-            with recorder.span("schedule"):
-                tasks = plan.iter_tasks(scheduler=resolved)
-            inner = self._stream_plan_fresh(plan, tasks)
+            inner = self._stream_plan_fresh(plan, plan.iter_tasks())
         if recorder.enabled:
             return self._traced_stream(inner)
         return inner
@@ -362,7 +302,7 @@ class ExperimentEngine:
 
     # ------------------------------------------------------------------
     def _stream_plan_stored(
-        self, plan: EvalPlan, scheduler: Scheduler
+        self, plan: EvalPlan
     ) -> Iterator[Tuple[Hashable, NetworkResult]]:
         """Serve stored results, evaluate (and append) only the rest."""
         from repro.experiments.store import (
@@ -416,8 +356,7 @@ class ExperimentEngine:
                 for index in sorted(valid):
                     yield key, valid[index]
                 missing[key] = [i for i in range(total) if i not in valid]
-            with recorder.span("schedule"):
-                tasks = plan.iter_tasks(indices=missing, scheduler=scheduler)
+            tasks = plan.iter_tasks(indices=missing)
             for key, result in self._stream_plan_fresh(plan, tasks):
                 writer.append(key, result)
                 yield key, result
@@ -584,8 +523,8 @@ class ExperimentEngine:
         workers (:mod:`repro.experiments.dispatch`) pass the original
         global index with a locally reconstructed item, so ids and stored
         streams line up across hosts.  ``scheme`` is the result-store
-        stream name, carried on the task's trace span so span timings can
-        feed the cost model's learned (signature, scheme) table.
+        stream name, carried on the task's trace span so span timings
+        group by scheme (``store ls --timings --trace-dir``).
         """
         recorder = telemetry.recorder()
         cache_path = self._cache_path(item)
@@ -616,7 +555,7 @@ class ExperimentEngine:
             if item.scenario is not None:
                 attrs["scenario"] = item.scenario
         # The task span covers exactly the region ``seconds`` measures,
-        # so trace-replayed timings and store-stamped means agree.
+        # so span-derived phase totals and stored seconds agree.
         with recorder.span("task", attrs):
             start = time.perf_counter()
             with recorder.span("scheme_build"):

@@ -268,10 +268,6 @@ def fig08_plan(
             SchemeSpec("LDR", {"headroom": headroom}),
             workload,
             scheme=f"LDR@h={headroom!r}",
-            # Headroom shrinks effective capacity, so the LP needs more
-            # paths (and iterations) to fit the same traffic — invisible
-            # to the static cost predictor, hence the hint.
-            cost_hint=1.0 + headroom,
         )
     return plan
 
@@ -437,9 +433,6 @@ def fig16_plan(
                 factory,
                 subset,
                 scheme=f"{name}@h={headroom!r}",
-                # Headroom tightens capacity without changing topology —
-                # hint the cost predictor (see fig08_plan).
-                cost_hint=1.0 + headroom,
             )
     return plan
 
@@ -519,10 +512,6 @@ def fig17_plan(
                 factory,
                 workload,
                 scheme=f"{name}@load={load!r}",
-                # Matrices are rescaled per load, so every sweep point
-                # has the same static shape; higher load means links run
-                # nearer capacity and LP solvers iterate more.
-                cost_hint=load,
             )
     return plan
 

@@ -47,9 +47,9 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.experiments.runner import SchemeOutcome
@@ -170,15 +170,18 @@ def _result_from_record(record: dict) -> "NetworkResult":
     index = record["index"]
     if not isinstance(index, int):
         raise ValueError(f"non-integer result index {index!r}")
+    seconds = record["seconds"]
+    if not isinstance(seconds, (int, float)):
+        raise ValueError(f"non-numeric result seconds {seconds!r}")
     return NetworkResult(
         index=index,
         network_name=record["network_name"],
         network_id=record["network_id"],
         outcomes=[SchemeOutcome(**o) for o in record["outcomes"]],
-        seconds=record["seconds"],
+        seconds=seconds,
         paths_preloaded=record.get("paths_preloaded", 0),
-        # Records from before cost-aware scheduling carry no network
-        # signature; readers treat "" as "unknown", never as an error.
+        # Older records carry no network signature; readers treat ""
+        # as "unknown", never as an error.
         network_signature=record.get("network_signature", ""),
     )
 
@@ -247,70 +250,6 @@ def _scan_stream(path: str) -> Tuple[Optional[dict], Dict[int, "NetworkResult"],
     if header is None:
         return None, {}, 0
     return header, results, valid
-
-
-@dataclass(frozen=True)
-class TaskTiming:
-    """The timing facet of one stored result record.
-
-    What the cost model (:mod:`repro.experiments.cost`) replays:
-    ``seconds`` measured for ``network_signature`` under the stream's
-    scheme.  ``network_signature`` is empty on records written before
-    signatures were stored — such timings still show up in ``store ls
-    --timings`` totals but cannot be replayed by content.
-    """
-
-    index: int
-    network_id: str
-    network_signature: str
-    seconds: float
-
-
-def _scan_timings(path: str) -> Tuple[Optional[dict], List[TaskTiming]]:
-    """Light scan of one stream: header plus per-result timing facets.
-
-    Same walk-until-torn-line discipline as :func:`_scan_stream`, but
-    outcomes are never materialized into :class:`SchemeOutcome` objects
-    — the reader the cost model and ``store ls --timings`` share only
-    needs (index, network, seconds) per record.  Later duplicates of an
-    index win, matching :func:`_scan_stream`'s by-index dict semantics.
-    """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    header: Optional[dict] = None
-    by_index: Dict[int, TaskTiming] = {}
-    pos = 0
-    while True:
-        newline = data.find(b"\n", pos)
-        if newline == -1:
-            break
-        try:
-            record = json.loads(data[pos:newline].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            break
-        if not isinstance(record, dict):
-            break
-        if pos == 0:
-            if record.get("kind") != "header":
-                break
-            header = record
-        elif record.get("kind") == "result":
-            index = record.get("index")
-            seconds = record.get("seconds")
-            if not isinstance(index, int) or not isinstance(
-                seconds, (int, float)
-            ):
-                break
-            by_index[index] = TaskTiming(
-                index=index,
-                network_id=str(record.get("network_id", "")),
-                network_signature=str(record.get("network_signature", "")),
-                seconds=float(seconds),
-            )
-        pos = newline + 1
-    if header is None:
-        return None, []
-    return header, [by_index[i] for i in sorted(by_index)]
 
 
 class StoreWriter:
@@ -455,7 +394,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Lifecycle tooling (the `store ls` / `store gc` CLI)
     # ------------------------------------------------------------------
-    def list_streams(self, timings: bool = False) -> List[dict]:
+    def list_streams(self) -> List[dict]:
         """One record per stream: signature, scheme, result count, size.
 
         Headerless or torn streams are reported with ``scheme=None`` and
@@ -463,49 +402,35 @@ class ResultStore:
         ``store ls``, never an exception, since listing must work on the
         messes ``store gc`` exists to clean up.
 
-        With ``timings=True`` each record gains ``seconds_total`` /
-        ``seconds_mean`` over the stream's stored evaluation times
-        (``None`` when no result parsed).  That mode walks each file
-        once with the *light* timing scanner — record counts come from
-        the same pass, so outcomes are never materialized just to be
-        counted.
+        ``seconds_total`` / ``seconds_mean`` sum the stream's stored
+        evaluation times in index order (``None`` when no result
+        parsed) — what ``store ls --timings`` prints.
         """
         records: List[dict] = []
         if not self.root.is_dir():
             return records
         for stream in sorted(self.root.glob("*/*.jsonl")):
-            facets: List[TaskTiming] = []
-            if timings:
-                try:
-                    header, facets = _scan_timings(os.fspath(stream))
-                except OSError:
-                    header = None
-                n_results = len(facets)
-            else:
-                try:
-                    header, results, _ = _scan_stream(os.fspath(stream))
-                except OSError:
-                    header, results = None, {}
-                n_results = len(results)
+            try:
+                header, results, _ = _scan_stream(os.fspath(stream))
+            except OSError:
+                header, results = None, {}
             stat = stream.stat()
-            record = {
-                "signature": stream.parent.name,
-                "scheme": None if header is None else header.get("scheme"),
-                "n_results": n_results,
-                "n_networks": (
-                    None if header is None else header.get("n_networks")
-                ),
-                "bytes": stat.st_size,
-                "mtime": stat.st_mtime,
-                "path": os.fspath(stream),
-            }
-            if timings:
-                total = sum(t.seconds for t in facets)
-                record["seconds_total"] = total if facets else None
-                record["seconds_mean"] = (
-                    total / len(facets) if facets else None
-                )
-            records.append(record)
+            total = sum(results[index].seconds for index in sorted(results))
+            records.append(
+                {
+                    "signature": stream.parent.name,
+                    "scheme": None if header is None else header.get("scheme"),
+                    "n_results": len(results),
+                    "n_networks": (
+                        None if header is None else header.get("n_networks")
+                    ),
+                    "bytes": stat.st_size,
+                    "mtime": stat.st_mtime,
+                    "path": os.fspath(stream),
+                    "seconds_total": total if results else None,
+                    "seconds_mean": total / len(results) if results else None,
+                }
+            )
         return records
 
     def gc(
@@ -548,61 +473,6 @@ class ResultStore:
                 shutil.rmtree(directory)
                 removed.append(os.fspath(directory))
         return removed
-
-    def stream_timings(self, signature: str, scheme: str) -> List[TaskTiming]:
-        """Stored per-network timings for one stream, strictly validated.
-
-        The replay half of the cost model's learned table: measured
-        ``seconds`` per (index, network signature) in index order.
-        Returns ``[]`` when the stream does not exist; raises
-        :class:`StoreMismatchError` on header disagreement, exactly like
-        :meth:`load_results` — replayed timings obey the same key
-        discipline as replayed results.
-        """
-        path = self.stream_path(signature, scheme)
-        if not path.exists():
-            return []
-        header, timings = _scan_timings(os.fspath(path))
-        if header is None:
-            raise StoreMismatchError(f"{path}: no valid header record")
-        if not _header_matches(header, signature, scheme):
-            raise StoreMismatchError(
-                f"{path}: header names "
-                f"(format={header.get('format')!r}, "
-                f"signature={header.get('signature')!r}, "
-                f"scheme={header.get('scheme')!r}), "
-                f"expected (format={STORE_FORMAT!r}, "
-                f"signature={signature!r}, scheme={scheme!r})"
-            )
-        return timings
-
-    def iter_timings(
-        self,
-    ) -> Iterator[Tuple[str, str, List[TaskTiming]]]:
-        """(signature, scheme, timings) per valid stream, store-wide.
-
-        The sweep half of the cost model's learned table: every
-        readable stream's timing facets in one pass, without ever
-        materializing outcomes.  Headerless/corrupt streams and streams
-        whose header disagrees with their directory are *skipped* —
-        a cost model must degrade to static predictions on a messy
-        store, not crash the run it is trying to speed up.
-        """
-        if not self.root.is_dir():
-            return
-        for stream in sorted(self.root.glob("*/*.jsonl")):
-            try:
-                header, timings = _scan_timings(os.fspath(stream))
-            except OSError:
-                continue
-            if header is None:
-                continue
-            signature = stream.parent.name
-            if header.get("signature") != signature or not isinstance(
-                header.get("scheme"), str
-            ):
-                continue
-            yield signature, header["scheme"], timings
 
     def stream_path(self, signature: str, scheme: str) -> Path:
         return self.root / signature / scheme_file_name(scheme)

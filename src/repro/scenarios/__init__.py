@@ -13,7 +13,7 @@ variants and reporting degradation *distributions* per scheme:
   skip-and-count;
 * :mod:`repro.scenarios.workload` — :class:`ScenarioWorkload`, the lazy
   ZooWorkload stand-in that materializes variants on demand and plugs
-  into the store/cost/dispatch layers via small hooks;
+  into the store/dispatch layers via small hooks;
 * :mod:`repro.scenarios.report` — the robustness report (per-scheme
   degradation quantiles vs the unperturbed baseline), text or
   byte-stable JSON.

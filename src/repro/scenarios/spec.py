@@ -159,24 +159,6 @@ class ScenarioSpec:
         )
 
     # ------------------------------------------------------------------
-    # Cost
-    # ------------------------------------------------------------------
-    def cost_factor(self) -> float:
-        """Predicted cost of the variant relative to the base item.
-
-        Failures and surges reuse the base topology's shape (same LP
-        size), so they predict at the base cost.  A locality shift adds
-        one LP redistribution per matrix; growth adds links, growing the
-        path/column count roughly linearly.
-        """
-        factor = 1.0
-        if self.locality is not None:
-            factor *= 1.2
-        if self.growth_links:
-            factor *= 1.0 + 0.05 * len(self.growth_links)
-        return factor
-
-    # ------------------------------------------------------------------
     # Realization
     # ------------------------------------------------------------------
     def apply(self, base: NetworkWorkload) -> NetworkWorkload:

@@ -9,14 +9,12 @@ asks for it, with a small LRU so a window of in-flight tasks shares
 work.  A 10^5-variant fleet therefore costs one base item plus the
 in-flight window, never 10^5 Network copies.
 
-Three hooks make the rest of the spine treat fleets as first-class
+Two hooks make the rest of the spine treat fleets as first-class
 workloads with no special cases:
 
 * :meth:`content_signature` — consumed by
   :func:`repro.experiments.store.workload_signature` so store/dedup/
   resume identity never iterates the fleet;
-* :meth:`cost_basis` — consumed by the cost model to predict a
-  variant's seconds from the *base* network's learned timings;
 * :meth:`to_manifest_jsonable` / :meth:`from_manifest_jsonable` — the
   compact fleet description shipped in v2 dispatch manifests (base item
   + specs, not materialized variants).
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.experiments.store import STORE_FORMAT
 from repro.experiments.workloads import NetworkWorkload
@@ -125,13 +123,6 @@ class ScenarioWorkload:
             digest.update(b"|S|")
             digest.update(spec.signature().encode())
         return digest.hexdigest()
-
-    # ------------------------------------------------------------------
-    # Cost prediction (see cost.CostModel.predict's fast path)
-    # ------------------------------------------------------------------
-    def cost_basis(self, index: int) -> Tuple[NetworkWorkload, float]:
-        """(base item, relative factor) for predicting variant ``index``."""
-        return self.base, self.specs[index].cost_factor()
 
     # ------------------------------------------------------------------
     # Dispatch manifests (compact: base + specs, never variants)

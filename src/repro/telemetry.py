@@ -1,12 +1,12 @@
 """Run telemetry: span tracing and metrics across the execution spine.
 
-The stack schedules work it could not previously *see*: the cost model
-learns one coarse per-network number (the engine's ``seconds``) and
+The stack runs work it could not previously *see*: the result store
+keeps one coarse per-network number (the engine's ``seconds``) and
 nothing else answers "where did this run spend its time — LP solves,
 Yen's KSP, store appends, or pool idle?".  This module is that
 monitoring plane: a span-based tracer plus a metrics registry threaded
-through every layer (plan build → scheduling → per-task evaluation with
-KSP/LP sub-spans → store appends → manifest writes → dispatch workers),
+through every layer (plan build → per-task evaluation with KSP/LP
+sub-spans → store appends → manifest writes → dispatch workers),
 recording *where* time goes without ever touching *what* is computed.
 
 Design constraints, in the order they shaped the module:
@@ -35,17 +35,15 @@ Design constraints, in the order they shaped the module:
   — their shards land in one trace directory and merge for free —
   and re-runs of the same workload append new shards (distinguished by
   the per-process ``run`` token) to the same trace.
-* **Telemetry feeds scheduling.**  ``task`` spans carry the network
+* **Spans join back to the store.**  ``task`` spans carry the network
   content signature and scheme stream name, so
-  :meth:`repro.experiments.cost.CostModel.learned_seconds` can replay
-  span timings from a trace directory exactly like store-stamped means
-  (:func:`task_timings` is the reader).
+  :func:`phase_breakdown` can split a stream's stored seconds into
+  phases (``store ls --timings --trace-dir``).
 
 Span vocabulary (what :func:`summary` / ``trace critical-path`` report):
 
 ========================= =============================================
 ``run_plan``              one whole plan execution (engine)
-``schedule``              scheduler resolution + task flattening
 ``task``                  one (stream, network) evaluation; attrs carry
                           index / network_id / scheme / signature
 ``scheme_build``          scheme construction inside a task
@@ -87,7 +85,6 @@ from typing import (
     ContextManager,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Tuple,
@@ -427,11 +424,6 @@ def disable() -> None:
         _RECORDER = NOOP
         os.environ.pop(TRACE_DIR_ENV, None)
         os.environ.pop(TRACE_ID_ENV, None)
-
-
-def active_trace_dir() -> Optional[str]:
-    """The configured trace directory, or ``None`` when tracing is off."""
-    return recorder().trace_dir
 
 
 # ----------------------------------------------------------------------
@@ -878,7 +870,7 @@ def render_critical_path(trace: Trace) -> str:
 
 
 # ----------------------------------------------------------------------
-# Feeds: cost-model replay and per-scheme phase breakdowns
+# Feeds: per-scheme phase breakdowns
 # ----------------------------------------------------------------------
 def _task_ancestry(trace: Trace) -> Dict[str, SpanRecord]:
     """span id -> nearest enclosing ``task`` span (tasks map to themselves)."""
@@ -903,35 +895,6 @@ def _task_ancestry(trace: Trace) -> Dict[str, SpanRecord]:
     }
 
 
-def task_timings(
-    trace_dir: "os.PathLike[str] | str",
-) -> Iterator[Tuple[str, str, float]]:
-    """(network signature, scheme, seconds) per ``task`` span, all traces.
-
-    The trace-side twin of
-    :meth:`repro.experiments.store.ResultStore.iter_timings`: span
-    durations cover exactly the region the engine's measured ``seconds``
-    cover, so the cost model can pool both into one learned table.
-    Spans missing either attribute (ad-hoc factories, pre-attr traces)
-    are skipped, never an error.
-    """
-    for trace_id in list_traces(trace_dir):
-        try:
-            trace = load_trace(trace_dir, trace_id)
-        except TraceError:  # pragma: no cover - listed ids resolve
-            continue
-        for span in trace.by_name("task"):
-            signature = span.attrs.get("network_signature")
-            scheme = span.attrs.get("scheme")
-            if (
-                isinstance(signature, str)
-                and signature
-                and isinstance(scheme, str)
-                and scheme
-            ):
-                yield signature, scheme, span.seconds
-
-
 def phase_breakdown(
     trace: Trace,
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
@@ -939,8 +902,8 @@ def phase_breakdown(
 
     ``{scheme: {network_id: {phase: seconds}}}`` — each span's exclusive
     time lands under its enclosing ``task``'s scheme/network attrs, so
-    ``store ls --timings`` and :meth:`PlanReport.cost_report` can show
-    where one stream's (or one network's) seconds actually went.  Spans
+    ``store ls --timings`` can show where one stream's (or one
+    network's) seconds actually went.  Spans
     outside any task (manifest writes, merges) are not attributed here;
     ``critical-path`` covers those.
     """

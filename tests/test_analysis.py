@@ -649,12 +649,11 @@ def test_committed_baseline_is_empty():
 # ----------------------------------------------------------------------
 # mypy strict surface (runs only where mypy is installed, e.g. CI)
 # ----------------------------------------------------------------------
-def test_mypy_strict_scheduling_stack():
+def test_mypy_strict_plan_spec_and_lp_model():
     pytest.importorskip("mypy")
     result = subprocess.run(
         [
             sys.executable, "-m", "mypy", "--strict",
-            "src/repro/experiments/cost.py",
             "src/repro/experiments/plan.py",
             "src/repro/experiments/spec.py",
             "src/repro/lp/model.py",

@@ -305,125 +305,3 @@ class TestDispatchRun:
         assert len(list((work / "manifests").glob("shard-*.json"))) == 2
         assert main(["render", "fig03", *size, "--store-dir", store]) == 0
         assert capsys.readouterr().out == direct
-
-
-class TestCostBalancedSharding:
-    """LPT makespan balancing of shard manifests (--schedule lpt)."""
-
-    def skewed_plan(self):
-        import numpy as np
-
-        from repro.experiments.plan import EvalPlan
-        from repro.experiments.workloads import (
-            NetworkWorkload,
-            ZooWorkload,
-            build_traffic_matrices,
-        )
-        from repro.net.zoo import grid_network, ring_network
-
-        rng = np.random.default_rng(5)
-        networks = [
-            ring_network(4, np.random.default_rng(i), name=f"bal-ring-{i}")
-            for i in range(3)
-        ]
-        networks.append(
-            grid_network(3, 3, np.random.default_rng(9), name="bal-grid")
-        )
-        items = [
-            NetworkWorkload(
-                network=network,
-                llpd=0.0,
-                matrices=build_traffic_matrices(
-                    network, 1, rng, locality=1.0, growth_factor=1.3
-                ),
-            )
-            for network in networks
-        ]
-        workload = ZooWorkload(
-            networks=items, locality=1.0, growth_factor=1.3
-        )
-        plan = EvalPlan()
-        plan.add("SP", SchemeSpec("SP"), workload)
-        plan.add("MinMaxK10", SchemeSpec("MinMaxK10"), workload)
-        return plan
-
-    def test_plan_manifests_balance_predicted_makespan(self, tmp_path):
-        from repro.experiments.cost import make_scheduler
-
-        plan = self.skewed_plan()
-        scheduler = make_scheduler("lpt")
-        paths = write_plan_manifests(
-            plan, 2, tmp_path, scheduler=scheduler
-        )
-        assert len(paths) == 2
-
-        # Every task appears exactly once across shards.
-        seen = []
-        for path in paths:
-            manifest = load_manifest(path)
-            for task in manifest["tasks"]:
-                stream = manifest["streams"][task["stream"]]
-                seen.append((stream["scheme"], task["index"]))
-        assert sorted(seen) == sorted(
-            (plan.streams[t.stream].scheme, t.index) for t in plan.tasks()
-        )
-
-        # And the split is the cost model's balanced one: no worse a
-        # makespan than contiguous chunking under the same predictions.
-        predictions = scheduler.predictions(plan)
-        by_scheme = {
-            (plan.streams[key].scheme, index): cost
-            for (key, index), cost in predictions.items()
-        }
-        balanced = []
-        for path in paths:
-            manifest = load_manifest(path)
-            balanced.append(
-                sum(
-                    by_scheme[
-                        (
-                            manifest["streams"][t["stream"]]["scheme"],
-                            t["index"],
-                        )
-                    ]
-                    for t in manifest["tasks"]
-                )
-            )
-        contiguous_paths = write_plan_manifests(
-            plan, 2, tmp_path / "contiguous"
-        )
-        contiguous = []
-        for path in contiguous_paths:
-            manifest = load_manifest(path)
-            contiguous.append(
-                sum(
-                    by_scheme[
-                        (
-                            manifest["streams"][t["stream"]]["scheme"],
-                            t["index"],
-                        )
-                    ]
-                    for t in manifest["tasks"]
-                )
-            )
-        assert max(balanced) <= max(contiguous)
-
-    def test_dispatch_plan_lpt_matches_in_process(self, workload, tmp_path):
-        from repro.experiments.figures import fig04_plan
-
-        plan = fig04_plan(
-            workload,
-            schemes={
-                "SP": SchemeSpec("SP"),
-                "ECMP": SchemeSpec("ECMP"),
-            },
-        )
-        report = dispatch_plan(
-            plan,
-            n_shards=2,
-            store_dir=tmp_path / "store",
-            work_dir=tmp_path / "work",
-            verify=True,  # bit-identity vs the in-process engine
-            scheduler="lpt",
-        )
-        assert set(report.results) == {"SP", "ECMP"}

@@ -92,3 +92,27 @@ class TestCli:
         assert main(["fig07"]) == 0
         out = capsys.readouterr().out
         assert "minmax" in out
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--workers", ["fig03", "--workers", "0"]),
+            ("--networks", ["fig03", "--networks", "0"]),
+            ("--tms", ["fig03", "--tms", "0"]),
+            ("--shards", ["dispatch", "SP", "--shards", "0",
+                          "--store-dir", "unused"]),
+            ("--shards", ["scenarios", "--dispatch", "--shards", "-1",
+                          "--store-dir", "unused"]),
+        ],
+        ids=["workers", "networks", "tms", "shards", "scenarios-shards"],
+    )
+    def test_count_flags_below_one_exit_2(self, flag, argv, capsys):
+        # A zero count used to reach the engine / manifest writer and die
+        # with a ValueError traceback; argparse now rejects it up front.
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"argument {flag}: must be at least 1" in error

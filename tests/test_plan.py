@@ -20,7 +20,7 @@ from repro.experiments.figures import (
     fig20_plan,
     scheme_factories,
 )
-from repro.experiments.plan import EvalPlan, EvalTask, Scheduler, execute_plan
+from repro.experiments.plan import EvalPlan, EvalTask, execute_plan
 from repro.experiments.spec import SchemeSpec
 from repro.experiments.workloads import (
     NetworkWorkload,
@@ -145,6 +145,44 @@ class TestEvalPlanApi:
         ]
         assert len(tasks) == plan.n_tasks == 2 * len(workload.networks)
 
+    def test_default_order_is_pinned(self, workload, tmp_path):
+        # The one task order, written out by hand for an uneven 3-stream
+        # plan (3, 1 and 2 networks): position i of every live stream
+        # before position i + 1 of any; dispatch shards are contiguous
+        # equal-count chunks of exactly that sequence.
+        from repro.experiments.dispatch import (
+            load_manifest,
+            write_plan_manifests,
+        )
+
+        def first(n):
+            return ZooWorkload(
+                networks=workload.networks[:n],
+                locality=workload.locality,
+                growth_factor=workload.growth_factor,
+            )
+
+        plan = EvalPlan()
+        plan.add("A", SchemeSpec("SP"), first(3))
+        plan.add("B", SchemeSpec("SP"), first(1), scheme="B")
+        plan.add("C", SchemeSpec("SP"), first(2), scheme="C")
+        round_robin = [
+            EvalTask("A", 0), EvalTask("B", 0), EvalTask("C", 0),
+            EvalTask("A", 1), EvalTask("C", 1),
+            EvalTask("A", 2),
+        ]
+        assert plan.tasks() == round_robin
+
+        keys = list(plan.streams)
+        shards = [
+            [
+                EvalTask(keys[task["stream"]], task["index"])
+                for task in load_manifest(path)["tasks"]
+            ]
+            for path in write_plan_manifests(plan, 2, tmp_path)
+        ]
+        assert shards == [round_robin[:3], round_robin[3:]]
+
     def test_tasks_restricted_to_missing_indices(self, workload):
         plan = EvalPlan()
         plan.add("A", SchemeSpec("SP"), workload)
@@ -174,52 +212,42 @@ class TestEvalPlanApi:
         assert report.all_outcomes() == per_call_reference(plan)
 
 
-class ReversedScheduler(Scheduler):
-    """Adversarial permutation: the interleave order, backwards."""
-
-    name = "reversed"
-
-    def order(self, plan, per_stream):
-        from repro.experiments.plan import InterleaveScheduler
-
-        return list(reversed(InterleaveScheduler().order(plan, per_stream)))
+def _shuffled(tasks, seed=1234):
+    rng = np.random.default_rng(seed)
+    return [tasks[i] for i in rng.permutation(len(tasks))]
 
 
-class ShuffledScheduler(Scheduler):
-    """Adversarial permutation: seeded shuffle of the flat task list."""
-
-    name = "shuffled"
-
-    def __init__(self, seed=1234):
-        self.seed = seed
-
-    def order(self, plan, per_stream):
-        flat = [task for tasks in per_stream for task in tasks]
-        rng = np.random.default_rng(self.seed)
-        return [flat[i] for i in rng.permutation(len(flat))]
+# The orders any permutation must survive: the round-robin default and
+# two adversarial permutations of it.
+ORDERS = {
+    "interleave": list,
+    "reversed": lambda tasks: list(reversed(tasks)),
+    "shuffled": _shuffled,
+}
 
 
-# The schedule shapes any permutation must survive: the round-robin
-# default, cost-aware LPT, and two adversarial orders plugged in as
-# custom Scheduler subclasses.
-def _all_schedulers():
-    from repro.experiments.cost import make_scheduler
+def permute_task_order(monkeypatch, order):
+    """Make every plan flatten in ``order``.
 
-    return {
-        "interleave": make_scheduler("interleave"),
-        "lpt": make_scheduler("lpt"),
-        "reversed": ReversedScheduler(),
-        "shuffled": ShuffledScheduler(),
-    }
+    ``EvalPlan.iter_tasks`` is the single place task order is decided
+    (``tasks()``, the engine and manifest writing all read it), so
+    patching it there permutes every execution path at once.
+    """
+    round_robin = EvalPlan.iter_tasks
+
+    def permuted(self, indices=None):
+        return iter(ORDERS[order](list(round_robin(self, indices=indices))))
+
+    monkeypatch.setattr(EvalPlan, "iter_tasks", permuted)
 
 
 class TestOrderInvariance:
     """Property: ANY task permutation yields bit-identical keyed results.
 
-    The cost-aware scheduling contract: schedulers sequence, they never
-    re-shard — so round-robin, LPT, reversed and shuffled orders all
-    produce the same keyed :class:`PlanReport` contents at any worker
-    count, on fork and spawn pools alike.
+    Tasks commute — order sequences work, it never re-shards it — so
+    round-robin, reversed and shuffled orders all produce the same keyed
+    :class:`PlanReport` contents at any worker count, on fork and spawn
+    pools alike.
     """
 
     @pytest.fixture(scope="class")
@@ -236,29 +264,31 @@ class TestOrderInvariance:
     def test_every_scheduler_permutes_the_same_task_set(
         self, invariance_plan
     ):
-        baseline = {
-            (t.stream, t.index) for t in invariance_plan.tasks()
-        }
-        for name, scheduler in _all_schedulers().items():
-            tasks = invariance_plan.tasks(scheduler=scheduler)
-            assert {(t.stream, t.index) for t in tasks} == baseline, name
-            assert len(tasks) == len(baseline), name
+        baseline = invariance_plan.tasks()
+        for name in ("reversed", "shuffled"):
+            with pytest.MonkeyPatch.context() as patch:
+                permute_task_order(patch, name)
+                tasks = invariance_plan.tasks()
+            assert tasks != baseline, name
+            assert sorted(
+                tasks, key=lambda t: (t.stream, t.index)
+            ) == sorted(baseline, key=lambda t: (t.stream, t.index)), name
 
-    @pytest.mark.parametrize("sched", ["interleave", "lpt", "reversed",
-                                       "shuffled"])
+    @pytest.mark.parametrize("sched", ["interleave", "reversed", "shuffled"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_fork_pool(
-        self, invariance_plan, invariance_reference, sched, workers
+        self,
+        invariance_plan,
+        invariance_reference,
+        sched,
+        workers,
+        monkeypatch,
     ):
-        report = execute_plan(
-            invariance_plan,
-            n_workers=workers,
-            scheduler=_all_schedulers()[sched],
-        )
+        permute_task_order(monkeypatch, sched)
+        report = execute_plan(invariance_plan, n_workers=workers)
         assert report.all_outcomes() == invariance_reference
 
-    @pytest.mark.parametrize("sched", ["interleave", "lpt", "reversed",
-                                       "shuffled"])
+    @pytest.mark.parametrize("sched", ["interleave", "reversed", "shuffled"])
     @pytest.mark.parametrize("workers", [2, 4])
     def test_spawn_pool(
         self,
@@ -271,33 +301,30 @@ class TestOrderInvariance:
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        report = execute_plan(
-            invariance_plan,
-            n_workers=workers,
-            scheduler=_all_schedulers()[sched],
-        )
+        permute_task_order(monkeypatch, sched)
+        report = execute_plan(invariance_plan, n_workers=workers)
         assert report.all_outcomes() == invariance_reference
 
-    @pytest.mark.parametrize("sched", ["lpt", "reversed"])
+    @pytest.mark.parametrize("sched", ["reversed", "shuffled"])
     def test_store_resume_under_permuted_order(
-        self, invariance_plan, invariance_reference, sched, tmp_path
+        self,
+        invariance_plan,
+        invariance_reference,
+        sched,
+        tmp_path,
+        monkeypatch,
     ):
         # Kill a permuted run mid-plan, resume under the same permuted
         # order: stored-first serving + per-stream resume must still
         # reassemble the exact keyed results.
-        engine = ExperimentEngine(
-            n_workers=1, store_dir=tmp_path, scheduler=_all_schedulers()[sched]
-        )
+        permute_task_order(monkeypatch, sched)
+        engine = ExperimentEngine(n_workers=1, store_dir=tmp_path)
         stream = engine.stream_plan(invariance_plan)
         for _ in range(3):
             next(stream)
         stream.close()
 
-        resumed = execute_plan(
-            invariance_plan,
-            store_dir=tmp_path,
-            scheduler=_all_schedulers()[sched],
-        )
+        resumed = execute_plan(invariance_plan, store_dir=tmp_path)
         assert resumed.all_outcomes() == invariance_reference
 
 

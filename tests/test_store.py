@@ -364,6 +364,15 @@ class TestLifecycleTooling:
             assert record["n_results"] == N_NETWORKS
             assert record["n_networks"] == N_NETWORKS
             assert record["bytes"] > 0
+            stored = ResultStore(tmp_path).load_results(
+                signature, record["scheme"]
+            )
+            assert record["seconds_total"] == sum(
+                stored[i].seconds for i in sorted(stored)
+            )
+            assert record["seconds_mean"] == (
+                record["seconds_total"] / N_NETWORKS
+            )
 
     def test_list_streams_flags_headerless_files(self, workload, tmp_path):
         self.populate(tmp_path, workload)
@@ -494,7 +503,7 @@ class TestLifecycleTooling:
 
 
 class TestTimingReplay:
-    """The store's timing facet: what cost-aware scheduling replays."""
+    """The per-record timing facet: stored ``seconds`` and network hash."""
 
     def populate(self, store_dir, workload):
         engine = ExperimentEngine(n_workers=1, store_dir=store_dir)
@@ -509,15 +518,6 @@ class TestTimingReplay:
             results, key=lambda r: r.index
         )
 
-    def test_stream_timings_match_stored_results(self, workload, tmp_path):
-        signature, results = self.populate(tmp_path, workload)
-        timings = ResultStore(tmp_path).stream_timings(signature, "SP")
-        assert [t.index for t in timings] == [r.index for r in results]
-        assert [t.seconds for t in timings] == [r.seconds for r in results]
-        assert [t.network_id for t in timings] == [
-            r.network_id for r in results
-        ]
-
     def test_network_signature_round_trips(self, workload, tmp_path):
         from repro.net.paths import network_signature
 
@@ -527,18 +527,18 @@ class TestTimingReplay:
             network_signature(item.network) for item in workload.networks
         ]
         assert [r.network_signature for r in results] == expected
-        # ...and both readers round-trip it from disk.
+        # ...and it round-trips from disk, next to the measured seconds.
         stored = ResultStore(tmp_path).load_results(signature, "SP")
         assert [stored[i].network_signature for i in sorted(stored)] \
             == expected
-        timings = ResultStore(tmp_path).stream_timings(signature, "SP")
-        assert [t.network_signature for t in timings] == expected
+        assert [stored[i].seconds for i in sorted(stored)] \
+            == [r.seconds for r in results]
 
     def test_pre_signature_records_replay_as_unknown(
         self, workload, tmp_path
     ):
         # Streams written before network signatures existed lack the
-        # field; timings still parse, with an empty signature.
+        # field; records still parse, with an empty signature.
         signature, _ = self.populate(tmp_path, workload)
         store = ResultStore(tmp_path)
         path = store.stream_path(signature, "SP")
@@ -548,44 +548,7 @@ class TestTimingReplay:
             record.pop("network_signature", None)
             lines.append(json.dumps(record, separators=(",", ":")))
         path.write_text("\n".join(lines) + "\n")
-        timings = store.stream_timings(signature, "SP")
-        assert len(timings) == len(workload.networks)
-        assert all(t.network_signature == "" for t in timings)
-        assert all(t.seconds >= 0.0 for t in timings)
-
-    def test_stream_timings_missing_stream_is_empty(self, tmp_path):
-        assert ResultStore(tmp_path).stream_timings("0" * 64, "SP") == []
-
-    def test_stream_timings_rejects_mismatched_header(
-        self, workload, tmp_path
-    ):
-        import shutil
-
-        signature, _ = self.populate(tmp_path, workload)
-        store = ResultStore(tmp_path)
-        moved_dir = tmp_path / ("f" * len(signature))
-        moved_dir.mkdir()
-        shutil.copy(
-            store.stream_path(signature, "SP"), moved_dir / "SP.jsonl"
-        )
-        with pytest.raises(StoreMismatchError):
-            store.stream_timings("f" * len(signature), "SP")
-
-    def test_iter_timings_skips_invalid_streams(self, workload, tmp_path):
-        signature, _ = self.populate(tmp_path, workload)
-        broken = tmp_path / "deadbeef"
-        broken.mkdir()
-        (broken / "SP.jsonl").write_text("not json\n")
-        streams = list(ResultStore(tmp_path).iter_timings())
-        assert [(s, scheme) for s, scheme, _ in streams] \
-            == [(signature, "SP")]
-        assert len(streams[0][2]) == len(workload.networks)
-
-    def test_iter_timings_truncates_at_torn_tail(self, workload, tmp_path):
-        signature, _ = self.populate(tmp_path, workload)
-        path = ResultStore(tmp_path).stream_path(signature, "SP")
-        with open(path, "a") as handle:
-            handle.write('{"kind": "result", "index": 99, "secon')
-        _, _, timings = next(iter(ResultStore(tmp_path).iter_timings()))
-        assert [t.index for t in timings] \
-            == list(range(len(workload.networks)))
+        stored = store.load_results(signature, "SP")
+        assert len(stored) == len(workload.networks)
+        assert all(r.network_signature == "" for r in stored.values())
+        assert all(r.seconds >= 0.0 for r in stored.values())

@@ -9,8 +9,8 @@ Four layers mirror the module's contract:
 * cross-process merge — fork pools, fresh interpreters joining through
   the environment, and dispatch worker subprocesses all land in ONE
   trace keyed by the workload;
-* feeds — tracing never changes results, task spans replay through the
-  cost model, and the CLI's ``trace`` views render.
+* feeds — tracing never changes results, task spans break down into
+  per-scheme phases, and the CLI's ``trace`` views render.
 """
 
 import json
@@ -387,7 +387,7 @@ class TestProcessMerge:
 
 
 # ----------------------------------------------------------------------
-# Feeds: results untouched, cost replay, phase breakdowns
+# Feeds: results untouched, phase breakdowns
 # ----------------------------------------------------------------------
 class TestFeeds:
     def test_tracing_never_changes_results(self, tmp_path, workload):
@@ -399,51 +399,6 @@ class TestFeeds:
         traced = execute_plan(plan)
         telemetry.disable()
         assert traced.all_outcomes() == baseline.all_outcomes()
-
-    def test_task_spans_replay_through_cost_model(self, tmp_path, workload):
-        from repro.experiments.cost import CostModel
-
-        plan = EvalPlan()
-        plan.add("SP", SchemeSpec("SP"), workload)
-        telemetry.configure(tmp_path)
-        execute_plan(plan)
-        telemetry.disable()
-        timings = list(telemetry.task_timings(tmp_path))
-        assert len(timings) == len(workload.networks)
-        assert all(
-            scheme == "SP" and seconds >= 0.0 and signature
-            for signature, scheme, seconds in timings
-        )
-        model = CostModel(trace_dir=tmp_path)
-        learned = model.learned_seconds()
-        assert set(learned) == {
-            (signature, "SP") for signature, _, _ in timings
-        }
-        # Learned (span-derived) predictions win over the static model.
-        item = workload.networks[0]
-        predicted = model.predict_item(
-            SchemeSpec("SP"), item, scheme="SP"
-        )
-        signature = model._network_signature(item)
-        assert predicted == learned[(signature, "SP")]
-
-    def test_cost_report_carries_phase_breakdowns(self, tmp_path, workload):
-        plan = EvalPlan()
-        plan.add("LDR", SchemeSpec("LDR", {"headroom": 0.1}), workload)
-        telemetry.configure(tmp_path)
-        report = execute_plan(plan, scheduler="lpt")
-        telemetry.disable()
-        rows = report.cost_report(trace_dir=tmp_path)
-        assert len(rows) == len(workload.networks)
-        for key, network_id, predicted, actual, phases in rows:
-            assert key == "LDR"
-            assert predicted > 0 and actual >= 0
-            assert phases, f"no phases for {network_id}"
-            assert set(phases) <= set(telemetry.PHASE_NAMES) | {"other"}
-        assert any(row[4].get("lp_solve", 0.0) > 0.0 for row in rows)
-        # Without a trace dir the rows still come back, phases empty.
-        bare = report.cost_report()
-        assert all(row[4] == {} for row in bare)
 
     def test_phase_breakdown_groups_by_scheme_and_network(
         self, tmp_path, workload
@@ -461,6 +416,7 @@ class TestFeeds:
         # ksp may be absent when earlier tests warmed the shared
         # workload's path caches; place always runs.
         assert folded.get("place", 0.0) > 0.0
+        assert set(folded) <= set(telemetry.PHASE_NAMES) | {"other"}
         rendered = telemetry.format_phases(folded)
         assert "place=" in rendered
 
