@@ -20,9 +20,41 @@ paths the legacy ones do, byte for byte:
 * distances accumulate in the same left-to-right float addition order, so
   every comparison sees the same ulps.
 
+**Goal-directed search, same paths.**  :meth:`GraphIndex.k_shortest_paths`
+bounds its first-path search and every Yen spur search with
+:meth:`GraphIndex.delays_to`: ``h[v]``, the minimum delay ``v -> t`` in the
+*unrestricted* graph, from one reverse sweep memoized per target.  A
+relaxation that would label ``v`` with ``g`` is skipped when
+``g + h[v] > limit``, and the limit is always the length of a **real path
+in the restricted graph** (for a spur search: a first hop that is not
+excluded, then ``next_hop`` pointers to ``t`` that touch neither the spur
+node nor an excluded root node) times ``1 + 1e-9``.  The contract holds
+because:
+
+* the limit is the length of a real restricted path, so every node on *any*
+  shortest restricted path has ``g + h <= limit`` and is never skipped;
+* every minimum-achieving predecessor of such a node is itself on a
+  shortest path, so it keeps its exact distance and pops in the same
+  ``(dist, id)`` order — ``parent[]`` along the returned path, ties
+  included, and ``dist[t]`` are what the unbounded search computes;
+* ``h`` is only ever a bound (summed backward, where the search sums
+  forward), so it carries no tie-break contract; the 1e-9 relative slack
+  absorbs that float-summation difference and nothing else.  A limit that
+  is *guessed* rather than realised by a path can land within rounding of
+  the true distance and drop one of two equal-length paths — never do that;
+* Lawler's rule (spur only from the deviation index of the previous path
+  onward) skips searches whose candidate the legacy algorithm regenerated
+  and discarded as a duplicate, and heap pops of distinct ``(delay, path)``
+  tuples do not depend on push order.
+
+Memory: the memo holds one ``double`` and one ``int`` per node per distinct
+target (12 bytes x n x targets — 0.5 MB for the 13 gateway targets of a
+3 300-node graph, 120 KB x targets at 10k nodes) for the life of the index.
+
 The legacy implementations survive as ``legacy_*`` parity oracles in
 :mod:`repro.net.paths`, and ``tests/test_net_index.py`` asserts equality
-across the whole zoo plus seeded synthetic graphs.
+across the whole zoo, seeded synthetic graphs and tie-heavy random directed
+graphs.
 
 Indexes are memoized on the network via the existing ``_signature_memo``
 invalidation hook: every :class:`Network` mutation resets the memo to
@@ -34,7 +66,9 @@ mutate-and-undo cycle that restores the same signature value.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+import sys
+from array import array
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -48,6 +82,12 @@ FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]
 
 _INF = float("inf")
+# As a search limit the largest finite float prunes exactly the nodes that
+# cannot reach the target (``g + inf > limit``) and nothing else.
+_REACHABLE_ONLY = sys.float_info.max
+# Relative slack on every limit: absorbs forward-vs-backward float summation.
+_SLACK = 1.0 + 1e-9
+
 
 class NoPathError(Exception):
     """Raised when no path exists between the requested endpoints.
@@ -92,6 +132,12 @@ class GraphIndex:
         self._delays = delays
         self._capacities = capacities
         self._edge_pos = edge_pos
+        # Built on first use by delays_to(): reversed CSR, per-target memo.
+        self._reverse: Optional[Tuple[List[int], List[int], List[float]]] = None
+        self._to_target: Dict[int, Tuple[array[float], array[int]]] = {}
+        #: Work tallies: Dijkstra runs started and nodes they labelled.
+        self.searches = 0
+        self.nodes_reached = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -181,6 +227,8 @@ class GraphIndex:
         dst: int = -1,
         excluded_edges: Optional[bytearray] = None,
         excluded_nodes: Optional[bytearray] = None,
+        bound: Optional[Sequence[float]] = None,
+        limit: float = _INF,
     ) -> Tuple[List[float], List[int], List[int]]:
         """Single-source Dijkstra over integer ids.
 
@@ -190,16 +238,37 @@ class GraphIndex:
         insertion order, which :meth:`shortest_path_delays` reproduces.
         ``dst = -1`` sweeps the whole component; otherwise the search
         stops once ``dst`` is settled.
+
+        ``bound`` (a per-node lower bound on the remaining delay to
+        ``dst``) and ``limit`` make the search goal-directed: a node whose
+        tentative distance plus bound exceeds ``limit`` is never labelled.
+        Distances and parents of every node on a path no longer than
+        ``limit`` are those of the unbounded search (module docstring).
         """
+        return self._dijkstra(
+            self._indptr, self._neighbors, self._delays,
+            src, dst, excluded_edges, excluded_nodes, bound, limit,
+        )
+
+    def _dijkstra(
+        self,
+        indptr: List[int],
+        neighbors: List[int],
+        delays: List[float],
+        src: int,
+        dst: int,
+        excluded_edges: Optional[bytearray],
+        excluded_nodes: Optional[bytearray],
+        bound: Optional[Sequence[float]],
+        limit: float,
+    ) -> Tuple[List[float], List[int], List[int]]:
+        """The one Dijkstra loop, over the forward or the reversed CSR."""
         n = len(self._names)
         dist: List[float] = [_INF] * n
         parent: List[int] = [-1] * n
         touched: List[int] = []
         if excluded_nodes is not None and excluded_nodes[src]:
             return dist, parent, touched
-        indptr = self._indptr
-        neighbors = self._neighbors
-        delays = self._delays
         done = bytearray(n)
         dist[src] = 0.0
         touched.append(src)
@@ -223,12 +292,64 @@ class GraphIndex:
                     continue
                 nd = d + delays[pos]
                 if nd < dist[v]:
+                    if bound is not None and nd + bound[v] > limit:
+                        continue
                     if dist[v] == _INF:
                         touched.append(v)
                     dist[v] = nd
                     parent[v] = u
                     push(heap, (nd, v))
+        self.searches += 1
+        self.nodes_reached += len(touched)
         return dist, parent, touched
+
+    def delays_to(self, t: int) -> Tuple[array[float], array[int]]:
+        """``(h, next_hop)`` toward node ``t``, memoized per target.
+
+        ``h[v]`` is the minimum delay ``v -> t`` in the unrestricted graph
+        (``inf`` when ``t`` cannot be reached from ``v``) and
+        ``next_hop[v]`` the following node on one such path (``-1`` at
+        ``t`` and where ``h`` is ``inf``).  One full sweep from ``t`` over
+        the reversed edges, summed backward: a *bound* for goal-directed
+        search, with no tie-break contract.
+
+        Cost: O(m + n log n) time per distinct target and 12 bytes x n
+        kept per target for the life of the index (the reversed CSR, built
+        on first use, is another O(n + m)) — callers sweep from a few
+        gateways or over zoo-size graphs, not all targets of a 10k graph.
+        """
+        memo = self._to_target.get(t)
+        if memo is None:
+            if self._reverse is None:
+                self._reverse = self._reversed_csr()
+            dist, parent, _ = self._dijkstra(
+                *self._reverse, t, -1, None, None, None, _INF
+            )
+            memo = self._to_target[t] = (array("d", dist), array("i", parent))
+        return memo
+
+    def _reversed_csr(self) -> Tuple[List[int], List[int], List[float]]:
+        """CSR of the edge-reversed graph (counting sort by head node)."""
+        n = len(self._names)
+        forward = self._indptr
+        heads = self._neighbors
+        forward_delays = self._delays
+        indptr = [0] * (n + 1)
+        for v in heads:
+            indptr[v + 1] += 1
+        for v in range(n):
+            indptr[v + 1] += indptr[v]
+        fill = indptr[:n]
+        tails = [0] * len(heads)
+        delays = [0.0] * len(heads)
+        for u in range(n):
+            for pos in range(forward[u], forward[u + 1]):
+                v = heads[pos]
+                slot = fill[v]
+                tails[slot] = u
+                delays[slot] = forward_delays[pos]
+                fill[v] = slot + 1
+        return indptr, tails, delays
 
     @staticmethod
     def extract_ids(parent: List[int], src: int, dst: int) -> IdPath:
@@ -306,7 +427,10 @@ class GraphIndex:
 
         Spur-root delays accumulate incrementally per hop (the legacy
         implementation's O(L²) recomputation, fixed), in the same float
-        addition order, so candidate ordering matches ulp for ulp.
+        addition order, so candidate ordering matches ulp for ulp.  Every
+        search is bounded by :meth:`delays_to` and spurs start at the
+        previous path's deviation index (Lawler); both leave the yielded
+        paths unchanged — see the module's bit-identity contract.
         """
         if src == dst:
             raise ValueError("source and destination must differ")
@@ -316,9 +440,10 @@ class GraphIndex:
         t = self._ids.get(dst, -1)
         if t < 0:
             return
-        dist, parent, _ = self.dijkstra_ids(s, t)
-        if dist[t] == _INF:
+        h, next_hop = self.delays_to(t)
+        if h[s] == _INF:
             return
+        _, parent, _ = self.dijkstra_ids(s, t, bound=h, limit=h[s] * _SLACK)
         first = self.extract_ids(parent, s, t)
         yield self.to_names(first)
 
@@ -328,20 +453,26 @@ class GraphIndex:
         edge_pos = self._edge_pos
         produced: List[IdPath] = [first]
         candidates: List[Tuple[float, IdPath]] = []
-        queued: Set[IdPath] = {first}
+        # Every path ever queued -> the spur index it deviated at.
+        deviation: Dict[IdPath, int] = {first: 0}
         push = heapq.heappush
         pop = heapq.heappop
 
         while True:
             prev = produced[-1]
+            first_spur = deviation[prev]
             excluded_nodes = bytearray(n)
             root_delay = 0.0
             for i in range(len(prev) - 1):
                 spur = prev[i]
-                root = prev[: i + 1]
                 if i > 0:
                     root_delay += delays[edge_pos[(prev[i - 1], prev[i])]]
                     excluded_nodes[prev[i - 1]] = 1
+                if i < first_spur:
+                    # Lawler: an earlier path sharing this root already ran
+                    # this exact search; its candidate is in `deviation`.
+                    continue
+                root = prev[: i + 1]
                 excluded_edges = bytearray(m)
                 for existing in produced:
                     if len(existing) > i and existing[: i + 1] == root:
@@ -349,21 +480,58 @@ class GraphIndex:
                             edge_pos[(existing[i], existing[i + 1])]
                         ] = 1
                 sdist, sparent, _ = self.dijkstra_ids(
-                    spur, t, excluded_edges, excluded_nodes
+                    spur, t, excluded_edges, excluded_nodes, h,
+                    self._spur_limit(
+                        spur, t, h, next_hop, excluded_edges, excluded_nodes
+                    ),
                 )
                 if sdist[t] == _INF:
                     continue
                 spur_path = self.extract_ids(sparent, spur, t)
                 candidate = root[:-1] + spur_path
-                if candidate in queued:
+                if candidate in deviation:
                     continue
-                queued.add(candidate)
+                deviation[candidate] = i
                 push(candidates, (root_delay + sdist[t], candidate))
             if not candidates:
                 return
             _, best = pop(candidates)
             produced.append(best)
             yield self.to_names(best)
+
+    def _spur_limit(
+        self,
+        spur: int,
+        t: int,
+        h: Sequence[float],
+        next_hop: Sequence[int],
+        excluded_edges: bytearray,
+        excluded_nodes: bytearray,
+    ) -> float:
+        """Length (plus slack) of a real ``spur -> t`` path in the
+        restricted graph, to bound the spur search with.
+
+        Tries allowed first hops ``v`` in ascending ``delay + h[v]`` and
+        takes the first whose ``next_hop`` chain reaches ``t`` clear of the
+        spur node and the excluded root nodes (excluded edges all leave the
+        spur node, so the chain cannot cross one).  With no such hop the
+        search is bounded only by reachability.
+        """
+        neighbors = self._neighbors
+        delays = self._delays
+        hops: List[Tuple[float, int]] = []
+        for pos in range(self._indptr[spur], self._indptr[spur + 1]):
+            v = neighbors[pos]
+            if excluded_edges[pos] or excluded_nodes[v] or h[v] == _INF:
+                continue
+            hops.append((delays[pos] + h[v], v))
+        hops.sort()
+        for length, v in hops:
+            while v != t and v != spur and not excluded_nodes[v]:
+                v = next_hop[v]
+            if v == t:
+                return length * _SLACK
+        return _REACHABLE_ONLY
 
 
 def graph_index(network: Network) -> GraphIndex:

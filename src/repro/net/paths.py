@@ -12,7 +12,10 @@ Since the Internet-scale ingest work, the public functions here delegate to
 the integer-indexed sparse core in :mod:`repro.net.index` (CSR adjacency,
 array heaps, bytearray exclusion masks) and are bit-identical to the
 original string-keyed implementations, which survive below as ``legacy_*``
-parity oracles exercised by ``tests/test_net_index.py``.
+parity oracles exercised by ``tests/test_net_index.py``.  Yen's searches
+there are goal-directed — bounded by a memoized distance-to-target sweep,
+spurred only from the deviation node onward — and still bit-identical; the
+argument is in that module's docstring.
 """
 
 from __future__ import annotations
@@ -409,9 +412,7 @@ class KspCache:
             if rec.enabled:
                 rec.counter("ksp.pruned")
         key = (src, dst)
-        if key not in self._paths:
-            self._paths[key] = []
-        paths = self._paths[key]
+        paths = self._paths.get(key, [])
         if len(paths) >= limit or key in self._exhausted:
             rec = recorder()
             if rec.enabled:
@@ -424,27 +425,29 @@ class KspCache:
         # cache hits — "ksp" trace seconds are the paper's "readily
         # cached" bottleneck, not dictionary lookups.
         with rec.span("ksp"):
+            if rec.enabled:
+                index = graph_index(self._network)
+                searches, reached = index.searches, index.nodes_reached
+            generator = self._generators.get(key)
+            if generator is None:
+                # After :meth:`load` only the materialized paths exist:
+                # recreate the (deterministic) generator and skip them.
+                generator = k_shortest_paths(self._network, src, dst)
+                for _ in paths:
+                    next(generator)
             while len(paths) < limit and key not in self._exhausted:
                 try:
-                    paths.append(next(self._generator(key)))
+                    paths.append(next(generator))
                 except StopIteration:
                     self._exhausted.add(key)
+        # Registered only now: an invalid pair raised on the first next()
+        # above and must leave nothing behind for dump()/total_cached().
+        self._generators[key] = generator
+        self._paths[key] = paths
+        if rec.enabled:
+            rec.counter("ksp.searches", index.searches - searches)
+            rec.counter("ksp.nodes_reached", index.nodes_reached - reached)
         return paths[:limit]
-
-    def _generator(self, key: Tuple[str, str]) -> Iterator[Path]:
-        """The pair's Yen generator, fast-forwarded past loaded paths.
-
-        After :meth:`load` only the materialized paths exist; the first
-        request that outgrows them recreates the (deterministic) generator
-        and skips the prefix it has already produced.
-        """
-        generator = self._generators.get(key)
-        if generator is None:
-            generator = k_shortest_paths(self._network, *key)
-            for _ in range(len(self._paths[key])):
-                next(generator)
-            self._generators[key] = generator
-        return generator
 
     def count_cached(self, src: str, dst: str) -> int:
         """How many paths are already materialized for a pair."""

@@ -52,6 +52,7 @@ class Placement:
         self.unplaced_bps: Dict[Aggregate, float] = dict(unplaced_bps or {})
         self._validate()
         self._link_loads: Optional[Dict[Tuple[str, str], float]] = None
+        self._shortest: Optional[Dict[Aggregate, float]] = None
 
     def _validate(self) -> None:
         for agg, allocs in self._allocations.items():
@@ -143,13 +144,18 @@ class Placement:
         return congested / len(self._allocations)
 
     def _shortest_delays(self) -> Dict[Aggregate, float]:
-        by_source: Dict[str, Dict[str, float]] = {}
-        delays: Dict[Aggregate, float] = {}
-        for agg in self._allocations:
-            if agg.src not in by_source:
-                by_source[agg.src] = shortest_path_delays(self.network, agg.src)
-            delays[agg] = by_source[agg.src][agg.dst]
-        return delays
+        """Shortest-path delay per aggregate: one sweep per source, once."""
+        if self._shortest is None:
+            by_source: Dict[str, Dict[str, float]] = {}
+            delays: Dict[Aggregate, float] = {}
+            for agg in self._allocations:
+                if agg.src not in by_source:
+                    by_source[agg.src] = shortest_path_delays(
+                        self.network, agg.src
+                    )
+                delays[agg] = by_source[agg.src][agg.dst]
+            self._shortest = delays
+        return self._shortest
 
     def total_latency_stretch(self) -> float:
         """Flow-weighted delay relative to shortest paths.

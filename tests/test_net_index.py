@@ -8,11 +8,14 @@ so these tests can use them as a parity oracle.
 """
 
 import itertools
+import math
 import pickle
+import random
 
 import pytest
 
-from repro.net.graph import Network, Node
+from repro import telemetry
+from repro.net.graph import Link, Network, Node
 from repro.net.index import GraphIndex, LocalityPruner, graph_index
 from repro.net.ingest import synthesize_internet_like
 from repro.net.paths import (
@@ -161,6 +164,137 @@ class TestKspParity:
             next(gen)
 
 
+DELAY_SETS = (
+    (1.0,),
+    (0.0, 1.0),
+    (0.1, 0.2, 0.30000000000000004),
+    (1e-9, 1.0, 1e9),
+)
+
+
+def random_directed_network(rng, delay_set):
+    """A small tie-heavy directed graph: duplex and one-way links mixed,
+    sparse enough that some targets cannot be reached."""
+    n = rng.randint(4, 9)
+    names = [f"n{i}" for i in range(n)]
+    rng.shuffle(names)  # adjacency insertion order != sorted-name order
+    net = Network("random-directed")
+    for name in names:
+        net.add_node(Node(name))
+    for u, v in itertools.combinations(names, 2):
+        roll = rng.random()
+        if roll < 0.3:
+            net.add_link(Link(u, v, Gbps(1), rng.choice(delay_set)))
+            net.add_link(Link(v, u, Gbps(1), rng.choice(delay_set)))
+        elif roll < 0.5:
+            if rng.random() < 0.5:
+                u, v = v, u
+            net.add_link(Link(u, v, Gbps(1), rng.choice(delay_set)))
+    return net
+
+
+class TestGoalDirectedIdentity:
+    """The bounded, Lawler-pruned Yen against the unbounded legacy oracle,
+    where identity is hardest: ties, zero and mixed-magnitude delays,
+    one-way links, unreachable targets, k to exhaustion."""
+
+    def test_tie_heavy_directed_graphs_to_exhaustion(self):
+        rng = random.Random(19)
+        compared = unreachable = 0
+        for trial in range(320):
+            net = random_directed_network(rng, DELAY_SETS[trial % len(DELAY_SETS)])
+            pairs = list(itertools.permutations(net.node_names, 2))
+            for src, dst in rng.sample(pairs, min(6, len(pairs))):
+                fast = list(itertools.islice(k_shortest_paths(net, src, dst), 40))
+                slow = list(
+                    itertools.islice(legacy_k_shortest_paths(net, src, dst), 40)
+                )
+                assert fast == slow, (trial, src, dst)
+                compared += 1
+                unreachable += not slow
+        assert compared >= 1500
+        assert unreachable >= 20  # the corpus really has dead-end targets
+
+    def test_smoke_size_graph_matches_legacy(self):
+        network = synthesize_internet_like(300, seed=11)
+        names = sorted(network.node_names)
+        rng = random.Random(3)
+        for _ in range(30):
+            src, dst = rng.sample(names, 2)
+            fast = list(itertools.islice(k_shortest_paths(network, src, dst), 4))
+            slow = list(
+                itertools.islice(legacy_k_shortest_paths(network, src, dst), 4)
+            )
+            assert fast == slow, (src, dst)
+
+    def test_bound_keeps_searches_local(self, tmp_path):
+        # A count, not a timing: every search a cold cache runs is bounded
+        # by delays_to, so on average it labels well under half the graph
+        # (an unbounded Yen labels ~85 % of it per search).
+        network = synthesize_internet_like(1000, seed=7)
+        names = sorted(network.node_names)
+        rng = random.Random(7)
+        pairs = [tuple(rng.sample(names, 2)) for _ in range(30)]
+        telemetry.configure(tmp_path)
+        try:
+            cache = KspCache(network)
+            for src, dst in pairs:
+                cache.get(src, dst, 4)
+            telemetry.recorder().flush()
+            counters = telemetry.load_trace(tmp_path).counters
+        finally:
+            telemetry.disable()
+        assert counters["ksp.cache_miss"] == len(set(pairs))
+        assert counters["ksp.searches"] >= 4 * len(set(pairs))
+        mean_reached = counters["ksp.nodes_reached"] / counters["ksp.searches"]
+        assert mean_reached <= 0.40 * network.num_nodes
+
+
+class TestDelaysTo:
+    def test_equals_legacy_sweep_on_reversed_network(self):
+        rng = random.Random(5)
+        for trial in range(40):
+            net = random_directed_network(rng, DELAY_SETS[trial % len(DELAY_SETS)])
+            flipped = Network("flipped")
+            for name in net.node_names:
+                flipped.add_node(Node(name))
+            for link in net.links():
+                flipped.add_link(link.reversed())
+            index = graph_index(net)
+            for target in net.node_names:
+                t = index.node_id(target)
+                h, next_hop = index.delays_to(t)
+                expected = legacy_shortest_path_delays(flipped, target)
+                assert h[t] == 0.0 and next_hop[t] == -1
+                for name in net.node_names:
+                    v = index.node_id(name)
+                    if name == target:
+                        continue
+                    if name not in expected:
+                        # cannot reach the target: infinite bound, no hop
+                        assert h[v] == math.inf and next_hop[v] == -1
+                        continue
+                    assert h[v] == pytest.approx(expected[name], rel=1e-12, abs=0)
+                    hop = index.node_name(next_hop[v])
+                    assert net.has_link(name, hop)
+                    assert h[v] == pytest.approx(
+                        net.link(name, hop).delay_s + h[next_hop[v]],
+                        rel=1e-12, abs=0,
+                    )
+
+    def test_memoized_per_target_and_dropped_on_mutation(self, gts):
+        index = graph_index(gts)
+        t = index.node_id(sorted(gts.node_names)[-1])
+        first = index.delays_to(t)
+        assert index.delays_to(t) is first
+        assert index.delays_to(0) is not first
+        link = next(gts.links())
+        gts.remove_duplex_link(link.src, link.dst)
+        rebuilt = graph_index(gts)
+        assert rebuilt is not index
+        assert rebuilt.delays_to(t) is not first
+
+
 class TestExclusionParity:
     def test_excluded_links_and_nodes(self, corpus):
         for network in corpus[:8]:
@@ -254,8 +388,6 @@ class TestLocalityPruner:
         assert pruned.get(src, dst, 1) == exact.get(src, dst, 1)
 
     def test_pruned_metric_recorded(self, gts, tmp_path):
-        from repro import telemetry
-
         names = sorted(gts.node_names)
         telemetry.configure(tmp_path)
         try:

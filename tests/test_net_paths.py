@@ -166,6 +166,21 @@ class TestKspCache:
         cache.get("a", "b", 2)
         assert cache.count_cached("a", "b") == 2
 
+    def test_failed_lookup_leaves_no_phantom_pair(self, triangle):
+        cache = KspCache(triangle)
+        for src, dst, error in (
+            ("nope", "a", KeyError),
+            ("a", "a", ValueError),
+        ):
+            for _ in range(2):  # the second call must fail the same way
+                with pytest.raises(error):
+                    cache.get(src, dst, 1)
+            assert cache.dump()["pairs"] == []
+            assert cache.dump()["nodes"] == []
+            assert cache.total_cached() == 0
+        assert cache.get("a", "b", 2) == KspCache(triangle).get("a", "b", 2)
+        assert [(e["src"], e["dst"]) for e in cache.dump()["pairs"]] == [(0, 1)]
+
 
 class TestNetworkSignature:
     def test_stable_across_copies(self, gts):

@@ -158,6 +158,24 @@ class TestPairMetrics:
         stretches = placement.per_aggregate_stretch()
         assert stretches[agg] == pytest.approx(3.0)  # (1+5)/2 ms over 2 ms
 
+    def test_stretch_metrics_share_one_sweep_per_source(self, triangle):
+        from repro.net.index import graph_index
+
+        placement = make_placement(
+            triangle,
+            {
+                Aggregate("a", "b", Gbps(1)): [PathAllocation(("a", "c", "b"), 1.0)],
+                Aggregate("a", "c", Gbps(1)): [PathAllocation(("a", "c"), 1.0)],
+                Aggregate("b", "c", Gbps(1)): [PathAllocation(("b", "c"), 1.0)],
+            },
+        )
+        index = graph_index(triangle)
+        before = index.searches
+        placement.total_latency_stretch()
+        placement.max_path_stretch()
+        placement.per_aggregate_stretch()
+        assert index.searches - before == 2  # sources a and b, once each
+
     def test_fits_all_traffic_flag(self, triangle):
         agg = Aggregate("a", "b", Gbps(1))
         fitted = make_placement(
