@@ -9,12 +9,7 @@ magnitude slower.
 
 import numpy as np
 
-from benchmarks.conftest import (
-    RESULTS_DIR,
-    assert_warm_beats_cold,
-    emit,
-    record_bench_json,
-)
+from benchmarks.conftest import emit
 from repro.experiments.figures import fig15_runtimes
 from repro.experiments.render import render_cdf
 from repro.experiments.workloads import NetworkWorkload, build_traffic_matrices
@@ -51,48 +46,19 @@ def larger_grids():
 
 def test_fig15_runtime(benchmark, high_llpd_items):
     items = list(high_llpd_items) + larger_grids()
-    cache_dir = RESULTS_DIR / "ksp-cache"
-    # First pass persists every network's KSP cache to disk; the timed
-    # pass then exercises the real cross-run warm start (``ldr_persisted``)
-    # alongside the in-process cold/warm split.
-    fig15_runtimes(items, include_link_based=False, cache_dir=str(cache_dir))
     times = benchmark.pedantic(
-        fig15_runtimes,
-        args=(items,),
-        kwargs={"cache_dir": str(cache_dir)},
-        rounds=1,
-        iterations=1,
+        fig15_runtimes, args=(items,), rounds=1, iterations=1
     )
 
     warm = np.array(times["ldr"])
     cold = np.array(times["ldr_cold"])
-    persisted = np.array(times["ldr_persisted"])
     link_based = np.array(times["link_based"])
     assert len(warm) == len(items)
-    assert len(persisted) == len(items)  # every cache file was accepted
-    # Record first: if the warm<cold guard below fires, the artifact must
-    # show the regressed numbers, not the previous run's healthy ones.
-    record_bench_json(
-        "fig15",
-        {
-            "n_networks": len(items),
-            "cold_median_s": float(np.median(cold)),
-            "warm_median_s": float(np.median(warm)),
-            "persisted_median_s": float(np.median(persisted)),
-            "cold_total_s": float(np.sum(cold)),
-            "warm_total_s": float(np.sum(warm)),
-            "persisted_total_s": float(np.sum(persisted)),
-            "warm_speedup": float(np.median(cold) / np.median(warm)),
-            "persisted_speedup": float(np.median(cold) / np.median(persisted)),
-        },
-    )
-    # Warm-cache runs beat cold-cache runs (medians), both for the
-    # in-process reuse and the persisted caches loaded from disk.
-    assert_warm_beats_cold(
-        float(np.median(cold)), float(np.median(warm)), "fig15 in-process"
-    )
-    assert_warm_beats_cold(
-        float(np.median(cold)), float(np.median(persisted)), "fig15 persisted"
+    # Warm-cache runs beat cold-cache runs (medians): a warm KSP cache
+    # that stops paying for itself means cache reuse is broken.
+    assert np.median(warm) < np.median(cold), (
+        f"warm median {np.median(warm):.4f}s is not faster than cold "
+        f"{np.median(cold):.4f}s"
     )
     # The link-based LP's handicap grows with network size; on the larger
     # networks it exceeds an order of magnitude (the paper, with networks

@@ -8,11 +8,13 @@ times the run via pytest-benchmark.
 Scale: the paper uses 116 networks x 100 traffic matrices; the defaults
 here are laptop-sized.  Set ``REPRO_BENCH_NETWORKS`` / ``REPRO_BENCH_TMS``
 to scale the ensembles up.
+
+These modules reproduce figures; performance is measured end to end, per
+layer, by ``benchmarks/e2e`` (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -21,7 +23,6 @@ import pytest
 from repro.experiments.workloads import ZooWorkload, build_zoo_workload
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 N_NETWORKS = int(os.environ.get("REPRO_BENCH_NETWORKS", "18"))
 N_MATRICES = int(os.environ.get("REPRO_BENCH_TMS", "2"))
@@ -34,31 +35,6 @@ def emit(name: str, text: str) -> None:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n[{name}] written to {path}\n{text}")
-
-
-def record_bench_json(name: str, payload: dict) -> Path:
-    """Write a machine-readable benchmark record to the repo root.
-
-    ``BENCH_<name>.json`` files are the artifacts CI diffs across runs
-    (e.g. cold-vs-warm engine numbers for Figure 15); keep payloads flat
-    and JSON-native.
-    """
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\n[BENCH_{name}] written to {path}")
-    return path
-
-
-def assert_warm_beats_cold(cold_s: float, warm_s: float, label: str) -> None:
-    """Benchmark guard: a warm KSP cache must actually pay for itself.
-
-    Any change that makes warm runs as slow as cold ones has silently
-    broken cache reuse — fail the benchmark rather than record it.
-    """
-    assert warm_s < cold_s, (
-        f"{label}: warm run ({warm_s:.4f}s) is not faster than cold "
-        f"({cold_s:.4f}s) — KSP cache reuse is broken"
-    )
 
 
 @pytest.fixture(scope="session")

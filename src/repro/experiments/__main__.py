@@ -797,6 +797,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse ``type`` for byte budgets and perturbation counts: 0 or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -848,14 +856,14 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--cache-max-paths",
-        type=int,
+        type=positive_int,
         default=None,
         help="keep at most this many KSP paths per node pair in each "
         "persisted cache file",
     )
     parser.add_argument(
         "--cache-max-bytes",
-        type=int,
+        type=non_negative_int,
         default=None,
         help="after the run, evict least-recently-used ksp-*.json files "
         "from --cache-dir until it fits this budget",
@@ -979,21 +987,21 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--failures",
-        type=int,
+        type=non_negative_int,
         default=2,
         help="scenarios: fail every combination of this many physical "
         "links (0 disables; sampled beyond --variant-budget)",
     )
     parser.add_argument(
         "--node-failures",
-        type=int,
+        type=non_negative_int,
         default=0,
         help="scenarios: fail every combination of this many nodes "
         "(demands touching a failed node are dropped)",
     )
     parser.add_argument(
         "--surges",
-        type=int,
+        type=non_negative_int,
         default=0,
         help="scenarios: number of seeded flash-crowd variants",
     )
@@ -1017,7 +1025,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--growth-stages",
-        type=int,
+        type=non_negative_int,
         default=0,
         help="scenarios: staged topology growth depth; stage s adds the "
         "first s candidate links (geographically shortest first)",

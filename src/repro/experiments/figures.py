@@ -336,37 +336,18 @@ def fig10_sigma_scatter(
 def fig15_runtimes(
     items: Sequence[NetworkWorkload],
     include_link_based: bool = True,
-    cache_dir: Optional[str] = None,
 ) -> Dict[str, List[float]]:
     """Wall-clock runtimes (seconds) of the three optimizers.
 
     "LDR" solves with a pre-warmed k-shortest-path cache, "cold cache"
     without, and "link-based" is the monolithic node-arc LP.
-
-    With a ``cache_dir``, each network's warmed cache is persisted there
-    (keyed by content hash) and, when a valid persisted cache already
-    exists, an extra ``ldr_persisted`` series times a solve warm-started
-    purely from disk — the cross-run/cross-process warm start the paper's
-    "readily cached" observation promises.
     """
-    from repro.net.paths import ksp_cache_path
     from repro.routing.linkbased import LinkBasedOptimalRouting
     from repro.routing.optimal import solve_iterative_latency
 
     times: Dict[str, List[float]] = {"ldr": [], "ldr_cold": [], "link_based": []}
-    if cache_dir is not None:
-        times["ldr_persisted"] = []
     for item in items:
         tm = item.matrices[0]
-
-        persisted = None
-        if cache_dir is not None:
-            path = ksp_cache_path(cache_dir, item.network)
-            persisted = KspCache.try_load_file(path, item.network)
-            if persisted is not None:
-                start = time.perf_counter()
-                solve_iterative_latency(item.network, tm, cache=persisted)
-                times["ldr_persisted"].append(time.perf_counter() - start)
 
         cold_cache = KspCache(item.network)
         start = time.perf_counter()
@@ -377,12 +358,6 @@ def fig15_runtimes(
         start = time.perf_counter()
         solve_iterative_latency(item.network, tm, cache=cold_cache)
         times["ldr"].append(time.perf_counter() - start)
-
-        if cache_dir is not None:
-            # Dump the superset: re-persisting only this run's tm0-warmed
-            # cache would shrink a cache another run (e.g. the engine over
-            # a full matrix ensemble) built up.
-            (persisted if persisted is not None else cold_cache).dump_file(path)
 
         if include_link_based:
             scheme = LinkBasedOptimalRouting()

@@ -186,36 +186,13 @@ def _build_minmax(
     item: NetworkWorkload,
     k: Optional[int] = None,
     stretch_bound: Optional[float] = None,
-    approx_gap: Optional[float] = None,
-    approx_max_iterations: int = 300,
 ) -> RoutingScheme:
-    return MinMaxRouting(
-        k=k,
-        stretch_bound=stretch_bound,
-        approx_gap=approx_gap,
-        approx_max_iterations=approx_max_iterations,
-        cache=item.cache,
-    )
+    return MinMaxRouting(k=k, stretch_bound=stretch_bound, cache=item.cache)
 
 
 @register_scheme("MinMaxK10")
 def _build_minmax_k10(item: NetworkWorkload) -> RoutingScheme:
     return MinMaxRouting(k=10, cache=item.cache)
-
-
-@register_scheme("MinMaxK10Approx")
-def _build_minmax_k10_approx(
-    item: NetworkWorkload,
-    approx_gap: float = 0.05,
-    approx_max_iterations: int = 300,
-) -> RoutingScheme:
-    """MinMax K=10 via the certified approximate fast path (screening)."""
-    return MinMaxRouting(
-        k=10,
-        approx_gap=approx_gap,
-        approx_max_iterations=approx_max_iterations,
-        cache=item.cache,
-    )
 
 
 @register_scheme("LDR", "LatencyOptimal", "Optimal")

@@ -52,7 +52,7 @@ target (12 bytes x n x targets — 0.5 MB for the 13 gateway targets of a
 3 300-node graph, 120 KB x targets at 10k nodes) for the life of the index.
 
 The legacy implementations survive as ``legacy_*`` parity oracles in
-:mod:`repro.net.paths`, and ``tests/test_net_index.py`` asserts equality
+``tests/oracles.py``, and ``tests/test_net_index.py`` asserts equality
 across the whole zoo, seeded synthetic graphs and tie-heavy random directed
 graphs.
 

@@ -15,6 +15,9 @@ Two variants are provided, matching the paper's Figure 4(c) and 4(d):
 * **MinMax K** (``k=10``): paths restricted to the k lowest-delay ones per
   aggregate, as TeXCP suggests.  On high-LLPD networks this variant can no
   longer always avoid congestion — the paper's key observation.
+
+Every placement, whatever the path set, comes from the exact two-stage LP
+of :func:`repro.routing.pathlp.solve_minmax_lp`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.routing.optimal import (
     aggregates_crossing,
     grow_path_sets,
 )
-from repro.routing.pathlp import solve_minmax_approx, solve_minmax_lp
+from repro.routing.pathlp import solve_minmax_lp
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 
@@ -130,8 +133,6 @@ class MinMaxRouting(RoutingScheme):
         max_iterations: int = 30,
         utilization_tolerance: float = 1e-3,
         stretch_bound: Optional[float] = None,
-        approx_gap: Optional[float] = None,
-        approx_max_iterations: int = 300,
     ) -> None:
         if k is not None and k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -141,16 +142,6 @@ class MinMaxRouting(RoutingScheme):
             raise ValueError(
                 f"stretch bound must be >= 1, got {stretch_bound}"
             )
-        if approx_gap is not None:
-            if approx_gap <= 0:
-                raise ValueError(
-                    f"approx_gap must be positive, got {approx_gap}"
-                )
-            if k is None and stretch_bound is None:
-                raise ValueError(
-                    "approx_gap requires a restricted path set (k or "
-                    "stretch_bound); full MinMax is exact by definition"
-                )
         self.k = k
         #: The paper's §8 suggestion: instead of a fixed k, give each
         #: aggregate every path within ``stretch_bound`` times its
@@ -163,30 +154,14 @@ class MinMaxRouting(RoutingScheme):
         self.max_paths = max_paths
         self.max_iterations = max_iterations
         self.utilization_tolerance = utilization_tolerance
-        #: Approximate fast path: when set, the placement comes from
-        #: :func:`solve_minmax_approx` with this target optimality gap
-        #: (certified; see :attr:`last_certified_gap`).  Meant for fleet
-        #: screening where an exact LP per variant is wasted effort.
-        self.approx_gap = approx_gap
-        self.approx_max_iterations = approx_max_iterations
         if k is not None:
             self.name = f"MinMaxK{k}"
         elif stretch_bound is not None:
             self.name = f"MinMaxS{stretch_bound:g}"
         else:
             self.name = "MinMax"
-        if approx_gap is not None:
-            # Approximate placements differ from exact ones, so the name
-            # (and therefore every result-store stream) must too.
-            self.name += f"~{approx_gap:g}"
         #: Maximum utilization achieved by the last placement.
         self.last_max_utilization: Optional[float] = None
-        #: Certified (upper-lower)/lower gap of the last approximate
-        #: placement; ``None`` after exact solves.
-        self.last_certified_gap: Optional[float] = None
-        #: (lower, upper) bounds bracketing the optimal Umax of the last
-        #: approximate placement; ``None`` after exact solves.
-        self.last_utilization_bounds: Optional[Tuple[float, float]] = None
 
     def place(self, network: Network, tm: TrafficMatrix) -> Placement:
         if self._cache is not None and self._cache.network is network:
@@ -210,22 +185,8 @@ class MinMaxRouting(RoutingScheme):
         else:
             path_sets = None
 
-        self.last_certified_gap = None
-        self.last_utilization_bounds = None
         if path_sets is None:
             result, umax = self._solve_full(network, tm, cache, aggregates)
-        elif self.approx_gap is not None:
-            approx, umax = solve_minmax_approx(
-                network, path_sets,
-                target_gap=self.approx_gap,
-                max_iterations=self.approx_max_iterations,
-            )
-            self.last_certified_gap = approx.certified_gap
-            self.last_utilization_bounds = (
-                approx.utilization_lower_bound,
-                approx.utilization_upper_bound,
-            )
-            result = approx
         else:
             result, umax = solve_minmax_lp(network, path_sets)
         self.last_max_utilization = umax

@@ -16,8 +16,7 @@ already large.
 
 It also implements the MinMax two-stage LP (minimize maximum utilization,
 then minimize latency subject to that maximum), which the paper uses as the
-TeXCP/MATE-style baseline, plus an *approximate* MinMax fast path
-(:func:`solve_minmax_approx`) that reports a certified optimality gap.
+TeXCP/MATE-style baseline.
 
 All quantities are normalized before hitting the solver: rates in units of
 the mean link capacity and delays in units of the flow-weighted mean
@@ -42,8 +41,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import math
 
 import numpy as np
 
@@ -92,23 +89,6 @@ class PathLpResult:
         return [
             key for key, value in self.link_overload.items() if value >= threshold
         ]
-
-
-@dataclass
-class ApproxPathLpResult(PathLpResult):
-    """A MinMax placement from the approximate fast path.
-
-    ``utilization_lower_bound <= optimal Umax <= utilization_upper_bound``
-    is a *certificate*: the lower bound comes from LP duality (any
-    non-negative link weighting bounds the optimum from below), the upper
-    bound is the max utilization of the returned feasible placement, so
-    the reported gap holds regardless of how the heuristic converged.
-    """
-
-    utilization_lower_bound: float
-    utilization_upper_bound: float
-    certified_gap: float
-    iterations: int
 
 
 # ----------------------------------------------------------------------
@@ -536,150 +516,3 @@ def solve_minmax_lp(
     )
     return result, utilization_cap
 
-
-def solve_minmax_approx(
-    network: Network,
-    path_sets: Mapping[Aggregate, Sequence[Path]],
-    target_gap: float = 0.05,
-    max_iterations: int = 300,
-    builder: Optional[_PathLpBuilder] = None,
-) -> Tuple[ApproxPathLpResult, float]:
-    """Approximate MinMax with a certified optimality gap.
-
-    Frank-Wolfe-style iterative splitting: each round shifts a step of
-    every aggregate onto its cheapest path under softmax link prices
-    concentrated on the hottest links.  Every round also evaluates the
-    LP dual bound ``sum_a d_a min_p cost_p(y) / sum_l c_l y_l`` — valid
-    for *any* non-negative price vector y — so the returned
-    ``certified_gap`` between the best feasible placement (upper bound)
-    and the best dual value (lower bound) brackets the exact optimum no
-    matter how far the heuristic got.  Terminates at ``target_gap`` or
-    ``max_iterations``, whichever comes first; the certificate holds
-    either way.
-
-    Wholly deterministic: fixed step schedule, first-index tie breaks.
-    Returns ``(result, upper_bound)`` mirroring :func:`solve_minmax_lp`.
-    """
-    if target_gap <= 0:
-        raise ValueError(f"target_gap must be positive, got {target_gap}")
-    if builder is None:
-        builder = _PathLpBuilder(network, path_sets)
-    s = builder.structure
-    n_paths, n_links = s.n_paths, s.n_links
-    demand = builder.demand_units
-    capacity = s.capacity_units
-    entry_weight = demand[s.entry_agg]
-    path_index = np.arange(n_paths, dtype=np.int64)
-
-    # Start from all-shortest-paths (the first path of each set).
-    x = np.zeros(n_paths)
-    x[s.path_offsets] = 1.0
-    best_x = x.copy()
-    best_ub = math.inf
-    best_lb = 0.0
-    gap = math.inf
-    # Moderate sharpness for the step direction (spreads flow over a
-    # congested cut instead of chasing one link), a geometric ladder of
-    # sharpness levels for the dual bound: LB(y) is valid for *any*
-    # non-negative prices, so we simply keep the best.  The iterate
-    # oscillates through short phases and the sharp-price bound peaks on
-    # the phase that isolates the true bottleneck cut, so one ladder rung
-    # is tried every round; the cycle period (4) is chosen coprime to the
-    # typical phase period (~3) so every (phase, sharpness) pair gets
-    # sampled.
-    base = math.log(max(n_links, 2))
-    eta_dir = 2.0 * base
-    eta_cycle = [8.0 * base, 32.0 * base, 128.0 * base, 4.0 * base]
-    eta_ladder = [eta_dir] + eta_cycle
-    iterations = 0
-
-    def dual_bound(
-        utilization: np.ndarray, umax: float, etas: Sequence[float]
-    ) -> float:
-        """Best certified lower bound over the given sharpness levels."""
-        best = 0.0
-        for eta in etas:
-            prices = np.exp(eta * (utilization / umax - 1.0))
-            price_mass = float(capacity @ prices)
-            cost = np.bincount(
-                s.entry_path, weights=prices[s.entry_link],
-                minlength=n_paths,
-            )
-            cheapest = np.minimum.reduceat(cost, s.path_offsets)
-            best = max(best, float(demand @ cheapest) / price_mass)
-        return best
-
-    util_sum = np.zeros(n_links)
-    for t in range(max_iterations):
-        iterations = t + 1
-        loads = np.bincount(
-            s.entry_link, weights=x[s.entry_path] * entry_weight,
-            minlength=n_links,
-        )
-        utilization = loads / capacity
-        util_sum += utilization
-        umax = float(utilization.max())
-        if umax < best_ub:
-            best_ub = umax
-            best_x = x.copy()
-        if umax <= 0.0:
-            best_lb = 0.0
-            gap = 0.0
-            break
-
-        # Step direction: softmax prices over the current profile.
-        prices = np.exp(eta_dir * (utilization / umax - 1.0))
-        path_cost = np.bincount(
-            s.entry_path, weights=prices[s.entry_link], minlength=n_paths
-        )
-        cheapest = np.minimum.reduceat(path_cost, s.path_offsets)
-        # Two dual candidates per round: the direction prices come for
-        # free (cost vector already computed), plus one cycling rung of
-        # the sharpness ladder.
-        direction_lb = (
-            float(demand @ cheapest) / float(capacity @ prices)
-        )
-        best_lb = max(
-            best_lb,
-            direction_lb,
-            dual_bound(utilization, umax, eta_cycle[t % 4 : t % 4 + 1]),
-        )
-        # The time-averaged profile's prices converge to near-optimal
-        # duals; it moves slowly, so sample it sparsely.
-        if t % 8 == 7 or t == max_iterations - 1:
-            mean_util = util_sum / iterations
-            mean_max = float(mean_util.max())
-            if mean_max > 0.0:
-                best_lb = max(
-                    best_lb, dual_bound(mean_util, mean_max, eta_ladder)
-                )
-        gap = (best_ub - best_lb) / best_lb if best_lb > 0 else math.inf
-        if gap <= target_gap:
-            break
-
-        # Frank-Wolfe step toward each aggregate's cheapest path (first
-        # index wins ties, deterministically).
-        candidate = np.where(
-            path_cost <= np.repeat(cheapest, s.path_counts) * (1.0 + 1e-12),
-            path_index, n_paths,
-        )
-        pick = np.minimum.reduceat(candidate, s.path_offsets)
-        step = 2.0 / (t + 3.0)
-        x *= 1.0 - step
-        x[pick] += step
-
-    fractions = builder.extract_fractions(
-        Solution(objective=best_ub, _values=best_x)
-    )
-    link_util = _placement_utilization(network, fractions)
-    result = ApproxPathLpResult(
-        fractions=fractions,
-        link_overload=link_util,
-        max_overload=max(1.0, max(link_util.values(), default=0.0)),
-        objective=best_ub,
-        utilization_lower_bound=best_lb,
-        utilization_upper_bound=best_ub,
-        certified_gap=gap,
-        iterations=iterations,
-    )
-    return result, best_ub

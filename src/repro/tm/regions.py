@@ -11,10 +11,9 @@ region, and re-homing every demand onto its endpoints' gateways:
   the paper-scale experiments;
 * **explicitly approximate at ingest scale** — once aggregation kicks in,
   the result is wrapped in a :class:`RegionalDemands` whose ``label``
-  (e.g. ``"region~16"``) marks the approximation, mirroring the ``~gap``
-  suffix of the approximate MinMax LP.  Intra-region demand (traffic both
-  of whose endpoints land in one region) is dropped from the routed
-  matrix and accounted in ``dropped_intra_bps``.
+  (e.g. ``"region~16"``) marks the approximation.  Intra-region demand
+  (traffic both of whose endpoints land in one region) is dropped from
+  the routed matrix and accounted in ``dropped_intra_bps``.
 
 Clustering is deterministic farthest-point k-center on great-circle
 distance (first center = node nearest the fleet centroid, ties by name),

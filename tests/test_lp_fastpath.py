@@ -1,6 +1,6 @@
-"""The LP hot path: vectorized assembly, backends, approximate solver.
+"""The LP hot path: vectorized assembly and backends.
 
-Three layers:
+Two layers:
 
 * **byte-identity properties** — the vectorized assembly in
   :mod:`repro.routing.pathlp` must produce *bit-identical* results to the
@@ -8,12 +8,8 @@ Three layers:
   below as ``_legacy_*``), with the structure cache cold, hit, or shared
   across solves, and under every available backend;
 * **CompiledLP unit tests** — construction (``from_coo`` and the scalar
-  builder's ``compile``), input validation and solver outcomes;
-* **approximate fast path** — the certified bounds bracket the exact
-  optimum and the heuristic is deterministic.
+  builder's ``compile``), input validation and solver outcomes.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -32,14 +28,12 @@ from repro.lp import (
 from repro.lp.model import SENSE_GE, SENSE_LE
 from repro.net.paths import KspCache
 from repro.net.units import Gbps
-from repro.routing.minmax import MinMaxRouting
 from repro.routing.pathlp import (
     M1_TIEBREAK,
     M2_MAX_OVERLOAD,
     M3_TOTAL_OVERLOAD,
     clear_structure_cache,
     solve_latency_lp,
-    solve_minmax_approx,
     solve_minmax_lp,
 )
 from repro.tm.matrix import Aggregate
@@ -376,81 +370,3 @@ class TestCompiledLP:
             np.full(2, np.inf),
         )
         assert compiled._a.nnz == 2
-
-
-# ----------------------------------------------------------------------
-# Approximate fast path
-# ----------------------------------------------------------------------
-class TestApprox:
-    def test_bounds_bracket_exact(self, gts):
-        path_sets = _paper_case(gts)
-        _, exact_cap = solve_minmax_lp(gts, path_sets)
-        result, ub = solve_minmax_approx(gts, path_sets, target_gap=0.05)
-        assert result.utilization_lower_bound - 1e-9 <= exact_cap
-        assert exact_cap <= result.utilization_upper_bound + 1e-9
-        assert result.utilization_upper_bound == ub
-        assert result.certified_gap >= 0.0
-        assert math.isfinite(result.certified_gap)
-        assert result.iterations >= 1
-
-    def test_gap_definition_holds(self, diamond):
-        agg = Aggregate("s", "t", Gbps(10))
-        path_sets = {agg: [("s", "x", "t"), ("s", "y", "t")]}
-        result, _ = solve_minmax_approx(diamond, path_sets, target_gap=0.01)
-        lb = result.utilization_lower_bound
-        ub = result.utilization_upper_bound
-        assert result.certified_gap == (ub - lb) / lb
-
-    def test_deterministic(self, gts):
-        path_sets = _paper_case(gts)
-        first, _ = solve_minmax_approx(gts, path_sets)
-        second, _ = solve_minmax_approx(gts, path_sets)
-        assert first.fractions == second.fractions
-        assert first.certified_gap == second.certified_gap
-        assert first.iterations == second.iterations
-
-    def test_target_gap_validated(self, diamond):
-        agg = Aggregate("s", "t", Gbps(1))
-        with pytest.raises(ValueError, match="target_gap"):
-            solve_minmax_approx(
-                diamond, {agg: [("s", "x", "t")]}, target_gap=0.0
-            )
-
-    def test_fractions_are_a_valid_placement(self, gts):
-        path_sets = _paper_case(gts)
-        result, _ = solve_minmax_approx(gts, path_sets)
-        for agg, splits in result.fractions.items():
-            total = sum(fraction for _, fraction in splits)
-            assert total == pytest.approx(1.0)
-            assert all(fraction >= -1e-12 for _, fraction in splits)
-
-
-# ----------------------------------------------------------------------
-# Scheme plumbing
-# ----------------------------------------------------------------------
-class TestSchemeIntegration:
-    def test_minmax_approx_params_validated(self):
-        with pytest.raises(ValueError, match="approx_gap"):
-            MinMaxRouting(k=10, approx_gap=-0.1)
-        with pytest.raises(ValueError, match="exact"):
-            MinMaxRouting(approx_gap=0.05)  # full MinMax stays exact
-
-    def test_minmax_approx_name_and_certificate(self, gts, gts_tm):
-        scheme = MinMaxRouting(k=10, approx_gap=0.05, cache=KspCache(gts))
-        assert scheme.name == "MinMaxK10~0.05"
-        scheme.place(gts, gts_tm)
-        assert scheme.last_certified_gap is not None
-        lb, ub = scheme.last_utilization_bounds
-        assert lb <= ub
-
-    def test_registry_builds_approx_spec(self, gts, gts_tm):
-        from repro.experiments.spec import SchemeSpec
-        from repro.experiments.workloads import NetworkWorkload
-
-        spec = SchemeSpec("MinMaxK10Approx", {"approx_gap": 0.1})
-        item = NetworkWorkload(
-            network=gts, llpd=0.0, matrices=[gts_tm], cache=KspCache(gts)
-        )
-        scheme = spec(item)
-        assert isinstance(scheme, MinMaxRouting)
-        assert scheme.approx_gap == 0.1

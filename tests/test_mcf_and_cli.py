@@ -94,25 +94,40 @@ class TestCli:
         assert "minmax" in out
 
     @pytest.mark.parametrize(
-        "flag, argv",
+        "flag, minimum, argv",
         [
-            ("--workers", ["fig03", "--workers", "0"]),
-            ("--networks", ["fig03", "--networks", "0"]),
-            ("--tms", ["fig03", "--tms", "0"]),
-            ("--shards", ["dispatch", "SP", "--shards", "0",
-                          "--store-dir", "unused"]),
-            ("--shards", ["scenarios", "--dispatch", "--shards", "-1",
-                          "--store-dir", "unused"]),
+            ("--workers", 1, ["fig03", "--workers", "0"]),
+            ("--networks", 1, ["fig03", "--networks", "0"]),
+            ("--tms", 1, ["fig03", "--tms", "0"]),
+            ("--shards", 1, ["dispatch", "SP", "--shards", "0",
+                             "--store-dir", "unused"]),
+            ("--shards", 1, ["scenarios", "--dispatch", "--shards", "-1",
+                             "--store-dir", "unused"]),
+            ("--cache-max-paths", 1, ["fig03", "--cache-dir", "unused",
+                                      "--cache-max-paths", "0"]),
+            ("--cache-max-bytes", 0, ["fig03", "--cache-dir", "unused",
+                                      "--cache-max-bytes", "-1"]),
+            ("--failures", 0, ["scenarios", "--failures", "-1"]),
+            ("--node-failures", 0, ["scenarios", "--node-failures", "-1"]),
+            ("--surges", 0, ["scenarios", "--surges", "-1"]),
+            ("--growth-stages", 0, ["scenarios", "--growth-stages", "-1"]),
         ],
-        ids=["workers", "networks", "tms", "shards", "scenarios-shards"],
+        ids=[
+            "workers", "networks", "tms", "shards", "scenarios-shards",
+            "cache-max-paths", "cache-max-bytes", "failures",
+            "node-failures", "surges", "growth-stages",
+        ],
     )
-    def test_count_flags_below_one_exit_2(self, flag, argv, capsys):
-        # A zero count used to reach the engine / manifest writer and die
-        # with a ValueError traceback; argparse now rejects it up front.
+    def test_count_flags_below_one_exit_2(self, flag, minimum, argv, capsys):
+        # An out-of-range count used to reach the engine, the manifest
+        # writer or the cache writer (after the whole figure had been
+        # evaluated) and die with a ValueError traceback — or, for a
+        # negative perturbation count, be silently read as 0; argparse
+        # now rejects it up front.
         from repro.experiments.__main__ import main
 
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         error = capsys.readouterr().err.strip().splitlines()[-1]
-        assert f"argument {flag}: must be at least 1" in error
+        assert f"argument {flag}: must be at least {minimum}" in error

@@ -3,7 +3,7 @@
 The indexed core (:mod:`repro.net.index`) must be *bit-identical* to the
 legacy name-keyed algorithms it replaced — same paths, same tie-breaks,
 same float sums, same dict insertion order, same exceptions.  The legacy
-implementations are kept in :mod:`repro.net.paths` as ``legacy_*`` exactly
+implementations are kept in ``tests/oracles.py`` as ``legacy_*`` exactly
 so these tests can use them as a parity oracle.
 """
 
@@ -23,16 +23,18 @@ from repro.net.paths import (
     NoPathError,
     all_pairs_shortest_paths,
     k_shortest_paths,
-    legacy_all_pairs_shortest_paths,
-    legacy_k_shortest_paths,
-    legacy_shortest_path,
-    legacy_shortest_path_delays,
     path_delay_s,
     shortest_path,
     shortest_path_delays,
 )
 from repro.net.zoo import generate_zoo
 from repro.net.units import Gbps, ms
+from tests.oracles import (
+    legacy_all_pairs_shortest_paths,
+    legacy_k_shortest_paths,
+    legacy_shortest_path,
+    legacy_shortest_path_delays,
+)
 
 
 def parity_networks():

@@ -36,6 +36,7 @@ from repro.scenarios.report import (
     robustness_payload,
     variant_metrics,
 )
+from repro.scenarios.workload import VARIANT_CACHE_SIZE
 from repro.tm.matrix import TrafficMatrix
 from repro.tm.matrix import from_json as tm_from_json
 from repro.tm.matrix import to_json as tm_to_json
@@ -356,6 +357,51 @@ class TestLazyPlans:
         item = workload.networks[1]
         assert item.scenario == workload.specs[1].label()
         assert workload.networks[0] is workload.base  # baseline shares base
+
+
+class TestFleetStreams:
+    """A huge fleet streams: variant realizations are counted, not timed."""
+
+    N_SPECS = 10_000
+
+    @pytest.fixture
+    def applies(self, monkeypatch):
+        """Every ``ScenarioSpec.apply`` call made after the fixture starts."""
+        calls = []
+        real_apply = ScenarioSpec.apply
+
+        def counting_apply(spec, base):
+            calls.append(spec)
+            return real_apply(spec, base)
+
+        monkeypatch.setattr(ScenarioSpec, "apply", counting_apply)
+        return calls
+
+    def fleet(self):
+        specs = [BASELINE] + [
+            ScenarioSpec(surge_pairs=(("n0", "n3"),), surge_factor=2.0 + i)
+            for i in range(self.N_SPECS - 1)
+        ]
+        return ScenarioWorkload(line_item(), specs, seed=0)
+
+    def test_iterating_every_task_realizes_no_variant(self, applies):
+        plan = EvalPlan()
+        plan.add("SP", SchemeSpec("SP"), self.fleet(), scheme="SP")
+        assert sum(1 for _ in plan.iter_tasks()) == self.N_SPECS
+        assert applies == []
+
+    def test_indexing_realizes_each_variant_once_in_a_bounded_window(
+        self, applies
+    ):
+        fleet = self.fleet()
+        k = 4 * VARIANT_CACHE_SIZE
+        indices = range(0, self.N_SPECS, self.N_SPECS // k)[:k]
+        for index in indices:
+            assert fleet.networks[index].scenario == (
+                fleet.specs[index].label() if index else None
+            )
+            assert len(fleet.networks._cache) <= VARIANT_CACHE_SIZE
+        assert applies == [fleet.specs[index] for index in indices]
 
 
 class NetworkListWorkload:
