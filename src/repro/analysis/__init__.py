@@ -1,25 +1,22 @@
 """Static analysis for the repro codebase: ``python -m repro.analysis``.
 
-An AST-based linter with codebase-specific passes enforcing the
-invariants every layer of the execution stack (plan → engine → store →
-dispatch) rests on but runtime tests can only sample:
+An AST-based linter with codebase-specific passes enforcing invariants
+the runtime tests can only sample:
 
-* :class:`~repro.analysis.determinism.DeterminismPass` (D1xx) —
+* :class:`~repro.analysis.determinism.DeterminismPass` (D101–D105) —
   unseeded RNGs, wall-clock reads, hash-seed-ordered set iteration
   flowing into results, and ``assert``-guarded invariants that
   ``python -O`` strips.
-* :class:`~repro.analysis.spawnsafe.SpawnSafetyPass` (S2xx) — lambdas
-  and locally-defined functions reaching pool-executed call sites, plus
-  the import-time check that every registered scheme spec survives the
-  JSON/pickle round trip shard manifests and spawn pools depend on.
-* :class:`~repro.analysis.schema.SchemaDriftPass` (C3xx) — store
-  record / shard manifest fields cross-checked between their writers
-  and readers, manifest version constants against the validator, and
+* :class:`~repro.analysis.schema.SchemaDriftPass` (C303) —
   ``args.<dest>`` reads against ``add_argument`` dests.
 
+Every rule here has a live subject in ``src/``.  A contract that Python,
+a runtime check or a round-trip test already enforces (a required
+keyword, the spawn-safety check at dispatch, store record fields) gets
+no rule.
+
 :func:`analyze_paths` is the library entry point; the CLI in
-:mod:`repro.analysis.__main__` adds text/JSON output, severity gating
-and the committed-baseline workflow (:mod:`repro.analysis.baseline`).
+:mod:`repro.analysis.__main__` prints the findings and fails on any.
 Intentional violations are allowlisted in source with
 ``# analysis: allow[RULE]``.
 """
@@ -30,32 +27,23 @@ import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.base import (
-    Finding,
-    ModuleSource,
-    Pass,
-    Severity,
-    fingerprint,
-)
+from repro.analysis.base import Finding, ModuleSource, Pass
 from repro.analysis.determinism import DeterminismPass
 from repro.analysis.schema import SchemaDriftPass
-from repro.analysis.spawnsafe import SpawnSafetyPass
 
 __all__ = [
     "Finding",
     "ModuleSource",
     "Pass",
-    "Severity",
     "all_passes",
     "analyze_paths",
     "collect_modules",
-    "fingerprint",
 ]
 
 
 def all_passes() -> List[Pass]:
     """The default pass set, in reporting order."""
-    return [DeterminismPass(), SpawnSafetyPass(), SchemaDriftPass()]
+    return [DeterminismPass(), SchemaDriftPass()]
 
 
 def collect_modules(
@@ -93,11 +81,9 @@ def collect_modules(
             failures.append(
                 Finding(
                     rule="E001",
-                    severity=Severity.ERROR,
                     path=rel,
                     line=getattr(exc, "lineno", None) or 1,
                     message=f"cannot parse: {exc}",
-                    context="parse-failure",
                 )
             )
     return modules, failures
@@ -110,14 +96,13 @@ def analyze_paths(
 ) -> List[Finding]:
     """Run the given passes (default: all) over the paths' ``.py`` files.
 
-    Findings come back sorted by (path, line, rule) so output — and the
-    baseline built from it — is stable across filesystems and runs.
+    Findings come back sorted by (path, line, rule) so output is stable
+    across filesystems and runs.
     """
     modules, findings = collect_modules(paths, root=root)
     for analyzer_pass in passes if passes is not None else all_passes():
         for module in modules:
             findings.extend(analyzer_pass.check_module(module))
-        findings.extend(analyzer_pass.check_tree(modules))
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     return findings
 

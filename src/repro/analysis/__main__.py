@@ -1,27 +1,18 @@
 """CLI for the static analyzer: ``python -m repro.analysis [paths...]``.
 
-Exit codes: 0 — no non-baselined findings at or above the gate
-severity; 1 — findings; 2 — usage or baseline error.  ``--format json``
-emits a machine-readable report (the CI gate parses it);
-``--write-baseline`` records the current findings so a new rule can
-land without blocking on legacy code.
+Prints one ``path:line: [RULE] message`` line per finding.  Exit codes:
+0 — no findings; 1 — findings; 2 — usage error, including a path that
+does not exist or holds no ``.py`` file (a mistyped path must not turn
+the gate off).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
+from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis import all_passes, analyze_paths, rule_table
-from repro.analysis.base import Finding, Severity
-from repro.analysis.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis import analyze_paths, rule_table
 
 DEFAULT_PATHS = ("src/repro",)
 
@@ -30,40 +21,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Codebase-specific static analysis: determinism, "
-            "spawn-safety and schema-drift passes."
+            "Codebase-specific static analysis: determinism and "
+            "CLI-drift passes."
         ),
     )
     parser.add_argument(
         "paths",
         nargs="*",
         help="files or directories to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (json includes every finding plus counts)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="subtract the findings recorded in this baseline file "
-        "before reporting and gating",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="record the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--min-severity",
-        default="warning",
-        metavar="LEVEL",
-        help="gate exit code 1 on findings at or above this severity "
-        "(info|warning|error; lower ones are still reported)",
     )
     parser.add_argument(
         "--list-rules",
@@ -77,64 +42,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{rule}  {description}")
         return 0
 
-    try:
-        threshold = Severity.parse(args.min_severity)
-    except ValueError as exc:
-        print(f"analysis: {exc}", file=sys.stderr)
-        return 2
-
     paths = args.paths or list(DEFAULT_PATHS)
-    findings = analyze_paths(paths, passes=all_passes())
-
-    if args.write_baseline:
-        write_baseline(args.write_baseline, findings)
-        print(
-            f"analysis: wrote {len(findings)} finding(s) to "
-            f"{args.write_baseline}"
-        )
-        return 0
-
-    suppressed = 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"analysis: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed = apply_baseline(findings, baseline)
-
-    gating = [f for f in findings if f.severity >= threshold]
-
-    if args.format == "json":
-        print(json.dumps(_json_report(findings, gating, suppressed), indent=2))
-    else:
-        for finding in findings:
-            print(finding.render())
-        summary = (
-            f"analysis: {len(findings)} finding(s), "
-            f"{len(gating)} at/above {threshold.name.lower()}"
-        )
-        if suppressed:
-            summary += f", {suppressed} baselined"
-        print(summary)
-    return 1 if gating else 0
-
-
-def _json_report(
-    findings: List[Finding], gating: List[Finding], suppressed: int
-) -> dict:
-    by_rule: dict = {}
+    for entry in paths:
+        path = Path(entry)
+        if not path.exists():
+            parser.error(f"no such file or directory: {entry}")
+        if path.is_dir() and next(path.rglob("*.py"), None) is None:
+            parser.error(f"no .py files under {entry}")
+    findings = analyze_paths(paths)
     for finding in findings:
-        by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
-    return {
-        "findings": [f.to_jsonable() for f in findings],
-        "counts": {
-            "total": len(findings),
-            "gating": len(gating),
-            "baselined": suppressed,
-            "by_rule": dict(sorted(by_rule.items())),
-        },
-    }
+        print(finding.render())
+    print(f"analysis: {len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -14,10 +14,9 @@ the constructs that silently break it:
   control flow.  ``time.perf_counter()`` is deliberately not flagged —
   it is the designated instrumentation clock (the engine's measured
   ``seconds``), which no result ever reads.
-  Genuinely wall-clock-dependent features (``store gc --max-age-days``)
-  carry an ``# analysis: allow[D102]`` pragma; a module whose whole
-  purpose is sanctioned instrumentation (the telemetry layer) declares
-  ``# analysis: allow-module[D102]`` once in its header instead.
+  Genuinely wall-clock-dependent features (``store gc --max-age-days``,
+  the telemetry layer's trace stamps) carry an
+  ``# analysis: allow[D102]`` pragma on the reading line.
 * **D103** — iterating a freshly built ``set``/``frozenset`` (or a set
   literal/comprehension), including via ``list()``/``tuple()``/
   ``enumerate()``: the order is hash-seed-dependent, so anything built
@@ -29,21 +28,6 @@ the constructs that silently break it:
 * **D105** — ``assert`` statements: stripped under ``python -O``, so an
   invariant guarded by one silently stops being checked the day someone
   runs optimized.  Library invariants must raise explicitly.
-* **D106** — scenario sampling without an explicit ``seed=``:
-  :mod:`repro.scenarios` entry points (``ScenarioGenerator``,
-  ``generate_scenarios``) derive every fleet from their seed, and a
-  dispatch coordinator and its workers must derive the *same* fleet
-  independently.  The parameter is keyword-only today; this rule keeps
-  call sites explicit even if a default ever creeps in.
-* **D108** — dense all-pairs materialization:
-  ``all_pairs_shortest_paths(...)`` / ``node_pairs(...)`` calls build a
-  quadratic structure — 10^8 entries on the ingest-scale (10k+ node)
-  graphs of :mod:`repro.net.ingest`.  Prefer per-source
-  ``shortest_path_delays`` sweeps, locality-pruned KSP
-  (:class:`repro.net.index.LocalityPruner`) or region aggregation
-  (:mod:`repro.tm.regions`); a deliberately zoo-scale call site carries
-  ``# analysis: allow[D108]``.  WARNING severity — a scalability
-  contract, not a correctness one.
 """
 
 from __future__ import annotations
@@ -56,7 +40,6 @@ from repro.analysis.base import (
     Finding,
     ModuleSource,
     Pass,
-    Severity,
     call_name,
     enclosing_function,
     is_set_annotation,
@@ -81,14 +64,6 @@ NUMPY_LEGACY = frozenset(
 )
 
 _ORDERING_WRAPPERS = frozenset({"list", "tuple", "enumerate"})
-
-#: Scenario-fleet sampling entry points that must be explicitly seeded.
-SCENARIO_SAMPLERS = frozenset({"ScenarioGenerator", "generate_scenarios"})
-
-#: Calls that materialize the quadratic node-pair space (rule D108).
-DENSE_PAIR_MATERIALIZERS = frozenset(
-    {"all_pairs_shortest_paths", "node_pairs"}
-)
 
 
 def _import_aliases(tree: ast.Module, target: str) -> Set[str]:
@@ -137,16 +112,12 @@ def _body_builds_ordered_output(body: list) -> bool:
 
 
 class DeterminismPass(Pass):
-    name = "determinism"
     rules = {
         "D101": "unseeded random number generator",
         "D102": "wall-clock read outside the instrumentation allowlist",
         "D103": "iteration over a freshly built set/frozenset",
         "D104": "iteration over a set-annotated value feeding ordered output",
         "D105": "assert statement in library code (stripped under -O)",
-        "D106": "scenario sampling without an explicit seed",
-        "D108": "dense all-pairs materialization on a potentially "
-                "ingest-scale graph",
     }
 
     def check_module(self, module: ModuleSource) -> Iterator[Finding]:
@@ -164,9 +135,7 @@ class DeterminismPass(Pass):
                 )
             elif isinstance(node, ast.Assert):
                 finding = module.finding(
-                    "D105",
-                    Severity.ERROR,
-                    node,
+                    "D105", node,
                     "assert is stripped under `python -O`; raise an "
                     "explicit exception for library invariants",
                 )
@@ -203,7 +172,7 @@ class DeterminismPass(Pass):
                 and not node.keywords
             ):
                 finding = module.finding(
-                    "D101", Severity.ERROR, node,
+                    "D101", node,
                     f"`{name}()` uses the unseeded global RNG; thread an "
                     f"explicitly seeded generator through instead",
                 )
@@ -219,7 +188,7 @@ class DeterminismPass(Pass):
             if parts[2] == "default_rng":
                 if not node.args and not node.keywords:
                     finding = module.finding(
-                        "D101", Severity.ERROR, node,
+                        "D101", node,
                         f"`{name}()` without a seed draws OS entropy; "
                         f"pass an explicit seed",
                     )
@@ -227,7 +196,7 @@ class DeterminismPass(Pass):
                         yield finding
             elif parts[2] in NUMPY_LEGACY:
                 finding = module.finding(
-                    "D101", Severity.ERROR, node,
+                    "D101", node,
                     f"`{name}()` uses numpy's legacy global RNG; use a "
                     f"seeded `np.random.default_rng(seed)` generator",
                 )
@@ -242,41 +211,9 @@ class DeterminismPass(Pass):
             and parts[-1] in ("now", "utcnow", "today")
         ):
             finding = module.finding(
-                "D102", Severity.ERROR, node,
+                "D102", node,
                 f"`{name}()` reads the wall clock; allow intentional "
                 f"instrumentation with `# analysis: allow[D102]`",
-            )
-            if finding:
-                yield finding
-
-        # D106: ScenarioGenerator(...) / generate_scenarios(...) without
-        # an explicit seed= keyword.  A `**kwargs` splat may carry the
-        # seed invisibly, so it passes.
-        if parts[-1] in SCENARIO_SAMPLERS:
-            has_seed = any(
-                keyword.arg == "seed" or keyword.arg is None
-                for keyword in node.keywords
-            )
-            if not has_seed:
-                finding = module.finding(
-                    "D106", Severity.ERROR, node,
-                    f"`{name}(...)` without `seed=`: scenario fleets must "
-                    f"be reproducible across processes; pass an explicit "
-                    f"seed",
-                )
-                if finding:
-                    yield finding
-
-        # D108: dense pair materialization — quadratic output that zoo
-        # networks tolerate and ingest-scale graphs cannot.
-        if parts[-1] in DENSE_PAIR_MATERIALIZERS:
-            finding = module.finding(
-                "D108", Severity.WARNING, node,
-                f"`{name}(...)` materializes every node pair (10^8 at "
-                f"ingest scale); prefer per-source shortest_path_delays "
-                f"sweeps, locality-pruned KSP or region aggregation, or "
-                f"mark a deliberate zoo-scale site with "
-                f"`# analysis: allow[D108]`",
             )
             if finding:
                 yield finding
@@ -285,7 +222,7 @@ class DeterminismPass(Pass):
         if name in _ORDERING_WRAPPERS and node.args:
             if _is_set_expr(node.args[0]):
                 finding = module.finding(
-                    "D103", Severity.ERROR, node,
+                    "D103", node,
                     f"`{name}()` over a set materializes hash-seed "
                     f"order; wrap in `sorted(...)`",
                 )
@@ -314,7 +251,7 @@ class DeterminismPass(Pass):
     ) -> Iterator[Finding]:
         if _is_set_expr(node.iter):
             finding = module.finding(
-                "D103", Severity.ERROR, node.iter,
+                "D103", node.iter,
                 "iterating a freshly built set visits elements in "
                 "hash-seed order; iterate `sorted(...)` instead",
             )
@@ -325,7 +262,7 @@ class DeterminismPass(Pass):
         if is_set_annotation(scope.annotation_of(node.iter)):
             if _body_builds_ordered_output(node.body):
                 finding = module.finding(
-                    "D104", Severity.ERROR, node.iter,
+                    "D104", node.iter,
                     "loop over a set-annotated value builds ordered "
                     "output; traverse `sorted(...)` or keep an "
                     "insertion-ordered structure",
@@ -347,7 +284,7 @@ class DeterminismPass(Pass):
         for generator in node.generators:  # type: ignore[attr-defined]
             if _is_set_expr(generator.iter):
                 finding = module.finding(
-                    "D103", Severity.ERROR, generator.iter,
+                    "D103", generator.iter,
                     "comprehension over a freshly built set visits "
                     "elements in hash-seed order; iterate "
                     "`sorted(...)` instead",
@@ -358,7 +295,7 @@ class DeterminismPass(Pass):
                 scope = self._scope_for(module, node, scopes)
                 if is_set_annotation(scope.annotation_of(generator.iter)):
                     finding = module.finding(
-                        "D104", Severity.ERROR, generator.iter,
+                        "D104", generator.iter,
                         "ordered comprehension over a set-annotated "
                         "value; iterate `sorted(...)` instead",
                     )

@@ -148,9 +148,9 @@ def apa_all_pairs(
     """APA for every connected ordered PoP pair.
 
     Inherently quadratic (the paper's Figure 1 wants the full APA CDF);
-    only ever run on zoo-scale networks, hence the D108 allowance.
+    only ever run on zoo-scale networks.
     """
-    shortest_paths = all_pairs_shortest_paths(network)  # analysis: allow[D108]
+    shortest_paths = all_pairs_shortest_paths(network)
     cache = _ReducedNetworkCache(network)
     return {
         (src, dst): pair_apa(network, src, dst, params, path, cache)

@@ -190,8 +190,7 @@ class Network:
         """All ordered pairs of distinct nodes (every potential aggregate).
 
         Quadratic: fine at zoo scale, 10^8 entries on an ingest-scale
-        graph.  Analysis rule D108 flags call sites so the dense form
-        stays a deliberate choice.
+        graph, so the dense form must stay a deliberate choice.
         """
         names = self.node_names
         return [(u, v) for u in names for v in names if u != v]

@@ -406,7 +406,7 @@ class GraphIndex:
 
         ``node_order`` reproduces the legacy result-dict ordering (network
         insertion order); defaults to id (sorted-name) order.  Quadratic
-        output — gate ingest-scale callers behind analysis rule D108.
+        output: keep it off ingest-scale graphs.
         """
         order = node_order if node_order is not None else self._names
         ids = self._ids

@@ -176,10 +176,10 @@ def all_pairs_shortest_paths(network: Network) -> Dict[Tuple[str, str], Path]:
     """Lowest-delay path for every connected ordered node pair.
 
     Quadratic output: at ingest scale (10k+ nodes) this materializes 10^8
-    paths.  Analysis rule D108 flags new call sites; prefer per-source
-    :func:`shortest_path_delays` sweeps or locality-pruned KSP.
+    paths.  Prefer per-source :func:`shortest_path_delays` sweeps or
+    locality-pruned KSP there.
     """
-    return graph_index(network).all_pairs_shortest_paths(  # analysis: allow[D108]
+    return graph_index(network).all_pairs_shortest_paths(
         node_order=network.node_names
     )
 

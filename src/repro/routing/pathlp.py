@@ -104,7 +104,7 @@ class _PathSetStructure:
 
     __slots__ = (
         "n_aggs", "n_paths", "n_links",
-        "path_offsets", "path_counts", "agg_of_path", "path_delay",
+        "path_offsets", "agg_of_path", "path_delay",
         "shortest_delay", "entry_path", "entry_link", "entry_agg",
         "link_keys", "capacity_units", "capacity_unit",
     )
@@ -131,7 +131,6 @@ class _PathSetStructure:
             (len(paths) for paths in path_lists),
             dtype=np.int64, count=self.n_aggs,
         )
-        self.path_counts = counts
         self.path_offsets = np.zeros(self.n_aggs, dtype=np.int64)
         np.cumsum(counts[:-1], out=self.path_offsets[1:])
         self.n_paths = int(counts.sum())

@@ -66,8 +66,8 @@ class ScenarioGenerator:
 
     ``seed`` is required (keyword-only): an unseeded fleet would differ
     between the coordinator and its dispatch workers, which the
-    determinism contract forbids (analysis rule D106 flags call sites
-    that omit it).
+    determinism contract forbids (a call that omits it raises
+    ``TypeError``).
     """
 
     def __init__(self, base: NetworkWorkload, *, seed: int) -> None:

@@ -67,10 +67,6 @@ both, spawn pools and worker subprocesses inherit them, and the first
 :func:`recorder` call in the child initializes from them.
 """
 
-# analysis: allow-module[D102] — telemetry is the sanctioned
-# instrumentation layer: wall-clock stamps annotate traces for humans
-# and order nothing; results never read them.
-
 from __future__ import annotations
 
 import io
@@ -228,7 +224,9 @@ class TraceRecorder(Recorder):
             self._counters = {}
             self._gauges = {}
             self._dirty = False
-            self._run = f"{int(time.time() * 1e6):x}-{pid:x}"
+            # Wall-clock stamps annotate traces for humans and order
+            # nothing; results never read them.
+            self._run = f"{int(time.time() * 1e6):x}-{pid:x}"  # analysis: allow[D102]
             self._stacks = threading.local()
         return pid
 
@@ -251,7 +249,7 @@ class TraceRecorder(Recorder):
                     "trace": self.trace or ADHOC_TRACE,
                     "run": self._run,
                     "pid": self._pid,
-                    "wall": time.time(),
+                    "wall": time.time(),  # analysis: allow[D102] — read by humans only
                 }
             )
         return self._handle

@@ -206,6 +206,18 @@ class TestWorkerAndMerge:
         with pytest.raises(StoreMismatchError):
             merge_worker_store(tmp_path / "main", tmp_path / "worker")
 
+    def test_merge_keeps_workload_size_of_partial_shard(
+        self, workload, tmp_path
+    ):
+        manifests = write_plan_manifests(
+            scheme_plan(workload), 2, tmp_path / "manifests"
+        )
+        run_worker(manifests[0], tmp_path / "worker-0")
+        merge_worker_store(tmp_path / "main", tmp_path / "worker-0")
+        (stream,) = ResultStore(tmp_path / "main").list_streams()
+        assert stream["n_results"] < len(workload.networks)
+        assert stream["n_networks"] == len(workload.networks)
+
     def test_merge_missing_worker_dir_is_empty(self, tmp_path):
         assert merge_worker_store(tmp_path / "main", tmp_path / "ghost") == {}
 

@@ -7,6 +7,7 @@ shared pool is **bit-identical** to one single-scheme
 worker count, on fork and spawn pools, fresh or resumed mid-plan.
 """
 
+import argparse
 import multiprocessing
 
 import numpy as np
@@ -553,3 +554,24 @@ class TestPlanDispatch:
         )
         with pytest.raises(DispatchError, match="non-SchemeSpec"):
             write_plan_manifests(plan, 2, tmp_path)
+
+    def test_every_cli_figure_plan_is_spawn_safe(self, workload, monkeypatch):
+        from repro.experiments import __main__ as cli
+        from repro.experiments import figures
+
+        # Spawn safety is a property of the factories a plan registers,
+        # not of its networks: serve every figure the small module
+        # workload and skip Figure 20's topology growth.
+        monkeypatch.setattr(cli, "build_workload", lambda args, **_: workload)
+        monkeypatch.setattr(
+            figures, "_grow_network_cached", lambda network, **_: network
+        )
+        args = argparse.Namespace(networks=3, tms=1, seed=0, cache_dir=None)
+        plans = {
+            name: figure.plan(args)
+            for name, figure in cli.FIGURES.items()
+            if figure.plan is not None
+        }
+        assert "fig03" in plans
+        for name, plan in plans.items():
+            assert plan.spawn_safe(), name

@@ -223,6 +223,18 @@ class TestGeneration:
         )
         assert out == [s.signature() for s in fleet.specs]
 
+    def test_cli_fleet_report(self, capsys):
+        # The CLI's own ScenarioGenerator call site, end to end.
+        from repro.experiments.__main__ import main
+
+        assert main(
+            ["scenarios", "--networks", "3", "--tms", "1", "--seed", "7",
+             "--failures", "1", "--schemes", "SP", "--format", "json"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["kinds"]["baseline"] == 1
+        assert report["kinds"]["link_failure"] == report["n_variants"] - 1
+
 
 # ----------------------------------------------------------------------
 # Spec identity and composition

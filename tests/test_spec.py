@@ -1,5 +1,6 @@
 """Tests for the picklable scheme-spec registry and spawn-pool parity."""
 
+import inspect
 import json
 import pickle
 
@@ -116,6 +117,29 @@ class TestRoundTrip:
         assert isinstance(
             clone(workload.networks[0]), ShortestPathRouting
         )
+
+    @pytest.mark.parametrize("name", registered_schemes())
+    def test_registered_scheme_defaults_round_trip(self, name):
+        # Every builder default must be JSON-native: a default a manifest
+        # cannot express would make dispatch workers and spawn pools
+        # resolve the scheme differently than an in-process run.
+        from repro.experiments import spec as spec_module
+
+        builder = spec_module._REGISTRY[name]
+        params = {}
+        for parameter in list(
+            inspect.signature(builder).parameters.values()
+        )[1:]:
+            if parameter.default is inspect.Parameter.empty:
+                continue
+            assert isinstance(
+                parameter.default, (type(None), bool, int, float, str)
+            ), parameter.name
+            params[parameter.name] = parameter.default
+        spec = SchemeSpec(name, params)
+        wire = json.loads(json.dumps(spec.to_jsonable()))
+        assert SchemeSpec.from_jsonable(wire) == spec
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_spawn_safety_classification(self):
         assert is_spawn_safe(SchemeSpec("SP"))

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.engine import ExperimentEngine
+from repro.experiments.engine import ExperimentEngine, NetworkResult
 from repro.experiments.store import (
     ResultStore,
     StoreMismatchError,
@@ -533,6 +533,23 @@ class TestTimingReplay:
             == expected
         assert [stored[i].seconds for i in sorted(stored)] \
             == [r.seconds for r in results]
+
+    def test_every_result_field_round_trips(self, tmp_path):
+        # Non-default values in every optional field: a writer key the
+        # reader does not ask for would load back as the field default.
+        result = NetworkResult(
+            index=3,
+            network_name="net",
+            network_id="3:net",
+            outcomes=[],
+            seconds=0.25,
+            paths_preloaded=7,
+            network_signature="abc123",
+        )
+        store = ResultStore(tmp_path)
+        with store.open_writer("sig", "SP", n_networks=5) as writer:
+            writer.append(result)
+        assert store.load_results("sig", "SP") == {3: result}
 
     def test_pre_signature_records_replay_as_unknown(
         self, workload, tmp_path
