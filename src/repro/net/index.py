@@ -135,6 +135,7 @@ class GraphIndex:
         # Built on first use by delays_to(): reversed CSR, per-target memo.
         self._reverse: Optional[Tuple[List[int], List[int], List[float]]] = None
         self._to_target: Dict[int, Tuple[array[float], array[int]]] = {}
+        self._from_source: Dict[int, array[float]] = {}
         #: Work tallies: Dijkstra runs started and nodes they labelled.
         self.searches = 0
         self.nodes_reached = 0
@@ -326,6 +327,19 @@ class GraphIndex:
                 *self._reverse, t, -1, None, None, None, _INF
             )
             memo = self._to_target[t] = (array("d", dist), array("i", parent))
+        return memo
+
+    def delays_from(self, s: int) -> array[float]:
+        """Minimum delay ``s -> v`` for every node ``v``, memoized per source.
+
+        ``inf`` where ``v`` is unreachable.  The forward sweep that
+        :meth:`shortest_path_delays` runs, so the values are bit-identical
+        to it; 8 bytes x n kept per source for the life of the index.
+        """
+        memo = self._from_source.get(s)
+        if memo is None:
+            dist, _, _ = self.dijkstra_ids(s)
+            memo = self._from_source[s] = array("d", dist)
         return memo
 
     def _reversed_csr(self) -> Tuple[List[int], List[int], List[float]]:

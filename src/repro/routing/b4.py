@@ -6,20 +6,50 @@ aggregate's shortest path fills up, B4 starts allocating that aggregate
 onto the next shortest path, and so forth.  Hence, while it considers
 low-latency paths first, B4 still uses a greedy algorithm."
 
-We implement that as synchronous water-filling: at every step each active
-aggregate pushes rate onto its current preferred path at an equal rate, the
-step size being the largest uniform increment before some link saturates or
-some aggregate completes.  When a link saturates, aggregates preferring a
-path through it advance to their next shortest path with residual capacity
-everywhere.  An aggregate that runs out of usable paths keeps its leftover
-demand, which is force-placed on its shortest path — this models the
+We implement that as synchronous water-filling.  Each round, every active
+aggregate (demand left and a usable path) pushes the same rate ``step``
+onto its current path: the largest uniform increment before some
+aggregate's demand completes or some link fills, i.e. the minimum of every
+active ``remaining_bps`` and every used link's ``residual / users``.  An
+aggregate whose path then has a link with at most ``RATE_EPSILON_BPS``
+left advances to the next of its ``max_paths_per_aggregate`` shortest
+paths on which every link has more than that left.  An aggregate that runs
+out of such paths keeps its leftover demand, which is force-placed on its
+shortest path and reported in ``Placement.unplaced_bps`` — this models the
 congestion the paper observes B4 inducing on high-LLPD networks (its
 Figure 5 trap).
 
 With ``headroom > 0`` the water-filling works against capacities scaled by
-``1 - headroom``; leftover demand then gets a second pass against the full
+``1 - headroom``; leftover demand then gets a second pass, restarting from
+each aggregate's shortest path, against what remains of the full
 capacities — the paper's observation that headroom lets B4 fit traffic it
 otherwise could not, by eating into the reserve (§6).
+
+**Incremental bookkeeping, bit-identical placements.**  Each aggregate
+carries its current path's link tuple, built once when it advances, and
+the per-link census ``users`` is built once per pass and then updated only
+when an aggregate completes, advances or runs out of paths.  Every
+placement equals, bit for bit, that of the loop which rebuilt both every
+round (kept as ``legacy_b4_place`` in ``tests/oracles.py``), because:
+
+* the maintained census holds the same counts as a rebuilt one, so
+  ``step``, a minimum over the same values, is the same float;
+* a link with ``count`` users gets ``residual -= step`` ``count`` times in
+  a row instead of once per user in aggregate order.  Every subtraction on
+  one key in one round uses the same ``step``, so each residual runs
+  through the same sequence of floats; ``placed[path]`` and
+  ``remaining_bps`` still take exactly one ``+ step`` / ``- step`` a round.
+  Subtracting ``count * step`` in one operation would round differently;
+* at the start of every round each link on an active path has more than
+  ``RATE_EPSILON_BPS`` left (an aggregate only takes such a path, and any
+  aggregate whose link dropped to the threshold has advanced), so the
+  saturation check can only fire when this round's subtraction drove some
+  link to the threshold, and runs only then.  ``_advance`` only reads
+  ``residual``, so the order of advances cannot change any result;
+* the numerical-corner branch breaks ties in ``min(users, key=...)`` by
+  dict order.  The maintained dict's order drifts as links leave and
+  rejoin, so that branch rebuilds the census in the original order —
+  active aggregates in ``states`` order, links in path order.
 """
 
 from __future__ import annotations
@@ -30,10 +60,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.net.graph import Network
 from repro.net.paths import KspCache, Path, path_links
 from repro.routing.base import PathAllocation, Placement, RoutingScheme
+from repro.telemetry import recorder
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 # Stop allocating below this rate: avoids infinitesimal water-filling steps.
 RATE_EPSILON_BPS = 1.0
+
+LinkKey = Tuple[str, str]
 
 
 @dataclass
@@ -47,11 +80,51 @@ class _AggregateState:
     #: Index of the next k-shortest path to try.
     next_path_rank: int = 0
     current_path: Optional[Path] = None
+    #: Directed links of ``current_path`` (empty while there is none).
+    links: Tuple[LinkKey, ...] = ()
     exhausted: bool = False
 
 
+def _join(users: Dict[LinkKey, int], links: Tuple[LinkKey, ...]) -> None:
+    for key in links:
+        users[key] = users.get(key, 0) + 1
+
+
+def _leave(users: Dict[LinkKey, int], links: Tuple[LinkKey, ...]) -> None:
+    for key in links:
+        count = users[key] - 1
+        if count:
+            users[key] = count
+        else:
+            del users[key]
+
+
+def _census(active: List[_AggregateState]) -> Dict[LinkKey, int]:
+    """Active aggregates per link, keyed in first-use order."""
+    users: Dict[LinkKey, int] = {}
+    for state in active:
+        _join(users, state.links)
+    return users
+
+
+def _tightest_link(
+    active: List[_AggregateState], residual: Dict[LinkKey, float]
+) -> LinkKey:
+    """The link with the least residual per user; ties go to the link an
+    earlier active aggregate uses first (a freshly built census's order)."""
+    users = _census(active)
+    return min(users, key=lambda key: residual[key] / users[key])
+
+
 class B4Routing(RoutingScheme):
-    """Greedy progressive filling over k-shortest paths."""
+    """Greedy progressive filling over k-shortest paths.
+
+    ``headroom`` reserves that share of every link's capacity for the
+    first pass; ``max_paths_per_aggregate`` caps how many of an
+    aggregate's shortest paths it may try.  A ``cache`` built for the
+    network being placed is reused; otherwise each placement builds its
+    own.
+    """
 
     name = "B4"
 
@@ -71,6 +144,8 @@ class B4Routing(RoutingScheme):
 
     # ------------------------------------------------------------------
     def place(self, network: Network, tm: TrafficMatrix) -> Placement:
+        """Water-fill ``tm`` onto ``network``; count the rounds and
+        advances as ``b4.rounds`` / ``b4.advances`` when tracing."""
         if self._cache is not None and self._cache.network is network:
             cache = self._cache
         else:
@@ -83,7 +158,7 @@ class B4Routing(RoutingScheme):
         states = [
             _AggregateState(agg, agg.demand_bps) for agg in tm.aggregates()
         ]
-        self._waterfill(states, residual, cache)
+        rounds, advances = self._waterfill(states, residual, cache)
 
         if self.headroom > 0:
             # Second pass: leftover traffic may eat into the reserved
@@ -103,7 +178,16 @@ class B4Routing(RoutingScheme):
                     state.exhausted = False
                     state.next_path_rank = 0
                     state.current_path = None
-                self._waterfill(leftovers, full_residual, cache)
+                    state.links = ()
+                more_rounds, more_advances = self._waterfill(
+                    leftovers, full_residual, cache
+                )
+                rounds += more_rounds
+                advances += more_advances
+        rec = recorder()
+        if rec.enabled:
+            rec.counter("b4.rounds", rounds)
+            rec.counter("b4.advances", advances)
 
         # Whatever remains cannot fit: force it onto the shortest path and
         # record it so congestion metrics can see it.
@@ -133,87 +217,97 @@ class B4Routing(RoutingScheme):
     def _waterfill(
         self,
         states: List[_AggregateState],
-        residual: Dict[Tuple[str, str], float],
+        residual: Dict[LinkKey, float],
         cache: KspCache,
-    ) -> None:
-        """Fill paths synchronously until demands are met or paths run out."""
+    ) -> Tuple[int, int]:
+        """Fill paths synchronously until demands are met or paths run out.
+
+        Returns ``(rounds, advances)``: the rounds run and the
+        :meth:`_advance` calls made, each aggregate's first path included.
+        """
         for state in states:
             self._advance(state, residual, cache)
-
-        while True:
-            active = [
-                s
-                for s in states
-                if not s.exhausted and s.remaining_bps > RATE_EPSILON_BPS
-            ]
-            if not active:
-                return
-
-            # Count how many active aggregates currently traverse each link.
-            users: Dict[Tuple[str, str], int] = {}
-            for state in active:
-                if state.current_path is None:
-                    raise RuntimeError(
-                        "active aggregate lost its current path; _advance "
-                        "must run before each water-filling step"
-                    )
-                for key in path_links(state.current_path):
-                    users[key] = users.get(key, 0) + 1
-
+        advances = len(states)
+        active = [
+            s
+            for s in states
+            if not s.exhausted and s.remaining_bps > RATE_EPSILON_BPS
+        ]
+        users = _census(active)
+        rounds = 0
+        while active:
+            rounds += 1
             # Largest uniform increment before a link fills or an
             # aggregate's demand completes.
-            step = min(s.remaining_bps for s in active)
+            step = min([s.remaining_bps for s in active])
             for key, count in users.items():
-                step = min(step, residual[key] / count)
+                share = residual[key] / count
+                if share < step:
+                    step = share
 
+            left_active = False
             if step > RATE_EPSILON_BPS:
+                saturated = False
+                for key, count in users.items():
+                    left = residual[key]
+                    for _ in range(count):
+                        left -= step
+                    residual[key] = left
+                    if left <= RATE_EPSILON_BPS:
+                        saturated = True
                 for state in active:
                     path = state.current_path
                     if path is None:
                         raise RuntimeError(
-                            "active aggregate lost its current path "
-                            "mid-step; the users census above requires one"
+                            "active aggregate has no current path; _advance "
+                            "must give it one or mark it exhausted"
                         )
                     state.placed[path] = state.placed.get(path, 0.0) + step
                     state.remaining_bps -= step
-                    for key in path_links(path):
-                        residual[key] -= step
-
-            # Advance any aggregate whose preferred path just saturated.
-            advanced_any = False
-            for state in active:
-                if state.remaining_bps <= RATE_EPSILON_BPS:
-                    continue
-                path = state.current_path
-                if path is None:
-                    raise RuntimeError(
-                        "active aggregate lost its current path after "
-                        "filling; saturation can only advance, not clear it"
-                    )
-                if any(residual[key] <= RATE_EPSILON_BPS for key in path_links(path)):
-                    self._advance(state, residual, cache)
-                    advanced_any = True
-
-            if step <= RATE_EPSILON_BPS and not advanced_any:
+                    if state.remaining_bps <= RATE_EPSILON_BPS:
+                        _leave(users, state.links)
+                        left_active = True
+                # Advance any aggregate whose preferred path just saturated.
+                moved = []
+                if saturated:
+                    moved = [
+                        s
+                        for s in active
+                        if s.remaining_bps > RATE_EPSILON_BPS
+                        and any(residual[key] <= RATE_EPSILON_BPS for key in s.links)
+                    ]
+            else:
                 # Numerical corner: many users share a nearly-empty link so
                 # the uniform step underflows without any single residual
                 # dropping below epsilon.  Force the users of the tightest
                 # link to advance so the loop always makes progress.
-                tightest = min(users, key=lambda key: residual[key] / users[key])
-                for state in active:
-                    if state.remaining_bps <= RATE_EPSILON_BPS:
-                        continue
-                    path = state.current_path
-                    if path is not None and tightest in path_links(path):
-                        self._advance(state, residual, cache)
+                tightest = _tightest_link(active, residual)
+                moved = [s for s in active if tightest in s.links]
+
+            for state in moved:
+                _leave(users, state.links)
+                self._advance(state, residual, cache)
+                _join(users, state.links)
+                left_active = left_active or state.exhausted
+            advances += len(moved)
+            if left_active:
+                active = [
+                    s
+                    for s in active
+                    if not s.exhausted and s.remaining_bps > RATE_EPSILON_BPS
+                ]
+        return rounds, advances
 
     def _advance(
         self,
         state: _AggregateState,
-        residual: Dict[Tuple[str, str], float],
+        residual: Dict[LinkKey, float],
         cache: KspCache,
     ) -> None:
-        """Move to the next shortest path with residual capacity everywhere."""
+        """Move to the next untried shortest path on which every link has
+        more than ``RATE_EPSILON_BPS`` left, or mark the aggregate
+        exhausted once ``max_paths_per_aggregate`` paths (or all simple
+        paths) have been tried."""
         agg = state.aggregate
         while state.next_path_rank < self.max_paths_per_aggregate:
             rank = state.next_path_rank
@@ -222,10 +316,11 @@ class B4Routing(RoutingScheme):
                 break  # no more simple paths exist
             state.next_path_rank += 1
             candidate = paths[rank]
-            if all(
-                residual[key] > RATE_EPSILON_BPS for key in path_links(candidate)
-            ):
+            links = tuple(path_links(candidate))
+            if all(residual[key] > RATE_EPSILON_BPS for key in links):
                 state.current_path = candidate
+                state.links = links
                 return
         state.current_path = None
+        state.links = ()
         state.exhausted = True

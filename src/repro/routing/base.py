@@ -11,11 +11,13 @@ headroom route on scaled-down capacities but are judged on the truth).
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.graph import Network
-from repro.net.paths import Path, path_delay_s, path_links, shortest_path_delays
+from repro.net.index import graph_index
+from repro.net.paths import Path, path_delay_s, path_links
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 # A link is "saturated" when loaded beyond capacity by more than this
@@ -144,16 +146,18 @@ class Placement:
         return congested / len(self._allocations)
 
     def _shortest_delays(self) -> Dict[Aggregate, float]:
-        """Shortest-path delay per aggregate: one sweep per source, once."""
+        """Shortest-path delay per aggregate, from the network index's
+        per-source sweeps: one per source, shared by every placement."""
         if self._shortest is None:
-            by_source: Dict[str, Dict[str, float]] = {}
+            index = graph_index(self.network)
             delays: Dict[Aggregate, float] = {}
             for agg in self._allocations:
-                if agg.src not in by_source:
-                    by_source[agg.src] = shortest_path_delays(
-                        self.network, agg.src
-                    )
-                delays[agg] = by_source[agg.src][agg.dst]
+                delay = index.delays_from(index.node_id(agg.src))[
+                    index.node_id(agg.dst)
+                ]
+                if delay == math.inf:
+                    raise KeyError(f"no path {agg.src} -> {agg.dst}")
+                delays[agg] = delay
             self._shortest = delays
         return self._shortest
 

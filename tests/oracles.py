@@ -1,18 +1,25 @@
-"""Legacy string-keyed path algorithms: the parity oracles for the indexed core.
+"""Legacy implementations kept as parity oracles.
 
-These are the original dict-based Dijkstra and Yen implementations that
-:mod:`repro.net.index` replaced.  Nothing in ``repro`` calls them; the
-tests do, asserting that the indexed core returns the same paths,
-tie-breaks, float sums and dict insertion order (``test_net_index.py``).
+The original dict-based Dijkstra and Yen implementations that
+:mod:`repro.net.index` replaced, and the original B4 water-filling loop
+that rebuilt its per-link user census every round.  Nothing in ``repro``
+calls them; the tests do, asserting that the indexed core returns the same
+paths, tie-breaks, float sums and dict insertion order
+(``test_net_index.py``) and that B4 places every aggregate bit for bit as
+before (``test_routing_b4.py``).
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.net.graph import Network
-from repro.net.paths import NoPathError, Path, path_delay_s
+from repro.net.paths import KspCache, NoPathError, Path, path_delay_s, path_links
+from repro.routing.b4 import RATE_EPSILON_BPS
+from repro.routing.base import PathAllocation, Placement
+from repro.tm.matrix import Aggregate, TrafficMatrix
 
 
 # ----------------------------------------------------------------------
@@ -164,3 +171,159 @@ def legacy_k_shortest_paths(
         _, best = heapq.heappop(candidates)
         produced.append(best)
         yield best
+
+
+# ----------------------------------------------------------------------
+# B4 water-filling with a per-round census — legacy parity oracle
+# ----------------------------------------------------------------------
+@dataclass
+class _LegacyB4State:
+    aggregate: Aggregate
+    remaining_bps: float
+    placed: Dict[Path, float] = field(default_factory=dict)
+    next_path_rank: int = 0
+    current_path: Optional[Path] = None
+    exhausted: bool = False
+
+
+def legacy_b4_place(
+    network: Network,
+    tm: TrafficMatrix,
+    headroom: float = 0.0,
+    max_paths: int = 25,
+    cache: Optional[KspCache] = None,
+) -> Placement:
+    """Original ``B4Routing.place``: ``path_links`` rebuilt for every
+    active aggregate three times a round, and the ``users`` census
+    recounted in full every round.  Parity oracle for tests."""
+    if cache is None or cache.network is not network:
+        cache = KspCache(network)
+
+    residual = {
+        link.key: link.capacity_bps * (1.0 - headroom)
+        for link in network.links()
+    }
+    states = [
+        _LegacyB4State(agg, agg.demand_bps) for agg in tm.aggregates()
+    ]
+    _legacy_waterfill(states, residual, cache, max_paths)
+
+    if headroom > 0:
+        leftovers = [s for s in states if s.remaining_bps > RATE_EPSILON_BPS]
+        if leftovers:
+            full_residual = {
+                link.key: link.capacity_bps for link in network.links()
+            }
+            for key, value in residual.items():
+                used = (
+                    network.link(*key).capacity_bps * (1.0 - headroom)
+                    - value
+                )
+                full_residual[key] -= used
+            for state in leftovers:
+                state.exhausted = False
+                state.next_path_rank = 0
+                state.current_path = None
+            _legacy_waterfill(leftovers, full_residual, cache, max_paths)
+
+    allocations: Dict[Aggregate, List[PathAllocation]] = {}
+    unplaced: Dict[Aggregate, float] = {}
+    for state in states:
+        agg = state.aggregate
+        placed = dict(state.placed)
+        if state.remaining_bps > RATE_EPSILON_BPS:
+            shortest = cache.shortest(agg.src, agg.dst)
+            placed[shortest] = placed.get(shortest, 0.0) + state.remaining_bps
+            unplaced[agg] = state.remaining_bps
+        total = sum(placed.values())
+        if total <= 0:
+            shortest = cache.shortest(agg.src, agg.dst)
+            placed = {shortest: agg.demand_bps}
+            total = agg.demand_bps
+            unplaced[agg] = agg.demand_bps
+        allocations[agg] = [
+            PathAllocation(path, rate / total)
+            for path, rate in placed.items()
+            if rate > 0.0
+        ]
+    return Placement(network, allocations, unplaced_bps=unplaced)
+
+
+def _legacy_waterfill(
+    states: List[_LegacyB4State],
+    residual: Dict[Tuple[str, str], float],
+    cache: KspCache,
+    max_paths: int,
+) -> None:
+    for state in states:
+        _legacy_advance(state, residual, cache, max_paths)
+
+    while True:
+        active = [
+            s
+            for s in states
+            if not s.exhausted and s.remaining_bps > RATE_EPSILON_BPS
+        ]
+        if not active:
+            return
+
+        users: Dict[Tuple[str, str], int] = {}
+        for state in active:
+            assert state.current_path is not None
+            for key in path_links(state.current_path):
+                users[key] = users.get(key, 0) + 1
+
+        step = min(s.remaining_bps for s in active)
+        for key, count in users.items():
+            step = min(step, residual[key] / count)
+
+        if step > RATE_EPSILON_BPS:
+            for state in active:
+                path = state.current_path
+                assert path is not None
+                state.placed[path] = state.placed.get(path, 0.0) + step
+                state.remaining_bps -= step
+                for key in path_links(path):
+                    residual[key] -= step
+
+        advanced_any = False
+        for state in active:
+            if state.remaining_bps <= RATE_EPSILON_BPS:
+                continue
+            path = state.current_path
+            assert path is not None
+            if any(residual[key] <= RATE_EPSILON_BPS for key in path_links(path)):
+                _legacy_advance(state, residual, cache, max_paths)
+                advanced_any = True
+
+        if step <= RATE_EPSILON_BPS and not advanced_any:
+            tightest = min(users, key=lambda key: residual[key] / users[key])
+            for state in active:
+                if state.remaining_bps <= RATE_EPSILON_BPS:
+                    continue
+                path = state.current_path
+                if path is not None and tightest in path_links(path):
+                    _legacy_advance(state, residual, cache, max_paths)
+
+
+def _legacy_advance(
+    state: _LegacyB4State,
+    residual: Dict[Tuple[str, str], float],
+    cache: KspCache,
+    max_paths: int,
+) -> None:
+    agg = state.aggregate
+    while state.next_path_rank < max_paths:
+        rank = state.next_path_rank
+        paths = cache.get(agg.src, agg.dst, rank + 1)
+        if len(paths) <= rank:
+            break
+        state.next_path_rank += 1
+        candidate = paths[rank]
+        if all(
+            residual[key] > RATE_EPSILON_BPS for key in path_links(candidate)
+        ):
+            state.current_path = candidate
+            return
+    state.current_path = None
+    state.exhausted = True

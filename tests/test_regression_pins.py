@@ -10,6 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.metrics import llpd
 from repro.net.zoo import (
     cogent_like,
@@ -20,6 +21,7 @@ from repro.net.zoo import (
 )
 from repro.net.units import Gbps
 from repro.routing import (
+    B4Routing,
     LatencyOptimalRouting,
     LinkBasedOptimalRouting,
     MinMaxRouting,
@@ -116,3 +118,74 @@ class TestLinkBasedPin:
         ]
         digest = hashlib.sha256(repr(listing).encode()).hexdigest()
         assert digest == self.PINS[(name, headroom)]
+
+
+def b4_digest(placement):
+    """sha256 over every aggregate's ``(path, fraction.hex())`` list and
+    its ``unplaced_bps`` in hex: any float that moves, moves the digest."""
+    listing = [
+        (agg.src, agg.dst, [
+            (alloc.path, alloc.fraction.hex())
+            for alloc in placement.paths_for(agg)
+        ], placement.unplaced_bps.get(agg, 0.0).hex())
+        for agg in placement.aggregates
+    ]
+    return hashlib.sha256(repr(listing).encode()).hexdigest()
+
+
+class TestB4Pin:
+    """Exact B4 output, recorded before the water-filling loop was made
+    incremental.  Scale 2.5 overloads both networks, so the headroom
+    second pass and the force-placed leftovers run too."""
+
+    PINS = {
+        ("gts", 0.0, 1.0):
+            "660599a1a87e08d6dcd9f2dec915bc385ad422f4590e5727b876d6de374e95d1",
+        ("gts", 0.0, 2.5):
+            "98a9f1c15bc042343492622df5f5923ce93f9d3c5103b2eac02e6f5678772c65",
+        ("gts", 0.2, 1.0):
+            "11e5eac51d743a3b6ac7b83cfd0f26a757afc2ceedd2644642642382607e95df",
+        ("gts", 0.2, 2.5):
+            "fbdfd7eb230c6f84bb951f198403f292059de5af32de75ac206e1070166ef475",
+        ("diamond", 0.0, 1.0):
+            "d2b8f1853528f130dd2c5ecaf206b157ef4cd2aac5db053399b2f3db5b514bea",
+        ("diamond", 0.0, 2.5):
+            "a48ed6dfa369888bac12ca8a3bca2f7711053d01c8bb3bcdc03bf43bc8dd52c5",
+        ("diamond", 0.2, 1.0):
+            "00a441bd11c36f60b4897e3985f747465025a1ea4476bd74095846a639f45125",
+        ("diamond", 0.2, 2.5):
+            "a48ed6dfa369888bac12ca8a3bca2f7711053d01c8bb3bcdc03bf43bc8dd52c5",
+    }
+
+    #: ``(b4.rounds, b4.advances)`` per gts case: facts of the algorithm.
+    WORK = {
+        (0.0, 1.0): (139, 298),
+        (0.0, 2.5): (135, 381),
+        (0.2, 1.0): (144, 316),
+        (0.2, 2.5): (150, 512),
+    }
+
+    @staticmethod
+    def _case(name, scale):
+        network, tm = TestLinkBasedPin._case(name)
+        return network, tm.scaled(scale)
+
+    @pytest.mark.parametrize("name,headroom,scale", sorted(PINS))
+    def test_allocations_exact(self, name, headroom, scale):
+        network, tm = self._case(name, scale)
+        placement = B4Routing(headroom=headroom).place(network, tm)
+        assert b4_digest(placement) == self.PINS[(name, headroom, scale)]
+
+    @pytest.mark.parametrize("headroom,scale", sorted(WORK))
+    def test_work_counters(self, tmp_path, headroom, scale):
+        network, tm = self._case("gts", scale)
+        telemetry.configure(tmp_path)
+        try:
+            B4Routing(headroom=headroom).place(network, tm)
+            telemetry.recorder().flush()
+            counters = telemetry.load_trace(tmp_path).counters
+        finally:
+            telemetry.disable()
+        assert (counters["b4.rounds"], counters["b4.advances"]) == (
+            self.WORK[(headroom, scale)]
+        )

@@ -175,6 +175,14 @@ class TestPairMetrics:
         placement.max_path_stretch()
         placement.per_aggregate_stretch()
         assert index.searches - before == 2  # sources a and b, once each
+        # A second placement on the same network reuses the index's sweeps.
+        again = make_placement(
+            triangle,
+            {Aggregate("b", "a", Gbps(1)): [PathAllocation(("b", "a"), 1.0)]},
+        )
+        before = index.searches
+        assert again.total_latency_stretch() == pytest.approx(1.0)
+        assert index.searches == before
 
     def test_fits_all_traffic_flag(self, triangle):
         agg = Aggregate("a", "b", Gbps(1))
