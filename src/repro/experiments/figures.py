@@ -60,7 +60,8 @@ from repro.experiments.workloads import (
 from repro.net.graph import Network
 from repro.net.paths import KspCache
 from repro.routing import LatencyOptimalRouting, MinMaxRouting
-from repro.tm import TrafficMatrix, scale_to_growth_headroom
+from repro.tm import TrafficMatrix, max_scale_factor, scale_to_growth_headroom
+from repro.tm.scale import scaled_for_growth
 
 
 def _adhoc_workload(
@@ -461,24 +462,29 @@ def fig17_plan(
 ) -> EvalPlan:
     """The whole (load x scheme) grid of Figure 17 as one plan.
 
-    Base matrices are rescaled per target load (growth = 1/load); stream
-    keys are ``(scheme_name, load)`` tuples and store stream names keep
-    the historical ``<scheme>@load=<load>`` form, so stores written by
-    the per-call path resume under plans unchanged.
+    Base matrices are rescaled per target load (growth = 1/load), exactly
+    as :func:`scale_to_growth_headroom` would, from one max-concurrent-flow
+    LP per base matrix; stream keys are ``(scheme_name, load)`` tuples and
+    store stream names keep the historical ``<scheme>@load=<load>`` form,
+    so stores written by the per-call path resume under plans unchanged.
     """
     plan = EvalPlan()
+    scales = [
+        [max_scale_factor(item.network, tm) for tm in item.matrices]
+        for item in items
+    ]
     for load in loads:
         rescaled_items = [
             NetworkWorkload(
                 network=item.network,
                 llpd=item.llpd,
                 matrices=[
-                    scale_to_growth_headroom(item.network, tm, 1.0 / load)
-                    for tm in item.matrices
+                    scaled_for_growth(tm, lam, 1.0 / load)
+                    for tm, lam in zip(item.matrices, item_scales)
                 ],
                 cache=item.cache,
             )
-            for item in items
+            for item, item_scales in zip(items, scales)
         ]
         workload = _adhoc_workload(rescaled_items, growth_factor=1.0 / load)
         for name, factory in scheme_factories().items():

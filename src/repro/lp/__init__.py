@@ -1,8 +1,9 @@
 """Linear programming substrate.
 
-A small modelling layer over the HiGHS solver — via
-:func:`scipy.optimize.linprog` or (when installed) the native ``highspy``
-bindings, selected by ``REPRO_LP_BACKEND``.  The paper's optimizations —
+A small modelling layer over the HiGHS solver, called directly through
+its Python binding — the one SciPy >= 1.15 bundles or (when installed)
+``highspy``'s, selected by ``REPRO_LP_BACKEND``.  Solutions carry the
+row and column duals.  The paper's optimizations —
 the latency-optimal path LP (its Figure 12), the MinMax two-stage LPs,
 the locality redistribution LP and the traffic-matrix scaler — are all
 built on this.  :class:`LinearProgram` is the named scalar builder;

@@ -28,15 +28,23 @@ Two front doors onto one immutable model:
 
 Backends
 --------
-``REPRO_LP_BACKEND`` selects the solver: ``auto`` (default — ``highspy``
-when importable, else scipy), ``scipy`` (:func:`scipy.optimize.linprog`
-``method="highs"``), or ``highs`` (the native ``highspy`` bindings; an
-error when the package is missing).  Both backends drive the same HiGHS
-solver, and exact results are bit-identical between them.
+Every solve is one call into a HiGHS Python binding; ``REPRO_LP_BACKEND``
+picks which binding: ``auto`` (default — ``highspy`` when importable,
+else scipy), ``scipy`` (the binding SciPy >= 1.15 bundles as
+``scipy.optimize._highspy._core``), or ``highs`` (the ``highspy``
+package).  A missing binding is a one-line error, never a fallback.  Both
+get the same model and options, so exact results are bit-identical
+between them — and to SciPy's own ``method="highs"`` LP front end, whose
+model (``>=`` rows negated, ``<=`` rows first, column-wise matrix),
+options, status mapping, input check and post-solve feasibility check
+are replicated here without its per-call input cleaning, matrix copies
+and marginal bookkeeping.
 """
 
 from __future__ import annotations
 
+import importlib
+import math
 import os
 from dataclasses import dataclass
 from types import ModuleType
@@ -56,7 +64,6 @@ from typing import (
 import numpy as np
 import numpy.typing as npt
 from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.telemetry import Recorder, recorder
 
@@ -70,56 +77,62 @@ IntArray = npt.NDArray[np.int64]
 #: Environment variable selecting the LP backend: auto | scipy | highs.
 BACKEND_ENV = "REPRO_LP_BACKEND"
 
-_highspy_module: Optional[ModuleType] = None
-_highspy_probed = False
+#: The HiGHS binding module behind each backend name.
+_BINDING_MODULES = {
+    "highs": "highspy._core",
+    "scipy": "scipy.optimize._highspy._core",
+}
+_MISSING_BINDING = {
+    "highs": "LP backend 'highs' requested (REPRO_LP_BACKEND or call site) "
+             "but the highspy package is not installed; use 'scipy' or "
+             "'auto' instead",
+    "scipy": "LP backend 'scipy' needs SciPy >= 1.15, which bundles the "
+             "HiGHS binding scipy.optimize._highspy._core; upgrade SciPy "
+             "or install highspy",
+}
+_bindings: Dict[str, Optional[ModuleType]] = {}
 
 
-def _highspy() -> Optional[ModuleType]:
-    """The ``highspy`` module when importable, else ``None`` (memoized)."""
-    global _highspy_module, _highspy_probed
-    if not _highspy_probed:
-        _highspy_probed = True
+def _binding(backend: str) -> Optional[ModuleType]:
+    """The HiGHS binding of ``backend`` when importable, else ``None``
+    (memoized)."""
+    if backend not in _bindings:
         try:
-            import highspy  # type: ignore[import-not-found]
+            module: Optional[ModuleType] = importlib.import_module(
+                _BINDING_MODULES[backend]
+            )
         except ImportError:
-            _highspy_module = None
-        else:
-            _highspy_module = highspy
-    return _highspy_module
+            module = None
+        _bindings[backend] = module
+    return _bindings[backend]
 
 
 def available_backends() -> Tuple[str, ...]:
     """Backends usable in this environment, preferred first."""
-    if _highspy() is not None:
-        return ("highs", "scipy")
-    return ("scipy",)
+    return tuple(name for name in ("highs", "scipy") if _binding(name))
 
 
 def resolve_backend(name: Optional[str] = None) -> str:
     """Resolve a backend request (or ``$REPRO_LP_BACKEND``) to a name.
 
     Returns ``"scipy"`` or ``"highs"``.  ``auto`` (the default) prefers
-    the native ``highspy`` bindings when installed and falls back to
-    scipy; an explicit ``highs`` request without the package installed
-    is an error rather than a silent fallback.
+    ``highspy`` when installed and otherwise uses SciPy's binding; a
+    backend whose binding is missing is an error rather than a silent
+    fallback.
     """
     value = name if name is not None else os.environ.get(BACKEND_ENV, "auto")
     value = value.strip().lower()
     if value in ("", "auto"):
-        return "highs" if _highspy() is not None else "scipy"
-    if value == "scipy":
-        return "scipy"
-    if value in ("highs", "highspy"):
-        if _highspy() is None:
-            raise RuntimeError(
-                "LP backend 'highs' requested (REPRO_LP_BACKEND or call "
-                "site) but the highspy package is not installed; use "
-                "'scipy' or 'auto' instead"
-            )
-        return "highs"
-    raise ValueError(
-        f"unknown LP backend {value!r}; choose 'auto', 'scipy' or 'highs'"
-    )
+        value = "highs" if _binding("highs") is not None else "scipy"
+    elif value == "highspy":
+        value = "highs"
+    elif value not in _BINDING_MODULES:
+        raise ValueError(
+            f"unknown LP backend {value!r}; choose 'auto', 'scipy' or 'highs'"
+        )
+    if _binding(value) is None:
+        raise RuntimeError(_MISSING_BINDING[value])
+    return value
 
 
 class InfeasibleError(Exception):
@@ -198,10 +211,18 @@ class Constraint:
 
 @dataclass
 class Solution:
-    """A solved LP: objective value plus the primal point."""
+    """A solved LP: objective value, the primal point and the duals.
+
+    ``row_dual`` is HiGHS's row dual in the model's row order and sense:
+    ``<=`` rows carry values <= 0, ``>=`` rows values >= 0, and the dual
+    objective ``row_dual @ rhs`` plus each ``col_dual`` (reduced cost)
+    times the bound its column sits at equals ``objective``.
+    """
 
     objective: float
     _values: FloatArray
+    row_dual: FloatArray
+    col_dual: FloatArray
 
     @property
     def x(self) -> FloatArray:
@@ -228,6 +249,18 @@ SENSE_EQ = 2
 
 _SENSE_CODE = {"<=": SENSE_LE, ">=": SENSE_GE, "==": SENSE_EQ}
 
+#: The options SciPy's ``method="highs"`` front end sets (presolve on,
+#: dual simplex, quiet); everything else stays at HiGHS's defaults.
+_HIGHS_OPTIONS = (
+    ("presolve", "on"),
+    ("highs_debug_level", 0),
+    ("log_to_console", False),
+    ("output_flag", False),
+    ("simplex_strategy", 1),  # kSimplexStrategyDual
+)
+#: That front end's post-solve feasibility tolerance: sqrt(1e-9) * 10.
+_FEASIBILITY_TOL = math.sqrt(1e-9) * 10
+
 
 def _as_float_array(values: Union[Sequence[float], FloatArray]) -> FloatArray:
     return np.ascontiguousarray(np.asarray(values, dtype=np.float64))
@@ -242,10 +275,10 @@ class CompiledLP:
     and bounds.
 
     The matrix holds every row in insertion order with its *original*
-    sense (no ``>=`` negation baked in); each backend derives its own
-    view (scipy's ``A_ub``/``A_eq`` split, HiGHS row bounds) at solve
-    time.  Immutable: built once (:meth:`from_coo`), and nothing is kept
-    between solves.
+    sense (no ``>=`` negation baked in); the solver's view (``>=`` rows
+    negated, ``<=`` rows before ``==`` rows, column-wise) is derived at
+    solve time.  Immutable: built once (:meth:`from_coo`), and nothing is
+    kept between solves.
     """
 
     def __init__(
@@ -332,83 +365,93 @@ class CompiledLP:
                 "n_variables": self.n_variables,
                 "n_constraints": self.n_rows,
             }
-        if resolved == "highs":
-            return self._solve_highs(rec, attrs)
-        return self._solve_scipy(rec, attrs)
-
-    def _solve_scipy(
-        self, rec: Recorder, attrs: Optional[Dict[str, object]]
-    ) -> Solution:
-        with rec.span("lp_assemble", attrs):
-            # scipy's view: ub/eq row ids + sign-applied slices.
-            ub_idx = np.flatnonzero(self._senses != SENSE_EQ)
-            eq_idx = np.flatnonzero(self._senses == SENSE_EQ)
-            a_ub = None
-            b_ub = None
-            if ub_idx.size:
-                signs = np.where(self._senses[ub_idx] == SENSE_GE, -1.0, 1.0)
-                a_ub = self._a[ub_idx]
-                a_ub.data *= np.repeat(signs, np.diff(a_ub.indptr))
-                b_ub = signs * self._rhs[ub_idx]
-            a_eq = self._a[eq_idx] if eq_idx.size else None
-            b_eq = self._rhs[eq_idx] if eq_idx.size else None
-            bounds = np.column_stack([self._lower, self._upper])
-        with rec.span("lp_solve", attrs):
-            result = linprog(
-                self._c,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=bounds,
-                method="highs",
-            )
-        if result.status == 2:
-            raise InfeasibleError("LP is infeasible")
-        if result.status == 3:
-            raise UnboundedError("LP is unbounded")
-        if not result.success:  # pragma: no cover - solver failure
-            raise RuntimeError(f"solver failed: {result.message}")
-        return Solution(float(result.fun), np.asarray(result.x))
+        return self._solve_highs(
+            cast(ModuleType, _binding(resolved)), rec, attrs
+        )
 
     def _solve_highs(
-        self, rec: Recorder, attrs: Optional[Dict[str, object]]
-    ) -> Solution:  # pragma: no cover - exercised only with highspy
-        module = _highspy()
-        if module is None:
-            raise RuntimeError("highspy backend selected but not installed")
+        self,
+        h: ModuleType,
+        rec: Recorder,
+        attrs: Optional[Dict[str, object]],
+    ) -> Solution:
+        """One HiGHS run on the model SciPy's ``method="highs"`` front
+        end builds, with its options, status mapping and checks, so the
+        point and objective are bit-identical to it (module docstring).
+        """
+        if self.n_variables == 0:
+            raise ValueError("LP has no variables")
+        for part, values in (
+            ("objective", self._c),
+            ("matrix", self._a.data),
+            ("right-hand side", self._rhs),
+        ):
+            if not bool(np.isfinite(values).all()):
+                raise ValueError(f"LP {part} must not contain inf or nan")
         with rec.span("lp_assemble", attrs):
-            le = self._senses == SENSE_LE
-            ge = self._senses == SENSE_GE
-            highs = module.Highs()
-            highs.setOptionValue("output_flag", False)
-            highs.setOptionValue("threads", 1)
-            lp = module.HighsLp()
-            lp.num_col_ = self.n_variables
-            lp.num_row_ = self.n_rows
+            # <= and >= rows first (>= negated), then == rows.
+            order = np.argsort(self._senses == SENSE_EQ, kind="stable")
+            n_ub = int(np.count_nonzero(self._senses != SENSE_EQ))
+            sign = np.where(self._senses[order] == SENSE_GE, -1.0, 1.0)
+            rows = self._a[order]
+            rows.data *= np.repeat(sign, np.diff(rows.indptr))
+            matrix = rows.tocsc()
+            row_upper = sign * self._rhs[order]
+            row_lower = row_upper.copy()
+            row_lower[:n_ub] = -h.kHighsInf
+            lp = h.HighsLp()
+            lp.num_col_ = lp.a_matrix_.num_col_ = self.n_variables
+            lp.num_row_ = lp.a_matrix_.num_row_ = self.n_rows
+            lp.a_matrix_.format_ = h.MatrixFormat.kColwise
             lp.col_cost_ = self._c
-            lp.col_lower_ = self._lower
-            lp.col_upper_ = self._upper
-            lp.row_lower_ = np.where(le, -np.inf, self._rhs)
-            lp.row_upper_ = np.where(ge, np.inf, self._rhs)
-            lp.a_matrix_.format_ = module.MatrixFormat.kRowwise
-            lp.a_matrix_.start_ = self._a.indptr
-            lp.a_matrix_.index_ = self._a.indices
-            lp.a_matrix_.value_ = self._a.data
-            highs.passModel(lp)
+            lp.col_lower_ = np.clip(self._lower, -h.kHighsInf, h.kHighsInf)
+            lp.col_upper_ = np.clip(self._upper, -h.kHighsInf, h.kHighsInf)
+            lp.row_lower_ = row_lower
+            lp.row_upper_ = row_upper
+            lp.a_matrix_.start_ = matrix.indptr
+            lp.a_matrix_.index_ = matrix.indices
+            lp.a_matrix_.value_ = matrix.data
         with rec.span("lp_solve", attrs):
-            highs.run()
-        status = highs.getModelStatus()
-        statuses = module.HighsModelStatus
-        if status == statuses.kInfeasible:
-            raise InfeasibleError("LP is infeasible")
-        if status in (statuses.kUnbounded, statuses.kUnboundedOrInfeasible):
-            raise UnboundedError("LP is unbounded")
-        if status != statuses.kOptimal:
-            raise RuntimeError(f"HiGHS terminated with status {status!r}")
-        point = np.asarray(highs.getSolution().col_value, dtype=np.float64)
-        objective = float(highs.getInfo().objective_function_value)
-        return Solution(objective, point)
+            highs = h._Highs()
+            for option, value in _HIGHS_OPTIONS:
+                highs.setOptionValue(option, value)
+            statuses = h.HighsModelStatus
+            if highs.passModel(lp) == h.HighsStatus.kError:
+                status = statuses.kModelError
+            else:
+                highs.run()
+                status = highs.getModelStatus()
+            if status in (statuses.kInfeasible, statuses.kModelError):
+                raise InfeasibleError("LP is infeasible")
+            if status == statuses.kUnbounded:
+                raise UnboundedError("LP is unbounded")
+            if status != statuses.kOptimal:
+                raise RuntimeError(
+                    f"HiGHS stopped with {highs.modelStatusToString(status)}"
+                )
+            solution = highs.getSolution()
+            x = np.array(solution.col_value)
+            objective = float(highs.getInfo().objective_function_value)
+            residual = row_upper - np.array(solution.row_value)
+            tol = _FEASIBILITY_TOL
+            if (
+                np.isnan(objective)
+                or bool(np.isnan(x).any() or np.isnan(residual).any())
+                or not bool(
+                    np.all((x >= self._lower - tol) & (x <= self._upper + tol))
+                )
+                or bool((residual[:n_ub] < -tol).any())
+                or bool((np.abs(residual[n_ub:]) > tol).any())
+            ):
+                raise RuntimeError(
+                    "HiGHS solution violates the constraints by more than "
+                    f"{tol:.2E}"
+                )
+            row_dual = np.empty(self.n_rows)
+            row_dual[order] = sign * np.array(solution.row_dual)
+            return Solution(
+                objective, x, row_dual, np.array(solution.col_dual)
+            )
 
 
 class LinearProgram:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, Optional, Set, Tuple
 
-from repro.net.graph import Network
+from repro.net.graph import Link, Network
 
 
 def max_flow_bps(
@@ -24,20 +24,24 @@ def max_flow_bps(
 
     ``restrict_links`` limits the flow to a subset of directed links — used
     by APA, which asks how much capacity a *specific set of alternate paths*
-    can jointly carry.
+    can jointly carry.  Only those links are visited (keys absent from the
+    network are ignored), so a restricted call costs the subset's size,
+    not the network's.
     """
     if src == dst:
         raise ValueError("source and destination must differ")
-    allowed: Optional[Set[Tuple[str, str]]] = (
-        set(restrict_links) if restrict_links is not None else None
-    )
+    links: Iterable[Link] = network.links()
+    if restrict_links is not None:
+        links = [
+            network.link(*key)
+            for key in dict.fromkeys(restrict_links)
+            if network.has_link(*key)
+        ]
     # Residual capacities keyed by directed (u, v).  Reverse residual arcs
     # are created on demand with zero initial capacity.
     residual: Dict[Tuple[str, str], float] = {}
     adjacency: Dict[str, Set[str]] = {name: set() for name in network.node_names}
-    for link in network.links():
-        if allowed is not None and link.key not in allowed:
-            continue
+    for link in links:
         residual[link.key] = residual.get(link.key, 0.0) + link.capacity_bps
         residual.setdefault((link.dst, link.src), residual.get((link.dst, link.src), 0.0))
         adjacency[link.src].add(link.dst)

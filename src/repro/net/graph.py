@@ -15,7 +15,7 @@ library (paths, flows, routing LPs) is built on top of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -234,15 +234,6 @@ class Network:
         clone.remove_link(src, dst)
         if clone.has_link(dst, src):
             clone.remove_link(dst, src)
-        return clone
-
-    def subgraph_with_links(self, links: Iterable[Tuple[str, str]]) -> "Network":
-        """A copy containing all nodes but only the given directed links."""
-        clone = Network(self.name)
-        for node in self._nodes.values():
-            clone.add_node(node)
-        for key in links:
-            clone.add_link(self._links[key])
         return clone
 
     # ------------------------------------------------------------------

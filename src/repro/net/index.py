@@ -162,6 +162,10 @@ class GraphIndex:
     def node_name(self, node_id: int) -> str:
         return self._names[node_id]
 
+    def edge_position(self, u: int, v: int) -> int:
+        """CSR position of the link ``u -> v`` (KeyError when absent)."""
+        return self._edge_pos[(u, v)]
+
     @property
     def indptr_array(self) -> IntArray:
         """CSR row pointers as a numpy array (analysis/benchmark use)."""

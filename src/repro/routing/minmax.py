@@ -32,12 +32,13 @@ from repro.routing.base import (
     RoutingScheme,
     normalize_allocations,
 )
+from repro.routing.decompose import ResidualFlow
 from repro.routing.optimal import (
     add_detour_paths,
     aggregates_crossing,
     grow_path_sets,
 )
-from repro.routing.pathlp import solve_minmax_lp
+from repro.routing.pathlp import PathMemo, solve_minmax_lp
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 
@@ -67,7 +68,6 @@ def mcf_seed_paths(
     provably let the path-based MinMax LP reach the exact optimum — no
     iterative guessing about which k-shortest paths might be needed.
     """
-    from repro.net.paths import NoPathError, path_links, shortest_path
     from repro.tm.scale import max_scale_flows
 
     lam, flows = max_scale_flows(network, tm)
@@ -79,7 +79,7 @@ def mcf_seed_paths(
 
     seeds: Dict[Tuple[str, str], List[Path]] = {}
     for src, per_link in flows.items():
-        remaining_flow = dict(per_link)
+        remaining_flow = ResidualFlow(network, per_link)
         remaining_demand = dict(demands_from.get(src, {}))
         # Each strip exhausts a link or finishes a destination, so the
         # loop is bounded by |E| + |destinations|.
@@ -92,21 +92,16 @@ def mcf_seed_paths(
             if not pending:
                 break
             dst = max(pending, key=lambda item: item[1])[0]
-            subgraph = network.subgraph_with_links(remaining_flow)
-            try:
-                path = shortest_path(subgraph, src, dst)
-            except NoPathError:
+            found = remaining_flow.shortest_path(src, dst)
+            if found is None:
                 # Numerical dust: this destination's residual is noise.
                 del remaining_demand[dst]
                 continue
+            path, positions = found
             strip = min(
-                remaining_demand[dst],
-                min(remaining_flow[key] for key in path_links(path)),
+                remaining_demand[dst], remaining_flow.bottleneck(positions)
             )
-            for key in path_links(path):
-                remaining_flow[key] -= strip
-                if remaining_flow[key] <= 1e-9:
-                    del remaining_flow[key]
+            remaining_flow.strip(positions, strip)
             remaining_demand[dst] -= strip
             if remaining_demand[dst] <= 1e-6:
                 del remaining_demand[dst]
@@ -268,7 +263,8 @@ class MinMaxRouting(RoutingScheme):
                 if path not in path_sets[agg]:
                     path_sets[agg].append(path)
 
-        result, umax = solve_minmax_lp(network, path_sets)
+        path_memo: PathMemo = {}
+        result, umax = solve_minmax_lp(network, path_sets, path_memo=path_memo)
         rounds_without_progress = 0
         for _ in range(self.max_iterations):
             if umax <= target * (1.0 + self.utilization_tolerance) + 1e-9:
@@ -294,7 +290,9 @@ class MinMaxRouting(RoutingScheme):
                 if not grew:
                     break
             previous = umax
-            result, umax = solve_minmax_lp(network, path_sets)
+            result, umax = solve_minmax_lp(
+                network, path_sets, path_memo=path_memo
+            )
             if umax >= previous * (1.0 - 1e-6):
                 rounds_without_progress += 1
                 if rounds_without_progress >= 3:

@@ -30,7 +30,7 @@ from repro.routing.base import (
     RoutingScheme,
     normalize_allocations,
 )
-from repro.routing.pathlp import PathLpResult, solve_latency_lp
+from repro.routing.pathlp import PathLpResult, PathMemo, solve_latency_lp
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 
@@ -177,8 +177,9 @@ def solve_iterative_latency(
 
     solves = 0
     result = None
+    path_memo: PathMemo = {}
     for _ in range(max_iterations):
-        result = solve_latency_lp(network, path_sets)
+        result = solve_latency_lp(network, path_sets, path_memo=path_memo)
         solves += 1
         if result.fits:
             break

@@ -32,8 +32,11 @@ signature plus the exact path sets.  Sweep points that reuse a path set
 under different traffic matrices (figures 8/16/17, LDR's repeated rounds,
 scenario fleets) skip the dominant build loops entirely; the per-solve
 work is a handful of numpy operations feeding one fresh
-:meth:`repro.lp.CompiledLP.from_coo` model, solved once.  The produced
-models are bit-identical to the historical per-coefficient construction.
+:meth:`repro.lp.CompiledLP.from_coo` model, solved once.  Within one LDR
+or full-MinMax placement (its :data:`PathMemo`) a structure that does
+miss still reuses every path's delay and link ids from earlier rounds.
+The produced models are bit-identical to the historical per-coefficient
+construction.
 """
 
 from __future__ import annotations
@@ -114,6 +117,7 @@ class _PathSetStructure:
         network: Network,
         aggregates: Sequence[Aggregate],
         path_lists: Sequence[Sequence[Path]],
+        path_memo: Dict[Path, Tuple[float, List[int]]],
     ) -> None:
         links = list(network.links())
         self.capacity_unit = (
@@ -138,21 +142,30 @@ class _PathSetStructure:
             np.arange(self.n_aggs, dtype=np.int64), counts
         )
 
-        # Per-path delay and link entries, computed exactly once: this
-        # loop dominates structure-build time, so it reads link
-        # attributes directly instead of going through path helpers.
-        # Delays are summed sequentially in link order (bit-compatible
-        # with the historical per-path Python sum).
+        # Per-path delay and link entries, computed once per path and
+        # network (``path_memo``): this loop dominates structure-build
+        # time, so it reads link attributes directly instead of going
+        # through path helpers.  Delays are summed sequentially in link
+        # order (bit-compatible with the historical per-path Python sum).
         delays: List[float] = []
         entry_path: List[int] = []
         entry_global: List[int] = []
         pi = 0
         for paths in path_lists:
             for path in paths:
-                keys = [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-                delays.append(sum(link_delay[k] for k in keys))
-                entry_path.extend([pi] * len(keys))
-                entry_global.extend(link_index[k] for k in keys)
+                known = path_memo.get(path)
+                if known is None:
+                    keys = [
+                        (path[i], path[i + 1]) for i in range(len(path) - 1)
+                    ]
+                    known = path_memo[path] = (
+                        sum(link_delay[k] for k in keys),
+                        [link_index[k] for k in keys],
+                    )
+                delay, ids = known
+                delays.append(delay)
+                entry_path.extend([pi] * len(ids))
+                entry_global.extend(ids)
                 pi += 1
         self.path_delay = np.asarray(delays, dtype=np.float64)
         self.shortest_delay = self.path_delay[self.path_offsets]
@@ -183,6 +196,13 @@ class _PathSetStructure:
 _STRUCTURE_CACHE: "OrderedDict[tuple, _PathSetStructure]" = OrderedDict()
 _STRUCTURE_CACHE_MAX = 32
 
+#: Each path's ``(delay, link ids)``, per (network signature, link order).
+#: One LDR or full-MinMax placement creates one and passes it to every LP
+#: it solves: its growing path sets repeat most paths round after round.
+#: It dies with the placement — kept for the process, it would grow with
+#: every path ever solved over.
+PathMemo = Dict[tuple, Dict[Path, Tuple[float, List[int]]]]
+
 
 def clear_structure_cache() -> None:
     """Drop every cached path-set structure (benchmarks, tests)."""
@@ -193,6 +213,7 @@ def _structure_for(
     network: Network,
     aggregates: Sequence[Aggregate],
     path_lists: Sequence[Sequence[Path]],
+    path_memo: Optional[PathMemo] = None,
 ) -> Tuple[_PathSetStructure, bool]:
     """The (possibly cached) structure; second element = cache hit.
 
@@ -213,7 +234,10 @@ def _structure_for(
     if cached is not None:
         _STRUCTURE_CACHE.move_to_end(key)
         return cached, True
-    structure = _PathSetStructure(network, aggregates, path_lists)
+    structure = _PathSetStructure(
+        network, aggregates, path_lists,
+        {} if path_memo is None else path_memo.setdefault(key[:2], {}),
+    )
     _STRUCTURE_CACHE[key] = structure
     while len(_STRUCTURE_CACHE) > _STRUCTURE_CACHE_MAX:
         _STRUCTURE_CACHE.popitem(last=False)
@@ -234,6 +258,7 @@ class _PathLpBuilder:
         self,
         network: Network,
         path_sets: Mapping[Aggregate, Sequence[Path]],
+        path_memo: Optional[PathMemo] = None,
     ) -> None:
         if not path_sets:
             raise ValueError("no aggregates to place")
@@ -247,6 +272,7 @@ class _PathLpBuilder:
         self.structure, self.structure_warm = _structure_for(
             network, self.aggregates,
             [self.path_sets[agg] for agg in self.aggregates],
+            path_memo,
         )
         s = self.structure
         self.capacity_unit = s.capacity_unit
@@ -451,11 +477,13 @@ def path_lp_columns(
 def solve_latency_lp(
     network: Network,
     path_sets: Mapping[Aggregate, Sequence[Path]],
-    builder: Optional[_PathLpBuilder] = None,
+    path_memo: Optional[PathMemo] = None,
 ) -> PathLpResult:
-    """One solve of the Figure 12 latency-optimization LP."""
-    if builder is None:
-        builder = _PathLpBuilder(network, path_sets)
+    """One solve of the Figure 12 latency-optimization LP.
+
+    ``path_memo`` is the enclosing placement's :data:`PathMemo`.
+    """
+    builder = _PathLpBuilder(network, path_sets, path_memo)
     with recorder().span("lp_assemble", builder._assemble_attrs()):
         model = builder.latency_model()
     solution = model.solve()
@@ -474,7 +502,7 @@ def solve_minmax_lp(
     network: Network,
     path_sets: Mapping[Aggregate, Sequence[Path]],
     utilization_cap: Optional[float] = None,
-    builder: Optional[_PathLpBuilder] = None,
+    path_memo: Optional[PathMemo] = None,
 ) -> Tuple[PathLpResult, float]:
     """The MinMax two-stage LP over the given path sets.
 
@@ -486,10 +514,10 @@ def solve_minmax_lp(
     ``utilization_cap`` can preseed a known-optimal stage-1 value (used by
     the iterative full-MinMax driver to skip re-deriving it).  Both stages
     share one builder — and therefore one set of incidence arrays — so
-    stage 2 costs only its own numpy assembly and solve.
+    stage 2 costs only its own numpy assembly and solve.  ``path_memo`` is
+    the enclosing placement's :data:`PathMemo`.
     """
-    if builder is None:
-        builder = _PathLpBuilder(network, path_sets)
+    builder = _PathLpBuilder(network, path_sets, path_memo)
     if utilization_cap is None:
         with recorder().span("lp_assemble", builder._assemble_attrs()):
             stage1 = builder.minmax_stage1_model()

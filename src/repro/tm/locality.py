@@ -27,11 +27,15 @@ different distances" behaviour the paper describes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.lp import LinearProgram, LinExpr
+import numpy as np
+
+from repro.lp import CompiledLP
+from repro.lp.model import SENSE_EQ
 from repro.net.graph import Network
 from repro.net.paths import shortest_path_delays
+from repro.telemetry import recorder
 from repro.tm.matrix import TrafficMatrix
 
 
@@ -90,34 +94,34 @@ def apply_locality(
     if distance_unit <= 0:
         distance_unit = 1.0
 
-    lp = LinearProgram()
-    volume: Dict[Tuple[str, str], object] = {}
-    for pair in pairs:
-        original = tm.demand(*pair) / demand_unit
-        volume[pair] = lp.variable(
-            f"v[{pair[0]}->{pair[1]}]", lower=0.0, upper=(1.0 + locality) * original
+    # One column per pair; rows: per node in sorted order, its ingress
+    # then its egress row.  Marginals are summed in pair order, as
+    # TrafficMatrix.ingress_bps / egress_bps do.
+    rank = {node: k for k, node in enumerate(sorted(
+        {node for pair in pairs for node in pair}
+    ))}
+    demand = [tm.demand(*pair) for pair in pairs]
+    marginal = [0.0] * (2 * len(rank))
+    rows: List[int] = []
+    for (src, dst), volume in zip(pairs, demand):
+        for row in (2 * rank[src], 2 * rank[dst] + 1):
+            rows.append(row)
+            marginal[row] += volume
+    with recorder().span("lp_assemble"):
+        model = CompiledLP.from_coo(
+            n_variables=len(pairs),
+            data=np.ones(2 * len(pairs)),
+            rows=np.array(rows, dtype=np.int64),
+            cols=np.repeat(np.arange(len(pairs), dtype=np.int64), 2),
+            senses=np.full(len(marginal), SENSE_EQ, dtype=np.int8),
+            rhs=np.array(marginal) / demand_unit,
+            c=np.array([distances[pair] for pair in pairs]) / distance_unit,
+            lower=np.zeros(len(pairs)),
+            upper=(1.0 + locality) * (np.array(demand) / demand_unit),
         )
-
-    nodes = {node for pair in pairs for node in pair}
-    for node in sorted(nodes):
-        ingress = LinExpr()
-        egress = LinExpr()
-        for pair in pairs:
-            if pair[0] == node:
-                ingress.add_term(volume[pair], 1.0)
-            if pair[1] == node:
-                egress.add_term(volume[pair], 1.0)
-        lp.add_constraint(ingress, "==", tm.ingress_bps(node) / demand_unit)
-        lp.add_constraint(egress, "==", tm.egress_bps(node) / demand_unit)
-
-    objective = LinExpr()
-    for pair in pairs:
-        objective.add_term(volume[pair], distances[pair] / distance_unit)
-    lp.minimize(objective)
-
-    solution = lp.solve()
+    values = model.solve().x.tolist()
     new_demands = {
-        pair: max(0.0, solution.value(volume[pair]) * demand_unit)
-        for pair in pairs
+        pair: max(0.0, value * demand_unit)
+        for pair, value in zip(pairs, values)
     }
     return TrafficMatrix(new_demands)

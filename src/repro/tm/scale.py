@@ -18,8 +18,12 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.lp import InfeasibleError, LinearProgram, LinExpr, Variable
+import numpy as np
+
+from repro.lp import CompiledLP, InfeasibleError
+from repro.lp.model import SENSE_EQ, SENSE_LE
 from repro.net.graph import Network
+from repro.telemetry import recorder
 from repro.tm.matrix import TrafficMatrix
 
 
@@ -64,60 +68,80 @@ def max_scale_flows(
         demand_from[agg.src][agg.dst] = (
             demand_from[agg.src].get(agg.dst, 0.0) + agg.demand_bps / demand_total
         )
-    lp = LinearProgram()
-    lam = lp.variable("lambda", lower=0.0)
-    flow: Dict[Tuple[str, Tuple[str, str]], Variable] = {}
-    for src in sources:
-        for link in links:
-            flow[(src, link.key)] = lp.variable(f"f[{src},{link.src}->{link.dst}]")
 
-    # Flow conservation: for commodity (source s) at node v,
+    # Columns: lambda, then one flow per (source, link), source-major.
+    # Rows: conservation per (source, node), source-major, then capacity
+    # per link.  For commodity (source s) at node v,
     #   outflow - inflow = lambda * (total demand from s)   if v == s
     #   outflow - inflow = -lambda * demand(s, v)           otherwise.
-    for src in sources:
-        total_out = sum(demand_from[src].values())
-        for node in network.node_names:
-            expr = LinExpr()
-            for link in network.out_links(node):
-                expr.add_term(flow[(src, link.key)], 1.0)
-            for link in network.in_links(node):
-                expr.add_term(flow[(src, link.key)], -1.0)
-            if node == src:
-                expr.add_term(lam, -total_out)
-            else:
-                expr.add_term(lam, demand_from[src].get(node, 0.0))
-            lp.add_constraint(expr, "==", 0.0)
-
-    # Capacity: total flow on each link within (normalized) capacity.
-    for link in links:
-        expr = LinExpr()
-        for src in sources:
-            expr.add_term(flow[(src, link.key)], 1.0)
-        lp.add_constraint(expr, "<=", link.capacity_bps / capacity_unit)
-
-    objective = LinExpr()
-    objective.add_term(lam, -1.0)
-    lp.minimize(objective)
+    n_sources, n_links = len(sources), len(links)
+    node_names = network.node_names
+    n_nodes = len(node_names)
+    node_pos = {name: ni for ni, name in enumerate(node_names)}
+    link_index = np.arange(n_links, dtype=np.int64)
+    source_index = np.arange(n_sources, dtype=np.int64)
+    ends = np.array(
+        [(node_pos[link.src], node_pos[link.dst]) for link in links],
+        dtype=np.int64,
+    ).reshape(n_links, 2)
+    flow_cols = 1 + source_index[:, None] * n_links + link_index[None, :]
+    lam_coef = np.zeros((n_sources, n_nodes))
+    for si, src in enumerate(sources):
+        for dst, demand in demand_from[src].items():
+            lam_coef[si, node_pos[dst]] = demand
+        lam_coef[si, node_pos[src]] = -sum(demand_from[src].values())
+    n_cons = n_sources * n_nodes
+    n_flows = n_sources * n_links
+    with recorder().span("lp_assemble"):
+        model = CompiledLP.from_coo(
+            n_variables=1 + n_flows,
+            data=np.concatenate([
+                np.tile(np.repeat([1.0, -1.0], n_links), n_sources),
+                lam_coef.ravel(),
+                np.ones(n_flows),
+            ]),
+            rows=np.concatenate([
+                (source_index[:, None] * n_nodes + ends.T.ravel()).ravel(),
+                np.arange(n_cons, dtype=np.int64),
+                np.tile(n_cons + link_index, n_sources),
+            ]),
+            cols=np.concatenate([
+                np.repeat(flow_cols, 2, axis=0).ravel(),
+                np.zeros(n_cons, dtype=np.int64),
+                flow_cols.ravel(),
+            ]),
+            senses=np.concatenate([
+                np.full(n_cons, SENSE_EQ, dtype=np.int8),
+                np.full(n_links, SENSE_LE, dtype=np.int8),
+            ]),
+            rhs=np.concatenate([
+                np.zeros(n_cons),
+                np.array([link.capacity_bps for link in links]) / capacity_unit,
+            ]),
+            c=np.concatenate([[-1.0], np.zeros(n_flows)]),
+            lower=np.zeros(1 + n_flows),
+            upper=np.full(1 + n_flows, np.inf),
+        )
     try:
-        solution = lp.solve()
+        solution = model.solve()
     except InfeasibleError as exc:  # pragma: no cover - cannot happen: λ=0 fits
         raise RuntimeError("max concurrent flow LP infeasible") from exc
     # lambda was computed in normalized units: undo the normalization.
-    lam_value = solution.value(lam) * capacity_unit / demand_total
+    lam_value = float(solution.x[0]) * capacity_unit / demand_total
     if not want_flows:
         return lam_value, None
     if lam_value <= 0:
         return lam_value, {src: {} for src in sources}
     # Flow variables are in capacity units and route λ·TM; de-normalize
     # and divide by λ to obtain the optimal MinMax flow for TM itself.
+    keys = [link.key for link in links]
     flows: Dict[str, Dict[Tuple[str, str], float]] = {}
-    for src in sources:
-        per_link: Dict[Tuple[str, str], float] = {}
-        for link in links:
-            raw = solution.value(flow[(src, link.key)])
-            if raw > 1e-9:
-                per_link[link.key] = raw * capacity_unit / lam_value
-        flows[src] = per_link
+    for src, raw in zip(sources, solution.x[1:].reshape(n_sources, n_links)):
+        kept = np.flatnonzero(raw > 1e-9)
+        flows[src] = dict(zip(
+            [keys[li] for li in kept.tolist()],
+            (raw[kept] * capacity_unit / lam_value).tolist(),
+        ))
     return lam_value, flows
 
 
@@ -130,11 +154,19 @@ def scale_to_growth_headroom(
     77%); its Figure 8 uses 1.65 (min-cut at 60%), and its Figure 17 sweeps
     the equivalent of min-cut loads from 60% to 90%.
     """
+    return scaled_for_growth(tm, max_scale_factor(network, tm), growth_factor)
+
+
+def scaled_for_growth(
+    tm: TrafficMatrix, lam: float, growth_factor: float
+) -> TrafficMatrix:
+    """:func:`scale_to_growth_headroom` given ``tm``'s already computed
+    :func:`max_scale_factor` ``lam`` — one LP per matrix serves any
+    number of growth factors."""
     if growth_factor < 1.0:
         raise ValueError(
             f"growth factor below 1 would overload the network: {growth_factor}"
         )
-    lam = max_scale_factor(network, tm)
     if lam <= 0:
         raise ValueError("traffic matrix is unroutable at any positive scale")
     return tm.scaled(lam / growth_factor)

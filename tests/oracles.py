@@ -1,22 +1,32 @@
 """Legacy implementations kept as parity oracles.
 
 The original dict-based Dijkstra and Yen implementations that
-:mod:`repro.net.index` replaced, and the original B4 water-filling loop
-that rebuilt its per-link user census every round.  Nothing in ``repro``
-calls them; the tests do, asserting that the indexed core returns the same
-paths, tie-breaks, float sums and dict insertion order
-(``test_net_index.py``) and that B4 places every aggregate bit for bit as
-before (``test_routing_b4.py``).
+:mod:`repro.net.index` replaced, the original B4 water-filling loop
+that rebuilt its per-link user census every round, the MinMax seed-path
+decomposition that copied the network for every strip, and the max flow
+that scanned every link.  Nothing in ``repro`` calls them; the tests do,
+asserting that the indexed core returns the same paths, tie-breaks, float
+sums and dict insertion order (``test_net_index.py``), that B4 places
+every aggregate bit for bit as before (``test_routing_b4.py``), and that
+seeds and max flows are unchanged (``test_mcf_and_cli.py``,
+``test_net_flows.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.net.graph import Network
-from repro.net.paths import KspCache, NoPathError, Path, path_delay_s, path_links
+from repro.net.paths import (
+    KspCache,
+    NoPathError,
+    Path,
+    path_delay_s,
+    path_links,
+    shortest_path,
+)
 from repro.routing.b4 import RATE_EPSILON_BPS
 from repro.routing.base import PathAllocation, Placement
 from repro.tm.matrix import Aggregate, TrafficMatrix
@@ -327,3 +337,106 @@ def _legacy_advance(
             return
     state.current_path = None
     state.exhausted = True
+
+
+# ----------------------------------------------------------------------
+# Subgraph-per-strip MinMax seeds and full-scan max flow — parity oracles
+# ----------------------------------------------------------------------
+def _legacy_subgraph_with_links(
+    network: Network, links: Iterable[Tuple[str, str]]
+) -> Network:
+    """A copy containing all nodes but only the given directed links."""
+    clone = Network(network.name)
+    for name in network.node_names:
+        clone.add_node(network.node(name))
+    for key in links:
+        clone.add_link(network.link(*key))
+    return clone
+
+
+def legacy_mcf_seed_paths(
+    network: Network, tm: TrafficMatrix
+) -> Tuple[float, Dict[Tuple[str, str], List[Path]]]:
+    """Original ``mcf_seed_paths``: a fresh subgraph (and graph index) of
+    the flow-carrying links for every strip.  Parity oracle for tests."""
+    from repro.tm.scale import max_scale_flows
+
+    lam, flows = max_scale_flows(network, tm)
+    demands_from: Dict[str, Dict[str, float]] = {}
+    for agg in tm.aggregates():
+        demands_from.setdefault(agg.src, {})[agg.dst] = agg.demand_bps
+
+    seeds: Dict[Tuple[str, str], List[Path]] = {}
+    for src, per_link in flows.items():
+        remaining_flow = dict(per_link)
+        remaining_demand = dict(demands_from.get(src, {}))
+        for _ in range(len(per_link) + len(remaining_demand) + 1):
+            pending = [
+                (dst, demand)
+                for dst, demand in remaining_demand.items()
+                if demand > 1e-6
+            ]
+            if not pending:
+                break
+            dst = max(pending, key=lambda item: item[1])[0]
+            subgraph = _legacy_subgraph_with_links(network, remaining_flow)
+            try:
+                path = shortest_path(subgraph, src, dst)
+            except NoPathError:
+                del remaining_demand[dst]
+                continue
+            strip = min(
+                remaining_demand[dst],
+                min(remaining_flow[key] for key in path_links(path)),
+            )
+            for key in path_links(path):
+                remaining_flow[key] -= strip
+                if remaining_flow[key] <= 1e-9:
+                    del remaining_flow[key]
+            remaining_demand[dst] -= strip
+            if remaining_demand[dst] <= 1e-6:
+                del remaining_demand[dst]
+            seeds.setdefault((src, dst), [])
+            if path not in seeds[(src, dst)]:
+                seeds[(src, dst)].append(path)
+    return 1.0 / lam, seeds
+
+
+def legacy_max_flow_bps(
+    network: Network,
+    src: str,
+    dst: str,
+    restrict_links: Optional[Iterable[Tuple[str, str]]] = None,
+) -> float:
+    """Original ``max_flow_bps``: the residual graph is built by scanning
+    every network link, restricted or not.  Parity oracle for tests."""
+    from repro.net.flows import _bfs_augmenting
+
+    allowed = set(restrict_links) if restrict_links is not None else None
+    residual: Dict[Tuple[str, str], float] = {}
+    adjacency: Dict[str, Set[str]] = {name: set() for name in network.node_names}
+    for link in network.links():
+        if allowed is not None and link.key not in allowed:
+            continue
+        residual[link.key] = residual.get(link.key, 0.0) + link.capacity_bps
+        residual.setdefault((link.dst, link.src), residual.get((link.dst, link.src), 0.0))
+        adjacency[link.src].add(link.dst)
+        adjacency[link.dst].add(link.src)
+    total = 0.0
+    while True:
+        parent = _bfs_augmenting(adjacency, residual, src, dst)
+        if parent is None:
+            return total
+        bottleneck = float("inf")
+        node = dst
+        while node != src:
+            prev = parent[node]
+            bottleneck = min(bottleneck, residual[(prev, node)])
+            node = prev
+        node = dst
+        while node != src:
+            prev = parent[node]
+            residual[(prev, node)] -= bottleneck
+            residual[(node, prev)] = residual.get((node, prev), 0.0) + bottleneck
+            node = prev
+        total += bottleneck

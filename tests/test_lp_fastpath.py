@@ -25,6 +25,7 @@ from repro.lp import (
     available_backends,
     resolve_backend,
 )
+from repro.lp import model as lp_model
 from repro.lp.model import SENSE_GE, SENSE_LE
 from repro.net.paths import KspCache
 from repro.net.units import Gbps
@@ -32,6 +33,7 @@ from repro.routing.pathlp import (
     M1_TIEBREAK,
     M2_MAX_OVERLOAD,
     M3_TOTAL_OVERLOAD,
+    _PathLpBuilder,
     clear_structure_cache,
     solve_latency_lp,
     solve_minmax_lp,
@@ -277,6 +279,14 @@ class TestBackends:
         with pytest.raises(RuntimeError, match="highspy"):
             resolve_backend("highs")
 
+    def test_missing_scipy_binding_is_an_error_not_a_fallback(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(lp_model, "_bindings", {"scipy": None, "highs": None})
+        for request in ("scipy", "auto"):
+            with pytest.raises(RuntimeError, match="SciPy >= 1.15"):
+                resolve_backend(request)
+
 
 # ----------------------------------------------------------------------
 # CompiledLP
@@ -298,7 +308,7 @@ class TestCompiledLP:
         compiled = lp.compile()
         first = compiled.solve()
         assert first.value(x) == pytest.approx(2.0)
-        # Solving derives per-backend views (sign-flipped >= rows) from
+        # Solving derives the solver's view (sign-flipped >= rows) from
         # copies; the model itself is untouched, so a repeat is identical.
         again = compiled.solve()
         assert again.x.tolist() == first.x.tolist()
@@ -343,6 +353,22 @@ class TestCompiledLP:
         with pytest.raises(UnboundedError):
             free.solve()
 
+    @pytest.mark.parametrize("part", ["c", "data", "rhs"])
+    def test_non_finite_input_rejected(self, part):
+        arrays = dict(
+            data=np.array([1.0, 1.0]), rhs=np.array([2.0]),
+            c=np.array([1.0, 2.0]),
+        )
+        arrays[part] = arrays[part].copy()
+        arrays[part][0] = np.inf if part != "rhs" else np.nan
+        model = CompiledLP.from_coo(
+            n_variables=2, rows=np.array([0, 0]), cols=np.array([0, 1]),
+            senses=np.array([SENSE_GE], dtype=np.int8),
+            lower=np.zeros(2), upper=np.full(2, np.inf), **arrays,
+        )
+        with pytest.raises(ValueError, match="inf or nan"):
+            model.solve()
+
     def test_objective_required(self):
         lp = LinearProgram()
         lp.variable("x")
@@ -356,6 +382,25 @@ class TestCompiledLP:
             solution.value(y), solution.value(x),
         ]
         assert solution.values([]) == []
+
+    @pytest.mark.parametrize("case", ["small", "gts_latency"])
+    def test_duals_close_the_gap(self, case, gts):
+        if case == "small":
+            model = _small_lp()[0].compile()
+        else:
+            model = _PathLpBuilder(gts, _paper_case(gts)).latency_model()
+        solution = model.solve()
+        y, d = solution.row_dual, solution.col_dual
+        assert y.shape == (model.n_rows,)
+        assert d.shape == (model.n_variables,)
+        # Rows in the model's own order and sense: <= duals are <= 0,
+        # >= duals >= 0 (the solver saw >= rows negated).
+        assert (y[model._senses == SENSE_LE] <= 1e-12).all()
+        assert (y[model._senses == SENSE_GE] >= -1e-12).all()
+        # Each reduced cost prices the bound its column sits at.
+        bound = np.where(d > 0, model._lower, np.where(d < 0, model._upper, 0.0))
+        dual_objective = float(y @ model._rhs + d @ bound)
+        assert dual_objective == pytest.approx(solution.objective, rel=1e-9)
 
     def test_from_coo_drops_exact_zeros(self):
         compiled = CompiledLP.from_coo(

@@ -5,9 +5,12 @@ import pytest
 
 from repro.net.paths import path_delay_s, path_links
 from repro.net.units import Gbps
+from repro.net.zoo import generate_zoo
 from repro.routing.minmax import mcf_seed_paths, optimal_max_utilization
 from repro.tm import TrafficMatrix
 from repro.tm.scale import max_scale_flows
+from tests.conftest import loaded_gts_tm
+from tests.oracles import legacy_mcf_seed_paths
 
 
 class TestMaxScaleFlows:
@@ -64,6 +67,20 @@ class TestMcfSeedPaths:
         assert target == pytest.approx(
             optimal_max_utilization(gts, gts_tm), rel=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "network", generate_zoo(12, seed=0, include_named=True),
+        ids=lambda network: network.name,
+    )
+    def test_matches_subgraph_oracle(self, network):
+        # Masked stripping on the base index finds the same path, ties
+        # included, as a search over a per-strip copy of the network.
+        for seed in (0, 1):
+            tm = loaded_gts_tm(network, seed)
+            target, seeds = mcf_seed_paths(network, tm)
+            ref_target, ref_seeds = legacy_mcf_seed_paths(network, tm)
+            assert target == ref_target
+            assert list(seeds.items()) == list(ref_seeds.items())
 
 
 class TestCli:

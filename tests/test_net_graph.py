@@ -145,10 +145,3 @@ class TestDerivedNetworks:
         assert not reduced.has_link("a", "b")
         assert not reduced.has_link("b", "a")
         assert triangle.has_link("a", "b")
-
-    def test_subgraph_with_links(self, triangle):
-        sub = triangle.subgraph_with_links([("a", "b"), ("b", "c")])
-        assert sub.num_links == 2
-        assert sub.has_link("a", "b")
-        assert not sub.has_link("b", "a")
-        assert sub.num_nodes == 3

@@ -31,6 +31,7 @@ from repro.experiments.workloads import (
 )
 from repro.net.zoo import grid_network, ring_network
 from repro.routing import ShortestPathRouting
+from repro.tm import scale_to_growth_headroom
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,26 @@ class TestPlanMatchesPerCall:
         for key, results in report.results.items():
             total = figure_plans["fig04"].streams[key].n_networks
             assert [r.index for r in results] == list(range(total))
+
+
+class TestFig17Rescaling:
+    def test_one_lp_per_base_matrix_same_matrices(self, sweep_items):
+        # The plan reuses one max-scale LP per base matrix across loads;
+        # every rescaled matrix is still exactly the per-load helper's.
+        loads = (0.6, 0.75, 0.9)
+        plan = fig17_plan(sweep_items, loads=loads)
+        for load in loads:
+            for name in scheme_factories():
+                items = plan.streams[(name, load)].workload.networks
+                for item, base in zip(items, sweep_items):
+                    assert item.matrices == [
+                        scale_to_growth_headroom(item.network, tm, 1.0 / load)
+                        for tm in base.matrices
+                    ]
+
+    def test_load_above_one_still_rejected(self, sweep_items):
+        with pytest.raises(ValueError, match="growth factor below 1"):
+            fig17_plan(sweep_items, loads=(1.2,))
 
 
 class TestEvalPlanApi:

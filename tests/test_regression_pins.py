@@ -109,15 +109,65 @@ class TestLinkBasedPin:
         placement = LinkBasedOptimalRouting(headroom=headroom).place(
             network, tm
         )
-        listing = [
-            (agg.src, agg.dst, [
-                (alloc.path, alloc.fraction.hex())
-                for alloc in placement.paths_for(agg)
-            ])
-            for agg in placement.aggregates
-        ]
-        digest = hashlib.sha256(repr(listing).encode()).hexdigest()
-        assert digest == self.PINS[(name, headroom)]
+        assert allocation_digest(placement) == self.PINS[(name, headroom)]
+
+
+def allocation_digest(placement):
+    """sha256 over every aggregate's ``(path, fraction.hex())`` list."""
+    listing = [
+        (agg.src, agg.dst, [
+            (alloc.path, alloc.fraction.hex())
+            for alloc in placement.paths_for(agg)
+        ])
+        for agg in placement.aggregates
+    ]
+    return hashlib.sha256(repr(listing).encode()).hexdigest()
+
+
+class TestLpPin:
+    """Exact LDR / MinMax / MinMaxK10 output, recorded while every LP still
+    went through SciPy's ``method="highs"`` front end and MinMax seeds were
+    stripped on a network copy per strip.  Scale 2.5 overloads both
+    networks, so LDR's growth loop and MinMax's overload accounting run."""
+
+    PINS = {
+        ("LDR", "diamond", 1.0):
+            "7c64c29fe306b8c9a11f8d6e5c458255ddde32f30a6e9f609f4c1d47d4d5c217",
+        ("MinMax", "diamond", 1.0):
+            "de5d04a7254c583224a98f3d82ea7ddfa26723b546ce15435b8aac9520f0ae86",
+        ("MinMaxK10", "diamond", 1.0):
+            "de5d04a7254c583224a98f3d82ea7ddfa26723b546ce15435b8aac9520f0ae86",
+        ("LDR", "diamond", 2.5):
+            "0488060039eb1a4470f8ee97471eb3aafbc3279783e12cf1ff35e5c59a2a400f",
+        ("MinMax", "diamond", 2.5):
+            "89d238f90a9ac38e4db5324f5e393447c55d281a102cbcc6de4797371bc08094",
+        ("MinMaxK10", "diamond", 2.5):
+            "89d238f90a9ac38e4db5324f5e393447c55d281a102cbcc6de4797371bc08094",
+        ("LDR", "gts", 1.0):
+            "61ab685a8aefdfd78fe3bf238b358d3f54e034ecf0fdbed982481a711b00ccc0",
+        ("MinMax", "gts", 1.0):
+            "83209d7536453bb54fbbcfca0bbe3caff5833316ee33d03762573fa6d097d4d5",
+        ("MinMaxK10", "gts", 1.0):
+            "e1cb8cce49ff1584719d60225cb135138c4a46ed6c9b104fd81ae5f5b3454021",
+        ("LDR", "gts", 2.5):
+            "04f1f96fa7f2cfd6234db2fe8009a16a32e5cc09827607d6376503de6fbcb08c",
+        ("MinMax", "gts", 2.5):
+            "c8108d9d21600a6e07d0a41a4ff354911be0270fb362c871c35fe78fff722639",
+        ("MinMaxK10", "gts", 2.5):
+            "ab6217105ef75b154fd5c796294b74c65cf95227d595c42dce748bcd8dc36e19",
+    }
+
+    SCHEMES = {
+        "LDR": LatencyOptimalRouting,
+        "MinMax": MinMaxRouting,
+        "MinMaxK10": lambda: MinMaxRouting(k=10),
+    }
+
+    @pytest.mark.parametrize("scheme,name,scale", sorted(PINS))
+    def test_allocations_exact(self, scheme, name, scale):
+        network, tm = TestLinkBasedPin._case(name)
+        placement = self.SCHEMES[scheme]().place(network, tm.scaled(scale))
+        assert allocation_digest(placement) == self.PINS[(scheme, name, scale)]
 
 
 def b4_digest(placement):
