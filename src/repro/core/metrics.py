@@ -16,6 +16,30 @@ without excessive extra delay and without losing capacity:
 
 APA(pair) = fraction of links on the pair's shortest path that are
 routable-around.  LLPD(network) = fraction of pairs with APA >= 0.7.
+
+How it is computed, with every value bit-identical to running Yen and
+max-flow on a copy of the network per removed link (``legacy_apa_all_pairs``
+in ``tests/oracles.py``):
+
+* **Masked views.**  Each physical link gets a view of the network's one
+  :class:`~repro.net.index.GraphIndex` without that link.  The view
+  relaxes links in the copy's order, so it returns the copy's paths, ties
+  included (the argument is in :mod:`repro.net.index`).
+* **First alternate from a shared sweep.**  The first alternate is the
+  reduced network's shortest path, so one full masked sweep per (link,
+  source) serves every target: its parent chain is the bounded search's,
+  and its distance is summed left to right along the path, as
+  ``path_delay_s`` sums it.  Most checks end here.
+* **Flow guard.**  Every alternate APA accepts uses only links with
+  ``fdist[u] + w + h[v] <= limit``, up to summation order (``fdist`` and
+  ``h`` are the view's distances from the source and to the target).  If
+  the max flow over all such links, with ``1e-9`` relative slack on both
+  sides, is below the required capacity, no set of alternates can reach
+  it and the check fails without Yen.
+* **Yen bounded by the budget.**  The remaining checks run Yen on the view
+  with every spur search capped at ``limit * (1 + 1e-6)`` minus its root's
+  delay; :mod:`repro.net.index` explains why accepted alternates, and so
+  the answer, are unchanged.
 """
 
 from __future__ import annotations
@@ -24,18 +48,21 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
-from repro.net.flows import max_flow_bps
+from repro.net.flows import max_flow_ids
 from repro.net.graph import Network
-from repro.net.paths import (
-    all_pairs_shortest_paths,
-    k_shortest_paths,
-    path_bottleneck_bps,
-    path_delay_s,
-    path_links,
-)
+from repro.net.index import GraphIndex, IdPath, graph_index
+from repro.net.paths import shortest_path
+from repro.telemetry import recorder
 
 Pair = Tuple[str, str]
+
+_INF = float("inf")
+#: Relative slack on the acceptance limit that caps Yen's spur searches.
+_YEN_SLACK = 1.0 + 1e-6
+#: Relative slack on both sides of the flow guard.
+_GUARD_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,57 +89,148 @@ class ApaParameters:
             )
 
 
-class _ReducedNetworkCache:
-    """Per-physical-link copies of the network with that link removed.
+@dataclass(frozen=True)
+class _Check:
+    """One pair's shortest path, in the terms every link check needs."""
 
-    Every pair whose shortest path crosses a given physical link shares the
-    same reduced network, so building it once per link (not once per
-    pair-link combination) is the main APA speedup.
-    """
-
-    def __init__(self, network: Network) -> None:
-        self._network = network
-        self._cache: Dict[Tuple[str, str], Network] = {}
-
-    def without(self, u: str, v: str) -> Network:
-        key = (min(u, v), max(u, v))
-        if key not in self._cache:
-            self._cache[key] = self._network.without_duplex_link(u, v)
-        return self._cache[key]
+    number: int
+    t: int
+    #: ``budget + 1e-12``: an alternate longer than this is rejected.
+    limit: float
+    required_bps: float
 
 
-def _link_routable_around(
-    network: Network,
-    reduced: Network,
-    src: str,
-    dst: str,
-    shortest_delay_s: float,
-    required_bps: float,
+class _Apa:
+    """APA over one network's index, with exact work tallies."""
+
+    def __init__(self, index: GraphIndex, params: ApaParameters) -> None:
+        self.index = index
+        self.params = params
+        self.csr = index.csr()
+        self.checks = 0
+        self.yen_checks = 0
+        self.maxflows = 0
+
+    def routable_around(
+        self,
+        view: GraphIndex,
+        removed: List[int],
+        s: int,
+        dist: List[float],
+        parent: List[int],
+        check: _Check,
+    ) -> bool:
+        """Can the pair's traffic avoid the link ``view`` removes (at CSR
+        positions ``removed``)?"""
+        self.checks += 1
+        t = check.t
+        # The shared sweep's path is the first alternate (module docstring).
+        if dist[t] > check.limit:
+            return False
+        delays, capacities = self.csr.delays, self.csr.capacities
+        edge_position = view.edge_position
+        first = view.extract_ids(parent, s, t)
+        union = [edge_position(a, b) for a, b in zip(first, first[1:])]
+        if min(capacities[pos] for pos in union) >= check.required_bps:
+            return True
+        if self.params.max_alternates == 1:
+            return False
+        self.yen_checks += 1
+        if not self._flow_can_suffice(view, removed, s, dist, check):
+            return False
+        alternates = view.k_shortest_ids(s, t, check.limit * _YEN_SLACK)
+        next(alternates)
+        for count, path in enumerate(alternates, start=2):
+            positions = [edge_position(a, b) for a, b in zip(path, path[1:])]
+            delay = 0.0
+            for pos in positions:
+                delay += delays[pos]
+            if delay > check.limit:
+                return False
+            union += positions
+            self.maxflows += 1
+            required = check.required_bps
+            if max_flow_ids(view, s, t, union, required) >= required:
+                return True
+            if count >= self.params.max_alternates:
+                return False
+        return False
+
+    def _flow_can_suffice(
+        self,
+        view: GraphIndex,
+        removed: List[int],
+        s: int,
+        dist: List[float],
+        check: _Check,
+    ) -> bool:
+        """False when even every link an accepted alternate could use
+        carries less than the required capacity (the flow guard)."""
+        indptr, heads, delays = self.csr.indptr, self.csr.heads, self.csr.delays
+        h = view.delays_to(check.t)[0]
+        bound = check.limit * (1.0 + _GUARD_SLACK)
+        feasible = [
+            pos
+            for u, du in enumerate(dist)
+            if du != _INF
+            for pos in range(indptr[u], indptr[u + 1])
+            if du + delays[pos] + h[heads[pos]] <= bound and pos not in removed
+        ]
+        self.maxflows += 1
+        enough = check.required_bps * (1.0 - _GUARD_SLACK)
+        return max_flow_ids(view, s, check.t, feasible, enough) >= enough
+
+    def values(self, shortest_paths: Dict[Pair, IdPath]) -> List[float]:
+        """APA of each pair, given its shortest path, in the order given."""
+        index = self.index
+        delays, capacities = self.csr.delays, self.csr.capacities
+        n_links: List[int] = []
+        # Physical link -> source -> the checks whose path crosses it.
+        by_link: Dict[Tuple[int, int], Dict[int, List[_Check]]] = {}
+        for number, ((src, dst), ids) in enumerate(shortest_paths.items()):
+            positions = [index.edge_position(a, b) for a, b in zip(ids, ids[1:])]
+            delay = 0.0
+            for pos in positions:
+                delay += delays[pos]
+            check = _Check(
+                number,
+                index.node_id(dst),
+                delay * self.params.stretch_limit + 1e-12,
+                min(capacities[pos] for pos in positions),
+            )
+            n_links.append(len(positions))
+            s = index.node_id(src)
+            for a, b in zip(ids, ids[1:]):
+                link = (a, b) if a < b else (b, a)
+                by_link.setdefault(link, {}).setdefault(s, []).append(check)
+        routable = [0] * len(n_links)
+        for (a, b), sources in by_link.items():
+            name_a, name_b = index.node_name(a), index.node_name(b)
+            removed = index.edge_positions([(name_a, name_b), (name_b, name_a)])
+            view = index.without_edges(removed)
+            for s, checks in sources.items():
+                dist, parent, _ = view.dijkstra_ids(s)
+                for check in checks:
+                    if self.routable_around(
+                        view, removed, s, dist, parent, check
+                    ):
+                        routable[check.number] += 1
+        return [count / links for count, links in zip(routable, n_links)]
+
+
+def _apa(
+    index: GraphIndex,
+    shortest_paths: Dict[Pair, IdPath],
     params: ApaParameters,
-) -> bool:
-    """Can (src, dst) traffic avoid the removed link within the stretch limit?"""
-    delay_budget = shortest_delay_s * params.stretch_limit
-    alternates: List[Tuple[str, ...]] = []
-    union_links: set = set()
-    for path in k_shortest_paths(reduced, src, dst):
-        delay = path_delay_s(reduced, path)
-        if delay > delay_budget + 1e-12:
-            # Paths arrive in non-decreasing delay order: nothing after
-            # this one can be within budget either.
-            return False
-        alternates.append(path)
-        union_links.update(path_links(path))
-        if len(alternates) == 1:
-            # Single-alternate fast path: its own bottleneck may suffice.
-            if path_bottleneck_bps(reduced, path) >= required_bps:
-                return True
-        else:
-            joint = max_flow_bps(reduced, src, dst, restrict_links=union_links)
-            if joint >= required_bps:
-                return True
-        if len(alternates) >= params.max_alternates:
-            return False
-    return False
+) -> Dict[Pair, float]:
+    apa = _Apa(index, params)
+    values = apa.values(shortest_paths)
+    rec = recorder()
+    if rec.enabled:
+        rec.counter("apa.checks", apa.checks)
+        rec.counter("apa.yen_checks", apa.yen_checks)
+        rec.counter("apa.maxflows", apa.maxflows)
+    return dict(zip(shortest_paths, values))
 
 
 def pair_apa(
@@ -121,25 +239,13 @@ def pair_apa(
     dst: str,
     params: ApaParameters = ApaParameters(),
     shortest: Optional[Tuple[str, ...]] = None,
-    reduced_cache: Optional[_ReducedNetworkCache] = None,
 ) -> float:
     """Alternate path availability for one PoP pair, in [0, 1]."""
-    from repro.net.paths import shortest_path
-
     if shortest is None:
         shortest = shortest_path(network, src, dst)
-    reduced_cache = reduced_cache or _ReducedNetworkCache(network)
-    shortest_delay = path_delay_s(network, shortest)
-    required = path_bottleneck_bps(network, shortest)
-    links = path_links(shortest)
-    routable = 0
-    for u, v in links:
-        reduced = reduced_cache.without(u, v)
-        if _link_routable_around(
-            network, reduced, src, dst, shortest_delay, required, params
-        ):
-            routable += 1
-    return routable / len(links)
+    index = graph_index(network)
+    ids = tuple(index.node_id(name) for name in shortest)
+    return _apa(index, {(src, dst): ids}, params)[(src, dst)]
 
 
 def apa_all_pairs(
@@ -150,15 +256,11 @@ def apa_all_pairs(
     Inherently quadratic (the paper's Figure 1 wants the full APA CDF);
     only ever run on zoo-scale networks.
     """
-    shortest_paths = all_pairs_shortest_paths(network)
-    cache = _ReducedNetworkCache(network)
-    return {
-        (src, dst): pair_apa(network, src, dst, params, path, cache)
-        for (src, dst), path in shortest_paths.items()
-    }
+    index = graph_index(network)
+    return _apa(index, index.all_pairs_shortest_ids(network.node_names), params)
 
 
-def apa_cdf(apa_values: Dict[Pair, float]) -> np.ndarray:
+def apa_cdf(apa_values: Dict[Pair, float]) -> npt.NDArray[np.float64]:
     """Sorted APA values: the per-network curves of the paper's Figure 1."""
     return np.sort(np.fromiter(apa_values.values(), dtype=float))
 
@@ -172,7 +274,8 @@ def llpd(
     route around most of the links on their shortest path without incurring
     excessive delay."
     """
-    values = apa_all_pairs(network, params)
+    with recorder().span("llpd"):
+        values = apa_all_pairs(network, params)
     if not values:
         raise ValueError(f"network {network.name!r} has no connected pairs")
     good = sum(1 for value in values.values() if value >= params.llpd_threshold)

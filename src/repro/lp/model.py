@@ -44,8 +44,11 @@ and marginal bookkeeping.
 from __future__ import annotations
 
 import importlib
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass
 from types import ModuleType
 from typing import (
@@ -98,13 +101,48 @@ def _binding(backend: str) -> Optional[ModuleType]:
     (memoized)."""
     if backend not in _bindings:
         try:
-            module: Optional[ModuleType] = importlib.import_module(
+            module: Optional[ModuleType] = _load_extension(
                 _BINDING_MODULES[backend]
             )
         except ImportError:
             module = None
         _bindings[backend] = module
     return _bindings[backend]
+
+
+def _load_extension(name: str) -> ModuleType:
+    """Import the extension module ``name`` without its parent packages.
+
+    Importing ``scipy.optimize._highspy._core`` the usual way first runs
+    the whole ``scipy.optimize`` package ``__init__`` (linprog,
+    ``scipy.linalg``, ``scipy.fft``, ...): ~0.3 s per process that nothing
+    here uses.  The extension file is loaded directly and registered in
+    ``sys.modules`` under its canonical name, so a later
+    ``import scipy.optimize`` reuses this very module object.  Without such
+    a file (another package layout) this is a plain import.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    top, *parts = name.split(".")
+    spec = importlib.util.find_spec(top)
+    roots = (spec.submodule_search_locations if spec else None) or []
+    for root in roots:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, *parts[:-1], parts[-1] + suffix)
+            if not os.path.isfile(path):
+                continue
+            module_spec = importlib.util.spec_from_file_location(name, path)
+            if module_spec is None or module_spec.loader is None:
+                continue
+            module = importlib.util.module_from_spec(module_spec)
+            sys.modules[name] = module
+            try:
+                module_spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[name]
+                raise
+            return module
+    return importlib.import_module(name)
 
 
 def available_backends() -> Tuple[str, ...]:

@@ -4,14 +4,110 @@ APA's notion of a "viable alternate" requires comparing the min-cut of a set
 of alternate paths with the bottleneck of the shortest path, and the traffic
 matrix scaler needs per-pair s-t capacities.  Edmonds-Karp (BFS augmenting
 paths) is ample for backbone-sized graphs.
+
+There is one Edmonds-Karp, :func:`max_flow_ids`, over a
+:class:`~repro.net.index.GraphIndex`'s node ids and CSR positions; APA calls
+it directly and :func:`max_flow_bps` is its name-keyed wrapper.  The BFS
+visits neighbours in ascending id order, which is ascending name order
+(ids are assigned to sorted names), so the augmenting paths — and every
+float the flow adds and subtracts — are those of a name-keyed BFS in
+sorted-name order (``legacy_max_flow_bps`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.net.graph import Link, Network
+from repro.net.graph import Network
+from repro.net.index import GraphIndex, graph_index
+
+#: Residual capacity at or below which an arc counts as saturated.
+_SATURATED_BPS = 1e-9
+_INF = float("inf")
+
+
+def max_flow_ids(
+    index: GraphIndex,
+    s: int,
+    t: int,
+    positions: Iterable[int],
+    enough: float = _INF,
+) -> float:
+    """Maximum flow from node ``s`` to node ``t`` over the links at the
+    given CSR positions of ``index`` (repeats are ignored).
+
+    Only those links are visited, so the cost is the subset's size, not
+    the network's.  The flow only grows, so once it reaches ``enough``
+    it is returned as it stands: ``result >= enough`` answers exactly as
+    the full max flow would.
+    """
+    if s == t:
+        raise ValueError("source and destination must differ")
+    csr = index.csr()
+    tails, heads, capacities = csr.tails, csr.heads, csr.capacities
+    n = index.num_nodes
+    # Residual capacities keyed by arc u * n + v; each link's reverse arc
+    # starts at zero unless the reverse link is in the subset too.
+    residual: Dict[int, float] = {}
+    for pos in dict.fromkeys(positions):
+        u = tails[pos]
+        v = heads[pos]
+        residual[u * n + v] = capacities[pos]
+        residual.setdefault(v * n + u, 0.0)
+    # Every arc's neighbours in ascending id order (sorting the arc keys),
+    # so the BFS order does not depend on insertion order.
+    adjacency: Dict[int, List[int]] = {}
+    for arc in sorted(residual):
+        u, v = divmod(arc, n)
+        row = adjacency.get(u)
+        if row is None:
+            adjacency[u] = [v]
+        else:
+            row.append(v)
+
+    total = 0.0
+    while total < enough:
+        parent = _bfs_augmenting(adjacency, residual, n, s, t)
+        if parent is None:
+            break
+        # Find the bottleneck along the augmenting path, then push it.
+        bottleneck = _INF
+        node = t
+        while node != s:
+            prev = parent[node]
+            bottleneck = min(bottleneck, residual[prev * n + node])
+            node = prev
+        node = t
+        while node != s:
+            prev = parent[node]
+            residual[prev * n + node] -= bottleneck
+            residual[node * n + prev] += bottleneck
+            node = prev
+        total += bottleneck
+    return total
+
+
+def _bfs_augmenting(
+    adjacency: Dict[int, List[int]],
+    residual: Dict[int, float],
+    n: int,
+    s: int,
+    t: int,
+) -> Optional[Dict[int, int]]:
+    parent: Dict[int, int] = {s: s}
+    queue = deque([s])
+    while queue:
+        node = queue.popleft()
+        row = node * n
+        for nbr in adjacency.get(node, ()):
+            if nbr in parent or residual[row + nbr] <= _SATURATED_BPS:
+                continue
+            parent[nbr] = node
+            if nbr == t:
+                return parent
+            queue.append(nbr)
+    return None
 
 
 def max_flow_bps(
@@ -22,77 +118,21 @@ def max_flow_bps(
 ) -> float:
     """Maximum flow from ``src`` to ``dst`` in bits per second.
 
-    ``restrict_links`` limits the flow to a subset of directed links — used
-    by APA, which asks how much capacity a *specific set of alternate paths*
-    can jointly carry.  Only those links are visited (keys absent from the
-    network are ignored), so a restricted call costs the subset's size,
-    not the network's.
+    ``restrict_links`` limits the flow to a subset of directed links — the
+    capacity a *specific set of alternate paths* can jointly carry.  Keys
+    absent from the network are ignored.
     """
     if src == dst:
         raise ValueError("source and destination must differ")
-    links: Iterable[Link] = network.links()
-    if restrict_links is not None:
-        links = [
-            network.link(*key)
-            for key in dict.fromkeys(restrict_links)
-            if network.has_link(*key)
-        ]
-    # Residual capacities keyed by directed (u, v).  Reverse residual arcs
-    # are created on demand with zero initial capacity.
-    residual: Dict[Tuple[str, str], float] = {}
-    adjacency: Dict[str, Set[str]] = {name: set() for name in network.node_names}
-    for link in links:
-        residual[link.key] = residual.get(link.key, 0.0) + link.capacity_bps
-        residual.setdefault((link.dst, link.src), residual.get((link.dst, link.src), 0.0))
-        adjacency[link.src].add(link.dst)
-        adjacency[link.dst].add(link.src)
-
-    total = 0.0
-    while True:
-        parent = _bfs_augmenting(adjacency, residual, src, dst)
-        if parent is None:
-            return total
-        # Find the bottleneck along the augmenting path, then push it.
-        bottleneck = float("inf")
-        node = dst
-        while node != src:
-            prev = parent[node]
-            bottleneck = min(bottleneck, residual[(prev, node)])
-            node = prev
-        node = dst
-        while node != src:
-            prev = parent[node]
-            residual[(prev, node)] -= bottleneck
-            residual[(node, prev)] = residual.get((node, prev), 0.0) + bottleneck
-            node = prev
-        total += bottleneck
-
-
-def _bfs_augmenting(
-    adjacency: Dict[str, Set[str]],
-    residual: Dict[Tuple[str, str], float],
-    src: str,
-    dst: str,
-) -> Optional[Dict[str, str]]:
-    parent: Dict[str, str] = {}
-    visited = {src}
-    queue = deque([src])
-    while queue:
-        node = queue.popleft()
-        # Sorted traversal: the BFS parent (and hence the augmenting path)
-        # must not depend on set hash order, or max-flow decompositions
-        # differ across PYTHONHASHSEED values.
-        for nbr in sorted(adjacency[node]):
-            if nbr in visited:
-                continue
-            if residual.get((node, nbr), 0.0) <= 1e-9:
-                continue
-            parent[nbr] = node
-            if nbr == dst:
-                return parent
-            visited.add(nbr)
-            queue.append(nbr)
-    return None
+    index = graph_index(network)
+    s = index.node_id(src)
+    if dst not in network:
+        return 0.0
+    if restrict_links is None:
+        positions: Iterable[int] = range(index.num_edges)
+    else:
+        positions = index.edge_positions(restrict_links)
+    return max_flow_ids(index, s, index.node_id(dst), positions)
 
 
 def min_cut_bps(network: Network, src: str, dst: str) -> float:

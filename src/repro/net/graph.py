@@ -225,11 +225,8 @@ class Network:
         return clone
 
     def without_duplex_link(self, src: str, dst: str) -> "Network":
-        """A copy with both directions of one physical link removed.
-
-        Used by the APA metric, which asks how traffic would route around a
-        congested physical link.
-        """
+        """A copy with both directions of one physical link removed (a
+        link failure, :mod:`repro.net.mutate`)."""
         clone = self.copy()
         clone.remove_link(src, dst)
         if clone.has_link(dst, src):

@@ -47,6 +47,29 @@ because:
   and discarded as a duplicate, and heap pops of distinct ``(delay, path)``
   tuples do not depend on push order.
 
+**Masked views, same paths.**  :meth:`GraphIndex.without_edges` is the
+index of a copy of the network with some links removed, without copying:
+the view shares the CSR lists, never relaxes the removed positions and
+keeps its own ``delays_to`` memo (a masked reverse sweep).  The copy would
+keep every node (so the same ids) and each node's adjacency order minus
+the removed links, so the view relaxes links in exactly the copy's order
+and returns the same paths, ties and float sums included — the argument
+:class:`~repro.routing.decompose.ResidualFlow` rests on.
+
+**Budget-capped Yen, same in-budget prefix.**  ``k_shortest_ids(s, t,
+max_delay)`` caps every spur search at ``max_delay - root_delay``; APA
+passes its acceptance limit (``budget + 1e-12``) times ``1 + 1e-6``.  A
+spur path no longer than the cap is found exactly as before (the cap is
+just a tighter ``limit``, and every node on it has ``g + h`` within
+rounding of its length); a longer one is dropped.  A dropped candidate's
+delay exceeds the acceptance limit by about ``1e-6`` of it, far beyond the
+few ulps by which a sum's order can move it, so it sorts after every
+candidate APA accepts, and a candidate within rounding of the limit is
+never dropped.  Produced paths, their deviation indices and so every
+later search are those of the uncapped run until the first path APA
+rejects; from there the capped run yields a rejected path or stops, and
+APA's answer is the same.
+
 Memory: the memo holds one ``double`` and one ``int`` per node per distinct
 target (12 bytes x n x targets — 0.5 MB for the 13 gateway targets of a
 3 300-node graph, 120 KB x targets at 10k nodes) for the life of the index.
@@ -65,10 +88,13 @@ mutate-and-undo cycle that restores the same signature value.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import sys
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 import numpy.typing as npt
@@ -97,6 +123,16 @@ class NoPathError(Exception):
     """
 
 
+class Csr(NamedTuple):
+    """The index's per-link lists, indexed by CSR position (read-only)."""
+
+    indptr: List[int]
+    tails: List[int]
+    heads: List[int]
+    delays: List[float]
+    capacities: List[float]
+
+
 class GraphIndex:
     """A compiled, immutable sparse view of one :class:`Network`.
 
@@ -111,6 +147,7 @@ class GraphIndex:
         ids: Dict[str, int] = {name: i for i, name in enumerate(names)}
         n = len(names)
         indptr: List[int] = [0] * (n + 1)
+        tails: List[int] = []
         neighbors: List[int] = []
         delays: List[float] = []
         capacities: List[float] = []
@@ -121,6 +158,7 @@ class GraphIndex:
             for link in network.out_links(name):
                 v = ids[link.dst]
                 edge_pos[(u, v)] = len(neighbors)
+                tails.append(u)
                 neighbors.append(v)
                 delays.append(link.delay_s)
                 capacities.append(link.capacity_bps)
@@ -128,12 +166,21 @@ class GraphIndex:
         self._names: List[str] = names
         self._ids = ids
         self._indptr = indptr
+        self._tails = tails
         self._neighbors = neighbors
         self._delays = delays
         self._capacities = capacities
         self._edge_pos = edge_pos
-        # Built on first use by delays_to(): reversed CSR, per-target memo.
-        self._reverse: Optional[Tuple[List[int], List[int], List[float]]] = None
+        # A view (without_edges) shares all of the above with its base and
+        # masks its removed positions.
+        self._base: Optional[GraphIndex] = None
+        self._removed: Optional[bytearray] = None
+        self._removed_positions: Tuple[int, ...] = ()
+        # Built on first use by delays_to() (on the base): reversed CSR and
+        # each forward position's reverse slot; per-target memo.
+        self._reverse: Optional[
+            Tuple[List[int], List[int], List[float], List[int]]
+        ] = None
         self._to_target: Dict[int, Tuple[array[float], array[int]]] = {}
         self._from_source: Dict[int, array[float]] = {}
         #: Work tallies: Dijkstra runs started and nodes they labelled.
@@ -166,6 +213,54 @@ class GraphIndex:
         """CSR position of the link ``u -> v`` (KeyError when absent)."""
         return self._edge_pos[(u, v)]
 
+    def edge_positions(self, links: Iterable[Tuple[str, str]]) -> List[int]:
+        """CSR positions of name-keyed links, in order; links absent from
+        the graph are skipped."""
+        ids = self._ids
+        edge_pos = self._edge_pos
+        positions: List[int] = []
+        for src, dst in links:
+            u = ids.get(src)
+            v = ids.get(dst)
+            if u is None or v is None:
+                continue
+            pos = edge_pos.get((u, v))
+            if pos is not None:
+                positions.append(pos)
+        return positions
+
+    def csr(self) -> Csr:
+        """The shared per-link lists; a view's removed links are still in
+        them (see :meth:`without_edges`)."""
+        return Csr(
+            self._indptr, self._tails, self._neighbors, self._delays,
+            self._capacities,
+        )
+
+    def without_edges(self, positions: Iterable[int]) -> "GraphIndex":
+        """A view of this index with the links at CSR ``positions``
+        removed, without copying the graph.
+
+        The view shares every list with its base and relaxes links in the
+        order an index of the reduced network would (module docstring), so
+        all its searches return what that index returns.  Its
+        ``delays_to``/``delays_from`` memos are its own.  A caller-built
+        edge mask passed to :meth:`dijkstra_ids` must include the removed
+        positions; :meth:`edge_mask` masks do.
+        """
+        base = self._base or self
+        view = copy.copy(base)
+        view._base = base
+        view._removed_positions = self._removed_positions + tuple(positions)
+        removed = bytearray(len(self._neighbors))
+        for pos in view._removed_positions:
+            removed[pos] = 1
+        view._removed = removed
+        view._to_target = {}
+        view._from_source = {}
+        view.searches = view.nodes_reached = 0
+        return view
+
     @property
     def indptr_array(self) -> IntArray:
         """CSR row pointers as a numpy array (analysis/benchmark use)."""
@@ -192,22 +287,21 @@ class GraphIndex:
         """A per-CSR-position bytearray mask for a name-keyed link set.
 
         Links absent from the graph are ignored, matching the legacy
-        behavior of an exclusion set entry that never comes up.
+        behavior of an exclusion set entry that never comes up.  On a view
+        the mask also covers the removed links.
         """
         if not excluded_links:
-            return None
-        mask = bytearray(len(self._neighbors))
-        ids = self._ids
-        edge_pos = self._edge_pos
-        for src, dst in excluded_links:
-            u = ids.get(src)
-            v = ids.get(dst)
-            if u is None or v is None:
-                continue
-            pos = edge_pos.get((u, v))
-            if pos is not None:
-                mask[pos] = 1
+            return self._removed
+        mask = self._fresh_edge_mask()
+        for pos in self.edge_positions(excluded_links):
+            mask[pos] = 1
         return mask
+
+    def _fresh_edge_mask(self) -> bytearray:
+        """A new per-position mask with only the view's removed links set."""
+        if self._removed is not None:
+            return bytearray(self._removed)
+        return bytearray(len(self._neighbors))
 
     def node_mask(
         self, excluded_nodes: Optional[Set[str]]
@@ -250,6 +344,8 @@ class GraphIndex:
         Distances and parents of every node on a path no longer than
         ``limit`` are those of the unbounded search (module docstring).
         """
+        if excluded_edges is None:
+            excluded_edges = self._removed
         return self._dijkstra(
             self._indptr, self._neighbors, self._delays,
             src, dst, excluded_edges, excluded_nodes, bound, limit,
@@ -325,10 +421,17 @@ class GraphIndex:
         """
         memo = self._to_target.get(t)
         if memo is None:
-            if self._reverse is None:
-                self._reverse = self._reversed_csr()
+            base = self._base or self
+            if base._reverse is None:
+                base._reverse = base._reversed_csr()
+            indptr, tails, delays, slot = base._reverse
+            mask: Optional[bytearray] = None
+            if self._removed_positions:
+                mask = bytearray(len(slot))
+                for pos in self._removed_positions:
+                    mask[slot[pos]] = 1
             dist, parent, _ = self._dijkstra(
-                *self._reverse, t, -1, None, None, None, _INF
+                indptr, tails, delays, t, -1, mask, None, None, _INF
             )
             memo = self._to_target[t] = (array("d", dist), array("i", parent))
         return memo
@@ -346,8 +449,11 @@ class GraphIndex:
             memo = self._from_source[s] = array("d", dist)
         return memo
 
-    def _reversed_csr(self) -> Tuple[List[int], List[int], List[float]]:
-        """CSR of the edge-reversed graph (counting sort by head node)."""
+    def _reversed_csr(
+        self,
+    ) -> Tuple[List[int], List[int], List[float], List[int]]:
+        """CSR of the edge-reversed graph (counting sort by head node), and
+        the reverse slot of every forward position."""
         n = len(self._names)
         forward = self._indptr
         heads = self._neighbors
@@ -360,14 +466,16 @@ class GraphIndex:
         fill = indptr[:n]
         tails = [0] * len(heads)
         delays = [0.0] * len(heads)
+        slot_of = [0] * len(heads)
         for u in range(n):
             for pos in range(forward[u], forward[u + 1]):
                 v = heads[pos]
                 slot = fill[v]
                 tails[slot] = u
                 delays[slot] = forward_delays[pos]
+                slot_of[pos] = slot
                 fill[v] = slot + 1
-        return indptr, tails, delays
+        return indptr, tails, delays, slot_of
 
     @staticmethod
     def extract_ids(parent: List[int], src: int, dst: int) -> IdPath:
@@ -426,18 +534,25 @@ class GraphIndex:
         insertion order); defaults to id (sorted-name) order.  Quadratic
         output: keep it off ingest-scale graphs.
         """
+        return {
+            pair: self.to_names(path)
+            for pair, path in self.all_pairs_shortest_ids(node_order).items()
+        }
+
+    def all_pairs_shortest_ids(
+        self, node_order: Optional[List[str]] = None
+    ) -> Dict[Tuple[str, str], IdPath]:
+        """:meth:`all_pairs_shortest_paths`, with the paths as id paths."""
         order = node_order if node_order is not None else self._names
         ids = self._ids
-        paths: Dict[Tuple[str, str], Path] = {}
+        paths: Dict[Tuple[str, str], IdPath] = {}
         for src in order:
             s = ids[src]
             _, parent, _ = self.dijkstra_ids(s)
             for dst in order:
                 t = ids[dst]
                 if t != s and parent[t] >= 0:
-                    paths[(src, dst)] = self.to_names(
-                        self.extract_ids(parent, s, t)
-                    )
+                    paths[(src, dst)] = self.extract_ids(parent, s, t)
         return paths
 
     def k_shortest_paths(self, src: str, dst: str) -> Iterator[Path]:
@@ -458,15 +573,27 @@ class GraphIndex:
         t = self._ids.get(dst, -1)
         if t < 0:
             return
+        for id_path in self.k_shortest_ids(s, t):
+            yield self.to_names(id_path)
+
+    def k_shortest_ids(
+        self, s: int, t: int, max_delay: float = _INF
+    ) -> Iterator[IdPath]:
+        """:meth:`k_shortest_paths` over ids (``s != t``).
+
+        ``max_delay`` caps every spur search at ``max_delay`` minus its
+        root's delay, which changes only candidates longer than the cap;
+        see the module docstring for when that leaves a caller's answer
+        unchanged.
+        """
         h, next_hop = self.delays_to(t)
         if h[s] == _INF:
             return
         _, parent, _ = self.dijkstra_ids(s, t, bound=h, limit=h[s] * _SLACK)
         first = self.extract_ids(parent, s, t)
-        yield self.to_names(first)
+        yield first
 
         n = len(self._names)
-        m = len(self._neighbors)
         delays = self._delays
         edge_pos = self._edge_pos
         produced: List[IdPath] = [first]
@@ -491,7 +618,7 @@ class GraphIndex:
                     # this exact search; its candidate is in `deviation`.
                     continue
                 root = prev[: i + 1]
-                excluded_edges = bytearray(m)
+                excluded_edges = self._fresh_edge_mask()
                 for existing in produced:
                     if len(existing) > i and existing[: i + 1] == root:
                         excluded_edges[
@@ -499,8 +626,12 @@ class GraphIndex:
                         ] = 1
                 sdist, sparent, _ = self.dijkstra_ids(
                     spur, t, excluded_edges, excluded_nodes, h,
-                    self._spur_limit(
-                        spur, t, h, next_hop, excluded_edges, excluded_nodes
+                    min(
+                        self._spur_limit(
+                            spur, t, h, next_hop, excluded_edges,
+                            excluded_nodes,
+                        ),
+                        max_delay - root_delay,
                     ),
                 )
                 if sdist[t] == _INF:
@@ -515,7 +646,7 @@ class GraphIndex:
                 return
             _, best = pop(candidates)
             produced.append(best)
-            yield self.to_names(best)
+            yield best
 
     def _spur_limit(
         self,

@@ -3,26 +3,32 @@
 The original dict-based Dijkstra and Yen implementations that
 :mod:`repro.net.index` replaced, the original B4 water-filling loop
 that rebuilt its per-link user census every round, the MinMax seed-path
-decomposition that copied the network for every strip, and the max flow
-that scanned every link.  Nothing in ``repro`` calls them; the tests do,
-asserting that the indexed core returns the same paths, tie-breaks, float
-sums and dict insertion order (``test_net_index.py``), that B4 places
-every aggregate bit for bit as before (``test_routing_b4.py``), and that
-seeds and max flows are unchanged (``test_mcf_and_cli.py``,
-``test_net_flows.py``).
+decomposition that copied the network for every strip, the name-keyed max
+flow that scanned every link, and APA on a network copy per removed link.
+Nothing in ``repro`` calls them; the tests do, asserting that the indexed
+core returns the same paths, tie-breaks, float sums and dict insertion
+order (``test_net_index.py``), that B4 places every aggregate bit for bit
+as before (``test_routing_b4.py``), and that seeds, max flows and APA
+values are unchanged (``test_mcf_and_cli.py``, ``test_net_flows.py``,
+``test_core_metrics.py``).
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.core.metrics import ApaParameters
 from repro.net.graph import Network
 from repro.net.paths import (
     KspCache,
     NoPathError,
     Path,
+    all_pairs_shortest_paths,
+    k_shortest_paths,
+    path_bottleneck_bps,
     path_delay_s,
     path_links,
     shortest_path,
@@ -409,9 +415,8 @@ def legacy_max_flow_bps(
     restrict_links: Optional[Iterable[Tuple[str, str]]] = None,
 ) -> float:
     """Original ``max_flow_bps``: the residual graph is built by scanning
-    every network link, restricted or not.  Parity oracle for tests."""
-    from repro.net.flows import _bfs_augmenting
-
+    every network link, restricted or not, and keyed by node name.  Parity
+    oracle for tests."""
     allowed = set(restrict_links) if restrict_links is not None else None
     residual: Dict[Tuple[str, str], float] = {}
     adjacency: Dict[str, Set[str]] = {name: set() for name in network.node_names}
@@ -440,3 +445,121 @@ def legacy_max_flow_bps(
             residual[(node, prev)] = residual.get((node, prev), 0.0) + bottleneck
             node = prev
         total += bottleneck
+
+
+def _bfs_augmenting(
+    adjacency: Dict[str, Set[str]],
+    residual: Dict[Tuple[str, str], float],
+    src: str,
+    dst: str,
+) -> Optional[Dict[str, str]]:
+    parent: Dict[str, str] = {}
+    visited = {src}
+    queue = deque([src])
+    while queue:
+        node = queue.popleft()
+        for nbr in sorted(adjacency[node]):
+            if nbr in visited:
+                continue
+            if residual.get((node, nbr), 0.0) <= 1e-9:
+                continue
+            parent[nbr] = node
+            if nbr == dst:
+                return parent
+            visited.add(nbr)
+            queue.append(nbr)
+    return None
+
+
+# ----------------------------------------------------------------------
+# APA on a network copy per removed link — parity oracle
+# ----------------------------------------------------------------------
+class _ReducedNetworkCache:
+    """Per-physical-link copies of the network with that link removed.
+
+    Every pair whose shortest path crosses a given physical link shares the
+    same reduced network, so building it once per link (not once per
+    pair-link combination) is the main APA speedup.
+    """
+
+    def __init__(self, network: Network) -> None:
+        self._network = network
+        self._cache: Dict[Tuple[str, str], Network] = {}
+
+    def without(self, u: str, v: str) -> Network:
+        key = (min(u, v), max(u, v))
+        if key not in self._cache:
+            self._cache[key] = self._network.without_duplex_link(u, v)
+        return self._cache[key]
+
+
+def _link_routable_around(
+    network: Network,
+    reduced: Network,
+    src: str,
+    dst: str,
+    shortest_delay_s: float,
+    required_bps: float,
+    params: ApaParameters,
+) -> bool:
+    """Can (src, dst) traffic avoid the removed link within the stretch limit?"""
+    delay_budget = shortest_delay_s * params.stretch_limit
+    alternates: List[Tuple[str, ...]] = []
+    union_links: set = set()
+    for path in k_shortest_paths(reduced, src, dst):
+        delay = path_delay_s(reduced, path)
+        if delay > delay_budget + 1e-12:
+            # Paths arrive in non-decreasing delay order: nothing after
+            # this one can be within budget either.
+            return False
+        alternates.append(path)
+        union_links.update(path_links(path))
+        if len(alternates) == 1:
+            # Single-alternate fast path: its own bottleneck may suffice.
+            if path_bottleneck_bps(reduced, path) >= required_bps:
+                return True
+        else:
+            joint = legacy_max_flow_bps(
+                reduced, src, dst, restrict_links=union_links
+            )
+            if joint >= required_bps:
+                return True
+        if len(alternates) >= params.max_alternates:
+            return False
+    return False
+
+
+def _legacy_pair_apa(
+    network: Network,
+    src: str,
+    dst: str,
+    params: ApaParameters,
+    shortest: Tuple[str, ...],
+    reduced_cache: _ReducedNetworkCache,
+) -> float:
+    shortest_delay = path_delay_s(network, shortest)
+    required = path_bottleneck_bps(network, shortest)
+    links = path_links(shortest)
+    routable = 0
+    for u, v in links:
+        reduced = reduced_cache.without(u, v)
+        if _link_routable_around(
+            network, reduced, src, dst, shortest_delay, required, params
+        ):
+            routable += 1
+    return routable / len(links)
+
+
+def legacy_apa_all_pairs(
+    network: Network, params: ApaParameters = ApaParameters()
+) -> Dict[Tuple[str, str], float]:
+    """Original ``apa_all_pairs``: a network copy (hashed and indexed
+    afresh) per removed physical link, Yen from scratch on it for every
+    check, and a name-keyed max flow per added alternate.  Parity oracle
+    for tests."""
+    shortest_paths = all_pairs_shortest_paths(network)
+    cache = _ReducedNetworkCache(network)
+    return {
+        (src, dst): _legacy_pair_apa(network, src, dst, params, path, cache)
+        for (src, dst), path in shortest_paths.items()
+    }

@@ -1,8 +1,9 @@
 """Smoke tests: the example scripts run to completion.
 
-Only the fast examples run here (the full set is exercised manually /
-in CI with more time); each is executed in-process with its module
-namespace so failures surface as ordinary assertion errors.
+Only the fast examples run here; nothing else runs the others, so check
+them by hand after changing what they use.  Each is executed in-process
+with its module namespace so failures surface as ordinary assertion
+errors.
 """
 
 import runpy
@@ -37,3 +38,10 @@ class TestExamples:
     def test_growth_planning(self, capsys):
         out = run_example("growth_planning.py", capsys)
         assert "delay saved" in out
+
+    def test_topology_study(self, capsys):
+        # APA over 20 networks; the printed figures are deterministic.
+        out = run_example("topology_study.py", capsys)
+        assert "zoo-014-grid    24  10.6ms  0.616  [+        @]" in out
+        assert "gts-like    24  10.7ms  0.583  [+        @]" in out
+        assert "google-like    24 123.6ms  0.841  [.        @]" in out

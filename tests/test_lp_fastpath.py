@@ -11,6 +11,11 @@ Two layers:
   builder's ``compile``), input validation and solver outcomes.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -40,6 +45,8 @@ from repro.routing.pathlp import (
 )
 from repro.tm.matrix import Aggregate
 from tests.conftest import loaded_gts_tm
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -286,6 +293,40 @@ class TestBackends:
         for request in ("scipy", "auto"):
             with pytest.raises(RuntimeError, match="SciPy >= 1.15"):
                 resolve_backend(request)
+
+    def test_scipy_binding_loads_without_scipy_optimize(self):
+        """SciPy's HiGHS extension is loaded on its own: solving never runs
+        the ``scipy.optimize`` package init, and a later ``import
+        scipy.optimize`` shares the same module object."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import repro.experiments\n"
+            "from repro.lp.model import CompiledLP, SENSE_GE, _binding,"
+            " resolve_backend\n"
+            "resolve_backend('scipy')\n"
+            "solution = CompiledLP.from_coo(\n"
+            "    n_variables=2, data=np.array([1.0, 1.0]),\n"
+            "    rows=np.array([0, 0]), cols=np.array([0, 1]),\n"
+            "    senses=np.array([SENSE_GE], dtype=np.int8),\n"
+            "    rhs=np.array([2.0]), c=np.array([1.0, 2.0]),\n"
+            "    lower=np.zeros(2), upper=np.full(2, np.inf),\n"
+            ").solve('scipy')\n"
+            "assert solution.objective == 2.0, solution.objective\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "core = sys.modules['scipy.optimize._highspy._core']\n"
+            "assert _binding('scipy') is core\n"
+            "import scipy.optimize\n"
+            "from scipy.optimize import linprog\n"
+            "assert linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1]).status == 0\n"
+            "assert sys.modules['scipy.optimize._highspy._core'] is core\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.fspath(REPO / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core.metrics import llpd
+from repro.core.metrics import apa_all_pairs, llpd
 from repro.net.zoo import (
     cogent_like,
     generate_zoo,
@@ -50,6 +50,35 @@ class TestNamedReplicaPins:
             "dense-mesh",
             "star",
         ]
+
+
+class TestApaPin:
+    """Exact APA of every pair of the named replicas, recorded while APA
+    still copied and re-indexed the network for every removed link."""
+
+    PINS = {
+        "gts":
+            "f4f40115c41807804e62c68d7249910f180ff1136d83f132e5325845f3bc58a8",
+        "cogent":
+            "aa838ea22bda70e4101dce68440fe111867155623db336923fdde794d93283d4",
+        "globalcenter":
+            "8f6815a6303c94c6cf0ce6c73a0999a9219f7519f5668c2eb4568908d450d802",
+        "google":
+            "a9b03a497420f4d48b2c6a62057ef17402e8b55b7e6473936f75b322dcc59a8c",
+    }
+    BUILDERS = {
+        "gts": gts_like,
+        "cogent": cogent_like,
+        "globalcenter": globalcenter_like,
+        "google": google_like,
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_apa_exact(self, name):
+        values = apa_all_pairs(self.BUILDERS[name]())
+        listing = [(pair, value.hex()) for pair, value in values.items()]
+        digest = hashlib.sha256(repr(listing).encode()).hexdigest()
+        assert digest == self.PINS[name]
 
 
 class TestWorkloadPins:
