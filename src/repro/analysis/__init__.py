@@ -12,7 +12,7 @@ the runtime tests can only sample:
 
 Every rule here has a live subject in ``src/``.  A contract that Python,
 a runtime check or a round-trip test already enforces (a required
-keyword, the spawn-safety check at dispatch, store record fields) gets
+keyword, the SchemeSpec check at dispatch, store record fields) gets
 no rule.
 
 :func:`analyze_paths` is the library entry point; the CLI in

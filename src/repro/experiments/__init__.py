@@ -6,12 +6,13 @@ matrix ensemble) pairs; :mod:`repro.experiments.runner` holds the
 per-matrix outcome record and its per-network reduction;
 :mod:`repro.experiments.plan` declares whole-figure evaluation grids
 (every scheme and sweep point) as flat batches;
-:mod:`repro.experiments.engine` executes plans on one shared process pool
-with persistent KSP caches; :mod:`repro.experiments.spec` names schemes
-declaratively (picklable, registry-resolved) so evaluations can cross
-process and host boundaries; :mod:`repro.experiments.dispatch` shards a
-plan into self-contained manifests, runs them in worker subprocesses and
-merges their result stores; :mod:`repro.experiments.figures` defines
+:mod:`repro.experiments.engine` executes plans on one shared fork pool
+(or serially) with persistent KSP caches; :mod:`repro.experiments.spec`
+names schemes declaratively (picklable, registry-resolved) so
+evaluations can cross process and host boundaries;
+:mod:`repro.experiments.dispatch` shards a plan into self-contained
+manifests, runs them in worker subprocesses and merges their result
+stores; :mod:`repro.experiments.figures` defines
 each paper figure once, engine-backed ones as a plan builder plus a
 reducer of the plan's report into the figure's series;
 :mod:`repro.experiments.render` prints them as text.
@@ -29,11 +30,7 @@ from repro.experiments.plan import (
     PlanReport,
     execute_plan,
 )
-from repro.experiments.engine import (
-    EngineReport,
-    ExperimentEngine,
-    NetworkResult,
-)
+from repro.experiments.engine import ExperimentEngine, NetworkResult
 from repro.experiments.spec import SchemeSpec, registered_schemes
 
 __all__ = [
@@ -44,7 +41,6 @@ __all__ = [
     "EvalTask",
     "PlanReport",
     "execute_plan",
-    "EngineReport",
     "ExperimentEngine",
     "NetworkResult",
     "SchemeSpec",

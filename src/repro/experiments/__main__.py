@@ -334,7 +334,15 @@ def run_dispatch_command(args) -> int:
         # One scheme over the standard workload is a one-stream plan;
         # keying the stream by the scheme name makes the merged store
         # the one the figures read (`render fig03` after `dispatch SP`).
-        params = json.loads(args.params) if args.params else {}
+        try:
+            params = json.loads(args.params) if args.params else {}
+        except json.JSONDecodeError as error:
+            print(f"--params is not valid JSON: {error}", file=sys.stderr)
+            return 2
+        if not isinstance(params, dict):
+            print(f"--params must be a JSON object, got {args.params!r}",
+                  file=sys.stderr)
+            return 2
         plan = EvalPlan()
         plan.add(
             args.target, SchemeSpec(args.target, params), build_workload(args)
@@ -769,6 +777,22 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def at_least_one_float(text: str) -> float:
+    """argparse ``type`` for growth factors: a float of at least 1."""
+    value = float(text)
+    if not value >= 1.0:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """argparse ``type`` for demand multipliers: a float of 0 or more."""
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -794,10 +818,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--networks", type=positive_int, default=12)
     parser.add_argument("--tms", type=positive_int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=non_negative_int, default=0)
     parser.add_argument(
         "--growth-factor",
-        type=float,
+        type=at_least_one_float,
         default=1.3,
         help="workload min-cut load shaping (1.3 = the paper's default "
         "77%% load; fig08 always uses its own 1.65).  Matters for "
@@ -971,7 +995,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--surge-factor",
-        type=float,
+        type=non_negative_float,
         default=5.0,
         help="scenarios: demand multiplier a flash crowd applies",
     )
@@ -1042,9 +1066,7 @@ def main(argv=None) -> int:
         from repro.experiments.spec import registered_schemes
 
         print("available:", ", ".join(sorted(FIGURES)))
-        print("store-backed (resumable, renderable):",
-              ", ".join(store_backed_figures()))
-        print("dispatchable (whole-plan shards):",
+        print("store-backed (resumable, renderable, dispatchable):",
               ", ".join(store_backed_figures()))
         print("dispatchable schemes (dispatch/worker):",
               ", ".join(registered_schemes()))
@@ -1060,9 +1082,12 @@ def main(argv=None) -> int:
     try:
         code = commands.get(figure, run_figure_command)(args)
     except StoreError as exc:
+        from repro.experiments.dispatch import SpecError
+
         prefix = figure if figure in commands else "result store"
         print(f"{prefix}: {exc}", file=sys.stderr)
-        return 1
+        # A bad scheme spec is a usage error, caught before any worker.
+        return 2 if isinstance(exc, SpecError) else 1
 
     # Every command that read --cache-dir leaves it within its budget.
     if (

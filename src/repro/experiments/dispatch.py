@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Sequence
 from repro import telemetry
 from repro.experiments.engine import ExperimentEngine, NetworkResult
 from repro.experiments.plan import EvalPlan, EvalTask, PlanReport
-from repro.experiments.spec import SchemeSpec, is_spawn_safe
+from repro.experiments.spec import SchemeSpec, UnknownSchemeError, check_spec
 from repro.experiments.store import (
     MultiStreamWriter,
     ResultStore,
@@ -80,6 +80,10 @@ PLAN_MANIFEST_VERSION = 2
 
 class DispatchError(StoreError):
     """A shard worker failed or produced an inconsistent store."""
+
+
+class SpecError(DispatchError):
+    """A plan stream's spec would fail to build in every worker."""
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +144,10 @@ def build_plan_manifest(
     by position in a deduplicated item table — two streams evaluating
     the same network (the common case: every scheme of a figure runs
     over the same workload) serialize that network once per manifest,
-    not once per task.
+    not once per task.  Each stream's spec is checked first: an
+    unregistered scheme or params its builder does not accept raise
+    :class:`SpecError` here, before any manifest is written, instead of
+    in every worker.
 
     Lazy scenario workloads (anything exposing ``to_manifest_jsonable``)
     ship *compactly*: the fleet description (base item + specs) lands
@@ -157,11 +164,15 @@ def build_plan_manifest(
     scenarios: List[dict] = []
     scenario_ids: Dict[int, int] = {}
     for key, stream in plan.streams.items():
-        if not is_spawn_safe(stream.factory):
+        if not isinstance(stream.factory, SchemeSpec):
             raise DispatchError(
                 f"plan stream {key!r} uses a non-SchemeSpec factory; "
                 f"only registry specs can cross a host boundary"
             )
+        try:
+            check_spec(stream.factory)
+        except (UnknownSchemeError, TypeError) as error:
+            raise SpecError(f"plan stream {key!r}: {error.args[0]}") from None
         scenario_ref = None
         to_payload = getattr(stream.workload, "to_manifest_jsonable", None)
         if callable(to_payload):

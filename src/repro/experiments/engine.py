@@ -12,12 +12,13 @@ between runs via :meth:`KspCache.dump` / :meth:`KspCache.load`.
 
 The unit of execution is an :class:`~repro.experiments.plan.EvalPlan`: a
 flat batch of (stream, network-index) tasks spanning every scheme and
-sweep point of a figure.  :meth:`ExperimentEngine.run_plan` executes an
-entire plan on **one** process pool, in the plan's round-robin task
-order (:meth:`~repro.experiments.plan.EvalPlan.iter_tasks`); the classic
-single-scheme entry points (:meth:`run`, :meth:`stream`) are one-stream
-plans, so both paths share one execution spine and one determinism
-contract.
+sweep point of a figure.  :meth:`ExperimentEngine.run_plan` (and its
+streaming form :meth:`~ExperimentEngine.stream_plan`) executes an entire
+plan in the plan's round-robin task order
+(:meth:`~repro.experiments.plan.EvalPlan.iter_tasks`), one way: on one
+``fork`` pool when ``n_workers > 1`` and fork exists, serially
+otherwise.  Out-of-process runs on any platform go through
+:mod:`repro.experiments.dispatch`.
 
 Sharding/determinism contract
 -----------------------------
@@ -29,25 +30,18 @@ Sharding/determinism contract
   workload item and scheme factory.  (Warm KSP-cache state affects only
   timing, never results.)
 * Consequently plan execution returns **bit-identical** outcome lists
-  for any ``n_workers`` *and any task order* (tasks commute) — and
-  bit-identical to running each stream through a
-  separate :meth:`ExperimentEngine.run` call, which is why the figure
-  layer could move from per-(scheme, sweep-point) calls to whole-figure
-  plans without changing a single output.
-* Worker processes prefer the ``fork`` start method so that scheme
-  factories (possibly closures) and workloads never need to be pickled;
-  only (stream key, network index) tasks travel to the workers and only
-  :class:`NetworkResult` values travel back.  Where ``fork`` is
-  unavailable (Windows, macOS spawn-default interpreters) and every
-  factory is a picklable :class:`~repro.experiments.spec.SchemeSpec`,
-  the engine falls back to a single ``spawn`` pool: each task ships its
-  spec plus the item's serialized network/matrices/KSP-paths and
-  produces the same outcomes.  Only when neither start method can run
-  the plan does the engine degrade to the deterministic serial path —
-  same results, no parallelism — and it logs a warning on the ``repro``
-  logger (and bumps the ``engine.serial_fallback`` trace counter) when
-  doing so, since silently losing parallelism is a performance bug
-  waiting to be misread.
+  for any ``n_workers`` *and any task order* (tasks commute), which is
+  why the figure layer could move from per-(scheme, sweep-point) calls
+  to whole-figure plans without changing a single output.
+* Pool workers are forked, so scheme factories (possibly closures) and
+  workloads never need to be pickled; only (stream key, network index)
+  tasks travel to the workers and only :class:`NetworkResult` values
+  travel back.  Where ``fork`` is unavailable (Windows) the engine
+  evaluates serially — same results, no parallelism — and logs a
+  warning on the ``repro`` logger (and bumps the
+  ``engine.serial_fallback`` trace counter), since silently losing
+  parallelism is a performance bug waiting to be misread; ``dispatch``
+  is the out-of-process route there.
 * With a ``cache_dir``, each worker warms its network's KSP cache from
   ``ksp-<network_signature>.json`` when a valid file exists and dumps the
   (possibly extended) cache back after evaluating.  Files are keyed by a
@@ -79,7 +73,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Callable,
@@ -97,7 +91,7 @@ import multiprocessing
 from repro import telemetry
 from repro.experiments.plan import EvalPlan, EvalTask, PlanReport
 from repro.experiments.runner import SchemeOutcome
-from repro.experiments.workloads import NetworkWorkload, ZooWorkload
+from repro.experiments.workloads import NetworkWorkload
 from repro.logutil import get_logger
 from repro.net.paths import KspCache, ksp_cache_path, network_signature
 from repro.routing.base import RoutingScheme
@@ -145,35 +139,15 @@ class NetworkResult:
     network_signature: str = ""
 
 
-@dataclass
-class EngineReport:
-    """Result of one single-scheme engine run, in workload order."""
-
-    results: List[NetworkResult] = field(default_factory=list)
-
-    @property
-    def outcomes(self) -> List[SchemeOutcome]:
-        """All outcomes flattened in workload order (network, then matrix)."""
-        return [o for result in self.results for o in result.outcomes]
-
-    @property
-    def total_seconds(self) -> float:
-        """Sum of per-network evaluation times (CPU-side, not wall clock)."""
-        return sum(result.seconds for result in self.results)
-
-    def timings(self) -> List[Tuple[str, float]]:
-        """(network_id, seconds) pairs, workload order."""
-        return [(r.network_id, r.seconds) for r in self.results]
-
-
 class ExperimentEngine:
-    """Executes evaluation plans (and single schemes) over shared pools.
+    """Executes evaluation plans, fork pool or serial.
 
-    ``n_workers=1`` runs in-process (deterministic serial fallback);
-    ``n_workers>1`` shards tasks across one ``fork``- or ``spawn``-based
-    process pool for the entire plan.  ``cache_dir`` enables persistent
-    KSP caches keyed by network content hash; ``cache_max_paths`` bounds
-    how many paths per pair those cache files keep.  ``store_dir``
+    ``n_workers=1`` runs in-process; ``n_workers>1`` shards tasks across
+    one ``fork`` process pool for the entire plan (serially where fork
+    is missing; ``dispatch`` is the out-of-process route).
+    ``cache_dir`` enables persistent KSP caches keyed by network content
+    hash; ``cache_max_paths`` bounds how many paths per pair those cache
+    files keep.  ``store_dir``
     enables the durable result store: stored networks are served without
     evaluation (unless ``resume`` is false, which discards the existing
     streams first), and ``store_only`` forbids evaluation altogether —
@@ -202,55 +176,6 @@ class ExperimentEngine:
         self.store_only = store_only
         self.cache_max_paths = cache_max_paths
 
-    # ------------------------------------------------------------------
-    # Single-scheme entry points (one-stream plans)
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        scheme_factory: SchemeFactory,
-        workload: ZooWorkload,
-        matrices_per_network: Optional[int] = None,
-        scheme: Optional[str] = None,
-    ) -> EngineReport:
-        """Evaluate every network; results come back in workload order."""
-        results = sorted(
-            self.stream(scheme_factory, workload, matrices_per_network, scheme),
-            key=lambda result: result.index,
-        )
-        return EngineReport(results=results)
-
-    def stream(
-        self,
-        scheme_factory: SchemeFactory,
-        workload: ZooWorkload,
-        matrices_per_network: Optional[int] = None,
-        scheme: Optional[str] = None,
-    ) -> Iterator[NetworkResult]:
-        """Yield one :class:`NetworkResult` per network as it completes.
-
-        Serial runs yield in workload order; parallel runs yield in
-        completion order (callers needing workload order use :meth:`run`).
-        Store-backed runs yield stored results first (in workload order),
-        then freshly evaluated ones; ``scheme`` names the store stream and
-        is required when a ``store_dir`` is configured.
-        """
-        if not workload.networks:
-            return iter(())
-        if self.store_dir is not None and not scheme:
-            raise ValueError("store-backed runs need a scheme name")
-        plan = EvalPlan()
-        plan.add(
-            scheme or "run",
-            scheme_factory,
-            workload,
-            scheme=scheme,
-            matrices_per_network=matrices_per_network,
-        )
-        return (result for _, result in self.stream_plan(plan))
-
-    # ------------------------------------------------------------------
-    # Plan entry points
-    # ------------------------------------------------------------------
     def run_plan(self, plan: EvalPlan) -> PlanReport:
         """Execute a whole plan; per-stream results in workload order."""
         collected: Dict[Hashable, Dict[int, NetworkResult]] = {
@@ -280,8 +205,8 @@ class ExperimentEngine:
         recorder = telemetry.recorder()
         if recorder.enabled:
             # Name the trace after the plan's workload content, so every
-            # process evaluating this plan — fork children, spawn
-            # children, dispatch workers on other hosts — independently
+            # process evaluating this plan — fork children, dispatch
+            # workers on other hosts — independently
             # derives the same trace id and their shards merge.
             recorder.begin_trace(telemetry.plan_trace_id(plan))
         if self.store_dir is not None:
@@ -377,26 +302,15 @@ class ExperimentEngine:
         tasks = itertools.chain(head, task_iter)
         workers = min(self.n_workers, len(head))
         if workers > 1:
-            methods = multiprocessing.get_all_start_methods()
-            if "fork" in methods:
+            if "fork" in multiprocessing.get_all_start_methods():
                 return self._stream_forked(plan, tasks, workers)
-            if "spawn" in methods and plan.spawn_safe():
-                return self._stream_spawned(plan, tasks, workers)
             recorder = telemetry.recorder()
             if recorder.enabled:
                 recorder.counter("engine.serial_fallback")
-            if "spawn" in methods:
-                logger.warning(
-                    "fork start method unavailable and a scheme factory "
-                    "is not a picklable SchemeSpec (see "
-                    "repro.experiments.spec); falling back to serial "
-                    "evaluation"
-                )
-            else:
-                logger.warning(
-                    "no usable multiprocessing start method (need fork or "
-                    "spawn); falling back to serial evaluation"
-                )
+            logger.warning(
+                "fork start method unavailable; evaluating serially "
+                "(`dispatch` is the out-of-process route)"
+            )
         return self._stream_plan_serial(plan, tasks)
 
     def _stream_plan_serial(
@@ -415,84 +329,32 @@ class ExperimentEngine:
     def _stream_forked(
         self, plan: EvalPlan, tasks: Iterable[EvalTask], workers: int
     ) -> Iterator[Tuple[Hashable, NetworkResult]]:
-        # Workers are forked, so factories/workloads (closures, caches,
-        # live generators — none of it picklable) are inherited by memory
-        # image instead of serialized.  Only the run token and the task
-        # (stream key + network index) cross the pipe.
+        """The one pool loop.
+
+        Workers are forked, so factories/workloads (closures, caches,
+        live generators — none of it picklable) are inherited by memory
+        image instead of serialized.  Only the run token and the task
+        (stream key + network index) cross the pipe.  Tasks are
+        submitted lazily, a bounded window at a time: a 10^5-task
+        scenario fleet must not materialize as 10^5 pending futures.
+        """
+        recorder = telemetry.recorder()
+        pool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork")
+        )
         with _FORK_STATE_LOCK:
             token = next(_FORK_TOKENS)
             _FORK_STATE[token] = (self, plan)
 
-        def submit(pool: ProcessPoolExecutor, task: EvalTask) -> Future:
+        def submit(task: EvalTask) -> Future:
             return pool.submit(
                 _forked_evaluate, token, task.stream, task.index
             )
 
         try:
-            yield from self._stream_pool("fork", submit, tasks, workers)
-        finally:
-            with _FORK_STATE_LOCK:
-                _FORK_STATE.pop(token, None)
-
-    def _stream_spawned(
-        self, plan: EvalPlan, tasks: Iterable[EvalTask], workers: int
-    ) -> Iterator[Tuple[Hashable, NetworkResult]]:
-        # Spawned workers share no memory with the parent, so each task
-        # carries everything it needs in picklable form: the spec, the
-        # item's network and matrices (plain data), and the KSP cache's
-        # materialized paths (its dump() payload, bounded like persisted
-        # cache files — the live Yen generators cannot cross the boundary,
-        # but they rebuild lazily on demand).
-        engine_kwargs = dict(
-            n_workers=1,
-            cache_dir=self.cache_dir,
-            cache_max_paths=self.cache_max_paths,
-        )
-
-        def submit(pool: ProcessPoolExecutor, task: EvalTask) -> Future:
-            stream = plan.streams[task.stream]
-            item = stream.workload.networks[task.index]
-            matrices = item.matrices
-            if stream.matrices_per_network is not None:
-                matrices = matrices[: stream.matrices_per_network]
-            return pool.submit(
-                _spawned_evaluate,
-                task.stream,
-                engine_kwargs,
-                stream.factory,
-                item.network,
-                item.llpd,
-                matrices,
-                item.cache.dump(max_paths_per_pair=self.cache_max_paths),
-                stream.matrices_per_network,
-                task.index,
-                stream.scheme,
-                item.scenario,
-            )
-
-        return self._stream_pool("spawn", submit, tasks, workers)
-
-    @staticmethod
-    def _stream_pool(
-        start_method: str,
-        submit: Callable[[ProcessPoolExecutor, EvalTask], Future],
-        tasks: Iterable[EvalTask],
-        workers: int,
-    ) -> Iterator[Tuple[Hashable, NetworkResult]]:
-        """The one pool loop: ``submit`` says how a task is shipped.
-
-        Tasks are submitted lazily, a bounded window at a time: a
-        10^5-task scenario fleet must not materialize as 10^5 pending
-        futures, and a spawn pool must not hold every task's matrices
-        and cache dump in flight at once.
-        """
-        context = multiprocessing.get_context(start_method)
-        recorder = telemetry.recorder()
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        try:
             remaining = iter(tasks)
             pending = {
-                submit(pool, task)
+                submit(task)
                 for task in itertools.islice(remaining, 2 * workers)
             }
             while pending:
@@ -501,12 +363,14 @@ class ExperimentEngine:
                     recorder.gauge("pool.pending", len(pending))
                 for future in done:
                     for task in itertools.islice(remaining, 1):
-                        pending.add(submit(pool, task))
+                        pending.add(submit(task))
                     yield future.result()
         finally:
             # A consumer abandoning the iterator early must not wait out
             # the whole plan: drop everything not yet started.
             pool.shutdown(wait=True, cancel_futures=True)
+            with _FORK_STATE_LOCK:
+                _FORK_STATE.pop(token, None)
 
     # ------------------------------------------------------------------
     def _evaluate_network(
@@ -635,33 +499,3 @@ def _forked_evaluate(
         scheme=stream.scheme,
     )
 
-
-def _spawned_evaluate(
-    key: Hashable,
-    engine_kwargs: dict,
-    factory: SchemeFactory,
-    network,
-    llpd: float,
-    matrices: list,
-    cache_payload: dict,
-    matrices_per_network: Optional[int],
-    index: int,
-    scheme: Optional[str] = None,
-    scenario: Optional[str] = None,
-) -> Tuple[Hashable, NetworkResult]:
-    """Spawn-pool entry point: rebuild the item, evaluate, ship back."""
-    from repro.net.paths import KspCacheMismatchError
-
-    cache = None
-    try:
-        cache = KspCache.load(cache_payload, network)
-    except KspCacheMismatchError:
-        pass  # cold cache; correctness unaffected
-    item = NetworkWorkload(
-        network=network, llpd=llpd, matrices=matrices, cache=cache,
-        scenario=scenario,
-    )
-    engine = ExperimentEngine(**engine_kwargs)
-    return key, engine._evaluate_network(
-        factory, item, matrices_per_network, index, scheme=scheme
-    )

@@ -88,9 +88,10 @@ def scheme_factories(
     """The paper's four active schemes, sharing each network's KSP cache.
 
     Factories are declarative :class:`~repro.experiments.spec.SchemeSpec`
-    instances — callable like the closures they replaced, but picklable,
-    so every figure built on them can run on a ``spawn`` pool or be
-    dispatched to another host (:mod:`repro.experiments.dispatch`).
+    instances — callable like the closures they replaced, but plain
+    data, so every figure built on them runs on the engine's fork pool
+    or serially, or is dispatched out of process
+    (:mod:`repro.experiments.dispatch`).
 
     LDR's placement engine is the latency-optimal LP with headroom; the
     full controller (prediction + multiplexing) lives in

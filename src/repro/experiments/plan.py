@@ -1,19 +1,18 @@
 """Evaluation plans: whole-figure batches across schemes and sweeps.
 
 The paper's headline scaling result (its Figure 15) is about evaluation
-runtime, yet running a figure one single-scheme engine run at a time
-serializes the outer loops: Figure 17 is 16 calls (4 loads x 4 schemes)
-and Figure 18 is 20, each paying for a fresh process pool while tasks
-from different schemes and sweep points never overlap.  An
+runtime, yet running a figure one scheme and sweep point at a time
+serializes the outer loops: Figure 17 is 16 (load, scheme) pairs and
+Figure 18 is 20, and tasks from different pairs would never overlap.  An
 :class:`EvalPlan` turns the whole (scheme x sweep-point x network) grid
 into one flat batch:
 
-* A **stream** is one (scheme factory, workload) pairing — exactly the
-  unit today's per-call path evaluates — registered under a hashable
-  ``key`` (a string, or a structured tuple like ``("B4", 0.6)``).  Each
-  stream also names its durable result-store stream (``scheme``), so a
-  plan run resumes per-stream against the same
-  ``<store>/<workload-sig>/<scheme>.jsonl`` files the per-call path used.
+* A **stream** is one (scheme factory, workload) pairing registered
+  under a hashable ``key`` (a string, or a structured tuple like
+  ``("B4", 0.6)``).  Each stream also names its durable result-store
+  stream (``scheme``), so a plan run resumes per-stream against
+  ``<store>/<workload-sig>/<scheme>.jsonl`` files any plan with that
+  stream shares.
 * An :class:`EvalTask` is the flat, picklable unit of execution: one
   (stream key, network index) pair.  Paired with its plan's stream entry
   it denotes (scheme spec, workload item, global index, store stream
@@ -25,13 +24,13 @@ into one flat batch:
 
 Execution is the engine's job —
 :meth:`repro.experiments.engine.ExperimentEngine.run_plan` runs an
-entire plan on **one** shared process pool (fork and spawn alike) and
-returns a :class:`PlanReport` keyed by stream.  Because every task is
-the same pure per-network function the per-call path runs, plan
-execution is bit-identical to per-call execution for any worker count
-*and any task order* — tasks commute, so order is pure sequencing,
-never semantics; :func:`execute_plan` is the one-call convenience
-wrapper the figures use.
+entire plan on **one** shared fork pool (or serially; ``dispatch`` for
+out-of-process) and returns a :class:`PlanReport` keyed by stream.
+Because every task is the same pure per-network function, plan
+execution is bit-identical to evaluating each stream on its own, for
+any worker count *and any task order* — tasks commute, so order is
+pure sequencing, never semantics; :func:`execute_plan` is the one-call
+convenience wrapper the figures use.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ class EvalTask:
 
     ``stream`` is the plan key of the stream the task belongs to and
     ``index`` the item's position in that stream's workload — the same
-    global index the per-call path would report, so ids and store
-    records line up exactly.  Tasks are trivially picklable; the stream
+    global index in every plan and shard, so ids and store records line
+    up exactly.  Tasks are trivially picklable; the stream
     entry they reference (factory, workload item, store stream name)
     stays on the plan and never crosses a ``fork`` pipe.
     """
@@ -193,14 +192,6 @@ class EvalPlan:
                     still_live.append((key, wanted))
             live = still_live
 
-    def spawn_safe(self) -> bool:
-        """Whether every stream's factory can cross a spawn/host boundary."""
-        from repro.experiments.spec import is_spawn_safe
-
-        return all(
-            is_spawn_safe(stream.factory) for stream in self.streams.values()
-        )
-
 
 @dataclass
 class PlanReport:
@@ -230,15 +221,13 @@ def execute_plan(
 ) -> PlanReport:
     """Run a whole plan on one shared pool (build an engine, ``run_plan``).
 
-    All engine knobs behave exactly as they do for single-scheme runs:
     ``cache_dir`` warm-starts per-network KSP caches, ``store_dir``
     persists (and resumes) every stream of the plan in one pass, and
     ``store_only`` serves the entire plan from disk, raising
     :class:`~repro.experiments.store.StoreMissError` if any stream is
-    incomplete.  Results are bit-identical to looping
-    :meth:`~repro.experiments.engine.ExperimentEngine.run` over the
-    plan's streams, for any worker count, task order, and on fork and spawn
-    pools alike.
+    incomplete.  Results are bit-identical to running each stream as a
+    one-stream plan, for any worker count and task order, fork pool or
+    serial.
     """
     from repro.experiments.engine import ExperimentEngine
 

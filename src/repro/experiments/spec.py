@@ -1,13 +1,12 @@
 """Declarative, picklable scheme specifications.
 
 The engine's factories have historically been closures
-(``lambda item: B4Routing(headroom=h, cache=item.cache)``), which forces
-the process pool onto the ``fork`` start method and keeps every evaluation
-on one host: a closure can cross neither a ``spawn`` boundary nor a
-machine boundary.  Everything else the engine consumes already serializes
-(networks via :mod:`repro.net.io`, traffic matrices via
-:mod:`repro.tm.matrix`, results via :mod:`repro.experiments.store`); this
-module closes the last gap.
+(``lambda item: B4Routing(headroom=h, cache=item.cache)``), which a fork
+pool inherits but which cannot cross a process or machine boundary.
+Everything else the engine consumes already serializes (networks via
+:mod:`repro.net.io`, traffic matrices via :mod:`repro.tm.matrix`,
+results via :mod:`repro.experiments.store`); this module closes the
+last gap.
 
 A :class:`SchemeSpec` is data — a registered scheme name plus a
 JSON-native params dict — and resolves to a concrete
@@ -16,7 +15,7 @@ the registry below.  Specs are callable with the same
 ``(item) -> scheme`` signature as the closures they replace, so every
 consumer of a ``SchemeFactory`` (engine, runner, figures) accepts either
 interchangeably; ad-hoc closures remain supported for experiments the
-registry does not cover, at the cost of fork-only parallelism.
+registry does not cover, at the cost of never being dispatched.
 
 Registry coverage is the paper's full scheme set: SP/ECMP (§3 baseline),
 B4 and MPLS-TE (greedy, §3), MinMax (TeXCP-style, with ``k`` for the
@@ -26,6 +25,7 @@ link-based LP baseline of Figure 15.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
@@ -60,11 +60,11 @@ def register_scheme(name: str, *aliases: str) -> Callable[[SchemeBuilder], Schem
     Re-registering an existing name replaces it — deliberate, so tests and
     downstream code can shadow a scheme with an instrumented variant.
 
-    Caveat: a ``spawn`` pool worker and a shard-dispatch worker resolve
-    specs against a *freshly imported* registry.  Registrations made at
-    runtime (not at import time of a module the worker also imports) are
-    invisible there — shadow schemes in a module import, or stick to
-    ``fork``/serial runs when instrumenting.
+    Caveat: a shard-dispatch worker resolves specs against a *freshly
+    imported* registry.  Registrations made at runtime (not at import
+    time of a module the worker also imports) are invisible there —
+    shadow schemes in a module import, or stick to fork/serial engine
+    runs when instrumenting.
     """
     def decorate(builder: SchemeBuilder) -> SchemeBuilder:
         for key in (name, *aliases):
@@ -83,9 +83,9 @@ class SchemeSpec:
     """A scheme by name + params: picklable, JSON-round-trippable, callable.
 
     ``params`` must stay JSON-native (numbers, strings, bools, None) so a
-    spec survives both ``pickle`` (spawn pools) and JSON (shard manifests)
-    unchanged.  Calling a spec with a workload item builds the concrete
-    scheme through the registry, exactly like the closure it replaces::
+    spec survives JSON (shard manifests) unchanged.  Calling a spec with
+    a workload item builds the concrete scheme through the registry,
+    exactly like the closure it replaces::
 
         spec = SchemeSpec("LDR", {"headroom": 0.1})
         scheme = spec(item)          # LatencyOptimalRouting(h=0.1, item.cache)
@@ -119,25 +119,29 @@ class SchemeSpec:
         return cls(scheme=scheme, params=dict(params))
 
 
-def build_scheme(spec: SchemeSpec, item: NetworkWorkload) -> RoutingScheme:
-    """Resolve a spec against the registry and build the scheme."""
+def _builder(spec: SchemeSpec) -> SchemeBuilder:
     builder = _REGISTRY.get(spec.scheme)
     if builder is None:
         raise UnknownSchemeError(
             f"unknown scheme {spec.scheme!r}; registered: "
             f"{', '.join(registered_schemes())}"
         )
-    return builder(item, **spec.params)
+    return builder
 
 
-def is_spawn_safe(factory: object) -> bool:
-    """Whether a factory can cross a ``spawn``/host boundary.
+def build_scheme(spec: SchemeSpec, item: NetworkWorkload) -> RoutingScheme:
+    """Resolve a spec against the registry and build the scheme."""
+    return _builder(spec)(item, **spec.params)
 
-    Registry specs are plain data and always qualify; closures (and any
-    other callable) are assumed fork-only — attempting to pickle arbitrary
-    callables to find out would import-side-effect the worker.
+
+def check_spec(spec: SchemeSpec) -> None:
+    """Raise unless ``spec`` would build: registered, params bind.
+
+    :class:`UnknownSchemeError` for an unregistered name, ``TypeError``
+    for params the builder's signature does not accept — the errors
+    :func:`build_scheme` would raise, found without a workload item.
     """
-    return isinstance(factory, SchemeSpec)
+    inspect.signature(_builder(spec)).bind(None, **spec.params)
 
 
 # ----------------------------------------------------------------------

@@ -240,8 +240,8 @@ class Network:
         """Pickle without the compiled graph index.
 
         The index is a pure cache, cheap to rebuild and potentially large
-        (CSR arrays for a 10k-node graph); shipping it to spawn-pool and
-        dispatch workers would bloat every task payload for nothing.
+        (CSR arrays for a 10k-node graph); shipping it across a process
+        boundary would bloat every payload for nothing.
         """
         state = dict(self.__dict__)
         state["_graph_index"] = None

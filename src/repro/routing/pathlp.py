@@ -191,7 +191,7 @@ class _PathSetStructure:
 
 #: LRU of path-set structures keyed by (network signature, link insertion
 #: order, aggregate pairs + exact path tuples).  Module-level and
-#: fork-inherited; spawn workers simply start cold.  Demands are not part
+#: fork-inherited; dispatch workers simply start cold.  Demands are not part
 #: of the key — the structure is demand-independent by construction.
 _STRUCTURE_CACHE: "OrderedDict[tuple, _PathSetStructure]" = OrderedDict()
 _STRUCTURE_CACHE_MAX = 32

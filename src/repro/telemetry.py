@@ -25,9 +25,9 @@ Design constraints, in the order they shaped the module:
   per-process JSONL shard files under ``<trace_dir>/<trace_id>/``; one
   flushed line per record at top-level span boundaries, so a crash tears
   at most a trailing line and readers skip the torn tail.  Forked pool
-  workers, spawn pool workers and dispatch worker subprocesses each
-  write their own shard (a process-identity check reopens the writer
-  after ``fork``), and :func:`load_trace` merges shards by trace id.
+  workers and dispatch worker subprocesses each write their own shard
+  (a process-identity check reopens the writer after ``fork``), and
+  :func:`load_trace` merges shards by trace id.
 * **Traces are keyed by workload.**  A run's trace id derives from its
   plan's (scheme, workload signature) pairs
   (:func:`trace_id_for_streams`), so a dispatch coordinator and its
@@ -63,7 +63,7 @@ Span vocabulary (what :func:`summary` / ``trace critical-path`` report):
 
 Child processes enable tracing automatically through the environment
 (``REPRO_TRACE_DIR`` / ``REPRO_TRACE_ID``): :func:`configure` exports
-both, spawn pools and worker subprocesses inherit them, and the first
+both, dispatch worker subprocesses inherit them, and the first
 :func:`recorder` call in the child initializes from them.
 """
 
@@ -378,10 +378,10 @@ _RECORDER_LOCK = threading.Lock()
 def recorder() -> Recorder:
     """The process-wide recorder (no-op unless tracing is configured).
 
-    First call initializes from the environment, which is how spawn-pool
-    children and dispatch worker subprocesses — fresh interpreters that
-    inherit ``REPRO_TRACE_DIR``/``REPRO_TRACE_ID`` but no Python state —
-    join the parent's trace without any explicit plumbing.
+    First call initializes from the environment, which is how dispatch
+    worker subprocesses — fresh interpreters that inherit
+    ``REPRO_TRACE_DIR``/``REPRO_TRACE_ID`` but no Python state — join
+    the parent's trace without any explicit plumbing.
     """
     global _RECORDER
     if _RECORDER is None:

@@ -24,6 +24,7 @@ from repro.experiments.store import (
 from repro.experiments.workloads import build_zoo_workload
 from repro.net.io import from_json as network_from_json
 from repro.tm.matrix import from_json as tm_from_json
+from tests.plans import one_stream
 
 
 @pytest.fixture(scope="module")
@@ -33,24 +34,14 @@ def workload():
     )
 
 
-def scheme_plan(workload, scheme="SP", matrices_per_network=None):
-    """One scheme over one workload: a one-stream plan keyed by its name."""
-    plan = EvalPlan()
-    plan.add(
-        scheme,
-        SchemeSpec(scheme),
-        workload,
-        matrices_per_network=matrices_per_network,
-    )
-    return plan
-
-
 class TestSharding:
     def test_more_shards_than_networks(self, tmp_path):
         workload = build_zoo_workload(
             n_networks=2, n_matrices=1, seed=1, include_named=False
         )
-        paths = write_plan_manifests(scheme_plan(workload), 5, tmp_path)
+        paths = write_plan_manifests(
+            one_stream(SchemeSpec("SP"), workload), 5, tmp_path
+        )
         assert [
             [task["index"] for task in load_manifest(path)["tasks"]]
             for path in paths
@@ -58,13 +49,17 @@ class TestSharding:
 
     def test_zero_shards_rejected(self, workload, tmp_path):
         with pytest.raises(ValueError):
-            write_plan_manifests(scheme_plan(workload), 0, tmp_path)
+            write_plan_manifests(
+                one_stream(SchemeSpec("SP"), workload), 0, tmp_path
+            )
 
 
 class TestManifests:
     def test_manifest_round_trips_items(self, workload, tmp_path):
         spec = SchemeSpec("SP")
-        paths = write_plan_manifests(scheme_plan(workload), 2, tmp_path)
+        paths = write_plan_manifests(
+            one_stream(SchemeSpec("SP"), workload), 2, tmp_path
+        )
         assert len(paths) == 2
         seen = {}
         for path in paths:
@@ -92,7 +87,9 @@ class TestManifests:
             n_networks=2, n_matrices=3, seed=1, include_named=False
         )
         paths = write_plan_manifests(
-            scheme_plan(workload, matrices_per_network=1), 1, tmp_path
+            one_stream(SchemeSpec("SP"), workload, matrices_per_network=1),
+            1,
+            tmp_path,
         )
         manifest = load_manifest(paths[0])
         assert all(len(e["matrices"]) == 1 for e in manifest["items"])
@@ -151,22 +148,23 @@ class TestWorkerAndMerge:
         """The acceptance path: shard -> worker x2 -> merge -> compare."""
         spec = SchemeSpec("SP")
         manifests = write_plan_manifests(
-            scheme_plan(workload), 2, tmp_path / "manifests"
+            one_stream(SchemeSpec("SP"), workload), 2, tmp_path / "manifests"
         )
         for i, manifest in enumerate(manifests):
             run_worker(manifest, tmp_path / f"worker-{i}")
         main_store = tmp_path / "main"
         for i in range(len(manifests)):
             merge_worker_store(main_store, tmp_path / f"worker-{i}")
-        served = ExperimentEngine(store_dir=main_store, store_only=True).run(
-            spec, workload, scheme="SP"
-        )
-        direct = ExperimentEngine(n_workers=1).run(spec, workload)
-        assert served.outcomes == direct.outcomes
+        plan = one_stream(spec, workload)
+        served = ExperimentEngine(
+            store_dir=main_store, store_only=True
+        ).run_plan(plan)
+        direct = ExperimentEngine(n_workers=1).run_plan(plan)
+        assert served.outcomes("SP") == direct.outcomes("SP")
 
     def test_merge_is_idempotent(self, workload, tmp_path):
         manifests = write_plan_manifests(
-            scheme_plan(workload), 2, tmp_path / "manifests"
+            one_stream(SchemeSpec("SP"), workload), 2, tmp_path / "manifests"
         )
         for i, manifest in enumerate(manifests):
             run_worker(manifest, tmp_path / f"worker-{i}")
@@ -182,7 +180,7 @@ class TestWorkerAndMerge:
 
     def test_worker_resumes_stored_indices(self, workload, tmp_path):
         manifest = write_plan_manifests(
-            scheme_plan(workload), 1, tmp_path / "manifests"
+            one_stream(SchemeSpec("SP"), workload), 1, tmp_path / "manifests"
         )[0]
         first = run_worker(manifest, tmp_path / "store")
         assert first["evaluated"] == len(workload.networks)
@@ -192,7 +190,7 @@ class TestWorkerAndMerge:
 
     def test_merge_rejects_conflicting_network_ids(self, workload, tmp_path):
         manifest = write_plan_manifests(
-            scheme_plan(workload), 1, tmp_path / "manifests"
+            one_stream(SchemeSpec("SP"), workload), 1, tmp_path / "manifests"
         )[0]
         run_worker(manifest, tmp_path / "worker")
         merge_worker_store(tmp_path / "main", tmp_path / "worker")
@@ -210,7 +208,7 @@ class TestWorkerAndMerge:
         self, workload, tmp_path
     ):
         manifests = write_plan_manifests(
-            scheme_plan(workload), 2, tmp_path / "manifests"
+            one_stream(SchemeSpec("SP"), workload), 2, tmp_path / "manifests"
         )
         run_worker(manifests[0], tmp_path / "worker-0")
         merge_worker_store(tmp_path / "main", tmp_path / "worker-0")
@@ -229,30 +227,32 @@ class TestDispatchRun:
     def test_dispatched_equals_in_process(self, workload, tmp_path, scheme):
         """Acceptance: 2 subprocess workers == serial in-process engine."""
         report = dispatch_plan(
-            scheme_plan(workload, scheme),
+            one_stream(SchemeSpec(scheme), workload, scheme),
             n_shards=2,
             store_dir=tmp_path / "store",
             work_dir=tmp_path / "work",
             verify=True,  # raises DispatchError on any outcome difference
         )
-        direct = ExperimentEngine(n_workers=1).run(
-            SchemeSpec(scheme), workload
+        direct = ExperimentEngine(n_workers=1).run_plan(
+            one_stream(SchemeSpec(scheme), workload, scheme)
         )
-        assert report.outcomes(scheme) == direct.outcomes
+        assert report.outcomes(scheme) == direct.outcomes(scheme)
 
     def test_dispatch_populates_renderable_store(self, workload, tmp_path):
         dispatch_plan(
-            scheme_plan(workload), n_shards=2, store_dir=tmp_path / "store"
+            one_stream(SchemeSpec("SP"), workload),
+            n_shards=2,
+            store_dir=tmp_path / "store",
         )
         # A store-only engine serves the dispatched results without
         # constructing a single scheme.
         served = ExperimentEngine(
             store_dir=tmp_path / "store", store_only=True
-        ).run(SchemeSpec("SP"), workload, scheme="SP")
-        assert len(served.outcomes) == len(workload.networks)
+        ).run_plan(one_stream(SchemeSpec("SP"), workload))
+        assert len(served.outcomes("SP")) == len(workload.networks)
 
     def test_no_resume_replaces_stale_store_results(self, workload, tmp_path):
-        plan = scheme_plan(workload)
+        plan = one_stream(SchemeSpec("SP"), workload)
         dispatch_plan(plan, n_shards=2, store_dir=tmp_path / "store")
         # Corrupt one stored outcome in place: with resume (the default) a
         # re-dispatch loses to it, with resume=False it is replaced.
@@ -271,14 +271,14 @@ class TestDispatchRun:
             plan, n_shards=2, store_dir=tmp_path / "store", resume=False
         ).outcomes("SP")
         assert not any(o.max_utilization == 123.0 for o in replaced)
-        direct = ExperimentEngine(n_workers=1).run(SchemeSpec("SP"), workload)
-        assert replaced == direct.outcomes
+        direct = ExperimentEngine(n_workers=1).run_plan(plan)
+        assert replaced == direct.outcomes("SP")
 
     def test_work_dir_keeps_manifests_and_worker_stores(
         self, workload, tmp_path
     ):
         dispatch_plan(
-            scheme_plan(workload),
+            one_stream(SchemeSpec("SP"), workload),
             n_shards=2,
             store_dir=tmp_path / "store",
             work_dir=tmp_path / "work",
@@ -287,17 +287,58 @@ class TestDispatchRun:
         assert (tmp_path / "work" / "worker-000").is_dir()
 
     def test_failing_worker_surfaces_stderr(self, workload, tmp_path):
-        # A spec the registry cannot resolve serializes fine but makes the
-        # worker subprocess fail; the coordinator must report the failure
-        # (with the worker's stderr) instead of serving a partial store.
-        with pytest.raises(DispatchError, match="exited"):
-            dispatch_plan(
-                scheme_plan(workload, "NoSuchScheme"),
-                n_shards=1,
-                store_dir=tmp_path / "store",
-                work_dir=tmp_path / "work",
-            )
+        # A scheme registered at runtime passes the coordinator's spec
+        # check but is unknown to the worker's freshly imported registry,
+        # so the worker subprocess fails; the coordinator must report the
+        # failure (with the worker's stderr) instead of serving a partial
+        # store.
+        from repro.experiments import spec as spec_module
+
+        spec_module.register_scheme("RuntimeOnlySP")(
+            spec_module._REGISTRY["SP"]
+        )
+        try:
+            with pytest.raises(DispatchError, match="exited"):
+                dispatch_plan(
+                    one_stream(
+                        SchemeSpec("RuntimeOnlySP"), workload, "RuntimeOnlySP"
+                    ),
+                    n_shards=1,
+                    store_dir=tmp_path / "store",
+                    work_dir=tmp_path / "work",
+                )
+        finally:
+            spec_module._REGISTRY.pop("RuntimeOnlySP", None)
         # ... and a failed dispatch never touches the main store.
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dispatch", "NOPE"], "unknown scheme 'NOPE'"),
+            (["dispatch", "SP", "--params", '{"bogus":1}'],
+             "unexpected keyword argument 'bogus'"),
+            (["dispatch", "SP", "--params", "{bad"], "not valid JSON"),
+            (["dispatch", "SP", "--params", "[1]"], "must be a JSON object"),
+        ],
+        ids=["unknown-scheme", "unknown-param", "bad-json", "non-object"],
+    )
+    def test_cli_bad_spec_is_one_line_exit_2(
+        self, tmp_path, capsys, argv, message
+    ):
+        """No shard worker starts for a spec none of them could build."""
+        from repro.experiments.__main__ import main
+
+        work = tmp_path / "work"
+        code = main(
+            [*argv, "--networks", "2", "--tms", "1",
+             "--store-dir", str(tmp_path / "store"), "--work-dir", str(work)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not list(work.glob("manifests/*.json"))
+        assert not list(work.glob("worker-*"))
         assert not (tmp_path / "store").exists()
 
     def test_cli_scheme_dispatch_renders_fig03(self, tmp_path, capsys):

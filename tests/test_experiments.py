@@ -14,6 +14,7 @@ from repro.experiments.workloads import (
 )
 from repro.routing import ShortestPathRouting
 from repro.tm.scale import max_scale_factor
+from tests.plans import one_stream
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +52,13 @@ class TestWorkloads:
 
 
 def sp_outcomes(workload, matrices_per_network=None):
-    return ExperimentEngine().run(
-        lambda item: ShortestPathRouting(item.cache),
-        workload,
-        matrices_per_network,
-    ).outcomes
+    return ExperimentEngine().run_plan(
+        one_stream(
+            lambda item: ShortestPathRouting(item.cache),
+            workload,
+            matrices_per_network=matrices_per_network,
+        )
+    ).outcomes("SP")
 
 
 class TestRunner:

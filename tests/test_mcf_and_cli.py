@@ -131,12 +131,16 @@ class TestCli:
             ("--variant-budget", 1, ["scenarios", "--variant-budget", "0"]),
             ("--surge-pairs", 1, ["scenarios", "--surges", "1",
                                   "--surge-pairs", "-1"]),
+            ("--seed", 0, ["fig03", "--seed", "-1"]),
+            ("--growth-factor", 1, ["fig03", "--growth-factor", "0.5"]),
+            ("--surge-factor", 0, ["scenarios", "--surges", "1",
+                                   "--surge-factor", "-3"]),
         ],
         ids=[
             "workers", "networks", "tms", "shards", "scenarios-shards",
             "cache-max-paths", "cache-max-bytes", "failures",
             "node-failures", "surges", "growth-stages", "variant-budget",
-            "surge-pairs",
+            "surge-pairs", "seed", "growth-factor", "surge-factor",
         ],
     )
     def test_count_flags_below_one_exit_2(self, flag, minimum, argv, capsys):

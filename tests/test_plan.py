@@ -2,13 +2,12 @@
 
 The contract under test is the tentpole one: executing a figure's whole
 (scheme x sweep-point x network) grid as ONE engine pass over a single
-shared pool is **bit-identical** to one single-scheme
-``ExperimentEngine.run`` (one pool) per (scheme, sweep point) — for any
-worker count, on fork and spawn pools, fresh or resumed mid-plan.
+shared pool is **bit-identical** to one one-stream plan run per
+(scheme, sweep point) — for any worker count, fork pool or serial, fresh
+or resumed mid-plan.
 """
 
 import argparse
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from repro.experiments.workloads import (
 from repro.net.zoo import grid_network, ring_network
 from repro.routing import ShortestPathRouting
 from repro.tm import scale_to_growth_headroom
+from tests.plans import one_stream
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +62,15 @@ def sweep_items():
 
 
 def per_call_reference(plan):
-    """The per-stream oracle: one engine run (one pool) per stream."""
+    """The per-stream oracle: one serial one-stream plan per stream."""
     return {
-        key: ExperimentEngine().run(
-            stream.factory, stream.workload, stream.matrices_per_network
-        ).outcomes
+        key: ExperimentEngine().run_plan(
+            one_stream(
+                stream.factory,
+                stream.workload,
+                matrices_per_network=stream.matrices_per_network,
+            )
+        ).outcomes("SP")
         for key, stream in plan.streams.items()
     }
 
@@ -98,18 +102,6 @@ class TestPlanMatchesPerCall:
     @pytest.mark.parametrize("fig", ["fig04", "fig17", "fig18"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_fork_pool(self, figure_plans, figure_references, fig, workers):
-        report = execute_plan(figure_plans[fig], n_workers=workers)
-        assert report.all_outcomes() == figure_references[fig]
-
-    @pytest.mark.parametrize("fig", ["fig04", "fig17", "fig18"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_spawn_pool(
-        self, figure_plans, figure_references, fig, workers, monkeypatch
-    ):
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
-        assert figure_plans[fig].spawn_safe()
         report = execute_plan(figure_plans[fig], n_workers=workers)
         assert report.all_outcomes() == figure_references[fig]
 
@@ -212,17 +204,6 @@ class TestEvalPlanApi:
         tasks = plan.tasks(indices={"A": [2], "B": []})
         assert tasks == [EvalTask("A", 2)]
 
-    def test_spawn_safety_requires_specs_everywhere(self, workload):
-        plan = EvalPlan()
-        plan.add("spec", SchemeSpec("SP"), workload)
-        assert plan.spawn_safe()
-        plan.add(
-            "closure",
-            lambda item: ShortestPathRouting(item.cache),
-            workload,
-        )
-        assert not plan.spawn_safe()
-
     def test_closure_plan_still_runs_on_fork_pools(self, workload):
         plan = EvalPlan()
         plan.add(
@@ -268,8 +249,8 @@ class TestOrderInvariance:
 
     Tasks commute — order sequences work, it never re-shards it — so
     round-robin, reversed and shuffled orders all produce the same keyed
-    :class:`PlanReport` contents at any worker count, on fork and spawn
-    pools alike.
+    :class:`PlanReport` contents at any worker count, fork pool or
+    serial.
     """
 
     @pytest.fixture(scope="class")
@@ -306,23 +287,6 @@ class TestOrderInvariance:
         workers,
         monkeypatch,
     ):
-        permute_task_order(monkeypatch, sched)
-        report = execute_plan(invariance_plan, n_workers=workers)
-        assert report.all_outcomes() == invariance_reference
-
-    @pytest.mark.parametrize("sched", ["interleave", "reversed", "shuffled"])
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_spawn_pool(
-        self,
-        invariance_plan,
-        invariance_reference,
-        sched,
-        workers,
-        monkeypatch,
-    ):
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
         permute_task_order(monkeypatch, sched)
         report = execute_plan(invariance_plan, n_workers=workers)
         assert report.all_outcomes() == invariance_reference
@@ -415,20 +379,20 @@ class TestPlanStore:
     def test_store_streams_shared_with_per_call_path(
         self, workload, tmp_path
     ):
-        # A store populated by the classic per-call path must serve a
-        # plan run without any re-evaluation, and vice versa: stream
-        # names and signatures are unchanged by the plan layer.
-        ExperimentEngine(store_dir=tmp_path).run(
-            SchemeSpec("SP"), workload, scheme="SP"
+        # A store populated by a one-stream plan must serve a plan run
+        # without any re-evaluation, and vice versa: stream names and
+        # signatures depend on neither the plan nor its stream key.
+        execute_plan(
+            one_stream(SchemeSpec("SP"), workload), store_dir=tmp_path
         )
         plan = EvalPlan()
         factory = CountingFactory()
-        plan.add("SP", factory, workload)
+        plan.add("served", factory, workload, scheme="SP")
         report = execute_plan(plan, store_dir=tmp_path, store_only=True)
         assert factory.calls == 0
-        assert report.outcomes("SP") == ExperimentEngine().run(
-            SchemeSpec("SP"), workload
-        ).outcomes
+        assert report.outcomes("served") == execute_plan(
+            one_stream(SchemeSpec("SP"), workload)
+        ).outcomes("SP")
 
     def test_duplicate_store_streams_rejected(self, workload, tmp_path):
         from repro.experiments.store import StoreError
@@ -576,13 +540,16 @@ class TestPlanDispatch:
         with pytest.raises(DispatchError, match="non-SchemeSpec"):
             write_plan_manifests(plan, 2, tmp_path)
 
-    def test_every_cli_figure_plan_is_spawn_safe(self, workload, monkeypatch):
+    def test_every_cli_figure_plan_is_dispatchable(
+        self, workload, monkeypatch, tmp_path
+    ):
         from repro.experiments import __main__ as cli
         from repro.experiments import figures
+        from repro.experiments.dispatch import write_plan_manifests
 
-        # Spawn safety is a property of the factories a plan registers,
-        # not of its networks: serve every figure the small module
-        # workload and skip Figure 20's topology growth.
+        # Dispatchability is a property of the factories a plan
+        # registers, not of its networks: serve every figure the small
+        # module workload and skip Figure 20's topology growth.
         monkeypatch.setattr(cli, "build_workload", lambda args, **_: workload)
         monkeypatch.setattr(
             figures, "_grow_network_cached", lambda network, **_: network
@@ -595,4 +562,4 @@ class TestPlanDispatch:
         }
         assert "fig03" in plans
         for name, plan in plans.items():
-            assert plan.spawn_safe(), name
+            assert write_plan_manifests(plan, 2, tmp_path / name), name

@@ -1,7 +1,6 @@
 """Scenario fleets: specs, seeded generation, lazy plans, dispatch parity."""
 
 import json
-import multiprocessing
 import pickle
 import subprocess
 import sys
@@ -305,7 +304,7 @@ class TestSpec:
 
 
 # ----------------------------------------------------------------------
-# Lazy plans: streamed == materialized, any worker count, fork & spawn
+# Lazy plans: streamed == materialized, any worker count, fork or serial
 # ----------------------------------------------------------------------
 def zoo_base():
     workload = build_zoo_workload(
@@ -350,17 +349,6 @@ class TestLazyPlans:
     def test_streamed_equals_materialized_fork(
         self, plan_and_workload, reference, workers
     ):
-        plan, _ = plan_and_workload
-        report = execute_plan(plan, n_workers=workers)
-        assert report.all_outcomes() == reference
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_streamed_equals_materialized_spawn(
-        self, plan_and_workload, reference, workers, monkeypatch
-    ):
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
         plan, _ = plan_and_workload
         report = execute_plan(plan, n_workers=workers)
         assert report.all_outcomes() == reference

@@ -1,4 +1,4 @@
-"""Tests for the picklable scheme-spec registry and spawn-pool parity."""
+"""Tests for the picklable scheme-spec registry."""
 
 import inspect
 import json
@@ -6,12 +6,11 @@ import pickle
 
 import pytest
 
-from repro.experiments.engine import ExperimentEngine
 from repro.experiments.spec import (
     SchemeSpec,
     UnknownSchemeError,
     build_scheme,
-    is_spawn_safe,
+    check_spec,
     register_scheme,
     registered_schemes,
 )
@@ -25,6 +24,7 @@ from repro.routing import (
     MplsTeRouting,
     ShortestPathRouting,
 )
+from tests.plans import assert_serial_fallback
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +72,15 @@ class TestRegistry:
     def test_unknown_scheme_raises(self, workload):
         with pytest.raises(UnknownSchemeError):
             build_scheme(SchemeSpec("NoSuchScheme"), workload.networks[0])
+        # check_spec finds the same error without a workload item.
+        with pytest.raises(UnknownSchemeError):
+            check_spec(SchemeSpec("NoSuchScheme"))
 
     def test_unknown_param_raises_type_error(self, workload):
         with pytest.raises(TypeError):
             SchemeSpec("SP", {"headrom": 0.1})(workload.networks[0])
+        with pytest.raises(TypeError):
+            check_spec(SchemeSpec("SP", {"headrom": 0.1}))
 
     def test_register_scheme_decorator(self, workload):
         @register_scheme("TestOnlySP")
@@ -121,8 +126,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("name", registered_schemes())
     def test_registered_scheme_defaults_round_trip(self, name):
         # Every builder default must be JSON-native: a default a manifest
-        # cannot express would make dispatch workers and spawn pools
-        # resolve the scheme differently than an in-process run.
+        # cannot express would make dispatch workers resolve the scheme
+        # differently than an in-process run.
         from repro.experiments import spec as spec_module
 
         builder = spec_module._REGISTRY[name]
@@ -137,98 +142,27 @@ class TestRoundTrip:
             ), parameter.name
             params[parameter.name] = parameter.default
         spec = SchemeSpec(name, params)
+        check_spec(spec)
         wire = json.loads(json.dumps(spec.to_jsonable()))
         assert SchemeSpec.from_jsonable(wire) == spec
         assert pickle.loads(pickle.dumps(spec)) == spec
 
-    def test_spawn_safety_classification(self):
-        assert is_spawn_safe(SchemeSpec("SP"))
-        assert not is_spawn_safe(lambda item: ShortestPathRouting(item.cache))
-
 
 class TestSpawnPool:
-    def test_spawn_pool_matches_serial_and_fork(
-        self, workload, monkeypatch, tmp_path
-    ):
-        import multiprocessing
-
-        from repro import telemetry
-
-        spec = SchemeSpec("SP")
-        serial = ExperimentEngine(n_workers=1).run(spec, workload)
-        try:
-            telemetry.configure(tmp_path / "fork")
-            fork = ExperimentEngine(n_workers=2).run(spec, workload)
-            monkeypatch.setattr(
-                multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-            )
-            telemetry.configure(tmp_path / "spawn")
-            spawn = ExperimentEngine(n_workers=2).run(spec, workload)
-        finally:
-            telemetry.disable()
-        assert spawn.outcomes == serial.outcomes
-        assert fork.outcomes == serial.outcomes
-        # Both start methods run the same pool loop, so both report its
-        # in-flight window.
-        for method in ("fork", "spawn"):
-            trace = telemetry.load_trace(tmp_path / method)
-            assert "pool.pending.max" in trace.gauges
-            assert len(trace.by_name("task")) == len(workload.networks)
-
-    def test_spawn_pool_uses_persistent_caches(self, workload, monkeypatch, tmp_path):
-        import multiprocessing
-
-        spec = SchemeSpec("SP")
-        first = ExperimentEngine(n_workers=1, cache_dir=tmp_path).run(
-            spec, workload
-        )
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
-        second = ExperimentEngine(n_workers=2, cache_dir=tmp_path).run(
-            spec, workload
-        )
-        assert second.outcomes == first.outcomes
-        assert all(r.paths_preloaded > 0 for r in second.results)
+    """There is no spawn pool: on a host without fork the engine runs
+    every factory, picklable or not, serially in this process."""
 
     def test_closure_without_fork_warns_and_runs_serial(
-        self, workload, monkeypatch, caplog
+        self, workload, monkeypatch, caplog, tmp_path
     ):
-        import logging
-        import multiprocessing
-
-        factory = lambda item: ShortestPathRouting(item.cache)
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        assert_serial_fallback(
+            workload,
+            lambda item: ShortestPathRouting(item.cache),
+            ["spawn"],
+            monkeypatch,
+            caplog,
+            tmp_path,
         )
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            report = ExperimentEngine(n_workers=4).run(factory, workload)
-        assert any(
-            "not a picklable SchemeSpec" in record.message
-            for record in caplog.records
-        )
-        assert report.outcomes == ExperimentEngine(n_workers=1).run(
-            factory, workload
-        ).outcomes
-
-    def test_no_start_method_at_all_warns_and_runs_serial(
-        self, workload, monkeypatch, caplog
-    ):
-        import logging
-        import multiprocessing
-
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: []
-        )
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            report = ExperimentEngine(n_workers=4).run(
-                SchemeSpec("SP"), workload
-            )
-        assert any(
-            "no usable multiprocessing" in record.message
-            for record in caplog.records
-        )
-        assert len(report.outcomes) == 4
 
 
 class TestFiguresUseSpecs:
@@ -239,7 +173,6 @@ class TestFiguresUseSpecs:
         assert set(factories) == {"B4", "LDR", "MinMax", "MinMaxK10"}
         for factory in factories.values():
             assert isinstance(factory, SchemeSpec)
-            assert is_spawn_safe(factory)
             pickle.dumps(factory)
 
     def test_factories_match_legacy_closures(self, workload):

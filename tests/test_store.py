@@ -16,6 +16,7 @@ from repro.experiments.store import (
 )
 from repro.experiments.workloads import ZooWorkload, build_zoo_workload
 from repro.routing import ShortestPathRouting
+from tests.plans import one_stream
 
 N_NETWORKS = 6
 N_MATRICES = 2
@@ -31,9 +32,9 @@ def workload():
 @pytest.fixture(scope="module")
 def reference_outcomes(workload):
     """Outcomes of a plain storeless run, the ground truth for equality."""
-    return ExperimentEngine().run(
-        lambda item: ShortestPathRouting(item.cache), workload
-    ).outcomes
+    return ExperimentEngine().run_plan(
+        one_stream(lambda item: ShortestPathRouting(item.cache), workload)
+    ).outcomes("SP")
 
 
 class CountingFactory:
@@ -94,12 +95,12 @@ class TestWorkloadSignature:
         # would clobber each other's streams on every alternating run.
         assert scheme_file_name("a/b") != scheme_file_name("a_b")
         for scheme in ("a/b", "a_b"):
-            ExperimentEngine(store_dir=tmp_path).run(
-                CountingFactory(), workload, scheme=scheme
+            ExperimentEngine(store_dir=tmp_path).run_plan(
+                one_stream(CountingFactory(), workload, scheme)
             )
         served = CountingFactory()
-        ExperimentEngine(store_dir=tmp_path).run(
-            served, workload, scheme="a/b"
+        ExperimentEngine(store_dir=tmp_path).run_plan(
+            one_stream(served, workload, "a/b")
         )
         assert served.calls == 0  # still fully stored, not clobbered
 
@@ -110,55 +111,55 @@ class TestResume:
     ):
         engine = ExperimentEngine(n_workers=1, store_dir=tmp_path)
         first = CountingFactory()
-        stream = engine.stream(first, workload, scheme="SP")
+        stream = engine.stream_plan(one_stream(first, workload))
         for _ in range(2):  # "kill" the run after two networks
             next(stream)
         stream.close()
         assert first.calls == 2
 
         second = CountingFactory()
-        report = ExperimentEngine(n_workers=1, store_dir=tmp_path).run(
-            second, workload, scheme="SP"
+        report = ExperimentEngine(n_workers=1, store_dir=tmp_path).run_plan(
+            one_stream(second, workload)
         )
         assert second.calls == N_NETWORKS - 2
-        assert report.outcomes == reference_outcomes
+        assert report.outcomes("SP") == reference_outcomes
 
     def test_fully_stored_run_builds_no_scheme(
         self, workload, tmp_path, reference_outcomes
     ):
-        ExperimentEngine(n_workers=1, store_dir=tmp_path).run(
-            CountingFactory(), workload, scheme="SP"
+        ExperimentEngine(n_workers=1, store_dir=tmp_path).run_plan(
+            one_stream(CountingFactory(), workload)
         )
         served = CountingFactory()
-        report = ExperimentEngine(n_workers=1, store_dir=tmp_path).run(
-            served, workload, scheme="SP"
+        report = ExperimentEngine(n_workers=1, store_dir=tmp_path).run_plan(
+            one_stream(served, workload)
         )
         assert served.calls == 0
-        assert report.outcomes == reference_outcomes
+        assert report.outcomes("SP") == reference_outcomes
 
     def test_no_resume_discards_and_recomputes(self, workload, tmp_path):
-        ExperimentEngine(n_workers=1, store_dir=tmp_path).run(
-            CountingFactory(), workload, scheme="SP"
+        ExperimentEngine(n_workers=1, store_dir=tmp_path).run_plan(
+            one_stream(CountingFactory(), workload)
         )
         factory = CountingFactory()
-        ExperimentEngine(n_workers=1, store_dir=tmp_path, resume=False).run(
-            factory, workload, scheme="SP"
-        )
+        ExperimentEngine(
+            n_workers=1, store_dir=tmp_path, resume=False
+        ).run_plan(one_stream(factory, workload))
         assert factory.calls == N_NETWORKS
 
-    def test_store_run_requires_scheme_name(self, workload, tmp_path):
-        engine = ExperimentEngine(n_workers=1, store_dir=tmp_path)
-        with pytest.raises(ValueError):
-            engine.run(CountingFactory(), workload)
+    def test_store_run_requires_scheme_name(self, workload):
+        # The scheme name becomes the stream's file name.
+        with pytest.raises(ValueError, match="non-empty"):
+            one_stream(CountingFactory(), workload, scheme="")
 
     def test_schemes_stored_in_separate_streams(self, workload, tmp_path):
         store = ResultStore(tmp_path)
         signature = workload_signature(workload)
-        ExperimentEngine(store_dir=tmp_path).run(
-            CountingFactory(), workload, scheme="A"
+        ExperimentEngine(store_dir=tmp_path).run_plan(
+            one_stream(CountingFactory(), workload, "A")
         )
-        ExperimentEngine(store_dir=tmp_path).run(
-            CountingFactory(), workload, scheme="B"
+        ExperimentEngine(store_dir=tmp_path).run_plan(
+            one_stream(CountingFactory(), workload, "B")
         )
         assert store.stream_path(signature, "A").exists()
         assert store.stream_path(signature, "B").exists()
@@ -167,8 +168,8 @@ class TestResume:
 class TestRejection:
     def tampered_stream(self, workload, tmp_path, mutate):
         """Run once, apply ``mutate`` to the stream file, return its path."""
-        ExperimentEngine(n_workers=1, store_dir=tmp_path).run(
-            CountingFactory(), workload, scheme="SP"
+        ExperimentEngine(n_workers=1, store_dir=tmp_path).run_plan(
+            one_stream(CountingFactory(), workload)
         )
         signature = workload_signature(workload)
         path = ResultStore(tmp_path).stream_path(signature, "SP")
@@ -204,15 +205,15 @@ class TestRejection:
 
         self.tampered_stream(workload, tmp_path, swap_signature)
         factory = CountingFactory()
-        ExperimentEngine(n_workers=1, store_dir=tmp_path).run(
-            factory, workload, scheme="SP"
+        ExperimentEngine(n_workers=1, store_dir=tmp_path).run_plan(
+            one_stream(factory, workload)
         )
         # The tampered stream is discarded wholesale and rebuilt.
         assert factory.calls == N_NETWORKS
 
     def test_changed_workload_misses_by_key(self, workload, tmp_path):
-        ExperimentEngine(n_workers=1, store_dir=tmp_path).run(
-            CountingFactory(), workload, scheme="SP"
+        ExperimentEngine(n_workers=1, store_dir=tmp_path).run_plan(
+            one_stream(CountingFactory(), workload)
         )
         other = build_zoo_workload(
             n_networks=N_NETWORKS,
@@ -221,8 +222,8 @@ class TestRejection:
             include_named=False,
         )
         factory = CountingFactory()
-        ExperimentEngine(n_workers=1, store_dir=tmp_path).run(
-            factory, other, scheme="SP"
+        ExperimentEngine(n_workers=1, store_dir=tmp_path).run_plan(
+            one_stream(factory, other)
         )
         assert factory.calls == N_NETWORKS
 
@@ -236,19 +237,19 @@ class TestTornLineRecovery:
     def test_truncated_trailing_record_recomputed(
         self, workload, tmp_path, reference_outcomes
     ):
-        ExperimentEngine(n_workers=1, store_dir=tmp_path).run(
-            CountingFactory(), workload, scheme="SP"
+        ExperimentEngine(n_workers=1, store_dir=tmp_path).run_plan(
+            one_stream(CountingFactory(), workload)
         )
         path = self.stream_path(workload, tmp_path)
         data = path.read_bytes()
         path.write_bytes(data[:-20])  # tear the last record mid-write
 
         factory = CountingFactory()
-        report = ExperimentEngine(n_workers=1, store_dir=tmp_path).run(
-            factory, workload, scheme="SP"
+        report = ExperimentEngine(n_workers=1, store_dir=tmp_path).run_plan(
+            one_stream(factory, workload)
         )
         assert factory.calls == 1  # only the torn network
-        assert report.outcomes == reference_outcomes
+        assert report.outcomes("SP") == reference_outcomes
         # The repaired stream is fully valid again.
         assert all(
             json.loads(line) for line in path.read_text().splitlines()
@@ -257,52 +258,51 @@ class TestTornLineRecovery:
     def test_garbage_tail_truncated_before_appending(
         self, workload, tmp_path, reference_outcomes
     ):
-        ExperimentEngine(n_workers=1, store_dir=tmp_path).run(
-            CountingFactory(), workload, scheme="SP"
+        ExperimentEngine(n_workers=1, store_dir=tmp_path).run_plan(
+            one_stream(CountingFactory(), workload)
         )
         path = self.stream_path(workload, tmp_path)
         with open(path, "a") as handle:
             handle.write('{"kind": "result", "index"')  # torn, no newline
 
         factory = CountingFactory()
-        report = ExperimentEngine(n_workers=1, store_dir=tmp_path).run(
-            factory, workload, scheme="SP"
+        report = ExperimentEngine(n_workers=1, store_dir=tmp_path).run_plan(
+            one_stream(factory, workload)
         )
         assert factory.calls == 0  # every whole record survived
-        assert report.outcomes == reference_outcomes
+        assert report.outcomes("SP") == reference_outcomes
 
 
 class TestStoredEqualsRecomputed:
     def test_across_worker_counts(self, workload, tmp_path, reference_outcomes):
+        plan = one_stream(
+            lambda item: ShortestPathRouting(item.cache), workload
+        )
         stored_parallel = ExperimentEngine(
             n_workers=4, store_dir=tmp_path
-        ).run(
-            lambda item: ShortestPathRouting(item.cache), workload, scheme="SP"
-        )
-        assert stored_parallel.outcomes == reference_outcomes
+        ).run_plan(plan)
+        assert stored_parallel.outcomes("SP") == reference_outcomes
         served_serial = ExperimentEngine(
             n_workers=1, store_dir=tmp_path
-        ).run(
-            lambda item: ShortestPathRouting(item.cache), workload, scheme="SP"
-        )
-        assert served_serial.outcomes == reference_outcomes
+        ).run_plan(plan)
+        assert served_serial.outcomes("SP") == reference_outcomes
 
     def test_store_only_serves_without_evaluating(
         self, workload, tmp_path, reference_outcomes
     ):
         with pytest.raises(StoreMissError):
-            ExperimentEngine(store_dir=tmp_path, store_only=True).run(
-                CountingFactory(), workload, scheme="SP"
+            ExperimentEngine(store_dir=tmp_path, store_only=True).run_plan(
+                one_stream(CountingFactory(), workload)
             )
-        ExperimentEngine(n_workers=1, store_dir=tmp_path).run(
-            CountingFactory(), workload, scheme="SP"
+        ExperimentEngine(n_workers=1, store_dir=tmp_path).run_plan(
+            one_stream(CountingFactory(), workload)
         )
         factory = CountingFactory()
-        report = ExperimentEngine(store_dir=tmp_path, store_only=True).run(
-            factory, workload, scheme="SP"
-        )
+        report = ExperimentEngine(
+            store_dir=tmp_path, store_only=True
+        ).run_plan(one_stream(factory, workload))
         assert factory.calls == 0
-        assert report.outcomes == reference_outcomes
+        assert report.outcomes("SP") == reference_outcomes
 
     def test_store_only_requires_store_dir(self):
         with pytest.raises(ValueError):
@@ -347,10 +347,12 @@ class TestLifecycleTooling:
 
     def populate(self, store_dir, workload, schemes=("SP",)):
         for scheme in schemes:
-            ExperimentEngine(store_dir=store_dir).run(
-                lambda item: ShortestPathRouting(item.cache),
-                workload,
-                scheme=scheme,
+            ExperimentEngine(store_dir=store_dir).run_plan(
+                one_stream(
+                    lambda item: ShortestPathRouting(item.cache),
+                    workload,
+                    scheme,
+                )
             )
         return workload_signature(workload)
 
@@ -506,17 +508,10 @@ class TestTimingReplay:
     """The per-record timing facet: stored ``seconds`` and network hash."""
 
     def populate(self, store_dir, workload):
-        engine = ExperimentEngine(n_workers=1, store_dir=store_dir)
-        results = list(
-            engine.stream(
-                lambda item: ShortestPathRouting(item.cache),
-                workload,
-                scheme="SP",
-            )
+        report = ExperimentEngine(n_workers=1, store_dir=store_dir).run_plan(
+            one_stream(lambda item: ShortestPathRouting(item.cache), workload)
         )
-        return workload_signature(workload), sorted(
-            results, key=lambda r: r.index
-        )
+        return workload_signature(workload), report.results["SP"]
 
     def test_network_signature_round_trips(self, workload, tmp_path):
         from repro.net.paths import network_signature

@@ -27,6 +27,7 @@ from repro.experiments.engine import ExperimentEngine
 from repro.experiments.plan import EvalPlan, execute_plan
 from repro.experiments.spec import SchemeSpec
 from repro.experiments.workloads import build_zoo_workload
+from tests.plans import one_stream
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -296,7 +297,9 @@ class TestTraceIdentity:
 class TestProcessMerge:
     def test_fork_pool_children_merge_into_one_trace(self, tmp_path, workload):
         telemetry.configure(tmp_path)
-        report = ExperimentEngine(n_workers=2).run(SchemeSpec("SP"), workload)
+        report = ExperimentEngine(n_workers=2).run_plan(
+            one_stream(SchemeSpec("SP"), workload)
+        )
         telemetry.disable()
         (trace_id,) = telemetry.list_traces(tmp_path)
         trace = telemetry.load_trace(tmp_path, trace_id)
@@ -307,7 +310,9 @@ class TestProcessMerge:
         assert len(tasks) == len(workload.networks)
         assert all(t.attrs.get("network_signature") for t in tasks)
         assert trace.counters.get("ksp.cache_miss", 0) > 0
-        assert len(report.results) == len(workload.networks)
+        # The pool loop reports its in-flight submission window.
+        assert "pool.pending.max" in trace.gauges
+        assert len(report.results["SP"]) == len(workload.networks)
 
     def test_fresh_interpreter_joins_through_environment(self, tmp_path):
         env = dict(os.environ)
