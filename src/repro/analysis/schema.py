@@ -6,8 +6,9 @@ convention stops a handler reading a dest no ``add_argument`` defines:
 
 * **C303** — CLI drift: an ``args.<name>`` read in a module that builds
   an ``argparse`` parser, where ``<name>`` is neither an
-  ``add_argument`` dest nor assigned onto the namespace — the handler
-  would crash with ``AttributeError`` on the first run that reaches it.
+  ``add_argument`` (or ``add_subparsers``) dest nor assigned onto the
+  namespace — the handler would crash with ``AttributeError`` on the
+  first run that reaches it.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ class SchemaDriftPass(Pass):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "add_argument"
+            if isinstance(node.func, ast.Attribute) and node.func.attr in (
+                "add_argument", "add_subparsers"
             ):
                 has_parser = True
                 dest = self._argument_dest(node)

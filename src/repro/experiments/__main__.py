@@ -18,13 +18,14 @@ Usage::
         --out as10k.json --emit distances
     python -m repro.experiments list
 
-Every figure is one entry in the :data:`FIGURES` registry.  An
-engine-backed figure's entry builds its plan from the flags and draws
-the report its reducer folds; plain runs, ``render`` (re-draw purely
-from the result store, zero scheme evaluations) and ``dispatch`` (shard
-the plan across worker subprocesses) all execute that one plan.  Its
-full (scheme x sweep-point x network) grid runs as ONE engine pass over
-one shared process pool.
+Every subcommand is a :data:`FIGURES` or :data:`COMMANDS` entry naming
+the flag groups its handler reads; flags follow the command, and any
+other flag is a usage error.  An engine-backed figure's entry builds its
+plan from the flags and draws the report its reducer folds; plain runs,
+``render`` (re-draw purely from the result store, zero scheme
+evaluations) and ``dispatch`` (shard the plan across worker
+subprocesses) all execute that one plan.  Its full (scheme x sweep-point
+x network) grid runs as ONE engine pass over one shared process pool.
 
 With ``--store-dir``, every completed network's results are appended to a
 durable result store keyed by workload content hash, so a killed run
@@ -59,18 +60,30 @@ one figure's numbers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
+import math
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from collections import Counter, defaultdict
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import telemetry
 from repro.experiments import figures
+from repro.experiments.dispatch import SpecError, dispatch_plan, run_worker
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.plan import EvalPlan, execute_plan
 from repro.experiments.render import (
     render_cdf,
     render_scatter_summary,
     render_series,
+)
+from repro.experiments.spec import SchemeSpec, registered_schemes
+from repro.experiments.store import (
+    ResultStore,
+    StoreError,
+    workload_signature,
 )
 from repro.experiments.workloads import (
     build_traffic_matrices,
@@ -81,17 +94,17 @@ from repro.traces import trace_ensemble
 
 
 def build_workload(args, growth_factor: Optional[float] = None):
-    if growth_factor is None:
-        # Callers with a fixed setting (fig08's lighter load) pass it
-        # explicitly; everything else follows --growth-factor so that
-        # `store gc --match-workload` and `dispatch` can describe any
-        # workload the figure runners can build.
-        growth_factor = getattr(args, "growth_factor", 1.3)
+    # Callers with a fixed setting (fig08's lighter load) pass it
+    # explicitly; everything else follows --growth-factor so that
+    # `store gc --match-workload` and `dispatch` can describe any
+    # workload the figure runners can build.
     return build_zoo_workload(
         n_networks=args.networks,
         n_matrices=args.tms,
         locality=1.0,
-        growth_factor=growth_factor,
+        growth_factor=(
+            args.growth_factor if growth_factor is None else growth_factor
+        ),
         seed=args.seed,
     )
 
@@ -107,7 +120,6 @@ def engine_options(args) -> dict:
         cache_dir=args.cache_dir,
         store_dir=args.store_dir,
         resume=args.resume,
-        store_only=args.store_only,
         cache_max_paths=args.cache_max_paths,
     )
 
@@ -131,7 +143,12 @@ def _gts_utilization(args) -> dict:
     return figures.fig07_utilization_cdf(network, tm)
 
 
-@dataclass(frozen=True)
+# Flag groups (:func:`flag_groups`) of a workload and of a plan run.
+WORKLOAD = ("seed", "size", "growth")
+ENGINE = ("workers", "cache", "cache_limits", "store_dir", "resume", "record")
+
+
+@dataclasses.dataclass(frozen=True)
 class FigureDef:
     """One registry entry: how the CLI builds and draws a figure.
 
@@ -141,11 +158,13 @@ class FigureDef:
     and renders the text.  A plain run executes that plan, ``render``
     serves it from the store alone, and ``dispatch`` shards the same plan
     across workers and merges their stores for ``render`` to draw.  A
-    figure without a plan computes directly: ``draw(args)``.
+    figure without a plan computes directly: ``draw(args)``.  ``flags``
+    are the flag groups its subcommand reads.
     """
 
     draw: Callable[[Any], str]
     plan: Optional[Callable[[argparse.Namespace], EvalPlan]] = None
+    flags: Tuple[str, ...] = WORKLOAD + ENGINE
 
 
 FIGURES: Dict[str, FigureDef] = {
@@ -157,7 +176,8 @@ FIGURES: Dict[str, FigureDef] = {
                     [item.network for item in build_workload(args).networks]
                 ).items()
             )
-        )
+        ),
+        flags=WORKLOAD + ("record",),
     ),
     "fig03": FigureDef(
         lambda report: render_series(
@@ -186,7 +206,8 @@ FIGURES: Dict[str, FigureDef] = {
         lambda args: "\n\n".join(
             render_cdf(name, values)
             for name, values in _gts_utilization(args).items()
-        )
+        ),
+        flags=("seed", "record"),
     ),
     "fig08": FigureDef(
         lambda report: render_series(
@@ -200,6 +221,7 @@ FIGURES: Dict[str, FigureDef] = {
         plan=lambda args: figures.fig08_plan(
             build_workload(args, growth_factor=1.65)
         ),
+        flags=("seed", "size") + ENGINE,
     ),
     "fig09": FigureDef(
         lambda args: render_cdf(
@@ -211,7 +233,8 @@ FIGURES: Dict[str, FigureDef] = {
                 ),
                 600,
             ),
-        )
+        ),
+        flags=("seed",),
     ),
     "fig10": FigureDef(
         lambda args: render_scatter_summary(
@@ -223,7 +246,8 @@ FIGURES: Dict[str, FigureDef] = {
                 ),
                 6000,
             ),
-        )
+        ),
+        flags=("seed",),
     ),
     "fig17": FigureDef(
         lambda report: render_series(
@@ -242,6 +266,7 @@ FIGURES: Dict[str, FigureDef] = {
         plan=lambda args: figures.fig18_plan(
             _bare_networks(args), n_matrices=args.tms, seed=args.seed
         ),
+        flags=("seed", "size") + ENGINE,
     ),
     "fig20": FigureDef(
         lambda report: "\n\n".join(
@@ -267,16 +292,8 @@ def store_backed_figures() -> list:
 
 def run_worker_command(args) -> int:
     """`worker <manifest>`: evaluate one shard into its own store."""
-    from repro.experiments.dispatch import run_worker
-
-    if args.target is None:
-        print("worker needs a manifest path", file=sys.stderr)
-        return 2
-    if args.store_dir is None:
-        print("worker needs --store-dir", file=sys.stderr)
-        return 2
     summary = run_worker(
-        args.target,
+        args.manifest,
         store_dir=args.store_dir,
         cache_dir=args.cache_dir,
         cache_max_paths=args.cache_max_paths,
@@ -291,28 +308,25 @@ def run_worker_command(args) -> int:
     return 0
 
 
+def _dispatch(plan: EvalPlan, args):
+    """Run ``plan`` on ``--shards`` worker subprocesses; merge, serve."""
+    return dispatch_plan(
+        plan,
+        n_shards=args.shards,
+        store_dir=args.store_dir,
+        work_dir=args.work_dir,
+        cache_dir=args.cache_dir,
+        cache_max_paths=args.cache_max_paths,
+        resume=args.resume,
+    )
+
+
 def run_dispatch_command(args) -> int:
     """`dispatch <scheme|figure>`: shard, run workers, merge, serve."""
-    import json
-
-    from repro.experiments.spec import SchemeSpec, registered_schemes
-
-    if args.target is None:
-        print(
-            f"dispatch needs a scheme name or a figure id; registered "
-            f"schemes: {', '.join(registered_schemes())}; dispatchable "
-            f"figures: {', '.join(store_backed_figures())}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.store_dir is None:
-        print("dispatch needs --store-dir", file=sys.stderr)
-        return 2
-
     figure = FIGURES.get(args.target)
     if figure is not None and figure.plan is None:
-        # Fail fast: falling through would treat the figure id as a
-        # scheme name and only crash deep inside the shard workers.
+        # Fail before building the workload: falling through would treat
+        # the figure id as an unknown scheme name.
         print(
             f"figure {args.target!r} is not dispatchable; choose one of "
             f"{', '.join(store_backed_figures())} or a scheme name",
@@ -350,17 +364,7 @@ def run_dispatch_command(args) -> int:
         what = f"scheme {args.target!r}"
         hint = ""
 
-    from repro.experiments.dispatch import dispatch_plan
-
-    dispatch_plan(
-        plan,
-        n_shards=args.shards,
-        store_dir=args.store_dir,
-        work_dir=args.work_dir,
-        cache_dir=args.cache_dir,
-        cache_max_paths=args.cache_max_paths,
-        resume=args.resume,
-    )
+    _dispatch(plan, args)
     print(
         f"dispatch: {args.shards} shard worker(s) evaluated {what} "
         f"({len(plan.streams)} stream(s), {plan.n_tasks} task(s)); "
@@ -371,18 +375,14 @@ def run_dispatch_command(args) -> int:
 
 def _traced_scheme_phases(trace_dir) -> Dict[str, Dict[str, float]]:
     """Per-scheme phase seconds pooled across every trace in a dir."""
-    from repro import telemetry
-
-    pooled: Dict[str, Dict[str, float]] = {}
+    pooled: Dict[str, Counter] = defaultdict(Counter)
     for trace_id in telemetry.list_traces(trace_dir):
         try:
             trace = telemetry.load_trace(trace_dir, trace_id)
         except telemetry.TraceError:
             continue
         for scheme, phases in telemetry.scheme_phases(trace).items():
-            merged = pooled.setdefault(scheme, {})
-            for phase, seconds in phases.items():
-                merged[phase] = merged.get(phase, 0.0) + seconds
+            pooled[scheme].update(phases)
     return pooled
 
 
@@ -396,8 +396,6 @@ def run_scenarios_command(args) -> int:
     through shard workers instead of the in-process engine; the report
     is byte-identical either way.
     """
-    from repro.experiments.engine import ExperimentEngine
-    from repro.experiments.spec import SchemeSpec, registered_schemes
     from repro.scenarios import ScenarioGenerator, ScenarioWorkload
     from repro.scenarios import report as robustness
 
@@ -414,12 +412,8 @@ def run_scenarios_command(args) -> int:
     if not schemes:
         print("need at least one scheme (--schemes)", file=sys.stderr)
         return 2
-    try:
-        localities = [
-            float(value) for value in args.localities.split(",") if value
-        ]
-    except ValueError:
-        print(f"bad --localities {args.localities!r}", file=sys.stderr)
+    if args.dispatch and args.store_dir is None:
+        print("scenarios --dispatch needs --store-dir", file=sys.stderr)
         return 2
 
     workload = build_workload(args)
@@ -452,7 +446,7 @@ def run_scenarios_command(args) -> int:
         surges=args.surges,
         surge_factor=args.surge_factor,
         surge_pairs=args.surge_pairs,
-        localities=localities,
+        localities=args.localities,
         growth_stages=args.growth_stages,
         budget=args.variant_budget,
     )
@@ -471,33 +465,19 @@ def run_scenarios_command(args) -> int:
         name: {} for name in schemes
     }
     if args.dispatch:
-        from repro.experiments.dispatch import dispatch_plan
-
-        if args.store_dir is None:
-            print("scenarios --dispatch needs --store-dir", file=sys.stderr)
-            return 2
-        plan_report = dispatch_plan(
-            plan,
-            n_shards=args.shards,
-            store_dir=args.store_dir,
-            work_dir=args.work_dir,
-            cache_dir=args.cache_dir,
-            cache_max_paths=args.cache_max_paths,
-            resume=args.resume,
+        stream = (
+            (key, result)
+            for key, results in _dispatch(plan, args).results.items()
+            for result in results
         )
-        for key, results in plan_report.results.items():
-            for result in results:
-                per_scheme[key][result.index] = robustness.variant_metrics(
-                    result.outcomes
-                )
     else:
-        engine = ExperimentEngine(**engine_options(args))
         # Streaming consumption: only the per-variant scalar metrics are
         # retained, so a 10^5-task fleet needs O(window) result memory.
-        for key, result in engine.stream_plan(plan):
-            per_scheme[key][result.index] = robustness.variant_metrics(
-                result.outcomes
-            )
+        stream = ExperimentEngine(**engine_options(args)).stream_plan(plan)
+    for key, result in stream:
+        per_scheme[key][result.index] = robustness.variant_metrics(
+            result.outcomes
+        )
 
     payload = robustness.robustness_payload(
         base.network.name,
@@ -515,16 +495,8 @@ def run_scenarios_command(args) -> int:
 
 def run_store_command(args) -> int:
     """`store ls` / `store gc`: list and prune result-store streams."""
-    from repro.experiments.store import ResultStore, workload_signature
-
-    if args.target not in ("ls", "gc"):
-        print("store needs an action: ls or gc", file=sys.stderr)
-        return 2
-    if args.store_dir is None:
-        print("store needs --store-dir", file=sys.stderr)
-        return 2
     store = ResultStore(args.store_dir)
-    if args.target == "ls":
+    if args.action == "ls":
         streams = store.list_streams()
         if not streams:
             print(f"store {args.store_dir}: empty")
@@ -534,8 +506,6 @@ def run_store_command(args) -> int:
             # With a trace dir, the coarse per-stream seconds gain a
             # span-derived breakdown: where inside the tasks those
             # seconds went (ksp / lp_solve / place / ...).
-            from repro.telemetry import format_phases
-
             phases_by_scheme = _traced_scheme_phases(args.trace_dir)
         for record in streams:
             scheme = record["scheme"] or "<no valid header>"
@@ -559,28 +529,26 @@ def run_store_command(args) -> int:
                     line += "  <no timings>"
                 phases = phases_by_scheme.get(record["scheme"])
                 if phases:
-                    line += f"  [{format_phases(phases)}]"
+                    line += f"  [{telemetry.format_phases(phases)}]"
             print(line)
         return 0
 
-    keep = None
+    keep = set(args.keep or ())
     if args.match_workload:
         # Prune everything except the signature of the workload the other
         # CLI flags describe — the knob for "keep only the current run".
-        keep = {workload_signature(build_workload(args))}
-    if args.keep:
-        keep = (keep or set()) | set(args.keep)
+        keep.add(workload_signature(build_workload(args)))
     max_age_s = (
         args.max_age_days * 86400.0 if args.max_age_days is not None else None
     )
-    if max_age_s is None and keep is None:
+    if max_age_s is None and not keep:
         print(
             "store gc needs --max-age-days, --keep or --match-workload "
             "(refusing to prune everything by default)",
             file=sys.stderr,
         )
         return 2
-    removed = store.gc(max_age_s=max_age_s, keep_signatures=keep)
+    removed = store.gc(max_age_s=max_age_s, keep_signatures=keep or None)
     if removed:
         for path in removed:
             print(f"pruned {path}")
@@ -591,23 +559,8 @@ def run_store_command(args) -> int:
 
 def run_trace_command(args) -> int:
     """`trace summary|tree|critical-path|ls`: read recorded telemetry."""
-    import dataclasses
-    import json
-
-    from repro import telemetry
-
-    action = args.target or "summary"
-    if action not in ("summary", "tree", "critical-path", "ls"):
-        print(
-            "trace needs an action: summary, tree, critical-path or ls",
-            file=sys.stderr,
-        )
-        return 2
-    if args.trace_dir is None:
-        print("trace needs --trace-dir", file=sys.stderr)
-        return 2
     try:
-        if action == "ls":
+        if args.action == "ls":
             trace_ids = telemetry.list_traces(args.trace_dir)
             if not trace_ids:
                 print(f"trace dir {args.trace_dir}: no traces")
@@ -627,24 +580,23 @@ def run_trace_command(args) -> int:
     except telemetry.TraceError as exc:
         print(f"trace: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        if action == "summary":
-            payload = telemetry.summary(trace)
-        elif action == "critical-path":
-            payload = telemetry.critical_path(trace)
-        else:
-            payload = {
+    as_json, as_text = {
+        "summary": (telemetry.summary, telemetry.render_summary),
+        "critical-path": (
+            telemetry.critical_path, telemetry.render_critical_path
+        ),
+        "tree": (
+            lambda trace: {
                 "trace": trace.trace_id,
                 "spans": [dataclasses.asdict(span) for span in trace.spans],
-            }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    if action == "summary":
-        print(telemetry.render_summary(trace))
-    elif action == "critical-path":
-        print(telemetry.render_critical_path(trace))
+            },
+            lambda trace: "\n".join(telemetry.tree_lines(trace)),
+        ),
+    }[args.action]
+    if args.format == "json":
+        print(json.dumps(as_json(trace), indent=2, sort_keys=True))
     else:
-        print("\n".join(telemetry.tree_lines(trace)))
+        print(as_text(trace))
     return 0
 
 
@@ -659,18 +611,9 @@ def run_ingest_command(args) -> int:
     ``repro-network`` JSON (``--emit distances`` for the external format),
     so synthesized or converted topologies feed any downstream run.
     """
-    import json
-
     from repro.net import ingest, io
     from repro.net.paths import network_signature
 
-    if args.target is None:
-        print(
-            "ingest needs a topology file or 'synth', e.g. "
-            "'ingest topo.json' or 'ingest synth --synth-nodes 1000'",
-            file=sys.stderr,
-        )
-        return 2
     try:
         if args.target == "synth":
             network = ingest.synthesize_internet_like(
@@ -691,29 +634,24 @@ def run_ingest_command(args) -> int:
             io.save(network, args.out)
     histogram = ingest.degree_histogram(network)
     degrees = [d for d, count in histogram.items() for _ in range(count)]
-    min_degree = min(degrees) if degrees else 0
-    max_degree = max(degrees) if degrees else 0
-    mean_degree = sum(degrees) / len(degrees) if degrees else 0.0
-    signature = network_signature(network)
+    summary = {
+        "name": network.name,
+        "nodes": network.num_nodes,
+        "directed_links": network.num_links,
+        "min_degree": min(degrees, default=0),
+        "max_degree": max(degrees, default=0),
+        "mean_degree": sum(degrees) / len(degrees) if degrees else 0.0,
+        "total_capacity_bps": network.total_capacity_bps(),
+        "signature": network_signature(network),
+    }
     if args.format == "json":
-        summary = {
-            "name": network.name,
-            "nodes": network.num_nodes,
-            "directed_links": network.num_links,
-            "min_degree": min_degree,
-            "max_degree": max_degree,
-            "mean_degree": mean_degree,
-            "total_capacity_bps": network.total_capacity_bps(),
-            "signature": signature,
-        }
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
     print(
-        f"{network.name}: {network.num_nodes} nodes, "
-        f"{network.num_links} directed links, degree "
-        f"{min_degree}..{max_degree} (mean {mean_degree:.2f})"
+        "{name}: {nodes} nodes, {directed_links} directed links, degree "
+        "{min_degree}..{max_degree} (mean {mean_degree:.2f})".format(**summary)
     )
-    print(f"signature {signature[:16]}…")
+    print(f"signature {summary['signature'][:16]}…")
     if args.out is not None:
         print(f"wrote {args.out} ({args.emit})")
     return 0
@@ -726,372 +664,426 @@ def run_figure_command(args) -> int:
     the result store alone, with zero scheme evaluations) and draws the
     report; any other figure draws straight from the flags.
     """
-    name = args.figure
-    if name == "render":
-        if args.target is None:
-            print("render needs a figure id, e.g. 'render fig03'",
-                  file=sys.stderr)
-            return 2
-        if args.store_dir is None:
-            print("render needs --store-dir", file=sys.stderr)
-            return 2
-        name = args.target
-        args.store_only = True
-        if name not in store_backed_figures():
-            print(f"figure {name!r} is not store-backed; choose one of "
-                  f"{', '.join(store_backed_figures())}", file=sys.stderr)
-            return 2
-    elif args.target is not None:
-        print(f"unexpected extra argument {args.target!r}", file=sys.stderr)
-        return 2
-
-    figure = FIGURES.get(name)
-    if figure is None:
-        print(f"unknown figure {name!r}; try 'list'", file=sys.stderr)
-        return 2
-    if figure.plan is None:
-        print(figure.draw(args))
+    if args.command == "render":
+        figure = FIGURES[args.figure]
+        options = dict(store_dir=args.store_dir, store_only=True)
     else:
-        report = execute_plan(figure.plan(args), **engine_options(args))
-        print(figure.draw(report))
+        figure = FIGURES[args.command]
+        if figure.plan is None:
+            print(figure.draw(args))
+            return 0
+        options = engine_options(args)
+    print(figure.draw(execute_plan(figure.plan(args), **options)))
     return 0
 
 
-def positive_int(text: str) -> int:
-    """argparse ``type`` for count flags: an integer of at least 1.
-
-    The function's name appears in argparse's message for a non-integer
-    (``invalid positive_int value: 'x'``).
-    """
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def non_negative_int(text: str) -> int:
-    """argparse ``type`` for byte budgets and perturbation counts: 0 or more."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def run_list_command(args) -> int:
+    """`list`: the figures, which of them run a plan, and the schemes."""
+    print("available:", ", ".join(sorted(FIGURES)))
+    print("store-backed (resumable, renderable, dispatchable):",
+          ", ".join(store_backed_figures()))
+    print("dispatchable schemes (dispatch/worker):",
+          ", ".join(registered_schemes()))
+    print("(figures 15/16/19 run via pytest benchmarks/ --benchmark-only)")
+    return 0
 
 
-def at_least_one_float(text: str) -> float:
-    """argparse ``type`` for growth factors: a float of at least 1."""
-    value = float(text)
-    if not value >= 1.0:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(minimum: int, convert: Callable[[str], Any], name: str):
+    """An argparse ``type`` named ``name`` (argparse's message for text
+    ``convert`` cannot read names it): at least ``minimum``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= minimum:  # NaN fails too
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def non_negative_float(text: str) -> float:
-    """argparse ``type`` for demand multipliers: a float of 0 or more."""
-    value = float(text)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+# Counts; byte budgets and perturbation counts; growth factors; demand
+# multipliers and ages.
+positive_int = _at_least(1, int, "positive_int")
+non_negative_int = _at_least(0, int, "non_negative_int")
+at_least_one_float = _at_least(1, float, "at_least_one_float")
+non_negative_float = _at_least(0, float, "non_negative_float")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="Regenerate one of the paper's figures.",
-    )
-    parser.add_argument(
-        "figure",
-        help="figure id (e.g. fig03), 'render' to re-draw one purely from "
-        "the result store, 'dispatch'/'worker' for sharded subprocess "
-        "runs, 'scenarios' for perturbation-fleet robustness reports, "
-        "'store' for ls/gc, 'trace' to analyze recorded telemetry, "
-        "'ingest' to load/synthesize Internet-scale topologies, "
-        "or 'list' to enumerate available ones",
-    )
-    parser.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="figure id (render), scheme name or figure id (dispatch), "
-        "manifest path (worker), action (store: ls|gc; trace: "
-        "summary|tree|critical-path|ls), topology file or 'synth' "
-        "(ingest)",
-    )
-    parser.add_argument("--networks", type=positive_int, default=12)
-    parser.add_argument("--tms", type=positive_int, default=1)
-    parser.add_argument("--seed", type=non_negative_int, default=0)
-    parser.add_argument(
-        "--growth-factor",
-        type=at_least_one_float,
-        default=1.3,
-        help="workload min-cut load shaping (1.3 = the paper's default "
-        "77%% load; fig08 always uses its own 1.65).  Matters for "
-        "dispatch and for store gc --match-workload, whose signature "
-        "must describe the workload that populated the store",
-    )
-    parser.add_argument(
-        "--workers",
-        type=positive_int,
-        default=1,
-        help="shard evaluation tasks across this many processes (results "
-        "identical); multi-call figures run their whole grid on one pool",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persist per-network KSP caches (and fig20's grown "
-        "topologies) here; repeated and parallel runs warm-start from "
-        "disk",
-    )
-    parser.add_argument(
-        "--cache-max-paths",
-        type=positive_int,
-        default=None,
-        help="keep at most this many KSP paths per node pair in each "
-        "persisted cache file",
-    )
-    parser.add_argument(
-        "--cache-max-bytes",
-        type=non_negative_int,
-        default=None,
-        help="after the run, evict least-recently-used ksp-*.json files "
-        "from --cache-dir until it fits this budget",
-    )
-    parser.add_argument(
-        "--store-dir",
-        default=None,
-        help="persist per-network results here (append-only JSONL keyed by "
-        "workload content hash); interrupted runs resume and 'render' "
-        "re-draws without re-evaluating",
-    )
-    parser.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="serve already-stored networks from --store-dir instead of "
-        "re-evaluating them (--no-resume discards the stored streams)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=positive_int,
-        default=2,
-        help="number of shard manifests / worker subprocesses (dispatch)",
-    )
-    parser.add_argument(
-        "--work-dir",
-        default=None,
-        help="where dispatch writes shard manifests and worker stores "
-        "(default: a temp directory, removed afterwards)",
-    )
-    parser.add_argument(
-        "--params",
-        default=None,
-        help="JSON object of scheme params for dispatch, e.g. "
-        "'{\"headroom\": 0.1}'",
-    )
-    parser.add_argument(
-        "--max-age-days",
-        type=float,
-        default=None,
-        help="store gc: prune workload-signature dirs whose newest stream "
-        "is older than this many days",
-    )
-    parser.add_argument(
-        "--keep",
-        action="append",
-        default=None,
-        metavar="SIGNATURE",
-        help="store gc: prune signature dirs NOT listed here (repeatable)",
-    )
-    parser.add_argument(
-        "--match-workload",
-        action="store_true",
-        help="store gc: keep only the signature of the workload described "
-        "by --networks/--tms/--seed, prune the rest",
-    )
-    parser.add_argument(
-        "--timings",
-        action="store_true",
-        help="store ls: add a per-stream column with total/mean stored "
-        "evaluation seconds; with --trace-dir also a span-derived "
-        "per-phase breakdown",
-    )
-    parser.add_argument(
+def localities(text: str) -> List[float]:
+    """argparse ``type``: comma-separated finite floats of 0 or more."""
+    values = [float(value) for value in text.split(",") if value]
+    if not all(math.isfinite(value) and value >= 0 for value in values):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at least 0, got {text!r}"
+        )
+    return values
+
+
+def flag_groups() -> Dict[str, argparse.ArgumentParser]:
+    """Every CLI argument, defined once, in named parent parsers: the
+    shared groups, and per command its positional and own flags."""
+    groups: Dict[str, argparse.ArgumentParser] = {}
+
+    def group(name: str) -> argparse.ArgumentParser:
+        groups[name] = argparse.ArgumentParser(add_help=False)
+        return groups[name]
+
+    group("log").add_argument(
         "--log-level",
         choices=("debug", "info", "warning", "error"),
         default="warning",
         help="threshold for the 'repro' logger on stderr (serial-fallback "
         "notices and other diagnostics)",
     )
-    parser.add_argument(
+    group("seed").add_argument("--seed", type=non_negative_int, default=0)
+    size = group("size")
+    size.add_argument("--networks", type=positive_int, default=12)
+    size.add_argument("--tms", type=positive_int, default=1)
+    group("growth").add_argument(
+        "--growth-factor",
+        type=at_least_one_float,
+        default=1.3,
+        help="workload min-cut load shaping (1.3 = the paper's default "
+        "77%% load).  Matters for dispatch and for store gc "
+        "--match-workload, whose signature must describe the workload "
+        "that populated the store",
+    )
+    group("workers").add_argument(
+        "--workers",
+        type=positive_int,
+        default=1,
+        help="shard evaluation tasks across this many processes (results "
+        "identical); multi-call figures run their whole grid on one pool",
+    )
+    group("cache").add_argument(
+        "--cache-dir",
+        help="persist per-network KSP caches (and fig20's grown "
+        "topologies) here; repeated and parallel runs warm-start from "
+        "disk",
+    )
+    limits = group("cache_limits")
+    limits.add_argument(
+        "--cache-max-paths",
+        type=positive_int,
+        help="keep at most this many KSP paths per node pair in each "
+        "persisted cache file",
+    )
+    limits.add_argument(
+        "--cache-max-bytes",
+        type=non_negative_int,
+        help="after the run, evict least-recently-used ksp-*.json files "
+        "from --cache-dir until it fits this budget",
+    )
+    for name, required in (("store_dir", False), ("needs_store_dir", True)):
+        group(name).add_argument(
+            "--store-dir",
+            required=required,
+            help="persist per-network results here (append-only JSONL "
+            "keyed by workload content hash); interrupted runs resume and "
+            "'render' re-draws without re-evaluating",
+        )
+    group("resume").add_argument(
+        "--resume",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="serve already-stored networks from --store-dir instead of "
+        "re-evaluating them (--no-resume discards the stored streams)",
+    )
+    shards = group("shards")
+    shards.add_argument(
+        "--shards",
+        type=positive_int,
+        default=2,
+        help="number of shard manifests / worker subprocesses",
+    )
+    shards.add_argument(
+        "--work-dir",
+        help="where shard manifests and worker stores go (default: a temp "
+        "directory, removed afterwards)",
+    )
+    record = group("record")
+    record.add_argument(
         "--trace-dir",
-        default=None,
         help="record span telemetry into per-process JSONL shards under "
         "this directory (off by default; never changes results); the "
         "'trace' command reads the same directory back",
     )
-    parser.add_argument(
+    record.add_argument(
         "--trace-id",
-        default=None,
         help="override the workload-derived trace id when recording "
         "(rarely needed; dispatch coordinators and workers converge on "
         "the same id without it)",
     )
-    parser.add_argument(
+    group("format").add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="output format",
+    )
+
+    group("render").add_argument(
+        "figure", choices=store_backed_figures(), help="figure id"
+    )
+    dispatch = group("dispatch")
+    dispatch.add_argument(
+        "target", help="a registered scheme name or a store-backed figure id"
+    )
+    dispatch.add_argument(
+        "--params",
+        help="JSON object of scheme params for scheme dispatch, e.g. "
+        "'{\"headroom\": 0.1}'",
+    )
+    group("worker").add_argument("manifest", help="shard manifest path")
+
+    store = group("store")
+    store.add_argument("action", choices=("ls", "gc"))
+    store.add_argument(
+        "--timings",
+        action="store_true",
+        help="ls: add a per-stream column with total/mean stored "
+        "evaluation seconds; with --trace-dir also a span-derived "
+        "per-phase breakdown",
+    )
+    store.add_argument(
+        "--trace-dir",
+        help="ls --timings: the trace directory the phase breakdown is "
+        "read from",
+    )
+    store.add_argument(
+        "--max-age-days",
+        type=non_negative_float,
+        help="gc: prune workload-signature dirs whose newest stream "
+        "is older than this many days",
+    )
+    store.add_argument(
+        "--keep",
+        action="append",
+        metavar="SIGNATURE",
+        help="gc: prune signature dirs NOT listed here (repeatable)",
+    )
+    store.add_argument(
+        "--match-workload",
+        action="store_true",
+        help="gc: keep only the signature of the workload described "
+        "by --networks/--tms/--seed/--growth-factor, prune the rest",
+    )
+
+    trace = group("trace")
+    trace.add_argument(
+        "action",
+        nargs="?",
+        default="summary",
+        choices=("summary", "tree", "critical-path", "ls"),
+    )
+    trace.add_argument(
+        "--trace-dir",
+        required=True,
+        help="the directory traces were recorded into",
+    )
+    trace.add_argument(
         "--trace",
-        default=None,
-        help="trace command: which trace id (or unique prefix) to analyze "
-        "when the directory holds several",
+        help="which trace id (or unique prefix) to analyze when the "
+        "directory holds several",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="trace / scenarios / ingest command output format",
-    )
-    parser.add_argument(
+
+    ingest = group("ingest")
+    ingest.add_argument("target", help="a topology file or 'synth'")
+    ingest.add_argument(
         "--out",
-        default=None,
-        help="ingest: write the loaded/synthesized topology to this path",
+        help="write the loaded/synthesized topology to this path",
     )
-    parser.add_argument(
+    ingest.add_argument(
         "--emit",
         choices=("repro", "distances"),
         default="repro",
-        help="ingest --out format: 'repro' (repro-network JSON) or "
+        help="--out format: 'repro' (repro-network JSON) or "
         "'distances' (external distances+bandwidth JSON)",
     )
-    parser.add_argument(
+    ingest.add_argument(
         "--synth-nodes",
         type=int,
         default=1000,
-        help="ingest synth: number of nodes to synthesize",
+        help="synth: number of nodes to synthesize",
     )
-    parser.add_argument(
+    ingest.add_argument(
         "--degree-exponent",
         type=float,
         default=2.1,
-        help="ingest synth: power-law exponent of the degree distribution "
+        help="synth: power-law exponent of the degree distribution "
         "(2.1 is the usual AS-graph figure)",
     )
-    parser.add_argument(
+
+    fleet = group("scenarios")
+    fleet.add_argument(
         "--failures",
         type=non_negative_int,
         default=2,
-        help="scenarios: fail every combination of this many physical "
-        "links (0 disables; sampled beyond --variant-budget)",
+        help="fail every combination of this many physical links (0 "
+        "disables; sampled beyond --variant-budget)",
     )
-    parser.add_argument(
+    fleet.add_argument(
         "--node-failures",
         type=non_negative_int,
         default=0,
-        help="scenarios: fail every combination of this many nodes "
-        "(demands touching a failed node are dropped)",
+        help="fail every combination of this many nodes (demands "
+        "touching a failed node are dropped)",
     )
-    parser.add_argument(
+    fleet.add_argument(
         "--surges",
         type=non_negative_int,
         default=0,
-        help="scenarios: number of seeded flash-crowd variants",
+        help="number of seeded flash-crowd variants",
     )
-    parser.add_argument(
+    fleet.add_argument(
         "--surge-factor",
         type=non_negative_float,
         default=5.0,
-        help="scenarios: demand multiplier a flash crowd applies",
+        help="demand multiplier a flash crowd applies",
     )
-    parser.add_argument(
+    fleet.add_argument(
         "--surge-pairs",
         type=positive_int,
         default=2,
-        help="scenarios: demand pairs surged per flash-crowd variant",
+        help="demand pairs surged per flash-crowd variant",
     )
-    parser.add_argument(
+    fleet.add_argument(
         "--localities",
+        type=localities,
         default="",
-        help="scenarios: comma-separated locality values, one regional "
-        "demand-shift variant each (e.g. '0.5,1.0,2.0')",
+        help="comma-separated locality values, one regional demand-shift "
+        "variant each (e.g. '0.5,1.0,2.0')",
     )
-    parser.add_argument(
+    fleet.add_argument(
         "--growth-stages",
         type=non_negative_int,
         default=0,
-        help="scenarios: staged topology growth depth; stage s adds the "
-        "first s candidate links (geographically shortest first)",
+        help="staged topology growth depth; stage s adds the first s "
+        "candidate links (geographically shortest first)",
     )
-    parser.add_argument(
+    fleet.add_argument(
         "--variant-budget",
         type=positive_int,
         default=1000,
-        help="scenarios: per-kind variant cap; failure enumeration is "
-        "exhaustive while the combination count fits, seeded distinct "
-        "sampling beyond it",
+        help="per-kind variant cap; failure enumeration is exhaustive "
+        "while the combination count fits, seeded distinct sampling "
+        "beyond it",
     )
-    parser.add_argument(
+    fleet.add_argument(
         "--schemes",
         default="SP,ECMP,MPLS-TE,B4",
-        help="scenarios: comma-separated schemes to compare ('list' "
-        "shows the registry)",
+        help="comma-separated schemes to compare ('list' shows the "
+        "registry)",
     )
-    parser.add_argument(
+    fleet.add_argument(
         "--base-network",
         type=int,
-        default=None,
-        help="scenarios: workload index of the base network to perturb "
-        "(default: the best-connected one)",
+        help="workload index of the base network to perturb (default: "
+        "the best-connected one)",
     )
-    parser.add_argument(
+    fleet.add_argument(
         "--dispatch",
         action="store_true",
-        help="scenarios: run the fleet as one dispatched plan across "
-        "--shards worker subprocesses (needs --store-dir); the report "
-        "is byte-identical to the in-process run",
+        help="run the fleet as one dispatched plan across --shards worker "
+        "subprocesses (needs --store-dir); the report is byte-identical "
+        "to the in-process run",
     )
-    args = parser.parse_args(argv)
-    args.store_only = False
+    return groups
 
-    from repro.experiments.store import StoreError
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """A subcommand: its handler (whose docstring's first line is the
+    help) and the :func:`flag_groups` it reads besides ``log``.  With
+    ``record`` it records spans; with ``cache_limits`` it sweeps
+    ``--cache-dir`` to ``--cache-max-bytes`` after a run."""
+
+    run: Callable[[argparse.Namespace], int]
+    flags: Tuple[str, ...] = ()
+
+
+COMMANDS: Dict[str, Command] = {
+    "render": Command(
+        run_figure_command,
+        ("render",) + WORKLOAD + ("cache", "needs_store_dir", "record"),
+    ),
+    "dispatch": Command(
+        run_dispatch_command,
+        ("dispatch",) + WORKLOAD + ("cache", "cache_limits",
+                                    "needs_store_dir", "resume", "shards",
+                                    "record"),
+    ),
+    "worker": Command(
+        run_worker_command,
+        ("worker", "cache", "cache_limits", "needs_store_dir", "resume",
+         "record"),
+    ),
+    "store": Command(
+        run_store_command, ("store",) + WORKLOAD + ("needs_store_dir",)
+    ),
+    "trace": Command(run_trace_command, ("trace", "format")),
+    "ingest": Command(run_ingest_command, ("ingest", "seed", "format")),
+    "scenarios": Command(
+        run_scenarios_command,
+        ("scenarios",) + WORKLOAD + ENGINE + ("shards", "format"),
+    ),
+    "list": Command(run_list_command),
+}
+
+
+def commands() -> Dict[str, Command]:
+    """Every subcommand: one per :data:`FIGURES` entry, then :data:`COMMANDS`."""
+    table = {
+        name: Command(run_figure_command, figure.flags)
+        for name, figure in FIGURES.items()
+    }
+    table.update(COMMANDS)
+    return table
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser: one subparser per :func:`commands` entry."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments",
+        description="Regenerate one of the paper's figures.",
+    )
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, metavar="command"
+    )
+    groups = flag_groups()
+    for name, command in commands().items():
+        subparsers.add_parser(
+            name,
+            help=command.run.__doc__.splitlines()[0],
+            parents=[groups[flag] for flag in command.flags + ("log",)],
+        )
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    command = commands()[args.command]
+    records = "record" in command.flags and args.trace_dir is not None
+
     from repro.logutil import configure_logging
 
     configure_logging(args.log_level)
-
-    figure = args.figure
-    if args.trace_dir is not None and figure not in ("trace", "store", "list"):
-        from repro import telemetry
-
+    if records:
         telemetry.configure(args.trace_dir, trace=args.trace_id)
-
-    if figure == "trace":
-        return run_trace_command(args)
-    if figure == "list":
-        from repro.experiments.spec import registered_schemes
-
-        print("available:", ", ".join(sorted(FIGURES)))
-        print("store-backed (resumable, renderable, dispatchable):",
-              ", ".join(store_backed_figures()))
-        print("dispatchable schemes (dispatch/worker):",
-              ", ".join(registered_schemes()))
-        print("(figures 15/16/19 run via pytest benchmarks/ --benchmark-only)")
-        return 0
-    commands = {
-        "worker": run_worker_command,
-        "dispatch": run_dispatch_command,
-        "store": run_store_command,
-        "scenarios": run_scenarios_command,
-        "ingest": run_ingest_command,
-    }
     try:
-        code = commands.get(figure, run_figure_command)(args)
+        code = command.run(args)
     except StoreError as exc:
-        from repro.experiments.dispatch import SpecError
-
-        prefix = figure if figure in commands else "result store"
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        figure = command.run is run_figure_command
+        print(f"{'result store' if figure else args.command}: {exc}",
+              file=sys.stderr)
         # A bad scheme spec is a usage error, caught before any worker.
         return 2 if isinstance(exc, SpecError) else 1
 
-    # Every command that read --cache-dir leaves it within its budget.
+    # Every command that writes KSP caches leaves --cache-dir within its
+    # budget.
     if (
         code == 0
+        and "cache_limits" in command.flags
         and args.cache_dir is not None
         and args.cache_max_bytes is not None
     ):
@@ -1101,9 +1093,7 @@ def main(argv=None) -> int:
         if removed:
             print(f"evicted {len(removed)} KSP cache file(s) from "
                   f"{args.cache_dir}")
-    if args.trace_dir is not None:
-        from repro import telemetry
-
+    if records:
         telemetry.recorder().flush()
     return code
 

@@ -195,6 +195,23 @@ def test_c303_argparse_dest_drift(tmp_path):
     assert rules == ["C303"]
 
 
+def test_c303_subparsers_dest_is_a_dest(tmp_path):
+    rules = rules_in(
+        tmp_path,
+        """
+        import argparse
+
+        def main(argv=None):
+            parser = argparse.ArgumentParser()
+            parser.add_subparsers(dest="command", required=True)
+            args = parser.parse_args(argv)
+            return args.command, args.missing
+        """,
+        [SchemaDriftPass()],
+    )
+    assert rules == ["C303"]
+
+
 # ----------------------------------------------------------------------
 # Parse failures, rule table
 # ----------------------------------------------------------------------

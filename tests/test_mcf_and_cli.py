@@ -94,7 +94,11 @@ class TestCli:
     def test_unknown_figure(self, capsys):
         from repro.experiments.__main__ import main
 
-        assert main(["nope"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["nope"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "argument command: invalid choice: 'nope'" in error
 
     def test_fig09_runs(self, capsys):
         from repro.experiments.__main__ import main
@@ -156,3 +160,15 @@ class TestCli:
         assert exit_info.value.code == 2
         error = capsys.readouterr().err.strip().splitlines()[-1]
         assert f"argument {flag}: must be at least {minimum}" in error
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "x", "0.5,-2"])
+    def test_bad_localities_exit_2(self, value, capsys):
+        # A negative locality used to end in a ValueError traceback from
+        # apply_locality and a NaN one in an infeasible LP, both mid-run.
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenarios", f"--localities={value}"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "argument --localities:" in error

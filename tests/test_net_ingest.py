@@ -202,10 +202,14 @@ class TestIngestCli:
             synthesize_internet_like(40, seed=1)
         )
 
-    def test_missing_target_is_usage_error(self):
+    def test_missing_target_is_usage_error(self, capsys):
         from repro.experiments.__main__ import main
 
-        assert main(["ingest"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ingest"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "the following arguments are required: target" in error
 
     def test_unreadable_file_is_runtime_error(self, tmp_path):
         from repro.experiments.__main__ import main

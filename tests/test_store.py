@@ -332,14 +332,22 @@ class TestCli:
         assert code == 1
         assert "result store" in capsys.readouterr().err
 
+    def usage_error(self, argv, capsys):
+        """The last stderr line of an argparse usage error (exit 2)."""
+        with pytest.raises(SystemExit) as exit_info:
+            self.run_cli(argv)
+        assert exit_info.value.code == 2
+        return capsys.readouterr().err.strip().splitlines()[-1]
+
     def test_render_requires_store_dir(self, capsys):
-        assert self.run_cli(["render", "fig03"]) == 2
+        error = self.usage_error(["render", "fig03"], capsys)
+        assert "the following arguments are required: --store-dir" in error
 
     def test_render_rejects_non_store_figure(self, tmp_path, capsys):
-        code = self.run_cli(
-            ["render", "fig09", "--store-dir", str(tmp_path)]
+        error = self.usage_error(
+            ["render", "fig09", "--store-dir", str(tmp_path)], capsys
         )
-        assert code == 2
+        assert "argument figure: invalid choice: 'fig09'" in error
 
 
 class TestLifecycleTooling:
@@ -459,6 +467,21 @@ class TestLifecycleTooling:
 
         assert main(["store", "gc", "--store-dir", str(tmp_path)]) == 2
         assert "refusing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("age", ["-1", "nan"])
+    def test_cli_gc_rejects_bad_age(self, workload, tmp_path, capsys, age):
+        # A negative age used to prune every signature dir, a store
+        # written seconds earlier included, and exit 0.
+        from repro.experiments.__main__ import main
+
+        signature = self.populate(tmp_path, workload)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["store", "gc", "--store-dir", str(tmp_path),
+                  "--max-age-days", age])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "argument --max-age-days: must be at least 0" in error
+        assert list((tmp_path / signature).glob("*.jsonl"))
 
     def test_cli_ls_timings_column(self, workload, tmp_path, capsys):
         from repro.experiments.__main__ import main

@@ -569,10 +569,13 @@ class TestTraceCli:
         )
         assert code == 1
         assert "no traces" in err
-        code, _, err = self.run_cli(["trace", "summary"], capsys)
-        assert code == 2
-        assert "--trace-dir" in err
-        code, _, err = self.run_cli(
-            ["trace", "explode", "--trace-dir", os.fspath(tmp_path)], capsys
-        )
-        assert code == 2
+        for argv, message in (
+            (["trace", "summary"],
+             "the following arguments are required: --trace-dir"),
+            (["trace", "explode", "--trace-dir", os.fspath(tmp_path)],
+             "argument action: invalid choice: 'explode'"),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                self.run_cli(argv, capsys)
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err
