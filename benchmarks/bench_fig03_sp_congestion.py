@@ -9,15 +9,17 @@ low-LLPD (tree-like) networks show almost none.
 import numpy as np
 
 from benchmarks.conftest import N_WORKERS, emit
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.figures import fig03_plan, fig03_sp_congestion
-from repro.experiments.plan import execute_plan
 from repro.experiments.render import render_series
 
 
 def test_fig03_sp_congestion(benchmark, standard_workload):
     result = benchmark.pedantic(
         lambda: fig03_sp_congestion(
-            execute_plan(fig03_plan(standard_workload), n_workers=N_WORKERS)
+            ExperimentEngine(n_workers=N_WORKERS).run_plan(
+                fig03_plan(standard_workload)
+            )
         ),
         rounds=1,
         iterations=1,

@@ -14,8 +14,8 @@ Paper shapes:
 import numpy as np
 
 from benchmarks.conftest import N_WORKERS, emit
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.figures import fig04_plan, fig04_schemes
-from repro.experiments.plan import execute_plan
 from repro.experiments.render import render_series
 
 
@@ -26,7 +26,9 @@ def _mean(points):
 def test_fig04_schemes(benchmark, standard_workload):
     results = benchmark.pedantic(
         lambda: fig04_schemes(
-            execute_plan(fig04_plan(standard_workload), n_workers=N_WORKERS)
+            ExperimentEngine(n_workers=N_WORKERS).run_plan(
+                fig04_plan(standard_workload)
+            )
         ),
         rounds=1,
         iterations=1,

@@ -8,8 +8,8 @@ headroom values and only rises substantially at the 40% (MinMax) end.
 import numpy as np
 
 from benchmarks.conftest import N_WORKERS, emit
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.figures import fig08_headroom_sweep, fig08_plan
-from repro.experiments.plan import execute_plan
 from repro.experiments.render import render_series
 
 HEADROOMS = (0.0, 0.11, 0.23, 0.40)
@@ -22,8 +22,8 @@ def _mean(points):
 def test_fig08_headroom(benchmark, light_workload):
     results = benchmark.pedantic(
         lambda: fig08_headroom_sweep(
-            execute_plan(
-                fig08_plan(light_workload, HEADROOMS), n_workers=N_WORKERS
+            ExperimentEngine(n_workers=N_WORKERS).run_plan(
+                fig08_plan(light_workload, HEADROOMS)
             )
         ),
         rounds=1,

@@ -13,15 +13,17 @@ Paper shapes:
 import numpy as np
 
 from benchmarks.conftest import N_WORKERS, emit
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.figures import fig16_max_stretch_cdfs, fig16_plan
-from repro.experiments.plan import execute_plan
 from repro.experiments.render import render_cdf
 
 
 def test_fig16_max_stretch(benchmark, standard_workload):
     results = benchmark.pedantic(
         lambda: fig16_max_stretch_cdfs(
-            execute_plan(fig16_plan(standard_workload), n_workers=N_WORKERS)
+            ExperimentEngine(n_workers=N_WORKERS).run_plan(
+                fig16_plan(standard_workload)
+            )
         ),
         rounds=1,
         iterations=1,

@@ -9,8 +9,8 @@ optimal scheme converge.
 import numpy as np
 
 from benchmarks.conftest import N_WORKERS, RESULTS_DIR, emit
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.figures import fig17_load_sweep, fig17_plan
-from repro.experiments.plan import execute_plan
 from repro.experiments.render import render_series
 
 LOADS = (0.6, 0.7, 0.8, 0.9)
@@ -22,11 +22,10 @@ def test_fig17_load(benchmark, high_llpd_items):
     # with the other benchmarks (same networks, same content hashes).
     results = benchmark.pedantic(
         lambda: fig17_load_sweep(
-            execute_plan(
-                fig17_plan(high_llpd_items, LOADS),
+            ExperimentEngine(
                 n_workers=N_WORKERS,
                 cache_dir=str(RESULTS_DIR / "ksp-cache"),
-            )
+            ).run_plan(fig17_plan(high_llpd_items, LOADS))
         ),
         rounds=1,
         iterations=1,

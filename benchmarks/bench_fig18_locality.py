@@ -8,8 +8,8 @@ beyond locality ~1.5.
 import numpy as np
 
 from benchmarks.conftest import N_WORKERS, RESULTS_DIR, emit
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.figures import fig18_locality_sweep, fig18_plan
-from repro.experiments.plan import execute_plan
 from repro.experiments.render import render_series
 
 LOCALITIES = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -21,11 +21,10 @@ def test_fig18_locality(benchmark, high_llpd_items):
     # REPRO_BENCH_WORKERS and warm-starts from the shared KSP cache dir.
     results = benchmark.pedantic(
         lambda: fig18_locality_sweep(
-            execute_plan(
-                fig18_plan(networks, LOCALITIES, n_matrices=1),
+            ExperimentEngine(
                 n_workers=N_WORKERS,
                 cache_dir=str(RESULTS_DIR / "ksp-cache"),
-            )
+            ).run_plan(fig18_plan(networks, LOCALITIES, n_matrices=1))
         ),
         rounds=1,
         iterations=1,

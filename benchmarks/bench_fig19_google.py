@@ -8,8 +8,8 @@ with shortest paths alone.
 
 from benchmarks.conftest import N_MATRICES, emit
 from repro.core.metrics import llpd
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.figures import fig03_plan, fig03_sp_congestion
-from repro.experiments.plan import execute_plan
 from repro.experiments.render import render_series
 from repro.experiments.workloads import NetworkWorkload, ZooWorkload, build_traffic_matrices
 from repro.net.zoo import google_like
@@ -35,7 +35,9 @@ def test_fig19_google(benchmark, standard_workload):
     )
 
     result = benchmark.pedantic(
-        lambda: fig03_sp_congestion(execute_plan(fig03_plan(augmented))),
+        lambda: fig03_sp_congestion(
+            ExperimentEngine().run_plan(fig03_plan(augmented))
+        ),
         rounds=1,
         iterations=1,
     )

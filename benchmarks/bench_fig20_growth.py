@@ -13,8 +13,8 @@ widely.
 import numpy as np
 
 from benchmarks.conftest import emit
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.figures import fig20_growth_benefit, fig20_plan
-from repro.experiments.plan import execute_plan
 from repro.experiments.render import render_scatter_summary
 
 N_HARD_NETWORKS = 3
@@ -43,7 +43,7 @@ def test_fig20_growth(benchmark, standard_workload):
 
     results = benchmark.pedantic(
         lambda: fig20_growth_benefit(
-            execute_plan(fig20_plan(items, max_candidates=12))
+            ExperimentEngine().run_plan(fig20_plan(items, max_candidates=12))
         ),
         rounds=1,
         iterations=1,

@@ -24,12 +24,7 @@ reducer of the plan's report into the figure's series;
 from repro import telemetry
 from repro.experiments.workloads import ZooWorkload, build_zoo_workload
 from repro.experiments.runner import SchemeOutcome
-from repro.experiments.plan import (
-    EvalPlan,
-    EvalTask,
-    PlanReport,
-    execute_plan,
-)
+from repro.experiments.plan import EvalPlan, EvalTask, PlanReport
 from repro.experiments.engine import ExperimentEngine, NetworkResult
 from repro.experiments.spec import SchemeSpec, registered_schemes
 
@@ -40,7 +35,6 @@ __all__ = [
     "EvalPlan",
     "EvalTask",
     "PlanReport",
-    "execute_plan",
     "ExperimentEngine",
     "NetworkResult",
     "SchemeSpec",

@@ -39,10 +39,11 @@ multi-scheme plan into self-contained JSON shard manifests, evaluates
 them in separate ``worker`` subprocesses (each appending to its own
 store), and merges the worker stores back into ``--store-dir`` — the
 same cycle a multi-host run performs by copying manifests out and store
-directories back.  ``worker`` is that subprocess's entry point and runs
-anywhere the package is importable.  ``store ls`` / ``store gc`` list
-and prune the store's streams; ``store ls --timings`` adds each stream's
-stored evaluation seconds.
+directories back, shipping only the tasks the store is missing.
+``worker`` is that subprocess's entry point and runs anywhere the
+package is importable.  ``store ls`` / ``store gc`` list and prune the
+store's streams; ``store ls --timings`` adds each stream's stored
+evaluation seconds.
 
 ``--trace-dir`` records span telemetry for any run, render, dispatch or
 worker invocation: every process appends its spans and metrics to JSONL
@@ -73,7 +74,7 @@ from repro import telemetry
 from repro.experiments import figures
 from repro.experiments.dispatch import SpecError, dispatch_plan, run_worker
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.plan import EvalPlan, execute_plan
+from repro.experiments.plan import EvalPlan
 from repro.experiments.render import (
     render_cdf,
     render_scatter_summary,
@@ -110,7 +111,7 @@ def build_workload(args, growth_factor: Optional[float] = None):
 
 
 def engine_options(args) -> dict:
-    """Engine/store keyword arguments for :func:`execute_plan`.
+    """:class:`ExperimentEngine` keyword arguments from the CLI flags.
 
     The single place the CLI's store/cache plumbing lives: every
     engine-backed figure (and the scenario fleet) runs with these.
@@ -364,9 +365,14 @@ def run_dispatch_command(args) -> int:
         what = f"scheme {args.target!r}"
         hint = ""
 
-    _dispatch(plan, args)
+    shipped = plan.n_tasks - _dispatch(plan, args).n_stored
+    workers = args.shards
+    if shipped < plan.n_tasks:
+        # A resumed dispatch ships only the tasks the store is missing.
+        workers = min(args.shards, shipped)
+        what = f"the {shipped} missing task(s) of {what}"
     print(
-        f"dispatch: {args.shards} shard worker(s) evaluated {what} "
+        f"dispatch: {workers} shard worker(s) evaluated {what} "
         f"({len(plan.streams)} stream(s), {plan.n_tasks} task(s)); "
         f"merged into {args.store_dir}{hint}"
     )
@@ -673,7 +679,7 @@ def run_figure_command(args) -> int:
             print(figure.draw(args))
             return 0
         options = engine_options(args)
-    print(figure.draw(execute_plan(figure.plan(args), **options)))
+    print(figure.draw(ExperimentEngine(**options).run_plan(figure.plan(args))))
     return 0
 
 

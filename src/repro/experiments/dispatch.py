@@ -26,17 +26,19 @@ order-blind: worker stores are just (signature, scheme) streams,
 deduplicated by network index, so any partitioning yields the same
 merged store.
 
-Determinism
------------
+Workers and resume
+------------------
 
-A worker reconstructs its networks and matrices from the manifest's JSON
-forms (floats round-trip exactly), resolves the scheme spec through the
-registry, and evaluates each item with the *original* workload index — so
-its :class:`~repro.experiments.engine.NetworkResult` records are
-bit-identical to what the in-process engine would have produced, and the
-merged store serves outcomes equal to a serial in-process
-:meth:`~repro.experiments.engine.ExperimentEngine.run_plan` run
-(:func:`dispatch_plan` with ``verify=True`` asserts this).
+A shard is a subset of the plan's tasks (tasks commute), so a worker
+has no loop of its own: it rebuilds the plan its manifest describes
+(JSON forms round-trip floats exactly; every stream keeps the
+coordinator's full-workload signature) and runs
+``ExperimentEngine.run_plan(plan, indices=<its shard>)``.  Every task
+keeps its *original* workload index, so worker records are
+bit-identical to the in-process engine's.  The engine's store-backed
+stream decides which tasks are already stored, by the same rule with
+which a resumed :func:`dispatch_plan` ships only the tasks its main
+store is missing.
 
 The merge deduplicates by (workload signature, scheme, network index):
 re-merging a worker store is a no-op, and two workers that redundantly
@@ -48,20 +50,20 @@ raises :class:`~repro.experiments.store.StoreMismatchError` — that is two
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.experiments.engine import ExperimentEngine, NetworkResult
 from repro.experiments.plan import EvalPlan, EvalTask, PlanReport
 from repro.experiments.spec import SchemeSpec, UnknownSchemeError, check_spec
 from repro.experiments.store import (
-    MultiStreamWriter,
     ResultStore,
     StoreError,
     StoreMismatchError,
@@ -127,7 +129,63 @@ def load_manifest(path: "os.PathLike[str] | str") -> dict:
         raise DispatchError(
             f"{path}: manifest is missing {', '.join(missing)}"
         )
+    _check_references(manifest, path)
     return manifest
+
+
+def _check_references(manifest: dict, path: "os.PathLike[str] | str") -> None:
+    """Raise unless every task and chunk resolves within the manifest
+    (a dangling reference would end in an ``IndexError`` in the worker).
+    """
+
+    def check(value: object, size: int, what: str) -> int:
+        if type(value) is not int or not 0 <= value < size:
+            raise DispatchError(
+                f"{path}: {what} {value!r} is out of range, "
+                f"expected 0 to {size - 1}"
+            )
+        return value
+
+    streams = manifest["streams"]
+    n_scenarios = len(manifest.get("scenarios") or [])
+    for sid, stream in enumerate(streams):
+        n_networks = stream.get("n_networks")
+        if type(n_networks) is not int or n_networks < 0:
+            raise DispatchError(
+                f"{path}: stream {sid} n_networks {n_networks!r} "
+                f"is not a count"
+            )
+        if stream.get("scenario") is not None:
+            check(stream["scenario"], n_scenarios, "stream scenario")
+    for task in manifest["tasks"]:
+        sid = check(task.get("stream"), len(streams), "task stream")
+        check(task.get("index"), streams[sid]["n_networks"], "task index")
+        check(task.get("item"), len(manifest["items"]), "task item")
+    for chunk in manifest.get("task_chunks") or []:
+        sid = check(chunk.get("stream"), len(streams), "chunk stream")
+        if streams[sid].get("scenario") is None:
+            raise DispatchError(
+                f"{path}: chunk on stream {sid}, which has no scenario fleet"
+            )
+        n_networks = streams[sid]["n_networks"]
+        start = check(chunk.get("start"), n_networks, "chunk start")
+        check(chunk.get("count"), n_networks - start + 1, "chunk count")
+
+
+def _check_plan_specs(plan: EvalPlan) -> None:
+    """Raise unless every stream's spec can be built in a worker: a
+    non-:class:`SchemeSpec` factory is a :class:`DispatchError`, an
+    unknown scheme or param a :class:`SpecError`."""
+    for key, stream in plan.streams.items():
+        if not isinstance(stream.factory, SchemeSpec):
+            raise DispatchError(
+                f"plan stream {key!r} uses a non-SchemeSpec factory; "
+                f"only registry specs can cross a host boundary"
+            )
+        try:
+            check_spec(stream.factory)
+        except (UnknownSchemeError, TypeError) as error:
+            raise SpecError(f"plan stream {key!r}: {error.args[0]}") from None
 
 
 def build_plan_manifest(
@@ -144,10 +202,7 @@ def build_plan_manifest(
     by position in a deduplicated item table — two streams evaluating
     the same network (the common case: every scheme of a figure runs
     over the same workload) serialize that network once per manifest,
-    not once per task.  Each stream's spec is checked first: an
-    unregistered scheme or params its builder does not accept raise
-    :class:`SpecError` here, before any manifest is written, instead of
-    in every worker.
+    not once per task.
 
     Lazy scenario workloads (anything exposing ``to_manifest_jsonable``)
     ship *compactly*: the fleet description (base item + specs) lands
@@ -164,15 +219,6 @@ def build_plan_manifest(
     scenarios: List[dict] = []
     scenario_ids: Dict[int, int] = {}
     for key, stream in plan.streams.items():
-        if not isinstance(stream.factory, SchemeSpec):
-            raise DispatchError(
-                f"plan stream {key!r} uses a non-SchemeSpec factory; "
-                f"only registry specs can cross a host boundary"
-            )
-        try:
-            check_spec(stream.factory)
-        except (UnknownSchemeError, TypeError) as error:
-            raise SpecError(f"plan stream {key!r}: {error.args[0]}") from None
         scenario_ref = None
         to_payload = getattr(stream.workload, "to_manifest_jsonable", None)
         if callable(to_payload):
@@ -258,8 +304,9 @@ def write_plan_manifests(
     plan: EvalPlan,
     n_shards: int,
     out_dir: "os.PathLike[str] | str",
+    indices: Optional[Dict[Hashable, Sequence[int]]] = None,
 ) -> List[Path]:
-    """Split a whole plan into shard manifest files under ``out_dir``.
+    """Split a plan's tasks into shard manifest files under ``out_dir``.
 
     :meth:`EvalPlan.tasks` is cut into contiguous, equal-size chunks of
     its round-robin order, so every worker receives a mix of *all*
@@ -270,13 +317,17 @@ def write_plan_manifests(
     never more manifests than tasks.  Every stream's signature is the
     full workload's, so all shards append into the same mergeable store
     keys the in-process plan run would use — partitioning never changes
-    the merged results.
+    the merged results.  ``indices`` restricts each stream to the given
+    network indices, as in :meth:`EvalPlan.tasks`.  Each stream's spec
+    is checked first (:func:`_check_plan_specs`), before any manifest is
+    written, instead of in every worker.
     """
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")
+    _check_plan_specs(plan)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = plan.tasks()
+    tasks = plan.tasks(indices=indices)
     n_effective = min(n_shards, max(len(tasks), 1))
     base, extra = divmod(len(tasks), n_effective)
     paths: List[Path] = []
@@ -301,6 +352,86 @@ def write_plan_manifests(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
+class _ShardWorkload:
+    """One stream of a shard manifest, as the engine's workload.
+
+    ``networks[i]`` is ``item(i)``, built on first use; only the shard's
+    indices resolve.  The length is the full workload's and the
+    signature the one the coordinator computed over it, so store keys
+    and the trace id are the in-process plan's.
+    """
+
+    def __init__(self, stream: dict, item: Callable) -> None:
+        self.networks = self
+        self._stream = stream
+        self._item = item
+
+    def __len__(self) -> int:
+        return self._stream["n_networks"]
+
+    def __getitem__(self, index: int) -> NetworkWorkload:
+        return self._item(index)
+
+    def content_signature(self, matrices_per_network: Optional[int]) -> str:
+        return self._stream["signature"]
+
+
+def _shard_plan(manifest: dict) -> Tuple[EvalPlan, Dict[int, List[int]]]:
+    """The plan a checked shard manifest describes, and its indices.
+
+    One plan stream per manifest stream, keyed by its table position.
+    Each item id is rebuilt once and shared by every stream naming it,
+    so those streams share one KSP cache, as in process.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def rebuild(ref: int) -> NetworkWorkload:
+        entry = manifest["items"][ref]
+        return NetworkWorkload(
+            network=network_from_json(json.dumps(entry["network"])),
+            llpd=entry["llpd"],
+            matrices=[
+                tm_from_json(json.dumps(tm)) for tm in entry["matrices"]
+            ],
+        )
+
+    def item(refs: Dict[int, int], index: int) -> NetworkWorkload:
+        return rebuild(refs[index])
+
+    @functools.lru_cache(maxsize=None)
+    def fleet(ref: int):
+        # Imported lazily: scenarios imports the store layer, and this
+        # module must stay importable without it.
+        from repro.scenarios.workload import ScenarioWorkload
+
+        return ScenarioWorkload.from_manifest_jsonable(
+            manifest["scenarios"][ref]
+        )
+
+    streams = manifest["streams"]
+    refs: List[Dict[int, int]] = [{} for _ in streams]
+    for task in manifest["tasks"]:
+        refs[task["stream"]][task["index"]] = task["item"]
+    indices = [list(stream_refs) for stream_refs in refs]
+    for chunk in manifest.get("task_chunks") or []:
+        start = chunk["start"]
+        indices[chunk["stream"]] += range(start, start + chunk["count"])
+    plan = EvalPlan()
+    for sid, stream in enumerate(streams):
+        if stream.get("scenario") is None:
+            lookup = functools.partial(item, refs[sid])
+        else:
+            lookup = fleet(stream["scenario"]).networks.__getitem__
+        plan.add(
+            sid,
+            SchemeSpec.from_jsonable(stream["spec"]),
+            _ShardWorkload(stream, lookup),
+            scheme=stream["scheme"],
+            matrices_per_network=stream.get("matrices_per_network"),
+        )
+    return plan, dict(enumerate(indices))
+
+
 def run_worker(
     manifest_path: "os.PathLike[str] | str",
     store_dir: "os.PathLike[str] | str",
@@ -310,132 +441,38 @@ def run_worker(
 ) -> dict:
     """Evaluate one plan shard and append its results to ``store_dir``.
 
-    One store stream per plan stream, each carrying the manifest's
-    full-workload signature, so several workers' stores merge into one
-    key set.  Each task resolves its spec through the registry, rebuilds
-    its workload item from the shared item table, and evaluates under
-    its *original* global index — so the worker's records are
-    bit-identical to the in-process engine's and merge conflict-free by
-    (signature, scheme, index).  Already-stored indices are skipped (a
-    re-run worker resumes like the engine does).  Returns a summary dict
-    for logging.
+    Runs the manifest's plan (:func:`_shard_plan`) over the shard's
+    indices through a serial store-backed engine, so a re-run worker
+    resumes like any engine run.  Returns a summary dict for logging.
     """
     manifest = load_manifest(manifest_path)
+    plan, indices = _shard_plan(manifest)
     recorder = telemetry.recorder()
-    if recorder.enabled:
-        # The stream table always carries the *whole* plan's streams, so
-        # every shard — and the coordinator via plan_trace_id — derives
-        # the same trace id independently.
-        recorder.begin_trace(
-            telemetry.trace_id_for_streams(
-                [
-                    (stream["scheme"], stream["signature"])
-                    for stream in manifest["streams"]
-                ]
-            )
-        )
-    engine = ExperimentEngine(
-        n_workers=1, cache_dir=cache_dir, cache_max_paths=cache_max_paths
-    )
-    store = ResultStore(store_dir)
-    writer = MultiStreamWriter(store, resume=resume)
-    specs = [
-        SchemeSpec.from_jsonable(stream["spec"])
-        for stream in manifest["streams"]
-    ]
-    rebuilt_items: Dict[int, NetworkWorkload] = {}
-    scenario_fleets: Dict[int, object] = {}
-
-    def scenario_item(sid: int, index: int) -> NetworkWorkload:
-        """Materialize one variant of a scenario stream on demand."""
-        ref = manifest["streams"][sid]["scenario"]
-        fleet = scenario_fleets.get(ref)
-        if fleet is None:
-            # Imported lazily: scenarios imports the store layer, and
-            # this module must stay importable without it at play.
-            from repro.scenarios.workload import ScenarioWorkload
-
-            fleet = ScenarioWorkload.from_manifest_jsonable(
-                manifest["scenarios"][ref]
-            )
-            scenario_fleets[ref] = fleet
-        return fleet.networks[index]
-
-    def shard_tasks():
-        """Explicit task entries, then run-length-encoded chunks.
-
-        Yields ``(stream id, global index, item ref)``; a ``None`` item
-        ref means the stream's scenario fleet materializes the item.
-        """
-        for task in manifest["tasks"]:
-            yield task["stream"], task["index"], task["item"]
-        for chunk in manifest.get("task_chunks") or []:
-            for index in range(
-                chunk["start"], chunk["start"] + chunk["count"]
-            ):
-                yield chunk["stream"], index, None
-
-    evaluated = skipped = 0
     attrs = None
     if recorder.enabled:
+        # The stream table always carries the *whole* plan's streams, so
+        # every shard — and the coordinator — derives the same trace id
+        # independently.
+        recorder.begin_trace(telemetry.plan_trace_id(plan))
         attrs = {
             "shard_index": manifest["shard_index"],
             "n_shards": manifest["n_shards"],
         }
-    try:
-        with recorder.span("worker", attrs):
-            stored = [
-                writer.open(
-                    sid,
-                    stream["signature"],
-                    stream["scheme"],
-                    n_networks=stream["n_networks"],
-                )
-                for sid, stream in enumerate(manifest["streams"])
-            ]
-            for sid, index, item_ref in shard_tasks():
-                if index in stored[sid]:
-                    skipped += 1
-                    continue
-                if item_ref is None:
-                    item = scenario_item(sid, index)
-                else:
-                    item = rebuilt_items.get(item_ref)
-                    if item is None:
-                        entry = manifest["items"][item_ref]
-                        item = NetworkWorkload(
-                            network=network_from_json(
-                                json.dumps(entry["network"])
-                            ),
-                            llpd=entry["llpd"],
-                            matrices=[
-                                tm_from_json(json.dumps(tm))
-                                for tm in entry["matrices"]
-                            ],
-                        )
-                        rebuilt_items[item_ref] = item
-                result = engine._evaluate_network(
-                    specs[sid],
-                    item,
-                    manifest["streams"][sid]["matrices_per_network"],
-                    index,
-                    scheme=manifest["streams"][sid]["scheme"],
-                )
-                writer.append(sid, result)
-                evaluated += 1
-            if recorder.enabled and skipped:
-                recorder.counter("engine.resume_skipped", skipped)
-    finally:
-        writer.close()
+    engine = ExperimentEngine(
+        cache_dir=cache_dir, store_dir=store_dir, resume=resume,
+        cache_max_paths=cache_max_paths,
+    )
+    with recorder.span("worker", attrs):
+        report = engine.run_plan(plan, indices=indices)
+    n_results = sum(len(results) for results in report.results.values())
     schemes = sorted({stream["scheme"] for stream in manifest["streams"]})
     return {
         "shard_index": manifest["shard_index"],
         "n_shards": manifest["n_shards"],
         "scheme": "+".join(schemes),
-        "signature": "<plan>",
-        "evaluated": evaluated,
-        "skipped": skipped,
-        "stream": os.fspath(store.root),
+        "evaluated": n_results - report.n_stored,
+        "skipped": report.n_stored,
+        "stream": os.fspath(Path(store_dir)),
     }
 
 
@@ -610,7 +647,6 @@ def dispatch_plan(
     cache_dir: Optional["os.PathLike[str] | str"] = None,
     cache_max_paths: Optional[int] = None,
     resume: bool = True,
-    verify: bool = False,
 ) -> PlanReport:
     """Shard a whole evaluation plan across worker subprocesses and merge.
 
@@ -627,34 +663,54 @@ def dispatch_plan(
     the usual idempotent, conflict-checked (signature, scheme, index)
     dedup, and the merged store then serves the full
     :class:`~repro.experiments.plan.PlanReport` — equal to what an
-    in-process :func:`~repro.experiments.plan.execute_plan` run
-    returns regardless of partitioning (``verify=True`` asserts exactly
-    that).
+    in-process :meth:`~repro.experiments.engine.ExperimentEngine.run_plan`
+    returns regardless of partitioning.
 
-    ``resume=False`` resets every stream of the plan in the main store
-    before merging, and only after every worker succeeded — a failed
-    dispatch never destroys existing results.
+    With ``resume`` (the default) only the tasks missing from
+    ``store_dir`` ship (:meth:`ResultStore.resumable_results`), and a
+    complete store starts no worker; the report's ``n_stored`` counts
+    the tasks that did not ship.  ``resume=False`` ships every task
+    and resets the plan's streams in the main store once every worker
+    succeeded — a failed dispatch never destroys existing results.
     """
     recorder = telemetry.recorder()
     if recorder.enabled:
         recorder.begin_trace(telemetry.plan_trace_id(plan))
+    _check_plan_specs(plan)
+    store = ResultStore(store_dir)
+    served = ExperimentEngine(store_dir=store_dir, store_only=True)
+    signatures = {
+        key: workload_signature(stream.workload, stream.matrices_per_network)
+        for key, stream in plan.streams.items()
+    }
+    indices = None
+    n_shipped = plan.n_tasks
+    if resume:
+        indices = {}
+        for key, stream in plan.streams.items():
+            stored = store.resumable_results(signatures[key], stream.scheme)
+            indices[key] = [
+                i for i in range(stream.n_networks) if i not in stored
+            ]
+        n_shipped = sum(len(missing) for missing in indices.values())
+        if not n_shipped:
+            return served.run_plan(plan)
     own_work_dir = None
     if work_dir is None:
         own_work_dir = tempfile.TemporaryDirectory(prefix="repro-dispatch-")
         work_dir = own_work_dir.name
     work = Path(work_dir)
     try:
-        manifests = write_plan_manifests(plan, n_shards, work / "manifests")
+        manifests = write_plan_manifests(
+            plan, n_shards, work / "manifests", indices=indices
+        )
         worker_stores = _run_shard_workers(
             manifests, work, cache_dir, cache_max_paths
         )
         if not resume:
-            store = ResultStore(store_dir)
-            for stream in plan.streams.values():
+            for key, stream in plan.streams.items():
                 store.open_writer(
-                    workload_signature(
-                        stream.workload, stream.matrices_per_network
-                    ),
+                    signatures[key],
                     stream.scheme,
                     n_networks=stream.n_networks,
                     resume=False,
@@ -664,16 +720,6 @@ def dispatch_plan(
     finally:
         if own_work_dir is not None:
             own_work_dir.cleanup()
-
-    report = ExperimentEngine(store_dir=store_dir, store_only=True).run_plan(
-        plan
-    )
-    if verify:
-        direct = ExperimentEngine(n_workers=1).run_plan(plan)
-        for key in plan.streams:
-            if report.outcomes(key) != direct.outcomes(key):
-                raise DispatchError(
-                    "dispatched outcomes differ from the in-process "
-                    f"engine's for plan stream {key!r}"
-                )
+    report = served.run_plan(plan)
+    report.n_stored = plan.n_tasks - n_shipped
     return report

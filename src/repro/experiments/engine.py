@@ -1,64 +1,54 @@
-"""Parallel experiment engine: one shared pool for whole evaluation plans.
+"""Experiment engine: the one loop that runs an evaluation plan.
 
-The paper evaluates 116 networks x 100 traffic matrices; this repo's
-runner historically walked that grid strictly serially and rebuilt every
-network's KSP cache from cold on each run.  Both costs are avoidable:
-per-network evaluations are *pure and independent* — a scheme instance,
+Per-network evaluations are *pure and independent* — a scheme instance,
 its KSP cache and its placements touch exactly one
-:class:`~repro.experiments.workloads.NetworkWorkload` — so they commute
-and can be fanned out across processes, and the k-shortest-paths results
-("the bottleneck is not the linear optimizer", paper §5) can be persisted
-between runs via :meth:`KspCache.dump` / :meth:`KspCache.load`.
+:class:`~repro.experiments.workloads.NetworkWorkload` — so they commute:
+they fan out across processes, and the k-shortest-paths results ("the
+bottleneck is not the linear optimizer", paper §5) persist between runs
+via :meth:`KspCache.dump` / :meth:`KspCache.load`.
 
 The unit of execution is an :class:`~repro.experiments.plan.EvalPlan`: a
 flat batch of (stream, network-index) tasks spanning every scheme and
 sweep point of a figure.  :meth:`ExperimentEngine.run_plan` (and its
-streaming form :meth:`~ExperimentEngine.stream_plan`) executes an entire
-plan in the plan's round-robin task order
-(:meth:`~repro.experiments.plan.EvalPlan.iter_tasks`), one way: on one
-``fork`` pool when ``n_workers > 1`` and fork exists, serially
-otherwise.  Out-of-process runs on any platform go through
-:mod:`repro.experiments.dispatch`.
+streaming form :meth:`~ExperimentEngine.stream_plan`) executes the plan
+(``run_plan`` with ``indices``: any subset of its tasks) in round-robin
+task order (:meth:`~repro.experiments.plan.EvalPlan.iter_tasks`), one
+way: on one ``fork`` pool when ``n_workers > 1`` and fork exists,
+serially otherwise.  Out-of-process runs go through
+:mod:`repro.experiments.dispatch`, whose workers run their shard
+through this same engine.
 
 Sharding/determinism contract
 -----------------------------
 
-* The unit of work is one task — one network (one ``NetworkWorkload``)
-  of one stream: all of its traffic matrices are evaluated in order
-  inside a single process, against a single KSP cache.  Nothing is
-  shared *across* tasks, so each task's result is a pure function of its
-  workload item and scheme factory.  (Warm KSP-cache state affects only
-  timing, never results.)
-* Consequently plan execution returns **bit-identical** outcome lists
-  for any ``n_workers`` *and any task order* (tasks commute), which is
-  why the figure layer could move from per-(scheme, sweep-point) calls
-  to whole-figure plans without changing a single output.
+* The unit of work is one task — one network of one stream: all of its
+  traffic matrices are evaluated in order inside a single process,
+  against a single KSP cache.  Each task's result is a pure function of
+  its workload item and scheme factory (warm KSP-cache state affects
+  only timing), so plan execution returns **bit-identical** outcome
+  lists for any ``n_workers``, any task order and any split into task
+  subsets.
 * Pool workers are forked, so scheme factories (possibly closures) and
-  workloads never need to be pickled; only (stream key, network index)
-  tasks travel to the workers and only :class:`NetworkResult` values
-  travel back.  Where ``fork`` is unavailable (Windows) the engine
-  evaluates serially — same results, no parallelism — and logs a
-  warning on the ``repro`` logger (and bumps the
-  ``engine.serial_fallback`` trace counter), since silently losing
-  parallelism is a performance bug waiting to be misread; ``dispatch``
-  is the out-of-process route there.
-* With a ``cache_dir``, each worker warms its network's KSP cache from
+  workloads are never pickled; only :class:`EvalTask` values travel to
+  the workers and only :class:`NetworkResult` values travel back.
+  Where ``fork`` is unavailable (Windows) the engine evaluates serially
+  and logs a warning on the ``repro`` logger (and bumps the
+  ``engine.serial_fallback`` trace counter); ``dispatch`` is the
+  out-of-process route there.
+* With a ``cache_dir``, each task warms its network's KSP cache from
   ``ksp-<network_signature>.json`` when a valid file exists and dumps the
   (possibly extended) cache back after evaluating.  Files are keyed by a
-  content hash of the network, so stale caches are rejected rather than
-  trusted, and writes are atomic (write-to-temp + rename) so concurrent
-  shards never observe torn files.
-* With a ``store_dir``, completed per-network results are additionally
-  appended to the plan's result-store streams — one
-  :class:`~repro.experiments.store.ResultStore` stream per (workload
-  signature, scheme name), via the batched
-  :class:`~repro.experiments.store.MultiStreamWriter` — and networks
-  whose results are already stored are **skipped**: an interrupted plan
-  restarted against the same store evaluates only the missing tasks of
-  each stream, and a fully-stored plan constructs no scheme at all.
-  Because each stored result is the pure per-network function's output
-  round-tripped through JSON (floats are exact), the
-  bit-identical-for-any-worker-count contract extends to stored results.
+  content hash of the network, so stale caches are rejected, and writes
+  are atomic (write-to-temp + rename).
+* With a ``store_dir``, the engine is the one place that decides which
+  tasks run and appends their results: each stream's stored results are
+  served (counted in :attr:`PlanReport.n_stored`), only the missing
+  tasks are evaluated, and each completed result is appended to its
+  (workload signature, scheme) stream.  An interrupted plan restarted
+  against the same store evaluates only what is missing, and a
+  fully-stored plan constructs no scheme at all.  Stored results
+  round-trip through JSON exactly, so the bit-identity contract extends
+  to them.
 """
 
 from __future__ import annotations
@@ -76,13 +66,13 @@ from concurrent.futures import (
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
-    Callable,
     Dict,
     Hashable,
     Iterable,
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -94,11 +84,8 @@ from repro.experiments.runner import SchemeOutcome
 from repro.experiments.workloads import NetworkWorkload
 from repro.logutil import get_logger
 from repro.net.paths import KspCache, ksp_cache_path, network_signature
-from repro.routing.base import RoutingScheme
 
 logger = get_logger(__name__)
-
-SchemeFactory = Callable[[NetworkWorkload], RoutingScheme]
 
 #: Worker-side state inherited through ``fork``, keyed by a per-run token
 #: so concurrently advanced streams (different engines, different threads)
@@ -176,19 +163,23 @@ class ExperimentEngine:
         self.store_only = store_only
         self.cache_max_paths = cache_max_paths
 
-    def run_plan(self, plan: EvalPlan) -> PlanReport:
-        """Execute a whole plan; per-stream results in workload order."""
-        collected: Dict[Hashable, Dict[int, NetworkResult]] = {
-            key: {} for key in plan.streams
-        }
-        for key, result in self.stream_plan(plan):
-            collected[key][result.index] = result
-        return PlanReport(
-            results={
-                key: [collected[key][i] for i in sorted(collected[key])]
-                for key in plan.streams
-            },
-        )
+    def run_plan(
+        self,
+        plan: EvalPlan,
+        indices: Optional[Dict[Hashable, Sequence[int]]] = None,
+    ) -> PlanReport:
+        """Execute a whole plan; per-stream results in workload order.
+
+        ``indices`` restricts each stream to the given network indices,
+        as :meth:`~repro.experiments.plan.EvalPlan.iter_tasks` does (a
+        dispatch worker passes its shard); by default every task runs.
+        """
+        report = PlanReport(results={key: [] for key in plan.streams})
+        for key, result in self._stream(plan, indices, report):
+            report.results[key].append(result)
+        for results in report.results.values():
+            results.sort(key=lambda result: result.index)
+        return report
 
     def stream_plan(
         self, plan: EvalPlan
@@ -200,8 +191,22 @@ class ExperimentEngine:
         completion order.  The whole plan runs on one process pool, fed
         in :meth:`~repro.experiments.plan.EvalPlan.iter_tasks` order.
         """
+        return self._stream(plan, None, PlanReport())
+
+    def _stream(
+        self,
+        plan: EvalPlan,
+        indices: Optional[Dict[Hashable, Sequence[int]]],
+        report: PlanReport,
+    ) -> Iterator[Tuple[Hashable, NetworkResult]]:
+        """:meth:`stream_plan`, counting store-served results on ``report``."""
         if not plan.streams:
             return iter(())
+        if indices is None:
+            indices = {
+                key: range(stream.n_networks)
+                for key, stream in plan.streams.items()
+            }
         recorder = telemetry.recorder()
         if recorder.enabled:
             # Name the trace after the plan's workload content, so every
@@ -210,9 +215,9 @@ class ExperimentEngine:
             # derives the same trace id and their shards merge.
             recorder.begin_trace(telemetry.plan_trace_id(plan))
         if self.store_dir is not None:
-            inner = self._stream_plan_stored(plan)
+            inner = self._stream_plan_stored(plan, indices, report)
         else:
-            inner = self._stream_plan_fresh(plan, plan.iter_tasks())
+            inner = self._stream_plan_fresh(plan, plan.iter_tasks(indices))
         if recorder.enabled:
             return self._traced_stream(inner)
         return inner
@@ -227,7 +232,10 @@ class ExperimentEngine:
 
     # ------------------------------------------------------------------
     def _stream_plan_stored(
-        self, plan: EvalPlan
+        self,
+        plan: EvalPlan,
+        indices: Dict[Hashable, Sequence[int]],
+        report: PlanReport,
     ) -> Iterator[Tuple[Hashable, NetworkResult]]:
         """Serve stored results, evaluate (and append) only the rest."""
         from repro.experiments.store import (
@@ -248,17 +256,18 @@ class ExperimentEngine:
         if self.store_only:
             for key, stream in plan.streams.items():
                 stored = store.load_results(signatures[key], stream.scheme)
-                total = stream.n_networks
-                missing = [i for i in range(total) if i not in stored]
+                wanted = indices.get(key, ())
+                missing = [i for i in wanted if i not in stored]
                 if missing:
                     raise StoreMissError(
                         f"store "
                         f"{store.stream_path(signatures[key], stream.scheme)} "
-                        f"holds {total - len(missing)}/{total} networks; "
+                        f"holds {len(stored)}/{stream.n_networks} networks; "
                         f"missing indices {missing[:8]}"
                         f"{'...' if len(missing) > 8 else ''}"
                     )
-                for index in range(total):
+                report.n_stored += len(wanted)
+                for index in wanted:
                     yield key, stored[index]
             return
 
@@ -267,20 +276,18 @@ class ExperimentEngine:
         try:
             missing: Dict[Hashable, List[int]] = {}
             for key, stream in plan.streams.items():
-                total = stream.n_networks
                 stored = writer.open(
-                    key, signatures[key], stream.scheme, n_networks=total
+                    key, signatures[key], stream.scheme,
+                    n_networks=stream.n_networks,
                 )
-                valid = {
-                    index: result
-                    for index, result in stored.items()
-                    if 0 <= index < total
-                }
-                if valid and recorder.enabled:
-                    recorder.counter("engine.resume_skipped", len(valid))
-                for index in sorted(valid):
-                    yield key, valid[index]
-                missing[key] = [i for i in range(total) if i not in valid]
+                wanted = indices.get(key, ())
+                served = [i for i in wanted if i in stored]
+                if served and recorder.enabled:
+                    recorder.counter("engine.resume_skipped", len(served))
+                report.n_stored += len(served)
+                for index in served:
+                    yield key, stored[index]
+                missing[key] = [i for i in wanted if i not in stored]
             tasks = plan.iter_tasks(indices=missing)
             for key, result in self._stream_plan_fresh(plan, tasks):
                 writer.append(key, result)
@@ -317,14 +324,7 @@ class ExperimentEngine:
         self, plan: EvalPlan, tasks: Iterable[EvalTask]
     ) -> Iterator[Tuple[Hashable, NetworkResult]]:
         for task in tasks:
-            stream = plan.streams[task.stream]
-            yield task.stream, self._evaluate_network(
-                stream.factory,
-                stream.workload.networks[task.index],
-                stream.matrices_per_network,
-                task.index,
-                scheme=stream.scheme,
-            )
+            yield task.stream, self._evaluate_network(plan, task)
 
     def _stream_forked(
         self, plan: EvalPlan, tasks: Iterable[EvalTask], workers: int
@@ -347,9 +347,7 @@ class ExperimentEngine:
             _FORK_STATE[token] = (self, plan)
 
         def submit(task: EvalTask) -> Future:
-            return pool.submit(
-                _forked_evaluate, token, task.stream, task.index
-            )
+            return pool.submit(_forked_evaluate, token, task)
 
         try:
             remaining = iter(tasks)
@@ -374,24 +372,20 @@ class ExperimentEngine:
 
     # ------------------------------------------------------------------
     def _evaluate_network(
-        self,
-        scheme_factory: SchemeFactory,
-        item: NetworkWorkload,
-        matrices_per_network: Optional[int],
-        index: int,
-        scheme: Optional[str] = None,
+        self, plan: EvalPlan, task: EvalTask
     ) -> NetworkResult:
-        """Evaluate one workload item, reporting it as network ``index``.
-
-        ``index`` is the item's position in the *full* workload — shard
-        workers (:mod:`repro.experiments.dispatch`) pass the original
-        global index with a locally reconstructed item, so ids and stored
-        streams line up across hosts.  ``scheme`` is the result-store
-        stream name, carried on the task's trace span so span timings
+        """Evaluate one task: its item under its *full*-workload index, so
+        ids and stored streams line up across shards and hosts.  The
+        stream's ``scheme`` rides on the task's trace span so span timings
         group by scheme (``store ls --timings --trace-dir``).
         """
+        stream = plan.streams[task.stream]
+        index = task.index
+        item = stream.workload.networks[index]
         recorder = telemetry.recorder()
-        cache_path = self._cache_path(item)
+        cache_path = None
+        if self.cache_dir is not None:
+            cache_path = ksp_cache_path(self.cache_dir, item.network)
         preloaded = 0
         if cache_path is not None:
             with recorder.span("cache_load"):
@@ -401,10 +395,10 @@ class ExperimentEngine:
                 # be mutated differently by serial vs parallel runs (the
                 # fork path only ever touches the child's memory image).
                 item = replace(item, cache=loaded)
-                preloaded = self._count_paths(item)
+                preloaded = item.cache.total_cached()
         matrices = item.matrices
-        if matrices_per_network is not None:
-            matrices = matrices[:matrices_per_network]
+        if stream.matrices_per_network is not None:
+            matrices = matrices[:stream.matrices_per_network]
 
         uid = network_id(item, index)
         signature = network_signature(item.network)
@@ -413,7 +407,7 @@ class ExperimentEngine:
             attrs = {
                 "index": index,
                 "network_id": uid,
-                "scheme": scheme or "",
+                "scheme": stream.scheme,
                 "network_signature": signature,
             }
             if item.scenario is not None:
@@ -423,7 +417,7 @@ class ExperimentEngine:
         with recorder.span("task", attrs):
             start = time.perf_counter()
             with recorder.span("scheme_build"):
-                built = scheme_factory(item)
+                built = stream.factory(item)
             outcomes = []
             for tm in matrices:
                 with recorder.span("place"):
@@ -442,9 +436,11 @@ class ExperimentEngine:
                 )
             seconds = time.perf_counter() - start
         if cache_path is not None:
+            # Path counts ask the cache itself (sparse in the pairs
+            # requested), never the quadratic node-pair space.
             if (
                 not os.path.exists(cache_path)
-                or self._count_paths(item) != preloaded
+                or item.cache.total_cached() != preloaded
             ):
                 with recorder.span("cache_dump"):
                     item.cache.dump_file(
@@ -469,33 +465,10 @@ class ExperimentEngine:
             network_signature=signature,
         )
 
-    def _cache_path(self, item: NetworkWorkload) -> Optional[str]:
-        if self.cache_dir is None:
-            return None
-        return ksp_cache_path(self.cache_dir, item.network)
-
-    @staticmethod
-    def _count_paths(item: NetworkWorkload) -> int:
-        """Total materialized KSP paths in a workload item's cache.
-
-        Asks the cache itself (sparse in the pairs actually requested)
-        instead of enumerating the quadratic node-pair space, which
-        ingest-scale graphs cannot afford.
-        """
-        return item.cache.total_cached()
-
 
 def _forked_evaluate(
-    token: int, key: Hashable, index: int
+    token: int, task: EvalTask
 ) -> Tuple[Hashable, NetworkResult]:
     """Worker entry point: evaluate one task from the inherited plan."""
     engine, plan = _FORK_STATE[token]
-    stream = plan.streams[key]
-    return key, engine._evaluate_network(
-        stream.factory,
-        stream.workload.networks[index],
-        stream.matrices_per_network,
-        index,
-        scheme=stream.scheme,
-    )
-
+    return task.stream, engine._evaluate_network(plan, task)

@@ -34,9 +34,9 @@ a pair of
   stream keys, which the report holds in plan order.
 
 Running a figure applies the reducer to the report of its executed plan
-(:func:`~repro.experiments.plan.execute_plan`).  How the report is
-produced (in process, served from the result store alone, or merged
-from dispatched shard workers) is the caller's choice and never
+(:meth:`~repro.experiments.engine.ExperimentEngine.run_plan`).  How the
+report is produced (in process, served from the result store alone, or
+merged from dispatched shard workers) is the caller's choice and never
 changes the reduced data.  The plan executes as ONE engine pass over
 one shared process pool, so schemes and sweep points interleave, with
 results bit-identical for any worker count.

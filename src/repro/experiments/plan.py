@@ -29,8 +29,8 @@ out-of-process) and returns a :class:`PlanReport` keyed by stream.
 Because every task is the same pure per-network function, plan
 execution is bit-identical to evaluating each stream on its own, for
 any worker count *and any task order* — tasks commute, so order is
-pure sequencing, never semantics; :func:`execute_plan` is the one-call
-convenience wrapper the figures use.
+pure sequencing, never semantics, and any subset of a plan's tasks
+(``indices``, as a dispatch shard passes) runs the same way.
 """
 
 from __future__ import annotations
@@ -145,10 +145,6 @@ class EvalPlan:
     def n_tasks(self) -> int:
         return sum(stream.n_networks for stream in self.streams.values())
 
-    def item(self, task: EvalTask) -> NetworkWorkload:
-        """The workload item a task evaluates."""
-        return self.streams[task.stream].workload.networks[task.index]
-
     def tasks(
         self, indices: Optional[Dict[Hashable, Sequence[int]]] = None
     ) -> List[EvalTask]:
@@ -200,6 +196,9 @@ class PlanReport:
     results: Dict[Hashable, List["NetworkResult"]] = field(
         default_factory=dict
     )
+    #: How many of ``results`` the result store served instead of the
+    #: engine (or a dispatch's workers) evaluating them in this run.
+    n_stored: int = 0
 
     def outcomes(self, key: Hashable) -> List["SchemeOutcome"]:
         """One stream's outcomes flattened in workload order."""
@@ -208,35 +207,3 @@ class PlanReport:
     def all_outcomes(self) -> Dict[Hashable, List["SchemeOutcome"]]:
         """Every stream's flattened outcomes, keyed like the plan."""
         return {key: self.outcomes(key) for key in self.results}
-
-
-def execute_plan(
-    plan: EvalPlan,
-    n_workers: int = 1,
-    cache_dir: Optional[str] = None,
-    store_dir: Optional[str] = None,
-    resume: bool = True,
-    store_only: bool = False,
-    cache_max_paths: Optional[int] = None,
-) -> PlanReport:
-    """Run a whole plan on one shared pool (build an engine, ``run_plan``).
-
-    ``cache_dir`` warm-starts per-network KSP caches, ``store_dir``
-    persists (and resumes) every stream of the plan in one pass, and
-    ``store_only`` serves the entire plan from disk, raising
-    :class:`~repro.experiments.store.StoreMissError` if any stream is
-    incomplete.  Results are bit-identical to running each stream as a
-    one-stream plan, for any worker count and task order, fork pool or
-    serial.
-    """
-    from repro.experiments.engine import ExperimentEngine
-
-    engine = ExperimentEngine(
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        store_dir=store_dir,
-        resume=resume,
-        store_only=store_only,
-        cache_max_paths=cache_max_paths,
-    )
-    return engine.run_plan(plan)

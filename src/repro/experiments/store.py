@@ -252,14 +252,28 @@ def _scan_stream(path: str) -> Tuple[Optional[dict], Dict[int, "NetworkResult"],
     return header, results, valid
 
 
+def _adoptable(
+    path: str, signature: str, scheme: str
+) -> Optional[Tuple[Dict[int, "NetworkResult"], int]]:
+    """``(results by index, valid byte length)`` a resuming writer
+    adopts; ``None`` (the stream counts as empty) when it is missing,
+    unreadable, headerless or keyed differently."""
+    try:
+        header, results, valid = _scan_stream(path)
+    except OSError:  # missing or unreadable
+        return None
+    if header is None or not _header_matches(header, signature, scheme):
+        return None
+    return results, valid
+
+
 class StoreWriter:
     """Appender for one (signature, scheme) stream.
 
-    Opening with ``resume=True`` adopts an existing valid stream: its
-    results are exposed as :attr:`stored` and any torn trailing line is
-    truncated away before appending continues.  A missing, mismatched or
-    headerless file — and any open with ``resume=False`` — starts the
-    stream fresh (atomically, so a concurrent reader never sees a
+    Opening with ``resume=True`` adopts what :func:`_adoptable` accepts:
+    its results are exposed as :attr:`stored` and any torn trailing line
+    is truncated away before appending continues.  Anything else starts
+    the stream fresh (atomically, so a concurrent reader never sees a
     header-less file).
     """
 
@@ -274,19 +288,13 @@ class StoreWriter:
         self._path = os.fspath(path)
         self.stored: Dict[int, "NetworkResult"] = {}
         os.makedirs(os.path.dirname(self._path) or ".", exist_ok=True)
-        adopted = False
-        if resume and os.path.exists(self._path):
-            try:
-                header, results, valid = _scan_stream(self._path)
-            except OSError:
-                header, results, valid = None, {}, 0
-            if header is not None and _header_matches(header, signature, scheme):
-                self.stored = results
-                if valid < os.path.getsize(self._path):
-                    with open(self._path, "r+b") as handle:
-                        handle.truncate(valid)
-                adopted = True
-        if not adopted:
+        adopted = _adoptable(self._path, signature, scheme) if resume else None
+        if adopted is not None:
+            self.stored, valid = adopted
+            if valid < os.path.getsize(self._path):
+                with open(self._path, "r+b") as handle:
+                    handle.truncate(valid)
+        else:
             tmp = self._path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as handle:
                 handle.write(
@@ -377,12 +385,6 @@ class MultiStreamWriter:
         self._files.clear()
         if errors:
             raise errors[0]
-
-    def __enter__(self) -> "MultiStreamWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class ResultStore:
@@ -491,6 +493,16 @@ class ResultStore:
             n_networks,
             resume=resume,
         )
+
+    def resumable_results(
+        self, signature: str, scheme: str
+    ) -> Dict[int, "NetworkResult"]:
+        """The results a resuming writer would adopt for a key
+        (:func:`_adoptable`); ``{}`` when the stream counts as empty."""
+        adopted = _adoptable(
+            os.fspath(self.stream_path(signature, scheme)), signature, scheme
+        )
+        return {} if adopted is None else adopted[0]
 
     def load_results(
         self, signature: str, scheme: str

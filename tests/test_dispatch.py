@@ -54,6 +54,45 @@ class TestSharding:
             )
 
 
+def _dangling(task=None, chunk=None, stream0=None, drop=()):
+    """A version-2 manifest text with one task and one chunk, each field
+    overridable (``stream0`` overrides and ``drop`` removes fields of
+    stream 0); the defaults all resolve (item stream 0, scenario stream
+    1, four networks each).  Reference checks run before any item or
+    fleet is rebuilt, so the tables hold placeholders."""
+    stream = {
+        "scheme": "SP",
+        "spec": SchemeSpec("SP").to_jsonable(),
+        "signature": "0" * 64,
+        "n_networks": 4,
+        "matrices_per_network": None,
+    }
+    return json.dumps(
+        {
+            "format": MANIFEST_FORMAT,
+            "version": 2,
+            "shard_index": 0,
+            "n_shards": 1,
+            "streams": [
+                {
+                    name: value
+                    for name, value in {
+                        **stream, "scenario": None, **(stream0 or {})
+                    }.items()
+                    if name not in drop
+                },
+                {**stream, "scheme": "ECMP", "scenario": 0},
+            ],
+            "items": [{}],
+            "scenarios": [{}],
+            "tasks": [{"stream": 0, "index": 0, "item": 0, **(task or {})}],
+            "task_chunks": [
+                {"stream": 1, "start": 1, "count": 2, **(chunk or {})}
+            ],
+        }
+    )
+
+
 class TestManifests:
     def test_manifest_round_trips_items(self, workload, tmp_path):
         spec = SchemeSpec("SP")
@@ -122,8 +161,42 @@ class TestManifests:
                 ),
                 "retired single-scheme manifest",
             ),
+            *[
+                (_dangling(**{kind: {field: value}}),
+                 f"{kind} {field} {value} is out of range, expected 0 to {top}")
+                for kind, field, value, top in [
+                    ("task", "item", 99, 0),
+                    ("task", "stream", 5, 1),
+                    ("task", "index", 4, 3),
+                    ("task", "index", -1, 3),
+                    ("chunk", "stream", 5, 1),
+                    ("chunk", "start", 4, 3),
+                    ("chunk", "count", 4, 3),
+                ]
+            ],
+            (
+                _dangling(chunk={"stream": 0}),
+                "chunk on stream 0, which has no scenario fleet",
+            ),
+            (
+                _dangling(drop=("n_networks",)),
+                "stream 0 n_networks None is not a count",
+            ),
+            (
+                _dangling(stream0={"n_networks": "4"}),
+                "stream 0 n_networks '4' is not a count",
+            ),
+            (
+                _dangling(stream0={"n_networks": -1}),
+                "stream 0 n_networks -1 is not a count",
+            ),
         ],
-        ids=["truncated", "non-object", "missing-tables", "version-1"],
+        ids=[
+            "truncated", "non-object", "missing-tables", "version-1",
+            "task-item", "task-stream", "task-index-high", "task-index-low",
+            "chunk-stream", "chunk-start", "chunk-count", "chunk-item-stream",
+            "stream-n-networks-missing", "stream-n-networks-str", "stream-n-networks-neg",
+        ],
     )
     def test_malformed_manifest_is_one_line_cli_error(
         self, tmp_path, capsys, text, message
@@ -188,6 +261,40 @@ class TestWorkerAndMerge:
         assert second["evaluated"] == 0
         assert second["skipped"] == len(workload.networks)
 
+    def test_worker_evaluates_exactly_its_shard(self, workload, tmp_path):
+        plan = EvalPlan()
+        plan.add("SP", SchemeSpec("SP"), workload)
+        plan.add("ECMP", SchemeSpec("ECMP"), workload)
+        manifests = write_plan_manifests(plan, 2, tmp_path / "manifests")
+        assert len(manifests) == 2
+        for i, path in enumerate(manifests):
+            manifest = load_manifest(path)
+            summary = run_worker(path, tmp_path / f"worker-{i}")
+            assert summary["evaluated"] == len(manifest["tasks"])
+            store = ResultStore(tmp_path / f"worker-{i}")
+            for sid, stream in enumerate(manifest["streams"]):
+                stored = store.load_results(
+                    stream["signature"], stream["scheme"]
+                )
+                assert sorted(stored) == sorted(
+                    task["index"]
+                    for task in manifest["tasks"]
+                    if task["stream"] == sid
+                )
+
+    def test_stream_without_scenario_field_runs(self, workload, tmp_path):
+        """``scenario`` is an optional stream field: a manifest written
+        without it reads and runs as one that holds ``None``."""
+        path = write_plan_manifests(
+            one_stream(SchemeSpec("SP"), workload), 1, tmp_path / "manifests"
+        )[0]
+        manifest = json.loads(path.read_text())
+        for stream in manifest["streams"]:
+            del stream["scenario"]
+        path.write_text(json.dumps(manifest))
+        summary = run_worker(path, tmp_path / "worker")
+        assert summary["evaluated"] == len(workload.networks)
+
     def test_merge_rejects_conflicting_network_ids(self, workload, tmp_path):
         manifest = write_plan_manifests(
             one_stream(SchemeSpec("SP"), workload), 1, tmp_path / "manifests"
@@ -231,7 +338,6 @@ class TestDispatchRun:
             n_shards=2,
             store_dir=tmp_path / "store",
             work_dir=tmp_path / "work",
-            verify=True,  # raises DispatchError on any outcome difference
         )
         direct = ExperimentEngine(n_workers=1).run_plan(
             one_stream(SchemeSpec(scheme), workload, scheme)
@@ -273,6 +379,42 @@ class TestDispatchRun:
         assert not any(o.max_utilization == 123.0 for o in replaced)
         direct = ExperimentEngine(n_workers=1).run_plan(plan)
         assert replaced == direct.outcomes("SP")
+
+    @pytest.mark.parametrize("damage", ["drop-two", "headerless"])
+    def test_resumed_dispatch_ships_only_missing_tasks(
+        self, workload, tmp_path, damage
+    ):
+        """A resumed dispatch skips what the main store holds, by the
+        rule a resuming engine applies: a headerless stream is empty."""
+        plan = one_stream(SchemeSpec("SP"), workload)
+        dispatch_plan(plan, n_shards=2, store_dir=tmp_path / "store")
+        stream = next((tmp_path / "store").glob("*/*.jsonl"))
+        lines = stream.read_text().splitlines()
+        if damage == "drop-two":
+            kept, missing = [lines[0], lines[2], lines[4]], 2
+        else:
+            kept, missing = lines[1:], len(workload.networks)
+        stream.write_text("\n".join(kept) + "\n")
+
+        work = tmp_path / "work"
+        report = dispatch_plan(
+            plan, n_shards=2, store_dir=tmp_path / "store", work_dir=work
+        )
+        shipped = [
+            task
+            for path in work.glob("manifests/*.json")
+            for task in load_manifest(path)["tasks"]
+        ]
+        assert len(shipped) == missing
+        evaluated = sum(
+            entry["n_results"]
+            for worker in work.glob("worker-*")
+            for entry in ResultStore(worker).list_streams()
+        )
+        assert evaluated == missing
+        assert report.n_stored == len(workload.networks) - missing
+        direct = ExperimentEngine(n_workers=1).run_plan(plan)
+        assert report.outcomes("SP") == direct.outcomes("SP")
 
     def test_work_dir_keeps_manifests_and_worker_stores(
         self, workload, tmp_path
@@ -358,3 +500,26 @@ class TestDispatchRun:
         assert len(list((work / "manifests").glob("shard-*.json"))) == 2
         assert main(["render", "fig03", *size, "--store-dir", store]) == 0
         assert capsys.readouterr().out == direct
+
+    def test_cli_resumed_dispatch_reports_what_shipped(self, tmp_path, capsys):
+        """The summary line counts the tasks a resumed dispatch shipped."""
+        from repro.experiments.__main__ import main
+
+        argv = ["dispatch", "SP", "--shards", "2", "--networks", "4",
+                "--tms", "1", "--store-dir", str(tmp_path / "store")]
+        counts = "scheme 'SP' (1 stream(s), 7 task(s))"
+        assert main(argv) == 0
+        assert f"2 shard worker(s) evaluated {counts}; merged" in (
+            capsys.readouterr().out
+        )
+        stream = next((tmp_path / "store").glob("*/*.jsonl"))
+        lines = stream.read_text().splitlines()
+        stream.write_text("\n".join(lines[:-1]) + "\n")
+        assert main(argv) == 0
+        assert (
+            f"1 shard worker(s) evaluated the 1 missing task(s) of {counts}"
+        ) in capsys.readouterr().out
+        assert main(argv) == 0
+        assert (
+            f"0 shard worker(s) evaluated the 0 missing task(s) of {counts}"
+        ) in capsys.readouterr().out

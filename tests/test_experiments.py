@@ -139,9 +139,10 @@ class TestFigures:
 
     def test_fig03_shape(self, tiny_workload):
         from repro.experiments.figures import fig03_plan, fig03_sp_congestion
-        from repro.experiments.plan import execute_plan
 
-        result = fig03_sp_congestion(execute_plan(fig03_plan(tiny_workload)))
+        result = fig03_sp_congestion(
+            ExperimentEngine().run_plan(fig03_plan(tiny_workload))
+        )
         assert set(result) == {"median", "p90"}
         for _, fraction in result["median"]:
             assert 0.0 <= fraction <= 1.0

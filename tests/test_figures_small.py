@@ -24,7 +24,7 @@ from repro.experiments.figures import (
     fig20_plan,
     scheme_factories,
 )
-from repro.experiments.plan import execute_plan
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.workloads import (
     NetworkWorkload,
     ZooWorkload,
@@ -82,7 +82,9 @@ class TestFig15:
 class TestFig16:
     def test_classes_partition(self, mini_workload):
         results = fig16_max_stretch_cdfs(
-            execute_plan(fig16_plan(mini_workload, llpd_split=0.4))
+            ExperimentEngine().run_plan(
+                fig16_plan(mini_workload, llpd_split=0.4)
+            )
         )
         assert set(results) == {"low_h0", "high_h0", "high_h10"}
         for by_scheme in results.values():
@@ -95,7 +97,9 @@ class TestFig16:
 class TestFig17:
     def test_load_sweep_rows(self, mini_items):
         results = fig17_load_sweep(
-            execute_plan(fig17_plan(mini_items[:1], loads=(0.6, 0.9)))
+            ExperimentEngine().run_plan(
+                fig17_plan(mini_items[:1], loads=(0.6, 0.9))
+            )
         )
         for name, points in results.items():
             assert [x for x, _ in points] == [0.6, 0.9]
@@ -106,7 +110,7 @@ class TestFig18:
     def test_locality_sweep_rows(self, mini_items):
         networks = [item.network for item in mini_items[:1]]
         results = fig18_locality_sweep(
-            execute_plan(
+            ExperimentEngine().run_plan(
                 fig18_plan(networks, localities=(0.0, 1.0), n_matrices=1)
             )
         )
@@ -124,7 +128,7 @@ class TestFig20:
             matrices=build_traffic_matrices(ring, 2, rng, 1.0, 1.3),
         )
         results = fig20_growth_benefit(
-            execute_plan(
+            ExperimentEngine().run_plan(
                 fig20_plan([item], growth_fraction=0.2, max_candidates=6)
             )
         )
@@ -138,7 +142,9 @@ class TestFig20:
 class TestFig08Small:
     def test_headroom_keys(self, mini_workload):
         results = fig08_headroom_sweep(
-            execute_plan(fig08_plan(mini_workload, headrooms=(0.0, 0.2)))
+            ExperimentEngine().run_plan(
+                fig08_plan(mini_workload, headrooms=(0.0, 0.2))
+            )
         )
         assert set(results) == {0.0, 0.2}
         for points in results.values():

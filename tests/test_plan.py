@@ -20,7 +20,7 @@ from repro.experiments.figures import (
     fig20_plan,
     scheme_factories,
 )
-from repro.experiments.plan import EvalPlan, EvalTask, execute_plan
+from repro.experiments.plan import EvalPlan, EvalTask
 from repro.experiments.spec import SchemeSpec
 from repro.experiments.workloads import (
     NetworkWorkload,
@@ -102,11 +102,12 @@ class TestPlanMatchesPerCall:
     @pytest.mark.parametrize("fig", ["fig04", "fig17", "fig18"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_fork_pool(self, figure_plans, figure_references, fig, workers):
-        report = execute_plan(figure_plans[fig], n_workers=workers)
+        engine = ExperimentEngine(n_workers=workers)
+        report = engine.run_plan(figure_plans[fig])
         assert report.all_outcomes() == figure_references[fig]
 
     def test_report_results_in_workload_order(self, figure_plans):
-        report = execute_plan(figure_plans["fig04"], n_workers=4)
+        report = ExperimentEngine(n_workers=4).run_plan(figure_plans["fig04"])
         for key, results in report.results.items():
             total = figure_plans["fig04"].streams[key].n_networks
             assert [r.index for r in results] == list(range(total))
@@ -211,7 +212,7 @@ class TestEvalPlanApi:
             lambda item: ShortestPathRouting(item.cache),
             workload,
         )
-        report = execute_plan(plan, n_workers=2)
+        report = ExperimentEngine(n_workers=2).run_plan(plan)
         assert report.all_outcomes() == per_call_reference(plan)
 
 
@@ -288,7 +289,7 @@ class TestOrderInvariance:
         monkeypatch,
     ):
         permute_task_order(monkeypatch, sched)
-        report = execute_plan(invariance_plan, n_workers=workers)
+        report = ExperimentEngine(n_workers=workers).run_plan(invariance_plan)
         assert report.all_outcomes() == invariance_reference
 
     @pytest.mark.parametrize("sched", ["reversed", "shuffled"])
@@ -310,7 +311,8 @@ class TestOrderInvariance:
             next(stream)
         stream.close()
 
-        resumed = execute_plan(invariance_plan, store_dir=tmp_path)
+        engine = ExperimentEngine(store_dir=tmp_path)
+        resumed = engine.run_plan(invariance_plan)
         assert resumed.all_outcomes() == invariance_reference
 
 
@@ -336,7 +338,7 @@ class TestPlanStore:
             next(stream)
         stream.close()
 
-        resumed = execute_plan(plan, store_dir=tmp_path)
+        resumed = ExperimentEngine(store_dir=tmp_path).run_plan(plan)
         assert resumed.all_outcomes() == reference
 
     def test_resume_evaluates_only_missing_tasks(self, workload, tmp_path):
@@ -357,7 +359,7 @@ class TestPlanStore:
         second_a, second_b = CountingFactory(), CountingFactory()
         resume_plan.add("A", second_a, workload)
         resume_plan.add("B", second_b, workload, scheme="B")
-        report = execute_plan(resume_plan, store_dir=tmp_path)
+        report = ExperimentEngine(store_dir=tmp_path).run_plan(resume_plan)
         assert second_a.calls + second_b.calls == 2 * total - 3
         assert {key: len(results) for key, results in report.results.items()} \
             == {"A": total, "B": total}
@@ -365,16 +367,17 @@ class TestPlanStore:
     def test_fully_stored_plan_builds_no_scheme(self, workload, tmp_path):
         plan = EvalPlan()
         plan.add("A", CountingFactory(), workload)
-        execute_plan(plan, store_dir=tmp_path)
+        ExperimentEngine(store_dir=tmp_path).run_plan(plan)
 
         served_factory = CountingFactory()
         served_plan = EvalPlan()
         served_plan.add("A", served_factory, workload)
-        report = execute_plan(
-            served_plan, store_dir=tmp_path, store_only=True
-        )
+        report = ExperimentEngine(
+            store_dir=tmp_path, store_only=True
+        ).run_plan(served_plan)
         assert served_factory.calls == 0
-        assert report.all_outcomes() == execute_plan(plan).all_outcomes()
+        direct = ExperimentEngine().run_plan(plan)
+        assert report.all_outcomes() == direct.all_outcomes()
 
     def test_store_streams_shared_with_per_call_path(
         self, workload, tmp_path
@@ -382,17 +385,20 @@ class TestPlanStore:
         # A store populated by a one-stream plan must serve a plan run
         # without any re-evaluation, and vice versa: stream names and
         # signatures depend on neither the plan nor its stream key.
-        execute_plan(
-            one_stream(SchemeSpec("SP"), workload), store_dir=tmp_path
+        ExperimentEngine(store_dir=tmp_path).run_plan(
+            one_stream(SchemeSpec("SP"), workload)
         )
         plan = EvalPlan()
         factory = CountingFactory()
         plan.add("served", factory, workload, scheme="SP")
-        report = execute_plan(plan, store_dir=tmp_path, store_only=True)
+        report = ExperimentEngine(
+            store_dir=tmp_path, store_only=True
+        ).run_plan(plan)
         assert factory.calls == 0
-        assert report.outcomes("served") == execute_plan(
+        direct = ExperimentEngine().run_plan(
             one_stream(SchemeSpec("SP"), workload)
-        ).outcomes("SP")
+        )
+        assert report.outcomes("served") == direct.outcomes("SP")
 
     def test_duplicate_store_streams_rejected(self, workload, tmp_path):
         from repro.experiments.store import StoreError
@@ -401,7 +407,7 @@ class TestPlanStore:
         plan.add("A", SchemeSpec("SP"), workload, scheme="same")
         plan.add("B", SchemeSpec("SP"), workload, scheme="same")
         with pytest.raises(StoreError, match="unique"):
-            execute_plan(plan, store_dir=tmp_path)
+            ExperimentEngine(store_dir=tmp_path).run_plan(plan)
 
 
 class TestFig20TopologyCache:
@@ -489,14 +495,15 @@ class TestPlanDispatch:
             n_shards=2,
             store_dir=tmp_path / "store",
             work_dir=tmp_path / "work",
-            verify=True,  # asserts bit-identity vs the in-process engine
         )
+        direct = ExperimentEngine(n_workers=1).run_plan(plan)
+        assert report.all_outcomes() == direct.all_outcomes()
         assert set(report.results) == {"SP", "MinMaxK10"}
         manifests = sorted((tmp_path / "work" / "manifests").glob("*.json"))
         assert len(manifests) == 2
 
-        # Re-dispatching against the merged store is a pure no-op merge:
-        # every record is already present (idempotence).
+        # Re-dispatching against the complete merged store ships nothing:
+        # no manifest, no worker, the report served from the store.
         again = dispatch_plan(
             plan,
             n_shards=2,
@@ -504,6 +511,8 @@ class TestPlanDispatch:
             work_dir=tmp_path / "work2",
         )
         assert again.all_outcomes() == report.all_outcomes()
+        assert not list((tmp_path / "work2").glob("worker-*"))
+        assert not list((tmp_path / "work2").glob("manifests/*.json"))
 
     def test_plan_manifests_balance_all_streams(self, workload, tmp_path):
         from repro.experiments.dispatch import (

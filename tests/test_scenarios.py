@@ -9,7 +9,7 @@ import pytest
 
 from repro.experiments.dispatch import dispatch_plan, load_manifest
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.plan import EvalPlan, EvalTask, execute_plan
+from repro.experiments.plan import EvalPlan, EvalTask
 from repro.experiments.spec import SchemeSpec
 from repro.experiments.store import workload_signature
 from repro.experiments.workloads import NetworkWorkload, build_zoo_workload
@@ -338,7 +338,8 @@ class TestLazyPlans:
         realized = NetworkListWorkload(list(workload.networks))
         for key, stream in plan.streams.items():
             materialized.add(key, stream.factory, realized, scheme=stream.scheme)
-        return execute_plan(materialized, n_workers=1).all_outcomes()
+        report = ExperimentEngine(n_workers=1).run_plan(materialized)
+        return report.all_outcomes()
 
     def test_iter_tasks_matches_materialized_tasks(self, plan_and_workload):
         plan, _ = plan_and_workload
@@ -350,7 +351,7 @@ class TestLazyPlans:
         self, plan_and_workload, reference, workers
     ):
         plan, _ = plan_and_workload
-        report = execute_plan(plan, n_workers=workers)
+        report = ExperimentEngine(n_workers=workers).run_plan(plan)
         assert report.all_outcomes() == reference
 
     def test_resume_after_kill_mid_fleet(
@@ -362,7 +363,7 @@ class TestLazyPlans:
         for _ in range(5):  # "kill" the fleet run after five variants
             next(stream)
         stream.close()
-        resumed = execute_plan(plan, store_dir=tmp_path)
+        resumed = ExperimentEngine(store_dir=tmp_path).run_plan(plan)
         assert resumed.all_outcomes() == reference
 
     def test_variants_materialize_on_demand(self, plan_and_workload):
@@ -455,8 +456,9 @@ class TestStoreAndDispatch:
             n_shards=2,
             store_dir=tmp_path / "store",
             work_dir=tmp_path / "work",
-            verify=True,  # asserts parity with the in-process engine
         )
+        direct = ExperimentEngine(n_workers=1).run_plan(plan)
+        assert report.all_outcomes() == direct.all_outcomes()
         shards = sorted((tmp_path / "work" / "manifests").glob("shard-*.json"))
         assert len(shards) == 2
         for path in shards:

@@ -24,7 +24,7 @@ import pytest
 
 from repro import telemetry
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.plan import EvalPlan, execute_plan
+from repro.experiments.plan import EvalPlan
 from repro.experiments.spec import SchemeSpec
 from repro.experiments.workloads import build_zoo_workload
 from tests.plans import one_stream
@@ -357,7 +357,7 @@ class TestProcessMerge:
         assert len(tasks) == 2 * len(workload.networks)
         assert {t.attrs["scheme"] for t in tasks} == {"SP", "ECMP"}
         # Dispatched results equal an untraced in-process run.
-        direct = execute_plan(plan)
+        direct = ExperimentEngine().run_plan(plan)
         assert report.all_outcomes() == direct.all_outcomes()
 
     def test_critical_path_attributes_worker_time(self, tmp_path, workload):
@@ -399,9 +399,9 @@ class TestFeeds:
         plan = EvalPlan()
         plan.add("SP", SchemeSpec("SP"), workload)
         plan.add("B4", SchemeSpec("B4", {"headroom": 0.1}), workload)
-        baseline = execute_plan(plan)
+        baseline = ExperimentEngine().run_plan(plan)
         telemetry.configure(tmp_path)
-        traced = execute_plan(plan)
+        traced = ExperimentEngine().run_plan(plan)
         telemetry.disable()
         assert traced.all_outcomes() == baseline.all_outcomes()
 
@@ -411,7 +411,7 @@ class TestFeeds:
         plan = EvalPlan()
         plan.add("SP", SchemeSpec("SP"), workload)
         telemetry.configure(tmp_path)
-        execute_plan(plan)
+        ExperimentEngine().run_plan(plan)
         telemetry.disable()
         trace = telemetry.load_trace(tmp_path)
         breakdown = telemetry.phase_breakdown(trace)
@@ -429,7 +429,7 @@ class TestFeeds:
         plan = EvalPlan()
         plan.add("SP", SchemeSpec("SP"), workload)
         telemetry.configure(tmp_path)
-        execute_plan(plan)
+        ExperimentEngine().run_plan(plan)
         telemetry.disable()
         trace = telemetry.load_trace(tmp_path)
         data = telemetry.summary(trace)
