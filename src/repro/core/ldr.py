@@ -20,10 +20,10 @@ measured minute means, so headroom against mean drift (the 10% hedge) and
 headroom against burstiness (the multiplexing loop) compose.
 
 The tweak loop re-optimizes with scaled demands over largely unchanged
-path sets; the LP layer's structure cache (see
-:mod:`repro.routing.pathlp`) recognizes the repeats, so each extra round
-pays for a solve, not a rebuild — ``warm_counts`` already keeps the
-path-set growth warm across rounds for the same reason.
+path sets: ``warm_counts`` keeps the path-set growth warm across rounds,
+so each extra round starts from the path counts the last one ended
+with instead of re-growing from k=1.  Every LP is assembled afresh (see
+:mod:`repro.routing.pathlp`); with few paths per solve that is cheap.
 """
 
 from __future__ import annotations

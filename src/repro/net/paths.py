@@ -99,9 +99,9 @@ def network_signature(network: Network) -> str:
     topology that no longer exists.
 
     Memoized on the network (every :class:`Network` mutation resets the
-    memo), so per-solve signature lookups in the LP structure cache are
-    O(1) after the first computation.  The memoized *object* also serves
-    as the staleness token for :func:`repro.net.index.graph_index`.
+    memo), so repeated lookups are O(1) after the first computation.  The
+    memoized *object* also serves as the staleness token for
+    :func:`repro.net.index.graph_index`.
     """
     memo = network._signature_memo
     if memo is not None:

@@ -36,9 +36,10 @@ from repro.routing.decompose import ResidualFlow
 from repro.routing.optimal import (
     add_detour_paths,
     aggregates_crossing,
+    check_growth,
     grow_path_sets,
 )
-from repro.routing.pathlp import PathMemo, solve_minmax_lp
+from repro.routing.pathlp import PathMemo, solve_minmax_lp, unplaced_excess
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 
@@ -131,6 +132,7 @@ class MinMaxRouting(RoutingScheme):
     ) -> None:
         if k is not None and k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        check_growth(grow_step, max_paths)
         if k is not None and stretch_bound is not None:
             raise ValueError("k and stretch_bound are mutually exclusive")
         if stretch_bound is not None and stretch_bound < 1.0:
@@ -191,22 +193,10 @@ class MinMaxRouting(RoutingScheme):
         if umax > 1.0 + 1e-6:
             # The k-restricted variant can genuinely fail to fit traffic;
             # charge the excess to aggregates crossing saturated links.
-            from repro.net.paths import path_links
-
             overloaded = {
                 key for key, value in result.link_overload.items() if value > 1.0 + 1e-6
             }
-            for agg, splits in result.fractions.items():
-                fraction_over = sum(
-                    fraction
-                    for path, fraction in splits
-                    if fraction > 1e-9
-                    and any(key in overloaded for key in path_links(path))
-                )
-                if fraction_over > 0:
-                    unplaced[agg] = (
-                        agg.demand_bps * fraction_over * (umax - 1.0) / umax
-                    )
+            unplaced = unplaced_excess(result.fractions, overloaded, umax)
         return Placement(network, allocations, unplaced_bps=unplaced)
 
     def _paths_within_stretch(self, cache: KspCache, agg: Aggregate) -> List[Path]:

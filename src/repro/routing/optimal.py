@@ -12,10 +12,9 @@ With ``headroom > 0`` the optimization sees capacities scaled by
 placement is judged against the true capacities.
 
 Each iteration's LP goes through :func:`repro.routing.pathlp.solve_latency_lp`,
-which caches the demand-independent model structure by (network, path-set)
-signature: the no-growth retries here and the LDR tweak loop (same path
-sets, scaled demands) skip straight to warm assembly, so the repeated
-solves the paper waves off as "very quick" stay that way at fleet scale.
+which builds a fresh model per solve; one placement's :data:`PathMemo`
+carries every path's delay and link ids across its rounds, so the
+repeated solves the paper waves off as "very quick" stay that way.
 """
 
 from __future__ import annotations
@@ -30,7 +29,12 @@ from repro.routing.base import (
     RoutingScheme,
     normalize_allocations,
 )
-from repro.routing.pathlp import PathLpResult, PathMemo, solve_latency_lp
+from repro.routing.pathlp import (
+    PathLpResult,
+    PathMemo,
+    solve_latency_lp,
+    unplaced_excess,
+)
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 
@@ -42,6 +46,16 @@ class IterationStats:
     total_paths: int
     fits: bool
     max_overload: float
+
+
+def check_growth(grow_step: int, max_paths: int) -> None:
+    """Reject a growth step or path budget that would turn growth off.
+
+    Below 1, :func:`grow_path_sets` marks every pair exhausted at once.
+    """
+    for name, value in (("grow_step", grow_step), ("max_paths", max_paths)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def grow_path_sets(
@@ -159,6 +173,7 @@ def solve_iterative_latency(
     path count the previous solve ended with, instead of re-growing from
     ``initial_k``.  It is updated in place.
     """
+    check_growth(grow_step, max_paths)
     cache = cache if cache is not None else KspCache(network)
     aggregates = tm.aggregates()
     if not aggregates:
@@ -242,6 +257,7 @@ class LatencyOptimalRouting(RoutingScheme):
     ) -> None:
         if not 0.0 <= headroom < 1.0:
             raise ValueError(f"headroom must be in [0, 1), got {headroom}")
+        check_growth(grow_step, max_paths)
         self.headroom = headroom
         self.initial_k = initial_k
         self.grow_step = grow_step
@@ -276,17 +292,9 @@ class LatencyOptimalRouting(RoutingScheme):
         if not result.fits:
             # Traffic that exceeds (scaled) capacity: attribute the excess
             # to the aggregates crossing overloaded links, pro rata.
-            overloaded = set(result.overloaded_links(only_maximal=False))
-            for agg, splits in result.fractions.items():
-                excess_fraction = sum(
-                    fraction
-                    for path, fraction in splits
-                    if fraction > 1e-9
-                    and any(key in overloaded for key in path_links(path))
-                )
-                if excess_fraction > 0:
-                    over = result.max_overload - 1.0
-                    unplaced[agg] = (
-                        agg.demand_bps * excess_fraction * over / result.max_overload
-                    )
+            unplaced = unplaced_excess(
+                result.fractions,
+                set(result.overloaded_links(only_maximal=False)),
+                result.max_overload,
+            )
         return Placement(network, allocations, unplaced_bps=unplaced)

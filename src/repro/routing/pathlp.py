@@ -24,33 +24,31 @@ shortest-path delay.  This keeps coefficient magnitudes near 1 and the
 HiGHS backend numerically happy (raw bits/s coefficients provoke spurious
 unbounded results).
 
-Assembly is vectorized: a :class:`_PathSetStructure` holds the
-demand-independent arrays of one (network, path-set) pair — per-path link
-incidence, per-path delays, link order, normalized capacities — and is
-cached in a small module-level LRU keyed by the network's content
-signature plus the exact path sets.  Sweep points that reuse a path set
-under different traffic matrices (figures 8/16/17, LDR's repeated rounds,
-scenario fleets) skip the dominant build loops entirely; the per-solve
-work is a handful of numpy operations feeding one fresh
-:meth:`repro.lp.CompiledLP.from_coo` model, solved once.  Within one LDR
-or full-MinMax placement (its :data:`PathMemo`) a structure that does
-miss still reuses every path's delay and link ids from earlier rounds.
-The produced models are bit-identical to the historical per-coefficient
-construction.
+Assembly is vectorized: one :class:`_PathLpBuilder` per solve computes
+the per-path link incidence, per-path delays, link order and normalized
+capacities of its (network, path sets, demands), and emits a handful of
+numpy arrays into one fresh :meth:`repro.lp.CompiledLP.from_coo` model,
+solved once.  Nothing is cached across placements: the paper's loop
+"runs very quickly because the number of variables (paths) in each run
+is small", and reusing the arrays of a repeated (network, path sets)
+pair saved no measurable time (README, "LP backends").  The two MinMax
+stages share one builder, and within one LDR or full-MinMax placement
+(its :data:`PathMemo`) every path's delay and link ids are computed
+once across all rounds.  The produced models are bit-identical to the
+historical per-coefficient construction.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.lp import CompiledLP, Solution
 from repro.lp.model import SENSE_EQ, SENSE_LE, resolve_backend
 from repro.net.graph import Network
-from repro.net.paths import Path, network_signature, path_links
+from repro.net.paths import Path, path_links
 from repro.telemetry import recorder
 from repro.tm.matrix import Aggregate
 
@@ -94,31 +92,39 @@ class PathLpResult:
         ]
 
 
-# ----------------------------------------------------------------------
-# Demand-independent structure of one (network, path set) pair
-# ----------------------------------------------------------------------
-class _PathSetStructure:
-    """Vectorized incidence arrays shared by every LP over one path set.
+#: Each path's ``(delay, link ids)`` over one network.  One LDR or
+#: full-MinMax placement creates one and passes it to every LP it solves:
+#: it solves over one network only, and its growing path sets repeat most
+#: paths round after round.  It dies with the placement — kept for the
+#: process, it would grow with every path ever solved over.
+PathMemo = Dict[Path, Tuple[float, List[int]]]
 
-    Everything here depends only on the topology and the path lists —
-    never on demands — so one structure serves every traffic matrix and
-    both MinMax stages.
+
+class _PathLpBuilder:
+    """Common scaffolding for the latency and MinMax path LPs.
+
+    One builder = one (network, path sets, demands) triple.  The
+    constructor computes the vectorized incidence arrays once; the
+    latency model and both MinMax stage models are emitted from them as
+    :class:`CompiledLP` models, so the two MinMax stages share a single
+    builder.
     """
-
-    __slots__ = (
-        "n_aggs", "n_paths", "n_links",
-        "path_offsets", "agg_of_path", "path_delay",
-        "shortest_delay", "entry_path", "entry_link", "entry_agg",
-        "link_keys", "capacity_units", "capacity_unit",
-    )
 
     def __init__(
         self,
         network: Network,
-        aggregates: Sequence[Aggregate],
-        path_lists: Sequence[Sequence[Path]],
-        path_memo: Dict[Path, Tuple[float, List[int]]],
+        path_sets: Mapping[Aggregate, Sequence[Path]],
+        path_memo: Optional[PathMemo] = None,
     ) -> None:
+        if not path_sets:
+            raise ValueError("no aggregates to place")
+        for agg, paths in path_sets.items():
+            if not paths:
+                raise ValueError(f"aggregate {agg.src}->{agg.dst} has no paths")
+        self.path_sets = {agg: list(paths) for agg, paths in path_sets.items()}
+        self.aggregates = list(self.path_sets)
+        memo: PathMemo = {} if path_memo is None else path_memo
+
         links = list(network.links())
         self.capacity_unit = (
             sum(link.capacity_bps for link in links) / len(links)
@@ -130,35 +136,35 @@ class _PathSetStructure:
             dtype=np.float64, count=len(links),
         )
 
-        self.n_aggs = len(aggregates)
+        self.n_aggs = len(self.aggregates)
         counts = np.fromiter(
-            (len(paths) for paths in path_lists),
+            (len(self.path_sets[agg]) for agg in self.aggregates),
             dtype=np.int64, count=self.n_aggs,
         )
-        self.path_offsets = np.zeros(self.n_aggs, dtype=np.int64)
-        np.cumsum(counts[:-1], out=self.path_offsets[1:])
+        path_offsets = np.zeros(self.n_aggs, dtype=np.int64)
+        np.cumsum(counts[:-1], out=path_offsets[1:])
         self.n_paths = int(counts.sum())
         self.agg_of_path = np.repeat(
             np.arange(self.n_aggs, dtype=np.int64), counts
         )
 
         # Per-path delay and link entries, computed once per path and
-        # network (``path_memo``): this loop dominates structure-build
-        # time, so it reads link attributes directly instead of going
-        # through path helpers.  Delays are summed sequentially in link
-        # order (bit-compatible with the historical per-path Python sum).
+        # network (``memo``): this loop dominates the builder's cost, so
+        # it reads link attributes directly instead of going through path
+        # helpers.  Delays are summed sequentially in link order
+        # (bit-compatible with the historical per-path Python sum).
         delays: List[float] = []
         entry_path: List[int] = []
         entry_global: List[int] = []
         pi = 0
-        for paths in path_lists:
-            for path in paths:
-                known = path_memo.get(path)
+        for agg in self.aggregates:
+            for path in self.path_sets[agg]:
+                known = memo.get(path)
                 if known is None:
                     keys = [
                         (path[i], path[i + 1]) for i in range(len(path) - 1)
                     ]
-                    known = path_memo[path] = (
+                    known = memo[path] = (
                         sum(link_delay[k] for k in keys),
                         [link_index[k] for k in keys],
                     )
@@ -168,7 +174,7 @@ class _PathSetStructure:
                 entry_global.extend(ids)
                 pi += 1
         self.path_delay = np.asarray(delays, dtype=np.float64)
-        self.shortest_delay = self.path_delay[self.path_offsets]
+        self.shortest_delay = self.path_delay[path_offsets]
         entry_path_arr = np.asarray(entry_path, dtype=np.int64)
         entry_global_arr = np.asarray(entry_global, dtype=np.int64)
 
@@ -188,162 +194,68 @@ class _PathSetStructure:
         self.link_keys = [links[g].key for g in model_global.tolist()]
         self.capacity_units = capacity_bps[model_global] / self.capacity_unit
 
-
-#: LRU of path-set structures keyed by (network signature, link insertion
-#: order, aggregate pairs + exact path tuples).  Module-level and
-#: fork-inherited; dispatch workers simply start cold.  Demands are not part
-#: of the key — the structure is demand-independent by construction.
-_STRUCTURE_CACHE: "OrderedDict[tuple, _PathSetStructure]" = OrderedDict()
-_STRUCTURE_CACHE_MAX = 32
-
-#: Each path's ``(delay, link ids)``, per (network signature, link order).
-#: One LDR or full-MinMax placement creates one and passes it to every LP
-#: it solves: its growing path sets repeat most paths round after round.
-#: It dies with the placement — kept for the process, it would grow with
-#: every path ever solved over.
-PathMemo = Dict[tuple, Dict[Path, Tuple[float, List[int]]]]
-
-
-def clear_structure_cache() -> None:
-    """Drop every cached path-set structure (benchmarks, tests)."""
-    _STRUCTURE_CACHE.clear()
-
-
-def _structure_for(
-    network: Network,
-    aggregates: Sequence[Aggregate],
-    path_lists: Sequence[Sequence[Path]],
-    path_memo: Optional[PathMemo] = None,
-) -> Tuple[_PathSetStructure, bool]:
-    """The (possibly cached) structure; second element = cache hit.
-
-    The key folds in the link *insertion order* on top of the content
-    signature because ``capacity_unit`` is a float sum over links in
-    insertion order — two equal-content networks enumerated differently
-    would differ in final ulps.
-    """
-    key = (
-        network_signature(network),
-        tuple(link.key for link in network.links()),
-        tuple(
-            (agg.src, agg.dst, tuple(paths))
-            for agg, paths in zip(aggregates, path_lists)
-        ),
-    )
-    cached = _STRUCTURE_CACHE.get(key)
-    if cached is not None:
-        _STRUCTURE_CACHE.move_to_end(key)
-        return cached, True
-    structure = _PathSetStructure(
-        network, aggregates, path_lists,
-        {} if path_memo is None else path_memo.setdefault(key[:2], {}),
-    )
-    _STRUCTURE_CACHE[key] = structure
-    while len(_STRUCTURE_CACHE) > _STRUCTURE_CACHE_MAX:
-        _STRUCTURE_CACHE.popitem(last=False)
-    return structure, False
-
-
-class _PathLpBuilder:
-    """Common scaffolding for the latency and MinMax path LPs.
-
-    One builder = one (network, path sets, demands) triple.  The
-    demand-independent arrays live in a shared cached
-    :class:`_PathSetStructure`; the builder adds the demand-derived
-    vectors and emits :class:`CompiledLP` models.  Both MinMax stages
-    (and any number of re-solves) can share a single builder.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        path_sets: Mapping[Aggregate, Sequence[Path]],
-        path_memo: Optional[PathMemo] = None,
-    ) -> None:
-        if not path_sets:
-            raise ValueError("no aggregates to place")
-        for agg, paths in path_sets.items():
-            if not paths:
-                raise ValueError(f"aggregate {agg.src}->{agg.dst} has no paths")
-        self.network = network
-        self.path_sets = {agg: list(paths) for agg, paths in path_sets.items()}
-        self.aggregates = list(self.path_sets)
-
-        self.structure, self.structure_warm = _structure_for(
-            network, self.aggregates,
-            [self.path_sets[agg] for agg in self.aggregates],
-            path_memo,
-        )
-        s = self.structure
-        self.capacity_unit = s.capacity_unit
-
         flows = np.fromiter(
             (agg.n_flows for agg in self.aggregates),
-            dtype=np.int64, count=s.n_aggs,
+            dtype=np.int64, count=self.n_aggs,
         )
         total_flows = int(flows.sum())
         self.flow_weight = flows / total_flows
         demand = np.fromiter(
             (agg.demand_bps for agg in self.aggregates),
-            dtype=np.float64, count=s.n_aggs,
+            dtype=np.float64, count=self.n_aggs,
         )
-        self.demand_units = demand / s.capacity_unit
+        self.demand_units = demand / self.capacity_unit
 
         # Flow-weighted mean shortest delay, summed sequentially in
         # aggregate order (bit-compatible with the historical Python sum).
-        self.delay_unit = sum((self.flow_weight * s.shortest_delay).tolist())
+        self.delay_unit = sum((self.flow_weight * self.shortest_delay).tolist())
         if self.delay_unit <= 0:
             self.delay_unit = 1e-3  # degenerate all-zero-delay network
 
     # ------------------------------------------------------------------
-    def delay_cost(self, with_tiebreak: bool = True) -> np.ndarray:
+    def delay_cost(self) -> np.ndarray:
         """Figure 12's flow-weighted delay coefficient per x column."""
-        s = self.structure
-        delay = s.path_delay / self.delay_unit
-        weight = self.flow_weight[s.agg_of_path]
+        delay = self.path_delay / self.delay_unit
+        weight = self.flow_weight[self.agg_of_path]
         cost = weight * delay
-        if with_tiebreak:
-            # d_p * M1 / S_a: cheaper to detour aggregates whose shortest
-            # delay is already large.
-            ratio = self.delay_unit / np.maximum(s.shortest_delay, 1e-9)
-            cost = cost + cost * M1_TIEBREAK * ratio[s.agg_of_path]
-        return cost
+        # d_p * M1 / S_a: cheaper to detour aggregates whose shortest
+        # delay is already large.
+        ratio = self.delay_unit / np.maximum(self.shortest_delay, 1e-9)
+        return cost + cost * M1_TIEBREAK * ratio[self.agg_of_path]
 
     def _assignment_coo(
         self,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(data, rows, cols) of the sum_p x_ap = 1 rows (rows 0..A-1)."""
-        s = self.structure
         return (
-            np.ones(s.n_paths),
-            s.agg_of_path,
-            np.arange(s.n_paths, dtype=np.int64),
+            np.ones(self.n_paths),
+            self.agg_of_path,
+            np.arange(self.n_paths, dtype=np.int64),
         )
 
     def latency_model(self) -> CompiledLP:
         """The Figure 12 LP; columns = x | Omax | O_l per used link."""
-        s = self.structure
-        p, a, l = s.n_paths, s.n_aggs, s.n_links
+        p, a, l = self.n_paths, self.n_aggs, self.n_links
         omax_col = p
         o_cols = p + 1 + np.arange(l, dtype=np.int64)
         link_rows = a + 2 * np.arange(l, dtype=np.int64)
         assign = self._assignment_coo()
         data = np.concatenate([
             assign[0],
-            self.demand_units[s.entry_agg],      # load terms
-            -s.capacity_units,                   # -C_l O_l
+            self.demand_units[self.entry_agg],   # load terms
+            -self.capacity_units,                # -C_l O_l
             np.ones(l),                          # O_l ...
             np.full(l, -1.0),                    # ... <= Omax
         ])
         rows = np.concatenate([
             assign[1],
-            a + 2 * s.entry_link,
+            a + 2 * self.entry_link,
             link_rows,
             link_rows + 1,
             link_rows + 1,
         ])
         cols = np.concatenate([
-            assign[2], s.entry_path, o_cols, o_cols,
+            assign[2], self.entry_path, o_cols, o_cols,
             np.full(l, omax_col, dtype=np.int64),
         ])
         senses = np.concatenate([
@@ -352,7 +264,7 @@ class _PathLpBuilder:
         ])
         rhs = np.concatenate([np.ones(a), np.zeros(2 * l)])
         c = np.concatenate([
-            self.delay_cost(with_tiebreak=True),
+            self.delay_cost(),
             np.array([M2_MAX_OVERLOAD]),
             np.full(l, M3_TOTAL_OVERLOAD),
         ])
@@ -365,22 +277,21 @@ class _PathLpBuilder:
 
     def minmax_stage1_model(self) -> CompiledLP:
         """Stage 1: minimize Umax; columns = x | Umax."""
-        s = self.structure
-        p, a, l = s.n_paths, s.n_aggs, s.n_links
+        p, a, l = self.n_paths, self.n_aggs, self.n_links
         umax_col = p
         assign = self._assignment_coo()
         data = np.concatenate([
             assign[0],
-            self.demand_units[s.entry_agg],
-            -s.capacity_units,                   # -C_l Umax
+            self.demand_units[self.entry_agg],
+            -self.capacity_units,                # -C_l Umax
         ])
         rows = np.concatenate([
             assign[1],
-            a + s.entry_link,
+            a + self.entry_link,
             a + np.arange(l, dtype=np.int64),
         ])
         cols = np.concatenate([
-            assign[2], s.entry_path,
+            assign[2], self.entry_path,
             np.full(l, umax_col, dtype=np.int64),
         ])
         senses = np.concatenate([
@@ -399,20 +310,19 @@ class _PathLpBuilder:
 
     def minmax_stage2_model(self, cap: float) -> CompiledLP:
         """Stage 2: minimize delay with loads capped at ``cap``."""
-        s = self.structure
-        p, a = s.n_paths, s.n_aggs
+        p, a = self.n_paths, self.n_aggs
         assign = self._assignment_coo()
-        data = np.concatenate([assign[0], self.demand_units[s.entry_agg]])
-        rows = np.concatenate([assign[1], a + s.entry_link])
-        cols = np.concatenate([assign[2], s.entry_path])
+        data = np.concatenate([assign[0], self.demand_units[self.entry_agg]])
+        rows = np.concatenate([assign[1], a + self.entry_link])
+        cols = np.concatenate([assign[2], self.entry_path])
         senses = np.concatenate([
             np.full(a, SENSE_EQ, dtype=np.int8),
-            np.full(s.n_links, SENSE_LE, dtype=np.int8),
+            np.full(self.n_links, SENSE_LE, dtype=np.int8),
         ])
-        rhs = np.concatenate([np.ones(a), s.capacity_units * cap])
+        rhs = np.concatenate([np.ones(a), self.capacity_units * cap])
         return CompiledLP.from_coo(
             n_variables=p, data=data, rows=rows, cols=cols,
-            senses=senses, rhs=rhs, c=self.delay_cost(with_tiebreak=True),
+            senses=senses, rhs=rhs, c=self.delay_cost(),
             lower=np.zeros(p), upper=np.ones(p),
         )
 
@@ -420,7 +330,7 @@ class _PathLpBuilder:
         self, solution: Solution
     ) -> Dict[Aggregate, List[Tuple[Path, float]]]:
         """Per-aggregate (path, fraction) splits via one vectorized slice."""
-        values = solution.x[: self.structure.n_paths].tolist()
+        values = solution.x[: self.n_paths].tolist()
         fractions: Dict[Aggregate, List[Tuple[Path, float]]] = {}
         position = 0
         for agg in self.aggregates:
@@ -434,9 +344,8 @@ class _PathLpBuilder:
             return None
         return {
             "backend": resolve_backend(),
-            "warm": self.structure_warm,
-            "n_paths": self.structure.n_paths,
-            "n_links": self.structure.n_links,
+            "n_paths": self.n_paths,
+            "n_links": self.n_links,
         }
 
 
@@ -458,20 +367,28 @@ def _placement_utilization(
     }
 
 
-def path_lp_columns(
-    network: Network, path_sets: Mapping[Aggregate, Sequence[Path]]
-) -> int:
-    """Column count of the Figure 12 LP over the given path sets.
+def unplaced_excess(
+    fractions: Dict[Aggregate, List[Tuple[Path, float]]],
+    overloaded: AbstractSet[Tuple[str, str]],
+    peak: float,
+) -> Dict[Aggregate, float]:
+    """Traffic over capacity, charged to the aggregates crossing it.
 
-    One variable per (aggregate, path), plus Omax, plus one overload
-    variable per directed link.  This is the quantity that explodes on
-    ingest-scale graphs with dense matrices — 10^8 columns at 10k nodes —
-    and the number that :func:`repro.tm.regions.maybe_aggregate` bounds
-    by collapsing demands onto per-region gateways before the LP ever
-    sees them.  Cheap (no assembly); callers can budget before building.
+    Each aggregate routing some of its traffic over an ``overloaded`` link
+    is charged demand x crossing fraction x (peak - 1) / peak, where
+    ``peak`` is the placement's highest overload or utilization.
     """
-    n_paths = sum(len(paths) for paths in path_sets.values())
-    return n_paths + 1 + network.num_links
+    unplaced: Dict[Aggregate, float] = {}
+    for agg, splits in fractions.items():
+        crossing = sum(
+            fraction
+            for path, fraction in splits
+            if fraction > 1e-9
+            and any(key in overloaded for key in path_links(path))
+        )
+        if crossing > 0:
+            unplaced[agg] = agg.demand_bps * crossing * (peak - 1.0) / peak
+    return unplaced
 
 
 def solve_latency_lp(
@@ -488,12 +405,11 @@ def solve_latency_lp(
         model = builder.latency_model()
     solution = model.solve()
 
-    s = builder.structure
-    overload_values = solution.x[s.n_paths + 1:].tolist()
+    overload_values = solution.x[builder.n_paths + 1:].tolist()
     return PathLpResult(
         fractions=builder.extract_fractions(solution),
-        link_overload=dict(zip(s.link_keys, overload_values)),
-        max_overload=float(solution.x[s.n_paths]),
+        link_overload=dict(zip(builder.link_keys, overload_values)),
+        max_overload=float(solution.x[builder.n_paths]),
         objective=solution.objective,
     )
 
@@ -501,7 +417,6 @@ def solve_latency_lp(
 def solve_minmax_lp(
     network: Network,
     path_sets: Mapping[Aggregate, Sequence[Path]],
-    utilization_cap: Optional[float] = None,
     path_memo: Optional[PathMemo] = None,
 ) -> Tuple[PathLpResult, float]:
     """The MinMax two-stage LP over the given path sets.
@@ -511,21 +426,16 @@ def solve_minmax_lp(
     re-optimizes latency subject to every link staying within the stage-1
     utilization.  Returns the placement and the achieved Umax.
 
-    ``utilization_cap`` can preseed a known-optimal stage-1 value (used by
-    the iterative full-MinMax driver to skip re-deriving it).  Both stages
-    share one builder — and therefore one set of incidence arrays — so
-    stage 2 costs only its own numpy assembly and solve.  ``path_memo`` is
-    the enclosing placement's :data:`PathMemo`.
+    Both stages share one builder — and therefore one set of incidence
+    arrays — so stage 2 costs only its own numpy assembly and solve.
+    ``path_memo`` is the enclosing placement's :data:`PathMemo`.
     """
     builder = _PathLpBuilder(network, path_sets, path_memo)
-    if utilization_cap is None:
-        with recorder().span("lp_assemble", builder._assemble_attrs()):
-            stage1 = builder.minmax_stage1_model()
-        utilization_cap = float(
-            stage1.solve().x[builder.structure.n_paths]
-        )
+    with recorder().span("lp_assemble", builder._assemble_attrs()):
+        stage1 = builder.minmax_stage1_model()
+    utilization = float(stage1.solve().x[builder.n_paths])
 
-    cap = utilization_cap * (1.0 + 1e-6) + 1e-9
+    cap = utilization * (1.0 + 1e-6) + 1e-9
     with recorder().span("lp_assemble", builder._assemble_attrs()):
         stage2 = builder.minmax_stage2_model(cap)
     solution = stage2.solve()
@@ -541,5 +451,4 @@ def solve_minmax_lp(
         max_overload=max(1.0, max(link_util.values(), default=0.0)),
         objective=solution.objective,
     )
-    return result, utilization_cap
-
+    return result, utilization

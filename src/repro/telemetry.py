@@ -51,7 +51,7 @@ Span vocabulary (what :func:`summary` / ``trace critical-path`` report):
 ``ksp``                   Yen's k-shortest-paths materialization
 ``lp_assemble``           LP model assembly / compilation to solver
                           form; attrs carry backend (path LPs add
-                          ``warm``: structure-cache hit or miss)
+                          ``n_paths`` / ``n_links``)
 ``lp_solve``              one LP solve (scipy-HiGHS or highspy); attrs
                           carry backend + model size
 ``cache_load``/``_dump``  persistent KSP cache file I/O

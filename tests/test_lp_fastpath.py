@@ -5,8 +5,8 @@ Two layers:
 * **byte-identity properties** — the vectorized assembly in
   :mod:`repro.routing.pathlp` must produce *bit-identical* results to the
   scalar, build-per-solve reference implementation it replaced (ported
-  below as ``_legacy_*``), with the structure cache cold, hit, or shared
-  across solves, and under every available backend;
+  below as ``_legacy_*``), on a fresh or a placement-shared path memo,
+  on repeat solves, and under every available backend;
 * **CompiledLP unit tests** — construction (``from_coo``), input
   validation and solver outcomes.
 """
@@ -36,7 +36,6 @@ from repro.routing.pathlp import (
     M2_MAX_OVERLOAD,
     M3_TOTAL_OVERLOAD,
     _PathLpBuilder,
-    clear_structure_cache,
     solve_latency_lp,
     solve_minmax_lp,
 )
@@ -162,15 +161,15 @@ def _legacy_minmax(network, path_sets):
         capacity_units = network.link(*key).capacity_bps / stage1.capacity_unit
         constraint = add_term(dict(load_expr), umax, -capacity_units)
         stage1.lp.add_row(constraint, SENSE_LE, 0.0)
-    utilization_cap = float(stage1.lp.compile({umax: 1.0}).solve().x[umax])
+    stage1_umax = float(stage1.lp.compile({umax: 1.0}).solve().x[umax])
 
     stage2 = _LegacyBuilder(network, path_sets)
-    cap = utilization_cap * (1.0 + 1e-6) + 1e-9
+    cap = stage1_umax * (1.0 + 1e-6) + 1e-9
     for key, load_expr in stage2.load_exprs.items():
         capacity_units = network.link(*key).capacity_bps / stage2.capacity_unit
         stage2.lp.add_row(load_expr, SENSE_LE, capacity_units * cap)
     solution = stage2.lp.compile(stage2.delay_objective()).solve()
-    return stage2.extract_fractions(solution), utilization_cap
+    return stage2.extract_fractions(solution), stage1_umax
 
 
 def _paper_case(gts):
@@ -180,13 +179,6 @@ def _paper_case(gts):
     return {
         agg: list(cache.get(agg.src, agg.dst, 10)) for agg in tm.aggregates()
     }
-
-
-@pytest.fixture(autouse=True)
-def _fresh_structure_cache():
-    clear_structure_cache()
-    yield
-    clear_structure_cache()
 
 
 # ----------------------------------------------------------------------
@@ -211,17 +203,18 @@ class TestByteIdentity:
         assert result.fractions == ref_fracs
         assert cap == ref_cap
 
-    def test_structure_cache_changes_nothing(self, gts):
+    def test_path_memo_changes_nothing(self, gts):
         path_sets = _paper_case(gts)
-        cold = solve_latency_lp(gts, path_sets)  # miss: populates the cache
-        hit = solve_latency_lp(gts, path_sets)  # warm structure
-        clear_structure_cache()
-        again = solve_latency_lp(gts, path_sets)  # cold once more
-        for other in (hit, again):
-            assert other.fractions == cold.fractions
-            assert other.link_overload == cold.link_overload
-            assert other.max_overload == cold.max_overload
-            assert other.objective == cold.objective
+        fresh = solve_latency_lp(gts, path_sets)
+        memo = {}
+        filled = solve_latency_lp(gts, path_sets, path_memo=memo)
+        assert len(memo) == sum(len(paths) for paths in path_sets.values())
+        shared = solve_latency_lp(gts, path_sets, path_memo=memo)
+        for other in (filled, shared):
+            assert other.fractions == fresh.fractions
+            assert other.link_overload == fresh.link_overload
+            assert other.max_overload == fresh.max_overload
+            assert other.objective == fresh.objective
 
     def test_shared_builder_warm_equals_cold(self, gts):
         path_sets = _paper_case(gts)
@@ -235,7 +228,6 @@ class TestByteIdentity:
         path_sets = _paper_case(gts)
         monkeypatch.setenv(BACKEND_ENV, "scipy")
         reference = solve_latency_lp(gts, path_sets)
-        clear_structure_cache()
         monkeypatch.setenv(BACKEND_ENV, backend)
         other = solve_latency_lp(gts, path_sets)
         assert other.fractions == reference.fractions

@@ -192,11 +192,62 @@ class TestLpPin:
         "MinMaxK10": lambda: MinMaxRouting(k=10),
     }
 
+    #: ``(lp_solve spans, lp_assemble spans, summed path-LP n_paths)`` per
+    #: gts case: no refactor of LP assembly may add or lose a solve.
+    WORK = {
+        ("LDR", 1.0): (4, 8, 1272),
+        ("LDR", 2.5): (56, 112, 96676),
+        ("MinMax", 1.0): (3, 6, 2128),
+        ("MinMax", 2.5): (3, 6, 2128),
+        ("MinMaxK10", 1.0): (2, 4, 5200),
+        ("MinMaxK10", 2.5): (2, 4, 5200),
+    }
+
+    #: sha256 over every aggregate's ``unplaced_bps`` in hex on gts at
+    #: scale 2.5, where both schemes charge excess to crossing aggregates.
+    UNPLACED = {
+        "LDR":
+            "a6a2b535b7ceae7c5dc205232d3942921e22b10a12d34b105cdc06f0110e4b41",
+        "MinMax":
+            "c12795833e497b6f248ade33066546823005ceb1a19d2d1620679a60c522a86d",
+        "MinMaxK10":
+            "031b8855975db59fa8c6748ff5262bfeee871e4b7f155da0230dbdb6ecca0a41",
+    }
+
     @pytest.mark.parametrize("scheme,name,scale", sorted(PINS))
     def test_allocations_exact(self, scheme, name, scale):
         network, tm = TestLinkBasedPin._case(name)
         placement = self.SCHEMES[scheme]().place(network, tm.scaled(scale))
         assert allocation_digest(placement) == self.PINS[(scheme, name, scale)]
+
+    @pytest.mark.parametrize("scheme", sorted(UNPLACED))
+    def test_unplaced_exact(self, scheme):
+        network, tm = TestLinkBasedPin._case("gts")
+        placement = self.SCHEMES[scheme]().place(network, tm.scaled(2.5))
+        listing = [
+            (agg.src, agg.dst, placement.unplaced_bps.get(agg, 0.0).hex())
+            for agg in placement.aggregates
+        ]
+        digest = hashlib.sha256(repr(listing).encode()).hexdigest()
+        assert digest == self.UNPLACED[scheme]
+
+    @pytest.mark.parametrize("scheme,scale", sorted(WORK))
+    def test_lp_work(self, tmp_path, scheme, scale):
+        network, tm = TestLinkBasedPin._case("gts")
+        telemetry.configure(tmp_path)
+        try:
+            self.SCHEMES[scheme]().place(network, tm.scaled(scale))
+            telemetry.recorder().flush()
+            trace = telemetry.load_trace(tmp_path)
+        finally:
+            telemetry.disable()
+        assemblies = trace.by_name("lp_assemble")
+        work = (
+            len(trace.by_name("lp_solve")),
+            len(assemblies),
+            sum(span.attrs.get("n_paths", 0) for span in assemblies),
+        )
+        assert work == self.WORK[(scheme, scale)]
 
 
 def b4_digest(placement):

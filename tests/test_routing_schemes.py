@@ -13,6 +13,7 @@ from repro.routing import (
     MinMaxRouting,
     ShortestPathRouting,
 )
+from repro.routing.optimal import solve_iterative_latency
 from repro.tm.matrix import TrafficMatrix
 
 
@@ -69,6 +70,16 @@ class TestLatencyOptimal:
     def test_invalid_headroom_rejected(self):
         with pytest.raises(ValueError):
             LatencyOptimalRouting(headroom=1.0)
+
+    @pytest.mark.parametrize("name", ["grow_step", "max_paths"])
+    def test_growth_below_one_rejected(self, diamond, name):
+        # Below 1, every pair would count as exhausted and the Figure 13
+        # loop would never grow a path set.
+        with pytest.raises(ValueError, match=name):
+            LatencyOptimalRouting(**{name: 0})
+        tm = TrafficMatrix({("s", "t"): Gbps(20)})
+        with pytest.raises(ValueError, match=name):
+            solve_iterative_latency(diamond, tm, **{name: 0})
 
     def test_prefers_moving_long_rtt_aggregate(self):
         """The paper's M1 tie-break: when two aggregates compete for a
@@ -155,6 +166,11 @@ class TestMinMax:
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
             MinMaxRouting(k=0)
+
+    @pytest.mark.parametrize("name", ["grow_step", "max_paths"])
+    def test_growth_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            MinMaxRouting(**{name: 0})
 
 
 class TestB4:

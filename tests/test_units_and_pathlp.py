@@ -6,23 +6,10 @@ from repro.net.units import Gbps, Kbps, Mbps, Tbps, ms, to_gbps, to_ms
 from repro.routing.pathlp import (
     OVERLOAD_TOLERANCE,
     PathLpResult,
-    path_lp_columns,
     solve_latency_lp,
     solve_minmax_lp,
 )
 from repro.tm.matrix import Aggregate
-
-
-class TestPathLpColumns:
-    def test_counts_paths_omax_and_overloads(self, diamond):
-        agg = Aggregate("s", "t", Gbps(5))
-        paths = [("s", "x", "t"), ("s", "y", "t")]
-        assert path_lp_columns(diamond, {agg: paths}) == (
-            2 + 1 + diamond.num_links
-        )
-
-    def test_empty_path_sets(self, diamond):
-        assert path_lp_columns(diamond, {}) == 1 + diamond.num_links
 
 
 class TestUnits:
@@ -102,16 +89,3 @@ class TestSolveMinMaxLp:
         total = sum(fraction for _, fraction in result.fractions[agg])
         assert total == pytest.approx(1.0)
         assert result.max_overload <= 1.0 + OVERLOAD_TOLERANCE
-
-    def test_preseeded_cap(self, diamond):
-        agg = Aggregate("s", "t", Gbps(10))
-        paths = [("s", "x", "t"), ("s", "y", "t")]
-        result, umax = solve_minmax_lp(
-            diamond, {agg: paths}, utilization_cap=0.5
-        )
-        assert umax == 0.5
-        # The looser cap lets latency dominate: everything on the fast
-        # path (10G of demand at 10G capacity = utilization 1.0 > 0.5 is
-        # not allowed, so it splits at the cap).
-        fractions = dict(result.fractions[agg])
-        assert fractions[("s", "x", "t")] == pytest.approx(0.5, abs=0.01)
