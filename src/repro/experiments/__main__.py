@@ -81,11 +81,7 @@ from repro.experiments.render import (
     render_series,
 )
 from repro.experiments.spec import SchemeSpec, registered_schemes
-from repro.experiments.store import (
-    ResultStore,
-    StoreError,
-    workload_signature,
-)
+from repro.experiments.store import ResultStore, StoreError
 from repro.experiments.workloads import (
     build_traffic_matrices,
     build_zoo_workload,
@@ -97,8 +93,7 @@ from repro.traces import trace_ensemble
 def build_workload(args, growth_factor: Optional[float] = None):
     # Callers with a fixed setting (fig08's lighter load) pass it
     # explicitly; everything else follows --growth-factor so that
-    # `store gc --match-workload` and `dispatch` can describe any
-    # workload the figure runners can build.
+    # `dispatch <scheme>` and `scenarios` can run any load.
     return build_zoo_workload(
         n_networks=args.networks,
         n_matrices=args.tms,
@@ -121,7 +116,6 @@ def engine_options(args) -> dict:
         cache_dir=args.cache_dir,
         store_dir=args.store_dir,
         resume=args.resume,
-        cache_max_paths=args.cache_max_paths,
     )
 
 
@@ -297,7 +291,6 @@ def run_worker_command(args) -> int:
         args.manifest,
         store_dir=args.store_dir,
         cache_dir=args.cache_dir,
-        cache_max_paths=args.cache_max_paths,
         resume=args.resume,
     )
     print(
@@ -317,7 +310,6 @@ def _dispatch(plan: EvalPlan, args):
         store_dir=args.store_dir,
         work_dir=args.work_dir,
         cache_dir=args.cache_dir,
-        cache_max_paths=args.cache_max_paths,
         resume=args.resume,
     )
 
@@ -366,10 +358,10 @@ def run_dispatch_command(args) -> int:
         hint = ""
 
     shipped = plan.n_tasks - _dispatch(plan, args).n_stored
-    workers = args.shards
+    # One worker per shard manifest, and never more manifests than tasks.
+    workers = min(args.shards, shipped)
     if shipped < plan.n_tasks:
         # A resumed dispatch ships only the tasks the store is missing.
-        workers = min(args.shards, shipped)
         what = f"the {shipped} missing task(s) of {what}"
     print(
         f"dispatch: {workers} shard worker(s) evaluated {what} "
@@ -540,16 +532,12 @@ def run_store_command(args) -> int:
         return 0
 
     keep = set(args.keep or ())
-    if args.match_workload:
-        # Prune everything except the signature of the workload the other
-        # CLI flags describe — the knob for "keep only the current run".
-        keep.add(workload_signature(build_workload(args)))
     max_age_s = (
         args.max_age_days * 86400.0 if args.max_age_days is not None else None
     )
     if max_age_s is None and not keep:
         print(
-            "store gc needs --max-age-days, --keep or --match-workload "
+            "store gc needs --max-age-days or --keep "
             "(refusing to prune everything by default)",
             file=sys.stderr,
         )
@@ -753,9 +741,7 @@ def flag_groups() -> Dict[str, argparse.ArgumentParser]:
         type=at_least_one_float,
         default=1.3,
         help="workload min-cut load shaping (1.3 = the paper's default "
-        "77%% load).  Matters for dispatch and for store gc "
-        "--match-workload, whose signature must describe the workload "
-        "that populated the store",
+        "77%% load)",
     )
     group("workers").add_argument(
         "--workers",
@@ -770,14 +756,7 @@ def flag_groups() -> Dict[str, argparse.ArgumentParser]:
         "topologies) here; repeated and parallel runs warm-start from "
         "disk",
     )
-    limits = group("cache_limits")
-    limits.add_argument(
-        "--cache-max-paths",
-        type=positive_int,
-        help="keep at most this many KSP paths per node pair in each "
-        "persisted cache file",
-    )
-    limits.add_argument(
+    group("cache_limits").add_argument(
         "--cache-max-bytes",
         type=non_negative_int,
         help="after the run, evict least-recently-used ksp-*.json files "
@@ -810,18 +789,11 @@ def flag_groups() -> Dict[str, argparse.ArgumentParser]:
         help="where shard manifests and worker stores go (default: a temp "
         "directory, removed afterwards)",
     )
-    record = group("record")
-    record.add_argument(
+    group("record").add_argument(
         "--trace-dir",
         help="record span telemetry into per-process JSONL shards under "
         "this directory (off by default; never changes results); the "
         "'trace' command reads the same directory back",
-    )
-    record.add_argument(
-        "--trace-id",
-        help="override the workload-derived trace id when recording "
-        "(rarely needed; dispatch coordinators and workers converge on "
-        "the same id without it)",
     )
     group("format").add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -867,12 +839,6 @@ def flag_groups() -> Dict[str, argparse.ArgumentParser]:
         action="append",
         metavar="SIGNATURE",
         help="gc: prune signature dirs NOT listed here (repeatable)",
-    )
-    store.add_argument(
-        "--match-workload",
-        action="store_true",
-        help="gc: keep only the signature of the workload described "
-        "by --networks/--tms/--seed/--growth-factor, prune the rest",
     )
 
     trace = group("trace")
@@ -1024,9 +990,7 @@ COMMANDS: Dict[str, Command] = {
         ("worker", "cache", "cache_limits", "needs_store_dir", "resume",
          "record"),
     ),
-    "store": Command(
-        run_store_command, ("store",) + WORKLOAD + ("needs_store_dir",)
-    ),
+    "store": Command(run_store_command, ("store", "needs_store_dir")),
     "trace": Command(run_trace_command, ("trace", "format")),
     "ingest": Command(run_ingest_command, ("ingest", "seed", "format")),
     "scenarios": Command(
@@ -1075,7 +1039,7 @@ def main(argv=None) -> int:
 
     configure_logging(args.log_level)
     if records:
-        telemetry.configure(args.trace_dir, trace=args.trace_id)
+        telemetry.configure(args.trace_dir)
     try:
         code = command.run(args)
     except StoreError as exc:

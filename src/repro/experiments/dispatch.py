@@ -232,16 +232,13 @@ def build_plan_manifest(
             {
                 "scheme": stream.scheme,
                 "spec": stream.factory.to_jsonable(),
-                "signature": workload_signature(
-                    stream.workload, stream.matrices_per_network
-                ),
+                "signature": workload_signature(stream.workload),
                 "n_networks": stream.n_networks,
-                "matrices_per_network": stream.matrices_per_network,
                 "scenario": scenario_ref,
             }
         )
     items: List[dict] = []
-    item_ids: Dict[tuple, int] = {}
+    item_ids: Dict[Tuple[int, int], int] = {}
     task_entries = []
     task_chunks: List[dict] = []
     open_chunks: Dict[int, dict] = {}
@@ -261,14 +258,9 @@ def build_plan_manifest(
                 task_chunks.append(chunk)
             continue
         item = stream.workload.networks[task.index]
-        ident = (
-            id(stream.workload), task.index, stream.matrices_per_network
-        )
+        ident = (id(stream.workload), task.index)
         item_id = item_ids.get(ident)
         if item_id is None:
-            matrices = item.matrices
-            if stream.matrices_per_network is not None:
-                matrices = matrices[: stream.matrices_per_network]
             item_id = len(items)
             item_ids[ident] = item_id
             items.append(
@@ -276,7 +268,7 @@ def build_plan_manifest(
                     "llpd": item.llpd,
                     "network": json.loads(network_to_json(item.network)),
                     "matrices": [
-                        json.loads(tm_to_json(tm)) for tm in matrices
+                        json.loads(tm_to_json(tm)) for tm in item.matrices
                     ],
                 }
             )
@@ -372,7 +364,7 @@ class _ShardWorkload:
     def __getitem__(self, index: int) -> NetworkWorkload:
         return self._item(index)
 
-    def content_signature(self, matrices_per_network: Optional[int]) -> str:
+    def content_signature(self) -> str:
         return self._stream["signature"]
 
 
@@ -427,7 +419,6 @@ def _shard_plan(manifest: dict) -> Tuple[EvalPlan, Dict[int, List[int]]]:
             SchemeSpec.from_jsonable(stream["spec"]),
             _ShardWorkload(stream, lookup),
             scheme=stream["scheme"],
-            matrices_per_network=stream.get("matrices_per_network"),
         )
     return plan, dict(enumerate(indices))
 
@@ -436,7 +427,6 @@ def run_worker(
     manifest_path: "os.PathLike[str] | str",
     store_dir: "os.PathLike[str] | str",
     cache_dir: Optional["os.PathLike[str] | str"] = None,
-    cache_max_paths: Optional[int] = None,
     resume: bool = True,
 ) -> dict:
     """Evaluate one plan shard and append its results to ``store_dir``.
@@ -459,8 +449,7 @@ def run_worker(
             "n_shards": manifest["n_shards"],
         }
     engine = ExperimentEngine(
-        cache_dir=cache_dir, store_dir=store_dir, resume=resume,
-        cache_max_paths=cache_max_paths,
+        cache_dir=cache_dir, store_dir=store_dir, resume=resume
     )
     with recorder.span("worker", attrs):
         report = engine.run_plan(plan, indices=indices)
@@ -551,10 +540,7 @@ def _merge_worker_streams(
 # Coordinator
 # ----------------------------------------------------------------------
 def _worker_command(
-    manifest: Path,
-    store_dir: Path,
-    cache_dir: Optional[Path],
-    cache_max_paths: Optional[int],
+    manifest: Path, store_dir: Path, cache_dir: Optional[Path]
 ) -> List[str]:
     command = [
         sys.executable,
@@ -567,8 +553,6 @@ def _worker_command(
     ]
     if cache_dir is not None:
         command += ["--cache-dir", os.fspath(cache_dir)]
-    if cache_max_paths is not None:
-        command += ["--cache-max-paths", str(cache_max_paths)]
     trace_dir = telemetry.recorder().trace_dir
     if trace_dir is not None:
         # Local workers would inherit REPRO_TRACE_DIR anyway; the flag
@@ -594,7 +578,6 @@ def _run_shard_workers(
     manifests: Sequence[Path],
     work: Path,
     cache_dir: Optional["os.PathLike[str] | str"],
-    cache_max_paths: Optional[int],
 ) -> List[Path]:
     """Launch one worker subprocess per manifest; return worker stores.
 
@@ -615,7 +598,6 @@ def _run_shard_workers(
                         manifest,
                         worker_store,
                         Path(cache_dir) if cache_dir else None,
-                        cache_max_paths,
                     ),
                     stdout=subprocess.PIPE,
                     stderr=subprocess.PIPE,
@@ -645,7 +627,6 @@ def dispatch_plan(
     store_dir: "os.PathLike[str] | str",
     work_dir: Optional["os.PathLike[str] | str"] = None,
     cache_dir: Optional["os.PathLike[str] | str"] = None,
-    cache_max_paths: Optional[int] = None,
     resume: bool = True,
 ) -> PlanReport:
     """Shard a whole evaluation plan across worker subprocesses and merge.
@@ -680,7 +661,7 @@ def dispatch_plan(
     store = ResultStore(store_dir)
     served = ExperimentEngine(store_dir=store_dir, store_only=True)
     signatures = {
-        key: workload_signature(stream.workload, stream.matrices_per_network)
+        key: workload_signature(stream.workload)
         for key, stream in plan.streams.items()
     }
     indices = None
@@ -704,9 +685,7 @@ def dispatch_plan(
         manifests = write_plan_manifests(
             plan, n_shards, work / "manifests", indices=indices
         )
-        worker_stores = _run_shard_workers(
-            manifests, work, cache_dir, cache_max_paths
-        )
+        worker_stores = _run_shard_workers(manifests, work, cache_dir)
         if not resume:
             for key, stream in plan.streams.items():
                 store.open_writer(

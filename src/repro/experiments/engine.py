@@ -133,12 +133,10 @@ class ExperimentEngine:
     one ``fork`` process pool for the entire plan (serially where fork
     is missing; ``dispatch`` is the out-of-process route).
     ``cache_dir`` enables persistent KSP caches keyed by network content
-    hash; ``cache_max_paths`` bounds how many paths per pair those cache
-    files keep.  ``store_dir``
-    enables the durable result store: stored networks are served without
-    evaluation (unless ``resume`` is false, which discards the existing
-    streams first), and ``store_only`` forbids evaluation altogether —
-    missing results raise
+    hash.  ``store_dir`` enables the durable result store: stored
+    networks are served without evaluation (unless ``resume`` is false,
+    which discards the existing streams first), and ``store_only``
+    forbids evaluation altogether — missing results raise
     :class:`~repro.experiments.store.StoreMissError` instead of being
     computed.  See the module docstring for the full contract.
     """
@@ -150,7 +148,6 @@ class ExperimentEngine:
         store_dir: Optional[os.PathLike] = None,
         resume: bool = True,
         store_only: bool = False,
-        cache_max_paths: Optional[int] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
@@ -161,7 +158,6 @@ class ExperimentEngine:
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self.resume = resume
         self.store_only = store_only
-        self.cache_max_paths = cache_max_paths
 
     def run_plan(
         self,
@@ -247,9 +243,7 @@ class ExperimentEngine:
 
         store = ResultStore(self.store_dir)
         signatures = {
-            key: workload_signature(
-                stream.workload, stream.matrices_per_network
-            )
+            key: workload_signature(stream.workload)
             for key, stream in plan.streams.items()
         }
 
@@ -396,9 +390,6 @@ class ExperimentEngine:
                 # fork path only ever touches the child's memory image).
                 item = replace(item, cache=loaded)
                 preloaded = item.cache.total_cached()
-        matrices = item.matrices
-        if stream.matrices_per_network is not None:
-            matrices = matrices[:stream.matrices_per_network]
 
         uid = network_id(item, index)
         signature = network_signature(item.network)
@@ -419,7 +410,7 @@ class ExperimentEngine:
             with recorder.span("scheme_build"):
                 built = stream.factory(item)
             outcomes = []
-            for tm in matrices:
+            for tm in item.matrices:
                 with recorder.span("place"):
                     placement = built.place(item.network, tm)
                 outcomes.append(
@@ -443,9 +434,7 @@ class ExperimentEngine:
                 or item.cache.total_cached() != preloaded
             ):
                 with recorder.span("cache_dump"):
-                    item.cache.dump_file(
-                        cache_path, max_paths_per_pair=self.cache_max_paths
-                    )
+                    item.cache.dump_file(cache_path)
             else:
                 # Skip the rewrite when evaluation added nothing: a fully-
                 # warm repeat run would otherwise re-serialize every file

@@ -148,15 +148,10 @@ def fig03_sp_congestion(
 # Figure 4
 # ----------------------------------------------------------------------
 @traced("plan_build")
-def fig04_plan(
-    workload: ZooWorkload,
-    schemes: Optional[Dict[str, Callable[[NetworkWorkload], object]]] = None,
-) -> EvalPlan:
+def fig04_plan(workload: ZooWorkload) -> EvalPlan:
     """All of Figure 4's schemes over the ensemble, as one plan."""
-    if schemes is None:
-        schemes = scheme_factories(headroom=0.0)
     plan = EvalPlan()
-    for name, factory in schemes.items():
+    for name, factory in scheme_factories(headroom=0.0).items():
         plan.add(name, factory, workload)
     return plan
 
@@ -166,10 +161,10 @@ def fig04_schemes(
 ) -> Dict[str, Dict[str, List[Tuple[float, float]]]]:
     """Congestion and latency stretch vs LLPD for each scheme of the plan.
 
-    Keyed and ordered like the plan's schemes; with a store, each scheme's
-    results live in a store stream named by that key, so callers passing
-    custom factories must give behaviorally different schemes different
-    keys.
+    Keyed and ordered like the plan's streams; with a store, each scheme's
+    results live in a store stream named by that key, so a plan built
+    from custom factories must give behaviorally different schemes
+    different keys.
     """
     results: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}
     for name in report.results:
@@ -277,10 +272,7 @@ def fig10_sigma_scatter(
 # ----------------------------------------------------------------------
 # Figure 15
 # ----------------------------------------------------------------------
-def fig15_runtimes(
-    items: Sequence[NetworkWorkload],
-    include_link_based: bool = True,
-) -> Dict[str, List[float]]:
+def fig15_runtimes(items: Sequence[NetworkWorkload]) -> Dict[str, List[float]]:
     """Wall-clock runtimes (seconds) of the three optimizers.
 
     "LDR" solves with a pre-warmed k-shortest-path cache, "cold cache"
@@ -303,11 +295,10 @@ def fig15_runtimes(
         solve_iterative_latency(item.network, tm, cache=cold_cache)
         times["ldr"].append(time.perf_counter() - start)
 
-        if include_link_based:
-            scheme = LinkBasedOptimalRouting()
-            start = time.perf_counter()
-            scheme.place(item.network, tm)
-            times["link_based"].append(time.perf_counter() - start)
+        scheme = LinkBasedOptimalRouting()
+        start = time.perf_counter()
+        scheme.place(item.network, tm)
+        times["link_based"].append(time.perf_counter() - start)
     return times
 
 

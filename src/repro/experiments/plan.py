@@ -90,7 +90,6 @@ class PlanStream:
     factory: SchemeFactory
     workload: ZooWorkload
     scheme: str
-    matrices_per_network: Optional[int] = None
 
     @property
     def n_networks(self) -> int:
@@ -115,7 +114,6 @@ class EvalPlan:
         factory: SchemeFactory,
         workload: ZooWorkload,
         scheme: Optional[str] = None,
-        matrices_per_network: Optional[int] = None,
     ) -> Hashable:
         """Register one stream; returns ``key`` for chaining convenience."""
         if key in self.streams:
@@ -130,11 +128,7 @@ class EvalPlan:
         if not scheme:
             raise ValueError("scheme stream name must be non-empty")
         self.streams[key] = PlanStream(
-            key=key,
-            factory=factory,
-            workload=workload,
-            scheme=scheme,
-            matrices_per_network=matrices_per_network,
+            key=key, factory=factory, workload=workload, scheme=scheme
         )
         return key
 

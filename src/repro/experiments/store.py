@@ -19,11 +19,10 @@ One JSONL stream per (workload signature, scheme name)::
 
 The workload signature is a content hash (:func:`workload_signature`)
 covering every network (via :func:`repro.net.io.to_json`), every traffic
-matrix (via :func:`repro.tm.matrix.to_json`), the workload's shaping
-parameters (locality, growth factor, seed) and the effective
-``matrices_per_network`` truncation.  Any change to the workload changes
-the signature, so stale results are rejected *by key* — they are simply
-never looked up — rather than trusted.
+matrix (via :func:`repro.tm.matrix.to_json`) and the workload's shaping
+parameters (locality, growth factor, seed).  Any change to the workload
+changes the signature, so stale results are rejected *by key* — they are
+simply never looked up — rather than trusted.
 
 Each stream starts with a header record restating its key (format version,
 signature, scheme name); readers verify the header against the requested
@@ -78,16 +77,13 @@ class StoreMissError(StoreError):
     """A store-only run needs results the store does not hold."""
 
 
-def workload_signature(
-    workload: ZooWorkload, matrices_per_network: Optional[int] = None
-) -> str:
+def workload_signature(workload: ZooWorkload) -> str:
     """Content hash identifying one evaluation workload.
 
-    Covers every network's full JSON form, every traffic matrix actually
-    evaluated (respecting ``matrices_per_network``), per-network LLPD, and
-    the workload's shaping parameters.  Two workloads hash equal iff the
-    engine would produce identical outcomes for them, so the hash is safe
-    to use as the storage key for results.
+    Covers every network's full JSON form, every traffic matrix,
+    per-network LLPD, and the workload's shaping parameters.  Two
+    workloads hash equal iff the engine would produce identical outcomes
+    for them, so the hash is safe to use as the storage key for results.
 
     The hash is memoized on the workload instance: figure functions call
     the engine once per (scheme, sweep point) over the same workload, and
@@ -95,11 +91,7 @@ def workload_signature(
     Workloads must not be mutated mid-evaluation anyway (the engine and
     KSP-cache contracts already assume it), so the memo cannot go stale.
     """
-    memo = getattr(workload, "_signature_memo", None)
-    if memo is None:
-        memo = {}
-        workload._signature_memo = memo
-    cached = memo.get(matrices_per_network)
+    cached = getattr(workload, "_signature_memo", None)
     if cached is not None:
         return cached
     # Lazy workloads (e.g. repro.scenarios' 10^5-variant fleets) provide
@@ -108,26 +100,26 @@ def workload_signature(
     # would produce identical outcomes.
     content = getattr(workload, "content_signature", None)
     if callable(content):
-        memo[matrices_per_network] = content(matrices_per_network)
-        return memo[matrices_per_network]
+        workload._signature_memo = content()
+        return workload._signature_memo
     digest = hashlib.sha256()
     digest.update(f"repro-store|{STORE_FORMAT}".encode())
+    # The trailing ``|None`` is where the recipe once hashed a
+    # matrices-per-network truncation that no run ever set; it stays so
+    # every existing store keeps its key.
     digest.update(
         f"|W|{workload.locality!r}|{workload.growth_factor!r}"
-        f"|{workload.seed!r}|{matrices_per_network!r}".encode()
+        f"|{workload.seed!r}|None".encode()
     )
     for item in workload.networks:
         digest.update(b"|N|")
         digest.update(network_to_json(item.network).encode())
         digest.update(f"|{item.llpd!r}".encode())
-        matrices = item.matrices
-        if matrices_per_network is not None:
-            matrices = matrices[:matrices_per_network]
-        for tm in matrices:
+        for tm in item.matrices:
             digest.update(b"|T|")
             digest.update(tm_to_json(tm).encode())
-    memo[matrices_per_network] = digest.hexdigest()
-    return memo[matrices_per_network]
+    workload._signature_memo = digest.hexdigest()
+    return workload._signature_memo
 
 
 def scheme_file_name(scheme: str) -> str:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.metrics import ApaParameters, llpd
+from repro.core.metrics import llpd
 from repro.net.graph import Network
 from repro.net.paths import KspCache
 from repro.net.zoo import generate_zoo
@@ -88,10 +88,7 @@ def build_zoo_workload(
     locality: float = 1.0,
     growth_factor: float = 1.3,
     seed: int = 0,
-    min_nodes: int = 2,
     include_named: bool = True,
-    apa_params: ApaParameters = ApaParameters(),
-    extra_networks: Optional[List[Network]] = None,
 ) -> ZooWorkload:
     """Build the standard evaluation ensemble.
 
@@ -100,13 +97,11 @@ def build_zoo_workload(
     """
     rng = np.random.default_rng(seed)
     networks = generate_zoo(n_networks, seed=seed, include_named=include_named)
-    if extra_networks:
-        networks = networks + list(extra_networks)
     items: List[NetworkWorkload] = []
     for network in networks:
-        if network.num_nodes < min_nodes:
+        if network.num_nodes < 2:
             continue
-        value = llpd(network, apa_params)
+        value = llpd(network)
         matrices = build_traffic_matrices(
             network, n_matrices, rng, locality, growth_factor
         )

@@ -315,7 +315,7 @@ class KspCache:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def dump(self, max_paths_per_pair: Optional[int] = None) -> Dict[str, Any]:
+    def dump(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of the materialized paths.
 
         Only produced paths (and which pairs are exhausted) are captured;
@@ -323,17 +323,7 @@ class KspCache:
         Paths are stored as integer indexes into the payload's ``nodes``
         name table (format 2), which shrinks persisted caches roughly by
         the average name length.
-
-        ``max_paths_per_pair`` bounds the snapshot: each pair keeps at most
-        that many (shortest-first) paths, so long-lived cache files stop
-        growing without bound.  A pair whose tail was dropped is *not*
-        marked exhausted — after :meth:`load`, the first request beyond the
-        kept prefix resumes Yen's generator as usual.
         """
-        if max_paths_per_pair is not None and max_paths_per_pair < 1:
-            raise ValueError(
-                f"max_paths_per_pair must be >= 1, got {max_paths_per_pair}"
-            )
         name_set: Set[str] = set()
         for (src, dst), paths in self._paths.items():
             name_set.add(src)
@@ -344,17 +334,12 @@ class KspCache:
         index_of = {name: i for i, name in enumerate(names)}
         pairs = []
         for (src, dst), paths in sorted(self._paths.items()):
-            kept = paths
-            if max_paths_per_pair is not None:
-                kept = paths[:max_paths_per_pair]
             pairs.append(
                 {
                     "src": index_of[src],
                     "dst": index_of[dst],
-                    "paths": [[index_of[node] for node in path] for path in kept],
-                    "exhausted": (
-                        (src, dst) in self._exhausted and len(kept) == len(paths)
-                    ),
+                    "paths": [[index_of[node] for node in path] for path in paths],
+                    "exhausted": (src, dst) in self._exhausted,
                 }
             )
         return {
@@ -406,11 +391,7 @@ class KspCache:
             )
         return cache
 
-    def dump_file(
-        self,
-        path: "os.PathLike[str] | str",
-        max_paths_per_pair: Optional[int] = None,
-    ) -> None:
+    def dump_file(self, path: "os.PathLike[str] | str") -> None:
         """Atomically write :meth:`dump` output as JSON.
 
         Write-to-temp plus ``os.replace`` keeps concurrent dumpers (the
@@ -423,7 +404,7 @@ class KspCache:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(self.dump(max_paths_per_pair=max_paths_per_pair), handle)
+                json.dump(self.dump(), handle)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

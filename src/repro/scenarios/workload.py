@@ -103,20 +103,19 @@ class ScenarioWorkload:
     # ------------------------------------------------------------------
     # Store identity (see store.workload_signature's fast path)
     # ------------------------------------------------------------------
-    def content_signature(self, matrices_per_network: Optional[int]) -> str:
+    def content_signature(self) -> str:
         digest = hashlib.sha256()
         digest.update(f"repro-store|{STORE_FORMAT}".encode())
+        # ``|None`` keeps the slot of a retired matrices-per-network
+        # truncation (always unset), so every existing store keeps its key.
         digest.update(
             f"|W|{self.locality!r}|{self.growth_factor!r}"
-            f"|{self.seed!r}|{matrices_per_network!r}".encode()
+            f"|{self.seed!r}|None".encode()
         )
         digest.update(b"|SCN|")
         digest.update(network_to_json(self.base.network).encode())
         digest.update(f"|{self.base.llpd!r}".encode())
-        matrices = self.base.matrices
-        if matrices_per_network is not None:
-            matrices = matrices[:matrices_per_network]
-        for tm in matrices:
+        for tm in self.base.matrices:
             digest.update(b"|T|")
             digest.update(tm_to_json(tm).encode())
         for spec in self.specs:

@@ -195,8 +195,8 @@ class TraceRecorder(Recorder):
         self._run: str = ""
         self._handle: Optional[io.TextIOBase] = None
         self._seq = itertools.count()
-        self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
+        #: (counters, gauges) per trace id this process recorded under.
+        self._metrics: Dict[str, Tuple[Dict[str, float], ...]] = {}
         self._dirty = False
         self._stacks = threading.local()
         if export_env:
@@ -221,14 +221,17 @@ class TraceRecorder(Recorder):
             self._pid = pid
             self._handle = None
             self._seq = itertools.count()
-            self._counters = {}
-            self._gauges = {}
+            self._metrics = {}
             self._dirty = False
             # Wall-clock stamps annotate traces for humans and order
             # nothing; results never read them.
             self._run = f"{int(time.time() * 1e6):x}-{pid:x}"  # analysis: allow[D102]
             self._stacks = threading.local()
         return pid
+
+    def _trace_metrics(self) -> Tuple[Dict[str, float], ...]:
+        """The current trace's (counters, gauges), created on first use."""
+        return self._metrics.setdefault(self.trace or ADHOC_TRACE, ({}, {}))
 
     def _stack(self) -> List[str]:
         stack = getattr(self._stacks, "stack", None)
@@ -301,20 +304,22 @@ class TraceRecorder(Recorder):
     def counter(self, name: str, n: int = 1) -> None:
         with self._lock:
             self._local()
-            self._counters[name] = self._counters.get(name, 0) + n
+            counters = self._trace_metrics()[0]
+            counters[name] = counters.get(name, 0) + n
             self._dirty = True
 
     def gauge(self, name: str, value: float) -> None:
         with self._lock:
             self._local()
-            previous = self._gauges.get(name)
-            self._gauges[name] = value
+            gauges = self._trace_metrics()[1]
+            previous = gauges.get(name)
+            gauges[name] = value
             # High-water marks are what the reader reports; keep them
             # alongside the last value so a draining queue still shows
             # how deep it got.
             peak = f"{name}.max"
-            if previous is None or value > self._gauges.get(peak, value - 1):
-                self._gauges[peak] = value
+            if previous is None or value > gauges.get(peak, value - 1):
+                gauges[peak] = value
             self._dirty = True
 
     def begin_trace(self, trace_id: str) -> None:
@@ -324,6 +329,9 @@ class TraceRecorder(Recorder):
         recorder already writing under the same id keeps its shard.  A
         *different* id flushes and rolls to a new shard file, so one
         process tracing two workloads writes two cleanly-split shards.
+        Counters and gauges are kept per trace id as well: a trace's
+        metrics records count only the work done under it, and returning
+        to an earlier trace continues that trace's totals.
         """
         with self._lock:
             self._local()
@@ -344,6 +352,7 @@ class TraceRecorder(Recorder):
 
     def _flush_locked(self) -> None:
         if self._dirty:
+            counters, gauges = self._trace_metrics()
             self._ensure_handle()
             self._write(
                 {
@@ -351,8 +360,8 @@ class TraceRecorder(Recorder):
                     "trace": self.trace or ADHOC_TRACE,
                     "run": self._run,
                     "pid": self._pid,
-                    "counters": dict(self._counters),
-                    "gauges": dict(self._gauges),
+                    "counters": dict(counters),
+                    "gauges": dict(gauges),
                 }
             )
             self._dirty = False
@@ -448,10 +457,7 @@ def plan_trace_id(plan: object) -> str:
     from repro.experiments.store import workload_signature
 
     pairs = [
-        (
-            stream.scheme,
-            workload_signature(stream.workload, stream.matrices_per_network),
-        )
+        (stream.scheme, workload_signature(stream.workload))
         for stream in plan.streams.values()  # type: ignore[attr-defined]
     ]
     return trace_id_for_streams(pairs)

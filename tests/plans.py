@@ -9,12 +9,10 @@ from repro.experiments.engine import ExperimentEngine
 from repro.experiments.plan import EvalPlan
 
 
-def one_stream(factory, workload, scheme="SP", matrices_per_network=None):
+def one_stream(factory, workload, scheme="SP"):
     """A plan of the single stream ``scheme`` (its key and store name)."""
     plan = EvalPlan()
-    plan.add(
-        scheme, factory, workload, matrices_per_network=matrices_per_network
-    )
+    plan.add(scheme, factory, workload)
     return plan
 
 

@@ -94,7 +94,6 @@ def test_worker_command_line_parses(tmp_path):
             tmp_path / "shard-000.json",
             tmp_path / "worker-0",
             tmp_path / "cache",
-            5,
         )
     finally:
         telemetry.disable()
@@ -103,7 +102,6 @@ def test_worker_command_line_parses(tmp_path):
     assert args.manifest == str(tmp_path / "shard-000.json")
     assert args.store_dir == str(tmp_path / "worker-0")
     assert args.cache_dir == str(tmp_path / "cache")
-    assert args.cache_max_paths == 5
     assert args.trace_dir == str(tmp_path / "traces")
     assert args.resume is True
 

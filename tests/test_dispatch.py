@@ -65,7 +65,6 @@ def _dangling(task=None, chunk=None, stream0=None, drop=()):
         "spec": SchemeSpec("SP").to_jsonable(),
         "signature": "0" * 64,
         "n_networks": 4,
-        "matrices_per_network": None,
     }
     return json.dumps(
         {
@@ -120,20 +119,6 @@ class TestManifests:
             assert [
                 tm_from_json(json.dumps(tm)) for tm in entry["matrices"]
             ] == original.matrices
-
-    def test_manifest_respects_matrices_per_network(self, tmp_path):
-        workload = build_zoo_workload(
-            n_networks=2, n_matrices=3, seed=1, include_named=False
-        )
-        paths = write_plan_manifests(
-            one_stream(SchemeSpec("SP"), workload, matrices_per_network=1),
-            1,
-            tmp_path,
-        )
-        manifest = load_manifest(paths[0])
-        assert all(len(e["matrices"]) == 1 for e in manifest["items"])
-        (stream,) = manifest["streams"]
-        assert stream["signature"] == workload_signature(workload, 1)
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "not-a-manifest.json"
@@ -523,3 +508,20 @@ class TestDispatchRun:
         assert (
             f"0 shard worker(s) evaluated the 0 missing task(s) of {counts}"
         ) in capsys.readouterr().out
+
+    def test_cli_reports_the_workers_that_ran(self, tmp_path, capsys):
+        """More shards than tasks: the summary counts one worker per
+        manifest written, not ``--shards``."""
+        from repro.experiments.__main__ import main
+
+        work = tmp_path / "work"
+        assert main(
+            ["dispatch", "SP", "--shards", "9", "--networks", "1",
+             "--tms", "1", "--store-dir", str(tmp_path / "store"),
+             "--work-dir", str(work)]
+        ) == 0
+        manifests = list((work / "manifests").glob("shard-*.json"))
+        assert len(manifests) < 9
+        assert capsys.readouterr().out.startswith(
+            f"dispatch: {len(manifests)} shard worker(s) evaluated "
+        )

@@ -38,21 +38,14 @@ class TestSerialParallelEquivalence:
         # shard; a closure factory also exercises the fork-no-pickle path.
         plan = one_stream(
             lambda item: LatencyOptimalRouting(cache=item.cache),
-            workload,
+            build_zoo_workload(
+                n_networks=8, n_matrices=1, seed=3, include_named=False
+            ),
             scheme="LDR",
-            matrices_per_network=1,
         )
         serial = ExperimentEngine(n_workers=1).run_plan(plan)
         parallel = ExperimentEngine(n_workers=4).run_plan(plan)
         assert serial.all_outcomes() == parallel.all_outcomes()
-
-    def test_matrices_per_network_respected(self, workload):
-        report = ExperimentEngine(n_workers=2).run_plan(
-            one_stream(sp_factory, workload, matrices_per_network=1)
-        )
-        assert len(report.outcomes("SP")) == 8
-        for result in report.results["SP"]:
-            assert len(result.outcomes) == 1
 
 
 class TestStreaming:

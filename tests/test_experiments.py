@@ -51,13 +51,9 @@ class TestWorkloads:
         assert [w.llpd for w in a.networks] == [w.llpd for w in b.networks]
 
 
-def sp_outcomes(workload, matrices_per_network=None):
+def sp_outcomes(workload):
     return ExperimentEngine().run_plan(
-        one_stream(
-            lambda item: ShortestPathRouting(item.cache),
-            workload,
-            matrices_per_network=matrices_per_network,
-        )
+        one_stream(lambda item: ShortestPathRouting(item.cache), workload)
     ).outcomes("SP")
 
 
@@ -70,10 +66,6 @@ class TestRunner:
             assert outcome.latency_stretch >= 1.0 - 1e-9
             # SP routing is on shortest paths by construction.
             assert outcome.latency_stretch == pytest.approx(1.0)
-
-    def test_matrices_per_network_limits(self, tiny_workload):
-        outcomes = sp_outcomes(tiny_workload, matrices_per_network=1)
-        assert len(outcomes) == 4
 
     def test_quantiles_sorted_by_llpd(self, tiny_workload):
         outcomes = sp_outcomes(tiny_workload)

@@ -69,14 +69,10 @@ def mini_workload(mini_items):
 
 class TestFig15:
     def test_runtimes_structure(self, mini_items):
-        times = fig15_runtimes(mini_items, include_link_based=True)
+        times = fig15_runtimes(mini_items)
         assert len(times["ldr"]) == 2
         assert len(times["link_based"]) == 2
         assert all(t > 0 for t in times["ldr"])
-
-    def test_skip_link_based(self, mini_items):
-        times = fig15_runtimes(mini_items, include_link_based=False)
-        assert times["link_based"] == []
 
 
 class TestFig16:

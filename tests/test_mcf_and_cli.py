@@ -124,8 +124,6 @@ class TestCli:
                              "--store-dir", "unused"]),
             ("--shards", 1, ["scenarios", "--dispatch", "--shards", "-1",
                              "--store-dir", "unused"]),
-            ("--cache-max-paths", 1, ["fig03", "--cache-dir", "unused",
-                                      "--cache-max-paths", "0"]),
             ("--cache-max-bytes", 0, ["fig03", "--cache-dir", "unused",
                                       "--cache-max-bytes", "-1"]),
             ("--failures", 0, ["scenarios", "--failures", "-1"]),
@@ -142,7 +140,7 @@ class TestCli:
         ],
         ids=[
             "workers", "networks", "tms", "shards", "scenarios-shards",
-            "cache-max-paths", "cache-max-bytes", "failures",
+            "cache-max-bytes", "failures",
             "node-failures", "surges", "growth-stages", "variant-budget",
             "surge-pairs", "seed", "growth-factor", "surge-factor",
         ],

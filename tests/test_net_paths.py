@@ -255,13 +255,6 @@ class TestKspCachePersistence:
 
 
 class TestDumpBounds:
-    def test_dump_truncates_paths_per_pair(self, gts):
-        cache = KspCache(gts)
-        cache.get("n0-0", "n2-3", 4)
-        payload = cache.dump(max_paths_per_pair=2)
-        for entry in payload["pairs"]:
-            assert len(entry["paths"]) <= 2
-
     @staticmethod
     def pair_entry(payload, src, dst):
         """The format-2 payload entry for a pair, resolved via the name table."""
@@ -273,20 +266,16 @@ class TestDumpBounds:
         ]
         return entry
 
-    def test_truncated_pair_not_marked_exhausted(self, square):
-        cache = KspCache(square)
-        assert len(cache.get("a", "c", 99)) == 2  # exhausts the pair
-        payload = cache.dump(max_paths_per_pair=1)
-        assert self.pair_entry(payload, "a", "c")["exhausted"] is False
-        # A bounded dump resumes Yen correctly past the kept prefix.
-        restored = KspCache.load(payload, square)
-        assert restored.get("a", "c", 99) == cache.get("a", "c", 99)
-
     def test_unbounded_dump_keeps_exhaustion(self, square):
         cache = KspCache(square)
         cache.get("a", "c", 99)
-        payload = cache.dump(max_paths_per_pair=5)
+        payload = cache.dump()
         assert self.pair_entry(payload, "a", "c")["exhausted"] is True
+        # A pair the cache has not exhausted is dumped as such.
+        partial = KspCache(square)
+        partial.get("a", "c", 1)
+        payload = partial.dump()
+        assert self.pair_entry(payload, "a", "c")["exhausted"] is False
 
     def test_dump_paths_are_integer_indexed(self, square):
         cache = KspCache(square)
@@ -343,19 +332,6 @@ class TestDumpBounds:
             entry[where] = bad
         with pytest.raises(KspCacheMismatchError, match="malformed"):
             KspCache.load(payload, square)
-
-    def test_dump_file_bound(self, diamond, tmp_path):
-        cache = KspCache(diamond)
-        cache.get("s", "t", 2)
-        path = tmp_path / "cache.json"
-        cache.dump_file(path, max_paths_per_pair=1)
-        restored = KspCache.load_file(path, diamond)
-        assert restored.count_cached("s", "t") == 1
-        assert restored.get("s", "t", 2) == cache.get("s", "t", 2)
-
-    def test_invalid_bound_rejected(self, triangle):
-        with pytest.raises(ValueError):
-            KspCache(triangle).dump(max_paths_per_pair=0)
 
 
 class TestSweepCacheDir:

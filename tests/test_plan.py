@@ -65,11 +65,7 @@ def per_call_reference(plan):
     """The per-stream oracle: one serial one-stream plan per stream."""
     return {
         key: ExperimentEngine().run_plan(
-            one_stream(
-                stream.factory,
-                stream.workload,
-                matrices_per_network=stream.matrices_per_network,
-            )
+            one_stream(stream.factory, stream.workload)
         ).outcomes("SP")
         for key, stream in plan.streams.items()
     }
@@ -483,13 +479,9 @@ class TestPlanDispatch:
     ):
         from repro.experiments.dispatch import dispatch_plan
 
-        plan = fig04_plan(
-            workload,
-            schemes={
-                "SP": SchemeSpec("SP"),
-                "MinMaxK10": SchemeSpec("MinMaxK10"),
-            },
-        )
+        plan = EvalPlan()
+        for name in ("SP", "MinMaxK10"):
+            plan.add(name, SchemeSpec(name), workload)
         report = dispatch_plan(
             plan,
             n_shards=2,

@@ -106,6 +106,43 @@ class TestWorkloadPins:
         assert scheme.last_max_utilization == pytest.approx(1 / 1.3, abs=1e-4)
 
 
+class TestStoreIdentityPin:
+    """Store signatures and plan trace ids, recorded while the signature
+    recipe still took a matrices-per-network truncation: every existing
+    result store and trace directory must keep its key."""
+
+    def test_zoo_workload_signature_and_trace_id(self):
+        from repro.experiments.figures import fig04_plan
+        from repro.experiments.store import workload_signature
+        from repro.experiments.workloads import build_zoo_workload
+
+        workload = build_zoo_workload(
+            n_networks=4, n_matrices=1, seed=3, include_named=False
+        )
+        assert workload_signature(workload) == (
+            "fdbade8b2a5bd46d0c6f95822c2a953a759cc9415abb25f7f138b6a24ae5e65e"
+        )
+        assert telemetry.plan_trace_id(fig04_plan(workload)) == "802bed375a0d"
+
+    def test_scenario_workload_signature(self):
+        from repro.experiments.store import workload_signature
+        from repro.experiments.workloads import build_zoo_workload
+        from repro.scenarios import ScenarioGenerator, ScenarioWorkload
+
+        zoo = build_zoo_workload(
+            n_networks=2, n_matrices=1, seed=7, include_named=False
+        )
+        base = max(zoo.networks, key=lambda item: item.network.num_links)
+        fleet = ScenarioGenerator(base, seed=11).fleet(
+            link_failure_k=1, budget=4
+        )
+        assert len(fleet.specs) == 5
+        workload = ScenarioWorkload(base, fleet.specs, seed=11)
+        assert workload_signature(workload) == (
+            "1f3df6535b5bb7bed698b5e8dc5bb6b5936e77ef22ce5a1706cbd3db7dd217b8"
+        )
+
+
 class TestLinkBasedPin:
     """Exact LinkBased output: every (path, fraction) of every aggregate.
 

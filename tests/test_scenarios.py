@@ -435,7 +435,7 @@ class NetworkListWorkload:
 class TestStoreAndDispatch:
     def test_content_signature_is_the_store_identity(self):
         _, workload = scenario_plan()
-        assert workload_signature(workload) == workload.content_signature(None)
+        assert workload_signature(workload) == workload.content_signature()
         _, twin = scenario_plan()
         assert workload_signature(twin) == workload_signature(workload)
         shrunk = ScenarioWorkload(workload.base, workload.specs[:-1], seed=11)
@@ -445,9 +445,7 @@ class TestStoreAndDispatch:
         _, workload = scenario_plan()
         payload = json.loads(json.dumps(workload.to_manifest_jsonable()))
         restored = ScenarioWorkload.from_manifest_jsonable(payload)
-        assert restored.content_signature(None) == workload.content_signature(
-            None
-        )
+        assert restored.content_signature() == workload.content_signature()
 
     def test_dispatch_two_shards_matches_in_process(self, tmp_path):
         plan, _ = scenario_plan(schemes=("SP", "ECMP"))

@@ -73,7 +73,16 @@ class TestWorkloadSignature:
 
     def test_truncation_and_shaping_params_keyed(self, workload):
         base = workload_signature(workload)
-        assert workload_signature(workload, matrices_per_network=1) != base
+        truncated = ZooWorkload(
+            networks=[
+                dataclasses.replace(item, matrices=item.matrices[:1])
+                for item in workload.networks
+            ],
+            locality=workload.locality,
+            growth_factor=workload.growth_factor,
+            seed=workload.seed,
+        )
+        assert workload_signature(truncated) != base
         reseeded = ZooWorkload(
             networks=workload.networks,
             locality=workload.locality,
@@ -506,25 +515,6 @@ class TestLifecycleTooling:
             ["store", "ls", "--store-dir", str(tmp_path), "--timings"]
         ) == 0
         assert "<no timings>" in capsys.readouterr().out
-
-    def test_cli_gc_match_workload(self, workload, tmp_path, capsys):
-        from repro.experiments.__main__ import main
-
-        # Populate the store through the CLI so the kept signature is the
-        # one --match-workload recomputes from the same arguments.
-        argv = ["fig03", "--networks", "3", "--tms", "1",
-                "--store-dir", str(tmp_path)]
-        assert main(argv) == 0
-        stale = tmp_path / "deadbeef"
-        stale.mkdir()
-        (stale / "SP.jsonl").write_text("{}\n")
-        assert main(
-            ["store", "gc", "--store-dir", str(tmp_path),
-             "--networks", "3", "--tms", "1", "--match-workload"]
-        ) == 0
-        capsys.readouterr()
-        assert not stale.exists()
-        assert list(tmp_path.glob("*/SP.jsonl"))
 
 
 class TestTimingReplay:

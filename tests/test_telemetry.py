@@ -164,6 +164,25 @@ class TestTraceRecorder:
         trace = telemetry.load_trace(tmp_path)
         assert trace.counters["n"] == 5
 
+    def test_counters_are_kept_per_trace(self, tmp_path):
+        """A trace counts only the work done under it; going back to an
+        earlier trace continues that trace's totals."""
+        recorder = telemetry.configure(tmp_path)
+        recorder.counter("before", 2)
+        recorder.begin_trace("x")
+        recorder.counter("inside", 3)
+        recorder.gauge("depth", 4.0)
+        recorder.begin_trace(telemetry.ADHOC_TRACE)
+        recorder.counter("before", 1)
+        recorder.counter("after")
+        recorder.flush()
+        x = telemetry.load_trace(tmp_path, "x")
+        adhoc = telemetry.load_trace(tmp_path, telemetry.ADHOC_TRACE)
+        assert x.counters == {"inside": 3}
+        assert x.gauges == {"depth": 4.0, "depth.max": 4.0}
+        assert adhoc.counters == {"before": 3, "after": 1}
+        assert adhoc.gauges == {}
+
 
 # ----------------------------------------------------------------------
 # Durability: torn tails and unknown kinds
@@ -284,8 +303,8 @@ class TestTraceIdentity:
         plan.add("ECMP", SchemeSpec("ECMP"), workload)
         expected = telemetry.trace_id_for_streams(
             [
-                ("SP", workload_signature(workload, None)),
-                ("ECMP", workload_signature(workload, None)),
+                ("SP", workload_signature(workload)),
+                ("ECMP", workload_signature(workload)),
             ]
         )
         assert telemetry.plan_trace_id(plan) == expected
