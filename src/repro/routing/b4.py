@@ -25,39 +25,58 @@ each aggregate's shortest path, against what remains of the full
 capacities — the paper's observation that headroom lets B4 fit traffic it
 otherwise could not, by eating into the reserve (§6).
 
-**Incremental bookkeeping, bit-identical placements.**  Each aggregate
-carries its current path's link tuple, built once when it advances, and
-the per-link census ``users`` is built once per pass and then updated only
-when an aggregate completes, advances or runs out of paths.  Every
-placement equals, bit for bit, that of the loop which rebuilt both every
-round (kept as ``legacy_b4_place`` in ``tests/oracles.py``), because:
+**Arrays, bit-identical placements.**  Links are the CSR positions of the
+network's :func:`~repro.net.index.graph_index`.  Residuals are one float64
+array indexed by link id, plus one sentinel slot at ``+inf`` past the last
+link, and each aggregate's current path is a row of link ids padded with
+``-1``, which indexes the sentinel.  A round is a fixed handful of array
+operations over the active rows; its cost follows the links on active
+paths, never the network's link count.  Every placement equals, bit for
+bit, that of the name-keyed loop that recounted each link's users every
+round (kept as ``legacy_b4_place`` in ``tests/oracles.py``), because every
+float takes the same sequence of operations:
 
-* the maintained census holds the same counts as a rebuilt one, so
-  ``step``, a minimum over the same values, is the same float;
-* a link with ``count`` users gets ``residual -= step`` ``count`` times in
-  a row instead of once per user in aggregate order.  Every subtraction on
-  one key in one round uses the same ``step``, so each residual runs
-  through the same sequence of floats; ``placed[path]`` and
-  ``remaining_bps`` still take exactly one ``+ step`` / ``- step`` a round.
-  Subtracting ``count * step`` in one operation would round differently;
-* at the start of every round each link on an active path has more than
+* ``step`` is a minimum over the same values: every active remainder and
+  every used link's ``residual / users``.  The users are counted afresh
+  each round (``np.add.at`` into a scratch array, cleared again after
+  reading), one quotient per occurrence of a link on the active rows; the
+  duplicates are equal and the sentinel's ``inf`` never wins;
+* ``np.subtract.at(residual, links, step)`` is unbuffered, so a link that
+  occurs ``count`` times on the active rows gets ``count`` sequential
+  ``- step`` operations, as it got one per user in the loop.  Every
+  subtraction on one link in one round uses the same ``step``, so the
+  order of the users does not matter.  Subtracting ``count * step`` in
+  one operation would round differently;
+* an aggregate's rate on its current path is kept in an array, seeded
+  from ``placed.get(path, 0.0)`` when it takes the path and given one
+  ``+ step`` a round, as ``placed[path]`` was.  It is written back to
+  ``placed[path]`` when the aggregate leaves the path or the pass ends,
+  and only if a step landed on it, so ``placed`` ends with the same
+  values and the same key order, in the headroom second pass too.
+  ``remaining`` likewise takes one ``- step`` a round;
+* after a round's subtraction, each active aggregate that still has
+  demand left and has a link at or below ``RATE_EPSILON_BPS`` on its row
+  advances, in aggregate order.  ``_advance`` only reads ``residual``, so
+  the order of advances cannot change any result;
+* at the start of a round every link on an active row has more than
   ``RATE_EPSILON_BPS`` left (an aggregate only takes such a path, and any
-  aggregate whose link dropped to the threshold has advanced), so the
-  saturation check can only fire when this round's subtraction drove some
-  link to the threshold, and runs only then.  ``_advance`` only reads
-  ``residual``, so the order of advances cannot change any result;
-* the numerical-corner branch breaks ties in ``min(users, key=...)`` by
-  dict order.  The maintained dict's order drifts as links leave and
-  rejoin, so that branch rebuilds the census in the original order —
-  active aggregates in ``states`` order, links in path order.
+  aggregate whose link dropped to the threshold has advanced), so a round
+  whose ``step`` underflows the threshold saturates nothing.  Only then
+  does the numerical-corner branch run.  It breaks ties in
+  ``min(users, key=...)`` by the census's key order, and ``_census``
+  rebuilds that census as the loop did: active aggregates in aggregate
+  order, links in path order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.net.graph import Network
+from repro.net.index import FloatArray, GraphIndex, graph_index
 from repro.net.paths import KspCache, Path, path_links
 from repro.routing.base import PathAllocation, Placement, RoutingScheme
 from repro.telemetry import recorder
@@ -66,54 +85,81 @@ from repro.tm.matrix import Aggregate, TrafficMatrix
 # Stop allocating below this rate: avoids infinitesimal water-filling steps.
 RATE_EPSILON_BPS = 1.0
 
-LinkKey = Tuple[str, str]
+LinkRows = npt.NDArray[np.intp]
+
+#: Pads path rows.  As an index it is the residual array's last slot, the
+#: sentinel at ``+inf``.
+_PAD = -1
 
 
-@dataclass
-class _AggregateState:
-    """Book-keeping for one aggregate during water-filling."""
+class _Pass:
+    """Array state of one water-filling pass over some aggregates.
 
-    aggregate: Aggregate
-    remaining_bps: float
-    #: Allocated rate per path (paths are added as the aggregate advances).
-    placed: Dict[Path, float] = field(default_factory=dict)
-    #: Index of the next k-shortest path to try.
-    next_path_rank: int = 0
-    current_path: Optional[Path] = None
-    #: Directed links of ``current_path`` (empty while there is none).
-    links: Tuple[LinkKey, ...] = ()
-    exhausted: bool = False
+    Row ``j`` is ``aggregates[j]``: ``paths[j]`` is its current path
+    (``None`` before its first and once it has run out), ``rows[j]`` that
+    path's link ids padded with ``_PAD``, ``rate[j]`` its rate on the
+    path and ``stepped[j]`` whether a step has landed there since it took
+    the path; ``exhausted[j]`` is set once it has run out of paths.
+    ``placed[j]`` is the aggregate's rate per path, shared with the
+    caller, and ``remaining[j]`` its demand left.
+    """
+
+    def __init__(
+        self,
+        aggregates: List[Aggregate],
+        placed: List[Dict[Path, float]],
+        remaining: FloatArray,
+        residual: FloatArray,
+    ) -> None:
+        n = len(aggregates)
+        self.aggregates = aggregates
+        self.placed = placed
+        self.remaining = remaining
+        self.residual = residual
+        self.paths: List[Optional[Path]] = [None] * n
+        self.next_rank = [0] * n
+        self.rows: LinkRows = np.full((n, 1), _PAD, dtype=np.intp)
+        self.rate = np.zeros(n)
+        self.stepped = np.zeros(n, dtype=bool)
+        self.exhausted = np.zeros(n, dtype=bool)
+
+    def take(self, j: int, path: Path, links: List[int]) -> None:
+        """Move row ``j`` onto ``path`` (link ids ``links``)."""
+        hops = len(links)
+        width = self.rows.shape[1]
+        if hops > width:
+            pad = np.full((len(self.paths), hops - width), _PAD, dtype=np.intp)
+            self.rows = np.concatenate((self.rows, pad), axis=1)
+        self.rows[j, :hops] = links
+        self.rows[j, hops:] = _PAD
+        self.paths[j] = path
+        self.rate[j] = self.placed[j].get(path, 0.0)
+        self.stepped[j] = False
+
+    def leave(self, j: int) -> None:
+        """Write row ``j``'s rate back to ``placed`` if a step landed on
+        its current path."""
+        path = self.paths[j]
+        if path is not None and self.stepped[j]:
+            self.placed[j][path] = float(self.rate[j])
+        self.paths[j] = None
 
 
-def _join(users: Dict[LinkKey, int], links: Tuple[LinkKey, ...]) -> None:
-    for key in links:
-        users[key] = users.get(key, 0) + 1
-
-
-def _leave(users: Dict[LinkKey, int], links: Tuple[LinkKey, ...]) -> None:
-    for key in links:
-        count = users[key] - 1
-        if count:
-            users[key] = count
-        else:
-            del users[key]
-
-
-def _census(active: List[_AggregateState]) -> Dict[LinkKey, int]:
-    """Active aggregates per link, keyed in first-use order."""
-    users: Dict[LinkKey, int] = {}
-    for state in active:
-        _join(users, state.links)
+def _census(rows: LinkRows) -> Dict[int, int]:
+    """Active aggregates per link id, keyed in first-use order: ``rows``
+    are the active aggregates' paths, in aggregate order."""
+    users: Dict[int, int] = {}
+    for link in rows.ravel().tolist():
+        if link != _PAD:
+            users[link] = users.get(link, 0) + 1
     return users
 
 
-def _tightest_link(
-    active: List[_AggregateState], residual: Dict[LinkKey, float]
-) -> LinkKey:
+def _tightest_link(rows: LinkRows, residual: FloatArray) -> int:
     """The link with the least residual per user; ties go to the link an
     earlier active aggregate uses first (a freshly built census's order)."""
-    users = _census(active)
-    return min(users, key=lambda key: residual[key] / users[key])
+    users = _census(rows)
+    return min(users, key=lambda link: residual[link] / users[link])
 
 
 class B4Routing(RoutingScheme):
@@ -136,6 +182,11 @@ class B4Routing(RoutingScheme):
     ) -> None:
         if not 0.0 <= headroom < 1.0:
             raise ValueError(f"headroom must be in [0, 1), got {headroom}")
+        if max_paths_per_aggregate < 1:
+            raise ValueError(
+                f"max_paths_per_aggregate must be >= 1, got "
+                f"{max_paths_per_aggregate}"
+            )
         self.headroom = headroom
         self.max_paths_per_aggregate = max_paths_per_aggregate
         self._cache = cache
@@ -150,38 +201,36 @@ class B4Routing(RoutingScheme):
             cache = self._cache
         else:
             cache = KspCache(network)
+        index = graph_index(network)
+        capacity = index.capacity_array
 
-        residual = {
-            link.key: link.capacity_bps * (1.0 - self.headroom)
-            for link in network.links()
-        }
-        states = [
-            _AggregateState(agg, agg.demand_bps) for agg in tm.aggregates()
-        ]
-        rounds, advances = self._waterfill(states, residual, cache)
+        aggregates = tm.aggregates()
+        placed: List[Dict[Path, float]] = [{} for _ in aggregates]
+        remaining = np.array(
+            [agg.demand_bps for agg in aggregates], dtype=np.float64
+        )
+        # The sentinel slot past the last link is where ``_PAD`` points.
+        residual = np.append(capacity * (1.0 - self.headroom), np.inf)
+        rounds, advances = self._waterfill(
+            _Pass(aggregates, placed, remaining, residual), cache, index
+        )
 
         if self.headroom > 0:
             # Second pass: leftover traffic may eat into the reserved
             # headroom (residuals measured against full capacity).
-            leftovers = [s for s in states if s.remaining_bps > RATE_EPSILON_BPS]
-            if leftovers:
-                full_residual = {
-                    link.key: link.capacity_bps for link in network.links()
-                }
-                for key, value in residual.items():
-                    used = (
-                        network.link(*key).capacity_bps * (1.0 - self.headroom)
-                        - value
-                    )
-                    full_residual[key] -= used
-                for state in leftovers:
-                    state.exhausted = False
-                    state.next_path_rank = 0
-                    state.current_path = None
-                    state.links = ()
-                more_rounds, more_advances = self._waterfill(
-                    leftovers, full_residual, cache
+            leftovers = np.flatnonzero(remaining > RATE_EPSILON_BPS)
+            if leftovers.size:
+                residual[:-1] = capacity - (
+                    capacity * (1.0 - self.headroom) - residual[:-1]
                 )
+                fill = _Pass(
+                    [aggregates[i] for i in leftovers],
+                    [placed[i] for i in leftovers],
+                    remaining[leftovers],
+                    residual,
+                )
+                more_rounds, more_advances = self._waterfill(fill, cache, index)
+                remaining[leftovers] = fill.remaining
                 rounds += more_rounds
                 advances += more_advances
         rec = recorder()
@@ -193,134 +242,104 @@ class B4Routing(RoutingScheme):
         # record it so congestion metrics can see it.
         allocations: Dict[Aggregate, List[PathAllocation]] = {}
         unplaced: Dict[Aggregate, float] = {}
-        for state in states:
-            agg = state.aggregate
-            placed = dict(state.placed)
-            if state.remaining_bps > RATE_EPSILON_BPS:
+        for agg, rates, left in zip(aggregates, placed, remaining.tolist()):
+            if left > RATE_EPSILON_BPS:
                 shortest = cache.shortest(agg.src, agg.dst)
-                placed[shortest] = placed.get(shortest, 0.0) + state.remaining_bps
-                unplaced[agg] = state.remaining_bps
-            total = sum(placed.values())
+                rates[shortest] = rates.get(shortest, 0.0) + left
+                unplaced[agg] = left
+            total = sum(rates.values())
             if total <= 0:
                 shortest = cache.shortest(agg.src, agg.dst)
-                placed = {shortest: agg.demand_bps}
+                rates = {shortest: agg.demand_bps}
                 total = agg.demand_bps
                 unplaced[agg] = agg.demand_bps
             allocations[agg] = [
                 PathAllocation(path, rate / total)
-                for path, rate in placed.items()
+                for path, rate in rates.items()
                 if rate > 0.0
             ]
         return Placement(network, allocations, unplaced_bps=unplaced)
 
     # ------------------------------------------------------------------
     def _waterfill(
-        self,
-        states: List[_AggregateState],
-        residual: Dict[LinkKey, float],
-        cache: KspCache,
+        self, fill: _Pass, cache: KspCache, index: GraphIndex
     ) -> Tuple[int, int]:
         """Fill paths synchronously until demands are met or paths run out.
 
         Returns ``(rounds, advances)``: the rounds run and the
         :meth:`_advance` calls made, each aggregate's first path included.
         """
-        for state in states:
-            self._advance(state, residual, cache)
-        advances = len(states)
-        active = [
-            s
-            for s in states
-            if not s.exhausted and s.remaining_bps > RATE_EPSILON_BPS
-        ]
-        users = _census(active)
+        for j in range(len(fill.paths)):
+            self._advance(fill, j, cache, index)
+        advances = len(fill.paths)
+        remaining, rate, residual = fill.remaining, fill.rate, fill.residual
+        # Users per link id: all zero between rounds.
+        users = np.zeros(residual.size, dtype=np.intp)
+        active = np.flatnonzero(~fill.exhausted & (remaining > RATE_EPSILON_BPS))
         rounds = 0
-        while active:
+        while active.size:
             rounds += 1
+            rows = fill.rows[active]
+            links = rows.ravel()
+            left = remaining[active]
             # Largest uniform increment before a link fills or an
             # aggregate's demand completes.
-            step = min([s.remaining_bps for s in active])
-            for key, count in users.items():
-                share = residual[key] / count
-                if share < step:
-                    step = share
+            np.add.at(users, links, 1)
+            share = residual[links] / users[links]
+            users[links] = 0
+            step = min(left.min(), share.min())
 
-            left_active = False
+            moved: List[int] = []
             if step > RATE_EPSILON_BPS:
-                saturated = False
-                for key, count in users.items():
-                    left = residual[key]
-                    for _ in range(count):
-                        left -= step
-                    residual[key] = left
-                    if left <= RATE_EPSILON_BPS:
-                        saturated = True
-                for state in active:
-                    path = state.current_path
-                    if path is None:
-                        raise RuntimeError(
-                            "active aggregate has no current path; _advance "
-                            "must give it one or mark it exhausted"
-                        )
-                    state.placed[path] = state.placed.get(path, 0.0) + step
-                    state.remaining_bps -= step
-                    if state.remaining_bps <= RATE_EPSILON_BPS:
-                        _leave(users, state.links)
-                        left_active = True
-                # Advance any aggregate whose preferred path just saturated.
-                moved = []
-                if saturated:
-                    moved = [
-                        s
-                        for s in active
-                        if s.remaining_bps > RATE_EPSILON_BPS
-                        and any(residual[key] <= RATE_EPSILON_BPS for key in s.links)
-                    ]
+                np.subtract.at(residual, links, step)
+                left -= step
+                remaining[active] = left
+                rate[active] += step
+                fill.stepped[active] = True
+                going = left > RATE_EPSILON_BPS
+                # Advance any aggregate whose path just saturated.
+                full = residual[rows] <= RATE_EPSILON_BPS
+                if full.any():
+                    moved = active[going & full.any(axis=1)].tolist()
             else:
                 # Numerical corner: many users share a nearly-empty link so
                 # the uniform step underflows without any single residual
                 # dropping below epsilon.  Force the users of the tightest
                 # link to advance so the loop always makes progress.
-                tightest = _tightest_link(active, residual)
-                moved = [s for s in active if tightest in s.links]
+                going = np.ones(active.size, dtype=bool)
+                tightest = _tightest_link(rows, residual)
+                moved = active[(rows == tightest).any(axis=1)].tolist()
 
-            for state in moved:
-                _leave(users, state.links)
-                self._advance(state, residual, cache)
-                _join(users, state.links)
-                left_active = left_active or state.exhausted
-            advances += len(moved)
-            if left_active:
-                active = [
-                    s
-                    for s in active
-                    if not s.exhausted and s.remaining_bps > RATE_EPSILON_BPS
-                ]
+            if moved:
+                for j in moved:
+                    self._advance(fill, j, cache, index)
+                advances += len(moved)
+                going &= ~fill.exhausted[active]
+            if not going.all():
+                active = active[going]
+        for j in range(len(fill.paths)):
+            fill.leave(j)
         return rounds, advances
 
     def _advance(
-        self,
-        state: _AggregateState,
-        residual: Dict[LinkKey, float],
-        cache: KspCache,
+        self, fill: _Pass, j: int, cache: KspCache, index: GraphIndex
     ) -> None:
-        """Move to the next untried shortest path on which every link has
-        more than ``RATE_EPSILON_BPS`` left, or mark the aggregate
-        exhausted once ``max_paths_per_aggregate`` paths (or all simple
-        paths) have been tried."""
-        agg = state.aggregate
-        while state.next_path_rank < self.max_paths_per_aggregate:
-            rank = state.next_path_rank
+        """Move row ``j`` to its next untried shortest path on which every
+        link has more than ``RATE_EPSILON_BPS`` left, or mark it exhausted
+        once ``max_paths_per_aggregate`` paths (or all simple paths) have
+        been tried."""
+        fill.leave(j)
+        agg = fill.aggregates[j]
+        residual = fill.residual
+        while fill.next_rank[j] < self.max_paths_per_aggregate:
+            rank = fill.next_rank[j]
             paths = cache.get(agg.src, agg.dst, rank + 1)
             if len(paths) <= rank:
                 break  # no more simple paths exist
-            state.next_path_rank += 1
+            fill.next_rank[j] += 1
             candidate = paths[rank]
-            links = tuple(path_links(candidate))
-            if all(residual[key] > RATE_EPSILON_BPS for key in links):
-                state.current_path = candidate
-                state.links = links
+            links = index.edge_positions(path_links(candidate))
+            if all(residual[link] > RATE_EPSILON_BPS for link in links):
+                fill.take(j, candidate, links)
                 return
-        state.current_path = None
-        state.links = ()
-        state.exhausted = True
+        fill.exhausted[j] = True

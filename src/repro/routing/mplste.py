@@ -19,10 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.net.graph import Network
 from repro.net.paths import KspCache, path_links
+from repro.routing.b4 import RATE_EPSILON_BPS
 from repro.routing.base import PathAllocation, Placement, RoutingScheme
 from repro.tm.matrix import Aggregate, TrafficMatrix
-
-RATE_EPSILON_BPS = 1.0
 
 
 class MplsTeRouting(RoutingScheme):
@@ -39,6 +38,11 @@ class MplsTeRouting(RoutingScheme):
     ) -> None:
         if not 0.0 <= headroom < 1.0:
             raise ValueError(f"headroom must be in [0, 1), got {headroom}")
+        if max_paths_per_aggregate < 1:
+            raise ValueError(
+                f"max_paths_per_aggregate must be >= 1, got "
+                f"{max_paths_per_aggregate}"
+            )
         if order not in ("demand", "given"):
             raise ValueError(f"order must be 'demand' or 'given', got {order!r}")
         self.headroom = headroom
