@@ -371,17 +371,16 @@ def run_dispatch_command(args) -> int:
     return 0
 
 
-def _traced_scheme_phases(trace_dir) -> Dict[str, Dict[str, float]]:
-    """Per-scheme phase seconds pooled across every trace in a dir."""
-    pooled: Dict[str, Counter] = defaultdict(Counter)
+def _traced_stream_phases(trace_dir) -> Dict[Tuple[str, str], Counter]:
+    """Phase seconds per (workload signature, scheme) over every trace."""
+    phases: Dict[Tuple[str, str], Counter] = defaultdict(Counter)
     for trace_id in telemetry.list_traces(trace_dir):
-        try:
-            trace = telemetry.load_trace(trace_dir, trace_id)
-        except telemetry.TraceError:
-            continue
-        for scheme, phases in telemetry.scheme_phases(trace).items():
-            pooled[scheme].update(phases)
-    return pooled
+        table = telemetry.attribute(telemetry.load_trace(trace_dir, trace_id))
+        for (_, _, name, scheme, signature), row in table.items():
+            if scheme is not None and signature is not None:
+                stream = phases[signature, scheme]
+                stream[telemetry.phase_of(name)] += row.exclusive_s
+    return phases
 
 
 def run_scenarios_command(args) -> int:
@@ -499,12 +498,12 @@ def run_store_command(args) -> int:
         if not streams:
             print(f"store {args.store_dir}: empty")
             return 0
-        phases_by_scheme: Dict[str, Dict[str, float]] = {}
+        phases_by_stream: Dict[Tuple[str, str], Counter] = {}
         if args.timings and args.trace_dir is not None:
             # With a trace dir, the coarse per-stream seconds gain a
             # span-derived breakdown: where inside the tasks those
             # seconds went (ksp / lp_solve / place / ...).
-            phases_by_scheme = _traced_scheme_phases(args.trace_dir)
+            phases_by_stream = _traced_stream_phases(args.trace_dir)
         for record in streams:
             scheme = record["scheme"] or "<no valid header>"
             total = record["n_networks"]
@@ -525,7 +524,7 @@ def run_store_command(args) -> int:
                     )
                 else:
                     line += "  <no timings>"
-                phases = phases_by_scheme.get(record["scheme"])
+                phases = phases_by_stream.get((record["signature"], scheme))
                 if phases:
                     line += f"  [{telemetry.format_phases(phases)}]"
             print(line)

@@ -370,8 +370,9 @@ class ExperimentEngine:
     ) -> NetworkResult:
         """Evaluate one task: its item under its *full*-workload index, so
         ids and stored streams line up across shards and hosts.  The
-        stream's ``scheme`` rides on the task's trace span so span timings
-        group by scheme (``store ls --timings --trace-dir``).
+        stream's ``scheme`` and workload signature ride on the task's
+        trace span so span timings group by stored stream
+        (``store ls --timings --trace-dir``).
         """
         stream = plan.streams[task.stream]
         index = task.index
@@ -395,11 +396,15 @@ class ExperimentEngine:
         signature = network_signature(item.network)
         attrs = None
         if recorder.enabled:
+            from repro.experiments.store import workload_signature
+
             attrs = {
                 "index": index,
                 "network_id": uid,
                 "scheme": stream.scheme,
                 "network_signature": signature,
+                # Memoized: plan_trace_id hashed it before any task ran.
+                "workload_signature": workload_signature(stream.workload),
             }
             if item.scenario is not None:
                 attrs["scenario"] = item.scenario

@@ -35,17 +35,19 @@ Design constraints, in the order they shaped the module:
   — their shards land in one trace directory and merge for free —
   and re-runs of the same workload append new shards (distinguished by
   the per-process ``run`` token) to the same trace.
-* **Spans join back to the store.**  ``task`` spans carry the network
-  content signature and scheme stream name, so
-  :func:`phase_breakdown` can split a stream's stored seconds into
-  phases (``store ls --timings --trace-dir``).
+* **One attribution table.**  Every reader — ``trace summary``,
+  ``trace critical-path``, ``store ls --timings --trace-dir`` — folds
+  the table :func:`attribute` builds in one walk over a trace's spans.
+  ``task`` spans carry their stream's scheme and workload signature,
+  which is how a stored stream's seconds split into phases.
 
 Span vocabulary (what :func:`summary` / ``trace critical-path`` report):
 
 ========================= =============================================
 ``run_plan``              one whole plan execution (engine)
 ``task``                  one (stream, network) evaluation; attrs carry
-                          index / network_id / scheme / signature
+                          index / network_id / scheme / network and
+                          workload signatures
 ``scheme_build``          scheme construction inside a task
 ``place``                 one traffic matrix placement inside a task
 ``ksp``                   Yen's k-shortest-paths materialization
@@ -75,6 +77,7 @@ import json
 import os
 import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -657,58 +660,89 @@ def load_trace(
 
 
 # ----------------------------------------------------------------------
-# Analysis: summary / tree / critical path / phase attribution
+# Analysis: one attribution table, folded by every view
 # ----------------------------------------------------------------------
-def exclusive_seconds(trace: Trace) -> Dict[str, float]:
-    """Per-span exclusive time: duration minus direct children's.
+#: Span names ``critical-path`` and ``store ls --timings`` report as
+#: phases; everything else lands in ``other``.
+PHASE_NAMES = (
+    "ksp", "lp_assemble", "lp_solve", "place", "task", "store_append"
+)
 
-    The attribution primitive every report shares: a ``task`` span's
-    exclusive time is engine overhead, a ``place`` span's is the
-    routing-scheme phase outside KSP and LP, and so on.  Negative
-    residues (overlapping child stamps from clock granularity) clamp to
-    zero.
+#: An attribution row's key: (run, pid, span name, task scheme, task
+#: workload signature); the last two are ``None`` outside any task.
+RowKey = Tuple[str, int, str, Optional[str], Optional[str]]
+
+
+@dataclass
+class Row:
+    """What the spans of one attribution row add up to."""
+
+    count: int = 0
+    total_s: float = 0.0
+    exclusive_s: float = 0.0
+    #: Earliest start and latest end over the row's spans.
+    t0: float = float("inf")
+    t1: float = float("-inf")
+
+
+def phase_of(name: str) -> str:
+    """The phase column a span name folds into."""
+    return name if name in PHASE_NAMES else "other"
+
+
+def _parents(trace: Trace) -> List[Optional[int]]:
+    """Each span's parent as an index into ``trace.spans`` (None: a root).
+
+    Span ids are unique within one process run only (a re-run can reuse
+    a pid), so parents resolve under the child's ``run`` token.
     """
-    child_totals: Dict[str, float] = {}
-    ids = {span.span_id for span in trace.spans}
-    for span in trace.spans:
-        if span.parent is not None and span.parent in ids:
-            child_totals[span.parent] = (
-                child_totals.get(span.parent, 0.0) + span.seconds
-            )
-    return {
-        span.span_id: max(span.seconds - child_totals.get(span.span_id, 0.0), 0.0)
-        for span in trace.spans
-    }
+    index = {(span.run, span.span_id): i for i, span in enumerate(trace.spans)}
+    return [index.get((span.run, span.parent)) for span in trace.spans]
 
 
-def _merged_length(intervals: List[Tuple[float, float]]) -> float:
-    """Total length of a union of intervals."""
-    if not intervals:
-        return 0.0
-    intervals.sort()
-    total = 0.0
-    current_start, current_end = intervals[0]
-    for start, end in intervals[1:]:
-        if start > current_end:
-            total += current_end - current_start
-            current_start, current_end = start, end
-        else:
-            current_end = max(current_end, end)
-    total += current_end - current_start
-    return total
+def attribute(trace: Trace) -> Dict[RowKey, Row]:
+    """The table every trace view folds, built in one walk of the spans.
+
+    A span adds its duration and its exclusive time (minus its direct
+    children's, clamped at zero) to the row of its run, pid, name and
+    nearest enclosing ``task``'s scheme and workload signature.
+    """
+    spans = trace.spans
+    parents = _parents(trace)
+    child_s = [0.0] * len(spans)
+    for span, parent in zip(spans, parents):
+        if parent is not None:
+            child_s[parent] += span.seconds
+    table: Dict[RowKey, Row] = defaultdict(Row)
+    for i, span in enumerate(spans):
+        task: Optional[int] = i
+        for _ in spans:  # bounded: a corrupt shard may hold a parent cycle
+            if task is None or spans[task].name == "task":
+                break
+            task = parents[task]
+        attrs = spans[task].attrs if task is not None else {}
+        row = table[
+            span.run, span.pid, span.name,
+            attrs.get("scheme"), attrs.get("workload_signature"),
+        ]
+        row.count += 1
+        row.total_s += span.seconds
+        row.exclusive_s += max(span.seconds - child_s[i], 0.0)
+        row.t0 = min(row.t0, span.t0)
+        row.t1 = max(row.t1, span.t1)
+    return table
 
 
 def summary(trace: Trace) -> dict:
     """Aggregate view: per-name span stats plus counters and gauges."""
-    exclusive = exclusive_seconds(trace)
     by_name: Dict[str, dict] = {}
-    for span in trace.spans:
+    for (_, _, name, _, _), row in attribute(trace).items():
         entry = by_name.setdefault(
-            span.name, {"count": 0, "total_s": 0.0, "exclusive_s": 0.0}
+            name, {"count": 0, "total_s": 0.0, "exclusive_s": 0.0}
         )
-        entry["count"] += 1
-        entry["total_s"] += span.seconds
-        entry["exclusive_s"] += exclusive[span.span_id]
+        entry["count"] += row.count
+        entry["total_s"] += row.total_s
+        entry["exclusive_s"] += row.exclusive_s
     for entry in by_name.values():
         entry["mean_s"] = entry["total_s"] / entry["count"]
     return {
@@ -758,47 +792,40 @@ def render_summary(trace: Trace) -> str:
 def tree_lines(trace: Trace, max_lines: int = 400) -> List[str]:
     """The ``trace tree`` view: per-process span hierarchies.
 
-    Spans parent through the in-process stack, so each process renders
-    as its own tree (cross-process edges would need clock agreement the
-    format does not promise).  Output is capped at ``max_lines`` with an
-    elision marker — a fig17-scale trace is thousands of spans.
+    Spans parent through the in-process stack, so each process run
+    renders as its own tree (cross-process edges would need clock
+    agreement the format does not promise).  Output is capped at
+    ``max_lines`` with an elision marker — a fig17-scale trace is
+    thousands of spans.
     """
-    children: Dict[Optional[str], List[SpanRecord]] = {}
-    ids = {span.span_id for span in trace.spans}
-    for span in trace.spans:
-        parent = span.parent if span.parent in ids else None
-        children.setdefault(parent, []).append(span)
-    for siblings in children.values():
-        siblings.sort(key=lambda span: (span.t0, span.span_id))
+    spans = trace.spans  # sorted by (pid, t0), so siblings are in order
+    children: Dict[Optional[int], List[int]] = defaultdict(list)
+    for i, parent in enumerate(_parents(trace)):
+        children[parent].append(i)
 
     lines: List[str] = []
 
-    def render(span: SpanRecord, depth: int) -> None:
+    def render(i: int, depth: int) -> None:
         if len(lines) > max_lines:
             return
-        label = ""
-        attrs = span.attrs
-        if attrs:
-            network = attrs.get("network_id")
-            scheme = attrs.get("scheme")
-            bits = [str(b) for b in (scheme, network) if b]
-            if bits:
-                label = f"  [{' '.join(bits)}]"
+        span = spans[i]
+        named = map(span.attrs.get, ("scheme", "network_id"))
+        bits = [str(bit) for bit in named if bit]
+        label = f"  [{' '.join(bits)}]" if bits else ""
         lines.append(
             f"{'  ' * depth}{span.name:<{max(16 - 2 * depth, 1)}s} "
             f"{span.seconds:>9.4f}s{label}"
         )
-        for child in children.get(span.span_id, []):
+        for child in children.get(i, []):
             render(child, depth + 1)
 
-    roots = children.get(None, [])
-    by_pid: Dict[int, List[SpanRecord]] = {}
-    for span in roots:
-        by_pid.setdefault(span.pid, []).append(span)
-    for pid in sorted(by_pid):
-        lines.append(f"process {pid}:")
-        for span in by_pid[pid]:
-            render(span, 1)
+    by_run: Dict[str, List[int]] = defaultdict(list)
+    for i in children[None]:
+        by_run[spans[i].run].append(i)
+    for roots in by_run.values():
+        lines.append(f"process {spans[roots[0]].pid}:")
+        for i in roots:
+            render(i, 1)
         if len(lines) > max_lines:
             lines = lines[:max_lines]
             lines.append("... (truncated; use --format json for everything)")
@@ -806,46 +833,36 @@ def tree_lines(trace: Trace, max_lines: int = 400) -> List[str]:
     return lines
 
 
-#: Span names ``critical-path`` folds into its phase columns; everything
-#: else lands in ``other``.
-PHASE_NAMES = (
-    "ksp", "lp_assemble", "lp_solve", "place", "task", "store_append"
-)
-
-
 def critical_path(trace: Trace) -> dict:
-    """Per-worker wall-time attribution: named phases plus idle.
+    """Per-process wall-time attribution: named phases plus idle.
 
-    For each process: its observed window is [earliest span start,
-    latest span end]; busy time is the union of its span intervals and
-    idle is the remainder — pool workers waiting between tasks, a
-    coordinator waiting on futures.  Busy time splits into *exclusive*
-    per-phase seconds (``ksp``/``lp_assemble``/``lp_solve``/``place``/
-    ``task`` overhead/``store_append``/other), so the columns sum to
-    busy and
-    busy + idle = window.  The worker with the largest window is the
-    run's critical path; its row is first.
+    One row per process run (a re-run that reused a pid is a row of its
+    own): its window is [earliest span start, latest span end], split
+    into *exclusive* per-phase seconds (``ksp``/``lp_assemble``/
+    ``lp_solve``/``place``/``task`` overhead/``store_append``/other)
+    whose sum is busy time; idle is the remainder — pool workers waiting
+    between tasks, a coordinator waiting on futures.  The row with the
+    largest window is the run's critical path and comes first.
     """
-    exclusive = exclusive_seconds(trace)
+    runs: Dict[Tuple[str, int], List[Tuple[str, Row]]] = defaultdict(list)
+    for (run, pid, name, _, _), row in attribute(trace).items():
+        runs[run, pid].append((name, row))
     workers: List[dict] = []
-    for pid in trace.pids:
-        spans = [span for span in trace.spans if span.pid == pid]
-        window_start = min(span.t0 for span in spans)
-        window_end = max(span.t1 for span in spans)
-        window = window_end - window_start
-        busy = _merged_length([(span.t0, span.t1) for span in spans])
-        phases: Dict[str, float] = {name: 0.0 for name in PHASE_NAMES}
-        phases["other"] = 0.0
-        for span in spans:
-            key = span.name if span.name in phases else "other"
-            phases[key] += exclusive[span.span_id]
+    for (_, pid), rows in runs.items():
+        phases = dict.fromkeys(PHASE_NAMES + ("other",), 0.0)
+        for name, row in rows:
+            phases[phase_of(name)] += row.exclusive_s
+        window = max(r.t1 for _, r in rows) - min(r.t0 for _, r in rows)
+        # A run's spans nest, so their exclusive seconds sum to the union
+        # of its span intervals; the clamp only absorbs float residue.
+        busy = min(sum(phases.values()), window)
         workers.append(
             {
                 "pid": pid,
-                "n_spans": len(spans),
+                "n_spans": sum(row.count for _, row in rows),
                 "window_s": window,
                 "busy_s": busy,
-                "idle_s": max(window - busy, 0.0),
+                "idle_s": window - busy,
                 "phases": phases,
             }
         )
@@ -871,73 +888,6 @@ def render_critical_path(trace: Trace) -> str:
             )
         )
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Feeds: per-scheme phase breakdowns
-# ----------------------------------------------------------------------
-def _task_ancestry(trace: Trace) -> Dict[str, SpanRecord]:
-    """span id -> nearest enclosing ``task`` span (tasks map to themselves)."""
-    by_id = {span.span_id: span for span in trace.spans}
-    cache: Dict[str, Optional[SpanRecord]] = {}
-
-    def resolve(span: SpanRecord) -> Optional[SpanRecord]:
-        if span.span_id in cache:
-            return cache[span.span_id]
-        if span.name == "task":
-            cache[span.span_id] = span
-            return span
-        parent = by_id.get(span.parent) if span.parent else None
-        result = resolve(parent) if parent is not None else None
-        cache[span.span_id] = result
-        return result
-
-    return {
-        span.span_id: task
-        for span in trace.spans
-        if (task := resolve(span)) is not None
-    }
-
-
-def phase_breakdown(
-    trace: Trace,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Exclusive per-phase seconds grouped by scheme and network.
-
-    ``{scheme: {network_id: {phase: seconds}}}`` — each span's exclusive
-    time lands under its enclosing ``task``'s scheme/network attrs, so
-    ``store ls --timings`` can show where one stream's (or one
-    network's) seconds actually went.  Spans
-    outside any task (manifest writes, merges) are not attributed here;
-    ``critical-path`` covers those.
-    """
-    ancestry = _task_ancestry(trace)
-    exclusive = exclusive_seconds(trace)
-    breakdown: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for span in trace.spans:
-        task = ancestry.get(span.span_id)
-        if task is None:
-            continue
-        scheme = task.attrs.get("scheme")
-        network = task.attrs.get("network_id")
-        if not isinstance(scheme, str) or not isinstance(network, str):
-            continue
-        phase = span.name if span.name in PHASE_NAMES else "other"
-        per_network = breakdown.setdefault(scheme, {}).setdefault(network, {})
-        per_network[phase] = per_network.get(phase, 0.0) + exclusive[span.span_id]
-    return breakdown
-
-
-def scheme_phases(trace: Trace) -> Dict[str, Dict[str, float]]:
-    """Per-scheme phase totals: :func:`phase_breakdown` folded over networks."""
-    totals: Dict[str, Dict[str, float]] = {}
-    for scheme, networks in phase_breakdown(trace).items():
-        folded: Dict[str, float] = {}
-        for phases in networks.values():
-            for phase, seconds in phases.items():
-                folded[phase] = folded.get(phase, 0.0) + seconds
-        totals[scheme] = folded
-    return totals
 
 
 def format_phases(phases: Dict[str, float]) -> str:

@@ -1,6 +1,6 @@
 """Tests for the telemetry layer: recorder, shards, merge, analysis, feeds.
 
-Four layers mirror the module's contract:
+Five layers mirror the module's contract:
 
 * recorder mechanics — span nesting, metrics aggregation, shard rolling,
   the no-op path's zero-allocation guarantee;
@@ -9,8 +9,10 @@ Four layers mirror the module's contract:
 * cross-process merge — fork pools, fresh interpreters joining through
   the environment, and dispatch worker subprocesses all land in ONE
   trace keyed by the workload;
-* feeds — tracing never changes results, task spans break down into
-  per-scheme phases, and the CLI's ``trace`` views render.
+* attribution — one table folded by every reader: re-runs that reuse a
+  pid stay apart, task spans break down into per-stream phases, and the
+  CLI's ``trace`` views render;
+* feeds — tracing never changes results.
 """
 
 import json
@@ -408,10 +410,87 @@ class TestProcessMerge:
         assert total_lp > 0.0
         rendered = telemetry.render_critical_path(trace)
         assert "lp_solve" in rendered and "idle" in rendered
+        # Both views fold one table: per-name and per-process exclusive
+        # seconds are the same seconds.
+        named = sum(
+            entry["exclusive_s"]
+            for entry in telemetry.summary(trace)["spans"].values()
+        )
+        phased = sum(
+            sum(worker["phases"].values()) for worker in data["workers"]
+        )
+        assert phased == pytest.approx(named, rel=1e-9)
 
 
 # ----------------------------------------------------------------------
-# Feeds: results untouched, phase breakdowns
+# Attribution: one table, re-runs that reuse a pid
+# ----------------------------------------------------------------------
+class TestAttribution:
+    def test_rerun_reusing_a_pid_reads_as_its_own_run(
+        self, tmp_path, workload
+    ):
+        telemetry.configure(tmp_path / "recorded")
+        ExperimentEngine().run_plan(one_stream(SchemeSpec("SP"), workload))
+        telemetry.disable()
+        (shard,) = (tmp_path / "recorded").glob("*/spans-*.jsonl")
+        rows = [json.loads(line) for line in shard.read_text().splitlines()]
+        base = min(row["t0"] for row in rows if row["kind"] == "span")
+
+        def write(path, run, shift):
+            # Rebased into [2048, 4096) s, where adding 1000 s keeps every
+            # stamp, and so every duration, bit-exact.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as handle:
+                for row in rows:
+                    row = dict(row, run=run)
+                    if row["kind"] == "span":
+                        row["t0"] = row["t0"] - base + 2048.0 + shift
+                        row["t1"] = row["t1"] - base + 2048.0 + shift
+                    handle.write(json.dumps(row) + "\n")
+
+        run = rows[0]["run"]
+        write(tmp_path / "once" / shard.parent.name / shard.name, run, 0.0)
+        # Same pid, so the re-run's span ids repeat the first run's.
+        rerun_dir = tmp_path / "twice" / shard.parent.name
+        for shift, token in ((0.0, run), (1000.0, f"{run}-rerun")):
+            write(rerun_dir / f"spans-{token}.jsonl", token, shift)
+        once = telemetry.load_trace(tmp_path / "once")
+        twice = telemetry.load_trace(tmp_path / "twice")
+        assert twice.n_shards == 2 and len(twice.pids) == 1
+
+        single = telemetry.summary(once)["spans"]
+        double = telemetry.summary(twice)["spans"]
+        assert set(double) == set(single)
+        for name, entry in single.items():
+            assert double[name]["count"] == 2 * entry["count"]
+            assert double[name]["exclusive_s"] == pytest.approx(
+                2 * entry["exclusive_s"], rel=1e-9
+            )
+        workers = telemetry.critical_path(twice)["workers"]
+        assert len(workers) == 2
+        assert all(worker["window_s"] < 1000.0 for worker in workers)
+        lines = telemetry.tree_lines(once, max_lines=10**6)
+        assert telemetry.tree_lines(twice, max_lines=10**6) == lines + lines
+
+    def test_parent_cycle_in_a_corrupt_shard_ends(self, tmp_path):
+        shard = tmp_path / "corrupt" / "spans-x.jsonl"
+        shard.parent.mkdir()
+        rows = [
+            {
+                "kind": "span", "trace": "corrupt", "run": "x", "pid": 1,
+                "id": span_id, "parent": parent, "name": "loop",
+                "t0": 0.0, "t1": 1.0,
+            }
+            for span_id, parent in (("1:0", "1:1"), ("1:1", "1:0"))
+        ]
+        shard.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        trace = telemetry.load_trace(tmp_path)
+        assert telemetry.summary(trace)["spans"]["loop"]["count"] == 2
+        assert telemetry.tree_lines(trace) == []
+
+
+# ----------------------------------------------------------------------
+# Feeds: results untouched, per-stream phases, rendered views
 # ----------------------------------------------------------------------
 class TestFeeds:
     def test_tracing_never_changes_results(self, tmp_path, workload):
@@ -424,25 +503,29 @@ class TestFeeds:
         telemetry.disable()
         assert traced.all_outcomes() == baseline.all_outcomes()
 
-    def test_phase_breakdown_groups_by_scheme_and_network(
-        self, tmp_path, workload
-    ):
+    def test_timings_fold_groups_by_stream(self, tmp_path, workload):
+        from repro.experiments.__main__ import _traced_stream_phases
+        from repro.experiments.store import workload_signature
+
         plan = EvalPlan()
         plan.add("SP", SchemeSpec("SP"), workload)
         telemetry.configure(tmp_path)
         ExperimentEngine().run_plan(plan)
         telemetry.disable()
-        trace = telemetry.load_trace(tmp_path)
-        breakdown = telemetry.phase_breakdown(trace)
-        assert set(breakdown) == {"SP"}
-        assert len(breakdown["SP"]) == len(workload.networks)
-        folded = telemetry.scheme_phases(trace)["SP"]
+        phases = _traced_stream_phases(tmp_path)
+        stream = (workload_signature(workload), "SP")
+        assert set(phases) == {stream}
+        folded = phases[stream]
         # ksp may be absent when earlier tests warmed the shared
         # workload's path caches; place always runs.
         assert folded.get("place", 0.0) > 0.0
         assert set(folded) <= set(telemetry.PHASE_NAMES) | {"other"}
-        rendered = telemetry.format_phases(folded)
-        assert "place=" in rendered
+        # Everything inside the stream's task spans, and nothing else.
+        tasks = telemetry.summary(telemetry.load_trace(tmp_path))["spans"]
+        assert sum(folded.values()) == pytest.approx(
+            tasks["task"]["total_s"], rel=1e-9
+        )
+        assert "place=" in telemetry.format_phases(folded)
 
     def test_summary_and_tree_render(self, tmp_path, workload):
         plan = EvalPlan()
@@ -581,6 +664,51 @@ class TestTraceCli:
         )
         assert code == 0, err
         assert out == figure_text
+
+    def test_store_timings_are_per_stream(self, tmp_path, capsys):
+        trace_dir = tmp_path / "traces"
+        store_dir = tmp_path / "store"
+        # Two workloads, one store and one trace dir: two SP streams.
+        for networks in ("3", "5"):
+            code, _, err = self.run_cli(
+                [
+                    "fig03",
+                    "--networks", networks,
+                    "--tms", "1",
+                    "--store-dir", os.fspath(store_dir),
+                    "--trace-dir", os.fspath(trace_dir),
+                ],
+                capsys,
+            )
+            telemetry.disable()
+            assert code == 0, err
+        code, out, _ = self.run_cli(
+            [
+                "store", "ls",
+                "--store-dir", os.fspath(store_dir),
+                "--timings",
+                "--trace-dir", os.fspath(trace_dir),
+            ],
+            capsys,
+        )
+        assert code == 0
+        brackets = [
+            line[line.index("["):]
+            for line in out.splitlines()
+            if line.split()[1] == "SP"
+        ]
+        assert len(brackets) == 2
+        assert brackets[0] != brackets[1]
+        # Each stream's phases add up to its own stored seconds.
+        from repro.experiments.__main__ import _traced_stream_phases
+        from repro.experiments.store import ResultStore
+
+        phases = _traced_stream_phases(trace_dir)
+        for record in ResultStore(store_dir).list_streams():
+            total = record["seconds_total"]
+            stream = phases[record["signature"], record["scheme"]]
+            traced = sum(stream.values())
+            assert abs(traced - total) <= max(0.05 * total, 0.002)
 
     def test_trace_cli_errors(self, tmp_path, capsys):
         code, _, err = self.run_cli(
