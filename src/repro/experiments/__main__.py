@@ -758,8 +758,8 @@ def flag_groups() -> Dict[str, argparse.ArgumentParser]:
     group("cache_limits").add_argument(
         "--cache-max-bytes",
         type=non_negative_int,
-        help="after the run, evict least-recently-used ksp-*.json files "
-        "from --cache-dir until it fits this budget",
+        help="after the run, evict least-recently-used ksp-*.json and "
+        "grown-*.json files from --cache-dir until it fits this budget",
     )
     for name, required in (("store_dir", False), ("needs_store_dir", True)):
         group(name).add_argument(
@@ -1056,11 +1056,11 @@ def main(argv=None) -> int:
         and args.cache_dir is not None
         and args.cache_max_bytes is not None
     ):
-        from repro.net.paths import sweep_ksp_cache_dir
+        from repro.durable import sweep_cache_dir
 
-        removed = sweep_ksp_cache_dir(args.cache_dir, args.cache_max_bytes)
+        removed = sweep_cache_dir(args.cache_dir, args.cache_max_bytes)
         if removed:
-            print(f"evicted {len(removed)} KSP cache file(s) from "
+            print(f"evicted {len(removed)} cache file(s) from "
                   f"{args.cache_dir}")
     if records:
         telemetry.recorder().flush()

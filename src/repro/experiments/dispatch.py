@@ -60,6 +60,7 @@ from pathlib import Path
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
+from repro.durable import write_atomic
 from repro.experiments.engine import ExperimentEngine, NetworkResult
 from repro.experiments.plan import EvalPlan, EvalTask, PlanReport
 from repro.experiments.spec import SchemeSpec, UnknownSchemeError, check_spec
@@ -335,7 +336,7 @@ def write_plan_manifests(
                 n_shards=n_effective,
             )
             path = out / f"shard-{shard_index:03d}.json"
-            path.write_text(json.dumps(manifest, indent=2))
+            write_atomic(path, json.dumps(manifest, indent=2))
         position += size
         paths.append(path)
     return paths

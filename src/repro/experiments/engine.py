@@ -39,7 +39,7 @@ Sharding/determinism contract
   ``ksp-<network_signature>.json`` when a valid file exists and dumps the
   (possibly extended) cache back after evaluating.  Files are keyed by a
   content hash of the network, so stale caches are rejected, and writes
-  are atomic (write-to-temp + rename).
+  are atomic (:mod:`repro.durable`).
 * With a ``store_dir``, the engine is the one place that decides which
   tasks run and appends their results: each stream's stored results are
   served (counted in :attr:`PlanReport.n_stored`), only the missing
@@ -54,6 +54,7 @@ Sharding/determinism contract
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import threading
 import time
@@ -79,6 +80,7 @@ from typing import (
 import multiprocessing
 
 from repro import telemetry
+from repro.durable import read_cache
 from repro.experiments.plan import EvalPlan, EvalTask, PlanReport
 from repro.experiments.runner import SchemeOutcome
 from repro.experiments.workloads import NetworkWorkload
@@ -384,7 +386,10 @@ class ExperimentEngine:
         preloaded = 0
         if cache_path is not None:
             with recorder.span("cache_load"):
-                loaded = KspCache.try_load_file(cache_path, item.network)
+                loaded = read_cache(
+                    cache_path,
+                    lambda text: KspCache.load(json.loads(text), item.network),
+                )
             if loaded is not None:
                 # Swap the cache on a copy: the caller's workload must not
                 # be mutated differently by serial vs parallel runs (the
@@ -433,22 +438,15 @@ class ExperimentEngine:
             seconds = time.perf_counter() - start
         if cache_path is not None:
             # Path counts ask the cache itself (sparse in the pairs
-            # requested), never the quadratic node-pair space.
+            # requested), never the quadratic node-pair space.  A fully-
+            # warm repeat run adds nothing and skips the rewrite; its load
+            # already touched the file for the LRU sweep.
             if (
                 not os.path.exists(cache_path)
                 or item.cache.total_cached() != preloaded
             ):
                 with recorder.span("cache_dump"):
                     item.cache.dump_file(cache_path)
-            else:
-                # Skip the rewrite when evaluation added nothing: a fully-
-                # warm repeat run would otherwise re-serialize every file
-                # untouched.  Touch it instead, so the LRU sweep
-                # (sweep_ksp_cache_dir) sees use, not just writes.
-                try:
-                    os.utime(cache_path)
-                except OSError:
-                    pass
         return NetworkResult(
             index=index,
             network_name=item.network.name,

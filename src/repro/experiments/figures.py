@@ -45,14 +45,13 @@ results bit-identical for any worker count.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.metrics import ApaParameters, apa_all_pairs, apa_cdf, llpd
+from repro.durable import cache_path, read_cache, write_atomic
 from repro.experiments.plan import EvalPlan, PlanReport
 from repro.telemetry import traced
 from repro.experiments.runner import per_network_quantiles
@@ -543,12 +542,10 @@ def _grow_network_cached(
             f"|{apa_params.max_alternates!r}"
             f"|{apa_params.llpd_threshold!r}".encode()
         ).hexdigest()
-        path = Path(cache_dir) / f"grown-{key}.json"
-        if path.exists():
-            try:
-                return from_json(path.read_text())
-            except (OSError, ValueError, KeyError, TypeError):
-                pass  # corrupt or stale cache file: regrow
+        path = cache_path(cache_dir, "grown", key)
+        cached = read_cache(path, from_json)
+        if cached is not None:
+            return cached
 
     grown, _ = grow_by_llpd(
         network,
@@ -557,28 +554,9 @@ def _grow_network_cached(
         max_candidates=max_candidates,
     )
     if path is not None:
-        import tempfile
-
         from repro.net.io import to_json
 
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Unique temp file + atomic rename, like KspCache.dump_file: a
-        # shared temp path would let two concurrent runs race — one
-        # renaming the other's half-written file into place and the
-        # loser crashing on the vanished temp.
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(to_json(grown))
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, to_json(grown))
     return grown
 
 

@@ -31,8 +31,9 @@ between directories, a renamed scheme, a future format).  After the header
 come one ``result`` record per completed network, appended as a single
 flushed line each, so concurrent appenders never interleave *within* a
 record and a crash can tear at most the trailing line.  Readers stop at
-the first unparseable line; the writer truncates such a torn tail before
-resuming, so a mid-write kill costs exactly one network's result.
+the first unparseable line (:func:`repro.durable.scan_jsonl`); the
+writer truncates such a torn tail before resuming, so a mid-write kill
+costs exactly one network's result.
 
 Stored results round-trip bit-identically: JSON preserves Python floats
 exactly (``repr`` round-trip), so a :class:`SchemeOutcome` read back from
@@ -43,7 +44,6 @@ count — the engine's determinism contract extends to the store.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 from dataclasses import asdict
@@ -51,6 +51,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import telemetry
+from repro.durable import json_line, scan_jsonl, write_atomic
 from repro.experiments.runner import SchemeOutcome
 from repro.experiments.workloads import ZooWorkload
 from repro.net.io import to_json as network_to_json
@@ -199,33 +200,19 @@ def _header_matches(header: dict, signature: str, scheme: str) -> bool:
 def _scan_stream(path: str) -> Tuple[Optional[dict], Dict[int, "NetworkResult"], int]:
     """Parse a stream file: (header, results by index, valid byte length).
 
-    Walks complete (newline-terminated) lines from the start and stops at
-    the first line that is not valid JSON or not a well-formed record —
-    with an append-only writer that can only be a torn trailing write.
-    ``valid`` is the byte offset just past the last good line, which is
-    where a resuming writer truncates before appending.
+    Reads the lines :func:`repro.durable.scan_jsonl` yields and also stops
+    at the first record that is not well formed.  ``valid`` is the byte
+    offset just past the last good line, which is where a resuming
+    writer truncates before appending.
 
     Returns ``header=None`` when the first line is not a header record
     (empty, corrupt, or foreign file).
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
     header: Optional[dict] = None
     results: Dict[int, "NetworkResult"] = {}
-    pos = 0
     valid = 0
-    while True:
-        newline = data.find(b"\n", pos)
-        if newline == -1:
-            break  # unterminated tail: torn mid-write, ignore
-        line = data[pos:newline]
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            break
-        if not isinstance(record, dict):
-            break
-        if pos == 0:
+    for record, end in scan_jsonl(path):
+        if header is None:
             if record.get("kind") != "header":
                 break
             header = record
@@ -237,8 +224,7 @@ def _scan_stream(path: str) -> Tuple[Optional[dict], Dict[int, "NetworkResult"],
             results[parsed.index] = parsed
         # Records of unknown kind are skipped, not fatal: a newer writer
         # may add annotations an older reader can safely ignore.
-        pos = newline + 1
-        valid = pos
+        valid = end
     if header is None:
         return None, {}, 0
     return header, results, valid
@@ -287,19 +273,17 @@ class StoreWriter:
                 with open(self._path, "r+b") as handle:
                     handle.truncate(valid)
         else:
-            tmp = self._path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(
-                    _dump_line(_header_record(signature, scheme, n_networks))
-                )
-            os.replace(tmp, self._path)
+            write_atomic(
+                self._path,
+                json_line(_header_record(signature, scheme, n_networks)),
+            )
         self._handle = open(self._path, "a", encoding="utf-8")
 
     def append(self, result: "NetworkResult") -> None:
         """Append one completed network's result as a single flushed line."""
         recorder = telemetry.recorder()
         with recorder.span("store_append"):
-            self._handle.write(_dump_line(_result_to_record(result)))
+            self._handle.write(json_line(_result_to_record(result)))
             self._handle.flush()
         if recorder.enabled:
             recorder.counter("store.records_appended")
@@ -312,10 +296,6 @@ class StoreWriter:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _dump_line(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 class MultiStreamWriter:

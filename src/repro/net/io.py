@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from repro.durable import write_atomic
 from repro.net.geo import link_delay_s
 from repro.net.graph import Link, Network, Node
 from repro.net.units import Gbps
@@ -54,7 +55,10 @@ def to_json(network: Network) -> str:
 def from_json(text: str) -> Network:
     """Reconstruct a network from :func:`to_json` output."""
     payload = json.loads(text)
-    if payload.get("format") != "repro-network":
+    if (
+        not isinstance(payload, dict)
+        or payload.get("format") != "repro-network"
+    ):
         raise ValueError("not a repro network document")
     if payload.get("version") != JSON_FORMAT_VERSION:
         raise ValueError(f"unsupported version {payload.get('version')!r}")
@@ -76,9 +80,8 @@ def from_json(text: str) -> Network:
 
 
 def save(network: Network, path: str) -> None:
-    """Write the network's JSON form to a file."""
-    with open(path, "w") as handle:
-        handle.write(to_json(network))
+    """Write the network's JSON form to a file, atomically."""
+    write_atomic(path, to_json(network))
 
 
 def load(path: str) -> Network:

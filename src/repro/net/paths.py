@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import (
     Any,
     Dict,
@@ -35,6 +34,7 @@ from typing import (
     Tuple,
 )
 
+from repro.durable import cache_path, write_atomic
 from repro.net.graph import Network
 from repro.net.index import (
     GraphIndex,
@@ -61,7 +61,6 @@ __all__ = [
     "path_links",
     "shortest_path",
     "shortest_path_delays",
-    "sweep_ksp_cache_dir",
 ]
 
 Path = Tuple[str, ...]
@@ -80,13 +79,12 @@ def ksp_cache_path(directory: "os.PathLike[str] | str", network: Network) -> str
 
     Every producer and consumer of persistent caches (the experiment
     engine's workers and dispatch shards) must agree on this naming,
-    so it lives here rather than being rebuilt at each call site.  Pure
-    path computation — :meth:`KspCache.dump_file` (the writer) creates
-    the directory.
+    so it lives here rather than being rebuilt at each call site; the
+    name follows :func:`repro.durable.cache_path`, so the cache sweep
+    bounds it.  Pure path computation — :meth:`KspCache.dump_file` (the
+    writer) creates the directory.
     """
-    return os.path.join(
-        os.fspath(directory), f"ksp-{network_signature(network)}.json"
-    )
+    return cache_path(directory, "ksp", network_signature(network))
 
 
 def network_signature(network: Network) -> str:
@@ -210,8 +208,8 @@ class KspCache:
     ingest-scale graphs; without a pruner behavior is exact and unchanged.
 
     Materialized paths can be persisted with :meth:`dump` / :meth:`dump_file`
-    and restored with :meth:`load` / :meth:`load_file`; persisted state is
-    keyed by :func:`network_signature`, so a cache saved for one topology is
+    and restored with :meth:`load`; persisted state is keyed by
+    :func:`network_signature`, so a cache saved for one topology is
     rejected on any other.
     """
 
@@ -358,6 +356,8 @@ class KspCache:
         (a persisted file is a cache: callers recompute and rewrite it),
         or is malformed.
         """
+        if not isinstance(payload, dict):
+            raise KspCacheMismatchError("KSP cache payload is not an object")
         fmt = payload.get("format")
         if fmt != cls.DUMP_FORMAT:
             raise KspCacheMismatchError(
@@ -392,97 +392,7 @@ class KspCache:
         return cache
 
     def dump_file(self, path: "os.PathLike[str] | str") -> None:
-        """Atomically write :meth:`dump` output as JSON.
-
-        Write-to-temp plus ``os.replace`` keeps concurrent dumpers (the
-        parallel experiment engine's workers) from ever exposing a torn
-        file to a concurrent loader.
-        """
-        path = os.fspath(path)
-        directory = os.path.dirname(path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(self.dump(), handle)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    @classmethod
-    def try_load_file(
-        cls, path: "os.PathLike[str] | str", network: Network
-    ) -> "Optional[KspCache]":
-        """:meth:`load_file`, but ``None`` for any unusable file.
-
-        Missing, stale, corrupt, or concurrently-deleted files all mean
-        the same thing to a consumer: start from a cold cache.
-        """
-        if not os.path.exists(path):
-            return None
-        try:
-            return cls.load_file(path, network)
-        except (KspCacheMismatchError, OSError):
-            return None
-
-    @classmethod
-    def load_file(
-        cls, path: "os.PathLike[str] | str", network: Network
-    ) -> "KspCache":
-        """Load a cache written by :meth:`dump_file`.
-
-        Raises :class:`KspCacheMismatchError` on a stale or corrupt file.
-        """
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise KspCacheMismatchError(f"corrupt KSP cache file {path}: {exc}")
-        if not isinstance(payload, dict):
-            raise KspCacheMismatchError(f"corrupt KSP cache file {path}")
-        return cls.load(payload, network)
-
-
-def sweep_ksp_cache_dir(
-    directory: "os.PathLike[str] | str", max_bytes: int
-) -> List[str]:
-    """Evict least-recently-used ``ksp-*.json`` files beyond a size budget.
-
-    Keeps the most recently used cache files whose cumulative size fits in
-    ``max_bytes`` and deletes the rest, returning the deleted paths.
-    Recency is the file's mtime: dumps rewrite the file, and the experiment
-    engine touches a cache it warm-loaded without extending, so mtime
-    tracks last *use*, not just last write.  Races with concurrent runs
-    are benign — a swept file is recomputed from cold on next use.
-    """
-    if max_bytes < 0:
-        raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-    directory = os.fspath(directory)
-    entries = []
-    try:
-        names = os.listdir(directory)
-    except FileNotFoundError:
-        return []
-    for name in names:
-        if not (name.startswith("ksp-") and name.endswith(".json")):
-            continue
-        path = os.path.join(directory, name)
-        try:
-            status = os.stat(path)
-        except OSError:
-            continue  # concurrently removed
-        entries.append((status.st_mtime, status.st_size, path))
-    entries.sort(reverse=True)  # most recently used first
-    removed: List[str] = []
-    total = 0
-    for _, size, path in entries:
-        total += size
-        if total > max_bytes:
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            removed.append(path)
-    return removed
+        """Write :meth:`dump` output as JSON, atomically (concurrent
+        loaders never see a torn file); read it back with
+        :func:`repro.durable.read_cache` and :meth:`load`."""
+        write_atomic(path, json.dumps(self.dump()))

@@ -21,10 +21,11 @@ Design constraints, in the order they shaped the module:
   figures a traced run renders are byte-identical to an untraced run's
   (CI asserts this).  Wall-clock reads live here and only here, declared
   once via the analyzer's module-scoped D102 allowlist below.
-* **Same durability discipline as the result store.**  Spans append to
-  per-process JSONL shard files under ``<trace_dir>/<trace_id>/``; one
-  flushed line per record at top-level span boundaries, so a crash tears
-  at most a trailing line and readers skip the torn tail.  Forked pool
+* **Same durability discipline as the result store**
+  (:mod:`repro.durable`).  Spans append to per-process JSONL shard files
+  under ``<trace_dir>/<trace_id>/``; one flushed line per record at
+  top-level span boundaries, so a crash tears at most a trailing line
+  and readers skip the torn tail.  Forked pool
   workers and dispatch worker subprocesses each write their own shard
   (a process-identity check reopens the writer after ``fork``), and
   :func:`load_trace` merges shards by trace id.
@@ -73,7 +74,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 import os
 import threading
 import time
@@ -88,6 +88,8 @@ from typing import (
     Optional,
     Tuple,
 )
+
+from repro.durable import json_line, scan_jsonl
 
 #: Environment variables child processes inherit tracing through.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
@@ -264,7 +266,7 @@ class TraceRecorder(Recorder):
         handle = self._handle
         if handle is None:  # pragma: no cover - guarded by callers
             return
-        handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        handle.write(json_line(record))
 
     # ------------------------------------------------------------------
     def span(self, name: str, attrs: Optional[dict] = None) -> _Span:
@@ -546,27 +548,14 @@ def list_traces(trace_dir: "os.PathLike[str] | str") -> List[str]:
 def _scan_shard(path: Path) -> Tuple[List[SpanRecord], Dict, Dict, float]:
     """Parse one shard: (spans, final counters, final gauges, wall).
 
-    Same walk-until-torn-line discipline as the result store: complete
-    lines parse in order and the first unparseable line ends the shard —
-    with an append-only writer that can only be a torn trailing write.
+    Reads the lines :func:`repro.durable.scan_jsonl` yields, as the
+    result store does, and also stops at the first malformed span.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
     spans: List[SpanRecord] = []
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
     wall = 0.0
-    pos = 0
-    while True:
-        newline = data.find(b"\n", pos)
-        if newline == -1:
-            break
-        try:
-            row = json.loads(data[pos : newline].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            break
-        if not isinstance(row, dict):
-            break
+    for row, _ in scan_jsonl(path):
         kind = row.get("kind")
         if kind == "span":
             try:
@@ -601,7 +590,6 @@ def _scan_shard(path: Path) -> Tuple[List[SpanRecord], Dict, Dict, float]:
                 wall = stamp
         # Records of unknown kind are skipped, not fatal: a newer writer
         # may add annotations an older reader can safely ignore.
-        pos = newline + 1
     return spans, counters, gauges, wall
 
 

@@ -283,6 +283,7 @@ def test_mypy_strict_plan_spec_and_lp_model():
             "src/repro/experiments/plan.py",
             "src/repro/experiments/spec.py",
             "src/repro/lp/model.py",
+            "src/repro/durable.py",
         ],
         cwd=REPO,
         capture_output=True,

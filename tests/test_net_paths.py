@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.durable import read_cache, sweep_cache_dir
 from repro.net.graph import Network, Node
 from repro.net.paths import (
     KspCache,
@@ -19,9 +20,13 @@ from repro.net.paths import (
     path_links,
     shortest_path,
     shortest_path_delays,
-    sweep_ksp_cache_dir,
 )
 from repro.net.units import Gbps, ms
+
+
+def read_ksp_file(path, network):
+    """A dumped cache read back the way the engine reads it."""
+    return read_cache(path, lambda text: KspCache.load(json.loads(text), network))
 
 
 class TestPathHelpers:
@@ -244,14 +249,15 @@ class TestKspCachePersistence:
         cache.get("s", "t", 2)
         path = tmp_path / "cache.json"
         cache.dump_file(path)
-        restored = KspCache.load_file(path, diamond)
+        restored = read_ksp_file(path, diamond)
         assert restored.get("s", "t", 2) == cache.get("s", "t", 2)
 
     def test_corrupt_file_rejected(self, triangle, tmp_path):
         path = tmp_path / "cache.json"
-        path.write_text("{definitely not json")
-        with pytest.raises(KspCacheMismatchError):
-            KspCache.load_file(path, triangle)
+        for data in (b"{definitely not json", b"[1, 2]", b"\xff"):
+            path.write_bytes(data)
+            assert read_ksp_file(path, triangle) is None
+        assert read_ksp_file(tmp_path / "absent.json", triangle) is None
 
 
 class TestDumpBounds:
@@ -311,12 +317,12 @@ class TestDumpBounds:
         # recomputes the same paths and rewrites the file as format 2.
         path = tmp_path / "ksp.json"
         path.write_text(json.dumps(legacy))
-        assert KspCache.try_load_file(path, square) is None
+        assert read_ksp_file(path, square) is None
         fresh = KspCache(square)
         assert fresh.get("a", "c", 99) == expected
         fresh.dump_file(path)
         assert json.loads(path.read_text())["format"] == 2
-        restored = KspCache.try_load_file(path, square)
+        restored = read_ksp_file(path, square)
         assert restored.get("a", "c", 99) == expected
 
     @pytest.mark.parametrize("bad", [-1, 99, 1.5, "0"])
@@ -346,29 +352,29 @@ class TestSweepCacheDir:
         old = self.fake_cache(tmp_path, "old", 100, 1_000)
         mid = self.fake_cache(tmp_path, "mid", 100, 2_000)
         new = self.fake_cache(tmp_path, "new", 100, 3_000)
-        removed = sweep_ksp_cache_dir(tmp_path, max_bytes=250)
+        removed = sweep_cache_dir(tmp_path, max_bytes=250)
         assert removed == [str(old)]
         assert mid.exists() and new.exists() and not old.exists()
 
     def test_under_budget_removes_nothing(self, tmp_path):
         self.fake_cache(tmp_path, "a", 10, 1_000)
-        assert sweep_ksp_cache_dir(tmp_path, max_bytes=1_000) == []
+        assert sweep_cache_dir(tmp_path, max_bytes=1_000) == []
 
     def test_zero_budget_clears_everything(self, tmp_path):
         self.fake_cache(tmp_path, "a", 10, 1_000)
         self.fake_cache(tmp_path, "b", 10, 2_000)
-        assert len(sweep_ksp_cache_dir(tmp_path, max_bytes=0)) == 2
+        assert len(sweep_cache_dir(tmp_path, max_bytes=0)) == 2
 
     def test_ignores_foreign_files(self, tmp_path):
         keep = tmp_path / "notes.json"
         keep.write_text("{}")
         self.fake_cache(tmp_path, "a", 50, 1_000)
-        sweep_ksp_cache_dir(tmp_path, max_bytes=0)
+        sweep_cache_dir(tmp_path, max_bytes=0)
         assert keep.exists()
 
     def test_missing_directory_is_empty(self, tmp_path):
-        assert sweep_ksp_cache_dir(tmp_path / "absent", max_bytes=0) == []
+        assert sweep_cache_dir(tmp_path / "absent", max_bytes=0) == []
 
     def test_negative_budget_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            sweep_ksp_cache_dir(tmp_path, max_bytes=-1)
+            sweep_cache_dir(tmp_path, max_bytes=-1)
