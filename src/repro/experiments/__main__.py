@@ -604,6 +604,7 @@ def run_ingest_command(args) -> int:
     ``repro-network`` JSON (``--emit distances`` for the external format),
     so synthesized or converted topologies feed any downstream run.
     """
+    from repro.durable import write_atomic
     from repro.net import ingest, io
     from repro.net.paths import network_signature
 
@@ -616,15 +617,15 @@ def run_ingest_command(args) -> int:
             )
         else:
             network = io.load(args.target)
+        if args.out is not None:
+            emit = (
+                ingest.to_distances_json if args.emit == "distances"
+                else io.to_json
+            )
+            write_atomic(args.out, emit(network))
     except (OSError, ValueError) as exc:
         print(f"ingest: {exc}", file=sys.stderr)
         return 1
-    if args.out is not None:
-        if args.emit == "distances":
-            with open(args.out, "w") as handle:
-                handle.write(ingest.to_distances_json(network))
-        else:
-            io.save(network, args.out)
     histogram = ingest.degree_histogram(network)
     degrees = [d for d, count in histogram.items() for _ in range(count)]
     summary = {

@@ -15,23 +15,23 @@ coordinator :func:`dispatch_plan` does exactly that with subprocesses
 and temp directories, so the single-host path exercises the same
 manifest/worker/merge machinery a cluster run would.
 
-There is one manifest generation: a shard of an
-:class:`~repro.experiments.plan.EvalPlan` — a stream table (spec +
-signature per stream) plus a flat task list, so every worker gets a mix
-of schemes and sweep points rather than one scheme's heaviest networks.
-A single scheme over one workload (the classic ``dispatch <scheme>``
-cycle) is simply a one-stream plan.  Shards are equal-*count*
-contiguous chunks of the plan's round-robin task order.  The merge is
-order-blind: worker stores are just (signature, scheme) streams,
-deduplicated by network index, so any partitioning yields the same
-merged store.
+There is one manifest layout: a shard of an
+:class:`~repro.experiments.plan.EvalPlan` as a workload table, a
+stream table and run-length task ranges (:func:`build_plan_manifest`),
+so every worker gets a mix of schemes and sweep points rather than one
+scheme's heaviest networks.  A single scheme over one workload (the
+classic ``dispatch <scheme>`` cycle) is simply a one-stream plan.
+Shards are equal-*count* contiguous chunks of the plan's round-robin
+task order.  The merge is order-blind: worker stores are just
+(signature, scheme) streams, deduplicated by network index, so any
+partitioning yields the same merged store.
 
 Workers and resume
 ------------------
 
 A shard is a subset of the plan's tasks (tasks commute), so a worker
 has no loop of its own: it rebuilds the plan its manifest describes
-(JSON forms round-trip floats exactly; every stream keeps the
+(JSON forms round-trip floats exactly; every workload keeps the
 coordinator's full-workload signature) and runs
 ``ExperimentEngine.run_plan(plan, indices=<its shard>)``.  Every task
 keeps its *original* workload index, so worker records are
@@ -51,13 +51,15 @@ raises :class:`~repro.experiments.store.StoreMismatchError` — that is two
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.durable import write_atomic
@@ -71,14 +73,10 @@ from repro.experiments.store import (
     workload_signature,
 )
 from repro.experiments.workloads import NetworkWorkload
-from repro.net.io import from_json as network_from_json
-from repro.net.io import to_json as network_to_json
-from repro.tm.matrix import from_json as tm_from_json
-from repro.tm.matrix import to_json as tm_to_json
 
 MANIFEST_FORMAT = "repro-shard-manifest"
-#: Version tag of plan shard manifests (stream table + task list).
-PLAN_MANIFEST_VERSION = 2
+#: Version tag of shard manifests (workload, stream and task tables).
+MANIFEST_VERSION = 3
 
 
 class DispatchError(StoreError):
@@ -92,52 +90,48 @@ class SpecError(DispatchError):
 # ----------------------------------------------------------------------
 # Manifests
 # ----------------------------------------------------------------------
-#: Fields every manifest carries (``scenarios``/``task_chunks`` are
-#: optional additions).
-_REQUIRED_FIELDS = ("shard_index", "n_shards", "streams", "items", "tasks")
+#: Fields every manifest carries; the last three are its tables.
+_REQUIRED_FIELDS = ("shard_index", "n_shards", "workloads", "streams", "tasks")
 
 
 def load_manifest(path: "os.PathLike[str] | str") -> dict:
     """Read and validate a shard manifest file.
 
     Manifests are copied between hosts, so the file is outside input:
-    anything that is not a complete plan manifest raises
+    anything that is not a complete version-3 manifest raises
     :class:`DispatchError` rather than failing later inside the worker.
     """
-    with open(path) as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             manifest = json.load(handle)
-        except json.JSONDecodeError as error:
-            raise DispatchError(
-                f"{path}: not valid JSON (truncated copy?): {error}"
-            ) from error
+    except OSError as error:
+        raise DispatchError(f"{path}: unreadable: {error.strerror}") from error
+    except ValueError as error:  # bad JSON or bad UTF-8
+        raise DispatchError(
+            f"{path}: not valid JSON (truncated copy?): {error}"
+        ) from error
     if not isinstance(manifest, dict) or (
         manifest.get("format") != MANIFEST_FORMAT
     ):
         raise DispatchError(f"{path}: not a {MANIFEST_FORMAT} document")
-    if manifest.get("version") != PLAN_MANIFEST_VERSION:
-        version = manifest.get("version")
-        if version == 1:
-            raise DispatchError(
-                f"{path}: version 1 is the retired single-scheme manifest "
-                f"layout; re-dispatch the run to write plan manifests"
-            )
+    if manifest.get("version") != MANIFEST_VERSION:
         raise DispatchError(
-            f"{path}: unsupported manifest version {version!r}"
+            f"{path}: unsupported manifest version "
+            f"{manifest.get('version')!r}; re-dispatch the run to write "
+            f"version {MANIFEST_VERSION} manifests"
         )
     missing = [name for name in _REQUIRED_FIELDS if name not in manifest]
     if missing:
-        raise DispatchError(
-            f"{path}: manifest is missing {', '.join(missing)}"
-        )
+        raise DispatchError(f"{path}: missing {', '.join(missing)}")
     _check_references(manifest, path)
     return manifest
 
 
 def _check_references(manifest: dict, path: "os.PathLike[str] | str") -> None:
-    """Raise unless every task and chunk resolves within the manifest
-    (a dangling reference would end in an ``IndexError`` in the worker).
-    """
+    """Raise unless every table is a list of well-formed objects and
+    every reference resolves within the manifest: a dangling one ends in
+    an ``IndexError`` or ``KeyError`` in the worker, and a signature
+    that is not a sha256 digest could name a path outside its store."""
 
     def check(value: object, size: int, what: str) -> int:
         if type(value) is not int or not 0 <= value < size:
@@ -147,30 +141,46 @@ def _check_references(manifest: dict, path: "os.PathLike[str] | str") -> None:
             )
         return value
 
-    streams = manifest["streams"]
-    n_scenarios = len(manifest.get("scenarios") or [])
-    for sid, stream in enumerate(streams):
-        n_networks = stream.get("n_networks")
+    for name in _REQUIRED_FIELDS[2:]:
+        if not isinstance(manifest[name], list) or not all(
+            isinstance(entry, dict) for entry in manifest[name]
+        ):
+            raise DispatchError(f"{path}: {name} is not a list of objects")
+    workloads = manifest["workloads"]
+    for wid, workload in enumerate(workloads):
+        n_networks = workload.get("n_networks")
         if type(n_networks) is not int or n_networks < 0:
             raise DispatchError(
-                f"{path}: stream {sid} n_networks {n_networks!r} "
+                f"{path}: workload {wid} n_networks {n_networks!r} "
                 f"is not a count"
             )
-        if stream.get("scenario") is not None:
-            check(stream["scenario"], n_scenarios, "stream scenario")
+        if not re.fullmatch("[0-9a-f]{64}", str(workload.get("signature"))):
+            raise DispatchError(
+                f"{path}: workload {wid} signature is not a sha256 digest"
+            )
+        kinds = [kind for kind in ("items", "fleet") if kind in workload]
+        if len(kinds) != 1 or not isinstance(workload[kinds[0]], dict):
+            raise DispatchError(
+                f"{path}: workload {wid} needs one items or fleet object"
+            )
+    streams = manifest["streams"]
+    for stream in streams:
+        check(stream.get("workload"), len(workloads), "stream workload")
     for task in manifest["tasks"]:
         sid = check(task.get("stream"), len(streams), "task stream")
-        check(task.get("index"), streams[sid]["n_networks"], "task index")
-        check(task.get("item"), len(manifest["items"]), "task item")
-    for chunk in manifest.get("task_chunks") or []:
-        sid = check(chunk.get("stream"), len(streams), "chunk stream")
-        if streams[sid].get("scenario") is None:
+        wid = streams[sid]["workload"]
+        n_networks = workloads[wid]["n_networks"]
+        start = check(task.get("start"), n_networks, "task start")
+        count = check(task.get("count"), n_networks - start + 1, "task count")
+        items = workloads[wid].get("items")
+        lost = [] if items is None else [
+            i for i in range(start, start + count) if str(i) not in items
+        ]
+        if lost:
             raise DispatchError(
-                f"{path}: chunk on stream {sid}, which has no scenario fleet"
+                f"{path}: a task names index {lost[0]} of workload {wid}, "
+                f"which ships no item for it"
             )
-        n_networks = streams[sid]["n_networks"]
-        start = check(chunk.get("start"), n_networks, "chunk start")
-        check(chunk.get("count"), n_networks - start + 1, "chunk count")
 
 
 def _check_plan_specs(plan: EvalPlan) -> None:
@@ -191,105 +201,72 @@ def _check_plan_specs(plan: EvalPlan) -> None:
 
 def build_plan_manifest(
     plan: EvalPlan,
-    tasks: Sequence[EvalTask],
+    tasks: Iterable[EvalTask],
     shard_index: int,
     n_shards: int,
 ) -> dict:
     """The self-contained JSON payload for one shard of a whole plan.
 
-    The manifest carries a stream table (spec, store signature, scheme
-    stream name, workload size per stream) and a flat task list; each
-    task references its stream by table position and its workload item
-    by position in a deduplicated item table — two streams evaluating
-    the same network (the common case: every scheme of a figure runs
-    over the same workload) serialize that network once per manifest,
-    not once per task.
-
-    Lazy scenario workloads (anything exposing ``to_manifest_jsonable``)
-    ship *compactly*: the fleet description (base item + specs) lands
-    once in a deduplicated ``scenarios`` table, the stream entry points
-    at it, and the stream's tasks are run-length encoded as
-    ``task_chunks`` (contiguous index ranges) instead of one entry per
-    task — a 10^5-variant shard is a handful of chunk records, and no
-    variant is ever materialized while writing the manifest.  Both
-    additions are optional fields of the version-2 layout; manifests
-    without them read exactly as before.
+    Three tables.  ``workloads`` holds each distinct plan workload once:
+    its store signature, its size, and either the ``items`` the shard's
+    tasks name (keyed by workload index, in the one item form of
+    :meth:`NetworkWorkload.to_jsonable`) or, for a lazy fleet (anything
+    exposing ``to_manifest_jsonable``), the fleet description (base
+    item + specs), so no variant is materialized.  ``streams`` holds
+    one entry per plan stream: scheme stream name, spec and workload
+    position.  ``tasks`` holds the shard's tasks as run-length
+    ``(stream, start, count)`` index ranges in order of first appearance,
+    so two streams evaluating the same network (every scheme of a figure
+    runs over the same workload) ship it once per manifest, and a
+    10^5-variant fleet shard is a handful of ranges.
     """
-    stream_ids: Dict[object, int] = {}
-    streams = []
-    scenarios: List[dict] = []
-    scenario_ids: Dict[int, int] = {}
-    for key, stream in plan.streams.items():
-        scenario_ref = None
-        to_payload = getattr(stream.workload, "to_manifest_jsonable", None)
-        if callable(to_payload):
-            scenario_ref = scenario_ids.get(id(stream.workload))
-            if scenario_ref is None:
-                scenario_ref = len(scenarios)
-                scenario_ids[id(stream.workload)] = scenario_ref
-                scenarios.append(to_payload())
-        stream_ids[key] = len(streams)
+    workloads: List[dict] = []
+    workload_ids: Dict[int, int] = {}
+    streams: List[dict] = []
+    stream_ids = {key: sid for sid, key in enumerate(plan.streams)}
+    for stream in plan.streams.values():
+        wid = workload_ids.get(id(stream.workload))
+        if wid is None:
+            wid = workload_ids[id(stream.workload)] = len(workloads)
+            fleet = getattr(stream.workload, "to_manifest_jsonable", None)
+            workloads.append(
+                {
+                    "signature": workload_signature(stream.workload),
+                    "n_networks": stream.n_networks,
+                    **({"fleet": fleet()} if fleet else {"items": {}}),
+                }
+            )
         streams.append(
             {
                 "scheme": stream.scheme,
                 "spec": stream.factory.to_jsonable(),
-                "signature": workload_signature(stream.workload),
-                "n_networks": stream.n_networks,
-                "scenario": scenario_ref,
+                "workload": wid,
             }
         )
-    items: List[dict] = []
-    item_ids: Dict[Tuple[int, int], int] = {}
-    task_entries = []
-    task_chunks: List[dict] = []
-    open_chunks: Dict[int, dict] = {}
+    ranges: List[dict] = []
+    open_ranges: Dict[int, dict] = {}
     for task in tasks:
-        stream = plan.streams[task.stream]
         sid = stream_ids[task.stream]
-        if streams[sid]["scenario"] is not None:
-            chunk = open_chunks.get(sid)
-            if (
-                chunk is not None
-                and chunk["start"] + chunk["count"] == task.index
-            ):
-                chunk["count"] += 1
-            else:
-                chunk = {"stream": sid, "start": task.index, "count": 1}
-                open_chunks[sid] = chunk
-                task_chunks.append(chunk)
-            continue
-        item = stream.workload.networks[task.index]
-        ident = (id(stream.workload), task.index)
-        item_id = item_ids.get(ident)
-        if item_id is None:
-            item_id = len(items)
-            item_ids[ident] = item_id
-            items.append(
-                {
-                    "llpd": item.llpd,
-                    "network": json.loads(network_to_json(item.network)),
-                    "matrices": [
-                        json.loads(tm_to_json(tm)) for tm in item.matrices
-                    ],
-                }
-            )
-        task_entries.append(
-            {
-                "stream": stream_ids[task.stream],
-                "index": task.index,
-                "item": item_id,
+        run = open_ranges.get(sid)
+        if run is not None and run["start"] + run["count"] == task.index:
+            run["count"] += 1
+        else:
+            run = open_ranges[sid] = {
+                "stream": sid, "start": task.index, "count": 1
             }
-        )
+            ranges.append(run)
+        items = workloads[streams[sid]["workload"]].get("items")
+        if items is not None and str(task.index) not in items:
+            networks = plan.streams[task.stream].workload.networks
+            items[str(task.index)] = networks[task.index].to_jsonable()
     return {
         "format": MANIFEST_FORMAT,
-        "version": PLAN_MANIFEST_VERSION,
+        "version": MANIFEST_VERSION,
         "shard_index": shard_index,
         "n_shards": n_shards,
+        "workloads": workloads,
         "streams": streams,
-        "items": items,
-        "tasks": task_entries,
-        "scenarios": scenarios,
-        "task_chunks": task_chunks,
+        "tasks": ranges,
     }
 
 
@@ -301,43 +278,44 @@ def write_plan_manifests(
 ) -> List[Path]:
     """Split a plan's tasks into shard manifest files under ``out_dir``.
 
-    :meth:`EvalPlan.tasks` is cut into contiguous, equal-size chunks of
-    its round-robin order, so every worker receives a mix of *all*
-    schemes and sweep points.  (Stride striping would resonate with the
-    stream count — with 4 schemes and 2 shards, every other task is the
-    same two schemes — whereas a contiguous chunk of a round-robin list
+    :meth:`EvalPlan.iter_tasks` (restricted to ``indices`` if given) is
+    cut lazily into contiguous, equal-size chunks of its round-robin
+    order, so every worker receives a mix of *all* schemes and sweep
+    points.  (Stride striping would resonate with the stream count —
+    with 4 schemes and 2 shards, every other task is the same two
+    schemes — whereas a contiguous chunk of a round-robin sequence
     cycles through every stream.)  Always writes at least one manifest,
-    never more manifests than tasks.  Every stream's signature is the
+    never more manifests than tasks.  Every workload's signature is the
     full workload's, so all shards append into the same mergeable store
     keys the in-process plan run would use — partitioning never changes
-    the merged results.  ``indices`` restricts each stream to the given
-    network indices, as in :meth:`EvalPlan.tasks`.  Each stream's spec
-    is checked first (:func:`_check_plan_specs`), before any manifest is
-    written, instead of in every worker.
+    the merged results.  Each stream's spec is checked first
+    (:func:`_check_plan_specs`), before any manifest is written, instead
+    of in every worker.
     """
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")
     _check_plan_specs(plan)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = plan.tasks(indices=indices)
-    n_effective = min(n_shards, max(len(tasks), 1))
-    base, extra = divmod(len(tasks), n_effective)
+    tasks = plan.iter_tasks(indices=indices)
+    n_tasks = plan.n_tasks if indices is None else sum(
+        len(indices.get(key, ())) for key in plan.streams
+    )
+    n_effective = min(n_shards, max(n_tasks, 1))
+    base, extra = divmod(n_tasks, n_effective)
     paths: List[Path] = []
     recorder = telemetry.recorder()
-    position = 0
     for shard_index in range(n_effective):
         size = base + (1 if shard_index < extra else 0)
         with recorder.span("manifest_write", {"shard_index": shard_index}):
             manifest = build_plan_manifest(
                 plan,
-                tasks[position:position + size],
+                itertools.islice(tasks, size),
                 shard_index=shard_index,
                 n_shards=n_effective,
             )
             path = out / f"shard-{shard_index:03d}.json"
             write_atomic(path, json.dumps(manifest, indent=2))
-        position += size
         paths.append(path)
     return paths
 
@@ -346,82 +324,61 @@ def write_plan_manifests(
 # Worker side
 # ----------------------------------------------------------------------
 class _ShardWorkload:
-    """One stream of a shard manifest, as the engine's workload.
+    """One workload entry of a shard manifest, as the engine's workload.
 
-    ``networks[i]`` is ``item(i)``, built on first use; only the shard's
-    indices resolve.  The length is the full workload's and the
-    signature the one the coordinator computed over it, so store keys
-    and the trace id are the in-process plan's.
+    ``networks[i]`` is the fleet's variant ``i`` or the rebuilt item
+    ``i``; an item is built on first use and shared by every stream over
+    this entry, so those streams share one KSP cache, as in process.
+    Only the shard's indices resolve.  The length is the full
+    workload's and the signature the one the coordinator computed over
+    it, so store keys and the trace id are the in-process plan's.
     """
 
-    def __init__(self, stream: dict, item: Callable) -> None:
+    def __init__(self, entry: dict) -> None:
         self.networks = self
-        self._stream = stream
-        self._item = item
+        self._entry = entry
+        if "fleet" in entry:
+            # Imported lazily: repro.scenarios builds on this package.
+            from repro.scenarios.workload import ScenarioWorkload
+
+            fleet = ScenarioWorkload.from_manifest_jsonable(entry["fleet"])
+            self._item = fleet.networks.__getitem__
+        else:
+            items = entry["items"]
+            self._item = functools.lru_cache(maxsize=None)(
+                lambda index: NetworkWorkload.from_jsonable(items[str(index)])
+            )
 
     def __len__(self) -> int:
-        return self._stream["n_networks"]
+        return self._entry["n_networks"]
 
     def __getitem__(self, index: int) -> NetworkWorkload:
         return self._item(index)
 
     def content_signature(self) -> str:
-        return self._stream["signature"]
+        return self._entry["signature"]
 
 
 def _shard_plan(manifest: dict) -> Tuple[EvalPlan, Dict[int, List[int]]]:
     """The plan a checked shard manifest describes, and its indices.
 
-    One plan stream per manifest stream, keyed by its table position.
-    Each item id is rebuilt once and shared by every stream naming it,
-    so those streams share one KSP cache, as in process.
+    One plan stream per manifest stream, keyed by its table position,
+    over one :class:`_ShardWorkload` per workload entry.
     """
-
-    @functools.lru_cache(maxsize=None)
-    def rebuild(ref: int) -> NetworkWorkload:
-        entry = manifest["items"][ref]
-        return NetworkWorkload(
-            network=network_from_json(json.dumps(entry["network"])),
-            llpd=entry["llpd"],
-            matrices=[
-                tm_from_json(json.dumps(tm)) for tm in entry["matrices"]
-            ],
-        )
-
-    def item(refs: Dict[int, int], index: int) -> NetworkWorkload:
-        return rebuild(refs[index])
-
-    @functools.lru_cache(maxsize=None)
-    def fleet(ref: int):
-        # Imported lazily: scenarios imports the store layer, and this
-        # module must stay importable without it.
-        from repro.scenarios.workload import ScenarioWorkload
-
-        return ScenarioWorkload.from_manifest_jsonable(
-            manifest["scenarios"][ref]
-        )
-
-    streams = manifest["streams"]
-    refs: List[Dict[int, int]] = [{} for _ in streams]
-    for task in manifest["tasks"]:
-        refs[task["stream"]][task["index"]] = task["item"]
-    indices = [list(stream_refs) for stream_refs in refs]
-    for chunk in manifest.get("task_chunks") or []:
-        start = chunk["start"]
-        indices[chunk["stream"]] += range(start, start + chunk["count"])
+    workloads = [_ShardWorkload(entry) for entry in manifest["workloads"]]
     plan = EvalPlan()
-    for sid, stream in enumerate(streams):
-        if stream.get("scenario") is None:
-            lookup = functools.partial(item, refs[sid])
-        else:
-            lookup = fleet(stream["scenario"]).networks.__getitem__
+    for sid, stream in enumerate(manifest["streams"]):
         plan.add(
             sid,
             SchemeSpec.from_jsonable(stream["spec"]),
-            _ShardWorkload(stream, lookup),
+            workloads[stream["workload"]],
             scheme=stream["scheme"],
         )
-    return plan, dict(enumerate(indices))
+    indices: Dict[int, List[int]] = {sid: [] for sid in plan.streams}
+    for task in manifest["tasks"]:
+        start = task["start"]
+        indices[task["stream"]] += range(start, start + task["count"])
+    return plan, indices
 
 
 def run_worker(

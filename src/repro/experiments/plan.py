@@ -18,9 +18,9 @@ into one flat batch:
   it denotes (scheme spec, workload item, global index, store stream
   key); only the task itself ever crosses a process boundary on ``fork``
   pools.
-* :meth:`EvalPlan.tasks` flattens the plan round-robin across streams,
-  so a shared pool alternates schemes and sweep points instead of
-  draining one scheme before starting the next.
+* :meth:`EvalPlan.iter_tasks` flattens the plan round-robin across
+  streams, so a shared pool alternates schemes and sweep points instead
+  of draining one scheme before starting the next.
 
 Execution is the engine's job —
 :meth:`repro.experiments.engine.ExperimentEngine.run_plan` runs an
@@ -139,22 +139,15 @@ class EvalPlan:
     def n_tasks(self) -> int:
         return sum(stream.n_networks for stream in self.streams.values())
 
-    def tasks(
+    def iter_tasks(
         self, indices: Optional[Dict[Hashable, Sequence[int]]] = None
-    ) -> List[EvalTask]:
-        """Flatten the plan into one execution sequence.
+    ) -> Iterator[EvalTask]:
+        """Lazily flatten the plan into one execution sequence.
 
         ``indices`` restricts each stream to the given network indices
         (the store-resume path passes only the missing ones); by default
         every network of every stream is included.  Order never changes
         results — only which task a pool starts when.
-        """
-        return list(self.iter_tasks(indices=indices))
-
-    def iter_tasks(
-        self, indices: Optional[Dict[Hashable, Sequence[int]]] = None
-    ) -> Iterator[EvalTask]:
-        """Lazily generate the execution sequence of :meth:`tasks`.
 
         Round-robin across streams: position ``i`` of every stream runs
         before position ``i + 1`` of any, exhausted streams drop out of

@@ -53,9 +53,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro import telemetry
 from repro.durable import json_line, scan_jsonl, write_atomic
 from repro.experiments.runner import SchemeOutcome
-from repro.experiments.workloads import ZooWorkload
-from repro.net.io import to_json as network_to_json
-from repro.tm.matrix import to_json as tm_to_json
+from repro.experiments.workloads import NetworkWorkload, ZooWorkload
 
 if TYPE_CHECKING:  # circular at runtime: engine imports this module
     from repro.experiments.engine import NetworkResult
@@ -103,6 +101,18 @@ def workload_signature(workload: ZooWorkload) -> str:
     if callable(content):
         workload._signature_memo = content()
         return workload._signature_memo
+    digest = signature_digest(workload)
+    for item in workload.networks:
+        digest.update(b"|N|")
+        digest_item(digest, item)
+    workload._signature_memo = digest.hexdigest()
+    return workload._signature_memo
+
+
+def signature_digest(workload: ZooWorkload) -> "hashlib._Hash":
+    """A fresh signature hash fed the recipe's header: the store format
+    and the workload's shaping parameters.  Every workload signature,
+    a lazy workload's ``content_signature`` included, starts here."""
     digest = hashlib.sha256()
     digest.update(f"repro-store|{STORE_FORMAT}".encode())
     # The trailing ``|None`` is where the recipe once hashed a
@@ -112,15 +122,18 @@ def workload_signature(workload: ZooWorkload) -> str:
         f"|W|{workload.locality!r}|{workload.growth_factor!r}"
         f"|{workload.seed!r}|None".encode()
     )
-    for item in workload.networks:
-        digest.update(b"|N|")
-        digest.update(network_to_json(item.network).encode())
-        digest.update(f"|{item.llpd!r}".encode())
-        for tm in item.matrices:
-            digest.update(b"|T|")
-            digest.update(tm_to_json(tm).encode())
-    workload._signature_memo = digest.hexdigest()
-    return workload._signature_memo
+    return digest
+
+
+def digest_item(digest: "hashlib._Hash", item: NetworkWorkload) -> None:
+    """Feed one item's JSON form (:meth:`NetworkWorkload.to_jsonable`:
+    network, LLPD, traffic matrices) to ``digest``."""
+    payload = item.to_jsonable()
+    digest.update(payload["network"].encode())
+    digest.update(f"|{payload['llpd']!r}".encode())
+    for text in payload["matrices"]:
+        digest.update(b"|T|")
+        digest.update(text.encode())
 
 
 def scheme_file_name(scheme: str) -> str:

@@ -14,12 +14,14 @@ suite laptop-sized; every knob is a parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.metrics import llpd
 from repro.net.graph import Network
+from repro.net.io import from_json as network_from_json
+from repro.net.io import to_json as network_to_json
 from repro.net.paths import KspCache
 from repro.net.zoo import generate_zoo
 from repro.tm import (
@@ -28,6 +30,8 @@ from repro.tm import (
     gravity_traffic_matrix,
     scale_to_growth_headroom,
 )
+from repro.tm.matrix import from_json as tm_from_json
+from repro.tm.matrix import to_json as tm_to_json
 
 
 @dataclass
@@ -47,6 +51,26 @@ class NetworkWorkload:
     def __post_init__(self) -> None:
         if self.cache is None:
             self.cache = KspCache(self.network)
+
+    def to_jsonable(self) -> Dict[str, Any]:
+        """The item's one JSON form: LLPD plus the network's and every
+        matrix's ``to_json`` text.  JSON keeps floats exactly, so
+        :meth:`from_jsonable` rebuilds an item that hashes and evaluates
+        as this one does."""
+        return {
+            "llpd": self.llpd,
+            "network": network_to_json(self.network),
+            "matrices": [tm_to_json(tm) for tm in self.matrices],
+        }
+
+    @classmethod
+    def from_jsonable(cls, payload: Dict[str, Any]) -> "NetworkWorkload":
+        """Rebuild an item from :meth:`to_jsonable`'s form."""
+        return cls(
+            network=network_from_json(payload["network"]),
+            llpd=float(payload["llpd"]),
+            matrices=[tm_from_json(text) for text in payload["matrices"]],
+        )
 
 
 @dataclass

@@ -445,21 +445,6 @@ def generate_zoo(
     return networks
 
 
-def internet_like(n_nodes: int, seed: int = 0) -> Network:
-    """An ingest-scale Internet-like topology, as a zoo member.
-
-    Thin convenience wrapper over
-    :func:`repro.net.ingest.synthesize_internet_like` (power-law degree
-    configuration model, continent-clustered geography) so scale studies
-    can request 10k-node graphs through the same module that builds the
-    zoo.  Imported lazily to keep the zoo importable without the ingest
-    layer in the import graph.
-    """
-    from repro.net.ingest import synthesize_internet_like
-
-    return synthesize_internet_like(n_nodes, seed=seed)
-
-
 def network_diameter_s(network: Network) -> float:
     """Largest shortest-path delay over all connected pairs."""
     from repro.net.paths import shortest_path_delays

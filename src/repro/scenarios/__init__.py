@@ -21,11 +21,7 @@ variants and reporting degradation *distributions* per scheme:
 The CLI entry point is ``python -m repro.experiments scenarios``.
 """
 
-from repro.scenarios.generate import (
-    ScenarioGenerator,
-    ScenarioSet,
-    generate_scenarios,
-)
+from repro.scenarios.generate import ScenarioGenerator, ScenarioSet
 from repro.scenarios.spec import BASELINE, ScenarioInfeasible, ScenarioSpec
 from repro.scenarios.workload import ScenarioWorkload
 
@@ -36,5 +32,4 @@ __all__ = [
     "ScenarioSet",
     "ScenarioSpec",
     "ScenarioWorkload",
-    "generate_scenarios",
 ]

@@ -34,7 +34,7 @@ import numpy as np
 from repro.experiments.workloads import NetworkWorkload
 from repro.scenarios.spec import BASELINE, ScenarioSpec
 
-__all__ = ["ScenarioGenerator", "ScenarioSet", "generate_scenarios"]
+__all__ = ["ScenarioGenerator", "ScenarioSet"]
 
 #: Above this many variants per perturbation kind, exhaustive
 #: enumeration gives way to seeded distinct sampling.
@@ -295,29 +295,3 @@ class ScenarioGenerator:
         specs.extend(self.locality_shifts(localities))
         specs.extend(self.growth(growth_stages))
         return ScenarioSet(specs=specs, skipped=skipped)
-
-
-def generate_scenarios(
-    base: NetworkWorkload,
-    *,
-    seed: int,
-    link_failure_k: int = 0,
-    node_failure_k: int = 0,
-    surges: int = 0,
-    surge_factor: float = 5.0,
-    surge_pairs: int = 2,
-    localities: Iterable[float] = (),
-    growth_stages: int = 0,
-    budget: int = DEFAULT_BUDGET,
-) -> ScenarioSet:
-    """One-call fleet generation (see :meth:`ScenarioGenerator.fleet`)."""
-    return ScenarioGenerator(base, seed=seed).fleet(
-        link_failure_k=link_failure_k,
-        node_failure_k=node_failure_k,
-        surges=surges,
-        surge_factor=surge_factor,
-        surge_pairs=surge_pairs,
-        localities=localities,
-        growth_stages=growth_stages,
-        budget=budget,
-    )

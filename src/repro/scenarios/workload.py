@@ -16,23 +16,18 @@ workloads with no special cases:
   :func:`repro.experiments.store.workload_signature` so store/dedup/
   resume identity never iterates the fleet;
 * :meth:`to_manifest_jsonable` / :meth:`from_manifest_jsonable` — the
-  compact fleet description shipped in v2 dispatch manifests (base item
-  + specs, not materialized variants).
+  compact fleet description a dispatch manifest's workload entry ships
+  (base item + specs, not materialized variants).
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.store import STORE_FORMAT
+from repro.experiments.store import digest_item, signature_digest
 from repro.experiments.workloads import NetworkWorkload
-from repro.net.io import from_json as network_from_json
-from repro.net.io import to_json as network_to_json
 from repro.scenarios.spec import ScenarioSpec
-from repro.tm.matrix import from_json as tm_from_json
-from repro.tm.matrix import to_json as tm_to_json
 
 __all__ = ["ScenarioWorkload"]
 
@@ -104,20 +99,9 @@ class ScenarioWorkload:
     # Store identity (see store.workload_signature's fast path)
     # ------------------------------------------------------------------
     def content_signature(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(f"repro-store|{STORE_FORMAT}".encode())
-        # ``|None`` keeps the slot of a retired matrices-per-network
-        # truncation (always unset), so every existing store keeps its key.
-        digest.update(
-            f"|W|{self.locality!r}|{self.growth_factor!r}"
-            f"|{self.seed!r}|None".encode()
-        )
+        digest = signature_digest(self)
         digest.update(b"|SCN|")
-        digest.update(network_to_json(self.base.network).encode())
-        digest.update(f"|{self.base.llpd!r}".encode())
-        for tm in self.base.matrices:
-            digest.update(b"|T|")
-            digest.update(tm_to_json(tm).encode())
+        digest_item(digest, self.base)
         for spec in self.specs:
             digest.update(b"|S|")
             digest.update(spec.signature().encode())
@@ -128,9 +112,7 @@ class ScenarioWorkload:
     # ------------------------------------------------------------------
     def to_manifest_jsonable(self) -> Dict[str, Any]:
         return {
-            "llpd": self.base.llpd,
-            "network": network_to_json(self.base.network),
-            "matrices": [tm_to_json(tm) for tm in self.base.matrices],
+            "base": self.base.to_jsonable(),
             "locality": self.locality,
             "growth_factor": self.growth_factor,
             "seed": self.seed,
@@ -139,13 +121,8 @@ class ScenarioWorkload:
 
     @classmethod
     def from_manifest_jsonable(cls, payload: Dict[str, Any]) -> "ScenarioWorkload":
-        base = NetworkWorkload(
-            network=network_from_json(payload["network"]),
-            llpd=float(payload["llpd"]),
-            matrices=[tm_from_json(text) for text in payload["matrices"]],
-        )
         return cls(
-            base=base,
+            base=NetworkWorkload.from_jsonable(payload["base"]),
             specs=[
                 ScenarioSpec.from_jsonable(entry) for entry in payload["specs"]
             ],

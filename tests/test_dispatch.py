@@ -1,12 +1,16 @@
 """Tests for shard manifests, subprocess workers, and store merge."""
 
 import json
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.dispatch import (
     MANIFEST_FORMAT,
     DispatchError,
+    _shard_plan,
     dispatch_plan,
     load_manifest,
     merge_worker_store,
@@ -21,9 +25,8 @@ from repro.experiments.store import (
     StoreMismatchError,
     workload_signature,
 )
-from repro.experiments.workloads import build_zoo_workload
-from repro.net.io import from_json as network_from_json
-from repro.tm.matrix import from_json as tm_from_json
+from repro.experiments.workloads import NetworkWorkload, build_zoo_workload
+from repro.net.io import to_json as network_to_json
 from tests.plans import one_stream
 
 
@@ -43,7 +46,7 @@ class TestSharding:
             one_stream(SchemeSpec("SP"), workload), 5, tmp_path
         )
         assert [
-            [task["index"] for task in load_manifest(path)["tasks"]]
+            [index for _, index in _task_indices(load_manifest(path))]
             for path in paths
         ] == [[0], [1]]
 
@@ -54,40 +57,50 @@ class TestSharding:
             )
 
 
-def _dangling(task=None, chunk=None, stream0=None, drop=()):
-    """A version-2 manifest text with one task and one chunk, each field
-    overridable (``stream0`` overrides and ``drop`` removes fields of
-    stream 0); the defaults all resolve (item stream 0, scenario stream
-    1, four networks each).  Reference checks run before any item or
-    fleet is rebuilt, so the tables hold placeholders."""
-    stream = {
-        "scheme": "SP",
-        "spec": SchemeSpec("SP").to_jsonable(),
-        "signature": "0" * 64,
-        "n_networks": 4,
-    }
+def _task_indices(manifest):
+    """Every ``(stream, index)`` pair a manifest's task ranges name."""
+    return [
+        (task["stream"], index)
+        for task in manifest["tasks"]
+        for index in range(task["start"], task["start"] + task["count"])
+    ]
+
+
+def _dangling(task=None, stream=None, workload0=None, drop=(), **tables):
+    """A version-3 manifest text with an items workload (0, shipping
+    items 1 and 2) and a fleet workload (1), one stream over each, and
+    one task range naming items 1 and 2.  ``task`` and ``stream``
+    override fields of the range and of stream 0, ``workload0`` and
+    ``drop`` override and remove fields of workload 0, and ``tables``
+    replaces whole top-level fields; the defaults all resolve.
+    Reference checks run before any item or fleet is rebuilt, so both
+    hold placeholders."""
+    workload = {"signature": "0" * 64, "n_networks": 4}
+    spec = SchemeSpec("SP").to_jsonable()
     return json.dumps(
         {
             "format": MANIFEST_FORMAT,
-            "version": 2,
+            "version": 3,
             "shard_index": 0,
             "n_shards": 1,
-            "streams": [
+            "workloads": [
                 {
                     name: value
                     for name, value in {
-                        **stream, "scenario": None, **(stream0 or {})
+                        **workload,
+                        "items": {"1": {}, "2": {}},
+                        **(workload0 or {}),
                     }.items()
                     if name not in drop
                 },
-                {**stream, "scheme": "ECMP", "scenario": 0},
+                {**workload, "fleet": {}},
             ],
-            "items": [{}],
-            "scenarios": [{}],
-            "tasks": [{"stream": 0, "index": 0, "item": 0, **(task or {})}],
-            "task_chunks": [
-                {"stream": 1, "start": 1, "count": 2, **(chunk or {})}
+            "streams": [
+                {"scheme": "SP", "spec": spec, "workload": 0, **(stream or {})},
+                {"scheme": "ECMP", "spec": spec, "workload": 1},
             ],
+            "tasks": [{"stream": 0, "start": 1, "count": 2, **(task or {})}],
+            **tables,
         }
     )
 
@@ -103,22 +116,25 @@ class TestManifests:
         for path in paths:
             manifest = load_manifest(path)
             (stream,) = manifest["streams"]
+            (entry,) = manifest["workloads"]
             assert stream["scheme"] == "SP"
-            assert stream["signature"] == workload_signature(workload)
-            assert stream["n_networks"] == len(workload.networks)
+            assert stream["workload"] == 0
             assert SchemeSpec.from_jsonable(stream["spec"]) == spec
-            for task in manifest["tasks"]:
-                seen[task["index"]] = manifest["items"][task["item"]]
+            assert entry["signature"] == workload_signature(workload)
+            assert entry["n_networks"] == len(workload.networks)
+            for _, index in _task_indices(manifest):
+                seen[index] = NetworkWorkload.from_jsonable(
+                    entry["items"][str(index)]
+                )
         assert sorted(seen) == list(range(len(workload.networks)))
-        for index, entry in seen.items():
+        for index, item in seen.items():
             original = workload.networks[index]
-            network = network_from_json(json.dumps(entry["network"]))
-            assert network.name == original.network.name
+            assert network_to_json(item.network) == network_to_json(
+                original.network
+            )
             # floats survive JSON exactly
-            assert entry["llpd"] == original.llpd
-            assert [
-                tm_from_json(json.dumps(tm)) for tm in entry["matrices"]
-            ] == original.matrices
+            assert item.llpd == original.llpd
+            assert item.matrices == original.matrices
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "not-a-manifest.json"
@@ -132,8 +148,8 @@ class TestManifests:
             ('{"format": "repro-shard-manifest", "vers', "not valid JSON"),
             (json.dumps([1, 2, 3]), "not a repro-shard-manifest"),
             (
-                json.dumps({"format": MANIFEST_FORMAT, "version": 2}),
-                "missing shard_index, n_shards, streams, items, tasks",
+                json.dumps({"format": MANIFEST_FORMAT, "version": 3}),
+                "missing shard_index, n_shards, workloads, streams, tasks",
             ),
             (
                 json.dumps(
@@ -144,36 +160,53 @@ class TestManifests:
                         "networks": [],
                     }
                 ),
-                "retired single-scheme manifest",
+                "unsupported manifest version 1",
+            ),
+            (
+                _dangling(task={"count": 3}),
+                "a task names index 3 of workload 0, which ships no item",
             ),
             *[
                 (_dangling(**{kind: {field: value}}),
                  f"{kind} {field} {value} is out of range, expected 0 to {top}")
                 for kind, field, value, top in [
-                    ("task", "item", 99, 0),
                     ("task", "stream", 5, 1),
-                    ("task", "index", 4, 3),
-                    ("task", "index", -1, 3),
-                    ("chunk", "stream", 5, 1),
-                    ("chunk", "start", 4, 3),
-                    ("chunk", "count", 4, 3),
+                    ("task", "start", 4, 3),
+                    ("task", "start", -1, 3),
+                    ("stream", "workload", 5, 1),
                 ]
             ],
             (
-                _dangling(chunk={"stream": 0}),
-                "chunk on stream 0, which has no scenario fleet",
+                _dangling(task={"stream": 1, "start": 4}),
+                "task start 4 is out of range, expected 0 to 3",
+            ),
+            (
+                _dangling(task={"stream": 1, "count": 4}),
+                "task count 4 is out of range, expected 0 to 3",
+            ),
+            (
+                _dangling(workload0={"fleet": {}}),
+                "workload 0 needs one items or fleet object",
             ),
             (
                 _dangling(drop=("n_networks",)),
-                "stream 0 n_networks None is not a count",
+                "workload 0 n_networks None is not a count",
             ),
             (
-                _dangling(stream0={"n_networks": "4"}),
-                "stream 0 n_networks '4' is not a count",
+                _dangling(workload0={"n_networks": "4"}),
+                "workload 0 n_networks '4' is not a count",
             ),
             (
-                _dangling(stream0={"n_networks": -1}),
-                "stream 0 n_networks -1 is not a count",
+                _dangling(workload0={"n_networks": -1}),
+                "workload 0 n_networks -1 is not a count",
+            ),
+            (b"\xff\xfe{}", "not valid JSON"),
+            (None, "unreadable: No such file or directory"),
+            (_dangling(streams=5), "streams is not a list of objects"),
+            (_dangling(tasks=[7]), "tasks is not a list of objects"),
+            (
+                _dangling(workload0={"signature": "../outside"}),
+                "workload 0 signature is not a sha256 digest",
             ),
         ],
         ids=[
@@ -181,6 +214,8 @@ class TestManifests:
             "task-item", "task-stream", "task-index-high", "task-index-low",
             "chunk-stream", "chunk-start", "chunk-count", "chunk-item-stream",
             "stream-n-networks-missing", "stream-n-networks-str", "stream-n-networks-neg",
+            "non-utf8", "missing-file", "streams-not-list", "task-not-object",
+            "signature-path",
         ],
     )
     def test_malformed_manifest_is_one_line_cli_error(
@@ -190,7 +225,10 @@ class TestManifests:
         from repro.experiments.__main__ import main
 
         path = tmp_path / "shard-000.json"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:  # None: the copy never arrived
+            path.write_text(text)
         with pytest.raises(DispatchError, match=message):
             load_manifest(path)
         assert main(
@@ -199,6 +237,96 @@ class TestManifests:
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
         assert not (tmp_path / "store").exists()
+
+
+@pytest.fixture(scope="module")
+def mixed_plan(workload):
+    """Two streams sharing one zoo workload, one over a second zoo
+    workload, and one over a link-failure fleet."""
+    from repro.scenarios import ScenarioGenerator, ScenarioWorkload
+
+    other = build_zoo_workload(
+        n_networks=3, n_matrices=1, seed=5, include_named=False
+    )
+    base = workload.networks[0]
+    fleet = ScenarioGenerator(base, seed=2).fleet(link_failure_k=1, budget=5)
+    plan = EvalPlan()
+    plan.add("SP", SchemeSpec("SP"), workload)
+    plan.add("ECMP", SchemeSpec("ECMP"), workload)
+    plan.add("SP-other", SchemeSpec("SP"), other)
+    plan.add(
+        "SP-fleet",
+        SchemeSpec("SP"),
+        ScenarioWorkload(base, fleet.specs, seed=2),
+    )
+    return plan
+
+
+class TestManifestPartition:
+    @given(n_shards=st.integers(1, 5), data=st.data())
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_shards_partition_the_plan(self, mixed_plan, n_shards, data):
+        """Across shards the worker-side indices partition exactly the
+        shipped ``(stream, index)`` set, and each shard ships exactly
+        the items its ranges name, each rebuilding the plan's own."""
+        plan = mixed_plan
+        keys = list(plan.streams)
+        indices = data.draw(
+            st.one_of(
+                st.none(),
+                st.fixed_dictionaries(
+                    {
+                        key: st.sets(
+                            st.integers(0, stream.n_networks - 1)
+                        ).map(sorted)
+                        for key, stream in plan.streams.items()
+                    }
+                ),
+            )
+        )
+        expected = {
+            (key, index)
+            for key, stream in plan.streams.items()
+            for index in (
+                range(stream.n_networks) if indices is None
+                else indices[key]
+            )
+        }
+        with tempfile.TemporaryDirectory() as out:
+            manifests = [
+                load_manifest(path)
+                for path in write_plan_manifests(
+                    plan, n_shards, out, indices=indices
+                )
+            ]
+        shipped = []
+        for manifest in manifests:
+            shard, shard_indices = _shard_plan(manifest)
+            pairs = [
+                (sid, index)
+                for sid, wanted in shard_indices.items()
+                for index in wanted
+            ]
+            shipped += [(keys[sid], index) for sid, index in pairs]
+            for wid, entry in enumerate(manifest["workloads"]):
+                if "items" in entry:
+                    assert set(entry["items"]) == {
+                        str(index)
+                        for sid, index in pairs
+                        if manifest["streams"][sid]["workload"] == wid
+                    }
+            for sid, index in pairs:
+                rebuilt = shard.streams[sid].workload.networks[index]
+                original = plan.streams[keys[sid]].workload.networks[index]
+                assert network_to_json(rebuilt.network) == network_to_json(
+                    original.network
+                )
+                assert rebuilt.matrices == original.matrices
+        assert len(shipped) == len(set(shipped)) and set(shipped) == expected
 
 
 class TestWorkerAndMerge:
@@ -254,31 +382,18 @@ class TestWorkerAndMerge:
         assert len(manifests) == 2
         for i, path in enumerate(manifests):
             manifest = load_manifest(path)
+            pairs = _task_indices(manifest)
             summary = run_worker(path, tmp_path / f"worker-{i}")
-            assert summary["evaluated"] == len(manifest["tasks"])
+            assert summary["evaluated"] == len(pairs)
             store = ResultStore(tmp_path / f"worker-{i}")
             for sid, stream in enumerate(manifest["streams"]):
+                entry = manifest["workloads"][stream["workload"]]
                 stored = store.load_results(
-                    stream["signature"], stream["scheme"]
+                    entry["signature"], stream["scheme"]
                 )
                 assert sorted(stored) == sorted(
-                    task["index"]
-                    for task in manifest["tasks"]
-                    if task["stream"] == sid
+                    index for stream_id, index in pairs if stream_id == sid
                 )
-
-    def test_stream_without_scenario_field_runs(self, workload, tmp_path):
-        """``scenario`` is an optional stream field: a manifest written
-        without it reads and runs as one that holds ``None``."""
-        path = write_plan_manifests(
-            one_stream(SchemeSpec("SP"), workload), 1, tmp_path / "manifests"
-        )[0]
-        manifest = json.loads(path.read_text())
-        for stream in manifest["streams"]:
-            del stream["scenario"]
-        path.write_text(json.dumps(manifest))
-        summary = run_worker(path, tmp_path / "worker")
-        assert summary["evaluated"] == len(workload.networks)
 
     def test_merge_rejects_conflicting_network_ids(self, workload, tmp_path):
         manifest = write_plan_manifests(
@@ -386,9 +501,9 @@ class TestDispatchRun:
             plan, n_shards=2, store_dir=tmp_path / "store", work_dir=work
         )
         shipped = [
-            task
+            pair
             for path in work.glob("manifests/*.json")
-            for task in load_manifest(path)["tasks"]
+            for pair in _task_indices(load_manifest(path))
         ]
         assert len(shipped) == missing
         evaluated = sum(

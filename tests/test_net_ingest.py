@@ -202,6 +202,27 @@ class TestIngestCli:
             synthesize_internet_like(40, seed=1)
         )
 
+    def test_failed_out_write_keeps_the_old_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro import durable
+        from repro.experiments.__main__ import main
+
+        out = tmp_path / "synth.json"
+        out.write_text("old")
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(durable.os, "replace", broken_replace)
+        assert main(
+            ["ingest", "synth", "--synth-nodes", "40", "--seed", "1",
+             "--out", str(out), "--emit", "distances"]
+        ) == 1
+        assert out.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.json"]
+        assert capsys.readouterr().err == "ingest: disk full\n"
+
     def test_missing_target_is_usage_error(self, capsys):
         from repro.experiments.__main__ import main
 

@@ -147,7 +147,7 @@ class TestEvalPlanApi:
         plan = EvalPlan()
         plan.add("A", SchemeSpec("SP"), workload)
         plan.add("B", SchemeSpec("MinMaxK10"), workload)
-        tasks = plan.tasks()
+        tasks = list(plan.iter_tasks())
         assert tasks[:4] == [
             EvalTask("A", 0),
             EvalTask("B", 0),
@@ -182,23 +182,24 @@ class TestEvalPlanApi:
             EvalTask("A", 1), EvalTask("C", 1),
             EvalTask("A", 2),
         ]
-        assert plan.tasks() == round_robin
+        assert list(plan.iter_tasks()) == round_robin
 
         keys = list(plan.streams)
         shards = [
-            [
-                EvalTask(keys[task["stream"]], task["index"])
+            {
+                EvalTask(keys[task["stream"]], index)
                 for task in load_manifest(path)["tasks"]
-            ]
+                for index in range(task["start"], task["start"] + task["count"])
+            }
             for path in write_plan_manifests(plan, 2, tmp_path)
         ]
-        assert shards == [round_robin[:3], round_robin[3:]]
+        assert shards == [set(round_robin[:3]), set(round_robin[3:])]
 
     def test_tasks_restricted_to_missing_indices(self, workload):
         plan = EvalPlan()
         plan.add("A", SchemeSpec("SP"), workload)
         plan.add("B", SchemeSpec("SP"), workload, scheme="B")
-        tasks = plan.tasks(indices={"A": [2], "B": []})
+        tasks = list(plan.iter_tasks(indices={"A": [2], "B": []}))
         assert tasks == [EvalTask("A", 2)]
 
     def test_closure_plan_still_runs_on_fork_pools(self, workload):
@@ -230,7 +231,7 @@ def permute_task_order(monkeypatch, order):
     """Make every plan flatten in ``order``.
 
     ``EvalPlan.iter_tasks`` is the single place task order is decided
-    (``tasks()``, the engine and manifest writing all read it), so
+    (the engine and manifest writing both read it), so
     patching it there permutes every execution path at once.
     """
     round_robin = EvalPlan.iter_tasks
@@ -264,11 +265,11 @@ class TestOrderInvariance:
     def test_every_scheduler_permutes_the_same_task_set(
         self, invariance_plan
     ):
-        baseline = invariance_plan.tasks()
+        baseline = list(invariance_plan.iter_tasks())
         for name in ("reversed", "shuffled"):
             with pytest.MonkeyPatch.context() as patch:
                 permute_task_order(patch, name)
-                tasks = invariance_plan.tasks()
+                tasks = list(invariance_plan.iter_tasks())
             assert tasks != baseline, name
             assert sorted(
                 tasks, key=lambda t: (t.stream, t.index)
@@ -521,12 +522,17 @@ class TestPlanDispatch:
             # every shard — no worker drains one scheme alone.
             streams_hit = {task["stream"] for task in manifest["tasks"]}
             assert streams_hit == set(range(len(plan.streams)))
-            # The item table is deduplicated: four schemes share one
+            # The workload table is deduplicated: four schemes share one
             # workload, so each network serializes once, not four times.
-            assert len(manifest["items"]) == len(
-                {task["item"] for task in manifest["tasks"]}
-            )
-            assert len(manifest["items"]) < len(manifest["tasks"])
+            (entry,) = manifest["workloads"]
+            named = {
+                str(index)
+                for task in manifest["tasks"]
+                for index in range(task["start"], task["start"] + task["count"])
+            }
+            assert set(entry["items"]) == named
+            n_tasks = sum(task["count"] for task in manifest["tasks"])
+            assert len(entry["items"]) < n_tasks
 
     def test_closure_plan_rejected(self, workload, tmp_path):
         from repro.experiments.dispatch import (

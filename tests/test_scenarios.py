@@ -27,7 +27,6 @@ from repro.scenarios import (
     ScenarioGenerator,
     ScenarioSpec,
     ScenarioWorkload,
-    generate_scenarios,
 )
 from repro.scenarios.report import (
     render_json,
@@ -157,12 +156,12 @@ class TestMutateGuards:
 # ----------------------------------------------------------------------
 class TestGeneration:
     def test_infeasible_variants_skipped_and_counted(self):
-        fleet = generate_scenarios(line_item(), seed=3, link_failure_k=1)
+        fleet = ScenarioGenerator(line_item(), seed=3).fleet(link_failure_k=1)
         # Chain n0-n1-n2-n3: every single-link cut severs n0->n3.
         assert fleet.specs == [BASELINE]
         assert fleet.skipped == {"link_failure": 3}
         assert fleet.n_infeasible == 3
-        again = generate_scenarios(line_item(), seed=3, link_failure_k=1)
+        again = ScenarioGenerator(line_item(), seed=3).fleet(link_failure_k=1)
         assert again.skipped == fleet.skipped
 
     def test_baseline_is_always_variant_zero(self):
@@ -343,8 +342,12 @@ class TestLazyPlans:
 
     def test_iter_tasks_matches_materialized_tasks(self, plan_and_workload):
         plan, _ = plan_and_workload
-        assert list(plan.iter_tasks()) == plan.tasks()
-        assert all(isinstance(task, EvalTask) for task in plan.iter_tasks())
+        n_variants = len(plan.streams["SP"].workload.specs)
+        assert list(plan.iter_tasks()) == [
+            EvalTask(key, index)
+            for index in range(n_variants)
+            for key in ("SP", "ECMP")
+        ]
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_streamed_equals_materialized_fork(
@@ -461,9 +464,12 @@ class TestStoreAndDispatch:
         assert len(shards) == 2
         for path in shards:
             manifest = load_manifest(path)
-            assert manifest["scenarios"]  # fleet shipped once, compactly
-            assert manifest["task_chunks"]  # tasks are RLE runs
-            assert manifest["tasks"] == []  # never the materialized items
+            # The fleet ships once, compactly: one workload entry holding
+            # the fleet description, never materialized items.
+            (entry,) = manifest["workloads"]
+            assert "fleet" in entry and "items" not in entry
+            # Tasks are run-length ranges, at most one per stream here.
+            assert len(manifest["tasks"]) <= len(manifest["streams"])
         n_variants = len(plan.streams["SP"].workload.specs)
         assert {
             key: len(outcomes)
