@@ -2,7 +2,9 @@
 
 All schemes implement :class:`repro.routing.base.RoutingScheme` and return a
 :class:`repro.routing.base.Placement` mapping each traffic aggregate to a
-set of (path, fraction) splits:
+set of (path, fraction) splits.  ``RoutingScheme`` checks ``headroom`` and
+chooses the KSP cache (``cache_for``) for all of them; the LP schemes and
+the LDR controller end with ``lp_placement``, which charges the excess.
 
 * :class:`repro.routing.shortest_path.ShortestPathRouting` — OSPF/IS-IS
   style with delay-proportional costs;
@@ -16,6 +18,8 @@ set of (path, fraction) splits:
   latency-optimal LP (its Figure 12) solved by iterative path-set growth
   (its Figure 13); with headroom and the multiplexing loop on top it
   becomes LDR (:mod:`repro.core.ldr`);
+* :class:`repro.routing.priority.PriorityLatencyOptimalRouting` — that
+  LP with per-class delay weights on the flow counts (paper §8);
 * :class:`repro.routing.linkbased.LinkBasedOptimalRouting` — the same
   optimization as a per-aggregate link-based multi-commodity flow, the slow
   baseline of the paper's Figure 15.

@@ -167,9 +167,9 @@ class B4Routing(RoutingScheme):
 
     ``headroom`` reserves that share of every link's capacity for the
     first pass; ``max_paths_per_aggregate`` caps how many of an
-    aggregate's shortest paths it may try.  A ``cache`` built for the
-    network being placed is reused; otherwise each placement builds its
-    own.
+    aggregate's shortest paths it may try.  The cache is
+    :meth:`~RoutingScheme.cache_for`'s; leftover demand is charged as is,
+    not through :func:`~repro.routing.base.unplaced_excess`.
     """
 
     name = "B4"
@@ -180,16 +180,13 @@ class B4Routing(RoutingScheme):
         max_paths_per_aggregate: int = 25,
         cache: Optional[KspCache] = None,
     ) -> None:
-        if not 0.0 <= headroom < 1.0:
-            raise ValueError(f"headroom must be in [0, 1), got {headroom}")
+        super().__init__(headroom, cache)
         if max_paths_per_aggregate < 1:
             raise ValueError(
                 f"max_paths_per_aggregate must be >= 1, got "
                 f"{max_paths_per_aggregate}"
             )
-        self.headroom = headroom
         self.max_paths_per_aggregate = max_paths_per_aggregate
-        self._cache = cache
         if headroom > 0:
             self.name = f"B4(h={headroom:.0%})"
 
@@ -197,10 +194,7 @@ class B4Routing(RoutingScheme):
     def place(self, network: Network, tm: TrafficMatrix) -> Placement:
         """Water-fill ``tm`` onto ``network``; count the rounds and
         advances as ``b4.rounds`` / ``b4.advances`` when tracing."""
-        if self._cache is not None and self._cache.network is network:
-            cache = self._cache
-        else:
-            cache = KspCache(network)
+        cache = self.cache_for(network)
         index = graph_index(network)
         capacity = index.capacity_array
 

@@ -1,4 +1,5 @@
-"""Common types for routing schemes: placements and their metrics.
+"""The routing chassis: placements, their metrics, and what every scheme
+shares.
 
 A :class:`Placement` is the output of every scheme: for each aggregate, a
 list of paths with the fraction of the aggregate's traffic carried on each.
@@ -6,6 +7,11 @@ All of the paper's evaluation metrics — fraction of congested pairs, total
 latency stretch, maximum path stretch, link utilization CDFs — are methods
 here, computed against the *real* network capacities (schemes that reserve
 headroom route on scaled-down capacities but are judged on the truth).
+
+:class:`RoutingScheme` holds the headroom check and routed copy
+(:meth:`~RoutingScheme.routed`) and the KSP-cache choice
+(:meth:`~RoutingScheme.cache_for`); :func:`lp_placement` turns LP splits
+into a placement with the excess over capacity charged.
 """
 
 from __future__ import annotations
@@ -13,17 +19,25 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet, Callable, Dict, Hashable, Iterable, List, Mapping, Optional,
+    Sequence, Tuple, TypeVar,
+)
 
 from repro.net.graph import Network
 from repro.net.index import graph_index
-from repro.net.paths import Path, path_delay_s, path_links
+from repro.net.paths import KspCache, Path, path_delay_s, path_links
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 # A link is "saturated" when loaded beyond capacity by more than this
 # relative tolerance.  LP solutions routinely land exactly on capacity;
 # that is full, not congested.
 SATURATION_TOLERANCE = 1e-4
+
+LinkKey = Tuple[str, str]
+#: An LP's raw answer: each aggregate's (path, fraction) splits.
+Splits = Mapping[Aggregate, Sequence[Tuple[Path, float]]]
+Label = TypeVar("Label", bound=Hashable)
 
 
 @dataclass
@@ -55,6 +69,8 @@ class Placement:
         self._validate()
         self._link_loads: Optional[Dict[Tuple[str, str], float]] = None
         self._shortest: Optional[Dict[Aggregate, float]] = None
+        self._path_delays: Dict[Path, float] = {}
+        self._means: Optional[Dict[Aggregate, float]] = None
 
     def _validate(self) -> None:
         for agg, allocs in self._allocations.items():
@@ -92,11 +108,11 @@ class Placement:
         """Traffic on every directed link (zero-load links included)."""
         if self._link_loads is None:
             loads = {link.key: 0.0 for link in self.network.links()}
-            for agg, allocs in self._allocations.items():
-                for alloc in allocs:
-                    rate = agg.demand_bps * alloc.fraction
-                    for key in path_links(alloc.path):
-                        loads[key] += rate
+            loads.update(link_loads(
+                (alloc.path, agg.demand_bps * alloc.fraction)
+                for agg, allocs in self._allocations.items()
+                for alloc in allocs
+            ))
             self._link_loads = loads
         return dict(self._link_loads)
 
@@ -161,6 +177,36 @@ class Placement:
             self._shortest = delays
         return self._shortest
 
+    def _path_delay(self, path: Path) -> float:
+        delay = self._path_delays.get(path)
+        if delay is None:
+            delay = self._path_delays[path] = path_delay_s(self.network, path)
+        return delay
+
+    def _mean_delays(self) -> Dict[Aggregate, float]:
+        """Each aggregate's split-weighted mean path delay (computed once)."""
+        if self._means is None:
+            self._means = {
+                agg: sum(a.fraction * self._path_delay(a.path) for a in allocs)
+                for agg, allocs in self._allocations.items()
+            }
+        return self._means
+
+    def stretch_by(self, label: Callable[[Aggregate], Label]) -> Dict[Label, float]:
+        """Latency stretch (as :meth:`total_latency_stretch`) of each
+        group of aggregates sharing ``label(agg)``."""
+        shortest = self._shortest_delays()
+        actual: Dict[Label, float] = {}
+        best: Dict[Label, float] = {}
+        for agg, mean_delay in self._mean_delays().items():
+            key = label(agg)
+            actual[key] = actual.get(key, 0.0) + agg.n_flows * mean_delay
+            best[key] = best.get(key, 0.0) + agg.n_flows * shortest[agg]
+        return {
+            key: actual[key] / best[key] if best[key] > 0 else 1.0
+            for key in actual
+        }
+
     def total_latency_stretch(self) -> float:
         """Flow-weighted delay relative to shortest paths.
 
@@ -168,19 +214,7 @@ class Placement:
         sums run over flows (we weight each aggregate by its flow count and
         split fractions).
         """
-        shortest = self._shortest_delays()
-        actual_total = 0.0
-        shortest_total = 0.0
-        for agg, allocs in self._allocations.items():
-            mean_delay = sum(
-                alloc.fraction * path_delay_s(self.network, alloc.path)
-                for alloc in allocs
-            )
-            actual_total += agg.n_flows * mean_delay
-            shortest_total += agg.n_flows * shortest[agg]
-        if shortest_total == 0.0:
-            return 1.0
-        return actual_total / shortest_total
+        return self.stretch_by(lambda agg: None).get(None, 1.0)
 
     def total_weighted_delay_s(self) -> float:
         """Flow-weighted total propagation delay (the stretch numerator).
@@ -190,25 +224,17 @@ class Placement:
         differ — the right quantity for before/after growth studies.
         """
         total = 0.0
-        for agg, allocs in self._allocations.items():
-            mean_delay = sum(
-                alloc.fraction * path_delay_s(self.network, alloc.path)
-                for alloc in allocs
-            )
+        for agg, mean_delay in self._mean_delays().items():
             total += agg.n_flows * mean_delay
         return total
 
     def per_aggregate_stretch(self) -> Dict[Aggregate, float]:
         """Mean delay stretch of each aggregate (1.0 = on shortest path)."""
         shortest = self._shortest_delays()
-        stretches = {}
-        for agg, allocs in self._allocations.items():
-            mean_delay = sum(
-                alloc.fraction * path_delay_s(self.network, alloc.path)
-                for alloc in allocs
-            )
-            stretches[agg] = mean_delay / shortest[agg] if shortest[agg] > 0 else 1.0
-        return stretches
+        return {
+            agg: mean_delay / shortest[agg] if shortest[agg] > 0 else 1.0
+            for agg, mean_delay in self._mean_delays().items()
+        }
 
     def max_path_stretch(self) -> float:
         """Worst stretch of any used path over its pair's shortest delay.
@@ -224,8 +250,7 @@ class Placement:
             for alloc in allocs:
                 if alloc.fraction <= 1e-6:
                     continue
-                stretch = path_delay_s(self.network, alloc.path) / shortest[agg]
-                worst = max(worst, stretch)
+                worst = max(worst, self._path_delay(alloc.path) / shortest[agg])
         return worst
 
     def __repr__(self) -> str:
@@ -236,10 +261,34 @@ class Placement:
 
 
 class RoutingScheme(abc.ABC):
-    """Interface every routing scheme implements."""
+    """Interface every routing scheme implements.
+
+    ``headroom`` in ``[0, 1)`` is the share of link capacity a scheme keeps
+    in reserve; ``cache`` is a KSP cache shared by the schemes placing one
+    network (a workload item's).
+    """
 
     #: Human-readable name used in benchmark output.
     name: str = "scheme"
+
+    def __init__(self, headroom: float = 0.0, cache: Optional[KspCache] = None) -> None:
+        if not 0.0 <= headroom < 1.0:
+            raise ValueError(f"headroom must be in [0, 1), got {headroom}")
+        self.headroom = headroom
+        self._cache = cache
+
+    def cache_for(self, network: Network) -> KspCache:
+        """The shared cache if it was built for ``network``, else a fresh
+        one (it serves the :meth:`routed` copy too: paths follow delays)."""
+        if self._cache is not None and self._cache.network is network:
+            return self._cache
+        return KspCache(network)
+
+    def routed(self, network: Network) -> Network:
+        """``network`` with capacities scaled by ``1 - headroom``."""
+        if self.headroom > 0:
+            return network.with_capacity_factor(1.0 - self.headroom)
+        return network
 
     @abc.abstractmethod
     def place(self, network: Network, tm: TrafficMatrix) -> Placement:
@@ -249,8 +298,18 @@ class RoutingScheme(abc.ABC):
         return f"{type(self).__name__}()"
 
 
+def link_loads(rates: Iterable[Tuple[Path, float]]) -> Dict[LinkKey, float]:
+    """Per-link sums of ``(path, rate)`` pairs, added in the given order;
+    only touched links are keys, in first-touch order."""
+    loads: Dict[LinkKey, float] = {}
+    for path, rate in rates:
+        for key in path_links(path):
+            loads[key] = loads.get(key, 0.0) + rate
+    return loads
+
+
 def normalize_allocations(
-    raw: Mapping[Aggregate, Sequence[Tuple[Path, float]]],
+    raw: Splits,
     min_fraction: float = 1e-6,
 ) -> Dict[Aggregate, List[PathAllocation]]:
     """Drop numerically-zero splits and renormalize fractions to sum to 1."""
@@ -266,3 +325,38 @@ def normalize_allocations(
             PathAllocation(path, fraction / total) for path, fraction in kept
         ]
     return cleaned
+
+
+def unplaced_excess(
+    fractions: Splits, overloaded: AbstractSet[LinkKey], peak: float
+) -> Dict[Aggregate, float]:
+    """Traffic over capacity, charged to the aggregates crossing it.
+
+    Each aggregate routing some of its traffic over an ``overloaded`` link
+    is charged demand x crossing fraction x (peak - 1) / peak, where
+    ``peak`` is the placement's highest overload or utilization.
+    """
+    if not overloaded:
+        return {}
+    unplaced: Dict[Aggregate, float] = {}
+    for agg, splits in fractions.items():
+        crossing = sum(
+            fraction
+            for path, fraction in splits
+            if fraction > 1e-9
+            and any(key in overloaded for key in path_links(path))
+        )
+        if crossing > 0:
+            unplaced[agg] = agg.demand_bps * crossing * (peak - 1.0) / peak
+    return unplaced
+
+
+def lp_placement(
+    network: Network, fractions: Splits, overloaded: AbstractSet[LinkKey], peak: float
+) -> Placement:
+    """An LP's splits as a placement on ``network``: normalized, with the
+    excess over the ``overloaded`` links charged (:func:`unplaced_excess`)."""
+    return Placement(
+        network, normalize_allocations(fractions),
+        unplaced_excess(fractions, overloaded, peak),
+    )

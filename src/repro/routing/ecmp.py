@@ -44,14 +44,11 @@ class EcmpRouting(RoutingScheme):
     def __init__(
         self, cache: Optional[KspCache] = None, max_paths: int = 16
     ) -> None:
-        self._cache = cache
+        super().__init__(cache=cache)
         self.max_paths = max_paths
 
     def place(self, network: Network, tm: TrafficMatrix) -> Placement:
-        if self._cache is not None and self._cache.network is network:
-            cache = self._cache
-        else:
-            cache = KspCache(network)
+        cache = self.cache_for(network)
         allocations: Dict[Aggregate, List[PathAllocation]] = {}
         for agg in tm.aggregates():
             paths = equal_cost_paths(cache, agg.src, agg.dst, self.max_paths)

@@ -12,7 +12,7 @@ per-link flow variables instead of path-fraction variables.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.lp import CompiledLP
 from repro.lp.model import SENSE_EQ, SENSE_LE
 from repro.net.graph import Network
 from repro.net.paths import shortest_path_delays
-from repro.routing.base import Placement, RoutingScheme, normalize_allocations
+from repro.routing.base import Placement, RoutingScheme, lp_placement
 from repro.routing.decompose import decompose_flow
 from repro.routing.pathlp import (
     M1_TIEBREAK,
@@ -37,16 +37,10 @@ class LinkBasedOptimalRouting(RoutingScheme):
     name = "LinkBasedOptimal"
 
     def __init__(self, headroom: float = 0.0) -> None:
-        if not 0.0 <= headroom < 1.0:
-            raise ValueError(f"headroom must be in [0, 1), got {headroom}")
-        self.headroom = headroom
+        super().__init__(headroom)
 
     def place(self, network: Network, tm: TrafficMatrix) -> Placement:
-        routed = (
-            network.with_capacity_factor(1.0 - self.headroom)
-            if self.headroom > 0
-            else network
-        )
+        routed = self.routed(network)
         aggregates = tm.aggregates()
         if not aggregates:
             raise ValueError("traffic matrix has no aggregates to route")
@@ -198,7 +192,6 @@ class LinkBasedOptimalRouting(RoutingScheme):
         values = solution.x
 
         raw: Dict[Aggregate, List[Tuple[tuple, float]]] = {}
-        unplaced: Dict[Aggregate, float] = {}
         for ai, agg in enumerate(aggregates):
             flow_values = (
                 values[ai * n_links:(ai + 1) * n_links]
@@ -215,28 +208,13 @@ class LinkBasedOptimalRouting(RoutingScheme):
                     f"decomposition failed for {agg.src}->{agg.dst}"
                 )
             raw[agg] = splits
-        allocations = normalize_allocations(raw)
         max_overload = float(values[omax_col])
+        overloaded: Set[Tuple[str, str]] = set()
         if max_overload > 1.0 + 1e-6:
-            from repro.net.paths import path_links
-
             o_values = values[o_start:o_start + n_links]
             overloaded = {
                 links[li].key
                 for li in range(n_links)
                 if o_values[li] > 1.0 + 1e-6
             }
-            for agg, splits in raw.items():
-                fraction_over = sum(
-                    fraction
-                    for path, fraction in splits
-                    if any(key in overloaded for key in path_links(path))
-                )
-                if fraction_over > 0:
-                    unplaced[agg] = (
-                        agg.demand_bps
-                        * fraction_over
-                        * (max_overload - 1.0)
-                        / max_overload
-                    )
-        return Placement(network, allocations, unplaced_bps=unplaced)
+        return lp_placement(network, raw, overloaded, max_overload)

@@ -22,16 +22,12 @@ of :func:`repro.routing.pathlp.solve_minmax_lp`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lp import InfeasibleError
 from repro.net.graph import Network
 from repro.net.paths import KspCache, Path
-from repro.routing.base import (
-    Placement,
-    RoutingScheme,
-    normalize_allocations,
-)
+from repro.routing.base import Placement, RoutingScheme, lp_placement
 from repro.routing.decompose import ResidualFlow
 from repro.routing.optimal import (
     add_detour_paths,
@@ -39,7 +35,7 @@ from repro.routing.optimal import (
     check_growth,
     grow_path_sets,
 )
-from repro.routing.pathlp import PathMemo, solve_minmax_lp, unplaced_excess
+from repro.routing.pathlp import PathMemo, solve_minmax_lp
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 
@@ -130,6 +126,7 @@ class MinMaxRouting(RoutingScheme):
         utilization_tolerance: float = 1e-3,
         stretch_bound: Optional[float] = None,
     ) -> None:
+        super().__init__(cache=cache)
         if k is not None and k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         check_growth(grow_step, max_paths)
@@ -145,7 +142,6 @@ class MinMaxRouting(RoutingScheme):
         #: shortest delay.  Avoids both MinMaxK's missing capacity on
         #: diverse networks and full MinMax's needless detours.
         self.stretch_bound = stretch_bound
-        self._cache = cache
         self.initial_k = initial_k
         self.grow_step = grow_step
         self.max_paths = max_paths
@@ -161,10 +157,7 @@ class MinMaxRouting(RoutingScheme):
         self.last_max_utilization: Optional[float] = None
 
     def place(self, network: Network, tm: TrafficMatrix) -> Placement:
-        if self._cache is not None and self._cache.network is network:
-            cache = self._cache
-        else:
-            cache = KspCache(network)
+        cache = self.cache_for(network)
         aggregates = tm.aggregates()
         if not aggregates:
             raise ValueError("traffic matrix has no aggregates to route")
@@ -188,16 +181,14 @@ class MinMaxRouting(RoutingScheme):
             result, umax = solve_minmax_lp(network, path_sets)
         self.last_max_utilization = umax
 
-        allocations = normalize_allocations(result.fractions)
-        unplaced: Dict[Aggregate, float] = {}
+        # The k-restricted variant can genuinely fail to fit traffic;
+        # charge the excess to aggregates crossing saturated links.
+        overloaded: Set[Tuple[str, str]] = set()
         if umax > 1.0 + 1e-6:
-            # The k-restricted variant can genuinely fail to fit traffic;
-            # charge the excess to aggregates crossing saturated links.
             overloaded = {
                 key for key, value in result.link_overload.items() if value > 1.0 + 1e-6
             }
-            unplaced = unplaced_excess(result.fractions, overloaded, umax)
-        return Placement(network, allocations, unplaced_bps=unplaced)
+        return lp_placement(network, result.fractions, overloaded, umax)
 
     def _paths_within_stretch(self, cache: KspCache, agg: Aggregate) -> List[Path]:
         """All k-shortest paths whose delay is within the stretch bound.

@@ -25,7 +25,12 @@ from repro.tm.matrix import Aggregate, TrafficMatrix
 
 
 class MplsTeRouting(RoutingScheme):
-    """Sequential greedy placement on the shortest non-congested path."""
+    """Sequential greedy placement on the shortest non-congested path.
+
+    ``headroom`` scales every link's residual by ``1 - headroom``.  The
+    cache is :meth:`~RoutingScheme.cache_for`'s; leftover demand is
+    charged as is, not through :func:`~repro.routing.base.unplaced_excess`.
+    """
 
     name = "MPLS-TE"
 
@@ -36,8 +41,7 @@ class MplsTeRouting(RoutingScheme):
         order: str = "demand",
         cache: Optional[KspCache] = None,
     ) -> None:
-        if not 0.0 <= headroom < 1.0:
-            raise ValueError(f"headroom must be in [0, 1), got {headroom}")
+        super().__init__(headroom, cache)
         if max_paths_per_aggregate < 1:
             raise ValueError(
                 f"max_paths_per_aggregate must be >= 1, got "
@@ -45,18 +49,13 @@ class MplsTeRouting(RoutingScheme):
             )
         if order not in ("demand", "given"):
             raise ValueError(f"order must be 'demand' or 'given', got {order!r}")
-        self.headroom = headroom
         self.max_paths_per_aggregate = max_paths_per_aggregate
         self.order = order
-        self._cache = cache
         if headroom > 0:
             self.name = f"MPLS-TE(h={headroom:.0%})"
 
     def place(self, network: Network, tm: TrafficMatrix) -> Placement:
-        if self._cache is not None and self._cache.network is network:
-            cache = self._cache
-        else:
-            cache = KspCache(network)
+        cache = self.cache_for(network)
         residual = {
             link.key: link.capacity_bps * (1.0 - self.headroom)
             for link in network.links()

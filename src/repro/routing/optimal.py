@@ -24,17 +24,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.graph import Network
 from repro.net.paths import KspCache, Path, path_links
-from repro.routing.base import (
-    Placement,
-    RoutingScheme,
-    normalize_allocations,
-)
-from repro.routing.pathlp import (
-    PathLpResult,
-    PathMemo,
-    solve_latency_lp,
-    unplaced_excess,
-)
+from repro.routing.base import Placement, RoutingScheme, lp_placement
+from repro.routing.pathlp import PathLpResult, PathMemo, solve_latency_lp
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 
@@ -244,7 +235,8 @@ class LatencyOptimalRouting(RoutingScheme):
     sees capacities scaled by ``1 - headroom``.  At ``headroom = 0`` this is
     the "living on the edge" latency-optimal placement of Figure 4(a); as
     headroom approaches the MinMax residual the placement converges to
-    MinMax (§4).
+    MinMax (§4).  The delay objective weights each pair by the flow
+    counts of :meth:`objective_matrix`.
     """
 
     def __init__(
@@ -255,46 +247,37 @@ class LatencyOptimalRouting(RoutingScheme):
         max_paths: int = 50,
         cache: Optional[KspCache] = None,
     ) -> None:
-        if not 0.0 <= headroom < 1.0:
-            raise ValueError(f"headroom must be in [0, 1), got {headroom}")
+        super().__init__(headroom, cache)
         check_growth(grow_step, max_paths)
-        self.headroom = headroom
         self.initial_k = initial_k
         self.grow_step = grow_step
         self.max_paths = max_paths
-        self._cache = cache
         self.name = "LatencyOptimal" if headroom == 0 else f"LDR(h={headroom:.0%})"
         self.last_stats: Optional[IterationStats] = None
 
+    def objective_matrix(self, tm: TrafficMatrix) -> TrafficMatrix:
+        """The matrix the LP optimizes: ``tm``'s pairs and demands, with
+        the flow counts that weight each pair's delay."""
+        return tm
+
     def place(self, network: Network, tm: TrafficMatrix) -> Placement:
-        routed_network = (
-            network.with_capacity_factor(1.0 - self.headroom)
-            if self.headroom > 0
-            else network
-        )
-        # The KSP cache only depends on delays, never capacities, so a cache
-        # built on the unscaled network is valid for the scaled copy too.
-        if self._cache is not None and self._cache.network is network:
-            cache = self._cache
-        else:
-            cache = KspCache(network)
         result, stats = solve_iterative_latency(
-            routed_network,
-            tm,
-            cache=cache,
+            self.routed(network),
+            self.objective_matrix(tm),
+            cache=self.cache_for(network),
             initial_k=self.initial_k,
             grow_step=self.grow_step,
             max_paths=self.max_paths,
         )
         self.last_stats = stats
-        allocations = normalize_allocations(result.fractions)
-        unplaced: Dict[Aggregate, float] = {}
-        if not result.fits:
-            # Traffic that exceeds (scaled) capacity: attribute the excess
-            # to the aggregates crossing overloaded links, pro rata.
-            unplaced = unplaced_excess(
-                result.fractions,
-                set(result.overloaded_links(only_maximal=False)),
-                result.max_overload,
-            )
-        return Placement(network, allocations, unplaced_bps=unplaced)
+        # Re-key the splits to ``tm``'s aggregates (real flow counts).
+        originals = {agg.pair: agg for agg in tm.aggregates()}
+        return lp_placement(
+            network,
+            {
+                originals[agg.pair]: splits
+                for agg, splits in result.fractions.items()
+            },
+            set(result.overloaded_links(only_maximal=False)),
+            result.max_overload,
+        )

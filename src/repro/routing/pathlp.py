@@ -36,19 +36,22 @@ stages share one builder, and within one LDR or full-MinMax placement
 (its :data:`PathMemo`) every path's delay and link ids are computed
 once across all rounds.  The produced models are bit-identical to the
 historical per-coefficient construction.
+Splits become a placement, excess charged, in
+:func:`repro.routing.base.lp_placement`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.lp import CompiledLP, Solution
 from repro.lp.model import SENSE_EQ, SENSE_LE, resolve_backend
 from repro.net.graph import Network
-from repro.net.paths import Path, path_links
+from repro.net.paths import Path
+from repro.routing.base import link_loads
 from repro.telemetry import recorder
 from repro.tm.matrix import Aggregate
 
@@ -349,48 +352,6 @@ class _PathLpBuilder:
         }
 
 
-def _placement_utilization(
-    network: Network,
-    fractions: Dict[Aggregate, List[Tuple[Path, float]]],
-) -> Dict[Tuple[str, str], float]:
-    """Raw per-link utilization of a fractional placement."""
-    link_loads: Dict[Tuple[str, str], float] = {}
-    for agg, splits in fractions.items():
-        for path, fraction in splits:
-            for key in path_links(path):
-                link_loads[key] = (
-                    link_loads.get(key, 0.0) + fraction * agg.demand_bps
-                )
-    return {
-        key: load / network.link(*key).capacity_bps
-        for key, load in link_loads.items()
-    }
-
-
-def unplaced_excess(
-    fractions: Dict[Aggregate, List[Tuple[Path, float]]],
-    overloaded: AbstractSet[Tuple[str, str]],
-    peak: float,
-) -> Dict[Aggregate, float]:
-    """Traffic over capacity, charged to the aggregates crossing it.
-
-    Each aggregate routing some of its traffic over an ``overloaded`` link
-    is charged demand x crossing fraction x (peak - 1) / peak, where
-    ``peak`` is the placement's highest overload or utilization.
-    """
-    unplaced: Dict[Aggregate, float] = {}
-    for agg, splits in fractions.items():
-        crossing = sum(
-            fraction
-            for path, fraction in splits
-            if fraction > 1e-9
-            and any(key in overloaded for key in path_links(path))
-        )
-        if crossing > 0:
-            unplaced[agg] = agg.demand_bps * crossing * (peak - 1.0) / peak
-    return unplaced
-
-
 def solve_latency_lp(
     network: Network,
     path_sets: Mapping[Aggregate, Sequence[Path]],
@@ -442,7 +403,13 @@ def solve_minmax_lp(
 
     fractions = builder.extract_fractions(solution)
     # Report per-link utilization of the final placement.
-    link_util = _placement_utilization(network, fractions)
+    loads = link_loads(
+        (path, fraction * agg.demand_bps)
+        for agg, splits in fractions.items() for path, fraction in splits
+    )
+    link_util = {
+        key: load / network.link(*key).capacity_bps for key, load in loads.items()
+    }
     result = PathLpResult(
         fractions=fractions,
         # Raw utilizations (not clipped at 1): MinMax callers need to see

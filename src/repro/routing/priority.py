@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.net.graph import Network
 from repro.net.paths import KspCache
-from repro.routing.base import Placement, RoutingScheme, normalize_allocations
-from repro.routing.optimal import solve_iterative_latency
-from repro.tm.matrix import Aggregate, TrafficMatrix
+from repro.routing.base import Placement
+from repro.routing.optimal import LatencyOptimalRouting
+from repro.tm.matrix import TrafficMatrix
 
 Pair = Tuple[str, str]
 
@@ -43,7 +42,7 @@ BEST_EFFORT = TrafficClass("best-effort", 1.0)
 LATENCY_SENSITIVE = TrafficClass("latency-sensitive", 10.0)
 
 
-class PriorityLatencyOptimalRouting(RoutingScheme):
+class PriorityLatencyOptimalRouting(LatencyOptimalRouting):
     """Latency-optimal routing with per-class delay weights.
 
     ``classes`` maps (src, dst) pairs to a :class:`TrafficClass`; unmapped
@@ -60,69 +59,27 @@ class PriorityLatencyOptimalRouting(RoutingScheme):
         headroom: float = 0.0,
         cache: Optional[KspCache] = None,
     ) -> None:
-        if not 0.0 <= headroom < 1.0:
-            raise ValueError(f"headroom must be in [0, 1), got {headroom}")
+        super().__init__(headroom=headroom, cache=cache)
+        # The class-level name, not the headroom-derived LDR one.
+        self.name = type(self).name
         self.classes = dict(classes)
         self.default_class = default_class
-        self.headroom = headroom
-        self._cache = cache
 
     def class_of(self, pair: Pair) -> TrafficClass:
         return self.classes.get(pair, self.default_class)
 
-    def place(self, network: Network, tm: TrafficMatrix) -> Placement:
-        routed = (
-            network.with_capacity_factor(1.0 - self.headroom)
-            if self.headroom > 0
-            else network
-        )
-        if self._cache is not None and self._cache.network is network:
-            cache = self._cache
-        else:
-            cache = KspCache(network)
-
-        # The class weight enters the Figure 12 objective through the
-        # per-aggregate flow count: a weighted clone of the matrix is
-        # optimized, then the placement is re-keyed to the real
-        # aggregates (same pairs, same demands, original flow counts).
-        originals = {agg.pair: agg for agg in tm.aggregates()}
-        weighted = TrafficMatrix(
-            {pair: agg.demand_bps for pair, agg in originals.items()},
+    def objective_matrix(self, tm: TrafficMatrix) -> TrafficMatrix:
+        """``tm`` with each pair's flow count times its class weight: the
+        weight enters the Figure 12 objective through the flow count."""
+        aggregates = tm.aggregates()
+        return TrafficMatrix(
+            {agg.pair: agg.demand_bps for agg in aggregates},
             flow_counts={
-                pair: max(1, round(agg.n_flows * self.class_of(pair).weight))
-                for pair, agg in originals.items()
+                agg.pair: max(1, round(agg.n_flows * self.class_of(agg.pair).weight))
+                for agg in aggregates
             },
         )
-        result, _ = solve_iterative_latency(routed, weighted, cache=cache)
-        rekeyed = {
-            originals[agg.pair]: splits
-            for agg, splits in result.fractions.items()
-        }
-        return Placement(network, normalize_allocations(rekeyed))
 
     def per_class_stretch(self, placement: Placement) -> Dict[str, float]:
         """Flow-weighted latency stretch per traffic class."""
-        from repro.net.paths import path_delay_s, shortest_path_delays
-
-        by_source: Dict[str, Dict[str, float]] = {}
-        actual: Dict[str, float] = {}
-        shortest: Dict[str, float] = {}
-        for agg in placement.aggregates:
-            if agg.src not in by_source:
-                by_source[agg.src] = shortest_path_delays(
-                    placement.network, agg.src
-                )
-            label = self.class_of(agg.pair).name
-            mean_delay = sum(
-                alloc.fraction * path_delay_s(placement.network, alloc.path)
-                for alloc in placement.paths_for(agg)
-            )
-            actual[label] = actual.get(label, 0.0) + agg.n_flows * mean_delay
-            shortest[label] = (
-                shortest.get(label, 0.0)
-                + agg.n_flows * by_source[agg.src][agg.dst]
-            )
-        return {
-            label: actual[label] / shortest[label] if shortest[label] > 0 else 1.0
-            for label in actual
-        }
+        return placement.stretch_by(lambda agg: self.class_of(agg.pair).name)

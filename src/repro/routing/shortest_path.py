@@ -22,13 +22,10 @@ class ShortestPathRouting(RoutingScheme):
     name = "SP"
 
     def __init__(self, cache: KspCache | None = None) -> None:
-        # An externally provided cache lets callers share Yen state across
-        # schemes evaluated on the same network.
-        self._cache = cache
+        super().__init__(cache=cache)
 
     def place(self, network: Network, tm: TrafficMatrix) -> Placement:
-        cache = self._cache if self._cache is not None and \
-            self._cache.network is network else KspCache(network)
+        cache = self.cache_for(network)
         allocations: Dict[Aggregate, List[PathAllocation]] = {}
         for agg in tm.aggregates():
             path = cache.shortest(agg.src, agg.dst)

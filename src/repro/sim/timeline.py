@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.ldr import AggregateTraffic, LdrConfig, LdrController
 from repro.net.graph import Network
+from repro.routing.base import link_loads
 from repro.sim.replay import replay_placement
 
 Pair = Tuple[str, str]
@@ -119,15 +120,10 @@ class TimelineSimulation:
 
 def _actual_max_utilization(placement, actual_means_bps: Dict[Pair, float]) -> float:
     """Max link utilization if each aggregate ran at its actual mean."""
-    from repro.net.paths import path_links
-
-    loads: Dict[Tuple[str, str], float] = {}
-    for agg in placement.aggregates:
-        mean = actual_means_bps.get(agg.pair, agg.demand_bps)
-        for alloc in placement.paths_for(agg):
-            rate = mean * alloc.fraction
-            for key in path_links(alloc.path):
-                loads[key] = loads.get(key, 0.0) + rate
+    loads = link_loads(
+        (alloc.path, actual_means_bps.get(agg.pair, agg.demand_bps) * alloc.fraction)
+        for agg in placement.aggregates for alloc in placement.paths_for(agg)
+    )
     network = placement.network
     if not loads:
         return 0.0

@@ -284,6 +284,7 @@ def test_mypy_strict_plan_spec_and_lp_model():
             "src/repro/experiments/spec.py",
             "src/repro/lp/model.py",
             "src/repro/durable.py",
+            "src/repro/routing/base.py",
         ],
         cwd=REPO,
         capture_output=True,

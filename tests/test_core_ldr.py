@@ -131,6 +131,23 @@ class TestRoute:
         assert not result.converged
         assert result.rounds <= 5
 
+    def test_non_fitting_round_reports_overload(self, gts):
+        """A cycle that stops because the demands no longer fit must say
+        so in its placement, as every LP scheme's placement does."""
+        from tests.conftest import loaded_gts_tm
+
+        traffic = [
+            AggregateTraffic(
+                agg.src, agg.dst, np.full(600, agg.demand_bps), [agg.demand_bps]
+            )
+            for agg in loaded_gts_tm(gts).scaled(3.0).aggregates()
+        ]
+        result = LdrController(gts).route(traffic)
+        assert not result.converged
+        assert result.placement.max_utilization() > 1.0 + 1e-4
+        assert not result.placement.fits_all_traffic
+        assert sum(result.placement.unplaced_bps.values()) > 0
+
     def test_empty_traffic_rejected(self, triangle):
         controller = LdrController(triangle)
         with pytest.raises(ValueError):

@@ -77,13 +77,19 @@ class TestPriorityRouting:
 
     def test_uniform_classes_match_unprioritized(self, gts):
         """If every aggregate is in the same class, prioritized routing
-        equals plain latency-optimal routing."""
+        equals plain latency-optimal routing — overloaded too, where both
+        must report the same traffic as not fitting."""
         tm = loaded_gts_tm(gts)
-        uniform = PriorityLatencyOptimalRouting(classes={}).place(gts, tm)
-        plain = LatencyOptimalRouting().place(gts, tm)
-        assert uniform.total_latency_stretch() == pytest.approx(
-            plain.total_latency_stretch(), rel=1e-6
-        )
+        for scale in (1.0, 2.5):
+            scaled = tm.scaled(scale)
+            uniform = PriorityLatencyOptimalRouting(classes={}).place(gts, scaled)
+            plain = LatencyOptimalRouting().place(gts, scaled)
+            assert uniform.total_latency_stretch() == pytest.approx(
+                plain.total_latency_stretch(), rel=1e-6
+            )
+            assert uniform.fits_all_traffic == plain.fits_all_traffic
+            assert uniform.unplaced_bps == plain.unplaced_bps
+        assert not plain.fits_all_traffic
 
     def test_placement_preserves_demands(self):
         scheme = PriorityLatencyOptimalRouting(

@@ -9,10 +9,12 @@ routable at all.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.net.graph import Network, Node
 from repro.net.paths import path_links
+from repro.net.units import Gbps
 from repro.routing import (
     B4Routing,
     EcmpRouting,
@@ -21,6 +23,7 @@ from repro.routing import (
     MplsTeRouting,
     ShortestPathRouting,
 )
+from repro.routing.pathlp import OVERLOAD_TOLERANCE
 from repro.tm.matrix import TrafficMatrix
 from tests.test_properties import random_networks
 
@@ -52,6 +55,18 @@ def network_and_tm(draw):
     if not demands:
         demands[(names[0], names[1])] = 1e9
     return net, TrafficMatrix(demands)
+
+
+def knife_edge_star():
+    """Three 1 Gb/s spokes on ``n0`` and 1 b/s more than one spoke holds
+    from ``n0`` to ``n1``: ``max_scale_factor`` is 0.999999999, an overload
+    within :data:`OVERLOAD_TOLERANCE`."""
+    net = Network("knife-edge-star")
+    for i in range(4):
+        net.add_node(Node(f"n{i}"))
+    for i in range(1, 4):
+        net.add_duplex_link("n0", f"n{i}", Gbps(1), 0.015625)
+    return net, TrafficMatrix({("n0", "n1"): 1_000_000_001.0})
 
 
 class TestPlacementContracts:
@@ -105,14 +120,16 @@ class TestPlacementContracts:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
+    @example(knife_edge_star())
     def test_optimal_respects_capacity_when_routable(self, instance):
         net, tm = instance
         from repro.tm.scale import max_scale_factor
 
         lam = max_scale_factor(net, tm)
         placement = LatencyOptimalRouting().place(net, tm)
-        if lam >= 1.0:
-            # Routable: the LP must fit it.
+        if lam * (1.0 + OVERLOAD_TOLERANCE) >= 1.0:
+            # Routable within the documented overload tolerance: the LP
+            # must fit it.
             assert placement.max_utilization() <= 1.0 + 1e-4
             assert placement.fits_all_traffic
         else:

@@ -1,5 +1,6 @@
 """Tests for the picklable scheme-spec registry."""
 
+import dataclasses
 import inspect
 import json
 import pickle
@@ -64,6 +65,22 @@ class TestRegistry:
         item = workload.networks[0]
         assert SchemeSpec("B4")(item)._cache is item.cache
         assert SchemeSpec("LDR")(item)._cache is item.cache
+
+    @pytest.mark.parametrize("name", registered_schemes())
+    def test_foreign_cache_is_left_alone(self, workload, name):
+        """A spec built with another network's cache places exactly as
+        with its own, and adds no path to the foreign cache."""
+        item, other = workload.networks[0], workload.networks[1]
+        foreign = dataclasses.replace(item, cache=other.cache)
+        tm = item.matrices[0]
+        cached = other.cache.total_cached()
+        own = SchemeSpec(name)(item).place(item.network, tm)
+        borrowed = SchemeSpec(name)(foreign).place(item.network, tm)
+        assert other.cache.total_cached() == cached
+        assert [
+            (agg, borrowed.paths_for(agg)) for agg in borrowed.aggregates
+        ] == [(agg, own.paths_for(agg)) for agg in own.aggregates]
+        assert borrowed.unplaced_bps == own.unplaced_bps
 
     def test_minmax_k10_matches_explicit_k(self, workload):
         item = workload.networks[0]
