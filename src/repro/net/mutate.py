@@ -1,17 +1,22 @@
-"""Topology mutation: the network growth study (paper §8, Figure 20).
+"""Topology mutation: failure variants and the network growth study.
 
-The paper grows hard-to-route networks by repeatedly adding the single
-candidate link that yields the greatest LLPD increase, until the link count
-has grown by 5%.  This module provides the candidate enumeration and the
-greedy growth loop; the LLPD evaluation itself lives in
-:mod:`repro.core.metrics`.
+A scenario's link and node failures are decided here once:
+:func:`severed_pair` tells whether they leave every demand pair connected
+(the scenario generator's screen and ``ScenarioSpec.apply`` both ask it),
+and :func:`without_failures` builds the surviving topology in one copy.
+
+The paper (§8, Figure 20) grows hard-to-route networks by repeatedly
+adding the single candidate link that yields the greatest LLPD increase,
+until the link count has grown by 5%.  This module provides the candidate
+enumeration and the greedy growth loop; the LLPD evaluation itself lives
+in :mod:`repro.core.metrics`.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -19,6 +24,7 @@ from repro.net.geo import great_circle_km, link_delay_s
 from repro.net.graph import Network
 from repro.net.units import Gbps
 from repro.net.zoo import _capacity_for
+from repro.tm.matrix import TrafficMatrix
 
 
 class ScenarioInfeasible(Exception):
@@ -32,88 +38,97 @@ class ScenarioInfeasible(Exception):
     """
 
 
-def with_removed_duplex_link(network: Network, a: str, b: str) -> Network:
-    """A copy with both directions of the ``a``/``b`` physical link removed.
+def without_failures(
+    network: Network,
+    failed_links: Iterable[Tuple[str, str]] = (),
+    failed_nodes: Iterable[str] = (),
+    name: Optional[str] = None,
+) -> Network:
+    """One copy of ``network`` without the failed links and nodes, named
+    ``name`` (default: the original name).
 
-    Raises :class:`ScenarioInfeasible` when no such physical link exists —
-    a scenario spec referring to a link the topology does not have is a
-    spec/topology mismatch, not a solver problem.
+    A failed link loses both directions; a failed node, every link
+    touching it.  The failures apply as one set, so their order does not
+    matter (two link failures commute), and survivors keep their
+    insertion order, so CSR rows, path tie-breaks and signatures do not
+    move.  Raises :class:`ScenarioInfeasible` for a link or node the
+    topology does not have (or one failed twice): a spec/topology
+    mismatch, not a solver problem.
     """
-    if not network.has_link(a, b) and not network.has_link(b, a):
-        raise ScenarioInfeasible(
-            f"{network.name}: no physical link {a} -- {b} to fail"
-        )
-    return network.without_duplex_link(a, b)
-
-
-def with_removed_node(network: Network, name: str) -> Network:
-    """A copy with one node and every link touching it removed."""
-    if not network.has_node(name):
-        raise ScenarioInfeasible(f"{network.name}: no node {name!r} to fail")
-    clone = Network(network.name)
+    cut: Set[Tuple[str, str]] = set()
+    for a, b in failed_links:
+        if (a, b) in cut or not (network.has_link(a, b) or network.has_link(b, a)):
+            raise ScenarioInfeasible(
+                f"{network.name}: no physical link {a} -- {b} to fail"
+            )
+        cut.update(((a, b), (b, a)))
+    down: Set[str] = set()
+    for node in failed_nodes:
+        if node in down or not network.has_node(node):
+            raise ScenarioInfeasible(f"{network.name}: no node {node!r} to fail")
+        down.add(node)
+    clone = Network(network.name if name is None else name)
     for node_name in network.node_names:
-        if node_name != name:
+        if node_name not in down:
             clone.add_node(network.node(node_name))
     for link in network.links():
-        if link.src != name and link.dst != name:
+        if link.src not in down and link.dst not in down and link.key not in cut:
             clone.add_link(link)
     return clone
 
 
-def connected_components(network: Network) -> List[List[str]]:
-    """Connected components (treating links as undirected), deterministic.
+def severed_pair(
+    network: Network,
+    pairs: Iterable[Tuple[str, str]],
+    failed_links: Iterable[Tuple[str, str]] = (),
+    failed_nodes: Iterable[str] = (),
+) -> Optional[Tuple[str, str]]:
+    """The first of ``pairs`` (in order) the failures disconnect, or ``None``.
 
-    Components are discovered in node insertion order and listed in node
-    insertion order, so the result is stable across hosts and hash seeds.
+    One breadth-first labelling of ``network`` minus the failures (a
+    failed link is cut both ways), in place: no copy.  A pair touching a
+    failed node is a dropped demand, not a severed one; a pair with an
+    endpoint the network lacks is severed.
     """
-    undirected: Dict[str, List[str]] = {n: [] for n in network.node_names}
-    for link in network.links():
-        undirected[link.src].append(link.dst)
-    seen: Dict[str, int] = {}
-    components: List[List[str]] = []
+    cut = {(a, b) for a, b in failed_links}
+    cut |= {(b, a) for a, b in cut}
+    down = set(failed_nodes)
+    labels: Dict[str, str] = {}  # node -> its component's first node
     for start in network.node_names:
-        if start in seen:
+        if start in down or start in labels:
             continue
-        component: List[str] = []
+        labels[start] = start
         queue = deque([start])
-        seen[start] = len(components)
         while queue:
             node = queue.popleft()
-            component.append(node)
-            for neighbor in undirected[node]:
-                if neighbor not in seen:
-                    seen[neighbor] = len(components)
+            for neighbor in network.successors(node):
+                if neighbor in down or neighbor in labels:
+                    continue
+                if (node, neighbor) not in cut:
+                    labels[neighbor] = start
                     queue.append(neighbor)
-        components.append(sorted(component))
-    return components
-
-
-def ensure_demand_connectivity(
-    network: Network, pairs: Iterable[Tuple[str, str]]
-) -> None:
-    """Raise :class:`ScenarioInfeasible` if any demand pair is severed.
-
-    One whole-graph BFS decides the common case (still connected =>
-    every pair fine); only on a split are the demand pairs checked
-    against the component labelling, and the first severed pair (in the
-    given order) names the failure deterministically.
-    """
-    components = connected_components(network)
-    if len(components) <= 1:
-        return
-    label: Dict[str, int] = {}
-    for index, component in enumerate(components):
-        for node in component:
-            label[node] = index
     for src, dst in pairs:
-        if src not in label or dst not in label:
-            raise ScenarioInfeasible(
-                f"{network.name}: demand endpoint removed ({src} -> {dst})"
-            )
-        if label[src] != label[dst]:
-            raise ScenarioInfeasible(
-                f"{network.name}: demand pair {src} -> {dst} disconnected"
-            )
+        if src in down or dst in down:
+            continue
+        if src not in labels or labels[src] != labels.get(dst):
+            return (src, dst)
+    return None
+
+
+def demand_pairs(
+    matrices: Iterable[TrafficMatrix], every_pair: bool = False
+) -> List[Tuple[str, str]]:
+    """The pairs carrying demand in any matrix, each once, first-seen order.
+
+    ``every_pair`` keeps zero-demand pairs too: a locality reshape may
+    move volume onto them, so they need a path as well.
+    """
+    seen: Dict[Tuple[str, str], None] = {}
+    for tm in matrices:
+        for pair, demand in tm.items():
+            if every_pair or demand > 0:
+                seen.setdefault(pair)
+    return list(seen)
 
 
 def candidate_links(
@@ -167,7 +182,7 @@ def with_added_link(
 
 def grow_by_ldr_objective(
     network: Network,
-    forecast_tm,
+    forecast_tm: TrafficMatrix,
     growth_fraction: float = 0.05,
     max_candidates: int = 20,
     rng: Optional[np.random.Generator] = None,
@@ -203,7 +218,7 @@ def grow_by_ldr_objective(
         candidates = candidate_links(current, max_candidates, rng)
         if not candidates:
             break
-        best_pair = None
+        best_pair: Optional[Tuple[str, str]] = None
         best_delay = realized_delay(current)
         for a, b in candidates:
             trial = with_added_link(current, a, b)
@@ -244,7 +259,7 @@ def grow_by_llpd(
         candidates = candidate_links(current, max_candidates, rng)
         if not candidates:
             break
-        best_pair = None
+        best_pair: Optional[Tuple[str, str]] = None
         best_score = score(current)
         for a, b in candidates:
             trial = with_added_link(current, a, b)

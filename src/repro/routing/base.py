@@ -61,10 +61,10 @@ class Placement:
         self._allocations: Dict[Aggregate, List[PathAllocation]] = {
             agg: list(allocs) for agg, allocs in allocations.items()
         }
-        # Demand a scheme failed to fit anywhere (B4 and MinMaxK can fail);
-        # by convention this residual rides the aggregate's shortest path
-        # and is already reflected in the allocations, but we keep the
-        # amount so "could not fit the traffic" cases are identifiable.
+        # Demand a scheme failed to fit, kept so "could not fit" cases are
+        # identifiable; the allocations already carry it (B4 and MPLS-TE on
+        # the aggregate's shortest path; the LP schemes' lp_placement as a
+        # share of the overloaded links' traffic, wherever the LP put it).
         self.unplaced_bps: Dict[Aggregate, float] = dict(unplaced_bps or {})
         self._validate()
         self._link_loads: Optional[Dict[Tuple[str, str], float]] = None

@@ -16,15 +16,15 @@ pure function of ``(base item, seed, parameters)``:
   (see :class:`ScenarioSet`), never silently dropped — the counts are
   part of the robustness report.
 
-The feasibility screen here is a cheap adjacency BFS (no Network copies,
-no LP); :meth:`ScenarioSpec.apply` re-checks authoritatively when the
-variant is realized.
+The feasibility screen is :func:`repro.net.mutate.severed_pair` on the
+base topology (one BFS, no Network copy, no LP); :meth:`ScenarioSpec.apply`
+applies the same rule to the realized variant, so a kept spec realizes
+and a skipped one would raise :class:`ScenarioInfeasible`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -32,6 +32,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.workloads import NetworkWorkload
+from repro.net.mutate import candidate_links, demand_pairs, severed_pair
 from repro.scenarios.spec import BASELINE, ScenarioSpec
 
 __all__ = ["ScenarioGenerator", "ScenarioSet"]
@@ -61,6 +62,23 @@ class ScenarioSet:
         return counts
 
 
+def _distinct_subsets(
+    rng: np.random.Generator, n: int, k: int, count: int
+) -> List[Tuple[int, ...]]:
+    """Up to ``count`` distinct sorted k-subsets of ``range(n)``.
+
+    Subsets are drawn from ``rng`` in order, duplicates skipped; the loop
+    gives up after ``50 * count`` draws, so a small ``n`` cannot spin.
+    """
+    picked: Dict[Tuple[int, ...], None] = {}
+    for _ in range(50 * count):
+        if len(picked) >= count:
+            break
+        draw = rng.choice(n, size=k, replace=False)
+        picked.setdefault(tuple(sorted(draw.tolist())))
+    return list(picked)
+
+
 class ScenarioGenerator:
     """Seeded perturbation-fleet builder for one base workload item.
 
@@ -73,64 +91,21 @@ class ScenarioGenerator:
     def __init__(self, base: NetworkWorkload, *, seed: int) -> None:
         self.base = base
         self.seed = int(seed)
-        network = base.network
-        self._node_order: List[str] = list(network.node_names)
-        self._adjacency: Dict[str, List[str]] = {
-            name: list(network.successors(name)) for name in self._node_order
-        }
-        self._duplex: List[Tuple[str, str]] = sorted(network.duplex_pairs())
-        pairs: List[Tuple[str, str]] = []
-        seen = set()
-        for tm in base.matrices:
-            for pair, demand in tm.items():
-                if demand > 0 and pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
-        self._demand_pairs: List[Tuple[str, str]] = pairs
+        self._demand_pairs = demand_pairs(base.matrices)
 
-    # ------------------------------------------------------------------
-    # Feasibility screen (cheap, Network-copy-free)
-    # ------------------------------------------------------------------
-    def _component_labels(
-        self,
-        failed_links: Tuple[Tuple[str, str], ...],
-        failed_nodes: Tuple[str, ...],
-    ) -> Dict[str, int]:
-        removed = {frozenset(pair) for pair in failed_links}
-        down = set(failed_nodes)
-        labels: Dict[str, int] = {}
-        n_components = 0
-        for start in self._node_order:
-            if start in down or start in labels:
-                continue
-            labels[start] = n_components
-            queue = deque([start])
-            while queue:
-                node = queue.popleft()
-                for neighbor in self._adjacency[node]:
-                    if neighbor in down or neighbor in labels:
-                        continue
-                    if removed and frozenset((node, neighbor)) in removed:
-                        continue
-                    labels[neighbor] = n_components
-                    queue.append(neighbor)
-            n_components += 1
-        return labels
+    def _screen(
+        self, specs: List[ScenarioSpec]
+    ) -> Tuple[List[ScenarioSpec], int]:
+        """The specs severing no live demand pair, and how many did."""
+        kept = [
+            spec for spec in specs
+            if severed_pair(
+                self.base.network, self._demand_pairs,
+                spec.failed_links, spec.failed_nodes,
+            ) is None
+        ]
+        return kept, len(specs) - len(kept)
 
-    def is_feasible(self, spec: ScenarioSpec) -> bool:
-        """Whether the spec's failures leave every live demand pair connected."""
-        labels = self._component_labels(spec.failed_links, spec.failed_nodes)
-        down = set(spec.failed_nodes)
-        for src, dst in self._demand_pairs:
-            if src in down or dst in down:
-                continue
-            if labels[src] != labels[dst]:
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Combination enumeration / sampling
-    # ------------------------------------------------------------------
     def _combinations(
         self, items: Sequence, k: int, budget: int, kind_tag: int
     ) -> List[Tuple]:
@@ -138,24 +113,13 @@ class ScenarioGenerator:
         else a seeded sample of ``budget`` distinct subsets."""
         if k <= 0 or k > len(items):
             return []
-        total = math.comb(len(items), k)
-        if total <= budget:
+        if math.comb(len(items), k) <= budget:
             return list(combinations(items, k))
         rng = np.random.default_rng([self.seed, kind_tag, k])
-        chosen = set()
-        picked: List[Tuple] = []
-        attempts = 0
-        max_attempts = budget * 50
-        while len(picked) < budget and attempts < max_attempts:
-            attempts += 1
-            indices = tuple(
-                sorted(rng.choice(len(items), size=k, replace=False).tolist())
-            )
-            if indices in chosen:
-                continue
-            chosen.add(indices)
-            picked.append(tuple(items[i] for i in indices))
-        return picked
+        return [
+            tuple(items[i] for i in indices)
+            for indices in _distinct_subsets(rng, len(items), k, budget)
+        ]
 
     # ------------------------------------------------------------------
     # Perturbation kinds
@@ -168,70 +132,42 @@ class ScenarioGenerator:
         Returns ``(feasible specs, skipped count)``; infeasible combos —
         those severing a demand pair — are screened out deterministically.
         """
-        specs: List[ScenarioSpec] = []
-        skipped = 0
-        for combo in self._combinations(self._duplex, k, budget, kind_tag=101):
-            spec = ScenarioSpec(failed_links=tuple(combo))
-            if self.is_feasible(spec):
-                specs.append(spec)
-            else:
-                skipped += 1
-        return specs, skipped
+        duplex = sorted(self.base.network.duplex_pairs())
+        combos = self._combinations(duplex, k, budget, kind_tag=101)
+        return self._screen([ScenarioSpec(failed_links=combo) for combo in combos])
 
     def node_failures(
         self, k: int, budget: int = DEFAULT_BUDGET
     ) -> Tuple[List[ScenarioSpec], int]:
-        """k-node failure variants; demands touching failed nodes drop."""
-        specs: List[ScenarioSpec] = []
-        skipped = 0
-        names = sorted(self._node_order)
-        for combo in self._combinations(names, k, budget, kind_tag=102):
-            spec = ScenarioSpec(failed_nodes=tuple(combo))
-            down = set(combo)
-            live = [
-                pair
-                for pair in self._demand_pairs
-                if pair[0] not in down and pair[1] not in down
-            ]
-            if not live:
-                skipped += 1
-                continue
-            if self.is_feasible(spec):
-                specs.append(spec)
-            else:
-                skipped += 1
-        return specs, skipped
+        """k-node failure variants; demands touching failed nodes drop.
+
+        A combination that drops every demand is skipped too.
+        """
+        names = sorted(self.base.network.node_names)
+        combos = self._combinations(names, k, budget, kind_tag=102)
+        live = [
+            combo for combo in combos
+            if any(set(combo).isdisjoint(pair) for pair in self._demand_pairs)
+        ]
+        kept, severed = self._screen([ScenarioSpec(failed_nodes=c) for c in live])
+        return kept, len(combos) - len(live) + severed
 
     def flash_crowds(
         self, n: int, factor: float = 5.0, n_pairs: int = 2
     ) -> List[ScenarioSpec]:
         """``n`` seeded flash-crowd variants, each surging ``n_pairs`` demands."""
-        if not self._demand_pairs or n <= 0:
+        pairs = self._demand_pairs
+        if not pairs or n <= 0:
             return []
-        n_pairs = min(n_pairs, len(self._demand_pairs))
         rng = np.random.default_rng([self.seed, 103])
-        specs: List[ScenarioSpec] = []
-        seen = set()
-        attempts = 0
-        while len(specs) < n and attempts < n * 50:
-            attempts += 1
-            indices = tuple(
-                sorted(
-                    rng.choice(
-                        len(self._demand_pairs), size=n_pairs, replace=False
-                    ).tolist()
-                )
+        subsets = _distinct_subsets(rng, len(pairs), min(n_pairs, len(pairs)), n)
+        return [
+            ScenarioSpec(
+                surge_pairs=tuple(pairs[i] for i in indices),
+                surge_factor=float(factor),
             )
-            if indices in seen:
-                continue
-            seen.add(indices)
-            specs.append(
-                ScenarioSpec(
-                    surge_pairs=tuple(self._demand_pairs[i] for i in indices),
-                    surge_factor=float(factor),
-                )
-            )
-        return specs
+            for indices in subsets
+        ]
 
     def locality_shifts(
         self, localities: Iterable[float]
@@ -248,8 +184,6 @@ class ScenarioGenerator:
         """
         if stages <= 0:
             return []
-        from repro.net.mutate import candidate_links
-
         rng = np.random.default_rng([self.seed, 104])
         candidates = candidate_links(
             self.base.network, max_candidates=stages, rng=rng
@@ -281,16 +215,15 @@ class ScenarioGenerator:
         """
         specs: List[ScenarioSpec] = [BASELINE]
         skipped: Dict[str, int] = {}
-        if link_failure_k > 0:
-            kind_specs, n_skipped = self.link_failures(link_failure_k, budget)
-            specs.extend(kind_specs)
-            if n_skipped:
-                skipped["link_failure"] = n_skipped
-        if node_failure_k > 0:
-            kind_specs, n_skipped = self.node_failures(node_failure_k, budget)
-            specs.extend(kind_specs)
-            if n_skipped:
-                skipped["node_failure"] = n_skipped
+        for kind, k, screened in (
+            ("link_failure", link_failure_k, self.link_failures),
+            ("node_failure", node_failure_k, self.node_failures),
+        ):
+            if k > 0:
+                kind_specs, n_skipped = screened(k, budget)
+                specs.extend(kind_specs)
+                if n_skipped:
+                    skipped[kind] = n_skipped
         specs.extend(self.flash_crowds(surges, surge_factor, surge_pairs))
         specs.extend(self.locality_shifts(localities))
         specs.extend(self.growth(growth_stages))

@@ -87,6 +87,8 @@ def robustness_payload(
     ``per_scheme`` maps scheme name -> variant index -> metric dict (as
     produced by :func:`variant_metrics`); index 0 must be the baseline.
     ``variant_labels`` gives each variant's human label, index-aligned.
+    A scheme's worst variant has the largest stretch ratio (the lowest
+    index on ties); only a fleet with no variants names the baseline.
     """
     schemes: Dict[str, Any] = {}
     ranking: List[Any] = []
@@ -113,7 +115,7 @@ def robustness_payload(
             )
             ratios.append(ratio)
             deltas.append(delta)
-            if ratio > worst_ratio:
+            if not worst_index or ratio > worst_ratio:
                 worst_ratio = ratio
                 worst_index = index
         stretch = _distribution(ratios)

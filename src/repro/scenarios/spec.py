@@ -27,10 +27,10 @@ from repro.core.metrics import ApaParameters, llpd
 from repro.experiments.workloads import NetworkWorkload
 from repro.net.mutate import (
     ScenarioInfeasible,
-    ensure_demand_connectivity,
+    demand_pairs,
+    severed_pair,
     with_added_link,
-    with_removed_duplex_link,
-    with_removed_node,
+    without_failures,
 )
 from repro.tm import TrafficMatrix, apply_locality
 
@@ -164,11 +164,12 @@ class ScenarioSpec:
     def apply(self, base: NetworkWorkload) -> NetworkWorkload:
         """Realize this spec against a base item.
 
-        Order of operations: growth first (the what-if topology), then
-        failures on the grown topology, then demand perturbations (node
-        -failure demand drops, flash-crowd surge, locality reshape).
-        Raises :class:`ScenarioInfeasible` when the perturbed topology
-        cannot carry the perturbed demand at all (severed pair).
+        Order of operations: growth first (the what-if topology), then the
+        failures as one :func:`~repro.net.mutate.without_failures` copy,
+        then demand perturbations (node-failure demand drops, flash-crowd
+        surge, locality reshape).  Raises :class:`ScenarioInfeasible` when
+        a demand pair is severed: the rule of the generator's screen,
+        :func:`~repro.net.mutate.severed_pair`.
 
         LLPD is recomputed only for growth variants (growth *targets*
         LLPD); failure/surge variants keep the base item's LLPD — the
@@ -181,52 +182,41 @@ class ScenarioSpec:
         network = base.network
         for a, b in self.growth_links:
             network = with_added_link(network, a, b)
-        for a, b in self.failed_links:
-            network = with_removed_duplex_link(network, a, b)
-        for name in self.failed_nodes:
-            network = with_removed_node(network, name)
+        label = self.label()
+        named = without_failures(
+            network, self.failed_links, self.failed_nodes,
+            name=f"{base.network.name}#{label}",
+        )
 
-        failed = set(self.failed_nodes)
+        down = set(self.failed_nodes)
         matrices: List[TrafficMatrix] = []
         for tm in base.matrices:
-            if failed:
+            if down:
+                live = [pair for pair in tm.pairs if down.isdisjoint(pair)]
                 tm = TrafficMatrix(
-                    {
-                        pair: demand
-                        for pair, demand in tm.items()
-                        if pair[0] not in failed and pair[1] not in failed
-                    },
-                    flow_counts={
-                        pair: tm.flows(*pair)
-                        for pair, _ in tm.items()
-                        if pair[0] not in failed and pair[1] not in failed
-                    },
+                    {pair: tm.demand(*pair) for pair in live},
+                    flow_counts={pair: tm.flows(*pair) for pair in live},
                 )
             if self.surge_pairs:
                 tm = tm.scaled(self.surge_factor, pairs=self.surge_pairs)
             matrices.append(tm)
 
         # Feasibility before any LP touches the variant.  The locality
-        # reshape needs a path for *every* matrix pair (zero-demand
-        # pairs may receive redistributed volume); otherwise only pairs
-        # actually carrying demand must stay connected.
-        demand_pairs: List[Tuple[str, str]] = []
-        seen_pairs = set()
-        for tm in matrices:
-            for pair, demand in tm.items():
-                if (self.locality is not None or demand > 0) and (
-                    pair not in seen_pairs
-                ):
-                    seen_pairs.add(pair)
-                    demand_pairs.append(pair)
-        ensure_demand_connectivity(network, demand_pairs)
+        # reshape may move volume onto zero-demand pairs, so then every
+        # matrix pair needs a path.
+        severed = severed_pair(
+            named, demand_pairs(matrices, every_pair=self.locality is not None)
+        )
+        if severed is not None:
+            raise ScenarioInfeasible(
+                f"{base.network.name}: demand pair {severed[0]} -> "
+                f"{severed[1]} disconnected"
+            )
         if self.locality is not None:
             matrices = [
-                apply_locality(network, tm, self.locality) for tm in matrices
+                apply_locality(named, tm, self.locality) for tm in matrices
             ]
 
-        label = self.label()
-        named = network.copy(name=f"{base.network.name}#{label}")
         if self.growth_links:
             value = llpd(named, ApaParameters())
         else:

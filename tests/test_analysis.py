@@ -285,6 +285,7 @@ def test_mypy_strict_plan_spec_and_lp_model():
             "src/repro/lp/model.py",
             "src/repro/durable.py",
             "src/repro/routing/base.py",
+            "src/repro/net/mutate.py",
         ],
         cwd=REPO,
         capture_output=True,

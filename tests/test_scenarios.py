@@ -1,9 +1,11 @@
 """Scenario fleets: specs, seeded generation, lazy plans, dispatch parity."""
 
+import hashlib
 import json
 import pickle
 import subprocess
 import sys
+from itertools import combinations, islice
 
 import pytest
 
@@ -13,15 +15,11 @@ from repro.experiments.plan import EvalPlan, EvalTask
 from repro.experiments.spec import SchemeSpec
 from repro.experiments.store import workload_signature
 from repro.experiments.workloads import NetworkWorkload, build_zoo_workload
-from repro.net.mutate import (
-    ScenarioInfeasible,
-    connected_components,
-    ensure_demand_connectivity,
-    with_removed_duplex_link,
-    with_removed_node,
-)
+from repro.net.mutate import ScenarioInfeasible, severed_pair, without_failures
 from repro.net.graph import Network, Node
+from repro.net.io import to_json as net_to_json
 from repro.net.units import Gbps, ms
+from repro.net.zoo import generate_zoo
 from repro.scenarios import (
     BASELINE,
     ScenarioGenerator,
@@ -121,12 +119,16 @@ class TestMutateGuards:
             spec.apply(line_item())
 
     def test_removing_absent_link_is_typed_infeasible(self):
-        with pytest.raises(ScenarioInfeasible):
-            with_removed_duplex_link(build_line(4), "n0", "n3")
+        with pytest.raises(ScenarioInfeasible, match="no physical link"):
+            without_failures(build_line(4), failed_links=[("n0", "n3")])
+        with pytest.raises(ScenarioInfeasible, match="no physical link"):
+            without_failures(
+                build_line(4), failed_links=[("n0", "n1"), ("n1", "n0")]
+            )
 
     def test_removing_absent_node_is_typed_infeasible(self):
-        with pytest.raises(ScenarioInfeasible):
-            with_removed_node(build_line(4), "n9")
+        with pytest.raises(ScenarioInfeasible, match="no node 'n9'"):
+            without_failures(build_line(4), failed_nodes=["n9"])
 
     def test_node_failure_severing_transit_demand(self):
         # Dropping n1 severs n0 <-> n3 (chain); the n0->n3 demand survives
@@ -136,10 +138,61 @@ class TestMutateGuards:
             spec.apply(line_item())
 
     def test_connected_components_after_cut(self):
-        cut = with_removed_duplex_link(build_line(4), "n1", "n2")
-        assert connected_components(cut) == [["n0", "n1"], ["n2", "n3"]]
-        with pytest.raises(ScenarioInfeasible):
-            ensure_demand_connectivity(cut, [("n0", "n3")])
+        line = build_line(4)
+        pairs = [("n0", "n1"), ("n2", "n3"), ("n3", "n0"), ("n0", "n3")]
+        cut = without_failures(line, failed_links=[("n1", "n2")])
+        assert severed_pair(cut, pairs) == ("n3", "n0")
+        assert severed_pair(line, pairs, failed_links=[("n2", "n1")]) == (
+            "n3", "n0"
+        )
+        assert severed_pair(line, pairs) is None
+        # A pair touching a failed node is dropped, not severed.
+        assert severed_pair(line, [("n0", "n1")], failed_nodes=["n0"]) is None
+        assert severed_pair(line, [("n0", "n2")], failed_nodes=["n1"]) == (
+            "n0", "n2"
+        )
+
+    def test_failures_apply_as_one_set(self):
+        # Failure order does not matter, and survivors keep insertion
+        # order: the one-pass copy equals removing links one at a time.
+        network = build_square()
+        links = [("a", "b"), ("c", "d")]
+        forward = without_failures(network, failed_links=links)
+        backward = without_failures(network, failed_links=links[::-1])
+        stepwise = network.without_duplex_link("a", "b").without_duplex_link(
+            "c", "d"
+        )
+        assert net_to_json(forward) == net_to_json(backward)
+        assert net_to_json(forward) == net_to_json(stepwise)
+        renamed = without_failures(network, failed_nodes=["a"], name="sq#x")
+        assert renamed.name == "sq#x"
+        assert renamed.node_names == ["b", "c", "d"]
+        assert [link.key for link in renamed.links()] == [
+            ("b", "c"), ("c", "b"), ("c", "d"), ("d", "c"),
+        ]
+
+    def test_one_network_construction_per_variant(self, monkeypatch):
+        item = NetworkWorkload(
+            network=build_square(),
+            llpd=1.0,
+            matrices=[TrafficMatrix({("a", "c"): Gbps(1)})],
+        )
+        built = []
+        real_init = Network.__init__
+
+        def counting_init(network, *args, **kwargs):
+            built.append(network)
+            real_init(network, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "__init__", counting_init)
+        for spec in (
+            ScenarioSpec(failed_links=(("a", "b"),)),
+            ScenarioSpec(failed_nodes=("b",)),
+            ScenarioSpec(surge_pairs=(("a", "c"),), surge_factor=2.0),
+        ):
+            built.clear()
+            variant = spec.apply(item)
+            assert built == [variant.network], spec.label()
 
     def test_square_tolerates_any_single_cut(self):
         network = build_square()
@@ -149,6 +202,110 @@ class TestMutateGuards:
             variant = ScenarioSpec(failed_links=((a, b),)).apply(item)
             assert variant.network.num_links == network.num_links - 2
             assert variant.scenario == f"fail[{a}--{b}]"
+
+
+# ----------------------------------------------------------------------
+# One feasibility rule: independent oracle, screen == realization
+# ----------------------------------------------------------------------
+def failure_cases(network):
+    """The first 60 two-link failures and every single-node failure."""
+    two_links = islice(combinations(sorted(network.duplex_pairs()), 2), 60)
+    for links in two_links:
+        yield links, ()
+    for name in network.node_names:
+        yield (), (name,)
+
+
+class TestFeasibilityRule:
+    def test_severed_pair_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        outcomes = set()
+        for network in generate_zoo(12, seed=0):
+            pairs = network.node_pairs()
+            for links, nodes in failure_cases(network):
+                graph = nx.DiGraph()
+                graph.add_nodes_from(
+                    n for n in network.node_names if n not in nodes
+                )
+                cut = set(links) | {(b, a) for a, b in links}
+                graph.add_edges_from(
+                    link.key for link in network.links()
+                    if link.key not in cut
+                    and link.src not in nodes and link.dst not in nodes
+                )
+                component = {}
+                for index, members in enumerate(
+                    nx.strongly_connected_components(graph)
+                ):
+                    component.update(dict.fromkeys(members, index))
+                live = [
+                    (src, dst) for src, dst in pairs
+                    if src not in nodes and dst not in nodes
+                ]
+                expected = next(
+                    (
+                        (src, dst) for src, dst in live
+                        if component[src] != component[dst]
+                    ),
+                    None,
+                )
+                assert severed_pair(network, pairs, links, nodes) == (
+                    expected
+                ), (network.name, links, nodes)
+                outcomes.add(expected is None)
+        assert outcomes == {True, False}  # both answers were exercised
+
+    def test_screen_and_realization_agree(self):
+        items = build_zoo_workload(n_networks=8, n_matrices=1, seed=0)
+        checked = 0
+        for index, item in enumerate(items.networks):
+            generator = ScenarioGenerator(item, seed=index)
+            duplex = sorted(item.network.duplex_pairs())
+            cases = [
+                (generator.link_failures(k, budget=10**6)[0],
+                 [ScenarioSpec(failed_links=c) for c in combinations(duplex, k)])
+                for k in (1, 2)
+            ]
+            cases.append((
+                generator.node_failures(1, budget=10**6)[0],
+                [ScenarioSpec(failed_nodes=(name,))
+                 for name in sorted(item.network.node_names)],
+            ))
+            for kept, every in cases:
+                kept = set(kept)
+                for spec in every:
+                    checked += 1
+                    if spec in kept:
+                        spec.apply(item)
+                    else:
+                        with pytest.raises(ScenarioInfeasible):
+                            spec.apply(item)
+        assert checked > 1000
+
+
+class TestFleetPin:
+    """A multi-kind fleet, realized: any reordered node, link, draw or
+    demand moves this digest."""
+
+    DIGEST = "be6b8098883035d2f7932c65f54ac83efbe604c1172ff376a9b70a04774a3bfb"
+
+    def test_realized_fleet_is_byte_identical(self):
+        digest = hashlib.sha256()
+        items = build_zoo_workload(8, 1, seed=0).networks[:6]
+        for i, item in enumerate(items):
+            fleet = ScenarioGenerator(item, seed=i).fleet(
+                link_failure_k=2 if i % 2 else 1, node_failure_k=1,
+                surges=4, budget=40, localities=[0.5], growth_stages=2,
+            )
+            digest.update(repr(sorted(fleet.skipped.items())).encode())
+            for spec in fleet.specs:
+                variant = spec.apply(item)
+                digest.update(spec.signature().encode())
+                digest.update(net_to_json(variant.network).encode())
+                digest.update(repr(variant.llpd).encode())
+                for tm in variant.matrices:
+                    digest.update(tm_to_json(tm).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 # ----------------------------------------------------------------------
@@ -517,6 +674,30 @@ class TestReport:
         )
         assert payload["schemes"]["SP"]["stretch_ratio"]["max"] == 1.5
         assert payload["n_infeasible"] == 1
+
+    def test_worst_variant_is_the_largest_ratio(self):
+        # Growth only ever shortens paths here: every ratio is below 1.0,
+        # and the worst variant is still a variant, not the baseline.
+        per_scheme = {"SP": {
+            0: variant_metrics([Outcome(1.2)]),
+            1: variant_metrics([Outcome(1.1)]),
+            2: variant_metrics([Outcome(1.05)]),
+            3: variant_metrics([Outcome(1.1)]),
+        }}
+        labels = ["baseline", "grow[a--c]", "grow[a--c,b--d]", "grow[b--d]"]
+        detail = robustness_payload(
+            "toy", labels, per_scheme, {}, {"baseline": 1, "growth": 3}
+        )["schemes"]["SP"]
+        worst = detail["worst_variant"]
+        assert worst["stretch_ratio"] == detail["stretch_ratio"]["max"]
+        assert worst["stretch_ratio"] < 1.0
+        assert (worst["index"], worst["label"]) == (1, "grow[a--c]")
+        only_baseline = robustness_payload(
+            "toy", ["baseline"], {"SP": {0: per_scheme["SP"][0]}}, {}, {}
+        )["schemes"]["SP"]["worst_variant"]
+        assert only_baseline == {
+            "index": 0, "label": "baseline", "stretch_ratio": 1.0
+        }
 
     def test_variant_metrics_averages_over_matrices(self):
         metrics = variant_metrics([Outcome(1.0), Outcome(2.0)])
