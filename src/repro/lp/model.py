@@ -1,9 +1,9 @@
 """The solver-ready LP model and its HiGHS backends.
 
-Design goals, in order: correctness, fast model assembly (sparse matrices
-built from coordinate arrays, no per-coefficient Python objects), and a
-small, explicit API.  :class:`CompiledLP` is the one model: a canonical
-CSR matrix plus senses, rhs, objective and bounds arrays, built by
+Design goals, in order: correctness, fast model assembly (numpy arrays
+throughout, no per-coefficient Python objects), and a small, explicit
+API.  :class:`CompiledLP` is the one model: canonical coordinate (COO)
+arrays plus senses, rhs, objective and bounds arrays, built by
 :meth:`CompiledLP.from_coo` from vectorized coordinate arrays::
 
     lp = CompiledLP.from_coo(
@@ -17,7 +17,9 @@ CSR matrix plus senses, rhs, objective and bounds arrays, built by
 Only what the routing formulations need is implemented: continuous
 variables, <= / >= / == rows and a linear objective (minimization).  A
 compiled model is built once and solved once; a different model is a new
-``from_coo`` call.
+``from_coo`` call.  The column-wise matrix HiGHS takes is built per solve
+with numpy (:func:`_solver_view`), so no sparse-matrix package is
+imported.
 
 Backends
 --------
@@ -44,11 +46,10 @@ import os
 import sys
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Any, Dict, Optional, Sequence, Tuple, Union, cast
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 import numpy.typing as npt
-from scipy import sparse
 
 from repro.telemetry import Recorder, recorder
 
@@ -210,42 +211,98 @@ def _as_index_array(values: Union[Sequence[int], IntArray]) -> IntArray:
     return np.ascontiguousarray(np.asarray(values, dtype=np.int64))
 
 
-class CompiledLP:
-    """A solver-ready LP: canonical CSR matrix plus senses, rhs, objective
-    and bounds.
+class _SolverView(NamedTuple):
+    """The arrays one HiGHS run takes, and the row order behind them."""
 
-    The matrix holds every row in insertion order with its *original*
-    sense (no ``>=`` negation baked in); the solver's view (``>=`` rows
-    negated, ``<=`` rows before ``==`` rows, column-wise) is derived at
-    solve time.  Immutable: built once (:meth:`from_coo`), and nothing is
-    kept between solves.
+    start: npt.NDArray[np.int32]
+    index: npt.NDArray[np.int32]
+    value: FloatArray
+    row_lower: FloatArray
+    row_upper: FloatArray
+    #: Solver row ``i`` is model row ``order[i]``, ...
+    order: IntArray
+    #: ... negated (``-1.0``) when it is a ``>=`` row.
+    sign: FloatArray
+    #: How many leading rows are ``<=`` rows (negated ``>=`` included).
+    n_ub: int
+
+
+def _solver_view(
+    n_variables: int,
+    data: FloatArray,
+    rows: IntArray,
+    cols: IntArray,
+    senses: npt.NDArray[np.int8],
+    rhs: FloatArray,
+) -> _SolverView:
+    """The model SciPy's ``method="highs"`` front end hands HiGHS, from
+    canonical coordinates: ``<=`` and ``>=`` rows first (``>=`` negated),
+    then ``==`` rows, and the matrix column-wise (``start``, ``index``,
+    ``value``) with int32 row indices ascending within each column.
+
+    Each entry moves to its row's solver position with its row's sign;
+    one sort by (column, solver row) orders ``index``/``value``, and the
+    cumulative per-column counts are ``start``.  The keys are unique
+    (:meth:`CompiledLP.from_coo` summed duplicates), so any sort gives the
+    same order and the fastest one is used.
+    """
+    order = np.argsort(senses == SENSE_EQ, kind="stable")
+    n_ub = int(np.count_nonzero(senses != SENSE_EQ))
+    sign = np.where(senses[order] == SENSE_GE, -1.0, 1.0)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    solver_rows = position[rows]
+    by_column = np.argsort(cols * len(order) + solver_rows)
+    index = solver_rows[by_column]
+    start = np.zeros(n_variables + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n_variables), out=start[1:])
+    row_upper = sign * rhs[order]
+    row_lower = row_upper.copy()
+    row_lower[:n_ub] = -np.inf
+    return _SolverView(
+        start, index.astype(np.int32), data[by_column] * sign[index],
+        row_lower, row_upper, order, sign, n_ub,
+    )
+
+
+class CompiledLP:
+    """A solver-ready LP: canonical coordinate arrays plus senses, rhs,
+    objective and bounds.
+
+    The coordinates are row-major sorted, with exact zeros dropped and
+    duplicates summed; every row keeps its insertion position and its
+    *original* sense (no ``>=`` negation baked in).  The solver's view
+    (:func:`_solver_view`) is derived at solve time.  Immutable: built
+    once (:meth:`from_coo`), and nothing is kept between solves.
     """
 
     def __init__(
         self,
-        matrix: Any,
+        n_variables: int,
+        data: FloatArray,
+        rows: IntArray,
+        cols: IntArray,
         senses: npt.NDArray[np.int8],
         rhs: FloatArray,
         c: FloatArray,
         lower: FloatArray,
         upper: FloatArray,
     ) -> None:
-        self._a = matrix.tocsr()
-        self._a.sum_duplicates()
-        n_rows, n_cols = self._a.shape
+        self._data, self._rows, self._cols = data, rows, cols
         self._senses = np.ascontiguousarray(senses, dtype=np.int8)
         self._rhs = _as_float_array(rhs)
         self._c = _as_float_array(c)
         self._lower = _as_float_array(lower)
         self._upper = _as_float_array(upper)
-        if self._senses.shape[0] != n_rows or self._rhs.shape[0] != n_rows:
-            raise ValueError("senses/rhs length != matrix row count")
+        n_rows = self._rhs.shape[0]
+        if self._senses.shape[0] != n_rows:
+            raise ValueError("senses length != rhs length")
         if (
-            self._c.shape[0] != n_cols
-            or self._lower.shape[0] != n_cols
-            or self._upper.shape[0] != n_cols
+            self._c.shape[0] != n_variables
+            or self._lower.shape[0] != n_variables
+            or self._upper.shape[0] != n_variables
         ):
-            raise ValueError("c/bounds length != matrix column count")
+            raise ValueError("c/bounds length != n_variables")
         bad_sense = (self._senses < SENSE_LE) | (self._senses > SENSE_EQ)
         if bool(bad_sense.any()):
             raise ValueError(
@@ -266,26 +323,47 @@ class CompiledLP:
         lower: FloatArray,
         upper: FloatArray,
     ) -> "CompiledLP":
-        """Build from coordinate arrays (exact zeros are dropped)."""
+        """Build from coordinate arrays: exact zeros are dropped, then
+        entries sorted row-major and duplicates summed in input order."""
         data = _as_float_array(data)
         rows = _as_index_array(rows)
         cols = _as_index_array(cols)
+        if not len(data) == len(rows) == len(cols):
+            raise ValueError("data/rows/cols lengths differ")
+        if rows.size and (
+            int(rows.min()) < 0 or int(rows.max()) >= len(rhs)
+            or int(cols.min()) < 0 or int(cols.max()) >= n_variables
+        ):
+            raise ValueError("matrix coordinate outside rhs rows x variables")
         keep = data != 0.0
         if not bool(keep.all()):
             data, rows, cols = data[keep], rows[keep], cols[keep]
-        matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(len(rhs), n_variables)
-        )
-        return cls(matrix, senses, rhs, c, lower, upper)
+        key = rows * n_variables + cols
+        row_major = np.argsort(key, kind="stable")
+        data, rows, cols = data[row_major], rows[row_major], cols[row_major]
+        key = key[row_major]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        if not bool(first.all()):
+            starts = np.flatnonzero(first)
+            data = np.add.reduceat(data, starts)
+            rows, cols = rows[starts], cols[starts]
+        return cls(n_variables, data, rows, cols, senses, rhs, c, lower, upper)
 
     # ------------------------------------------------------------------
     @property
     def n_variables(self) -> int:
-        return int(self._a.shape[1])
+        return int(self._c.shape[0])
 
     @property
     def n_rows(self) -> int:
-        return int(self._a.shape[0])
+        return int(self._rhs.shape[0])
+
+    def _solver_view(self) -> _SolverView:
+        return _solver_view(
+            self.n_variables, self._data, self._rows, self._cols,
+            self._senses, self._rhs,
+        )
 
     # ------------------------------------------------------------------
     # Solving
@@ -323,22 +401,13 @@ class CompiledLP:
             raise ValueError("LP has no variables")
         for part, values in (
             ("objective", self._c),
-            ("matrix", self._a.data),
+            ("matrix", self._data),
             ("right-hand side", self._rhs),
         ):
             if not bool(np.isfinite(values).all()):
                 raise ValueError(f"LP {part} must not contain inf or nan")
         with rec.span("lp_assemble", attrs):
-            # <= and >= rows first (>= negated), then == rows.
-            order = np.argsort(self._senses == SENSE_EQ, kind="stable")
-            n_ub = int(np.count_nonzero(self._senses != SENSE_EQ))
-            sign = np.where(self._senses[order] == SENSE_GE, -1.0, 1.0)
-            rows = self._a[order]
-            rows.data *= np.repeat(sign, np.diff(rows.indptr))
-            matrix = rows.tocsc()
-            row_upper = sign * self._rhs[order]
-            row_lower = row_upper.copy()
-            row_lower[:n_ub] = -h.kHighsInf
+            view = self._solver_view()
             lp = h.HighsLp()
             lp.num_col_ = lp.a_matrix_.num_col_ = self.n_variables
             lp.num_row_ = lp.a_matrix_.num_row_ = self.n_rows
@@ -346,11 +415,11 @@ class CompiledLP:
             lp.col_cost_ = self._c
             lp.col_lower_ = np.clip(self._lower, -h.kHighsInf, h.kHighsInf)
             lp.col_upper_ = np.clip(self._upper, -h.kHighsInf, h.kHighsInf)
-            lp.row_lower_ = row_lower
-            lp.row_upper_ = row_upper
-            lp.a_matrix_.start_ = matrix.indptr
-            lp.a_matrix_.index_ = matrix.indices
-            lp.a_matrix_.value_ = matrix.data
+            lp.row_lower_ = view.row_lower
+            lp.row_upper_ = view.row_upper
+            lp.a_matrix_.start_ = view.start
+            lp.a_matrix_.index_ = view.index
+            lp.a_matrix_.value_ = view.value
         with rec.span("lp_solve", attrs):
             highs = h._Highs()
             for option, value in _HIGHS_OPTIONS:
@@ -372,7 +441,7 @@ class CompiledLP:
             solution = highs.getSolution()
             x = np.array(solution.col_value)
             objective = float(highs.getInfo().objective_function_value)
-            residual = row_upper - np.array(solution.row_value)
+            residual = view.row_upper - np.array(solution.row_value)
             tol = _FEASIBILITY_TOL
             if (
                 np.isnan(objective)
@@ -380,15 +449,15 @@ class CompiledLP:
                 or not bool(
                     np.all((x >= self._lower - tol) & (x <= self._upper + tol))
                 )
-                or bool((residual[:n_ub] < -tol).any())
-                or bool((np.abs(residual[n_ub:]) > tol).any())
+                or bool((residual[:view.n_ub] < -tol).any())
+                or bool((np.abs(residual[view.n_ub:]) > tol).any())
             ):
                 raise RuntimeError(
                     "HiGHS solution violates the constraints by more than "
                     f"{tol:.2E}"
                 )
             row_dual = np.empty(self.n_rows)
-            row_dual[order] = sign * np.array(solution.row_dual)
+            row_dual[view.order] = view.sign * np.array(solution.row_dual)
             return Solution(
                 objective, x, row_dual, np.array(solution.col_dual)
             )

@@ -2,8 +2,10 @@
 
 A scenario's link and node failures are decided here once:
 :func:`severed_pair` tells whether they leave every demand pair connected
-(the scenario generator's screen and ``ScenarioSpec.apply`` both ask it),
-and :func:`without_failures` builds the surviving topology in one copy.
+and :func:`drops_every_demand` whether node failures leave any demand at
+all (the scenario generator's screen and ``ScenarioSpec.apply`` both ask
+them), and :func:`without_failures` builds the surviving topology in one
+copy.
 
 The paper (§8, Figure 20) grows hard-to-route networks by repeatedly
 adding the single candidate link that yields the greatest LLPD increase,
@@ -113,6 +115,16 @@ def severed_pair(
         if src not in labels or labels[src] != labels.get(dst):
             return (src, dst)
     return None
+
+
+def drops_every_demand(
+    pairs: Iterable[Tuple[str, str]], failed_nodes: Iterable[str]
+) -> bool:
+    """True when node failures touch every one of ``pairs``: the variant
+    would route nothing, so it is no variant.  Without failed nodes no
+    demand drops."""
+    down = set(failed_nodes)
+    return bool(down) and not any(down.isdisjoint(pair) for pair in pairs)
 
 
 def demand_pairs(

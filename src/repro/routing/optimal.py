@@ -9,7 +9,8 @@ the number of variables (paths) in each run is small."
 
 With ``headroom > 0`` the optimization sees capacities scaled by
 ``1 - headroom`` (the paper's headroom dial, §4) while the returned
-placement is judged against the true capacities.
+placement is judged against the true capacities, its unplaced excess
+included (:func:`real_overload`).
 
 Each iteration's LP goes through :func:`repro.routing.pathlp.solve_latency_lp`,
 which builds a fresh model per solve; one placement's :data:`PathMemo`
@@ -20,12 +21,17 @@ repeated solves the paper waves off as "very quick" stay that way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.net.graph import Network
 from repro.net.paths import KspCache, Path, path_links
-from repro.routing.base import Placement, RoutingScheme, lp_placement
-from repro.routing.pathlp import PathLpResult, PathMemo, solve_latency_lp
+from repro.routing.base import (
+    LinkKey, Placement, RoutingScheme, Splits, lp_placement,
+)
+from repro.routing.pathlp import (
+    OVERLOAD_TOLERANCE, PathLpResult, PathMemo, link_utilization,
+    solve_latency_lp,
+)
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 
@@ -228,6 +234,19 @@ def solve_iterative_latency(
     return result, stats
 
 
+def real_overload(
+    network: Network, fractions: Splits
+) -> Tuple[Set[LinkKey], float]:
+    """The links ``fractions`` load beyond their capacity in ``network``
+    (by more than the LP's overload tolerance) and the peak utilization."""
+    utilization = link_utilization(network, fractions)
+    overloaded = {
+        key for key, value in utilization.items()
+        if value > 1.0 + OVERLOAD_TOLERANCE
+    }
+    return overloaded, max(utilization.values(), default=0.0)
+
+
 class LatencyOptimalRouting(RoutingScheme):
     """The paper's latency-optimal scheme (and the core of LDR).
 
@@ -272,12 +291,14 @@ class LatencyOptimalRouting(RoutingScheme):
         self.last_stats = stats
         # Re-key the splits to ``tm``'s aggregates (real flow counts).
         originals = {agg.pair: agg for agg in tm.aggregates()}
-        return lp_placement(
-            network,
-            {
-                originals[agg.pair]: splits
-                for agg, splits in result.fractions.items()
-            },
-            set(result.overloaded_links(only_maximal=False)),
-            result.max_overload,
-        )
+        fractions = {
+            originals[agg.pair]: splits
+            for agg, splits in result.fractions.items()
+        }
+        if self.headroom > 0:
+            # The LP overloads were against the scaled capacities.
+            overloaded, peak = real_overload(network, fractions)
+        else:
+            overloaded = set(result.overloaded_links(only_maximal=False))
+            peak = result.max_overload
+        return lp_placement(network, fractions, overloaded, peak)

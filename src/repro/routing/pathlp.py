@@ -51,7 +51,7 @@ from repro.lp import CompiledLP, Solution
 from repro.lp.model import SENSE_EQ, SENSE_LE, resolve_backend
 from repro.net.graph import Network
 from repro.net.paths import Path
-from repro.routing.base import link_loads
+from repro.routing.base import LinkKey, Splits, link_loads
 from repro.telemetry import recorder
 from repro.tm.matrix import Aggregate
 
@@ -375,6 +375,18 @@ def solve_latency_lp(
     )
 
 
+def link_utilization(network: Network, fractions: Splits) -> Dict[LinkKey, float]:
+    """Each link's load over its capacity in ``network`` when ``fractions``
+    carry their aggregates' demands (only touched links are keys)."""
+    loads = link_loads(
+        (path, fraction * agg.demand_bps)
+        for agg, splits in fractions.items() for path, fraction in splits
+    )
+    return {
+        key: load / network.link(*key).capacity_bps for key, load in loads.items()
+    }
+
+
 def solve_minmax_lp(
     network: Network,
     path_sets: Mapping[Aggregate, Sequence[Path]],
@@ -403,13 +415,7 @@ def solve_minmax_lp(
 
     fractions = builder.extract_fractions(solution)
     # Report per-link utilization of the final placement.
-    loads = link_loads(
-        (path, fraction * agg.demand_bps)
-        for agg, splits in fractions.items() for path, fraction in splits
-    )
-    link_util = {
-        key: load / network.link(*key).capacity_bps for key, load in loads.items()
-    }
+    link_util = link_utilization(network, fractions)
     result = PathLpResult(
         fractions=fractions,
         # Raw utilizations (not clipped at 1): MinMax callers need to see

@@ -16,10 +16,11 @@ pure function of ``(base item, seed, parameters)``:
   (see :class:`ScenarioSet`), never silently dropped — the counts are
   part of the robustness report.
 
-The feasibility screen is :func:`repro.net.mutate.severed_pair` on the
-base topology (one BFS, no Network copy, no LP); :meth:`ScenarioSpec.apply`
-applies the same rule to the realized variant, so a kept spec realizes
-and a skipped one would raise :class:`ScenarioInfeasible`.
+The feasibility screen is :func:`repro.net.mutate.drops_every_demand`
+and :func:`repro.net.mutate.severed_pair` on the base topology (one BFS,
+no Network copy, no LP); :meth:`ScenarioSpec.apply` applies the same
+rules to the realized variant, so a kept spec realizes and a skipped one
+would raise :class:`ScenarioInfeasible`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.workloads import NetworkWorkload
-from repro.net.mutate import candidate_links, demand_pairs, severed_pair
+from repro.net.mutate import (
+    candidate_links, demand_pairs, drops_every_demand, severed_pair,
+)
 from repro.scenarios.spec import BASELINE, ScenarioSpec
 
 __all__ = ["ScenarioGenerator", "ScenarioSet"]
@@ -147,7 +150,7 @@ class ScenarioGenerator:
         combos = self._combinations(names, k, budget, kind_tag=102)
         live = [
             combo for combo in combos
-            if any(set(combo).isdisjoint(pair) for pair in self._demand_pairs)
+            if not drops_every_demand(self._demand_pairs, combo)
         ]
         kept, severed = self._screen([ScenarioSpec(failed_nodes=c) for c in live])
         return kept, len(combos) - len(live) + severed

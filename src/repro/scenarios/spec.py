@@ -28,6 +28,7 @@ from repro.experiments.workloads import NetworkWorkload
 from repro.net.mutate import (
     ScenarioInfeasible,
     demand_pairs,
+    drops_every_demand,
     severed_pair,
     with_added_link,
     without_failures,
@@ -168,7 +169,9 @@ class ScenarioSpec:
         failures as one :func:`~repro.net.mutate.without_failures` copy,
         then demand perturbations (node-failure demand drops, flash-crowd
         surge, locality reshape).  Raises :class:`ScenarioInfeasible` when
-        a demand pair is severed: the rule of the generator's screen,
+        the failed nodes drop every demand or a demand pair is severed:
+        the rules of the generator's screen,
+        :func:`~repro.net.mutate.drops_every_demand` and
         :func:`~repro.net.mutate.severed_pair`.
 
         LLPD is recomputed only for growth variants (growth *targets*
@@ -179,6 +182,13 @@ class ScenarioSpec:
         """
         if self.kind == "baseline":
             return base
+        if self.failed_nodes and drops_every_demand(
+            demand_pairs(base.matrices), self.failed_nodes
+        ):
+            raise ScenarioInfeasible(
+                f"{base.network.name}: failing {', '.join(self.failed_nodes)}"
+                " drops every demand"
+            )
         network = base.network
         for a, b in self.growth_links:
             network = with_added_link(network, a, b)

@@ -104,8 +104,12 @@ class TestHeadroomExtremes:
     def test_huge_headroom_forces_overload_report(self, diamond):
         # 95% headroom leaves 2.5G of scaled s-t capacity for 5G demand.
         tm = TrafficMatrix({("s", "t"): Gbps(5)})
-        placement = LatencyOptimalRouting(headroom=0.95).place(diamond, tm)
-        # Real capacities are never exceeded even though the optimizer's
-        # scaled view was overloaded.
+        scheme = LatencyOptimalRouting(headroom=0.95)
+        placement = scheme.place(diamond, tm)
+        # The optimizer's scaled view reports the overload ...
+        assert not scheme.last_stats.fits
+        assert scheme.last_stats.max_overload > 1.0
+        # ... but real capacities are never exceeded, and the placement
+        # is judged on them: nothing is unplaced.
         assert placement.max_utilization() <= 1.0
-        assert not placement.fits_all_traffic
+        assert placement.fits_all_traffic

@@ -313,6 +313,35 @@ class TestBackends:
         )
         assert result.returncode == 0, result.stderr
 
+    def test_cli_and_solve_load_no_scipy_sparse(self):
+        """The CLI's imports plus one solve load no sparse-matrix package:
+        ``CompiledLP`` builds HiGHS's column-wise arrays with numpy, and
+        ``scipy.sparse`` (with ``scipy._lib._util`` under it) would cost
+        every process ~0.2 s and ~17 MB."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import repro.experiments.__main__\n"
+            "from repro.lp.model import CompiledLP, SENSE_GE\n"
+            "solution = CompiledLP.from_coo(\n"
+            "    n_variables=2, data=np.array([1.0, 1.0]),\n"
+            "    rows=np.array([0, 0]), cols=np.array([0, 1]),\n"
+            "    senses=np.array([SENSE_GE], dtype=np.int8),\n"
+            "    rhs=np.array([2.0]), c=np.array([1.0, 2.0]),\n"
+            "    lower=np.zeros(2), upper=np.full(2, np.inf),\n"
+            ").solve('scipy')\n"
+            "assert solution.objective == 2.0, solution.objective\n"
+            "loaded = [name for name in ('scipy.sparse', 'scipy._lib._util')\n"
+            "          if name in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.fspath(REPO / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+
 
 # ----------------------------------------------------------------------
 # CompiledLP
@@ -405,6 +434,21 @@ class TestCompiledLP:
                 upper=np.full(2, np.inf),
             )
 
+    @pytest.mark.parametrize("rows,cols,match", [
+        ([1], [0], "outside"),     # row 1 of a one-row model
+        ([0], [2], "outside"),     # would alias (1, 0) in a row-major key
+        ([0], [-1], "outside"),
+        ([0, 0], [0], "lengths differ"),
+    ])
+    def test_bad_coordinates_rejected(self, rows, cols, match):
+        with pytest.raises(ValueError, match=match):
+            CompiledLP.from_coo(
+                n_variables=2, data=np.ones(len(rows)), rows=np.array(rows),
+                cols=np.array(cols), senses=np.array([SENSE_LE], np.int8),
+                rhs=np.array([1.0]), c=np.ones(2), lower=np.zeros(2),
+                upper=np.ones(2),
+            )
+
     @pytest.mark.parametrize("case", ["small", "gts_latency"])
     def test_duals_close_the_gap(self, case, gts):
         if case == "small":
@@ -436,4 +480,7 @@ class TestCompiledLP:
             np.zeros(2),
             np.full(2, np.inf),
         )
-        assert compiled._a.nnz == 2
+        view = compiled._solver_view()
+        assert view.start[-1] == 2
+        assert view.index.tolist() == [0, 1]
+        assert view.value.tolist() == [1.0, 1.0]

@@ -35,7 +35,10 @@ class TestFromCoo:
             rhs=np.array([6.0]), c=np.array([1.0]), lower=np.zeros(1),
             upper=np.full(1, np.inf),
         )
-        assert model._a.toarray().tolist() == [[3.0]]
+        view = model._solver_view()
+        # One stored entry, 1 + 2, on the solver's negated >= row.
+        assert view.start.tolist() == [0, 1]
+        assert view.value.tolist() == [-3.0]
         assert model.solve().x[0] == pytest.approx(2.0)
 
 

@@ -282,6 +282,23 @@ class TestFeasibilityRule:
                             spec.apply(item)
         assert checked > 1000
 
+    def test_node_failure_dropping_every_demand(self):
+        # Triangle a-b-c with demands a->b and c->a: failing a drops both.
+        network = Network("triangle")
+        for name in "abc":
+            network.add_node(Node(name))
+        for a, b in (("a", "b"), ("b", "c"), ("c", "a")):
+            network.add_duplex_link(a, b, Gbps(10), ms(1))
+        tm = TrafficMatrix({("a", "b"): Gbps(1), ("c", "a"): Gbps(1)})
+        item = NetworkWorkload(network=network, llpd=1.0, matrices=[tm])
+        kept, skipped = ScenarioGenerator(item, seed=0).node_failures(1)
+        assert [spec.failed_nodes for spec in kept] == [("b",), ("c",)]
+        assert skipped == 1
+        with pytest.raises(ScenarioInfeasible, match="drops every demand"):
+            ScenarioSpec(failed_nodes=("a",)).apply(item)
+        for spec in kept:
+            assert spec.apply(item).matrices[0].pairs
+
 
 class TestFleetPin:
     """A multi-kind fleet, realized: any reordered node, link, draw or
