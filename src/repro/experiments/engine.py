@@ -25,9 +25,10 @@ Sharding/determinism contract
   traffic matrices are evaluated in order inside a single process,
   against a single KSP cache.  Each task's result is a pure function of
   its workload item and scheme factory (warm KSP-cache state affects
-  only timing), so plan execution returns **bit-identical** outcome
-  lists for any ``n_workers``, any task order and any split into task
-  subsets.
+  only timing: a cache loaded from disk, a base item's cache warmed by
+  earlier tasks, or a scenario variant's cache derived from it), so
+  plan execution returns **bit-identical** outcome lists for any
+  ``n_workers``, any task order and any split into task subsets.
 * Pool workers are forked, so scheme factories (possibly closures) and
   workloads are never pickled; only :class:`EvalTask` values travel to
   the workers and only :class:`NetworkResult` values travel back.

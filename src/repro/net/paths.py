@@ -26,6 +26,7 @@ import os
 from typing import (
     Any,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -37,6 +38,7 @@ from typing import (
 from repro.durable import cache_path, write_atomic
 from repro.net.graph import Network
 from repro.net.index import (
+    _SLACK,
     GraphIndex,
     LocalityPruner,
     NoPathError,
@@ -207,6 +209,30 @@ class KspCache:
     ``ksp.pruned`` metric.  Pruning is an explicit approximation for
     ingest-scale graphs; without a pruner behavior is exact and unchanged.
 
+    **Derived caches.**  Given ``base`` (an unpruned cache of the network
+    ``network`` was cut from) plus the ``failed_links`` (duplex: both
+    directions) and ``failed_nodes`` that ``network`` lacks, the cache
+    serves a pair from the base's Yen order instead of running Yen on
+    ``network``.  Every simple path of the cut network is a simple path of
+    the base with the same delay, so its ``k`` shortest paths are the
+    first ``k`` base paths that avoid the failures ("survivors") — as
+    long as no tie lets Yen order them differently.  A filtered list is
+    served only when that is proved, by three conditions:
+
+    * consecutive survivors differ in delay by more than the index's
+      relative slack (``1 + 1e-9``, far beyond float-summation noise);
+    * the base path after the ``k``-th survivor is slower than it by the
+      same margin, or the base has no more paths;
+    * at most ``2k + 6`` base paths were needed to decide it.
+
+    Any other pair (ties near the cut, too many failed paths, an endpoint
+    that failed) runs Yen on ``network`` itself for good, continuing
+    after the lists already served, which are Yen's own prefix.  With no
+    failures at all (a surge or locality variant: the same topology,
+    renamed) the base lists are served as they are.  Served lists are
+    materialized in this cache, so :meth:`dump`, :meth:`load` and
+    :meth:`total_cached` see an ordinary cache.
+
     Materialized paths can be persisted with :meth:`dump` / :meth:`dump_file`
     and restored with :meth:`load`; persisted state is keyed by
     :func:`network_signature`, so a cache saved for one topology is
@@ -219,13 +245,28 @@ class KspCache:
     DUMP_FORMAT = 2
 
     def __init__(
-        self, network: Network, pruner: Optional[LocalityPruner] = None
+        self,
+        network: Network,
+        pruner: Optional[LocalityPruner] = None,
+        *,
+        base: Optional["KspCache"] = None,
+        failed_links: Iterable[Tuple[str, str]] = (),
+        failed_nodes: Iterable[str] = (),
     ) -> None:
+        if base is not None and (pruner is not None or base.pruner is not None):
+            raise ValueError("a derived KSP cache needs an unpruned base")
         self._network = network
         self._pruner = pruner
         self._generators: Dict[Tuple[str, str], Iterator[Path]] = {}
         self._paths: Dict[Tuple[str, str], List[Path]] = {}
         self._exhausted: Set[Tuple[str, str]] = set()
+        self._base = base
+        self._cut: Set[Tuple[str, str]] = set()
+        for a, b in failed_links:
+            self._cut.update(((a, b), (b, a)))
+        self._down: Set[str] = set(failed_nodes)
+        # Per derived pair still open: see :meth:`_derive`.
+        self._scans: Dict[Tuple[str, str], Tuple[int, float]] = {}
 
     @property
     def network(self) -> Network:
@@ -235,53 +276,75 @@ class KspCache:
     def pruner(self) -> Optional[LocalityPruner]:
         return self._pruner
 
+    @property
+    def base(self) -> Optional["KspCache"]:
+        """The cache this one derives from (``None``: a plain cache)."""
+        return self._base
+
     def get(self, src: str, dst: str, k: int) -> List[Path]:
         """The first ``k`` shortest paths (fewer if fewer exist).
 
         With a pruner attached, non-local pairs are clamped to their single
-        shortest path (``ksp.pruned`` counts every such request).
+        shortest path (``ksp.pruned`` counts every such request).  On a
+        derived cache ``ksp.derived`` counts the requests served from the
+        base and ``ksp.derived_fallback`` those that ran Yen here.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         limit = k
+        rec = recorder()
         if (
             self._pruner is not None
             and k > 1
             and not self._pruner.admits(src, dst)
         ):
             limit = 1
-            rec = recorder()
             if rec.enabled:
                 rec.counter("ksp.pruned")
         key = (src, dst)
         paths = self._paths.get(key, [])
         if len(paths) >= limit or key in self._exhausted:
-            rec = recorder()
             if rec.enabled:
                 rec.counter("ksp.cache_hit")
             return paths[:limit]
-        rec = recorder()
         if rec.enabled:
             rec.counter("ksp.cache_miss")
-        # The span covers only materialization (running Yen's), never
-        # cache hits — "ksp" trace seconds are the paper's "readily
-        # cached" bottleneck, not dictionary lookups.
+        # The span covers only materialization (deriving or running
+        # Yen's), never cache hits — "ksp" trace seconds are the paper's
+        # "readily cached" bottleneck, not dictionary lookups.
         with rec.span("ksp"):
-            if rec.enabled:
-                index = graph_index(self._network)
-                searches, reached = index.searches, index.nodes_reached
-            generator = self._generators.get(key)
-            if generator is None:
-                # After :meth:`load` only the materialized paths exist:
-                # recreate the (deterministic) generator and skip them.
-                generator = k_shortest_paths(self._network, src, dst)
-                for _ in paths:
-                    next(generator)
-            while len(paths) < limit and key not in self._exhausted:
-                try:
-                    paths.append(next(generator))
-                except StopIteration:
-                    self._exhausted.add(key)
+            if self._base is None:
+                self._extend(key, limit)
+            elif self._derive(self._base, key, limit):
+                if rec.enabled:
+                    rec.counter("ksp.derived")
+            else:
+                if rec.enabled:
+                    rec.counter("ksp.derived_fallback")
+                self._extend(key, limit)
+        return self._paths[key][:limit]
+
+    def _extend(self, key: Tuple[str, str], limit: int) -> List[Path]:
+        """Run Yen on this cache's network until ``key`` has ``limit``
+        paths or none are left; returns the pair's materialized list."""
+        rec = recorder()
+        if rec.enabled:
+            index = graph_index(self._network)
+            searches, reached = index.searches, index.nodes_reached
+        paths = self._paths.get(key, [])
+        generator = self._generators.get(key)
+        if generator is None:
+            # After :meth:`load` (or once a derived pair falls back) only
+            # the materialized paths exist: recreate the (deterministic)
+            # generator and skip them.
+            generator = k_shortest_paths(self._network, *key)
+            for _ in paths:
+                next(generator)
+        while len(paths) < limit and key not in self._exhausted:
+            try:
+                paths.append(next(generator))
+            except StopIteration:
+                self._exhausted.add(key)
         # Registered only now: an invalid pair raised on the first next()
         # above and must leave nothing behind for dump()/total_cached().
         self._generators[key] = generator
@@ -289,7 +352,65 @@ class KspCache:
         if rec.enabled:
             rec.counter("ksp.searches", index.searches - searches)
             rec.counter("ksp.nodes_reached", index.nodes_reached - reached)
-        return paths[:limit]
+        return paths
+
+    def _prefix(self, key: Tuple[str, str], n: int) -> List[Path]:
+        """This cache's list for ``key`` holding at least ``n`` paths, or
+        all of them (the list itself: callers must not mutate it)."""
+        paths = self._paths.get(key)
+        if paths is None or (len(paths) < n and key not in self._exhausted):
+            paths = self._extend(key, n)
+        return paths
+
+    def _derive(self, base: "KspCache", key: Tuple[str, str], k: int) -> bool:
+        """Serve ``k`` paths for ``key`` from ``base``'s Yen order when
+        the class docstring's conditions prove them equal to Yen here;
+        False (the caller then runs Yen here, for good) otherwise."""
+        if (
+            key in self._generators
+            or key[0] == key[1]
+            or not self._down.isdisjoint(key)
+        ):
+            return False
+        if not self._cut and not self._down:
+            # The same topology: Yen's answer, ties included, is the base's.
+            paths = base._prefix(key, k)
+            self._paths[key] = paths[:k]
+            if len(paths) <= k and key in base._exhausted:
+                self._exhausted.add(key)
+            return True
+        # Appended to the served list, which keeps them on success; a
+        # failed scan drops them again, so it never serves a partial list.
+        kept = self._paths.get(key, [])
+        served = len(kept)
+        # Base paths scanned so far, and the last survivor's delay.
+        seen, last = self._scans.pop(key, (0, 0.0))
+        while seen < 2 * k + 6:
+            paths = base._prefix(key, seen + 1)
+            if len(paths) <= seen:
+                # The base has no more paths, so ``kept`` is all of them.
+                self._paths[key] = kept
+                self._exhausted.add(key)
+                return True
+            path = paths[seen]
+            if len(kept) == k:
+                # Look-ahead: the next base path must be clearly slower.
+                if path_delay_s(base.network, path) > last * _SLACK:
+                    self._paths[key] = kept
+                    self._scans[key] = (seen, last)
+                    return True
+                break
+            seen += 1
+            if self._down.isdisjoint(path) and self._cut.isdisjoint(
+                path_links(path)
+            ):
+                delay = path_delay_s(base.network, path)
+                if kept and not delay > last * _SLACK:
+                    break
+                kept.append(path)
+                last = delay
+        del kept[served:]
+        return False
 
     def count_cached(self, src: str, dst: str) -> int:
         """How many paths are already materialized for a pair."""

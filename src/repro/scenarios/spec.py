@@ -33,6 +33,7 @@ from repro.net.mutate import (
     with_added_link,
     without_failures,
 )
+from repro.net.paths import KspCache
 from repro.tm import TrafficMatrix, apply_locality
 
 __all__ = ["ScenarioSpec", "ScenarioInfeasible", "BASELINE"]
@@ -179,6 +180,14 @@ class ScenarioSpec:
         robustness report compares schemes on one topology family, where
         re-deriving the descriptive metric per variant would only slow
         the fleet down.
+
+        Growth variants are not subgraphs of the base, so they get a plain
+        KSP cache.  Every other variant's cache is derived from the base
+        item's (see :class:`~repro.net.paths.KspCache`): it serves each
+        pair from the base's Yen order wherever that provably equals Yen
+        on the variant, so a fleet runs Yen about once per pair, on its
+        base.  Forked workers inherit the base item and warm its cache
+        lazily, each for the pairs its own variants ask for.
         """
         if self.kind == "baseline":
             return base
@@ -227,12 +236,20 @@ class ScenarioSpec:
                 apply_locality(named, tm, self.locality) for tm in matrices
             ]
 
+        cache: Optional[KspCache] = None
         if self.growth_links:
             value = llpd(named, ApaParameters())
         else:
             value = base.llpd
+            # A pruned base clamps its lists, so it has none to derive.
+            if base.cache.pruner is None:
+                cache = KspCache(
+                    named, base=base.cache, failed_links=self.failed_links,
+                    failed_nodes=self.failed_nodes,
+                )
         return NetworkWorkload(
-            network=named, llpd=value, matrices=matrices, scenario=label
+            network=named, llpd=value, matrices=matrices, cache=cache,
+            scenario=label,
         )
 
 
