@@ -27,6 +27,7 @@ from tests.test_b4_pathologies import (  # noqa: E402
     trap_traffic_matrix,
 )
 
+from repro.net.paths import path_links  # noqa: E402
 from repro.net.units import Gbps  # noqa: E402
 from repro.routing import B4Routing, LatencyOptimalRouting  # noqa: E402
 from repro.tm import TrafficMatrix  # noqa: E402
@@ -47,8 +48,13 @@ def figure5() -> None:
     optimal = LatencyOptimalRouting().place(net, tm)
     show(b4, "B4 (greedy)")
     green = next(a for a in b4.aggregates if a.pair == ("v", "g"))
-    stranded = b4.unplaced_bps.get(green, 0.0)
-    print(f"    green (v->g) traffic stranded: {stranded / 1e9:.2f} Gb/s")
+    utilization = b4.link_utilizations()
+    saturated = set(b4.saturated_links())
+    for alloc in b4.paths_for(green):
+        for link in path_links(alloc.path):
+            if link in saturated:
+                print(f"    green (v->g) stranded on saturated link "
+                      f"{link[0]}->{link[1]}: {utilization[link]:.0%} utilized")
     show(optimal, "latency-optimal LP")
     red_via_g = sum(
         alloc.fraction

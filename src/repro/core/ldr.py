@@ -37,7 +37,7 @@ from repro.core.multiplexing import LinkCheck, check_link_multiplexing
 from repro.core.prediction import MeanRatePredictor
 from repro.net.graph import Network
 from repro.net.paths import KspCache, path_links
-from repro.routing.base import Placement, lp_placement
+from repro.routing.base import Placement, normalize_allocations
 from repro.routing.optimal import solve_iterative_latency
 from repro.tm.matrix import TrafficMatrix
 
@@ -215,12 +215,7 @@ class LdrController:
                 "LDR multiplexing loop completed without an LP solve; "
                 "max_rounds must be >= 1"
             )
-        # A round stopped because the demands no longer fit charges the
-        # excess, as every LP scheme's placement does.
-        placement = lp_placement(
-            self.network, result.fractions,
-            set(result.overloaded_links(only_maximal=False)), result.max_overload,
-        )
+        placement = Placement(self.network, normalize_allocations(result.fractions))
         final_demands = {
             pair: base_demands[pair] * scaling[pair] for pair in base_demands
         }

@@ -162,12 +162,10 @@ def _build_mplste(
     item: NetworkWorkload,
     headroom: float = 0.0,
     max_paths_per_aggregate: int = 25,
-    order: str = "demand",
 ) -> RoutingScheme:
     return MplsTeRouting(
         headroom=headroom,
         max_paths_per_aggregate=max_paths_per_aggregate,
-        order=order,
         cache=item.cache,
     )
 

@@ -3,8 +3,8 @@
 All schemes implement :class:`repro.routing.base.RoutingScheme` and return a
 :class:`repro.routing.base.Placement` mapping each traffic aggregate to a
 set of (path, fraction) splits.  ``RoutingScheme`` checks ``headroom`` and
-chooses the KSP cache (``cache_for``) for all of them; the LP schemes and
-the LDR controller end with ``lp_placement``, which charges the excess.
+chooses the KSP cache (``cache_for``) for all of them; the placement alone
+judges, from its real link loads, whether the traffic fits.
 
 * :class:`repro.routing.shortest_path.ShortestPathRouting` — OSPF/IS-IS
   style with delay-proportional costs;

@@ -15,9 +15,8 @@ aggregate whose path then has a link with at most ``RATE_EPSILON_BPS``
 left advances to the next of its ``max_paths_per_aggregate`` shortest
 paths on which every link has more than that left.  An aggregate that runs
 out of such paths keeps its leftover demand, which is force-placed on its
-shortest path and reported in ``Placement.unplaced_bps`` — this models the
-congestion the paper observes B4 inducing on high-LLPD networks (its
-Figure 5 trap).
+shortest path, where it overloads links — this models the congestion the
+paper observes B4 inducing on high-LLPD networks (its Figure 5 trap).
 
 With ``headroom > 0`` the water-filling works against capacities scaled by
 ``1 - headroom``; leftover demand then gets a second pass, restarting from
@@ -168,8 +167,8 @@ class B4Routing(RoutingScheme):
     ``headroom`` reserves that share of every link's capacity for the
     first pass; ``max_paths_per_aggregate`` caps how many of an
     aggregate's shortest paths it may try.  The cache is
-    :meth:`~RoutingScheme.cache_for`'s; leftover demand is charged as is,
-    not through :func:`~repro.routing.base.unplaced_excess`.
+    :meth:`~RoutingScheme.cache_for`'s; leftover demand rides the
+    aggregate's shortest path.
     """
 
     name = "B4"
@@ -232,27 +231,24 @@ class B4Routing(RoutingScheme):
             rec.counter("b4.rounds", rounds)
             rec.counter("b4.advances", advances)
 
-        # Whatever remains cannot fit: force it onto the shortest path and
-        # record it so congestion metrics can see it.
+        # Whatever remains cannot fit: force it onto the shortest path,
+        # where the placement's link loads show the overload.
         allocations: Dict[Aggregate, List[PathAllocation]] = {}
-        unplaced: Dict[Aggregate, float] = {}
         for agg, rates, left in zip(aggregates, placed, remaining.tolist()):
             if left > RATE_EPSILON_BPS:
                 shortest = cache.shortest(agg.src, agg.dst)
                 rates[shortest] = rates.get(shortest, 0.0) + left
-                unplaced[agg] = left
             total = sum(rates.values())
             if total <= 0:
                 shortest = cache.shortest(agg.src, agg.dst)
                 rates = {shortest: agg.demand_bps}
                 total = agg.demand_bps
-                unplaced[agg] = agg.demand_bps
             allocations[agg] = [
                 PathAllocation(path, rate / total)
                 for path, rate in rates.items()
                 if rate > 0.0
             ]
-        return Placement(network, allocations, unplaced_bps=unplaced)
+        return Placement(network, allocations)
 
     # ------------------------------------------------------------------
     def _waterfill(

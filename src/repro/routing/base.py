@@ -7,11 +7,11 @@ All of the paper's evaluation metrics — fraction of congested pairs, total
 latency stretch, maximum path stretch, link utilization CDFs — are methods
 here, computed against the *real* network capacities (schemes that reserve
 headroom route on scaled-down capacities but are judged on the truth).
+Whether a placement fits is one of them: no scheme reports it.
 
 :class:`RoutingScheme` holds the headroom check and routed copy
 (:meth:`~RoutingScheme.routed`) and the KSP-cache choice
-(:meth:`~RoutingScheme.cache_for`); :func:`lp_placement` turns LP splits
-into a placement with the excess over capacity charged.
+(:meth:`~RoutingScheme.cache_for`).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import abc
 import math
 from dataclasses import dataclass
 from typing import (
-    AbstractSet, Callable, Dict, Hashable, Iterable, List, Mapping, Optional,
-    Sequence, Tuple, TypeVar,
+    Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence,
+    Tuple, TypeVar,
 )
 
 from repro.net.graph import Network
@@ -33,6 +33,11 @@ from repro.tm.matrix import Aggregate, TrafficMatrix
 # relative tolerance.  LP solutions routinely land exactly on capacity;
 # that is full, not congested.
 SATURATION_TOLERANCE = 1e-4
+
+#: Loads within this relative tolerance of capacity still fit: the judge
+#: of a placement's fit and of an LP solution's (MinMax lands up to about
+#: 1e-6 over the capacity it was asked to respect).
+OVERLOAD_TOLERANCE = 1e-5
 
 LinkKey = Tuple[str, str]
 #: An LP's raw answer: each aggregate's (path, fraction) splits.
@@ -55,19 +60,14 @@ class Placement:
         self,
         network: Network,
         allocations: Mapping[Aggregate, Sequence[PathAllocation]],
-        unplaced_bps: Optional[Mapping[Aggregate, float]] = None,
     ) -> None:
         self.network = network
         self._allocations: Dict[Aggregate, List[PathAllocation]] = {
             agg: list(allocs) for agg, allocs in allocations.items()
         }
-        # Demand a scheme failed to fit, kept so "could not fit" cases are
-        # identifiable; the allocations already carry it (B4 and MPLS-TE on
-        # the aggregate's shortest path; the LP schemes' lp_placement as a
-        # share of the overloaded links' traffic, wherever the LP put it).
-        self.unplaced_bps: Dict[Aggregate, float] = dict(unplaced_bps or {})
         self._validate()
         self._link_loads: Optional[Dict[Tuple[str, str], float]] = None
+        self._utilizations: Optional[Dict[Tuple[str, str], float]] = None
         self._shortest: Optional[Dict[Aggregate, float]] = None
         self._path_delays: Dict[Path, float] = {}
         self._means: Optional[Dict[Aggregate, float]] = None
@@ -98,8 +98,9 @@ class Placement:
 
     @property
     def fits_all_traffic(self) -> bool:
-        """True when no demand had to be force-placed beyond capacity."""
-        return not any(v > 1e-3 for v in self.unplaced_bps.values())
+        """True when no link of the real network is loaded beyond its
+        capacity (by more than :data:`OVERLOAD_TOLERANCE`)."""
+        return self.max_utilization() <= 1.0 + OVERLOAD_TOLERANCE
 
     # ------------------------------------------------------------------
     # Link-level metrics
@@ -117,20 +118,27 @@ class Placement:
         return dict(self._link_loads)
 
     def link_utilizations(self) -> Dict[Tuple[str, str], float]:
-        return {
-            key: load / self.network.link(*key).capacity_bps
-            for key, load in self.link_loads_bps().items()
-        }
+        return dict(self._link_utilizations())
+
+    def _link_utilizations(self) -> Dict[Tuple[str, str], float]:
+        # Computed once: saturation, max utilization and fit each read
+        # every link.
+        if self._utilizations is None:
+            self._utilizations = {
+                key: load / self.network.link(*key).capacity_bps
+                for key, load in self.link_loads_bps().items()
+            }
+        return self._utilizations
 
     def max_utilization(self) -> float:
-        utilizations = self.link_utilizations()
+        utilizations = self._link_utilizations()
         return max(utilizations.values()) if utilizations else 0.0
 
     def saturated_links(self) -> List[Tuple[str, str]]:
         """Directed links loaded strictly beyond capacity (congested)."""
         return [
             key
-            for key, utilization in self.link_utilizations().items()
+            for key, utilization in self._link_utilizations().items()
             if utilization > 1.0 + SATURATION_TOLERANCE
         ]
 
@@ -325,38 +333,3 @@ def normalize_allocations(
             PathAllocation(path, fraction / total) for path, fraction in kept
         ]
     return cleaned
-
-
-def unplaced_excess(
-    fractions: Splits, overloaded: AbstractSet[LinkKey], peak: float
-) -> Dict[Aggregate, float]:
-    """Traffic over capacity, charged to the aggregates crossing it.
-
-    Each aggregate routing some of its traffic over an ``overloaded`` link
-    is charged demand x crossing fraction x (peak - 1) / peak, where
-    ``peak`` is the placement's highest overload or utilization.
-    """
-    if not overloaded:
-        return {}
-    unplaced: Dict[Aggregate, float] = {}
-    for agg, splits in fractions.items():
-        crossing = sum(
-            fraction
-            for path, fraction in splits
-            if fraction > 1e-9
-            and any(key in overloaded for key in path_links(path))
-        )
-        if crossing > 0:
-            unplaced[agg] = agg.demand_bps * crossing * (peak - 1.0) / peak
-    return unplaced
-
-
-def lp_placement(
-    network: Network, fractions: Splits, overloaded: AbstractSet[LinkKey], peak: float
-) -> Placement:
-    """An LP's splits as a placement on ``network``: normalized, with the
-    excess over the ``overloaded`` links charged (:func:`unplaced_excess`)."""
-    return Placement(
-        network, normalize_allocations(fractions),
-        unplaced_excess(fractions, overloaded, peak),
-    )

@@ -12,7 +12,7 @@ per-link flow variables instead of path-fraction variables.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.lp import CompiledLP
 from repro.lp.model import SENSE_EQ, SENSE_LE
 from repro.net.graph import Network
 from repro.net.paths import shortest_path_delays
-from repro.routing.base import Placement, RoutingScheme, lp_placement
+from repro.routing.base import Placement, RoutingScheme, normalize_allocations
 from repro.routing.decompose import decompose_flow
 from repro.routing.pathlp import (
     M1_TIEBREAK,
@@ -208,13 +208,4 @@ class LinkBasedOptimalRouting(RoutingScheme):
                     f"decomposition failed for {agg.src}->{agg.dst}"
                 )
             raw[agg] = splits
-        max_overload = float(values[omax_col])
-        overloaded: Set[Tuple[str, str]] = set()
-        if max_overload > 1.0 + 1e-6:
-            o_values = values[o_start:o_start + n_links]
-            overloaded = {
-                links[li].key
-                for li in range(n_links)
-                if o_values[li] > 1.0 + 1e-6
-            }
-        return lp_placement(network, raw, overloaded, max_overload)
+        return Placement(network, normalize_allocations(raw))

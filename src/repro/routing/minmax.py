@@ -22,12 +22,12 @@ of :func:`repro.routing.pathlp.solve_minmax_lp`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.lp import InfeasibleError
 from repro.net.graph import Network
 from repro.net.paths import KspCache, Path
-from repro.routing.base import Placement, RoutingScheme, lp_placement
+from repro.routing.base import Placement, RoutingScheme, normalize_allocations
 from repro.routing.decompose import ResidualFlow
 from repro.routing.optimal import (
     add_detour_paths,
@@ -180,15 +180,9 @@ class MinMaxRouting(RoutingScheme):
         else:
             result, umax = solve_minmax_lp(network, path_sets)
         self.last_max_utilization = umax
-
-        # The k-restricted variant can genuinely fail to fit traffic;
-        # charge the excess to aggregates crossing saturated links.
-        overloaded: Set[Tuple[str, str]] = set()
-        if umax > 1.0 + 1e-6:
-            overloaded = {
-                key for key, value in result.link_overload.items() if value > 1.0 + 1e-6
-            }
-        return lp_placement(network, result.fractions, overloaded, umax)
+        # The k-restricted variant can genuinely fail to fit traffic; the
+        # placement's real link loads say so.
+        return Placement(network, normalize_allocations(result.fractions))
 
     def _paths_within_stretch(self, cache: KspCache, agg: Aggregate) -> List[Path]:
         """All k-shortest paths whose delay is within the stretch bound.

@@ -6,7 +6,7 @@ non-congested path. [...] In the following, we focus on B4 but the same
 observations also hold for MPLS-TE."
 
 Unlike B4's synchronized water-filling, MPLS-TE is *sequential*: each
-aggregate (in descending demand order by default, mirroring auto-bandwidth
+aggregate (in descending demand order, mirroring auto-bandwidth
 re-signalling of the biggest LSPs first) grabs its entire demand on the
 lowest-delay path whose links can still hold it, splitting across several
 LSPs only when no single path fits.  This makes its outcome
@@ -28,8 +28,8 @@ class MplsTeRouting(RoutingScheme):
     """Sequential greedy placement on the shortest non-congested path.
 
     ``headroom`` scales every link's residual by ``1 - headroom``.  The
-    cache is :meth:`~RoutingScheme.cache_for`'s; leftover demand is
-    charged as is, not through :func:`~repro.routing.base.unplaced_excess`.
+    cache is :meth:`~RoutingScheme.cache_for`'s; leftover demand rides the
+    aggregate's shortest path.
     """
 
     name = "MPLS-TE"
@@ -38,7 +38,6 @@ class MplsTeRouting(RoutingScheme):
         self,
         headroom: float = 0.0,
         max_paths_per_aggregate: int = 25,
-        order: str = "demand",
         cache: Optional[KspCache] = None,
     ) -> None:
         super().__init__(headroom, cache)
@@ -47,10 +46,7 @@ class MplsTeRouting(RoutingScheme):
                 f"max_paths_per_aggregate must be >= 1, got "
                 f"{max_paths_per_aggregate}"
             )
-        if order not in ("demand", "given"):
-            raise ValueError(f"order must be 'demand' or 'given', got {order!r}")
         self.max_paths_per_aggregate = max_paths_per_aggregate
-        self.order = order
         if headroom > 0:
             self.name = f"MPLS-TE(h={headroom:.0%})"
 
@@ -60,14 +56,9 @@ class MplsTeRouting(RoutingScheme):
             link.key: link.capacity_bps * (1.0 - self.headroom)
             for link in network.links()
         }
-        aggregates = tm.aggregates()
-        if self.order == "demand":
-            aggregates = sorted(
-                aggregates, key=lambda agg: -agg.demand_bps
-            )
+        aggregates = sorted(tm.aggregates(), key=lambda agg: -agg.demand_bps)
 
         allocations: Dict[Aggregate, List[PathAllocation]] = {}
-        unplaced: Dict[Aggregate, float] = {}
         for agg in aggregates:
             placed: List[Tuple[tuple, float]] = []
             remaining = agg.demand_bps
@@ -108,7 +99,6 @@ class MplsTeRouting(RoutingScheme):
                 # Nothing fits: force the leftover onto the shortest path.
                 shortest = cache.shortest(agg.src, agg.dst)
                 placed.append((shortest, remaining))
-                unplaced[agg] = remaining
             total = sum(amount for _, amount in placed)
             merged: Dict[tuple, float] = {}
             for path, amount in placed:
@@ -117,4 +107,4 @@ class MplsTeRouting(RoutingScheme):
                 PathAllocation(path, amount / total)
                 for path, amount in merged.items()
             ]
-        return Placement(network, allocations, unplaced_bps=unplaced)
+        return Placement(network, allocations)

@@ -9,8 +9,7 @@ the number of variables (paths) in each run is small."
 
 With ``headroom > 0`` the optimization sees capacities scaled by
 ``1 - headroom`` (the paper's headroom dial, §4) while the returned
-placement is judged against the true capacities, its unplaced excess
-included (:func:`real_overload`).
+placement is judged against the true capacities, as every placement is.
 
 Each iteration's LP goes through :func:`repro.routing.pathlp.solve_latency_lp`,
 which builds a fresh model per solve; one placement's :data:`PathMemo`
@@ -21,17 +20,12 @@ repeated solves the paper waves off as "very quick" stay that way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.graph import Network
 from repro.net.paths import KspCache, Path, path_links
-from repro.routing.base import (
-    LinkKey, Placement, RoutingScheme, Splits, lp_placement,
-)
-from repro.routing.pathlp import (
-    OVERLOAD_TOLERANCE, PathLpResult, PathMemo, link_utilization,
-    solve_latency_lp,
-)
+from repro.routing.base import Placement, RoutingScheme, normalize_allocations
+from repro.routing.pathlp import PathLpResult, PathMemo, solve_latency_lp
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 
@@ -234,19 +228,6 @@ def solve_iterative_latency(
     return result, stats
 
 
-def real_overload(
-    network: Network, fractions: Splits
-) -> Tuple[Set[LinkKey], float]:
-    """The links ``fractions`` load beyond their capacity in ``network``
-    (by more than the LP's overload tolerance) and the peak utilization."""
-    utilization = link_utilization(network, fractions)
-    overloaded = {
-        key for key, value in utilization.items()
-        if value > 1.0 + OVERLOAD_TOLERANCE
-    }
-    return overloaded, max(utilization.values(), default=0.0)
-
-
 class LatencyOptimalRouting(RoutingScheme):
     """The paper's latency-optimal scheme (and the core of LDR).
 
@@ -295,10 +276,4 @@ class LatencyOptimalRouting(RoutingScheme):
             originals[agg.pair]: splits
             for agg, splits in result.fractions.items()
         }
-        if self.headroom > 0:
-            # The LP overloads were against the scaled capacities.
-            overloaded, peak = real_overload(network, fractions)
-        else:
-            overloaded = set(result.overloaded_links(only_maximal=False))
-            peak = result.max_overload
-        return lp_placement(network, fractions, overloaded, peak)
+        return Placement(network, normalize_allocations(fractions))

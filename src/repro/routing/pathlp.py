@@ -36,8 +36,9 @@ stages share one builder, and within one LDR or full-MinMax placement
 (its :data:`PathMemo`) every path's delay and link ids are computed
 once across all rounds.  The produced models are bit-identical to the
 historical per-coefficient construction.
-Splits become a placement, excess charged, in
-:func:`repro.routing.base.lp_placement`.
+A scheme's normalized splits are its placement
+(:func:`repro.routing.base.normalize_allocations`), judged on the real
+network like every other.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from repro.lp import CompiledLP, Solution
 from repro.lp.model import SENSE_EQ, SENSE_LE, resolve_backend
 from repro.net.graph import Network
 from repro.net.paths import Path
-from repro.routing.base import LinkKey, Splits, link_loads
+from repro.routing.base import OVERLOAD_TOLERANCE, LinkKey, Splits, link_loads
 from repro.telemetry import recorder
 from repro.tm.matrix import Aggregate
 
@@ -59,9 +60,6 @@ from repro.tm.matrix import Aggregate
 M1_TIEBREAK = 1e-3
 M2_MAX_OVERLOAD = 1e4
 M3_TOTAL_OVERLOAD = 1e2
-
-#: Overloads within this tolerance of 1.0 count as "fits".
-OVERLOAD_TOLERANCE = 1e-5
 
 
 @dataclass

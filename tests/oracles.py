@@ -248,26 +248,23 @@ def legacy_b4_place(
             _legacy_waterfill(leftovers, full_residual, cache, max_paths)
 
     allocations: Dict[Aggregate, List[PathAllocation]] = {}
-    unplaced: Dict[Aggregate, float] = {}
     for state in states:
         agg = state.aggregate
         placed = dict(state.placed)
         if state.remaining_bps > RATE_EPSILON_BPS:
             shortest = cache.shortest(agg.src, agg.dst)
             placed[shortest] = placed.get(shortest, 0.0) + state.remaining_bps
-            unplaced[agg] = state.remaining_bps
         total = sum(placed.values())
         if total <= 0:
             shortest = cache.shortest(agg.src, agg.dst)
             placed = {shortest: agg.demand_bps}
             total = agg.demand_bps
-            unplaced[agg] = agg.demand_bps
         allocations[agg] = [
             PathAllocation(path, rate / total)
             for path, rate in placed.items()
             if rate > 0.0
         ]
-    return Placement(network, allocations, unplaced_bps=unplaced)
+    return Placement(network, allocations)
 
 
 def _legacy_waterfill(

@@ -110,6 +110,6 @@ class TestHeadroomExtremes:
         assert not scheme.last_stats.fits
         assert scheme.last_stats.max_overload > 1.0
         # ... but real capacities are never exceeded, and the placement
-        # is judged on them: nothing is unplaced.
+        # is judged on them: it fits.
         assert placement.max_utilization() <= 1.0
         assert placement.fits_all_traffic

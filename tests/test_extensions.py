@@ -88,7 +88,7 @@ class TestPriorityRouting:
                 plain.total_latency_stretch(), rel=1e-6
             )
             assert uniform.fits_all_traffic == plain.fits_all_traffic
-            assert uniform.unplaced_bps == plain.unplaced_bps
+            assert uniform.saturated_links() == plain.saturated_links()
         assert not plain.fits_all_traffic
 
     def test_placement_preserves_demands(self):

@@ -26,6 +26,7 @@ from repro.routing import (
     LinkBasedOptimalRouting,
     MinMaxRouting,
 )
+from repro.routing.base import OVERLOAD_TOLERANCE
 from repro.tm.matrix import TrafficMatrix
 from tests.conftest import build_diamond, loaded_gts_tm
 
@@ -240,15 +241,16 @@ class TestLpPin:
         ("MinMaxK10", 2.5): (2, 4, 5200),
     }
 
-    #: sha256 over every aggregate's ``unplaced_bps`` in hex on gts at
-    #: scale 2.5, where both schemes charge excess to crossing aggregates.
-    UNPLACED = {
+    #: sha256 over the real utilization, in hex, of every link loaded
+    #: beyond ``1 + OVERLOAD_TOLERANCE`` on gts at scale 2.5: the traffic
+    #: the network cannot carry, shown where it overloads.
+    OVERLOADED = {
         "LDR":
-            "a6a2b535b7ceae7c5dc205232d3942921e22b10a12d34b105cdc06f0110e4b41",
+            "0cf1f89fbc732feb78f1f8748f1aa0cdeb8611df25e25c527bf46f0102fcc96f",
         "MinMax":
-            "c12795833e497b6f248ade33066546823005ceb1a19d2d1620679a60c522a86d",
+            "1b4d04ce620e4c3ec90b2bac4659a024821971b1261992259224e7f6ec88ae12",
         "MinMaxK10":
-            "031b8855975db59fa8c6748ff5262bfeee871e4b7f155da0230dbdb6ecca0a41",
+            "a6d7fd807893b820e641879de5a85863da9b8593d0d601c30b293a5cf3c4cc28",
     }
 
     @pytest.mark.parametrize("scheme,name,scale", sorted(PINS))
@@ -257,16 +259,18 @@ class TestLpPin:
         placement = self.SCHEMES[scheme]().place(network, tm.scaled(scale))
         assert allocation_digest(placement) == self.PINS[(scheme, name, scale)]
 
-    @pytest.mark.parametrize("scheme", sorted(UNPLACED))
+    @pytest.mark.parametrize("scheme", sorted(OVERLOADED))
     def test_unplaced_exact(self, scheme):
         network, tm = TestLinkBasedPin._case("gts")
         placement = self.SCHEMES[scheme]().place(network, tm.scaled(2.5))
         listing = [
-            (agg.src, agg.dst, placement.unplaced_bps.get(agg, 0.0).hex())
-            for agg in placement.aggregates
+            (key, utilization.hex())
+            for key, utilization in placement.link_utilizations().items()
+            if utilization > 1.0 + OVERLOAD_TOLERANCE
         ]
+        assert listing and not placement.fits_all_traffic
         digest = hashlib.sha256(repr(listing).encode()).hexdigest()
-        assert digest == self.UNPLACED[scheme]
+        assert digest == self.OVERLOADED[scheme]
 
     @pytest.mark.parametrize("scheme,scale", sorted(WORK))
     def test_lp_work(self, tmp_path, scheme, scale):
@@ -287,41 +291,29 @@ class TestLpPin:
         assert work == self.WORK[(scheme, scale)]
 
 
-def b4_digest(placement):
-    """sha256 over every aggregate's ``(path, fraction.hex())`` list and
-    its ``unplaced_bps`` in hex: any float that moves, moves the digest."""
-    listing = [
-        (agg.src, agg.dst, [
-            (alloc.path, alloc.fraction.hex())
-            for alloc in placement.paths_for(agg)
-        ], placement.unplaced_bps.get(agg, 0.0).hex())
-        for agg in placement.aggregates
-    ]
-    return hashlib.sha256(repr(listing).encode()).hexdigest()
-
-
 class TestB4Pin:
-    """Exact B4 output, recorded before the water-filling loop was made
+    """Exact B4 allocations (:func:`allocation_digest`); the placements
+    are those recorded before the water-filling loop was made
     incremental.  Scale 2.5 overloads both networks, so the headroom
     second pass and the force-placed leftovers run too."""
 
     PINS = {
         ("gts", 0.0, 1.0):
-            "660599a1a87e08d6dcd9f2dec915bc385ad422f4590e5727b876d6de374e95d1",
+            "41e78e731612e99d33e2f0cc5c1bfbfa3f6c44a9d650f42d9209d9cc371850b1",
         ("gts", 0.0, 2.5):
-            "98a9f1c15bc042343492622df5f5923ce93f9d3c5103b2eac02e6f5678772c65",
+            "d22166c6ada6d16d84a8d1835e9973509c29dfa9936506d1be2bf75e1d068c32",
         ("gts", 0.2, 1.0):
-            "11e5eac51d743a3b6ac7b83cfd0f26a757afc2ceedd2644642642382607e95df",
+            "17d34be4facdb7470ed33515f6e488e218fde3d0dc8284bc3225d1371ba041b4",
         ("gts", 0.2, 2.5):
-            "fbdfd7eb230c6f84bb951f198403f292059de5af32de75ac206e1070166ef475",
+            "429bd6243a94133140955a3bdfa42a4f61182132f302cd0addb9611fcc309746",
         ("diamond", 0.0, 1.0):
-            "d2b8f1853528f130dd2c5ecaf206b157ef4cd2aac5db053399b2f3db5b514bea",
+            "7c64c29fe306b8c9a11f8d6e5c458255ddde32f30a6e9f609f4c1d47d4d5c217",
         ("diamond", 0.0, 2.5):
-            "a48ed6dfa369888bac12ca8a3bca2f7711053d01c8bb3bcdc03bf43bc8dd52c5",
+            "0488060039eb1a4470f8ee97471eb3aafbc3279783e12cf1ff35e5c59a2a400f",
         ("diamond", 0.2, 1.0):
-            "00a441bd11c36f60b4897e3985f747465025a1ea4476bd74095846a639f45125",
+            "ff040c1ee0be60dbe48a4b4ce2f15bebfbf22337868dc7e6063a5a4191888d26",
         ("diamond", 0.2, 2.5):
-            "a48ed6dfa369888bac12ca8a3bca2f7711053d01c8bb3bcdc03bf43bc8dd52c5",
+            "0488060039eb1a4470f8ee97471eb3aafbc3279783e12cf1ff35e5c59a2a400f",
     }
 
     #: ``(b4.rounds, b4.advances)`` per gts case: facts of the algorithm.
@@ -341,7 +333,7 @@ class TestB4Pin:
     def test_allocations_exact(self, name, headroom, scale):
         network, tm = self._case(name, scale)
         placement = B4Routing(headroom=headroom).place(network, tm)
-        assert b4_digest(placement) == self.PINS[(name, headroom, scale)]
+        assert allocation_digest(placement) == self.PINS[(name, headroom, scale)]
 
     @pytest.mark.parametrize("headroom,scale", sorted(WORK))
     def test_work_counters(self, tmp_path, headroom, scale):

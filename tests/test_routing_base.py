@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.units import Gbps, ms
 from repro.routing.base import (
+    OVERLOAD_TOLERANCE,
     PathAllocation,
     Placement,
     normalize_allocations,
@@ -11,24 +12,20 @@ from repro.routing.base import (
 from repro.tm.matrix import Aggregate
 
 
-def make_placement(network, allocs, unplaced=None):
-    return Placement(network, allocs, unplaced_bps=unplaced)
-
-
 class TestValidation:
     def test_fractions_must_sum_to_one(self, triangle):
         agg = Aggregate("a", "b", Gbps(1))
         with pytest.raises(ValueError, match="sum"):
-            make_placement(triangle, {agg: [PathAllocation(("a", "b"), 0.5)]})
+            Placement(triangle, {agg: [PathAllocation(("a", "b"), 0.5)]})
 
     def test_path_endpoints_must_match(self, triangle):
         agg = Aggregate("a", "b", Gbps(1))
         with pytest.raises(ValueError, match="assigned path"):
-            make_placement(triangle, {agg: [PathAllocation(("a", "c"), 1.0)]})
+            Placement(triangle, {agg: [PathAllocation(("a", "c"), 1.0)]})
 
     def test_split_allocation_valid(self, triangle):
         agg = Aggregate("a", "b", Gbps(1))
-        placement = make_placement(
+        placement = Placement(
             triangle,
             {
                 agg: [
@@ -43,7 +40,7 @@ class TestValidation:
 class TestLinkMetrics:
     def test_link_loads(self, triangle):
         agg = Aggregate("a", "b", Gbps(4))
-        placement = make_placement(
+        placement = Placement(
             triangle,
             {
                 agg: [
@@ -60,21 +57,21 @@ class TestLinkMetrics:
 
     def test_max_utilization(self, triangle):
         agg = Aggregate("a", "b", Gbps(5))
-        placement = make_placement(
+        placement = Placement(
             triangle, {agg: [PathAllocation(("a", "b"), 1.0)]}
         )
         assert placement.max_utilization() == pytest.approx(0.5)
 
     def test_saturated_links(self, triangle):
         agg = Aggregate("a", "b", Gbps(12))
-        placement = make_placement(
+        placement = Placement(
             triangle, {agg: [PathAllocation(("a", "b"), 1.0)]}
         )
         assert placement.saturated_links() == [("a", "b")]
 
     def test_exactly_full_is_not_saturated(self, triangle):
         agg = Aggregate("a", "b", Gbps(10))
-        placement = make_placement(
+        placement = Placement(
             triangle, {agg: [PathAllocation(("a", "b"), 1.0)]}
         )
         assert placement.saturated_links() == []
@@ -84,7 +81,7 @@ class TestPairMetrics:
     def test_congested_pair_fraction(self, triangle):
         heavy = Aggregate("a", "b", Gbps(12))
         light = Aggregate("b", "c", Gbps(1))
-        placement = make_placement(
+        placement = Placement(
             triangle,
             {
                 heavy: [PathAllocation(("a", "b"), 1.0)],
@@ -98,7 +95,7 @@ class TestPairMetrics:
             agg: [PathAllocation((agg.src, agg.dst), 1.0)]
             for agg in triangle_tm.aggregates()
         }
-        placement = make_placement(triangle, allocs)
+        placement = Placement(triangle, allocs)
         assert placement.congested_pair_fraction() == 0.0
 
     def test_stretch_on_shortest_paths_is_one(self, triangle, triangle_tm):
@@ -106,12 +103,12 @@ class TestPairMetrics:
             agg: [PathAllocation((agg.src, agg.dst), 1.0)]
             for agg in triangle_tm.aggregates()
         }
-        placement = make_placement(triangle, allocs)
+        placement = Placement(triangle, allocs)
         assert placement.total_latency_stretch() == pytest.approx(1.0)
 
     def test_stretch_counts_detours(self, triangle):
         agg = Aggregate("a", "b", Gbps(1), n_flows=1)
-        placement = make_placement(
+        placement = Placement(
             triangle, {agg: [PathAllocation(("a", "c", "b"), 1.0)]}
         )
         # 2 ms path over a 1 ms shortest path.
@@ -120,7 +117,7 @@ class TestPairMetrics:
     def test_stretch_weighted_by_flows(self, triangle):
         detoured = Aggregate("a", "b", Gbps(1), n_flows=3)
         direct = Aggregate("b", "c", Gbps(1), n_flows=1)
-        placement = make_placement(
+        placement = Placement(
             triangle,
             {
                 detoured: [PathAllocation(("a", "c", "b"), 1.0)],
@@ -132,7 +129,7 @@ class TestPairMetrics:
 
     def test_max_path_stretch(self, diamond):
         agg = Aggregate("s", "t", Gbps(1))
-        placement = make_placement(
+        placement = Placement(
             diamond,
             {
                 agg: [
@@ -146,7 +143,7 @@ class TestPairMetrics:
 
     def test_per_aggregate_stretch(self, diamond):
         agg = Aggregate("s", "t", Gbps(1))
-        placement = make_placement(
+        placement = Placement(
             diamond,
             {
                 agg: [
@@ -161,7 +158,7 @@ class TestPairMetrics:
     def test_stretch_metrics_share_one_sweep_per_source(self, triangle):
         from repro.net.index import graph_index
 
-        placement = make_placement(
+        placement = Placement(
             triangle,
             {
                 Aggregate("a", "b", Gbps(1)): [PathAllocation(("a", "c", "b"), 1.0)],
@@ -176,7 +173,7 @@ class TestPairMetrics:
         placement.per_aggregate_stretch()
         assert index.searches - before == 2  # sources a and b, once each
         # A second placement on the same network reuses the index's sweeps.
-        again = make_placement(
+        again = Placement(
             triangle,
             {Aggregate("b", "a", Gbps(1)): [PathAllocation(("b", "a"), 1.0)]},
         )
@@ -185,17 +182,21 @@ class TestPairMetrics:
         assert index.searches == before
 
     def test_fits_all_traffic_flag(self, triangle):
-        agg = Aggregate("a", "b", Gbps(1))
-        fitted = make_placement(
-            triangle, {agg: [PathAllocation(("a", "b"), 1.0)]}
-        )
-        assert fitted.fits_all_traffic
-        overloaded = make_placement(
-            triangle,
-            {agg: [PathAllocation(("a", "b"), 1.0)]},
-            unplaced={agg: Gbps(0.5)},
-        )
-        assert not overloaded.fits_all_traffic
+        """Fit is the real links' verdict: a placement fits when no link
+        carries more than its capacity, within the overload tolerance."""
+        for load, fits in [
+            (0.1, True),
+            (1.0, True),
+            (1.0 + OVERLOAD_TOLERANCE / 2, True),
+            (1.0 + 2 * OVERLOAD_TOLERANCE, False),
+            (1.5, False),
+        ]:
+            agg = Aggregate("a", "b", Gbps(10) * load)
+            placement = Placement(
+                triangle, {agg: [PathAllocation(("a", "b"), 1.0)]}
+            )
+            assert placement.max_utilization() == pytest.approx(load, rel=1e-12)
+            assert placement.fits_all_traffic is fits, load
 
 
 class TestNormalizeAllocations:

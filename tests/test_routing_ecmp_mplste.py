@@ -92,23 +92,6 @@ class TestMplsTe:
         assert not placement.fits_all_traffic
         assert placement.max_utilization() == pytest.approx(1.5)
 
-    def test_order_dependence(self):
-        """The sequential greedy is order-dependent — the pathology the
-        paper attributes to one-at-a-time allocation."""
-        net = build_parallel_paths()
-        # Add a third, longer escape route so nothing is force-placed.
-        net.add_node(Node("z"))
-        net.add_duplex_link("s", "z", Gbps(10), ms(5))
-        net.add_duplex_link("z", "t", Gbps(10), ms(5))
-        tm = TrafficMatrix(
-            {("s", "t"): Gbps(10), ("p", "t"): Gbps(10), ("q", "t"): Gbps(10)}
-        )
-        by_demand = MplsTeRouting(order="demand").place(net, tm)
-        by_given = MplsTeRouting(order="given").place(net, tm)
-        # Both are valid placements; stretch may differ by order but the
-        # schemes must at least agree on total volume placed.
-        assert by_demand.fits_all_traffic == by_given.fits_all_traffic
-
     def test_greedy_worse_than_optimal_on_gts(self, gts, gts_tm):
         mpls = MplsTeRouting().place(gts, gts_tm)
         optimal = LatencyOptimalRouting().place(gts, gts_tm)
@@ -129,7 +112,7 @@ class TestMplsTe:
 
         net = build_congestion_trap()
         tm = trap_traffic_matrix()
-        mpls = MplsTeRouting(order="given").place(net, tm)
+        mpls = MplsTeRouting().place(net, tm)
         optimal = LatencyOptimalRouting().place(net, tm)
         assert optimal.fits_all_traffic
         # Greedy either strands traffic or pays extra latency.
@@ -142,5 +125,3 @@ class TestMplsTe:
     def test_validation(self):
         with pytest.raises(ValueError):
             MplsTeRouting(headroom=1.0)
-        with pytest.raises(ValueError):
-            MplsTeRouting(order="random")

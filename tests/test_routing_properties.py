@@ -23,7 +23,7 @@ from repro.routing import (
     MplsTeRouting,
     ShortestPathRouting,
 )
-from repro.routing.pathlp import OVERLOAD_TOLERANCE
+from repro.routing.base import OVERLOAD_TOLERANCE
 from repro.tm.matrix import TrafficMatrix
 from tests.test_properties import random_networks
 

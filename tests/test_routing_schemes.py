@@ -66,18 +66,14 @@ class TestLatencyOptimal:
     @pytest.mark.parametrize("load,fits", [(0.95, True), (1.05, False)])
     def test_headroom_judges_excess_on_real_capacity(self, gts, load, fits):
         # LDR(h=10%) routes on capacities scaled by 0.9, so a matrix at 95%
-        # of what the real network carries overloads its LP; the excess
-        # counts only where the real capacities are exceeded.
+        # of what the real network carries overloads its LP; only the real
+        # capacities decide whether it fits.
         tm = loaded_gts_tm(gts, seed=0)
         tm = tm.scaled(load * max_scale_factor(gts, tm))
         placement = LatencyOptimalRouting(headroom=0.1).place(gts, tm)
         assert placement.max_utilization() == pytest.approx(load, abs=1e-6)
         assert placement.fits_all_traffic is fits
-        unplaced = sum(placement.unplaced_bps.values())
-        if fits:
-            assert unplaced == 0.0
-        else:
-            assert unplaced > Gbps(1)
+        assert bool(placement.saturated_links()) is not fits
 
     def test_overload_spread_when_unroutable(self, line4):
         tm = TrafficMatrix({("n0", "n3"): Gbps(15)})

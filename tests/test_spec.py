@@ -80,7 +80,7 @@ class TestRegistry:
         assert [
             (agg, borrowed.paths_for(agg)) for agg in borrowed.aggregates
         ] == [(agg, own.paths_for(agg)) for agg in own.aggregates]
-        assert borrowed.unplaced_bps == own.unplaced_bps
+        assert borrowed.saturated_links() == own.saturated_links()
 
     def test_minmax_k10_matches_explicit_k(self, workload):
         item = workload.networks[0]

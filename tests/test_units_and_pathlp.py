@@ -3,8 +3,8 @@
 import pytest
 
 from repro.net.units import Gbps, Kbps, Mbps, Tbps, ms, to_gbps, to_ms
+from repro.routing.base import OVERLOAD_TOLERANCE
 from repro.routing.pathlp import (
-    OVERLOAD_TOLERANCE,
     PathLpResult,
     solve_latency_lp,
     solve_minmax_lp,
