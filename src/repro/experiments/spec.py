@@ -198,20 +198,8 @@ def _build_minmax_k10(item: NetworkWorkload) -> RoutingScheme:
 
 
 @register_scheme("LDR", "LatencyOptimal", "Optimal")
-def _build_ldr(
-    item: NetworkWorkload,
-    headroom: float = 0.0,
-    initial_k: int = 1,
-    grow_step: int = 2,
-    max_paths: int = 50,
-) -> RoutingScheme:
-    return LatencyOptimalRouting(
-        headroom=headroom,
-        initial_k=initial_k,
-        grow_step=grow_step,
-        max_paths=max_paths,
-        cache=item.cache,
-    )
+def _build_ldr(item: NetworkWorkload, headroom: float = 0.0) -> RoutingScheme:
+    return LatencyOptimalRouting(headroom=headroom, cache=item.cache)
 
 
 @register_scheme("LinkBased")

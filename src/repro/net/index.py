@@ -328,6 +328,7 @@ class GraphIndex:
         excluded_nodes: Optional[bytearray] = None,
         bound: Optional[Sequence[float]] = None,
         limit: float = _INF,
+        weights: Optional[Sequence[float]] = None,
     ) -> Tuple[List[float], List[int], List[int]]:
         """Single-source Dijkstra over integer ids.
 
@@ -343,11 +344,15 @@ class GraphIndex:
         tentative distance plus bound exceeds ``limit`` is never labelled.
         Distances and parents of every node on a path no longer than
         ``limit`` are those of the unbounded search (module docstring).
+
+        ``weights`` (non-negative, one per CSR position) replaces the link
+        delays as edge lengths for this call.
         """
         if excluded_edges is None:
             excluded_edges = self._removed
         return self._dijkstra(
-            self._indptr, self._neighbors, self._delays,
+            self._indptr, self._neighbors,
+            self._delays if weights is None else weights,
             src, dst, excluded_edges, excluded_nodes, bound, limit,
         )
 
@@ -355,7 +360,7 @@ class GraphIndex:
         self,
         indptr: List[int],
         neighbors: List[int],
-        delays: List[float],
+        delays: Sequence[float],
         src: int,
         dst: int,
         excluded_edges: Optional[bytearray],

@@ -8,10 +8,11 @@ placements with equal maximum link utilization."
 
 Two variants are provided, matching the paper's Figure 4(c) and 4(d):
 
-* **full MinMax** (``k=None``): path sets are grown iteratively until the
-  placement achieves the true optimal maximum utilization (computed exactly
-  with a link-based multi-commodity flow LP — utilization optimality is the
-  reciprocal of the maximum concurrent-flow scale);
+* **full MinMax** (``k=None``): each aggregate gets its ``FULL_K``
+  shortest paths plus the paths of a decomposed optimal MinMax flow
+  (:func:`mcf_seed_paths`; utilization optimality is the reciprocal of the
+  maximum concurrent-flow scale), so one LP solve reaches the true optimal
+  maximum utilization;
 * **MinMax K** (``k=10``): paths restricted to the k lowest-delay ones per
   aggregate, as TeXCP suggests.  On high-LLPD networks this variant can no
   longer always avoid congestion — the paper's key observation.
@@ -29,14 +30,14 @@ from repro.net.graph import Network
 from repro.net.paths import KspCache, Path
 from repro.routing.base import Placement, RoutingScheme, normalize_allocations
 from repro.routing.decompose import ResidualFlow
-from repro.routing.optimal import (
-    add_detour_paths,
-    aggregates_crossing,
-    check_growth,
-    grow_path_sets,
-)
-from repro.routing.pathlp import PathMemo, solve_minmax_lp
+from repro.routing.pathlp import PathLpResult, solve_minmax_lp
 from repro.tm.matrix import Aggregate, TrafficMatrix
+
+#: Full MinMax's k-shortest paths per aggregate, beside its MCF seeds: the
+#: low-delay options stage 2's latency tie-break picks from.
+FULL_K = 4
+#: The stretch-bound variant's cap on paths per aggregate.
+MAX_PATHS = 60
 
 
 def optimal_max_utilization(network: Network, tm: TrafficMatrix) -> float:
@@ -119,17 +120,11 @@ class MinMaxRouting(RoutingScheme):
         self,
         k: Optional[int] = None,
         cache: Optional[KspCache] = None,
-        initial_k: int = 4,
-        grow_step: int = 4,
-        max_paths: int = 60,
-        max_iterations: int = 30,
-        utilization_tolerance: float = 1e-3,
         stretch_bound: Optional[float] = None,
     ) -> None:
         super().__init__(cache=cache)
         if k is not None and k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        check_growth(grow_step, max_paths)
         if k is not None and stretch_bound is not None:
             raise ValueError("k and stretch_bound are mutually exclusive")
         if stretch_bound is not None and stretch_bound < 1.0:
@@ -142,11 +137,6 @@ class MinMaxRouting(RoutingScheme):
         #: shortest delay.  Avoids both MinMaxK's missing capacity on
         #: diverse networks and full MinMax's needless detours.
         self.stretch_bound = stretch_bound
-        self.initial_k = initial_k
-        self.grow_step = grow_step
-        self.max_paths = max_paths
-        self.max_iterations = max_iterations
-        self.utilization_tolerance = utilization_tolerance
         if k is not None:
             self.name = f"MinMaxK{k}"
         elif stretch_bound is not None:
@@ -188,7 +178,7 @@ class MinMaxRouting(RoutingScheme):
         """All k-shortest paths whose delay is within the stretch bound.
 
         Grown lazily: Yen yields paths in non-decreasing delay, so we stop
-        at the first path over the bound (or at ``max_paths``).
+        at the first path over the bound (or at ``MAX_PATHS``).
         """
         from repro.net.paths import path_delay_s
 
@@ -202,7 +192,7 @@ class MinMaxRouting(RoutingScheme):
         budget = path_delay_s(network, shortest) * self.stretch_bound
         selected: List[Path] = []
         k = 1
-        while k <= self.max_paths:
+        while k <= MAX_PATHS:
             paths = cache.get(agg.src, agg.dst, k)
             if len(paths) < k:
                 break  # pair exhausted
@@ -219,59 +209,19 @@ class MinMaxRouting(RoutingScheme):
         tm: TrafficMatrix,
         cache: KspCache,
         aggregates: List[Aggregate],
-    ):
+    ) -> Tuple[PathLpResult, float]:
         """Reach the exact MinMax utilization via MCF-decomposed paths.
 
-        Path sets start from the k shortest paths (so the latency
+        Path sets are the ``FULL_K`` shortest paths (so the latency
         tie-break has low-delay options) plus the paths of a decomposed
         optimal MinMax flow (so the stage-1 optimum is achievable by
-        construction).  If numerics leave a residual gap, the iterative
-        growth loop below closes it.
+        construction): one two-stage solve.
         """
-        target, seeds = mcf_seed_paths(network, tm)
+        _, seeds = mcf_seed_paths(network, tm)
         path_sets: Dict[Aggregate, List[Path]] = {}
-        target_counts: Dict[Aggregate, int] = {}
         for agg in aggregates:
-            path_sets[agg] = list(cache.get(agg.src, agg.dst, self.initial_k))
-            target_counts[agg] = self.initial_k
+            path_sets[agg] = list(cache.get(agg.src, agg.dst, FULL_K))
             for path in seeds.get(agg.pair, []):
                 if path not in path_sets[agg]:
                     path_sets[agg].append(path)
-
-        path_memo: PathMemo = {}
-        result, umax = solve_minmax_lp(network, path_sets, path_memo=path_memo)
-        rounds_without_progress = 0
-        for _ in range(self.max_iterations):
-            if umax <= target * (1.0 + self.utilization_tolerance) + 1e-9:
-                break
-            hottest = [
-                key
-                for key, value in result.link_overload.items()
-                if value >= max(1.0, umax) * (1.0 - 1e-6)
-            ]
-            crossing = aggregates_crossing(result, path_sets, hottest)
-            grew = grow_path_sets(
-                cache, path_sets, target_counts, crossing,
-                self.grow_step, self.max_paths,
-            )
-            grew |= add_detour_paths(network, path_sets, crossing, hottest)
-            if not grew:
-                # Escalate: grow everyone (utilization may be blocked by
-                # aggregates away from the hottest link).
-                grew = grow_path_sets(
-                    cache, path_sets, target_counts, aggregates,
-                    self.grow_step, self.max_paths,
-                )
-                if not grew:
-                    break
-            previous = umax
-            result, umax = solve_minmax_lp(
-                network, path_sets, path_memo=path_memo
-            )
-            if umax >= previous * (1.0 - 1e-6):
-                rounds_without_progress += 1
-                if rounds_without_progress >= 3:
-                    break
-            else:
-                rounds_without_progress = 0
-        return result, umax
+        return solve_minmax_lp(network, path_sets)

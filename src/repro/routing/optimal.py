@@ -28,6 +28,15 @@ from repro.routing.base import Placement, RoutingScheme, normalize_allocations
 from repro.routing.pathlp import PathLpResult, PathMemo, solve_latency_lp
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
+# The Figure 13 loop's path growth: each aggregate starts from its
+# INITIAL_K shortest paths and an aggregate crossing a maximally
+# overloaded link gains GROW_STEP more per round, up to MAX_PATHS; the
+# loop gives up after MAX_ITERATIONS solves.
+INITIAL_K = 1
+GROW_STEP = 2
+MAX_PATHS = 50
+MAX_ITERATIONS = 60
+
 
 @dataclass
 class IterationStats:
@@ -39,38 +48,26 @@ class IterationStats:
     max_overload: float
 
 
-def check_growth(grow_step: int, max_paths: int) -> None:
-    """Reject a growth step or path budget that would turn growth off.
-
-    Below 1, :func:`grow_path_sets` marks every pair exhausted at once.
-    """
-    for name, value in (("grow_step", grow_step), ("max_paths", max_paths)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def grow_path_sets(
     cache: KspCache,
     path_sets: Dict[Aggregate, List[Path]],
     target_counts: Dict[Aggregate, int],
     crossing: Sequence[Aggregate],
-    grow_step: int,
-    max_paths: int,
 ) -> bool:
     """Extend the path lists of the given aggregates; True if any grew."""
     grew = False
     for agg in crossing:
         current = target_counts[agg]
-        if current >= max_paths:
+        if current >= MAX_PATHS:
             continue
-        target_counts[agg] = min(max_paths, current + grow_step)
+        target_counts[agg] = min(MAX_PATHS, current + GROW_STEP)
         paths = cache.get(agg.src, agg.dst, target_counts[agg])
         if len(paths) > len(path_sets[agg]):
             path_sets[agg] = list(paths)
             grew = True
         else:
             # Pair has no more simple paths; remember that.
-            target_counts[agg] = max_paths
+            target_counts[agg] = MAX_PATHS
     return grew
 
 
@@ -146,10 +143,6 @@ def solve_iterative_latency(
     network: Network,
     tm: TrafficMatrix,
     cache: Optional[KspCache] = None,
-    initial_k: int = 1,
-    grow_step: int = 2,
-    max_paths: int = 50,
-    max_iterations: int = 60,
     warm_counts: Optional[Dict[Tuple[str, str], int]] = None,
     use_detours: bool = True,
 ) -> Tuple[PathLpResult, IterationStats]:
@@ -162,9 +155,8 @@ def solve_iterative_latency(
     ``warm_counts`` lets callers that solve repeatedly with slightly
     different demands (the LDR multiplexing loop) start each pair at the
     path count the previous solve ended with, instead of re-growing from
-    ``initial_k``.  It is updated in place.
+    ``INITIAL_K``.  It is updated in place.
     """
-    check_growth(grow_step, max_paths)
     cache = cache if cache is not None else KspCache(network)
     aggregates = tm.aggregates()
     if not aggregates:
@@ -172,28 +164,22 @@ def solve_iterative_latency(
     path_sets: Dict[Aggregate, List[Path]] = {}
     target_counts: Dict[Aggregate, int] = {}
     for agg in aggregates:
-        k = initial_k
+        k = INITIAL_K
         if warm_counts is not None:
-            k = max(k, warm_counts.get(agg.pair, initial_k))
+            k = max(k, warm_counts.get(agg.pair, INITIAL_K))
         paths = cache.get(agg.src, agg.dst, k)
         if not paths:
             raise ValueError(f"no path {agg.src} -> {agg.dst}")
         path_sets[agg] = list(paths)
         target_counts[agg] = k
 
-    solves = 0
-    result = None
     path_memo: PathMemo = {}
-    for _ in range(max_iterations):
-        result = solve_latency_lp(network, path_sets, path_memo=path_memo)
-        solves += 1
-        if result.fits:
-            break
+    result = solve_latency_lp(network, path_sets, path_memo=path_memo)
+    solves = 1
+    while not result.fits:
         overloaded = result.overloaded_links(only_maximal=True)
         crossing = aggregates_crossing(result, path_sets, overloaded)
-        grew = grow_path_sets(
-            cache, path_sets, target_counts, crossing, grow_step, max_paths
-        )
+        grew = grow_path_sets(cache, path_sets, target_counts, crossing)
         # Targeted detours around the hotspot complement blind KSP growth
         # (see add_detour_paths for why both are needed).  The flag exists
         # so the ablation bench can quantify their contribution.
@@ -204,18 +190,13 @@ def solve_iterative_latency(
             # growth to every overloaded link before giving up.
             overloaded = result.overloaded_links(only_maximal=False)
             crossing = aggregates_crossing(result, path_sets, overloaded)
-            grew = grow_path_sets(
-                cache, path_sets, target_counts, crossing, grow_step, max_paths
-            )
+            grew = grow_path_sets(cache, path_sets, target_counts, crossing)
             if use_detours:
                 grew |= add_detour_paths(network, path_sets, crossing, overloaded)
-            if not grew:
-                break
-    if result is None:
-        raise RuntimeError(
-            "iterative solve completed without an LP solve; "
-            "max_iterations must be >= 1"
-        )
+        if not grew or solves == MAX_ITERATIONS:
+            break
+        result = solve_latency_lp(network, path_sets, path_memo=path_memo)
+        solves += 1
     if warm_counts is not None:
         for agg, count in target_counts.items():
             warm_counts[agg.pair] = count
@@ -242,16 +223,9 @@ class LatencyOptimalRouting(RoutingScheme):
     def __init__(
         self,
         headroom: float = 0.0,
-        initial_k: int = 1,
-        grow_step: int = 2,
-        max_paths: int = 50,
         cache: Optional[KspCache] = None,
     ) -> None:
         super().__init__(headroom, cache)
-        check_growth(grow_step, max_paths)
-        self.initial_k = initial_k
-        self.grow_step = grow_step
-        self.max_paths = max_paths
         self.name = "LatencyOptimal" if headroom == 0 else f"LDR(h={headroom:.0%})"
         self.last_stats: Optional[IterationStats] = None
 
@@ -265,9 +239,6 @@ class LatencyOptimalRouting(RoutingScheme):
             self.routed(network),
             self.objective_matrix(tm),
             cache=self.cache_for(network),
-            initial_k=self.initial_k,
-            grow_step=self.grow_step,
-            max_paths=self.max_paths,
         )
         self.last_stats = stats
         # Re-key the splits to ``tm``'s aggregates (real flow counts).

@@ -32,10 +32,12 @@ solved once.  Nothing is cached across placements: the paper's loop
 "runs very quickly because the number of variables (paths) in each run
 is small", and reusing the arrays of a repeated (network, path sets)
 pair saved no measurable time (README, "LP backends").  The two MinMax
-stages share one builder, and within one LDR or full-MinMax placement
-(its :data:`PathMemo`) every path's delay and link ids are computed
-once across all rounds.  The produced models are bit-identical to the
+stages share one builder, and within one LDR placement (its
+:data:`PathMemo`) every path's delay and link ids are computed once
+across all rounds.  The produced models are bit-identical to the
 historical per-coefficient construction.
+:func:`latency_certificate` bounds how far a solved Figure 12 LP's
+latency is from the best over *all* paths, from its duals alone.
 A scheme's normalized splits are its placement
 (:func:`repro.routing.base.normalize_allocations`), judged on the real
 network like every other.
@@ -51,6 +53,7 @@ import numpy as np
 from repro.lp import CompiledLP, Solution
 from repro.lp.model import SENSE_EQ, SENSE_LE, resolve_backend
 from repro.net.graph import Network
+from repro.net.index import graph_index
 from repro.net.paths import Path
 from repro.routing.base import OVERLOAD_TOLERANCE, LinkKey, Splits, link_loads
 from repro.telemetry import recorder
@@ -70,6 +73,9 @@ class PathLpResult:
     link_overload: Dict[Tuple[str, str], float]
     max_overload: float
     objective: float
+    #: Figure 12 solves only: each model link's capacity-row dual (<= 0);
+    #: a link without a row has dual 0.
+    capacity_dual: Optional[Dict[LinkKey, float]] = None
 
     @property
     def fits(self) -> bool:
@@ -93,11 +99,11 @@ class PathLpResult:
         ]
 
 
-#: Each path's ``(delay, link ids)`` over one network.  One LDR or
-#: full-MinMax placement creates one and passes it to every LP it solves:
-#: it solves over one network only, and its growing path sets repeat most
-#: paths round after round.  It dies with the placement — kept for the
-#: process, it would grow with every path ever solved over.
+#: Each path's ``(delay, link ids)`` over one network.  One LDR placement
+#: creates one and passes it to every LP it solves: it solves over one
+#: network only, and its growing path sets repeat most paths round after
+#: round.  It dies with the placement — kept for the process, it would
+#: grow with every path ever solved over.
 PathMemo = Dict[Path, Tuple[float, List[int]]]
 
 
@@ -365,12 +371,76 @@ def solve_latency_lp(
     solution = model.solve()
 
     overload_values = solution.x[builder.n_paths + 1:].tolist()
+    capacity_rows = solution.row_dual[builder.n_aggs::2].tolist()
     return PathLpResult(
         fractions=builder.extract_fractions(solution),
         link_overload=dict(zip(builder.link_keys, overload_values)),
         max_overload=float(solution.x[builder.n_paths]),
         objective=solution.objective,
+        capacity_dual=dict(zip(builder.link_keys, capacity_rows)),
     )
+
+
+def latency_certificate(
+    network: Network, result: PathLpResult
+) -> Tuple[float, float]:
+    """A Lagrangian lower bound on the delay term of any fitting placement
+    over *all* paths, and the relative gap of ``result``'s delay term to it.
+
+    ``result`` is a :func:`solve_latency_lp` solve over ``network``.  Its
+    delay term is Figure 12's ``sum_a sum_p c_a(p) x_ap``; the overload
+    terms are left out, since they add ``M2 + M3 * (links in the model)``
+    to every objective and so differ between path sets that place alike.
+    Relaxing the capacity rows with ``lam_l = -y_l >= 0`` (the solve's
+    duals; the assignment-row duals are not used) leaves one choice per
+    aggregate, so every fitting placement's delay term is at least
+
+        sum_a min_p [c_a(p) + b_a sum_{l in p} lam_l] - sum_l lam_l C_l
+
+    with ``p`` over every path of ``a``.  ``c_a(p)`` sums
+    ``w_a (1 + M1 D / S_a) d_l / D`` over the path's links, so the inner
+    minimum is one Dijkstra per aggregate over non-negative link weights.
+    A gap above solver noise means some path outside the LP's sets would
+    lower its latency; an LP that does not fit prices its overloaded
+    links at ``lam_l >= M3 / C_l`` and shows a large gap.
+    """
+    if result.capacity_dual is None:
+        raise ValueError("latency_certificate needs a Figure 12 solve")
+    builder = _PathLpBuilder(
+        network,
+        {
+            agg: [path for path, _ in splits]
+            for agg, splits in result.fractions.items()
+        },
+    )
+    x = np.fromiter(
+        (fraction for splits in result.fractions.values()
+         for _, fraction in splits),
+        dtype=np.float64, count=builder.n_paths,
+    )
+    delay = float(builder.delay_cost() @ x)
+
+    lam_model = np.maximum(
+        -np.array([result.capacity_dual[key] for key in builder.link_keys]),
+        0.0,
+    )
+    index = graph_index(network)
+    lam = np.zeros(index.num_edges)
+    lam[index.edge_positions(builder.link_keys)] = lam_model
+    bound = -float(lam_model @ builder.capacity_units)
+    per_delay = (builder.flow_weight / builder.delay_unit) * (
+        1.0 + M1_TIEBREAK * builder.delay_unit
+        / np.maximum(builder.shortest_delay, 1e-9)
+    )
+    delays = index.delay_array
+    for a, agg in enumerate(builder.aggregates):
+        weights = per_delay[a] * delays + builder.demand_units[a] * lam
+        dst = index.node_id(agg.dst)
+        dist, _, _ = index.dijkstra_ids(
+            index.node_id(agg.src), dst, weights=weights.tolist()
+        )
+        bound += dist[dst]
+    return bound, (delay - bound) / delay
 
 
 def link_utilization(network: Network, fractions: Splits) -> Dict[LinkKey, float]:
@@ -388,7 +458,6 @@ def link_utilization(network: Network, fractions: Splits) -> Dict[LinkKey, float
 def solve_minmax_lp(
     network: Network,
     path_sets: Mapping[Aggregate, Sequence[Path]],
-    path_memo: Optional[PathMemo] = None,
 ) -> Tuple[PathLpResult, float]:
     """The MinMax two-stage LP over the given path sets.
 
@@ -399,9 +468,8 @@ def solve_minmax_lp(
 
     Both stages share one builder — and therefore one set of incidence
     arrays — so stage 2 costs only its own numpy assembly and solve.
-    ``path_memo`` is the enclosing placement's :data:`PathMemo`.
     """
-    builder = _PathLpBuilder(network, path_sets, path_memo)
+    builder = _PathLpBuilder(network, path_sets)
     with recorder().span("lp_assemble", builder._assemble_attrs()):
         stage1 = builder.minmax_stage1_model()
     utilization = float(stage1.solve().x[builder.n_paths])

@@ -19,10 +19,12 @@ from repro.net.zoo import gts_like
 from repro.routing import (
     EcmpRouting,
     LinkBasedOptimalRouting,
+    MinMaxRouting,
     MplsTeRouting,
     ShortestPathRouting,
 )
 from repro.routing.base import OVERLOAD_TOLERANCE
+from repro.routing.minmax import optimal_max_utilization
 from repro.tm import max_scale_factor
 from tests.conftest import loaded_gts_tm
 
@@ -107,3 +109,24 @@ def test_mplste_with_headroom_fits_gts_item(zoo):
     )
     assert placement.max_utilization() == pytest.approx(0.933, abs=1e-3)
     assert placement.fits_all_traffic
+
+
+def test_full_minmax_reaches_optimal_utilization(zoo):
+    """Full MinMax solves once over its k-shortest and MCF-seed paths; the
+    seeds make the optimal maximum utilization reachable, so stage 1 lands
+    on the link-based optimum at every item and load."""
+    gts = gts_like()
+    cases = [(item.network, item.matrices[0], item.cache) for item in zoo.values()]
+    cases.append((gts, loaded_gts_tm(gts, seed=0), None))
+    wrong = []
+    for network, tm, cache in cases:
+        for scale in (1.0, 1.5, 3.0):
+            scaled = tm.scaled(scale)
+            scheme = MinMaxRouting(cache=cache)
+            scheme.place(network, scaled)
+            target = optimal_max_utilization(network, scaled)
+            if scheme.last_max_utilization != pytest.approx(target, rel=1e-9):
+                wrong.append(
+                    (network.name, scale, scheme.last_max_utilization, target)
+                )
+    assert not wrong

@@ -78,6 +78,29 @@ class TestIndexStructure:
             assert run == gts.successors(name)
 
 
+class TestPerCallWeights:
+    def test_delays_as_weights_change_nothing(self, gts):
+        index = GraphIndex(gts)
+        for src in range(0, index.num_nodes, 7):
+            assert index.dijkstra_ids(
+                src, weights=list(index.delay_array)
+            ) == index.dijkstra_ids(src)
+
+    def test_weights_replace_delays(self, diamond):
+        # Pricing the fast route's s->x link above the slow route's delay
+        # turns the search onto the slow route.
+        index = GraphIndex(diamond)
+        s, t = index.node_id("s"), index.node_id("t")
+        weights = list(index.delay_array)
+        weights[index.edge_position(s, index.node_id("x"))] = 1.0
+        dist, parent, _ = index.dijkstra_ids(s, t, weights=weights)
+        path = index.to_names(index.extract_ids(parent, s, t))
+        assert path == ("s", "y", "t")
+        assert dist[t] == pytest.approx(0.010)
+        # The index's own delays are untouched.
+        assert index.shortest_path("s", "t") == ("s", "x", "t")
+
+
 class TestShortestPathParity:
     def test_paths_identical_across_corpus(self, corpus):
         for network in corpus:

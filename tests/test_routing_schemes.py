@@ -13,7 +13,6 @@ from repro.routing import (
     MinMaxRouting,
     ShortestPathRouting,
 )
-from repro.routing.optimal import solve_iterative_latency
 from repro.tm import max_scale_factor
 from repro.tm.matrix import TrafficMatrix
 from tests.conftest import loaded_gts_tm
@@ -84,16 +83,6 @@ class TestLatencyOptimal:
     def test_invalid_headroom_rejected(self):
         with pytest.raises(ValueError):
             LatencyOptimalRouting(headroom=1.0)
-
-    @pytest.mark.parametrize("name", ["grow_step", "max_paths"])
-    def test_growth_below_one_rejected(self, diamond, name):
-        # Below 1, every pair would count as exhausted and the Figure 13
-        # loop would never grow a path set.
-        with pytest.raises(ValueError, match=name):
-            LatencyOptimalRouting(**{name: 0})
-        tm = TrafficMatrix({("s", "t"): Gbps(20)})
-        with pytest.raises(ValueError, match=name):
-            solve_iterative_latency(diamond, tm, **{name: 0})
 
     def test_prefers_moving_long_rtt_aggregate(self):
         """The paper's M1 tie-break: when two aggregates compete for a
@@ -167,7 +156,7 @@ class TestMinMax:
         assert placement.max_utilization() <= 0.05
 
     def test_matches_linkbased_utilization(self, gts, gts_tm):
-        """Iterative path-based MinMax reaches the exact optimum computed
+        """Path-based MinMax reaches the exact optimum computed
         by the link-based LP (the reciprocal concurrent-flow bound)."""
         from repro.routing.minmax import optimal_max_utilization
 
@@ -180,11 +169,6 @@ class TestMinMax:
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
             MinMaxRouting(k=0)
-
-    @pytest.mark.parametrize("name", ["grow_step", "max_paths"])
-    def test_growth_below_one_rejected(self, name):
-        with pytest.raises(ValueError, match=name):
-            MinMaxRouting(**{name: 0})
 
 
 class TestB4:

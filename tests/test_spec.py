@@ -99,6 +99,11 @@ class TestRegistry:
         with pytest.raises(TypeError):
             check_spec(SchemeSpec("SP", {"headrom": 0.1}))
 
+    def test_ldr_path_growth_is_not_a_param(self):
+        # The Figure 13 loop's growth settings are constants.
+        with pytest.raises(TypeError):
+            check_spec(SchemeSpec("LDR", {"max_paths": 40}))
+
     def test_register_scheme_decorator(self, workload):
         @register_scheme("TestOnlySP")
         def _build(item):
@@ -117,10 +122,10 @@ class TestRegistry:
 
 class TestRoundTrip:
     def test_pickle_round_trip(self):
-        spec = SchemeSpec("LDR", {"headroom": 0.11, "max_paths": 40})
+        spec = SchemeSpec("B4", {"headroom": 0.11, "max_paths_per_aggregate": 40})
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
-        assert clone.params == {"headroom": 0.11, "max_paths": 40}
+        assert clone.params == {"headroom": 0.11, "max_paths_per_aggregate": 40}
 
     def test_json_round_trip(self):
         spec = SchemeSpec("MinMax", {"k": 10})
