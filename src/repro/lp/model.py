@@ -1,4 +1,4 @@
-"""The solver-ready LP model and its HiGHS backends.
+"""The solver-ready LP model and its HiGHS solve.
 
 Design goals, in order: correctness, fast model assembly (numpy arrays
 throughout, no per-coefficient Python objects), and a small, explicit
@@ -21,19 +21,15 @@ compiled model is built once and solved once; a different model is a new
 with numpy (:func:`_solver_view`), so no sparse-matrix package is
 imported.
 
-Backends
---------
-Every solve is one call into a HiGHS Python binding; ``REPRO_LP_BACKEND``
-picks which binding: ``auto`` (default — ``highspy`` when importable,
-else scipy), ``scipy`` (the binding SciPy >= 1.15 bundles as
-``scipy.optimize._highspy._core``), or ``highs`` (the ``highspy``
-package).  A missing binding is a one-line error, never a fallback.  Both
-get the same model and options, so exact results are bit-identical
-between them — and to SciPy's own ``method="highs"`` LP front end, whose
-model (``>=`` rows negated, ``<=`` rows first, column-wise matrix),
-options, status mapping, input check and post-solve feasibility check
-are replicated here without its per-call input cleaning, matrix copies
-and marginal bookkeeping.
+Solving
+-------
+Every solve is one call into the HiGHS Python binding SciPy >= 1.15
+bundles as ``scipy.optimize._highspy._core``; without it a solve is a
+one-line error.  The model (``>=`` rows negated, ``<=`` rows first,
+column-wise matrix), options, status mapping, input check and post-solve
+feasibility check are those of SciPy's own ``method="highs"`` LP front
+end, replicated without its per-call input cleaning, matrix copies and
+marginal bookkeeping, so exact results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -46,51 +42,36 @@ import os
 import sys
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union, cast
+from typing import Dict, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.telemetry import Recorder, recorder
+from repro.telemetry import recorder
 
 FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]
 
 
-# ----------------------------------------------------------------------
-# Backend selection
-# ----------------------------------------------------------------------
-#: Environment variable selecting the LP backend: auto | scipy | highs.
-BACKEND_ENV = "REPRO_LP_BACKEND"
-
-#: The HiGHS binding module behind each backend name.
-_BINDING_MODULES = {
-    "highs": "highspy._core",
-    "scipy": "scipy.optimize._highspy._core",
-}
-_MISSING_BINDING = {
-    "highs": "LP backend 'highs' requested (REPRO_LP_BACKEND or call site) "
-             "but the highspy package is not installed; use 'scipy' or "
-             "'auto' instead",
-    "scipy": "LP backend 'scipy' needs SciPy >= 1.15, which bundles the "
-             "HiGHS binding scipy.optimize._highspy._core; upgrade SciPy "
-             "or install highspy",
-}
-_bindings: Dict[str, Optional[ModuleType]] = {}
+#: SciPy's bundled HiGHS binding: the one solver every LP here calls.
+_BINDING = "scipy.optimize._highspy._core"
+#: The loaded binding, ``None`` until :func:`_binding` first runs.
+_core: Optional[ModuleType] = None
 
 
-def _binding(backend: str) -> Optional[ModuleType]:
-    """The HiGHS binding of ``backend`` when importable, else ``None``
-    (memoized)."""
-    if backend not in _bindings:
+def _binding() -> ModuleType:
+    """SciPy's HiGHS binding, loaded once per process; a one-line error,
+    never a fallback, when this SciPy does not bundle it."""
+    global _core
+    if _core is None:
         try:
-            module: Optional[ModuleType] = _load_extension(
-                _BINDING_MODULES[backend]
-            )
+            _core = _load_extension(_BINDING)
         except ImportError:
-            module = None
-        _bindings[backend] = module
-    return _bindings[backend]
+            raise RuntimeError(
+                "the LP solver needs SciPy >= 1.15, which bundles the HiGHS "
+                "binding scipy.optimize._highspy._core; upgrade SciPy"
+            ) from None
+    return _core
 
 
 def _load_extension(name: str) -> ModuleType:
@@ -128,32 +109,10 @@ def _load_extension(name: str) -> ModuleType:
     return importlib.import_module(name)
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Backends usable in this environment, preferred first."""
-    return tuple(name for name in ("highs", "scipy") if _binding(name))
-
-
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend request (or ``$REPRO_LP_BACKEND``) to a name.
-
-    Returns ``"scipy"`` or ``"highs"``.  ``auto`` (the default) prefers
-    ``highspy`` when installed and otherwise uses SciPy's binding; a
-    backend whose binding is missing is an error rather than a silent
-    fallback.
-    """
-    value = name if name is not None else os.environ.get(BACKEND_ENV, "auto")
-    value = value.strip().lower()
-    if value in ("", "auto"):
-        value = "highs" if _binding("highs") is not None else "scipy"
-    elif value == "highspy":
-        value = "highs"
-    elif value not in _BINDING_MODULES:
-        raise ValueError(
-            f"unknown LP backend {value!r}; choose 'auto', 'scipy' or 'highs'"
-        )
-    if _binding(value) is None:
-        raise RuntimeError(_MISSING_BINDING[value])
-    return value
+def resolve_backend() -> str:
+    """The LP backend's name, ``"scipy"``, once its binding has loaded."""
+    _binding()
+    return "scipy"
 
 
 class InfeasibleError(Exception):
@@ -368,35 +327,21 @@ class CompiledLP:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def solve(self, backend: Optional[str] = None) -> Solution:
+    def solve(self) -> Solution:
         """Solve; raises on infeasible/unbounded models.
 
-        The exact optimum is backend-independent; only wall time
-        differs.
+        One HiGHS run on the model SciPy's ``method="highs"`` front end
+        builds, with its options, status mapping and checks, so the point
+        and objective are bit-identical to it (module docstring).
         """
-        resolved = resolve_backend(backend)
+        h = _binding()
         rec = recorder()
         attrs: Optional[Dict[str, object]] = None
         if rec.enabled:
             attrs = {
-                "backend": resolved,
                 "n_variables": self.n_variables,
                 "n_constraints": self.n_rows,
             }
-        return self._solve_highs(
-            cast(ModuleType, _binding(resolved)), rec, attrs
-        )
-
-    def _solve_highs(
-        self,
-        h: ModuleType,
-        rec: Recorder,
-        attrs: Optional[Dict[str, object]],
-    ) -> Solution:
-        """One HiGHS run on the model SciPy's ``method="highs"`` front
-        end builds, with its options, status mapping and checks, so the
-        point and objective are bit-identical to it (module docstring).
-        """
         if self.n_variables == 0:
             raise ValueError("LP has no variables")
         for part, values in (

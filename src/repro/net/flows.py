@@ -12,6 +12,9 @@ visits neighbours in ascending id order, which is ascending name order
 (ids are assigned to sorted names), so the augmenting paths — and every
 float the flow adds and subtracts — are those of a name-keyed BFS in
 sorted-name order (``legacy_max_flow_bps`` in ``tests/oracles.py``).
+
+:func:`node_arc_coo` is the node-arc block of the multi-commodity flow
+LPs (link-based routing, the max-concurrent-flow scaler).
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.net.graph import Network
-from repro.net.index import GraphIndex, graph_index
+from repro.net.index import FloatArray, GraphIndex, IntArray, graph_index
 
 #: Residual capacity at or below which an arc counts as saturated.
 _SATURATED_BPS = 1e-9
@@ -138,3 +143,30 @@ def max_flow_bps(
 def min_cut_bps(network: Network, src: str, dst: str) -> float:
     """Capacity of the minimum s-t cut (equals the max flow)."""
     return max_flow_bps(network, src, dst)
+
+
+def node_arc_coo(
+    network: Network,
+    n_commodities: int,
+    first_col: int,
+    capacity_rows: IntArray,
+) -> Tuple[FloatArray, IntArray, IntArray]:
+    """COO ``(data, rows, cols)`` of ``n_commodities`` flows on every link:
+    commodity ``k`` on link ``l`` (``network.links()`` order) is column
+    ``first_col + k * L + l``, with +1 in row ``k * N + u`` and -1 in row
+    ``k * N + v`` for link ``u -> v`` (``network.node_names`` order), and
+    +1 in the link's ``capacity_rows[l]``."""
+    node_pos = {name: ni for ni, name in enumerate(network.node_names)}
+    ends = np.array(
+        [(node_pos[link.src], node_pos[link.dst]) for link in network.links()],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    base = network.num_nodes * np.arange(n_commodities, dtype=np.int64)
+    cols = first_col + np.arange(n_commodities * len(ends), dtype=np.int64)
+    rows = np.concatenate([
+        (base[:, None] + ends[:, 0]).ravel(),
+        (base[:, None] + ends[:, 1]).ravel(),
+        np.tile(capacity_rows, n_commodities),
+    ])
+    ones = np.ones(len(cols))
+    return np.concatenate([ones, -ones, ones]), rows, np.tile(cols, 3)

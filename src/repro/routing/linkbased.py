@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.lp import CompiledLP
 from repro.lp.model import SENSE_EQ, SENSE_LE
+from repro.net.flows import node_arc_coo
 from repro.net.graph import Network
 from repro.net.paths import shortest_path_delays
 from repro.routing.base import Placement, RoutingScheme, normalize_allocations
@@ -70,10 +71,8 @@ class LinkBasedOptimalRouting(RoutingScheme):
         omax_col = n_aggs * n_links
         o_start = omax_col + 1
         n_variables = o_start + n_links
-        node_names = list(routed.node_names)
-        n_nodes = len(node_names)
-        node_pos = {name: ni for ni, name in enumerate(node_names)}
-        agg_index = np.arange(n_aggs, dtype=np.int64)
+        n_nodes = routed.num_nodes
+        node_pos = {name: ni for ni, name in enumerate(routed.node_names)}
         link_index = np.arange(n_links, dtype=np.int64)
         demand_units = (
             np.fromiter(
@@ -83,60 +82,31 @@ class LinkBasedOptimalRouting(RoutingScheme):
             / capacity_unit
         )
 
-        # Conservation per aggregate and node, in capacity units: build the
-        # one-aggregate incidence pattern once (each link leaves its src row
-        # with +1 and enters its dst row with -1), then tile with row/column
-        # offsets per aggregate.
-        src_pos = np.fromiter(
-            (node_pos[link.src] for link in links),
-            dtype=np.int64, count=n_links,
+        # Conservation per aggregate and node, in capacity units, and each
+        # link's capacity row (all aggregates' flows minus O_l * capacity)
+        # followed by its O_l <= Omax row, as in Figure 12.
+        flow_data, flow_rows, flow_cols = node_arc_coo(
+            routed, n_aggs, 0, n_aggs * n_nodes + 2 * link_index
         )
-        dst_pos = np.fromiter(
-            (node_pos[link.dst] for link in links),
-            dtype=np.int64, count=n_links,
-        )
-        base_rows = np.concatenate([src_pos, dst_pos])
-        base_cols = np.concatenate([link_index, link_index])
-        base_data = np.concatenate([np.ones(n_links), -np.ones(n_links)])
-        cons_rows = (base_rows[None, :] + agg_index[:, None] * n_nodes).ravel()
-        cons_cols = (base_cols[None, :] + agg_index[:, None] * n_links).ravel()
-        cons_data = np.tile(base_data, n_aggs)
-        cons_rhs = np.zeros(n_aggs * n_nodes)
-        agg_src = np.fromiter(
-            (node_pos[agg.src] for agg in aggregates),
-            dtype=np.int64, count=n_aggs,
-        )
-        agg_dst = np.fromiter(
-            (node_pos[agg.dst] for agg in aggregates),
-            dtype=np.int64, count=n_aggs,
-        )
-        cons_rhs[agg_index * n_nodes + agg_src] = demand_units
-        cons_rhs[agg_index * n_nodes + agg_dst] = -demand_units
+        cons_rhs = np.zeros((n_aggs, n_nodes))
+        for ai, agg in enumerate(aggregates):
+            cons_rhs[ai, node_pos[agg.src]] = demand_units[ai]
+            cons_rhs[ai, node_pos[agg.dst]] = -demand_units[ai]
 
-        # Capacity with overload variables, as in Figure 12: per link one
-        # capacity row (all aggregates' flows minus O_l * capacity) and one
-        # O_l <= Omax row, interleaved.
         capacities = np.fromiter(
             (link.capacity_bps for link in links),
             dtype=np.float64, count=n_links,
         )
         cap_rows = n_aggs * n_nodes + np.concatenate([
-            np.repeat(2 * link_index, n_aggs),
-            2 * link_index,
-            2 * link_index + 1,
-            2 * link_index + 1,
+            2 * link_index, 2 * link_index + 1, 2 * link_index + 1,
         ])
         cap_cols = np.concatenate([
-            (link_index[:, None] + agg_index[None, :] * n_links).ravel(),
             o_start + link_index,
             o_start + link_index,
             np.full(n_links, omax_col, dtype=np.int64),
         ])
         cap_data = np.concatenate([
-            np.ones(n_aggs * n_links),
-            (-capacities) / capacity_unit,
-            np.ones(n_links),
-            -np.ones(n_links),
+            (-capacities) / capacity_unit, np.ones(n_links), -np.ones(n_links),
         ])
 
         # Objective: delay (with the RTT tie-break), then overload layers.
@@ -174,14 +144,14 @@ class LinkBasedOptimalRouting(RoutingScheme):
         with recorder().span("lp_assemble"):
             model = CompiledLP.from_coo(
                 n_variables=n_variables,
-                data=np.concatenate([cons_data, cap_data]),
-                rows=np.concatenate([cons_rows, cap_rows]),
-                cols=np.concatenate([cons_cols, cap_cols]),
+                data=np.concatenate([flow_data, cap_data]),
+                rows=np.concatenate([flow_rows, cap_rows]),
+                cols=np.concatenate([flow_cols, cap_cols]),
                 senses=np.concatenate([
                     np.full(n_aggs * n_nodes, SENSE_EQ, dtype=np.int8),
                     np.full(2 * n_links, SENSE_LE, dtype=np.int8),
                 ]),
-                rhs=np.concatenate([cons_rhs, np.zeros(2 * n_links)]),
+                rhs=np.concatenate([cons_rhs.ravel(), np.zeros(2 * n_links)]),
                 c=c,
                 lower=np.concatenate([
                     np.zeros(n_aggs * n_links), np.ones(1 + n_links)

@@ -28,9 +28,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.lp import InfeasibleError
 from repro.net.graph import Network
 from repro.net.paths import KspCache, Path
-from repro.routing.base import Placement, RoutingScheme, normalize_allocations
+from repro.routing.base import (
+    Placement,
+    RoutingScheme,
+    Splits,
+    normalize_allocations,
+)
 from repro.routing.decompose import ResidualFlow
-from repro.routing.pathlp import PathLpResult, solve_minmax_lp
+from repro.routing.pathlp import solve_minmax_lp
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
 #: Full MinMax's k-shortest paths per aggregate, beside its MCF seeds: the
@@ -166,13 +171,13 @@ class MinMaxRouting(RoutingScheme):
             path_sets = None
 
         if path_sets is None:
-            result, umax = self._solve_full(network, tm, cache, aggregates)
+            fractions, umax = self._solve_full(network, tm, cache, aggregates)
         else:
-            result, umax = solve_minmax_lp(network, path_sets)
+            fractions, umax = solve_minmax_lp(network, path_sets)
         self.last_max_utilization = umax
         # The k-restricted variant can genuinely fail to fit traffic; the
         # placement's real link loads say so.
-        return Placement(network, normalize_allocations(result.fractions))
+        return Placement(network, normalize_allocations(fractions))
 
     def _paths_within_stretch(self, cache: KspCache, agg: Aggregate) -> List[Path]:
         """All k-shortest paths whose delay is within the stretch bound.
@@ -209,7 +214,7 @@ class MinMaxRouting(RoutingScheme):
         tm: TrafficMatrix,
         cache: KspCache,
         aggregates: List[Aggregate],
-    ) -> Tuple[PathLpResult, float]:
+    ) -> Tuple[Splits, float]:
         """Reach the exact MinMax utilization via MCF-decomposed paths.
 
         Path sets are the ``FULL_K`` shortest paths (so the latency

@@ -16,12 +16,13 @@ already large.
 
 It also implements the MinMax two-stage LP (minimize maximum utilization,
 then minimize latency subject to that maximum), which the paper uses as the
-TeXCP/MATE-style baseline.
+TeXCP/MATE-style baseline; it returns its splits and the stage-1 maximum
+utilization, nothing more.
 
 All quantities are normalized before hitting the solver: rates in units of
 the mean link capacity and delays in units of the flow-weighted mean
-shortest-path delay.  This keeps coefficient magnitudes near 1 and the
-HiGHS backend numerically happy (raw bits/s coefficients provoke spurious
+shortest-path delay.  This keeps coefficient magnitudes near 1 and
+HiGHS numerically happy (raw bits/s coefficients provoke spurious
 unbounded results).
 
 Assembly is vectorized: one :class:`_PathLpBuilder` per solve computes
@@ -31,7 +32,7 @@ numpy arrays into one fresh :meth:`repro.lp.CompiledLP.from_coo` model,
 solved once.  Nothing is cached across placements: the paper's loop
 "runs very quickly because the number of variables (paths) in each run
 is small", and reusing the arrays of a repeated (network, path sets)
-pair saved no measurable time (README, "LP backends").  The two MinMax
+pair saved no measurable time (README, "LP solver").  The two MinMax
 stages share one builder, and within one LDR placement (its
 :data:`PathMemo`) every path's delay and link ids are computed once
 across all rounds.  The produced models are bit-identical to the
@@ -51,11 +52,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.lp import CompiledLP, Solution
-from repro.lp.model import SENSE_EQ, SENSE_LE, resolve_backend
+from repro.lp.model import SENSE_EQ, SENSE_LE
 from repro.net.graph import Network
-from repro.net.index import graph_index
+from repro.net.index import FloatArray, IntArray, graph_index
 from repro.net.paths import Path
-from repro.routing.base import OVERLOAD_TOLERANCE, LinkKey, Splits, link_loads
+from repro.routing.base import OVERLOAD_TOLERANCE, LinkKey, Splits
 from repro.telemetry import recorder
 from repro.tm.matrix import Aggregate
 
@@ -67,15 +68,15 @@ M3_TOTAL_OVERLOAD = 1e2
 
 @dataclass
 class PathLpResult:
-    """Outcome of one path-based LP solve."""
+    """Outcome of one Figure 12 solve (:func:`solve_latency_lp`)."""
 
     fractions: Dict[Aggregate, List[Tuple[Path, float]]]
-    link_overload: Dict[Tuple[str, str], float]
+    #: Each model link's ``O_l`` (>= 1) and their maximum ``Omax``.
+    link_overload: Dict[LinkKey, float]
     max_overload: float
     objective: float
-    #: Figure 12 solves only: each model link's capacity-row dual (<= 0);
-    #: a link without a row has dual 0.
-    capacity_dual: Optional[Dict[LinkKey, float]] = None
+    #: Each model link's capacity-row dual (<= 0).
+    capacity_dual: Dict[LinkKey, float]
 
     @property
     def fits(self) -> bool:
@@ -220,7 +221,7 @@ class _PathLpBuilder:
             self.delay_unit = 1e-3  # degenerate all-zero-delay network
 
     # ------------------------------------------------------------------
-    def delay_cost(self) -> np.ndarray:
+    def delay_cost(self) -> FloatArray:
         """Figure 12's flow-weighted delay coefficient per x column."""
         delay = self.path_delay / self.delay_unit
         weight = self.flow_weight[self.agg_of_path]
@@ -230,9 +231,7 @@ class _PathLpBuilder:
         ratio = self.delay_unit / np.maximum(self.shortest_delay, 1e-9)
         return cost + cost * M1_TIEBREAK * ratio[self.agg_of_path]
 
-    def _assignment_coo(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _assignment_coo(self) -> Tuple[FloatArray, IntArray, IntArray]:
         """(data, rows, cols) of the sum_p x_ap = 1 rows (rows 0..A-1)."""
         return (
             np.ones(self.n_paths),
@@ -346,14 +345,10 @@ class _PathLpBuilder:
             position += len(paths)
         return fractions
 
-    def _assemble_attrs(self) -> Optional[dict]:
+    def _assemble_attrs(self) -> Optional[Dict[str, object]]:
         if not recorder().enabled:
             return None
-        return {
-            "backend": resolve_backend(),
-            "n_paths": self.n_paths,
-            "n_links": self.n_links,
-        }
+        return {"n_paths": self.n_paths, "n_links": self.n_links}
 
 
 def solve_latency_lp(
@@ -404,8 +399,6 @@ def latency_certificate(
     lower its latency; an LP that does not fit prices its overloaded
     links at ``lam_l >= M3 / C_l`` and shows a large gap.
     """
-    if result.capacity_dual is None:
-        raise ValueError("latency_certificate needs a Figure 12 solve")
     builder = _PathLpBuilder(
         network,
         {
@@ -443,28 +436,16 @@ def latency_certificate(
     return bound, (delay - bound) / delay
 
 
-def link_utilization(network: Network, fractions: Splits) -> Dict[LinkKey, float]:
-    """Each link's load over its capacity in ``network`` when ``fractions``
-    carry their aggregates' demands (only touched links are keys)."""
-    loads = link_loads(
-        (path, fraction * agg.demand_bps)
-        for agg, splits in fractions.items() for path, fraction in splits
-    )
-    return {
-        key: load / network.link(*key).capacity_bps for key, load in loads.items()
-    }
-
-
 def solve_minmax_lp(
     network: Network,
     path_sets: Mapping[Aggregate, Sequence[Path]],
-) -> Tuple[PathLpResult, float]:
+) -> Tuple[Splits, float]:
     """The MinMax two-stage LP over the given path sets.
 
     Stage 1 minimizes the maximum link utilization Umax (no lower bound at
     1: MinMax by definition drives utilization as low as it can).  Stage 2
     re-optimizes latency subject to every link staying within the stage-1
-    utilization.  Returns the placement and the achieved Umax.
+    utilization.  Returns the stage-2 splits and the stage-1 Umax.
 
     Both stages share one builder — and therefore one set of incidence
     arrays — so stage 2 costs only its own numpy assembly and solve.
@@ -477,17 +458,4 @@ def solve_minmax_lp(
     cap = utilization * (1.0 + 1e-6) + 1e-9
     with recorder().span("lp_assemble", builder._assemble_attrs()):
         stage2 = builder.minmax_stage2_model(cap)
-    solution = stage2.solve()
-
-    fractions = builder.extract_fractions(solution)
-    # Report per-link utilization of the final placement.
-    link_util = link_utilization(network, fractions)
-    result = PathLpResult(
-        fractions=fractions,
-        # Raw utilizations (not clipped at 1): MinMax callers need to see
-        # which links are hottest even when everything fits.
-        link_overload=link_util,
-        max_overload=max(1.0, max(link_util.values(), default=0.0)),
-        objective=solution.objective,
-    )
-    return result, utilization
+    return builder.extract_fractions(stage2.solve()), utilization

@@ -53,10 +53,10 @@ Span vocabulary (what :func:`summary` / ``trace critical-path`` report):
 ``place``                 one traffic matrix placement inside a task
 ``ksp``                   Yen's k-shortest-paths materialization
 ``lp_assemble``           LP model assembly / compilation to solver
-                          form; attrs carry backend (path LPs add
-                          ``n_paths`` / ``n_links``)
-``lp_solve``              one LP solve (scipy-HiGHS or highspy); attrs
-                          carry backend + model size
+                          form; path LPs' attrs carry ``n_paths`` /
+                          ``n_links``, the solver form's the model size
+``lp_solve``              one LP solve (SciPy's HiGHS binding); attrs
+                          carry the model size
 ``cache_load``/``_dump``  persistent KSP cache file I/O
 ``store_append``          one result-store record append
 ``manifest_write``        shard manifest serialization (dispatch)

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.lp import CompiledLP, InfeasibleError
 from repro.lp.model import SENSE_EQ, SENSE_LE
+from repro.net.flows import node_arc_coo
 from repro.net.graph import Network
 from repro.telemetry import recorder
 from repro.tm.matrix import TrafficMatrix
@@ -75,16 +76,8 @@ def max_scale_flows(
     #   outflow - inflow = lambda * (total demand from s)   if v == s
     #   outflow - inflow = -lambda * demand(s, v)           otherwise.
     n_sources, n_links = len(sources), len(links)
-    node_names = network.node_names
-    n_nodes = len(node_names)
-    node_pos = {name: ni for ni, name in enumerate(node_names)}
-    link_index = np.arange(n_links, dtype=np.int64)
-    source_index = np.arange(n_sources, dtype=np.int64)
-    ends = np.array(
-        [(node_pos[link.src], node_pos[link.dst]) for link in links],
-        dtype=np.int64,
-    ).reshape(n_links, 2)
-    flow_cols = 1 + source_index[:, None] * n_links + link_index[None, :]
+    n_nodes = network.num_nodes
+    node_pos = {name: ni for ni, name in enumerate(network.node_names)}
     lam_coef = np.zeros((n_sources, n_nodes))
     for si, src in enumerate(sources):
         for dst, demand in demand_from[src].items():
@@ -93,23 +86,14 @@ def max_scale_flows(
     n_cons = n_sources * n_nodes
     n_flows = n_sources * n_links
     with recorder().span("lp_assemble"):
+        flow_data, flow_rows, flow_cols = node_arc_coo(
+            network, n_sources, 1, n_cons + np.arange(n_links, dtype=np.int64)
+        )
         model = CompiledLP.from_coo(
             n_variables=1 + n_flows,
-            data=np.concatenate([
-                np.tile(np.repeat([1.0, -1.0], n_links), n_sources),
-                lam_coef.ravel(),
-                np.ones(n_flows),
-            ]),
-            rows=np.concatenate([
-                (source_index[:, None] * n_nodes + ends.T.ravel()).ravel(),
-                np.arange(n_cons, dtype=np.int64),
-                np.tile(n_cons + link_index, n_sources),
-            ]),
-            cols=np.concatenate([
-                np.repeat(flow_cols, 2, axis=0).ravel(),
-                np.zeros(n_cons, dtype=np.int64),
-                flow_cols.ravel(),
-            ]),
+            data=np.concatenate([flow_data, lam_coef.ravel()]),
+            rows=np.concatenate([flow_rows, np.arange(n_cons, dtype=np.int64)]),
+            cols=np.concatenate([flow_cols, np.zeros(n_cons, dtype=np.int64)]),
             senses=np.concatenate([
                 np.full(n_cons, SENSE_EQ, dtype=np.int8),
                 np.full(n_links, SENSE_LE, dtype=np.int8),

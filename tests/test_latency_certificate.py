@@ -18,7 +18,6 @@ from repro.routing.pathlp import (
     M1_TIEBREAK,
     latency_certificate,
     solve_latency_lp,
-    solve_minmax_lp,
 )
 from repro.tm.matrix import TrafficMatrix
 
@@ -105,10 +104,3 @@ def test_shortest_paths_only_shows_a_gap(diamond):
     assert result.fits
     assert latency_certificate(diamond, result)[1] == pytest.approx(0.0, abs=1e-9)
 
-
-def test_minmax_results_carry_no_capacity_duals(diamond):
-    tm = TrafficMatrix({("s", "t"): Gbps(5)})
-    agg = tm.aggregates()[0]
-    result, _ = solve_minmax_lp(diamond, {agg: [("s", "x", "t")]})
-    with pytest.raises(ValueError, match="Figure 12"):
-        latency_certificate(diamond, result)

@@ -1,12 +1,15 @@
-"""The LP hot path: vectorized assembly and backends.
+"""The LP hot path: vectorized assembly and the HiGHS binding.
 
-Two layers:
+Three layers:
 
 * **byte-identity properties** — the vectorized assembly in
   :mod:`repro.routing.pathlp` must produce *bit-identical* results to the
   scalar, build-per-solve reference implementation it replaced (ported
   below as ``_legacy_*``), on a fresh or a placement-shared path memo,
-  on repeat solves, and under every available backend;
+  and on repeat solves;
+* **the binding** — SciPy's bundled HiGHS binding is the one solver,
+  loaded without the ``scipy.optimize`` package, and no environment
+  variable picks another;
 * **CompiledLP unit tests** — construction (``from_coo``), input
   validation and solver outcomes.
 """
@@ -19,14 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.lp import (
-    BACKEND_ENV,
-    CompiledLP,
-    InfeasibleError,
-    UnboundedError,
-    available_backends,
-    resolve_backend,
-)
+from repro.lp import CompiledLP, InfeasibleError, UnboundedError, resolve_backend
 from repro.lp import model as lp_model
 from repro.lp.model import SENSE_EQ, SENSE_GE, SENSE_LE
 from repro.net.paths import KspCache
@@ -199,8 +195,8 @@ class TestByteIdentity:
     def test_minmax_matches_legacy_exactly(self, gts):
         path_sets = _paper_case(gts)
         ref_fracs, ref_cap = _legacy_minmax(gts, path_sets)
-        result, cap = solve_minmax_lp(gts, path_sets)
-        assert result.fractions == ref_fracs
+        fractions, cap = solve_minmax_lp(gts, path_sets)
+        assert fractions == ref_fracs
         assert cap == ref_cap
 
     def test_path_memo_changes_nothing(self, gts):
@@ -220,18 +216,7 @@ class TestByteIdentity:
         path_sets = _paper_case(gts)
         cold = solve_minmax_lp(gts, path_sets)
         warm = solve_minmax_lp(gts, path_sets)
-        assert warm[0].fractions == cold[0].fractions
-        assert warm[1] == cold[1]
-
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_backends_bit_identical(self, gts, backend, monkeypatch):
-        path_sets = _paper_case(gts)
-        monkeypatch.setenv(BACKEND_ENV, "scipy")
-        reference = solve_latency_lp(gts, path_sets)
-        monkeypatch.setenv(BACKEND_ENV, backend)
-        other = solve_latency_lp(gts, path_sets)
-        assert other.fractions == reference.fractions
-        assert other.objective == reference.objective
+        assert warm == cold
 
     def test_toy_latency_matches_legacy(self, diamond):
         agg = Aggregate("s", "t", Gbps(20))
@@ -247,66 +232,55 @@ class TestByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# Backend selection
+# The binding
 # ----------------------------------------------------------------------
 class TestBackends:
-    def test_resolve_defaults_to_auto(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend() in ("scipy", "highs")
-        assert resolve_backend("scipy") == "scipy"
-        monkeypatch.setenv(BACKEND_ENV, "scipy")
-        assert resolve_backend() == "scipy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown LP backend"):
-            resolve_backend("gurobi")
-
-    def test_available_backends_always_has_scipy(self):
-        assert "scipy" in available_backends()
-
-    @pytest.mark.skipif(
-        "highs" in available_backends(), reason="highspy installed"
-    )
-    def test_explicit_highs_without_package_errors(self):
-        with pytest.raises(RuntimeError, match="highspy"):
-            resolve_backend("highs")
-
     def test_missing_scipy_binding_is_an_error_not_a_fallback(
         self, monkeypatch
     ):
-        monkeypatch.setattr(lp_model, "_bindings", {"scipy": None, "highs": None})
-        for request in ("scipy", "auto"):
-            with pytest.raises(RuntimeError, match="SciPy >= 1.15"):
-                resolve_backend(request)
+        def missing(name):
+            raise ImportError(name)
+
+        monkeypatch.setattr(lp_model, "_core", None)
+        monkeypatch.setattr(lp_model, "_load_extension", missing)
+        with pytest.raises(RuntimeError, match="SciPy >= 1.15"):
+            resolve_backend()
+        with pytest.raises(RuntimeError, match="SciPy >= 1.15"):
+            _small_lp().solve()
 
     def test_scipy_binding_loads_without_scipy_optimize(self):
         """SciPy's HiGHS extension is loaded on its own: solving never runs
         the ``scipy.optimize`` package init, and a later ``import
-        scipy.optimize`` shares the same module object."""
+        scipy.optimize`` shares the same module object.  The child runs
+        with ``REPRO_LP_BACKEND=highs``: no variable picks the solver, so
+        the setting is ignored."""
         code = (
             "import sys\n"
             "import numpy as np\n"
             "import repro.experiments\n"
             "from repro.lp.model import CompiledLP, SENSE_GE, _binding,"
             " resolve_backend\n"
-            "resolve_backend('scipy')\n"
+            "assert resolve_backend() == 'scipy'\n"
             "solution = CompiledLP.from_coo(\n"
             "    n_variables=2, data=np.array([1.0, 1.0]),\n"
             "    rows=np.array([0, 0]), cols=np.array([0, 1]),\n"
             "    senses=np.array([SENSE_GE], dtype=np.int8),\n"
             "    rhs=np.array([2.0]), c=np.array([1.0, 2.0]),\n"
             "    lower=np.zeros(2), upper=np.full(2, np.inf),\n"
-            ").solve('scipy')\n"
+            ").solve()\n"
             "assert solution.objective == 2.0, solution.objective\n"
             "assert 'scipy.optimize' not in sys.modules\n"
             "core = sys.modules['scipy.optimize._highspy._core']\n"
-            "assert _binding('scipy') is core\n"
+            "assert _binding() is core\n"
             "import scipy.optimize\n"
             "from scipy.optimize import linprog\n"
             "assert linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1]).status == 0\n"
             "assert sys.modules['scipy.optimize._highspy._core'] is core\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.fspath(REPO / "src"))
+        env = dict(
+            os.environ, PYTHONPATH=os.fspath(REPO / "src"),
+            REPRO_LP_BACKEND="highs",
+        )
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True,
             text=True,
@@ -329,7 +303,7 @@ class TestBackends:
             "    senses=np.array([SENSE_GE], dtype=np.int8),\n"
             "    rhs=np.array([2.0]), c=np.array([1.0, 2.0]),\n"
             "    lower=np.zeros(2), upper=np.full(2, np.inf),\n"
-            ").solve('scipy')\n"
+            ").solve()\n"
             "assert solution.objective == 2.0, solution.objective\n"
             "loaded = [name for name in ('scipy.sparse', 'scipy._lib._util')\n"
             "          if name in sys.modules]\n"

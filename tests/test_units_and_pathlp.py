@@ -3,12 +3,8 @@
 import pytest
 
 from repro.net.units import Gbps, Kbps, Mbps, Tbps, ms, to_gbps, to_ms
-from repro.routing.base import OVERLOAD_TOLERANCE
-from repro.routing.pathlp import (
-    PathLpResult,
-    solve_latency_lp,
-    solve_minmax_lp,
-)
+from repro.routing.base import Placement, normalize_allocations
+from repro.routing.pathlp import solve_latency_lp, solve_minmax_lp
 from repro.tm.matrix import Aggregate
 
 
@@ -72,20 +68,22 @@ class TestSolveMinMaxLp:
     def test_balances(self, diamond):
         agg = Aggregate("s", "t", Gbps(10))
         paths = [("s", "x", "t"), ("s", "y", "t")]
-        result, umax = solve_minmax_lp(diamond, {agg: paths})
+        fractions, umax = solve_minmax_lp(diamond, {agg: paths})
         # Equal utilization on both routes: u = 10 / (10 + 40) ... the LP
         # balances so that both paths hit the same utilization:
         # x/10 = (10-x)/40 -> x = 2 -> u = 0.2.
         assert umax == pytest.approx(0.2, abs=0.01)
-        fractions = dict(result.fractions[agg])
-        assert fractions[("s", "x", "t")] == pytest.approx(0.2, abs=0.02)
+        assert dict(fractions[agg])[("s", "x", "t")] == pytest.approx(
+            0.2, abs=0.02
+        )
 
     def test_stage2_respects_cap_and_minimizes_delay(self, diamond):
         agg = Aggregate("s", "t", Gbps(1))
         paths = [("s", "x", "t"), ("s", "y", "t")]
-        result, umax = solve_minmax_lp(diamond, {agg: paths})
+        fractions, umax = solve_minmax_lp(diamond, {agg: paths})
         # With trivial load, MinMax still balances to equalize utilization
         # but the latency tie-break applies only within the cap.
-        total = sum(fraction for _, fraction in result.fractions[agg])
+        total = sum(fraction for _, fraction in fractions[agg])
         assert total == pytest.approx(1.0)
-        assert result.max_overload <= 1.0 + OVERLOAD_TOLERANCE
+        placement = Placement(diamond, normalize_allocations(fractions))
+        assert placement.fits_all_traffic
