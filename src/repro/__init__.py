@@ -36,7 +36,7 @@ Quickstart::
 """
 
 from repro.core.ldr import AggregateTraffic, LdrConfig, LdrController, LdrResult
-from repro.core.metrics import ApaParameters, apa_all_pairs, llpd, pair_apa
+from repro.core.metrics import ApaParameters, apa_all_pairs, llpd
 from repro.core.prediction import MeanRatePredictor
 from repro.net.graph import Link, Network, Node
 from repro.routing import (
@@ -66,7 +66,6 @@ __all__ = [
     "ApaParameters",
     "apa_all_pairs",
     "llpd",
-    "pair_apa",
     "MeanRatePredictor",
     "Link",
     "Network",

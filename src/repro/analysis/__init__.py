@@ -9,6 +9,8 @@ the runtime tests can only sample:
   ``python -O`` strips.
 * :class:`~repro.analysis.schema.SchemaDriftPass` (C303) —
   ``args.<dest>`` reads against ``add_argument`` dests.
+* :class:`~repro.analysis.reach.ReachabilityPass` (R401) — top-level
+  code no CLI, benchmark or example reaches (tests are not roots).
 
 Every rule here has a live subject in ``src/``.  A contract that Python,
 a runtime check or a round-trip test already enforces (a required
@@ -18,7 +20,7 @@ no rule.
 :func:`analyze_paths` is the library entry point; the CLI in
 :mod:`repro.analysis.__main__` prints the findings and fails on any.
 Intentional violations are allowlisted in source with
-``# analysis: allow[RULE]``.
+``# analysis: allow[RULE]``; an R401 pragma also says why the code stays.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.base import Finding, ModuleSource, Pass
 from repro.analysis.determinism import DeterminismPass
+from repro.analysis.reach import ReachabilityPass
 from repro.analysis.schema import SchemaDriftPass
 
 __all__ = [
@@ -43,7 +46,7 @@ __all__ = [
 
 def all_passes() -> List[Pass]:
     """The default pass set, in reporting order."""
-    return [DeterminismPass(), SchemaDriftPass()]
+    return [DeterminismPass(), SchemaDriftPass(), ReachabilityPass()]
 
 
 def collect_modules(

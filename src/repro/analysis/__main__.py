@@ -21,8 +21,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Codebase-specific static analysis: determinism and "
-            "CLI-drift passes."
+            "Codebase-specific static analysis: determinism, CLI-drift "
+            "and reachability passes."
         ),
     )
     parser.add_argument(

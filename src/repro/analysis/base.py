@@ -1,10 +1,10 @@
 """Shared analyzer plumbing: findings and the AST pass protocol.
 
 Every pass (:mod:`repro.analysis.determinism`,
-:mod:`repro.analysis.schema`) consumes parsed :class:`ModuleSource`
-objects and yields :class:`Finding` records; the CLI
-(:mod:`repro.analysis.__main__`) renders them and fails on any.  The
-plumbing here keeps the passes small:
+:mod:`repro.analysis.schema`, :mod:`repro.analysis.reach`) consumes
+parsed :class:`ModuleSource` objects and yields :class:`Finding`
+records; the CLI (:mod:`repro.analysis.__main__`) renders them and
+fails on any.  The plumbing here keeps the passes small:
 
 * :class:`ModuleSource` parses a file once and lazily builds a
   child-to-parent node map, so passes can ask "is this ``set(...)`` call

@@ -11,7 +11,7 @@
   LP combined with automatic headroom tuning (§5).
 """
 
-from repro.core.metrics import ApaParameters, apa_all_pairs, llpd, pair_apa
+from repro.core.metrics import ApaParameters, apa_all_pairs, llpd
 from repro.core.prediction import MeanRatePredictor, predict_series
 from repro.core.multiplexing import (
     LinkCheck,
@@ -26,7 +26,6 @@ __all__ = [
     "ApaParameters",
     "apa_all_pairs",
     "llpd",
-    "pair_apa",
     "MeanRatePredictor",
     "predict_series",
     "LinkCheck",

@@ -16,8 +16,6 @@ MinMax coincide.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.net.graph import Network
 from repro.tm.matrix import TrafficMatrix
 
@@ -34,12 +32,3 @@ def minmax_equivalent_headroom(network: Network, tm: TrafficMatrix) -> float:
 
     umax = optimal_max_utilization(network, tm)
     return max(0.0, 1.0 - umax)
-
-
-def headroom_sweep(max_headroom: float, steps: int) -> List[float]:
-    """Evenly spaced headroom values in [0, max_headroom]."""
-    if steps < 2:
-        raise ValueError(f"need at least two steps, got {steps}")
-    if not 0.0 <= max_headroom < 1.0:
-        raise ValueError(f"max headroom must be in [0, 1), got {max_headroom}")
-    return [max_headroom * i / (steps - 1) for i in range(steps)]

@@ -45,7 +45,7 @@ in ``tests/oracles.py``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -53,7 +53,6 @@ import numpy.typing as npt
 from repro.net.flows import max_flow_ids
 from repro.net.graph import Network
 from repro.net.index import GraphIndex, IdPath, graph_index
-from repro.net.paths import shortest_path
 from repro.telemetry import recorder
 
 Pair = Tuple[str, str]
@@ -231,21 +230,6 @@ def _apa(
         rec.counter("apa.yen_checks", apa.yen_checks)
         rec.counter("apa.maxflows", apa.maxflows)
     return dict(zip(shortest_paths, values))
-
-
-def pair_apa(
-    network: Network,
-    src: str,
-    dst: str,
-    params: ApaParameters = ApaParameters(),
-    shortest: Optional[Tuple[str, ...]] = None,
-) -> float:
-    """Alternate path availability for one PoP pair, in [0, 1]."""
-    if shortest is None:
-        shortest = shortest_path(network, src, dst)
-    index = graph_index(network)
-    ids = tuple(index.node_id(name) for name in shortest)
-    return _apa(index, {(src, dst): ids}, params)[(src, dst)]
 
 
 def apa_all_pairs(

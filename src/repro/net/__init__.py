@@ -24,7 +24,7 @@ from repro.net.paths import (
     path_links,
     shortest_path,
 )
-from repro.net.flows import max_flow_bps, min_cut_bps
+from repro.net.flows import max_flow_bps
 
 __all__ = [
     "Link",
@@ -43,5 +43,4 @@ __all__ = [
     "path_links",
     "shortest_path",
     "max_flow_bps",
-    "min_cut_bps",
 ]

@@ -115,7 +115,7 @@ def _bfs_augmenting(
     return None
 
 
-def max_flow_bps(
+def max_flow_bps(  # analysis: allow[R401] tests check max_flow_ids through it
     network: Network,
     src: str,
     dst: str,
@@ -138,11 +138,6 @@ def max_flow_bps(
     else:
         positions = index.edge_positions(restrict_links)
     return max_flow_ids(index, s, index.node_id(dst), positions)
-
-
-def min_cut_bps(network: Network, src: str, dst: str) -> float:
-    """Capacity of the minimum s-t cut (equals the max flow)."""
-    return max_flow_bps(network, src, dst)
 
 
 def node_arc_coo(

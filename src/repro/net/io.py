@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from repro.durable import write_atomic
 from repro.net.geo import link_delay_s
 from repro.net.graph import Link, Network, Node
 from repro.net.units import Gbps
@@ -79,11 +78,6 @@ def from_json(text: str) -> Network:
     return network
 
 
-def save(network: Network, path: str) -> None:
-    """Write the network's JSON form to a file, atomically."""
-    write_atomic(path, to_json(network))
-
-
 def load(path: str) -> Network:
     """Read a network from a JSON file.
 
@@ -112,7 +106,7 @@ def load(path: str) -> Network:
     return from_json(text)
 
 
-def from_graphml(
+def from_graphml(  # analysis: allow[R401] Zoo input; no GraphML file ships
     path: str,
     default_capacity_bps: float = Gbps(10),
     name: Optional[str] = None,

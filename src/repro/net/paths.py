@@ -132,7 +132,9 @@ def path_delay_s(network: Network, path: Sequence[str]) -> float:
     return sum(network.link(u, v).delay_s for u, v in path_links(path))
 
 
-def path_bottleneck_bps(network: Network, path: Sequence[str]) -> float:
+def path_bottleneck_bps(  # analysis: allow[R401] tests/oracles.py's legacy APA oracle
+    network: Network, path: Sequence[str]
+) -> float:
     """Capacity of the most constrained link on a path."""
     links = path_links(path)
     if not links:
@@ -140,7 +142,7 @@ def path_bottleneck_bps(network: Network, path: Sequence[str]) -> float:
     return min(network.link(u, v).capacity_bps for u, v in links)
 
 
-def is_simple(path: Sequence[str]) -> bool:
+def is_simple(path: Sequence[str]) -> bool:  # analysis: allow[R401] tests check Yen's paths with it
     """True if the path visits no node twice."""
     return len(set(path)) == len(path)
 
@@ -172,7 +174,9 @@ def shortest_path_delays(network: Network, src: str) -> Dict[str, float]:
     return graph_index(network).shortest_path_delays(src)
 
 
-def all_pairs_shortest_paths(network: Network) -> Dict[Tuple[str, str], Path]:
+def all_pairs_shortest_paths(  # analysis: allow[R401] parity surface of all_pairs_shortest_ids
+    network: Network,
+) -> Dict[Tuple[str, str], Path]:
     """Lowest-delay path for every connected ordered node pair.
 
     Quadratic output: at ingest scale (10k+ nodes) this materializes 10^8

@@ -6,17 +6,6 @@ so call sites can say ``Gbps(10)`` instead of ``10e9`` and stay readable.
 """
 
 MILLISECOND = 1e-3
-MICROSECOND = 1e-6
-
-
-def Kbps(value: float) -> float:
-    """Kilobits per second expressed in bits per second."""
-    return value * 1e3
-
-
-def Mbps(value: float) -> float:
-    """Megabits per second expressed in bits per second."""
-    return value * 1e6
 
 
 def Gbps(value: float) -> float:
@@ -24,12 +13,7 @@ def Gbps(value: float) -> float:
     return value * 1e9
 
 
-def Tbps(value: float) -> float:
-    """Terabits per second expressed in bits per second."""
-    return value * 1e12
-
-
-def ms(value: float) -> float:
+def ms(value: float) -> float:  # analysis: allow[R401] fixture helper of ~15 test files
     """Milliseconds expressed in seconds."""
     return value * MILLISECOND
 

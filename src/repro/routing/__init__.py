@@ -18,8 +18,6 @@ judges, from its real link loads, whether the traffic fits.
   latency-optimal LP (its Figure 12) solved by iterative path-set growth
   (its Figure 13); with headroom and the multiplexing loop on top it
   becomes LDR (:mod:`repro.core.ldr`);
-* :class:`repro.routing.priority.PriorityLatencyOptimalRouting` — that
-  LP with per-class delay weights on the flow counts (paper §8);
 * :class:`repro.routing.linkbased.LinkBasedOptimalRouting` — the same
   optimization as a per-aggregate link-based multi-commodity flow, the slow
   baseline of the paper's Figure 15.

@@ -376,7 +376,7 @@ def solve_latency_lp(
     )
 
 
-def latency_certificate(
+def latency_certificate(  # analysis: allow[R401] LDR's certificate; no figure reads it yet
     network: Network, result: PathLpResult
 ) -> Tuple[float, float]:
     """A Lagrangian lower bound on the delay term of any fitting placement

@@ -154,8 +154,3 @@ def scaled_for_growth(
     if lam <= 0:
         raise ValueError("traffic matrix is unroutable at any positive scale")
     return tm.scaled(lam / growth_factor)
-
-
-def min_cut_load(network: Network, tm: TrafficMatrix) -> float:
-    """Load of the most constrained cut under optimal (MinMax) routing."""
-    return 1.0 / max_scale_factor(network, tm)

@@ -14,7 +14,6 @@ from repro.traces.stats import (
     minute_means,
     minute_sigma_pairs,
     per_minute_sigma,
-    resample_to_interval,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "minute_means",
     "minute_sigma_pairs",
     "per_minute_sigma",
-    "resample_to_interval",
 ]

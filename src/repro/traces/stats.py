@@ -1,9 +1,8 @@
 """Statistics extracted from traffic traces.
 
 These are the measurement primitives behind the paper's Figures 9 and 10
-and behind LDR's multiplexing checks: per-minute mean levels, per-minute
-standard deviation of millisecond rates, and resampling to the 100 ms
-intervals the controller works with.
+and behind LDR's multiplexing checks: per-minute mean levels and the
+per-minute standard deviation of millisecond rates.
 """
 
 from __future__ import annotations
@@ -47,23 +46,3 @@ def minute_sigma_pairs(
     """(sigma at minute t, sigma at minute t+1) pairs — Figure 10's scatter."""
     sigmas = per_minute_sigma(trace, samples_per_minute)
     return [(float(sigmas[i]), float(sigmas[i + 1])) for i in range(len(sigmas) - 1)]
-
-
-def resample_to_interval(
-    trace: np.ndarray, samples_per_interval: int
-) -> np.ndarray:
-    """Average consecutive samples into coarser intervals (e.g. 1 ms→100 ms).
-
-    Ingress routers report 100 ms counters to the LDR controller; this is
-    the aggregation they perform.
-    """
-    if samples_per_interval < 1:
-        raise ValueError(
-            f"samples_per_interval must be >= 1, got {samples_per_interval}"
-        )
-    n = len(trace) // samples_per_interval
-    if n == 0:
-        raise ValueError("trace shorter than one interval")
-    return trace[: n * samples_per_interval].reshape(n, samples_per_interval).mean(
-        axis=1
-    )

@@ -10,6 +10,7 @@ Three layers:
   which is exactly the CI gate.
 """
 
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,6 +20,7 @@ import pytest
 
 from repro.analysis import all_passes, analyze_paths, rule_table
 from repro.analysis.determinism import DeterminismPass
+from repro.analysis.reach import ReachabilityPass
 from repro.analysis.schema import SchemaDriftPass
 from repro.analysis.__main__ import main as analysis_main
 
@@ -213,6 +215,170 @@ def test_c303_subparsers_dest_is_a_dest(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Reachability pass
+# ----------------------------------------------------------------------
+def reach_findings(tmp_path, files):
+    """Plant ``files`` (relative path -> source) in a project tree with
+    empty ``benchmarks/`` and ``examples/``, analyze its ``src/repro``
+    and return the findings as ``(path, line)`` pairs."""
+    for name in ("benchmarks", "examples"):
+        (tmp_path / name).mkdir()
+    for rel, source in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source), encoding="utf-8")
+    findings = analyze_paths(
+        [str(tmp_path / "src" / "repro")],
+        passes=[ReachabilityPass()],
+        root=str(tmp_path),
+    )
+    return [(f.path, f.line) for f in findings]
+
+
+LIB = "src/repro/lib.py"
+
+
+def test_r401_dead_def_reported_at_its_line(tmp_path):
+    found = reach_findings(
+        tmp_path,
+        {
+            LIB: """
+            def live():
+                return 1
+
+
+            def dead():
+                return 2
+            """,
+            "examples/use.py": "from repro.lib import live\nlive()\n",
+        },
+    )
+    assert found == [(LIB, 6)]
+
+
+def test_r401_tests_are_not_roots(tmp_path):
+    found = reach_findings(
+        tmp_path,
+        {
+            LIB: "class OnlyTested:\n    pass\n",
+            "tests/test_lib.py": (
+                "from repro.lib import OnlyTested\n\n"
+                "def test_it():\n    OnlyTested()\n"
+            ),
+        },
+    )
+    assert found == [(LIB, 1)]
+
+
+def test_r401_missing_roots_directory_is_a_finding(tmp_path):
+    (tmp_path / "examples").mkdir()
+    lib = tmp_path / "src" / "repro" / "lib.py"
+    lib.parent.mkdir(parents=True)
+    lib.write_text("def dead():\n    pass\n", encoding="utf-8")
+    findings = analyze_paths(
+        [str(lib)], passes=[ReachabilityPass()], root=str(tmp_path)
+    )
+    assert [(f.rule, f.line) for f in findings] == [("R401", 1)]
+    assert "benchmarks" in findings[0].message
+
+
+@pytest.mark.parametrize(
+    "lib, example",
+    [
+        pytest.param(
+            """
+            _REGISTRY = {}
+
+            def register(name):
+                def wrap(builder):
+                    _REGISTRY[name] = builder
+                    return builder
+                return wrap
+
+            @register("x")
+            def _build_x():
+                return 1
+
+            def build(name):
+                return _REGISTRY[name]()
+            """,
+            "from repro.lib import build\nbuild('x')\n",
+            id="registry-decorator",
+        ),
+        pytest.param(
+            """
+            def content_signature():
+                return "sig"
+
+            def signature(workload):
+                return getattr(workload, "content_signature", None)
+            """,
+            "from repro.lib import signature\nsignature(None)\n",
+            id="getattr-string",
+        ),
+        pytest.param(
+            """
+            def _default():
+                return 1
+
+            DEFAULT = _default()
+            """,
+            "",
+            id="module-level-statement",
+        ),
+        pytest.param(
+            """
+            class Shown:
+                pass
+            """,
+            "import repro.lib\nrepro.lib.Shown()\n",
+            id="example",
+        ),
+        pytest.param(
+            """
+            def leaf():
+                return 1
+
+            def middle():
+                return leaf()
+
+            def top():
+                return middle()
+            """,
+            "from repro.lib import top\ntop()\n",
+            id="chain-of-defs",
+        ),
+        pytest.param(
+            """
+            def kept():  # analysis: allow[R401] a reason
+                return 1
+            """,
+            "",
+            id="pragma",
+        ),
+    ],
+)
+def test_r401_reached_defs_are_clean(tmp_path, lib, example):
+    files = {LIB: lib, "examples/use.py": example}
+    assert reach_findings(tmp_path, files) == []
+
+
+def test_r401_pragmas_in_src_carry_reasons():
+    pragma = re.compile(r"#\s*analysis:\s*allow\[[^\]]*\bR401\b[^\]]*\](.*)")
+    reasons = [
+        (f"{path.relative_to(REPO)}:{number}", match.group(1).strip())
+        for path in sorted((REPO / "src").rglob("*.py"))
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1
+        )
+        for match in [pragma.search(line)]
+        if match
+    ]
+    assert reasons
+    assert [where for where, reason in reasons if not reason] == []
+
+
+# ----------------------------------------------------------------------
 # Parse failures, rule table
 # ----------------------------------------------------------------------
 def test_e001_unparseable_file(tmp_path):
@@ -223,7 +389,7 @@ def test_e001_unparseable_file(tmp_path):
 
 def test_rule_table_covers_every_pass():
     assert sorted(rule_table()) == [
-        "C303", "D101", "D102", "D103", "D104", "D105", "E001",
+        "C303", "D101", "D102", "D103", "D104", "D105", "E001", "R401",
     ]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.headroom import headroom_sweep, minmax_equivalent_headroom
+from repro.core.headroom import minmax_equivalent_headroom
 from repro.core.ldr import AggregateTraffic, LdrConfig, LdrController
 from repro.net.units import Gbps
 from repro.tm import TrafficMatrix
@@ -163,14 +163,6 @@ class TestHeadroom:
     def test_headroom_zero_when_unroutable(self, triangle):
         tm = TrafficMatrix({("a", "b"): Gbps(30)})
         assert minmax_equivalent_headroom(triangle, tm) == 0.0
-
-    def test_sweep(self):
-        values = headroom_sweep(0.4, 5)
-        assert values == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
-        with pytest.raises(ValueError):
-            headroom_sweep(0.4, 1)
-        with pytest.raises(ValueError):
-            headroom_sweep(1.0, 3)
 
     def test_latency_optimal_converges_to_minmax_at_full_headroom(
         self, gts, gts_tm

@@ -8,13 +8,14 @@ import pytest
 from repro import telemetry
 from repro.core.metrics import (
     ApaParameters,
+    _apa,
     apa_all_pairs,
     apa_cdf,
     llpd,
     llpd_from_apa,
-    pair_apa,
 )
 from repro.net.graph import Network, Node
+from repro.net.index import graph_index
 from repro.net.ingest import synthesize_internet_like
 from repro.net.paths import all_pairs_shortest_paths
 from repro.net.units import Gbps, ms
@@ -37,19 +38,24 @@ class TestApaParameters:
             ApaParameters(llpd_threshold=1.5)
 
 
+def apa_of(network, src, dst, params=ApaParameters()):
+    """One pair's APA, read off the all-pairs computation."""
+    return apa_all_pairs(network, params)[(src, dst)]
+
+
 class TestPairApa:
     def test_line_has_zero_apa(self, line4):
         # No alternates exist anywhere on a chain.
-        assert pair_apa(line4, "n0", "n3") == 0.0
+        assert apa_of(line4, "n0", "n3") == 0.0
 
     def test_triangle_full_apa(self, triangle):
         # The single link a->b can be routed around via c at stretch 2.0.
         generous = ApaParameters(stretch_limit=2.0)
-        assert pair_apa(triangle, "a", "b", generous) == 1.0
+        assert apa_of(triangle, "a", "b", generous) == 1.0
 
     def test_triangle_stretch_limit_binds(self, triangle):
         # Stretch 2.0 exceeds the default 1.4 limit.
-        assert pair_apa(triangle, "a", "b") == 0.0
+        assert apa_of(triangle, "a", "b") == 0.0
 
     def test_capacity_gates_viability(self):
         """An alternate thinner than the shortest path's bottleneck does
@@ -60,7 +66,7 @@ class TestPairApa:
         net.add_duplex_link("s", "t", Gbps(100), ms(10))
         net.add_duplex_link("s", "alt", Gbps(1), ms(5))
         net.add_duplex_link("alt", "t", Gbps(1), ms(6))
-        assert pair_apa(net, "s", "t") == 0.0
+        assert apa_of(net, "s", "t") == 0.0
         # With a fat alternate it becomes routable-around.
         fat = Network("fat-alt")
         for name in ("s", "t", "alt"):
@@ -68,7 +74,7 @@ class TestPairApa:
         fat.add_duplex_link("s", "t", Gbps(100), ms(10))
         fat.add_duplex_link("s", "alt", Gbps(100), ms(5))
         fat.add_duplex_link("alt", "t", Gbps(100), ms(6))
-        assert pair_apa(fat, "s", "t") == 1.0
+        assert apa_of(fat, "s", "t") == 1.0
 
     def test_multiple_alternates_combine_capacity(self):
         """Two thin alternates whose min-cut jointly reaches the required
@@ -82,7 +88,7 @@ class TestPairApa:
         net.add_duplex_link("p", "t", Gbps(5), ms(6))
         net.add_duplex_link("s", "q", Gbps(5), ms(6))
         net.add_duplex_link("q", "t", Gbps(5), ms(7))
-        assert pair_apa(net, "s", "t") == 1.0
+        assert apa_of(net, "s", "t") == 1.0
 
     def test_combined_capacity_insufficient(self):
         net = Network("insufficient")
@@ -91,7 +97,7 @@ class TestPairApa:
         net.add_duplex_link("s", "t", Gbps(10), ms(10))
         net.add_duplex_link("s", "p", Gbps(5), ms(5))
         net.add_duplex_link("p", "t", Gbps(5), ms(6))
-        assert pair_apa(net, "s", "t") == 0.0
+        assert apa_of(net, "s", "t") == 0.0
 
     def test_partial_apa(self):
         """Only some links on the shortest path can be routed around."""
@@ -103,7 +109,7 @@ class TestPairApa:
         # Detour only around the first hop.
         net.add_duplex_link("s", "d", Gbps(10), ms(5))
         net.add_duplex_link("d", "m", Gbps(10), ms(6))
-        assert pair_apa(net, "s", "t") == pytest.approx(0.5)
+        assert apa_of(net, "s", "t") == pytest.approx(0.5)
 
 
 class TestNetworkLevel:
@@ -251,12 +257,17 @@ class TestLegacyParity:
 
     def test_knife_edge_alternate_counts(self):
         params = ApaParameters(stretch_limit=2.0)
-        assert pair_apa(knife_edge(), "s", "t", params) == 1.0
+        assert apa_of(knife_edge(), "s", "t", params) == 1.0
 
     def test_pair_apa_agrees_with_all_pairs(self, gts):
+        """One pair's APA computed alone equals its all-pairs value:
+        nothing the sweep shares across pairs leaks into a value."""
+        index = graph_index(gts)
+        shortest = index.all_pairs_shortest_ids(gts.node_names)
         values = apa_all_pairs(gts)
-        for (src, dst), value in list(values.items())[::37]:
-            assert pair_apa(gts, src, dst) == value
+        for pair in list(values)[::37]:
+            alone = _apa(index, {pair: shortest[pair]}, ApaParameters())
+            assert alone == {pair: values[pair]}
 
 
 class TestWork:

@@ -1,10 +1,10 @@
-"""Unit tests for max-flow / min-cut."""
+"""Unit tests for max-flow."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.flows import max_flow_bps, min_cut_bps
+from repro.net.flows import max_flow_bps
 from repro.net.graph import Network, Node
 from repro.net.units import Gbps, ms
 from repro.net.zoo import generate_zoo
@@ -60,11 +60,6 @@ class TestMaxFlow:
         net.add_link(Link("a", "b", Gbps(5), ms(1)))
         assert max_flow_bps(net, "a", "b") == pytest.approx(Gbps(5))
         assert max_flow_bps(net, "b", "a") == 0.0
-
-    def test_min_cut_equals_max_flow(self, diamond):
-        assert min_cut_bps(diamond, "s", "t") == pytest.approx(
-            max_flow_bps(diamond, "s", "t")
-        )
 
 
 _ZOO = generate_zoo(6, seed=0, include_named=True)

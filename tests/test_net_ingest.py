@@ -95,7 +95,7 @@ class TestIoSniffing:
 
     def test_load_still_reads_repro_format(self, triangle, tmp_path):
         path = tmp_path / "triangle.json"
-        io.save(triangle, str(path))
+        path.write_text(io.to_json(triangle))
         again = io.load(str(path))
         assert network_signature(again) == network_signature(triangle)
 

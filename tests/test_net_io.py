@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from repro.net.io import from_graphml, from_json, load, save, to_json
+from repro.net.io import from_graphml, from_json, load, to_json
 from repro.net.units import Gbps
 
 
@@ -34,7 +34,7 @@ class TestJsonRoundTrip:
 
     def test_file_round_trip(self, triangle, tmp_path):
         path = tmp_path / "net.json"
-        save(triangle, str(path))
+        path.write_text(to_json(triangle))
         assert load(str(path)).num_links == triangle.num_links
 
 

@@ -16,7 +16,6 @@ from repro.tm.gravity import zipf_masses
 from repro.tm.matrix import Aggregate
 from repro.tm.matrix import from_json as tm_from_json
 from repro.tm.matrix import to_json as tm_to_json
-from repro.tm.scale import min_cut_load
 
 
 class TestAggregate:
@@ -201,7 +200,9 @@ class TestScaling:
     def test_min_cut_load_is_reciprocal(self, gts, rng):
         tm = gravity_traffic_matrix(gts, rng)
         scaled = scale_to_growth_headroom(gts, tm, growth_factor=1.3)
-        assert min_cut_load(gts, scaled) == pytest.approx(1 / 1.3, rel=1e-3)
+        assert 1 / max_scale_factor(gts, scaled) == pytest.approx(
+            1 / 1.3, rel=1e-3
+        )
 
     def test_growth_below_one_rejected(self, gts, rng):
         tm = gravity_traffic_matrix(gts, rng)

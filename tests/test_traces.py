@@ -8,7 +8,6 @@ from repro.traces import (
     minute_means,
     minute_sigma_pairs,
     per_minute_sigma,
-    resample_to_interval,
     synthesize_trace,
     trace_ensemble,
 )
@@ -120,15 +119,8 @@ class TestStats:
         pairs = minute_sigma_pairs(trace, 600)
         assert pairs == [(pytest.approx(1.0), pytest.approx(2.0))]
 
-    def test_resample(self):
-        trace = np.arange(10, dtype=float)
-        coarse = resample_to_interval(trace, 5)
-        assert coarse == pytest.approx([2.0, 7.0])
-
     def test_stats_validation(self):
         with pytest.raises(ValueError):
             minute_means(np.ones(10), 600)
         with pytest.raises(ValueError):
             minute_means(np.ones((2, 2)), 1)
-        with pytest.raises(ValueError):
-            resample_to_interval(np.ones(3), 0)
