@@ -73,6 +73,14 @@ APA's answer is the same.
 Memory: the memo holds one ``double`` and one ``int`` per node per distinct
 target (12 bytes x n x targets — 0.5 MB for the 13 gateway targets of a
 3 300-node graph, 120 KB x targets at 10k nodes) for the life of the index.
+A suspended :meth:`GraphIndex.k_shortest_ids` generator keeps only its
+produced paths, its candidate heap and their deviation indices, besides
+references to the index's CSR lists and that memo: every search runs in
+a helper, so its ``dist``/``parent`` lists and edge/node masks (O(n + m)
+each) are freed before the generator yields.  On the 3 300-node
+``ingest_scale`` graph a pair's suspended generator, four paths in,
+holds 2.9 KB (108 KB when it kept its last searches' arrays), so a KSP
+cache grows with the paths it has produced and queued, not with n + m.
 
 The legacy implementations survive as ``legacy_*`` parity oracles in
 ``tests/oracles.py``, and ``tests/test_net_index.py`` asserts equality
@@ -594,64 +602,79 @@ class GraphIndex:
         h, next_hop = self.delays_to(t)
         if h[s] == _INF:
             return
-        _, parent, _ = self.dijkstra_ids(s, t, bound=h, limit=h[s] * _SLACK)
-        first = self.extract_ids(parent, s, t)
+        # The searches run in helpers, so no per-search array outlives
+        # them into this suspended frame (module docstring, "Memory").
+        first = self.extract_ids(
+            self.dijkstra_ids(s, t, bound=h, limit=h[s] * _SLACK)[1], s, t
+        )
         yield first
 
-        n = len(self._names)
-        delays = self._delays
-        edge_pos = self._edge_pos
         produced: List[IdPath] = [first]
         candidates: List[Tuple[float, IdPath]] = []
         # Every path ever queued -> the spur index it deviated at.
         deviation: Dict[IdPath, int] = {first: 0}
-        push = heapq.heappush
-        pop = heapq.heappop
-
         while True:
-            prev = produced[-1]
-            first_spur = deviation[prev]
-            excluded_nodes = bytearray(n)
-            root_delay = 0.0
-            for i in range(len(prev) - 1):
-                spur = prev[i]
-                if i > 0:
-                    root_delay += delays[edge_pos[(prev[i - 1], prev[i])]]
-                    excluded_nodes[prev[i - 1]] = 1
-                if i < first_spur:
-                    # Lawler: an earlier path sharing this root already ran
-                    # this exact search; its candidate is in `deviation`.
-                    continue
-                root = prev[: i + 1]
-                excluded_edges = self._fresh_edge_mask()
-                for existing in produced:
-                    if len(existing) > i and existing[: i + 1] == root:
-                        excluded_edges[
-                            edge_pos[(existing[i], existing[i + 1])]
-                        ] = 1
-                sdist, sparent, _ = self.dijkstra_ids(
-                    spur, t, excluded_edges, excluded_nodes, h,
-                    min(
-                        self._spur_limit(
-                            spur, t, h, next_hop, excluded_edges,
-                            excluded_nodes,
-                        ),
-                        max_delay - root_delay,
-                    ),
-                )
-                if sdist[t] == _INF:
-                    continue
-                spur_path = self.extract_ids(sparent, spur, t)
-                candidate = root[:-1] + spur_path
-                if candidate in deviation:
-                    continue
-                deviation[candidate] = i
-                push(candidates, (root_delay + sdist[t], candidate))
+            self._spur_round(
+                produced, candidates, deviation, t, h, next_hop, max_delay
+            )
             if not candidates:
                 return
-            _, best = pop(candidates)
+            _, best = heapq.heappop(candidates)
             produced.append(best)
             yield best
+
+    def _spur_round(
+        self,
+        produced: List[IdPath],
+        candidates: List[Tuple[float, IdPath]],
+        deviation: Dict[IdPath, int],
+        t: int,
+        h: Sequence[float],
+        next_hop: Sequence[int],
+        max_delay: float,
+    ) -> None:
+        """Yen's spur searches off the last produced path: pushes each new
+        ``(delay, path)`` candidate onto ``candidates`` and records its
+        deviation index in ``deviation``."""
+        delays = self._delays
+        edge_pos = self._edge_pos
+        prev = produced[-1]
+        first_spur = deviation[prev]
+        excluded_nodes = bytearray(len(self._names))
+        root_delay = 0.0
+        for i in range(len(prev) - 1):
+            spur = prev[i]
+            if i > 0:
+                root_delay += delays[edge_pos[(prev[i - 1], prev[i])]]
+                excluded_nodes[prev[i - 1]] = 1
+            if i < first_spur:
+                # Lawler: an earlier path sharing this root already ran
+                # this exact search; its candidate is in `deviation`.
+                continue
+            root = prev[: i + 1]
+            excluded_edges = self._fresh_edge_mask()
+            for existing in produced:
+                if len(existing) > i and existing[: i + 1] == root:
+                    excluded_edges[
+                        edge_pos[(existing[i], existing[i + 1])]
+                    ] = 1
+            sdist, sparent, _ = self.dijkstra_ids(
+                spur, t, excluded_edges, excluded_nodes, h,
+                min(
+                    self._spur_limit(
+                        spur, t, h, next_hop, excluded_edges,
+                        excluded_nodes,
+                    ),
+                    max_delay - root_delay,
+                ),
+            )
+            if sdist[t] == _INF:
+                continue
+            candidate = root[:-1] + self.extract_ids(sparent, spur, t)
+            if candidate in deviation:
+                continue
+            deviation[candidate] = i
+            heapq.heappush(candidates, (root_delay + sdist[t], candidate))
 
     def _spur_limit(
         self,

@@ -104,9 +104,14 @@ def sparse_gravity_traffic_matrix(
             pair = (names[i], names[j])
             if pair in demands:
                 continue
-            demands[pair] = masses[i] * masses[j]
+            # A Python float holds the same double in less memory than a
+            # numpy scalar.
+            demands[pair] = float(masses[i] * masses[j])
             if len(demands) >= n_pairs:
                 break
+        # Free this batch before drawing the next; reassignment would free
+        # it only after.
+        del srcs, dsts
         stagnant = stagnant + 1 if len(demands) == before else 0
     if len(demands) < n_pairs:
         order = sorted(range(n), key=lambda i: (-masses[i], i))
@@ -116,11 +121,17 @@ def sparse_gravity_traffic_matrix(
                     continue
                 pair = (names[i], names[j])
                 if pair not in demands:
-                    demands[pair] = masses[i] * masses[j]
+                    demands[pair] = float(masses[i] * masses[j])
                     if len(demands) >= n_pairs:
                         break
             if len(demands) >= n_pairs:
                 break
-    weight_total = sum(demands.values())
+    # Summed left to right: the builtin sum() compensates float sums from
+    # Python 3.12 on, which can move the total by an ulp.
+    weight_total = 0.0
+    for weight in demands.values():
+        weight_total += weight
     factor = total_bps / weight_total
-    return TrafficMatrix({pair: w * factor for pair, w in demands.items()})
+    for pair in demands:
+        demands[pair] *= factor
+    return TrafficMatrix(demands)

@@ -11,6 +11,7 @@ import itertools
 import math
 import pickle
 import random
+from array import array
 
 import pytest
 
@@ -318,6 +319,31 @@ class TestDelaysTo:
         rebuilt = graph_index(gts)
         assert rebuilt is not index
         assert rebuilt.delays_to(t) is not first
+
+
+class TestSuspendedSearchRetention:
+    def test_frame_keeps_only_index_owned_arrays(self):
+        """A suspended Yen generator keeps its paths, not its searches:
+        every node- or link-sized array in its frame is one the index
+        owns (the CSR lists or the target's ``delays_to`` memo), never a
+        search's ``dist``/``parent`` list or exclusion mask."""
+        index = graph_index(synthesize_internet_like(400, seed=3))
+        n = index.num_nodes
+        shared = {id(part) for part in index.csr()}
+        private = []
+        for s, t in [(0, n - 1), (5, n // 2), (n // 3, 7)]:
+            owned = shared | {id(part) for part in index.delays_to(t)}
+            gen = index.k_shortest_ids(s, t)
+            for _ in range(5):
+                next(gen)
+                private.extend(
+                    (s, t, name)
+                    for name, value in gen.gi_frame.f_locals.items()
+                    if isinstance(value, (list, bytearray, array))
+                    and len(value) >= n
+                    and id(value) not in owned
+                )
+        assert private == []
 
 
 class TestExclusionParity:

@@ -1,5 +1,7 @@
 """Tests for region-aggregated demands and the sparse gravity model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,33 @@ class TestSparseGravity:
         )
         top_decile = sum(demands[: len(demands) // 10])
         assert top_decile > 0.5 * sum(demands)
+
+    #: sha256 of each case's ``(pair, demand.hex(), flows)`` listing.
+    PINS = {
+        "sample-0":
+            "60cbd29d1c1ee6d7bb7a60e77a23c0615e413ca4a082fb8466d631c2196331f4",
+        "sample-7":
+            "8a5aa00b1543932bcda3a0adae4807aeef9d9de900e124a232d71b4f66025899",
+        "enumerate":
+            "2cf17913f79a7d6d39f9de2b63c1018826a5b29f1e5201a17917efe08110ed73",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_demands_pinned_bit_for_bit(self, case):
+        """sha256 of every ``(pair, demand.hex(), flows)``: the sampling
+        branch on a 300-node graph (rng seeds 0 and 7), and the
+        enumeration fallback that a request for every ordered pair of a
+        zoo network reaches once sampling stagnates."""
+        if case == "enumerate":
+            network = gts_like()
+            n = network.num_nodes
+            rng, n_pairs = np.random.default_rng(3), n * (n - 1)
+        else:
+            network = synthesize_internet_like(300, seed=1)
+            rng, n_pairs = np.random.default_rng(int(case[-1])), 2000
+        tm = sparse_gravity_traffic_matrix(network, rng, n_pairs=n_pairs)
+        listing = [
+            (pair, tm.demand(*pair).hex(), tm.flows(*pair)) for pair in tm.pairs
+        ]
+        digest = hashlib.sha256(repr(listing).encode()).hexdigest()
+        assert digest == self.PINS[case]
