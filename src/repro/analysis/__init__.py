@@ -10,7 +10,8 @@ the runtime tests can only sample:
 * :class:`~repro.analysis.schema.SchemaDriftPass` (C303) —
   ``args.<dest>`` reads against ``add_argument`` dests.
 * :class:`~repro.analysis.reach.ReachabilityPass` (R401) — top-level
-  code no CLI, benchmark or example reaches (tests are not roots).
+  code, and methods of reached classes, that no CLI, benchmark or
+  example reaches (tests are not roots).
 
 Every rule here has a live subject in ``src/``.  A contract that Python,
 a runtime check or a round-trip test already enforces (a required
@@ -20,7 +21,8 @@ no rule.
 :func:`analyze_paths` is the library entry point; the CLI in
 :mod:`repro.analysis.__main__` prints the findings and fails on any.
 Intentional violations are allowlisted in source with
-``# analysis: allow[RULE]``; an R401 pragma also says why the code stays.
+``# analysis: allow[RULE]``; an R401 pragma also says why the code stays,
+and makes it a root.
 """
 
 from __future__ import annotations

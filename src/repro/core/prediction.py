@@ -54,10 +54,6 @@ class MeanRatePredictor:
         self._prev_prediction = next_prediction
         return next_prediction
 
-    @property
-    def current_prediction(self) -> Optional[float]:
-        return self._prev_prediction
-
 
 def predict_series(
     minute_means_bps: Iterable[float],

@@ -50,8 +50,7 @@ worker invocation: every process appends its spans and metrics to JSONL
 shards under ``<trace-dir>/<trace-id>/`` (the trace id derives from the
 workload, so a dispatch coordinator and its workers share one trace).
 ``trace summary|tree|critical-path|ls`` reads them back; tracing is off
-by default and never changes any figure's output.  ``--log-level``
-controls the ``repro`` logger (serial-fallback notices and friends).
+by default and never changes any figure's output.
 
 Benchmarks under ``benchmarks/`` do the same with timing and shape
 assertions; this entry point is the quick, dependency-free way to look at
@@ -725,13 +724,6 @@ def flag_groups() -> Dict[str, argparse.ArgumentParser]:
         groups[name] = argparse.ArgumentParser(add_help=False)
         return groups[name]
 
-    group("log").add_argument(
-        "--log-level",
-        choices=("debug", "info", "warning", "error"),
-        default="warning",
-        help="threshold for the 'repro' logger on stderr (serial-fallback "
-        "notices and other diagnostics)",
-    )
     group("seed").add_argument("--seed", type=non_negative_int, default=0)
     size = group("size")
     size.add_argument("--networks", type=positive_int, default=12)
@@ -966,7 +958,7 @@ def flag_groups() -> Dict[str, argparse.ArgumentParser]:
 @dataclasses.dataclass(frozen=True)
 class Command:
     """A subcommand: its handler (whose docstring's first line is the
-    help) and the :func:`flag_groups` it reads besides ``log``.  With
+    help) and the :func:`flag_groups` it reads.  With
     ``record`` it records spans; with ``cache_limits`` it sweeps
     ``--cache-dir`` to ``--cache-max-bytes`` after a run."""
 
@@ -1025,7 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
         subparsers.add_parser(
             name,
             help=command.run.__doc__.splitlines()[0],
-            parents=[groups[flag] for flag in command.flags + ("log",)],
+            parents=[groups[flag] for flag in command.flags],
         )
     return parser
 
@@ -1035,9 +1027,6 @@ def main(argv=None) -> int:
     command = commands()[args.command]
     records = "record" in command.flags and args.trace_dir is not None
 
-    from repro.logutil import configure_logging
-
-    configure_logging(args.log_level)
     if records:
         telemetry.configure(args.trace_dir)
     try:

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import os
 import threading
 import time
@@ -85,10 +86,9 @@ from repro.durable import read_cache
 from repro.experiments.plan import EvalPlan, EvalTask, PlanReport
 from repro.experiments.runner import SchemeOutcome
 from repro.experiments.workloads import NetworkWorkload
-from repro.logutil import get_logger
 from repro.net.paths import KspCache, ksp_cache_path, network_signature
 
-logger = get_logger(__name__)
+logger = logging.getLogger(__name__)
 
 #: Worker-side state inherited through ``fork``, keyed by a per-run token
 #: so concurrently advanced streams (different engines, different threads)

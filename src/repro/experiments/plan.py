@@ -190,7 +190,3 @@ class PlanReport:
     def outcomes(self, key: Hashable) -> List["SchemeOutcome"]:
         """One stream's outcomes flattened in workload order."""
         return [o for result in self.results[key] for o in result.outcomes]
-
-    def all_outcomes(self) -> Dict[Hashable, List["SchemeOutcome"]]:
-        """Every stream's flattened outcomes, keyed like the plan."""
-        return {key: self.outcomes(key) for key in self.results}

@@ -11,12 +11,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+#: The quantiles :func:`render_cdf` prints.
+CDF_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0)
+
 
 def render_series(
     title: str,
     series: Dict[str, List[Tuple[float, float]]],
     x_label: str = "x",
-    y_format: str = "{:.3f}",
 ) -> str:
     """Tabulate several (x, y) series side by side on a shared x column.
 
@@ -34,29 +36,22 @@ def render_series(
         cells = []
         for name in names:
             y = lookup[name].get(round(x, 9))
-            cells.append(y_format.format(y) if y is not None else "")
+            cells.append(f"{y:.3f}" if y is not None else "")
         lines.append(
             f"{x:>10.3f} " + " ".join(f"{cell:>12s}" for cell in cells)
         )
     return "\n".join(lines)
 
 
-def render_cdf(
-    title: str,
-    values: Sequence[float],
-    quantiles: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0),
-    value_format: str = "{:.4f}",
-) -> str:
+def render_cdf(title: str, values: Sequence[float]) -> str:
     """Summarize a CDF by its quantiles (one line per quantile)."""
     data = np.asarray(list(values), dtype=float)
     lines = [title, f"{'quantile':>10s} {'value':>12s}"]
     if len(data) == 0:
         lines.append("  (no data)")
         return "\n".join(lines)
-    for q in quantiles:
-        lines.append(
-            f"{q:>10.2f} {value_format.format(float(np.quantile(data, q))):>12s}"
-        )
+    for q in CDF_QUANTILES:
+        lines.append(f"{q:>10.2f} {float(np.quantile(data, q)):>12.4f}")
     return "\n".join(lines)
 
 

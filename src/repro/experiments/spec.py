@@ -153,34 +153,18 @@ def _build_sp(item: NetworkWorkload) -> RoutingScheme:
 
 
 @register_scheme("ECMP")
-def _build_ecmp(item: NetworkWorkload, max_paths: int = 16) -> RoutingScheme:
-    return EcmpRouting(cache=item.cache, max_paths=max_paths)
+def _build_ecmp(item: NetworkWorkload) -> RoutingScheme:
+    return EcmpRouting(cache=item.cache)
 
 
 @register_scheme("MPLS-TE", "MplsTe")
-def _build_mplste(
-    item: NetworkWorkload,
-    headroom: float = 0.0,
-    max_paths_per_aggregate: int = 25,
-) -> RoutingScheme:
-    return MplsTeRouting(
-        headroom=headroom,
-        max_paths_per_aggregate=max_paths_per_aggregate,
-        cache=item.cache,
-    )
+def _build_mplste(item: NetworkWorkload, headroom: float = 0.0) -> RoutingScheme:
+    return MplsTeRouting(headroom=headroom, cache=item.cache)
 
 
 @register_scheme("B4")
-def _build_b4(
-    item: NetworkWorkload,
-    headroom: float = 0.0,
-    max_paths_per_aggregate: int = 25,
-) -> RoutingScheme:
-    return B4Routing(
-        headroom=headroom,
-        max_paths_per_aggregate=max_paths_per_aggregate,
-        cache=item.cache,
-    )
+def _build_b4(item: NetworkWorkload, headroom: float = 0.0) -> RoutingScheme:
+    return B4Routing(headroom=headroom, cache=item.cache)
 
 
 @register_scheme("MinMax")

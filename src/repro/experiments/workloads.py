@@ -85,9 +85,6 @@ class ZooWorkload:
     #: it (see :func:`repro.experiments.store.workload_signature`).
     seed: Optional[int] = None
 
-    def sorted_by_llpd(self) -> List[NetworkWorkload]:
-        return sorted(self.networks, key=lambda item: item.llpd)
-
 
 def build_traffic_matrices(
     network: Network,

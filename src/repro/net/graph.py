@@ -115,19 +115,6 @@ class Network:
         self.add_link(Link(src, dst, capacity_bps, delay_s))
         self.add_link(Link(dst, src, capacity_bps, delay_s))
 
-    def remove_link(self, src: str, dst: str) -> None:
-        """Remove one directed link."""
-        if (src, dst) not in self._links:
-            raise KeyError(f"no link {src}->{dst}")
-        del self._links[(src, dst)]
-        self._adjacency[src].remove(dst)
-        self._signature_memo = None
-
-    def remove_duplex_link(self, src: str, dst: str) -> None:
-        """Remove both directions of a physical link."""
-        self.remove_link(src, dst)
-        self.remove_link(dst, src)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -179,21 +166,9 @@ class Network:
     def out_links(self, name: str) -> List[Link]:
         return [self._links[(name, nbr)] for nbr in self._adjacency[name]]
 
-    def in_links(self, name: str) -> List[Link]:
-        return [link for link in self._links.values() if link.dst == name]
-
     def degree(self, name: str) -> int:
         """Out-degree of a node (equals physical degree in duplex networks)."""
         return len(self._adjacency[name])
-
-    def node_pairs(self) -> List[Tuple[str, str]]:
-        """All ordered pairs of distinct nodes (every potential aggregate).
-
-        Quadratic: fine at zoo scale, 10^8 entries on an ingest-scale
-        graph, so the dense form must stay a deliberate choice.
-        """
-        names = self.node_names
-        return [(u, v) for u in names for v in names if u != v]
 
     def total_capacity_bps(self) -> float:
         return sum(link.capacity_bps for link in self._links.values())
@@ -222,15 +197,6 @@ class Network:
             clone.add_node(node)
         for link in self._links.values():
             clone.add_link(replace(link, capacity_bps=link.capacity_bps * factor))
-        return clone
-
-    def without_duplex_link(self, src: str, dst: str) -> "Network":
-        """A copy with both directions of one physical link removed (a
-        link failure, :mod:`repro.net.mutate`)."""
-        clone = self.copy()
-        clone.remove_link(src, dst)
-        if clone.has_link(dst, src):
-            clone.remove_link(dst, src)
         return clone
 
     # ------------------------------------------------------------------

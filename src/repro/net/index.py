@@ -270,15 +270,6 @@ class GraphIndex:
         return view
 
     @property
-    def indptr_array(self) -> IntArray:
-        """CSR row pointers as a numpy array (analysis/benchmark use)."""
-        return np.asarray(self._indptr, dtype=np.int64)
-
-    @property
-    def neighbor_array(self) -> IntArray:
-        return np.asarray(self._neighbors, dtype=np.int64)
-
-    @property
     def delay_array(self) -> FloatArray:
         return np.asarray(self._delays, dtype=np.float64)
 

@@ -421,10 +421,6 @@ class KspCache:
         del kept[served:]
         return False
 
-    def count_cached(self, src: str, dst: str) -> int:
-        """How many paths are already materialized for a pair."""
-        return len(self._paths.get((src, dst), []))
-
     def total_cached(self) -> int:
         """Total materialized paths across all pairs.
 

@@ -12,7 +12,7 @@ onto its current path: the largest uniform increment before some
 aggregate's demand completes or some link fills, i.e. the minimum of every
 active ``remaining_bps`` and every used link's ``residual / users``.  An
 aggregate whose path then has a link with at most ``RATE_EPSILON_BPS``
-left advances to the next of its ``max_paths_per_aggregate`` shortest
+left advances to the next of its ``MAX_PATHS_PER_AGGREGATE`` shortest
 paths on which every link has more than that left.  An aggregate that runs
 out of such paths keeps its leftover demand, which is force-placed on its
 shortest path, where it overloads links — this models the congestion the
@@ -83,6 +83,8 @@ from repro.tm.matrix import Aggregate, TrafficMatrix
 
 # Stop allocating below this rate: avoids infinitesimal water-filling steps.
 RATE_EPSILON_BPS = 1.0
+#: How many of an aggregate's shortest paths B4 and MPLS-TE may try.
+MAX_PATHS_PER_AGGREGATE = 25
 
 LinkRows = npt.NDArray[np.intp]
 
@@ -165,7 +167,7 @@ class B4Routing(RoutingScheme):
     """Greedy progressive filling over k-shortest paths.
 
     ``headroom`` reserves that share of every link's capacity for the
-    first pass; ``max_paths_per_aggregate`` caps how many of an
+    first pass; :data:`MAX_PATHS_PER_AGGREGATE` caps how many of an
     aggregate's shortest paths it may try.  The cache is
     :meth:`~RoutingScheme.cache_for`'s; leftover demand rides the
     aggregate's shortest path.
@@ -176,16 +178,9 @@ class B4Routing(RoutingScheme):
     def __init__(
         self,
         headroom: float = 0.0,
-        max_paths_per_aggregate: int = 25,
         cache: Optional[KspCache] = None,
     ) -> None:
         super().__init__(headroom, cache)
-        if max_paths_per_aggregate < 1:
-            raise ValueError(
-                f"max_paths_per_aggregate must be >= 1, got "
-                f"{max_paths_per_aggregate}"
-            )
-        self.max_paths_per_aggregate = max_paths_per_aggregate
         if headroom > 0:
             self.name = f"B4(h={headroom:.0%})"
 
@@ -316,12 +311,12 @@ class B4Routing(RoutingScheme):
     ) -> None:
         """Move row ``j`` to its next untried shortest path on which every
         link has more than ``RATE_EPSILON_BPS`` left, or mark it exhausted
-        once ``max_paths_per_aggregate`` paths (or all simple paths) have
+        once ``MAX_PATHS_PER_AGGREGATE`` paths (or all simple paths) have
         been tried."""
         fill.leave(j)
         agg = fill.aggregates[j]
         residual = fill.residual
-        while fill.next_rank[j] < self.max_paths_per_aggregate:
+        while fill.next_rank[j] < MAX_PATHS_PER_AGGREGATE:
             rank = fill.next_rank[j]
             paths = cache.get(agg.src, agg.dst, rank + 1)
             if len(paths) <= rank:

@@ -39,6 +39,9 @@ SATURATION_TOLERANCE = 1e-4
 #: 1e-6 over the capacity it was asked to respect).
 OVERLOAD_TOLERANCE = 1e-5
 
+#: LP splits at or below this fraction are numerically zero.
+MIN_FRACTION = 1e-6
+
 LinkKey = Tuple[str, str]
 #: An LP's raw answer: each aggregate's (path, fraction) splits.
 Splits = Mapping[Aggregate, Sequence[Tuple[Path, float]]]
@@ -236,14 +239,6 @@ class Placement:
             total += agg.n_flows * mean_delay
         return total
 
-    def per_aggregate_stretch(self) -> Dict[Aggregate, float]:
-        """Mean delay stretch of each aggregate (1.0 = on shortest path)."""
-        shortest = self._shortest_delays()
-        return {
-            agg: mean_delay / shortest[agg] if shortest[agg] > 0 else 1.0
-            for agg, mean_delay in self._mean_delays().items()
-        }
-
     def max_path_stretch(self) -> float:
         """Worst stretch of any used path over its pair's shortest delay.
 
@@ -316,14 +311,12 @@ def link_loads(rates: Iterable[Tuple[Path, float]]) -> Dict[LinkKey, float]:
     return loads
 
 
-def normalize_allocations(
-    raw: Splits,
-    min_fraction: float = 1e-6,
-) -> Dict[Aggregate, List[PathAllocation]]:
-    """Drop numerically-zero splits and renormalize fractions to sum to 1."""
+def normalize_allocations(raw: Splits) -> Dict[Aggregate, List[PathAllocation]]:
+    """Drop splits at or below ``MIN_FRACTION`` and renormalize fractions
+    to sum to 1."""
     cleaned: Dict[Aggregate, List[PathAllocation]] = {}
     for agg, splits in raw.items():
-        kept = [(path, fraction) for path, fraction in splits if fraction > min_fraction]
+        kept = [(path, fraction) for path, fraction in splits if fraction > MIN_FRACTION]
         if not kept:
             # Keep the largest split to avoid dropping the aggregate.
             path, fraction = max(splits, key=lambda item: item[1])

@@ -19,13 +19,13 @@ from repro.tm.matrix import Aggregate, TrafficMatrix
 
 #: Paths within this relative delay of the minimum count as "equal cost".
 ECMP_DELAY_TOLERANCE = 1e-9
+#: At most this many equal-cost paths per pair.
+MAX_PATHS = 16
 
 
-def equal_cost_paths(
-    cache: KspCache, src: str, dst: str, max_paths: int = 16
-) -> List[Path]:
-    """All minimum-delay paths between a pair (up to ``max_paths``)."""
-    paths = cache.get(src, dst, max_paths)
+def equal_cost_paths(cache: KspCache, src: str, dst: str) -> List[Path]:
+    """All minimum-delay paths between a pair (up to ``MAX_PATHS``)."""
+    paths = cache.get(src, dst, MAX_PATHS)
     if not paths:
         from repro.net.paths import NoPathError
 
@@ -41,17 +41,14 @@ class EcmpRouting(RoutingScheme):
 
     name = "ECMP"
 
-    def __init__(
-        self, cache: Optional[KspCache] = None, max_paths: int = 16
-    ) -> None:
+    def __init__(self, cache: Optional[KspCache] = None) -> None:
         super().__init__(cache=cache)
-        self.max_paths = max_paths
 
     def place(self, network: Network, tm: TrafficMatrix) -> Placement:
         cache = self.cache_for(network)
         allocations: Dict[Aggregate, List[PathAllocation]] = {}
         for agg in tm.aggregates():
-            paths = equal_cost_paths(cache, agg.src, agg.dst, self.max_paths)
+            paths = equal_cost_paths(cache, agg.src, agg.dst)
             fraction = 1.0 / len(paths)
             allocations[agg] = [
                 PathAllocation(path, fraction) for path in paths

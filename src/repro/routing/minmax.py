@@ -148,8 +148,6 @@ class MinMaxRouting(RoutingScheme):
             self.name = f"MinMaxS{stretch_bound:g}"
         else:
             self.name = "MinMax"
-        #: Maximum utilization achieved by the last placement.
-        self.last_max_utilization: Optional[float] = None
 
     def place(self, network: Network, tm: TrafficMatrix) -> Placement:
         cache = self.cache_for(network)
@@ -171,10 +169,9 @@ class MinMaxRouting(RoutingScheme):
             path_sets = None
 
         if path_sets is None:
-            fractions, umax = self._solve_full(network, tm, cache, aggregates)
+            fractions, _ = self._solve_full(network, tm, cache, aggregates)
         else:
-            fractions, umax = solve_minmax_lp(network, path_sets)
-        self.last_max_utilization = umax
+            fractions, _ = solve_minmax_lp(network, path_sets)
         # The k-restricted variant can genuinely fail to fit traffic; the
         # placement's real link loads say so.
         return Placement(network, normalize_allocations(fractions))

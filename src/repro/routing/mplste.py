@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.net.graph import Network
 from repro.net.paths import KspCache, path_links
-from repro.routing.b4 import RATE_EPSILON_BPS
+from repro.routing.b4 import MAX_PATHS_PER_AGGREGATE, RATE_EPSILON_BPS
 from repro.routing.base import PathAllocation, Placement, RoutingScheme
 from repro.tm.matrix import Aggregate, TrafficMatrix
 
@@ -37,16 +37,9 @@ class MplsTeRouting(RoutingScheme):
     def __init__(
         self,
         headroom: float = 0.0,
-        max_paths_per_aggregate: int = 25,
         cache: Optional[KspCache] = None,
     ) -> None:
         super().__init__(headroom, cache)
-        if max_paths_per_aggregate < 1:
-            raise ValueError(
-                f"max_paths_per_aggregate must be >= 1, got "
-                f"{max_paths_per_aggregate}"
-            )
-        self.max_paths_per_aggregate = max_paths_per_aggregate
         if headroom > 0:
             self.name = f"MPLS-TE(h={headroom:.0%})"
 
@@ -63,7 +56,7 @@ class MplsTeRouting(RoutingScheme):
             placed: List[Tuple[tuple, float]] = []
             remaining = agg.demand_bps
             # First preference: the whole aggregate on one path.
-            for rank in range(self.max_paths_per_aggregate):
+            for rank in range(MAX_PATHS_PER_AGGREGATE):
                 paths = cache.get(agg.src, agg.dst, rank + 1)
                 if len(paths) <= rank:
                     break
@@ -80,7 +73,7 @@ class MplsTeRouting(RoutingScheme):
             if remaining > RATE_EPSILON_BPS:
                 # Fall back to splitting over successive shortest paths
                 # with whatever residual each can take.
-                for rank in range(self.max_paths_per_aggregate):
+                for rank in range(MAX_PATHS_PER_AGGREGATE):
                     if remaining <= RATE_EPSILON_BPS:
                         break
                     paths = cache.get(agg.src, agg.dst, rank + 1)

@@ -216,8 +216,8 @@ class LatencyOptimalRouting(RoutingScheme):
     sees capacities scaled by ``1 - headroom``.  At ``headroom = 0`` this is
     the "living on the edge" latency-optimal placement of Figure 4(a); as
     headroom approaches the MinMax residual the placement converges to
-    MinMax (§4).  The delay objective weights each pair by the flow
-    counts of :meth:`objective_matrix`.
+    MinMax (§4).  The delay objective weights each pair by its flow
+    count.
     """
 
     def __init__(
@@ -227,24 +227,9 @@ class LatencyOptimalRouting(RoutingScheme):
     ) -> None:
         super().__init__(headroom, cache)
         self.name = "LatencyOptimal" if headroom == 0 else f"LDR(h={headroom:.0%})"
-        self.last_stats: Optional[IterationStats] = None
-
-    def objective_matrix(self, tm: TrafficMatrix) -> TrafficMatrix:
-        """The matrix the LP optimizes: ``tm``'s pairs and demands, with
-        the flow counts that weight each pair's delay."""
-        return tm
 
     def place(self, network: Network, tm: TrafficMatrix) -> Placement:
-        result, stats = solve_iterative_latency(
-            self.routed(network),
-            self.objective_matrix(tm),
-            cache=self.cache_for(network),
+        result, _ = solve_iterative_latency(
+            self.routed(network), tm, cache=self.cache_for(network)
         )
-        self.last_stats = stats
-        # Re-key the splits to ``tm``'s aggregates (real flow counts).
-        originals = {agg.pair: agg for agg in tm.aggregates()}
-        fractions = {
-            originals[agg.pair]: splits
-            for agg, splits in result.fractions.items()
-        }
-        return Placement(network, normalize_allocations(fractions))
+        return Placement(network, normalize_allocations(result.fractions))

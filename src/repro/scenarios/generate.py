@@ -53,10 +53,6 @@ class ScenarioSet:
     #: Infeasible variants skipped during generation, by perturbation kind.
     skipped: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def n_infeasible(self) -> int:
-        return sum(self.skipped.values())
-
     def kind_counts(self) -> Dict[str, int]:
         """Generated variants per perturbation kind (deterministic order)."""
         counts: Dict[str, int] = {}

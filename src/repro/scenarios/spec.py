@@ -141,26 +141,6 @@ class ScenarioSpec:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------
-    # Composition
-    # ------------------------------------------------------------------
-    def compose(self, other: "ScenarioSpec") -> "ScenarioSpec":
-        """Stack another perturbation on top of this one.
-
-        Tuple fields concatenate; scalar fields (surge factor, locality)
-        are taken from ``other`` when it sets them, else kept.
-        """
-        return ScenarioSpec(
-            failed_links=self.failed_links + other.failed_links,
-            failed_nodes=self.failed_nodes + other.failed_nodes,
-            surge_pairs=self.surge_pairs + other.surge_pairs,
-            surge_factor=(
-                other.surge_factor if other.surge_pairs else self.surge_factor
-            ),
-            locality=other.locality if other.locality is not None else self.locality,
-            growth_links=self.growth_links + other.growth_links,
-        )
-
-    # ------------------------------------------------------------------
     # Realization
     # ------------------------------------------------------------------
     def apply(self, base: NetworkWorkload) -> NetworkWorkload:

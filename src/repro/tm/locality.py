@@ -27,7 +27,7 @@ different distances" behaviour the paper describes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -56,33 +56,19 @@ def apply_locality(
     network: Network,
     tm: TrafficMatrix,
     locality: float,
-    distances: Optional[Dict[Tuple[str, str], float]] = None,
 ) -> TrafficMatrix:
     """Redistribute volume toward short-distance aggregates.
 
     ``locality`` is the paper's ℓ parameter; 0 returns an equivalent matrix,
     1 is the paper's default ("a locality of one suffices to add significant
     locality"), 2 is the top of its Figure 18 sweep.
-
-    ``distances`` optionally supplies precomputed per-pair shortest-path
-    delays (it must cover every pair in ``tm``); region-aggregated sweeps
-    on ingest-scale graphs reuse one delay sweep per gateway instead of
-    recomputing it for every locality value.
     """
     if locality < 0:
         raise ValueError(f"locality must be non-negative, got {locality}")
     if locality == 0:
         return tm
 
-    if distances is None:
-        distances = aggregate_distances_s(network, tm)
-    else:
-        missing = [pair for pair in tm.pairs if pair not in distances]
-        if missing:
-            raise ValueError(
-                f"precomputed distances missing {len(missing)} pair(s), "
-                f"first {missing[0][0]} -> {missing[0][1]}"
-            )
+    distances = aggregate_distances_s(network, tm)
     pairs = tm.pairs
     # Normalize demands to fractions of the total and distances to units
     # of the mean: raw bits/s coefficients provoke numerical failures in

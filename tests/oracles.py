@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.metrics import ApaParameters
 from repro.lp import CompiledLP
 from repro.net.graph import Network
+from repro.net.mutate import without_failures
 from repro.net.paths import (
     KspCache,
     NoPathError,
@@ -491,7 +492,7 @@ class _ReducedNetworkCache:
     def without(self, u: str, v: str) -> Network:
         key = (min(u, v), max(u, v))
         if key not in self._cache:
-            self._cache[key] = self._network.without_duplex_link(u, v)
+            self._cache[key] = without_failures(self._network, [(u, v)])
         return self._cache[key]
 
 

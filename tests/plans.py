@@ -9,6 +9,11 @@ from repro.experiments.engine import ExperimentEngine
 from repro.experiments.plan import EvalPlan
 
 
+def all_outcomes(report):
+    """Every stream's flattened outcomes, keyed like the plan."""
+    return {key: report.outcomes(key) for key in report.results}
+
+
 def one_stream(factory, workload, scheme="SP"):
     """A plan of the single stream ``scheme`` (its key and store name)."""
     plan = EvalPlan()
@@ -43,6 +48,6 @@ def assert_serial_fallback(
     trace = telemetry.load_trace(trace_dir, trace_id)
     assert trace.counters["engine.serial_fallback"] == 1
     assert trace.n_shards == len(trace.pids) == 1
-    assert report.all_outcomes() == ExperimentEngine().run_plan(
-        plan
-    ).all_outcomes()
+    assert all_outcomes(report) == all_outcomes(
+        ExperimentEngine().run_plan(plan)
+    )

@@ -10,10 +10,13 @@ Three layers:
   which is exactly the CI gate.
 """
 
+import ast
+import io
 import re
 import subprocess
 import sys
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -256,6 +259,40 @@ def test_r401_dead_def_reported_at_its_line(tmp_path):
     assert found == [(LIB, 6)]
 
 
+def test_r401_dead_member_reported_at_its_def_line(tmp_path):
+    # A reached class's unreached method is reported as ``Class.member``;
+    # an unreached class is one finding, not one per member.
+    found = reach_findings(
+        tmp_path,
+        {
+            LIB: """
+            class Box:
+                def used(self):
+                    return 1
+
+                def dead(self):
+                    return 2
+
+
+            class Gone:
+                def method(self):
+                    return 3
+            """,
+            "examples/use.py": "from repro.lib import Box\nBox().used()\n",
+        },
+    )
+    assert found == [(LIB, 6), (LIB, 10)]
+    messages = [
+        f.message
+        for f in analyze_paths(
+            [str(tmp_path / LIB)], passes=[ReachabilityPass()], root=str(tmp_path)
+        )
+    ]
+    assert messages[0].startswith("`Box.dead` is reached by no")
+    assert messages[1].startswith("`Gone` is reached by no")
+    assert "method" in rule_table([ReachabilityPass()])["R401"]
+
+
 def test_r401_tests_are_not_roots(tmp_path):
     found = reach_findings(
         tmp_path,
@@ -356,6 +393,86 @@ def test_r401_missing_roots_directory_is_a_finding(tmp_path):
             "",
             id="pragma",
         ),
+        pytest.param(
+            """
+            class Box:
+                def hook(self):
+                    return 1
+
+            def call(box):
+                return getattr(box, "hook")()
+            """,
+            "from repro.lib import Box, call\ncall(Box())\n",
+            id="member-getattr-string",
+        ),
+        pytest.param(
+            """
+            class Base:
+                def run(self):
+                    return self.step()
+
+                def step(self):
+                    return 0
+
+            class Child(Base):
+                def step(self):
+                    return 1
+            """,
+            "from repro.lib import Child\nChild().run()\n",
+            id="override-reached-through-base",
+        ),
+        pytest.param(
+            """
+            class Box:
+                @property
+                def size(self):
+                    return 1
+            """,
+            "from repro.lib import Box\nprint(Box().size)\n",
+            id="property-read",
+        ),
+        pytest.param(
+            """
+            class Box:
+                def __len__(self):
+                    return _count()
+
+            def _count():
+                return 1
+            """,
+            "from repro.lib import Box\nlen(Box())\n",
+            id="dunder",
+        ),
+        pytest.param(
+            """
+            class Box:
+                def used(self):
+                    return 1
+
+                def helper(self):
+                    return _leaf()
+
+            def _leaf():
+                return 2
+
+            def kept(box):  # analysis: allow[R401] a reason
+                return box.helper()
+            """,
+            "from repro.lib import Box\nBox().used()\n",
+            id="member-called-from-pragma-kept-def",
+        ),
+        pytest.param(
+            """
+            class Box:
+                def spare(self):  # analysis: allow[R401] a reason
+                    return _leaf()
+
+            def _leaf():
+                return 1
+            """,
+            "from repro.lib import Box\nBox()\n",
+            id="member-pragma",
+        ),
     ],
 )
 def test_r401_reached_defs_are_clean(tmp_path, lib, example):
@@ -364,18 +481,27 @@ def test_r401_reached_defs_are_clean(tmp_path, lib, example):
 
 
 def test_r401_pragmas_in_src_carry_reasons():
+    """Every R401 pragma comment in ``src`` sits on a top-level or member
+    ``def``/``class`` line, where the pass reads it, and says why."""
     pragma = re.compile(r"#\s*analysis:\s*allow\[[^\]]*\bR401\b[^\]]*\](.*)")
-    reasons = [
-        (f"{path.relative_to(REPO)}:{number}", match.group(1).strip())
-        for path in sorted((REPO / "src").rglob("*.py"))
-        for number, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), 1
-        )
-        for match in [pragma.search(line)]
-        if match
-    ]
-    assert reasons
-    assert [where for where, reason in reasons if not reason] == []
+    reasons = {}
+    defs = {}
+    for path in sorted((REPO / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        rel = path.relative_to(REPO)
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            match = pragma.search(token.string)
+            if token.type == tokenize.COMMENT and match:
+                reasons[f"{rel}:{token.start[0]}"] = match.group(1).strip()
+        for stmt in ast.parse(text).body:
+            members = stmt.body if isinstance(stmt, ast.ClassDef) else []
+            for node in [stmt, *members]:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defs[f"{rel}:{node.lineno}"] = node is not stmt
+    assert [where for where in reasons if where not in defs] == []
+    assert [where for where, reason in reasons.items() if not reason] == []
+    # Top-level defs and members both carry them.
+    assert {defs[where] for where in reasons} == {False, True}
 
 
 # ----------------------------------------------------------------------

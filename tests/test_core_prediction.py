@@ -50,12 +50,6 @@ class TestMeanRatePredictor:
         with pytest.raises(ValueError):
             predictor.update(-1.0)
 
-    def test_current_prediction_exposed(self):
-        predictor = MeanRatePredictor()
-        assert predictor.current_prediction is None
-        predictor.update(10.0)
-        assert predictor.current_prediction == pytest.approx(11.0)
-
 
 class TestSeries:
     def test_predict_series_shape(self):

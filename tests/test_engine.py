@@ -11,7 +11,7 @@ from repro.experiments.engine import (
 from repro.experiments.spec import SchemeSpec
 from repro.experiments.workloads import ZooWorkload, build_zoo_workload
 from repro.routing import LatencyOptimalRouting, ShortestPathRouting
-from tests.plans import assert_serial_fallback, one_stream
+from tests.plans import all_outcomes, assert_serial_fallback, one_stream
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ class TestSerialParallelEquivalence:
         )
         serial = ExperimentEngine(n_workers=1).run_plan(plan)
         parallel = ExperimentEngine(n_workers=4).run_plan(plan)
-        assert serial.all_outcomes() == parallel.all_outcomes()
+        assert all_outcomes(serial) == all_outcomes(parallel)
 
 
 class TestStreaming:

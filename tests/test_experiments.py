@@ -39,10 +39,6 @@ class TestWorkloads:
             assert len(item.matrices) == 2
             assert item.cache is not None
 
-    def test_sorted_by_llpd(self, tiny_workload):
-        values = [w.llpd for w in tiny_workload.sorted_by_llpd()]
-        assert values == sorted(values)
-
     def test_deterministic(self):
         a = build_zoo_workload(n_networks=3, n_matrices=1, seed=5,
                                include_named=False)

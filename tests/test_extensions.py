@@ -32,13 +32,11 @@ class TestStretchBoundedMinMax:
         """A tight bound loses capacity (exactly like MinMaxK on diverse
         networks); widening it restores congestion freedom at the true
         optimal utilization."""
-        tight = MinMaxRouting(stretch_bound=1.3)
-        tight_placement = tight.place(gts, gts_tm)
-        wide = MinMaxRouting(stretch_bound=2.0)
-        wide_placement = wide.place(gts, gts_tm)
-        assert tight.last_max_utilization > wide.last_max_utilization
-        assert wide_placement.congested_pair_fraction() == 0.0
-        assert wide.last_max_utilization == pytest.approx(1 / 1.3, rel=0.01)
+        tight = MinMaxRouting(stretch_bound=1.3).place(gts, gts_tm)
+        wide = MinMaxRouting(stretch_bound=2.0).place(gts, gts_tm)
+        assert tight.max_utilization() > wide.max_utilization()
+        assert wide.congested_pair_fraction() == 0.0
+        assert wide.max_utilization() == pytest.approx(1 / 1.3, rel=0.01)
 
     def test_falls_back_to_shortest_when_bound_tight(self, diamond):
         tm = TrafficMatrix({("s", "t"): Gbps(5)})

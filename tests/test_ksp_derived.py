@@ -30,6 +30,7 @@ from repro.net.units import Gbps, ms
 from repro.net.zoo import generate_zoo
 from repro.routing.b4 import B4Routing
 from repro.scenarios import ScenarioGenerator, ScenarioSpec, ScenarioWorkload
+from tests.plans import all_outcomes
 
 KS = (1, 2, 3, 5)
 
@@ -231,7 +232,7 @@ class TestPersistence:
         assert served
         loaded = KspCache.load(variant.cache.dump(), variant.network)
         for (src, dst), paths in served.items():
-            assert loaded.count_cached(src, dst) == len(paths)
+            assert len(loaded._paths.get((src, dst), [])) == len(paths)
             assert loaded.get(src, dst, len(paths) or 1) == paths
 
     def test_warm_fleet_rerun_is_identical(self, tmp_path):
@@ -251,5 +252,5 @@ class TestPersistence:
         warm = run(tmp_path)
         assert all(r.paths_preloaded == 0 for r in cold.results["B4"])
         assert all(r.paths_preloaded > 0 for r in warm.results["B4"])
-        assert repr(cold.all_outcomes()) == repr(reference.all_outcomes())
-        assert repr(warm.all_outcomes()) == repr(reference.all_outcomes())
+        assert repr(all_outcomes(cold)) == repr(all_outcomes(reference))
+        assert repr(all_outcomes(warm)) == repr(all_outcomes(reference))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.graph import Link, Network, Node
+from repro.net.mutate import ScenarioInfeasible, without_failures
 from repro.net.units import Gbps, ms
 
 
@@ -69,21 +70,12 @@ class TestNetworkConstruction:
         assert net.has_link("b", "a")
         assert net.num_links == 2
 
-    def test_remove_link(self):
-        net = Network("n")
-        net.add_node(Node("a"))
-        net.add_node(Node("b"))
-        net.add_duplex_link("a", "b", Gbps(1), ms(1))
-        net.remove_link("a", "b")
-        assert not net.has_link("a", "b")
-        assert net.has_link("b", "a")
-
     def test_remove_missing_link_raises(self):
         net = Network("n")
         net.add_node(Node("a"))
         net.add_node(Node("b"))
-        with pytest.raises(KeyError):
-            net.remove_link("a", "b")
+        with pytest.raises(ScenarioInfeasible):
+            without_failures(net, [("a", "b")])
 
 
 class TestNetworkQueries:
@@ -99,20 +91,10 @@ class TestNetworkQueries:
         assert {link.dst for link in out} == {"b", "c"}
         assert all(link.src == "a" for link in out)
 
-    def test_in_links(self, triangle):
-        incoming = triangle.in_links("a")
-        assert {link.src for link in incoming} == {"b", "c"}
-
     def test_degree(self, triangle, line4):
         assert triangle.degree("a") == 2
         assert line4.degree("n0") == 1
         assert line4.degree("n1") == 2
-
-    def test_node_pairs(self, triangle):
-        pairs = triangle.node_pairs()
-        assert len(pairs) == 6
-        assert ("a", "b") in pairs and ("b", "a") in pairs
-        assert all(u != v for u, v in pairs)
 
     def test_duplex_pairs(self, square):
         pairs = square.duplex_pairs()
@@ -126,9 +108,10 @@ class TestNetworkQueries:
 class TestDerivedNetworks:
     def test_copy_is_independent(self, triangle):
         clone = triangle.copy()
-        clone.remove_link("a", "b")
-        assert triangle.has_link("a", "b")
-        assert not clone.has_link("a", "b")
+        clone.add_node(Node("d"))
+        clone.add_duplex_link("a", "d", Gbps(1), ms(1))
+        assert not triangle.has_node("d")
+        assert triangle.num_links == 6
 
     def test_with_capacity_factor(self, triangle):
         scaled = triangle.with_capacity_factor(0.5)
@@ -141,7 +124,7 @@ class TestDerivedNetworks:
             triangle.with_capacity_factor(0.0)
 
     def test_without_duplex_link(self, triangle):
-        reduced = triangle.without_duplex_link("a", "b")
+        reduced = without_failures(triangle, [("a", "b")])
         assert not reduced.has_link("a", "b")
         assert not reduced.has_link("b", "a")
         assert triangle.has_link("a", "b")

@@ -31,7 +31,7 @@ from repro.experiments.workloads import (
 from repro.net.zoo import grid_network, ring_network
 from repro.routing import ShortestPathRouting
 from repro.tm import scale_to_growth_headroom
-from tests.plans import one_stream
+from tests.plans import all_outcomes, one_stream
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ class TestPlanMatchesPerCall:
     def test_fork_pool(self, figure_plans, figure_references, fig, workers):
         engine = ExperimentEngine(n_workers=workers)
         report = engine.run_plan(figure_plans[fig])
-        assert report.all_outcomes() == figure_references[fig]
+        assert all_outcomes(report) == figure_references[fig]
 
     def test_report_results_in_workload_order(self, figure_plans):
         report = ExperimentEngine(n_workers=4).run_plan(figure_plans["fig04"])
@@ -210,7 +210,7 @@ class TestEvalPlanApi:
             workload,
         )
         report = ExperimentEngine(n_workers=2).run_plan(plan)
-        assert report.all_outcomes() == per_call_reference(plan)
+        assert all_outcomes(report) == per_call_reference(plan)
 
 
 def _shuffled(tasks, seed=1234):
@@ -287,7 +287,7 @@ class TestOrderInvariance:
     ):
         permute_task_order(monkeypatch, sched)
         report = ExperimentEngine(n_workers=workers).run_plan(invariance_plan)
-        assert report.all_outcomes() == invariance_reference
+        assert all_outcomes(report) == invariance_reference
 
     @pytest.mark.parametrize("sched", ["reversed", "shuffled"])
     def test_store_resume_under_permuted_order(
@@ -310,7 +310,7 @@ class TestOrderInvariance:
 
         engine = ExperimentEngine(store_dir=tmp_path)
         resumed = engine.run_plan(invariance_plan)
-        assert resumed.all_outcomes() == invariance_reference
+        assert all_outcomes(resumed) == invariance_reference
 
 
 class CountingFactory:
@@ -336,7 +336,7 @@ class TestPlanStore:
         stream.close()
 
         resumed = ExperimentEngine(store_dir=tmp_path).run_plan(plan)
-        assert resumed.all_outcomes() == reference
+        assert all_outcomes(resumed) == reference
 
     def test_resume_evaluates_only_missing_tasks(self, workload, tmp_path):
         plan = EvalPlan()
@@ -374,7 +374,7 @@ class TestPlanStore:
         ).run_plan(served_plan)
         assert served_factory.calls == 0
         direct = ExperimentEngine().run_plan(plan)
-        assert report.all_outcomes() == direct.all_outcomes()
+        assert all_outcomes(report) == all_outcomes(direct)
 
     def test_store_streams_shared_with_per_call_path(
         self, workload, tmp_path
@@ -490,7 +490,7 @@ class TestPlanDispatch:
             work_dir=tmp_path / "work",
         )
         direct = ExperimentEngine(n_workers=1).run_plan(plan)
-        assert report.all_outcomes() == direct.all_outcomes()
+        assert all_outcomes(report) == all_outcomes(direct)
         assert set(report.results) == {"SP", "MinMaxK10"}
         manifests = sorted((tmp_path / "work" / "manifests").glob("*.json"))
         assert len(manifests) == 2
@@ -503,7 +503,7 @@ class TestPlanDispatch:
             store_dir=tmp_path / "store",
             work_dir=tmp_path / "work2",
         )
-        assert again.all_outcomes() == report.all_outcomes()
+        assert all_outcomes(again) == all_outcomes(report)
         assert not list((tmp_path / "work2").glob("worker-*"))
         assert not list((tmp_path / "work2").glob("manifests/*.json"))
 

@@ -112,7 +112,9 @@ class TestFlowProperties:
         src, dst = names[0], names[-1]
         flow = max_flow_bps(net, src, dst)
         out_capacity = sum(link.capacity_bps for link in net.out_links(src))
-        in_capacity = sum(link.capacity_bps for link in net.in_links(dst))
+        in_capacity = sum(
+            link.capacity_bps for link in net.links() if link.dst == dst
+        )
         assert flow <= out_capacity + 1e-6
         assert flow <= in_capacity + 1e-6
         # At least the bottleneck of the shortest path must flow.

@@ -102,9 +102,8 @@ class TestWorkloadPins:
 
     def test_minmax_utilization_exact(self, case):
         network, tm = case
-        scheme = MinMaxRouting()
-        scheme.place(network, tm)
-        assert scheme.last_max_utilization == pytest.approx(1 / 1.3, abs=1e-4)
+        placement = MinMaxRouting().place(network, tm)
+        assert placement.max_utilization() == pytest.approx(1 / 1.3, abs=1e-4)
 
 
 class TestStoreIdentityPin:

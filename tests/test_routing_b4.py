@@ -77,13 +77,15 @@ class TestMatchesOracle:
     """9 graphs x 4 loads x 3 headrooms x 3 path budgets = 324 cases."""
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_bit_identical(self, name):
+    def test_bit_identical(self, name, monkeypatch):
         network, base, cache = graph_case(name)
         for scale, headroom, max_paths in itertools.product(
             SCALES, HEADROOMS, MAX_PATHS
         ):
             tm = base.scaled(scale)
-            fast = B4Routing(headroom, max_paths, cache=cache).place(network, tm)
+            # Small budgets exercise running out of paths.
+            monkeypatch.setattr(b4, "MAX_PATHS_PER_AGGREGATE", max_paths)
+            fast = B4Routing(headroom, cache=cache).place(network, tm)
             slow = legacy_b4_place(network, tm, headroom, max_paths, cache=cache)
             assert listing(fast) == listing(slow), (scale, headroom, max_paths)
 
@@ -247,19 +249,18 @@ class TestFleetParity:
 
 
 class TestPathBudget:
-    """A path budget below one used to place nothing and force every
-    aggregate onto its shortest path; a spec carrying it crosses a
-    manifest intact."""
+    """The path budget is a constant, not a knob: a scheme or a spec
+    carrying one is rejected before it places anything."""
 
     @pytest.mark.parametrize("scheme", ["B4", "MPLS-TE"])
     @pytest.mark.parametrize("budget", [0, -3])
     def test_rejected(self, scheme, budget):
         cls = {"B4": B4Routing, "MPLS-TE": MplsTeRouting}[scheme]
-        with pytest.raises(ValueError, match="max_paths_per_aggregate"):
+        with pytest.raises(TypeError, match="max_paths_per_aggregate"):
             cls(max_paths_per_aggregate=budget)
         spec = SchemeSpec.from_jsonable(
             SchemeSpec(scheme, {"max_paths_per_aggregate": budget})
             .to_jsonable()
         )
-        with pytest.raises(ValueError, match="max_paths_per_aggregate"):
+        with pytest.raises(TypeError, match="max_paths_per_aggregate"):
             build_scheme(spec, fleet_case()[0])

@@ -152,7 +152,7 @@ class TestPairMetrics:
                 ]
             },
         )
-        stretches = placement.per_aggregate_stretch()
+        stretches = placement.stretch_by(lambda agg: agg)
         assert stretches[agg] == pytest.approx(3.0)  # (1+5)/2 ms over 2 ms
 
     def test_stretch_metrics_share_one_sweep_per_source(self, triangle):
@@ -170,7 +170,7 @@ class TestPairMetrics:
         before = index.searches
         placement.total_latency_stretch()
         placement.max_path_stretch()
-        placement.per_aggregate_stretch()
+        placement.stretch_by(lambda agg: agg)
         assert index.searches - before == 2  # sources a and b, once each
         # A second placement on the same network reuses the index's sweeps.
         again = Placement(

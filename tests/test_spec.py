@@ -47,7 +47,7 @@ class TestRegistry:
         "name,params,cls",
         [
             ("SP", {}, ShortestPathRouting),
-            ("ECMP", {"max_paths": 8}, EcmpRouting),
+            ("ECMP", {}, EcmpRouting),
             ("MPLS-TE", {"headroom": 0.1}, MplsTeRouting),
             ("B4", {"headroom": 0.1}, B4Routing),
             ("MinMax", {}, MinMaxRouting),
@@ -104,6 +104,10 @@ class TestRegistry:
         with pytest.raises(TypeError):
             check_spec(SchemeSpec("LDR", {"max_paths": 40}))
 
+    def test_ecmp_path_budget_is_not_a_param(self):
+        with pytest.raises(TypeError):
+            check_spec(SchemeSpec("ECMP", {"max_paths": 8}))
+
     def test_register_scheme_decorator(self, workload):
         @register_scheme("TestOnlySP")
         def _build(item):
@@ -122,10 +126,10 @@ class TestRegistry:
 
 class TestRoundTrip:
     def test_pickle_round_trip(self):
-        spec = SchemeSpec("B4", {"headroom": 0.11, "max_paths_per_aggregate": 40})
+        spec = SchemeSpec("B4", {"headroom": 0.11})
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
-        assert clone.params == {"headroom": 0.11, "max_paths_per_aggregate": 40}
+        assert clone.params == {"headroom": 0.11}
 
     def test_json_round_trip(self):
         spec = SchemeSpec("MinMax", {"k": 10})

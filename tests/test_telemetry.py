@@ -29,7 +29,7 @@ from repro.experiments.engine import ExperimentEngine
 from repro.experiments.plan import EvalPlan
 from repro.experiments.spec import SchemeSpec
 from repro.experiments.workloads import build_zoo_workload
-from tests.plans import one_stream
+from tests.plans import all_outcomes, one_stream
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -379,7 +379,7 @@ class TestProcessMerge:
         assert {t.attrs["scheme"] for t in tasks} == {"SP", "ECMP"}
         # Dispatched results equal an untraced in-process run.
         direct = ExperimentEngine().run_plan(plan)
-        assert report.all_outcomes() == direct.all_outcomes()
+        assert all_outcomes(report) == all_outcomes(direct)
 
     def test_critical_path_attributes_worker_time(self, tmp_path, workload):
         from repro.experiments.dispatch import dispatch_plan
@@ -501,7 +501,7 @@ class TestFeeds:
         telemetry.configure(tmp_path)
         traced = ExperimentEngine().run_plan(plan)
         telemetry.disable()
-        assert traced.all_outcomes() == baseline.all_outcomes()
+        assert all_outcomes(traced) == all_outcomes(baseline)
 
     def test_timings_fold_groups_by_stream(self, tmp_path, workload):
         from repro.experiments.__main__ import _traced_stream_phases

@@ -78,11 +78,6 @@ class TestTrafficMatrix:
         with pytest.raises(ValueError):
             TrafficMatrix({("a", "b"): -1.0})
 
-    def test_with_demands_overrides(self, triangle_tm):
-        updated = triangle_tm.with_demands({("a", "b"): Gbps(5)})
-        assert updated.demand("a", "b") == pytest.approx(Gbps(5))
-        assert updated.demand("a", "c") == pytest.approx(Gbps(1))
-
 
 class TestZipfMasses:
     def test_length_and_positive(self, rng):

@@ -34,13 +34,6 @@ class TestRenderSeriesFormatting:
         assert "2.000" in rows[0] and "4.000" not in rows[0]
         assert "4.000" in rows[1] and "2.000" not in rows[1]
 
-    def test_custom_format(self):
-        text = render_series(
-            "t", {"a": [(1.0, 0.123456)]}, y_format="{:.1f}"
-        )
-        assert "0.1" in text
-        assert "0.123" not in text
-
     def test_shared_x_merges(self):
         text = render_series(
             "t", {"a": [(1.0, 2.0)], "b": [(1.0, 3.0)]}
