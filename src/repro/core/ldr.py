@@ -28,8 +28,8 @@ with instead of re-growing from k=1.  Every LP is assembled afresh (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -116,11 +116,10 @@ class LdrController:
         self,
         network: Network,
         config: LdrConfig = LdrConfig(),
-        cache: Optional[KspCache] = None,
     ) -> None:
         self.network = network
         self.config = config
-        self.cache = cache if cache is not None else KspCache(network)
+        self.cache = KspCache(network)
         # Predictor state persists across routing cycles, one per pair.
         self._predictors: Dict[Pair, MeanRatePredictor] = {}
         # Path counts persist across rounds (and across route() calls) so

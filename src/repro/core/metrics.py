@@ -262,12 +262,12 @@ def llpd(
         values = apa_all_pairs(network, params)
     if not values:
         raise ValueError(f"network {network.name!r} has no connected pairs")
-    good = sum(1 for value in values.values() if value >= params.llpd_threshold)
-    return good / len(values)
+    return llpd_from_apa(values, params.llpd_threshold)
 
 
 def llpd_from_apa(
-    apa_values: Dict[Pair, float], threshold: float = 0.7
+    apa_values: Dict[Pair, float],
+    threshold: float = ApaParameters.llpd_threshold,
 ) -> float:
     """LLPD computed from precomputed APA values (avoids recomputation)."""
     if not apa_values:

@@ -63,7 +63,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.durable import write_atomic
-from repro.experiments.engine import ExperimentEngine, NetworkResult
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.plan import EvalPlan, EvalTask, PlanReport
 from repro.experiments.spec import SchemeSpec, UnknownSchemeError, check_spec
 from repro.experiments.store import (

@@ -65,19 +65,17 @@ from repro.tm.scale import scaled_for_growth
 
 
 def _adhoc_workload(
-    items: Sequence[NetworkWorkload],
-    locality: float = 0.0,
-    growth_factor: float = 0.0,
+    items: Sequence[NetworkWorkload], growth_factor: float = 0.0
 ) -> ZooWorkload:
     """Wrap bare workload items for the engine.
 
     The shaping parameters of hand-assembled item lists are unknown; the
-    placeholders only feed the result-store signature, which also hashes
-    the matrices themselves, so no two distinct workloads can collide on
-    them.
+    placeholders (locality 0) only feed the result-store signature, which
+    also hashes the matrices themselves, so no two distinct workloads can
+    collide on them.
     """
     return ZooWorkload(
-        networks=list(items), locality=locality, growth_factor=growth_factor
+        networks=list(items), locality=0.0, growth_factor=growth_factor
     )
 
 
@@ -107,13 +105,10 @@ def scheme_factories(
 # ----------------------------------------------------------------------
 # Figure 1
 # ----------------------------------------------------------------------
-def fig01_apa_cdfs(
-    networks: Sequence[Network], params: ApaParameters = ApaParameters()
-) -> Dict[str, np.ndarray]:
+def fig01_apa_cdfs(networks: Sequence[Network]) -> Dict[str, np.ndarray]:
     """Per-network sorted APA values (each is one CDF curve of Figure 1)."""
     return {
-        network.name: apa_cdf(apa_all_pairs(network, params))
-        for network in networks
+        network.name: apa_cdf(apa_all_pairs(network)) for network in networks
     }
 
 
@@ -187,10 +182,11 @@ def fig04_schemes(
 # Figure 7
 # ----------------------------------------------------------------------
 def fig07_utilization_cdf(
-    network: Network, tm: TrafficMatrix, cache: Optional[KspCache] = None
+    network: Network, tm: TrafficMatrix
 ) -> Dict[str, np.ndarray]:
-    """Sorted link utilizations under latency-optimal and MinMax routing."""
-    cache = cache or KspCache(network)
+    """Sorted link utilizations under latency-optimal and MinMax routing,
+    which share one KSP cache."""
+    cache = KspCache(network)
     optimal = LatencyOptimalRouting(cache=cache).place(network, tm)
     minmax = MinMaxRouting(cache=cache).place(network, tm)
     return {
@@ -305,34 +301,32 @@ def fig15_runtimes(items: Sequence[NetworkWorkload]) -> Dict[str, List[float]]:
 # Figure 16
 # ----------------------------------------------------------------------
 @traced("plan_build")
-def fig16_plan(
-    workload: ZooWorkload,
-    llpd_split: float = 0.5,
-    headrooms: Sequence[float] = (0.0, 0.10),
-) -> EvalPlan:
+def fig16_plan(workload: ZooWorkload) -> EvalPlan:
     """All (LLPD class, headroom, scheme) cells of Figure 16 as one plan.
 
-    Stream keys are ``(class_key, scheme_name)`` tuples; store stream
-    names keep the headroom qualifier (``B4@h=0.1``) because ``high_h0``
-    and ``high_h10`` share a workload signature (same subset, same
-    matrices) and the scheme name alone would collide in the store.
+    Networks split into LLPD classes at 0.5: the low class runs at
+    headroom 0, the high class at 0 and 0.1.  Stream keys are
+    ``(class_key, scheme_name)`` tuples; store stream names keep the
+    headroom qualifier (``B4@h=0.1``) because ``high_h0`` and ``high_h10``
+    share a workload signature (same subset, same matrices) and the scheme
+    name alone would collide in the store.
     """
     low = ZooWorkload(
-        networks=[w for w in workload.networks if w.llpd < llpd_split],
+        networks=[w for w in workload.networks if w.llpd < 0.5],
         locality=workload.locality,
         growth_factor=workload.growth_factor,
         seed=workload.seed,
     )
     high = ZooWorkload(
-        networks=[w for w in workload.networks if w.llpd >= llpd_split],
+        networks=[w for w in workload.networks if w.llpd >= 0.5],
         locality=workload.locality,
         growth_factor=workload.growth_factor,
         seed=workload.seed,
     )
     cases = {
-        "low_h0": (low, headrooms[0]),
-        "high_h0": (high, headrooms[0]),
-        "high_h10": (high, headrooms[1]),
+        "low_h0": (low, 0.0),
+        "high_h0": (high, 0.0),
+        "high_h10": (high, 0.10),
     }
     plan = EvalPlan()
     for key, (subset, headroom) in cases.items():
@@ -445,22 +439,22 @@ def fig18_plan(
     networks: Sequence[Network],
     localities: Sequence[float] = (0.0, 0.5, 1.0, 1.5, 2.0),
     n_matrices: int = 2,
-    growth_factor: float = 1.3,
     seed: int = 0,
 ) -> EvalPlan:
     """The whole (locality x scheme) grid of Figure 18 as one plan.
 
-    The base gravity matrix is scaled to the target load *first* and
-    locality is applied to the scaled matrix.  This matches the paper's
-    described dynamics: "a locality parameter of zero tends to load long
-    distance links more, whereas localities above one tend to load local
-    links more" and large localities "under-load long-distance links" —
-    effects that only exist if the load normalization is not re-done per
-    locality value (which would re-inflate whatever the locality shift
-    relieved).
+    The base gravity matrix is scaled to the paper's default load (growth
+    factor 1.3, min-cut at 77%) *first* and locality is applied to the
+    scaled matrix.  This matches the paper's described dynamics: "a
+    locality parameter of zero tends to load long distance links more,
+    whereas localities above one tend to load local links more" and large
+    localities "under-load long-distance links" — effects that only exist
+    if the load normalization is not re-done per locality value (which
+    would re-inflate whatever the locality shift relieved).
     """
     from repro.tm import apply_locality, gravity_traffic_matrix
 
+    growth_factor = 1.3
     rng = np.random.default_rng(seed)
     caches = [KspCache(network) for network in networks]
     bases: List[List[TrafficMatrix]] = []
@@ -515,10 +509,10 @@ def _grow_network_cached(
     network: Network,
     growth_fraction: float,
     max_candidates: int,
-    apa_params: ApaParameters,
     cache_dir: Optional[str],
 ) -> Network:
-    """LLPD-guided growth with an on-disk topology cache.
+    """LLPD-guided growth (default :class:`ApaParameters`) with an on-disk
+    topology cache.
 
     Growth is deterministic but expensive (each candidate link costs a
     full LLPD evaluation), and a store-only re-render used to pay it
@@ -536,11 +530,12 @@ def _grow_network_cached(
         from repro.net.io import from_json
         from repro.net.paths import network_signature
 
+        params = ApaParameters()
         key = hashlib.sha256(
             f"grown|{network_signature(network)}|{growth_fraction!r}"
-            f"|{max_candidates!r}|{apa_params.stretch_limit!r}"
-            f"|{apa_params.max_alternates!r}"
-            f"|{apa_params.llpd_threshold!r}".encode()
+            f"|{max_candidates!r}|{params.stretch_limit!r}"
+            f"|{params.max_alternates!r}"
+            f"|{params.llpd_threshold!r}".encode()
         ).hexdigest()
         path = cache_path(cache_dir, "grown", key)
         cached = read_cache(path, from_json)
@@ -549,7 +544,7 @@ def _grow_network_cached(
 
     grown, _ = grow_by_llpd(
         network,
-        score=lambda net: llpd(net, apa_params),
+        score=llpd,
         growth_fraction=growth_fraction,
         max_candidates=max_candidates,
     )
@@ -565,7 +560,6 @@ def fig20_plan(
     items: Sequence[NetworkWorkload],
     growth_fraction: float = 0.05,
     max_candidates: int = 20,
-    apa_params: ApaParameters = ApaParameters(),
     cache_dir: Optional[str] = None,
 ) -> EvalPlan:
     """Figure 20's (scheme x {base, grown}) grid as one plan.
@@ -581,7 +575,6 @@ def fig20_plan(
             item.network,
             growth_fraction=growth_fraction,
             max_candidates=max_candidates,
-            apa_params=apa_params,
             cache_dir=cache_dir,
         )
         grown_items.append(

@@ -14,18 +14,25 @@ float the flow adds and subtracts — are those of a name-keyed BFS in
 sorted-name order (``legacy_max_flow_bps`` in ``tests/oracles.py``).
 
 :func:`node_arc_coo` is the node-arc block of the multi-commodity flow
-LPs (link-based routing, the max-concurrent-flow scaler).
+LPs (link-based routing, the max-concurrent-flow scaler), and
+:func:`concurrent_flow_bound` checks the scaler's answer from outside
+the LP.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.net.graph import Network
 from repro.net.index import FloatArray, GraphIndex, IntArray, graph_index
+
+if TYPE_CHECKING:
+    from repro.tm.matrix import TrafficMatrix
 
 #: Residual capacity at or below which an arc counts as saturated.
 _SATURATED_BPS = 1e-9
@@ -165,3 +172,33 @@ def node_arc_coo(
     ])
     ones = np.ones(len(cols))
     return np.concatenate([ones, -ones, ones]), rows, np.tile(cols, 3)
+
+
+def concurrent_flow_bound(  # analysis: allow[R401] tier-1 certifies max_scale_flows' λ with it
+    network: Network, tm: "TrafficMatrix", lengths: Sequence[float]
+) -> float:
+    """Upper bound on the max concurrent flow λ of ``tm`` from link lengths
+    ``lengths >= 0`` (one per link, ``network.links()`` order), in the
+    network's and matrix's own bits/s:
+    ``λ <= sum_l C_l ℓ_l / sum_a b_a dist_ℓ(s_a, t_a)``.
+
+    Weak duality (the length-function dual of Garg and Könemann, FOCS
+    1998): λ·TM within capacity puts ``λ b_a dist_ℓ(a)`` or more of
+    length-weighted flow on the links for each aggregate, and at most
+    ``C_l ℓ_l`` on link ``l``.  Tight on the capacity rows' duals of the
+    max-concurrent-flow LP.  One Dijkstra per demand source.
+    """
+    index = graph_index(network)
+    links = list(network.links())
+    weights = np.zeros(index.num_edges)
+    weights[index.edge_positions(link.key for link in links)] = lengths
+    weight_list = weights.tolist()
+    capacity = float(np.dot([link.capacity_bps for link in links], lengths))
+    routed = 0.0
+    src: Optional[str] = None
+    for agg in sorted(tm.aggregates(), key=lambda agg: agg.src):
+        if agg.src != src:
+            src = agg.src
+            dist = index.dijkstra_ids(index.node_id(src), weights=weight_list)[0]
+        routed += agg.demand_bps * dist[index.node_id(agg.dst)]
+    return capacity / routed if routed > 0 else _INF

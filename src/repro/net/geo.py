@@ -23,6 +23,11 @@ FIBRE_SPEED_KM_PER_S = 200_000.0
 # geodesic distance to account for conduit detours.
 DEFAULT_ROUTE_FACTOR = 1.2
 
+#: Floor under every link delay: short metro links never have truly zero
+#: delay (equipment and tail circuits), and zero-delay links would make
+#: every Dijkstra comparison a tie.
+MIN_LINK_DELAY_S = 50e-6
+
 
 def great_circle_km(
     lat1_deg: float, lon1_deg: float, lat2_deg: float, lon2_deg: float
@@ -72,33 +77,27 @@ def great_circle_km_many(
     return result
 
 
-def propagation_delay_s(
-    distance_km: float, route_factor: float = DEFAULT_ROUTE_FACTOR
-) -> float:
+def propagation_delay_s(distance_km: float) -> float:
     """One-way propagation delay for a fibre span of the given length.
 
-    ``route_factor`` inflates the geodesic distance to model the fact that
-    fibre follows roads and seabed contours rather than great circles.
+    :data:`DEFAULT_ROUTE_FACTOR` inflates the geodesic distance to model
+    the fact that fibre follows roads and seabed contours rather than great
+    circles.
     """
     if distance_km < 0:
         raise ValueError(f"distance must be non-negative, got {distance_km}")
-    if route_factor < 1.0:
-        raise ValueError(f"route factor must be >= 1, got {route_factor}")
-    return distance_km * route_factor / FIBRE_SPEED_KM_PER_S
+    return distance_km * DEFAULT_ROUTE_FACTOR / FIBRE_SPEED_KM_PER_S
+
+
+def span_delay_s(distance_km: float) -> float:
+    """A link's delay for a fibre span: its propagation delay, floored at
+    :data:`MIN_LINK_DELAY_S`."""
+    return max(MIN_LINK_DELAY_S, propagation_delay_s(distance_km))
 
 
 def link_delay_s(
-    lat1_deg: float,
-    lon1_deg: float,
-    lat2_deg: float,
-    lon2_deg: float,
-    route_factor: float = DEFAULT_ROUTE_FACTOR,
-    min_delay_s: float = 50e-6,
+    lat1_deg: float, lon1_deg: float, lat2_deg: float, lon2_deg: float
 ) -> float:
-    """Propagation delay between two PoPs given their coordinates.
-
-    ``min_delay_s`` puts a floor under very short metro links, which in
-    practice never have truly zero delay (equipment and tail circuits).
-    """
+    """Propagation delay between two PoPs given their coordinates."""
     distance = great_circle_km(lat1_deg, lon1_deg, lat2_deg, lon2_deg)
-    return max(min_delay_s, propagation_delay_s(distance, route_factor))
+    return span_delay_s(distance)

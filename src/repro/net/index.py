@@ -729,14 +729,19 @@ def graph_index(network: Network) -> GraphIndex:
     return index
 
 
+#: Landmarks a :class:`LocalityPruner` sweeps from (fewer on smaller graphs).
+N_LANDMARKS = 8
+
+
 class LocalityPruner:
     """Landmark-based locality prefilter for k-shortest-path enumeration.
 
     On ingest-scale graphs, enumerating path alternatives for *every* pair
     is what blows up — not the single shortest path.  The pruner picks a
-    deterministic landmark set (farthest-point sampling seeded at the
-    highest-degree node), precomputes one delay sweep per landmark, and
-    lower-bounds any pair's delay via the triangle inequality::
+    deterministic set of :data:`N_LANDMARKS` landmarks (farthest-point
+    sampling seeded at the highest-degree node), precomputes one delay
+    sweep per landmark, and lower-bounds any pair's delay via the triangle
+    inequality::
 
         d(s, t) >= max_L |d(L, s) - d(L, t)|
 
@@ -750,16 +755,9 @@ class LocalityPruner:
     their callers (see ``tm.regions`` for the demand-side analogue).
     """
 
-    def __init__(
-        self,
-        network: Network,
-        radius_s: float,
-        n_landmarks: int = 8,
-    ) -> None:
+    def __init__(self, network: Network, radius_s: float) -> None:
         if radius_s < 0:
             raise ValueError(f"radius must be non-negative, got {radius_s}")
-        if n_landmarks < 1:
-            raise ValueError(f"need >= 1 landmark, got {n_landmarks}")
         index = graph_index(network)
         self._index = index
         self.radius_s = radius_s
@@ -778,7 +776,7 @@ class LocalityPruner:
             landmarks.append(first)
             dist, _, _ = index.dijkstra_ids(first)
             sweeps.append(dist)
-            while len(landmarks) < min(n_landmarks, n):
+            while len(landmarks) < min(N_LANDMARKS, n):
                 # Farthest-point: maximize the min distance to any chosen
                 # landmark; unreachable nodes sort first so disconnected
                 # components each get a landmark.  Ties -> lowest id.

@@ -35,16 +35,11 @@ from repro.net.geo import (
     DEFAULT_ROUTE_FACTOR,
     FIBRE_SPEED_KM_PER_S,
     great_circle_km,
-    propagation_delay_s,
+    span_delay_s,
 )
 from repro.net.graph import Network, Node
 from repro.net.units import Gbps
 from repro.net.zoo import CONTINENTS, _capacity_for
-
-#: Floor under parsed link delays (mirrors :func:`repro.net.geo.link_delay_s`):
-#: truly zero-delay links do not exist and would make every Dijkstra
-#: comparison a tie.
-MIN_LINK_DELAY_S = 50e-6
 
 #: Default capacity for connections the document lists no bandwidth for.
 DEFAULT_CAPACITY_BPS = Gbps(10)
@@ -56,17 +51,15 @@ DEFAULT_CAPACITY_BPS = Gbps(10)
 def network_from_distances(
     payload: Mapping[str, Any],
     name: str = "ingest",
-    default_capacity_bps: float = DEFAULT_CAPACITY_BPS,
-    route_factor: float = DEFAULT_ROUTE_FACTOR,
-    bandwidth_unit_bps: float = 1.0,
 ) -> Network:
     """Reconstruct a :class:`Network` from a distances+bandwidth document.
 
     ``distances`` holds kilometres between directly connected nodes; each
     connection becomes one full-duplex link.  A connection listed in both
-    directions must agree on its values.  ``bandwidth`` values are scaled
-    by ``bandwidth_unit_bps`` (1.0 = the document is already in bits/s);
-    connections without one get ``default_capacity_bps``.  Construction is
+    directions must agree on its values.  ``bandwidth`` values are in
+    bits/s; connections without one get :data:`DEFAULT_CAPACITY_BPS`.
+    Link delays without an exact ``delays`` entry are
+    :func:`~repro.net.geo.span_delay_s` of the distance.  Construction is
     deterministic: nodes in sorted-name order, links in sorted canonical
     (min, max) pair order.
     """
@@ -126,9 +119,7 @@ def network_from_distances(
                 f"conflicting bandwidth for {a}-{b}: {forward} vs {backward}"
             )
         raw = forward if forward is not None else backward
-        capacity = (
-            raw * bandwidth_unit_bps if raw is not None else default_capacity_bps
-        )
+        capacity = raw if raw is not None else DEFAULT_CAPACITY_BPS
         exact_fw = _directed(delays, a, b)
         exact_bw = _directed(delays, b, a)
         if exact_fw is not None and exact_bw is not None and exact_fw != exact_bw:
@@ -139,7 +130,7 @@ def network_from_distances(
         if exact is not None:
             delay = float(exact)
         else:
-            delay = max(MIN_LINK_DELAY_S, propagation_delay_s(km, route_factor))
+            delay = span_delay_s(km)
         network.add_duplex_link(a, b, capacity, delay)
     return network
 
@@ -224,41 +215,31 @@ def synthesize_internet_like(
     n_nodes: int,
     seed: int,
     degree_exponent: float = 2.1,
-    min_degree: int = 2,
-    max_degree: Optional[int] = None,
-    name: Optional[str] = None,
 ) -> Network:
     """A seeded Internet-like topology from a power-law degree distribution.
 
     Degrees are sampled from ``P(k) ∝ k^-degree_exponent`` on
-    ``[min_degree, max_degree]`` (default cap ``≈ sqrt(n)``, the usual
-    AS-graph cutoff), wired with a configuration model (self-loops and
-    duplicate pairs discarded), and repaired to one connected component by
-    attaching each minor component's best-connected member to the giant
-    component's.  Nodes are placed on continent-clustered coordinates so
+    ``[2, max(3, round(sqrt(n)))]`` (the usual AS-graph cutoff), wired
+    with a configuration model (self-loops and duplicate pairs discarded),
+    and repaired to one connected component by attaching each minor
+    component's best-connected member to the giant component's.  Nodes are placed on continent-clustered coordinates so
     delays follow real geography; capacities follow the zoo's
     distance-based provisioning classes.  Deterministic for a given
-    ``(n_nodes, seed, ...)``; node names are zero-padded (``as0042``) so
-    sorted-name order equals construction order.
+    ``(n_nodes, seed, degree_exponent)``; the network is named
+    ``internet-like-<n>`` and its node names are zero-padded (``as0042``)
+    so sorted-name order equals construction order.
     """
     if n_nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {n_nodes}")
-    if min_degree < 1:
-        raise ValueError(f"min degree must be >= 1, got {min_degree}")
     if degree_exponent <= 0:
         raise ValueError(
             f"degree exponent must be positive, got {degree_exponent}"
         )
-    if max_degree is None:
-        max_degree = max(min_degree + 1, int(round(n_nodes**0.5)))
-    if max_degree < min_degree:
-        raise ValueError(
-            f"max degree {max_degree} below min degree {min_degree}"
-        )
+    max_degree = max(3, int(round(n_nodes**0.5)))
     rng = np.random.default_rng(seed)
 
     # Sampled degree sequence with an even stub total.
-    ks = np.arange(min_degree, max_degree + 1, dtype=np.int64)
+    ks = np.arange(2, max_degree + 1, dtype=np.int64)
     weights = ks.astype(np.float64) ** (-degree_exponent)
     weights /= weights.sum()
     degrees = rng.choice(ks, size=n_nodes, p=weights)
@@ -335,7 +316,7 @@ def synthesize_internet_like(
     lon_u = rng.uniform(0.0, 1.0, size=n_nodes).tolist()
 
     width = len(str(n_nodes - 1))
-    network = Network(name if name is not None else f"internet-like-{n_nodes}")
+    network = Network(f"internet-like-{n_nodes}")
     node_names: List[str] = []
     for i in range(n_nodes):
         region = CONTINENTS[region_ids[i]]
@@ -350,7 +331,7 @@ def synthesize_internet_like(
         distance = great_circle_km(
             node_a.lat_deg, node_a.lon_deg, node_b.lat_deg, node_b.lon_deg
         )
-        delay = max(MIN_LINK_DELAY_S, propagation_delay_s(distance))
+        delay = span_delay_s(distance)
         network.add_duplex_link(
             node_names[a], node_names[b], _capacity_for(distance, rng), delay
         )

@@ -197,7 +197,6 @@ def grow_by_ldr_objective(
     forecast_tm: TrafficMatrix,
     growth_fraction: float = 0.05,
     max_candidates: int = 20,
-    rng: Optional[np.random.Generator] = None,
 ) -> Tuple[Network, List[Tuple[str, str]]]:
     """Greedy growth scored by the latency-optimal objective (paper §8).
 
@@ -216,7 +215,7 @@ def grow_by_ldr_objective(
 
     if not 0.0 < growth_fraction <= 1.0:
         raise ValueError(f"growth fraction must be in (0, 1], got {growth_fraction}")
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     n_physical = len(network.duplex_pairs())
     n_to_add = max(1, int(round(growth_fraction * n_physical)))
     current = network
@@ -250,7 +249,6 @@ def grow_by_llpd(
     score: Callable[[Network], float],
     growth_fraction: float = 0.05,
     max_candidates: int = 40,
-    rng: Optional[np.random.Generator] = None,
 ) -> Tuple[Network, List[Tuple[str, str]]]:
     """Greedily add links maximizing ``score`` until links grow by 5%.
 
@@ -262,7 +260,7 @@ def grow_by_llpd(
     """
     if not 0.0 < growth_fraction <= 1.0:
         raise ValueError(f"growth fraction must be in (0, 1], got {growth_fraction}")
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     n_physical = len(network.duplex_pairs())
     n_to_add = max(1, int(round(growth_fraction * n_physical)))
     current = network

@@ -17,8 +17,9 @@ classes the paper identifies:
 
 All networks have geographic PoPs and link delays computed from great-circle
 distances (as the paper does via REPETITA-computed latencies), and spans
-large enough that network diameter exceeds 10 ms.  Every generator takes a
-``numpy.random.Generator`` so the zoo is fully reproducible.
+large enough that network diameter exceeds 10 ms.  Every family generator
+takes a ``numpy.random.Generator`` so the zoo is fully reproducible; the
+named replicas (:func:`gts_like` and friends) are fixed draws.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -325,28 +326,28 @@ def multi_continent_network(
 # ----------------------------------------------------------------------
 # Named replicas
 # ----------------------------------------------------------------------
-def gts_like(seed: int = 7) -> Network:
+def gts_like() -> Network:
     """A GTS-Central-Europe-like grid (the paper's Figure 2 example)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     return grid_network(4, 6, rng, region=CENTRAL_EUROPE, diagonal_fraction=0.2,
                         name="gts-like")
 
 
-def cogent_like(seed: int = 11) -> Network:
+def cogent_like() -> Network:
     """A Cogent-like two-continent network with diverse crossings."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     return multi_continent_network(
         rng, nodes_per_continent=10, n_continents=2, cross_links=4, name="cogent-like"
     )
 
 
-def globalcenter_like(seed: int = 13) -> Network:
+def globalcenter_like() -> Network:
     """A Globalcenter-like full mesh (overlay) topology."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(13)
     return clique_network(8, rng, name="globalcenter-like")
 
 
-def google_like(seed: int = 17) -> Network:
+def google_like() -> Network:
     """A dense, globe-spanning enterprise WAN in the spirit of Google's SNet.
 
     The paper reports LLPD = 0.875 for Google's network — by far the highest
@@ -355,7 +356,7 @@ def google_like(seed: int = 17) -> Network:
     intra-continent connectivity and several parallel intercontinental
     links.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(17)
     network = Network("google-like")
     clusters: List[List[str]] = []
     for region in CONTINENTS:

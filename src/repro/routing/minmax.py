@@ -73,7 +73,7 @@ def mcf_seed_paths(
     """
     from repro.tm.scale import max_scale_flows
 
-    lam, flows = max_scale_flows(network, tm)
+    lam, flows, _ = max_scale_flows(network, tm)
     if lam <= 0:
         raise InfeasibleError("traffic matrix cannot be routed at any scale")
     demands_from: Dict[str, Dict[str, float]] = {}

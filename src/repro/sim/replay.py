@@ -16,7 +16,7 @@ stay within the queue budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -61,15 +61,13 @@ def replay_placement(
     placement: Placement,
     samples_bps: Mapping[Pair, np.ndarray],
     interval_s: float = 0.1,
-    drop_horizon_s: Optional[float] = None,
 ) -> ReplayResult:
     """Replay per-aggregate rate samples through a placement.
 
     ``samples_bps`` maps each aggregate's (src, dst) pair to its rate
     samples; all arrays must share a length.  Aggregates without samples
-    are replayed at their mean demand.  ``drop_horizon_s`` optionally caps
-    each queue (bits beyond ``capacity * horizon`` are dropped), modelling
-    a finite buffer; by default queues are unbounded.
+    are replayed at their mean demand.  Queues are unbounded: no bits are
+    dropped.
     """
     if interval_s <= 0:
         raise ValueError(f"interval must be positive, got {interval_s}")
@@ -99,17 +97,12 @@ def replay_placement(
     per_link: Dict[Tuple[str, str], LinkQueueStats] = {}
     for key, rates in offered.items():
         capacity = network.link(*key).capacity_bps
-        queue_cap_bits = (
-            capacity * drop_horizon_s if drop_horizon_s is not None else None
-        )
         queue_bits = 0.0
         max_queue = 0.0
         queued_intervals = 0
         excess = (rates - capacity) * interval_s
         for delta in excess:
             queue_bits = max(0.0, queue_bits + delta)
-            if queue_cap_bits is not None:
-                queue_bits = min(queue_bits, queue_cap_bits)
             if queue_bits > 0:
                 queued_intervals += 1
             max_queue = max(max_queue, queue_bits)

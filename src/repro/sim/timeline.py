@@ -23,6 +23,9 @@ from repro.sim.replay import replay_placement
 
 Pair = Tuple[str, str]
 
+#: Trace samples per minute: the traces are sampled every 100 ms.
+SAMPLES_PER_MINUTE = 600
+
 
 @dataclass
 class MinuteReport:
@@ -48,7 +51,6 @@ class TimelineSimulation:
         network: Network,
         traces_100ms_bps: Mapping[Pair, np.ndarray],
         config: LdrConfig = LdrConfig(),
-        samples_per_minute: int = 600,
     ) -> None:
         if not traces_100ms_bps:
             raise ValueError("no traces")
@@ -60,14 +62,13 @@ class TimelineSimulation:
             pair: np.asarray(v, dtype=float)
             for pair, v in traces_100ms_bps.items()
         }
-        self.samples_per_minute = samples_per_minute
-        self.total_minutes = lengths.pop() // samples_per_minute
+        self.total_minutes = lengths.pop() // SAMPLES_PER_MINUTE
         if self.total_minutes < 2:
             raise ValueError("need at least two minutes of trace")
         self.controller = LdrController(network, config)
 
     def _window(self, pair: Pair, minute: int) -> np.ndarray:
-        spm = self.samples_per_minute
+        spm = SAMPLES_PER_MINUTE
         return self.traces[pair][minute * spm : (minute + 1) * spm]
 
     def run(self, n_minutes: Optional[int] = None) -> List[MinuteReport]:

@@ -22,33 +22,32 @@ import numpy as np
 from repro.net.graph import Network
 from repro.tm.matrix import TrafficMatrix
 
+#: Total volume of a freshly synthesized matrix, before any load scaling.
+TOTAL_BPS = 1e9
 
-def zipf_masses(n: int, rng: np.random.Generator, exponent: float = 1.0) -> np.ndarray:
-    """Zipf-distributed masses for ``n`` PoPs, randomly assigned to ranks."""
+
+def zipf_masses(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Zipf masses (``rank ** -1``) for ``n`` PoPs, ranks drawn at random."""
     if n < 1:
         raise ValueError(f"need at least one PoP, got {n}")
-    if exponent <= 0:
-        raise ValueError(f"Zipf exponent must be positive, got {exponent}")
     ranks = rng.permutation(n) + 1
-    return ranks.astype(float) ** (-exponent)
+    return ranks.astype(float) ** (-1.0)
 
 
 def gravity_traffic_matrix(
     network: Network,
     rng: np.random.Generator,
-    exponent: float = 1.0,
-    total_bps: float = 1e9,
 ) -> TrafficMatrix:
     """A gravity-model traffic matrix over every ordered PoP pair.
 
-    ``total_bps`` sets the (arbitrary) pre-scaling total volume; call
+    :data:`TOTAL_BPS` is the (arbitrary) pre-scaling total volume; call
     :func:`repro.tm.scale.scale_to_growth_headroom` afterwards to load the
     network as the paper does.
     """
     names = network.node_names
     if len(names) < 2:
         raise ValueError("gravity model needs at least two PoPs")
-    masses = zipf_masses(len(names), rng, exponent)
+    masses = zipf_masses(len(names), rng)
     demands: Dict[Tuple[str, str], float] = {}
     weight_total = 0.0
     for i, src in enumerate(names):
@@ -58,7 +57,7 @@ def gravity_traffic_matrix(
             weight = masses[i] * masses[j]
             demands[(src, dst)] = weight
             weight_total += weight
-    factor = total_bps / weight_total
+    factor = TOTAL_BPS / weight_total
     return TrafficMatrix({pair: w * factor for pair, w in demands.items()})
 
 
@@ -66,8 +65,6 @@ def sparse_gravity_traffic_matrix(
     network: Network,
     rng: np.random.Generator,
     n_pairs: int,
-    exponent: float = 1.0,
-    total_bps: float = 1e9,
 ) -> TrafficMatrix:
     """A gravity matrix over a mass-weighted *sample* of node pairs.
 
@@ -86,7 +83,7 @@ def sparse_gravity_traffic_matrix(
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")
     n_pairs = min(n_pairs, n * (n - 1))
-    masses = zipf_masses(n, rng, exponent)
+    masses = zipf_masses(n, rng)
     probabilities = masses / masses.sum()
     demands: Dict[Tuple[str, str], float] = {}
     # Rejection-sample distinct pairs; with heavy skew the tail of distinct
@@ -131,7 +128,7 @@ def sparse_gravity_traffic_matrix(
     weight_total = 0.0
     for weight in demands.values():
         weight_total += weight
-    factor = total_bps / weight_total
+    factor = TOTAL_BPS / weight_total
     for pair in demands:
         demands[pair] *= factor
     return TrafficMatrix(demands)

@@ -158,25 +158,23 @@ def maybe_aggregate(
     network: Network,
     tm: TrafficMatrix,
     max_pairs: int = DEFAULT_MAX_PAIRS,
-    n_regions: Optional[int] = None,
 ) -> Tuple[TrafficMatrix, Optional[RegionalDemands]]:
     """The matrix to route, aggregated only when it exceeds the budget.
 
     Returns ``(tm, None)`` — bit-exact, nothing changed — while the pair
     count fits ``max_pairs``.  Beyond it, returns the gateway matrix plus
-    the :class:`RegionalDemands` describing the (labelled) approximation.
-    ``n_regions`` defaults to the largest region count whose full
-    gateway-pair grid still fits the budget.
+    the :class:`RegionalDemands` describing the (labelled) approximation,
+    over the largest region count whose full gateway-pair grid still fits
+    the budget.
     """
     if max_pairs < 2:
         raise ValueError(f"max_pairs must be >= 2, got {max_pairs}")
     if len(tm) <= max_pairs:
         return tm, None
-    if n_regions is None:
-        # Largest r with r*(r-1) <= max_pairs.
-        n_regions = int((1.0 + (1.0 + 4.0 * max_pairs) ** 0.5) / 2.0)
-        while n_regions * (n_regions - 1) > max_pairs:
-            n_regions -= 1
-        n_regions = max(2, n_regions)
+    # Largest r with r*(r-1) <= max_pairs.
+    n_regions = int((1.0 + (1.0 + 4.0 * max_pairs) ** 0.5) / 2.0)
+    while n_regions * (n_regions - 1) > max_pairs:
+        n_regions -= 1
+    n_regions = max(2, n_regions)
     regional = aggregate_by_region(network, tm, n_regions)
     return regional.matrix, regional

@@ -35,20 +35,24 @@ def max_scale_factor(network: Network, tm: TrafficMatrix) -> float:
     of 1.3 means the busiest cut is 77% loaded under the most permissive
     routing.
     """
-    lam, _ = max_scale_flows(network, tm, want_flows=False)
+    lam, _, _ = max_scale_flows(network, tm, want_flows=False)
     return lam
 
 
 def max_scale_flows(
     network: Network, tm: TrafficMatrix, want_flows: bool = True
 ):
-    """Max concurrent-flow scale λ plus the achieving per-source flows.
+    """Max concurrent-flow scale λ, the achieving per-source flows and
+    the capacity rows' link lengths: ``(lam, flows, lengths)``.
 
     The flows route λ·TM within capacity, so dividing them by λ routes TM
     itself with maximum link utilization 1/λ — which is the *optimal*
     minimum-max-utilization (MinMax) flow.  Returned as
     ``{source: {(u, v): bits_per_second_at_scale_1}}`` (already divided by
-    λ); ``None`` when ``want_flows`` is False.
+    λ); ``None`` when ``want_flows`` is False.  ``lengths`` is
+    ``max(-y, 0)`` over the capacity rows' duals ``y``, one per link in
+    ``network.links()`` order: with them
+    :func:`~repro.net.flows.concurrent_flow_bound` certifies λ from above.
     """
     aggregates = tm.aggregates()
     if not aggregates:
@@ -112,10 +116,11 @@ def max_scale_flows(
         raise RuntimeError("max concurrent flow LP infeasible") from exc
     # lambda was computed in normalized units: undo the normalization.
     lam_value = float(solution.x[0]) * capacity_unit / demand_total
+    lengths = np.maximum(-solution.row_dual[-n_links:], 0.0)
     if not want_flows:
-        return lam_value, None
+        return lam_value, None, lengths
     if lam_value <= 0:
-        return lam_value, {src: {} for src in sources}
+        return lam_value, {src: {} for src in sources}, lengths
     # Flow variables are in capacity units and route λ·TM; de-normalize
     # and divide by λ to obtain the optimal MinMax flow for TM itself.
     keys = [link.key for link in links]
@@ -126,7 +131,7 @@ def max_scale_flows(
             [keys[li] for li in kept.tolist()],
             (raw[kept] * capacity_unit / lam_value).tolist(),
         ))
-    return lam_value, flows
+    return lam_value, flows, lengths
 
 
 def scale_to_growth_headroom(

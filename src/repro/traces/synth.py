@@ -109,17 +109,15 @@ def trace_ensemble(
     rng: np.random.Generator,
     minutes: int = 30,
     sample_ms: int = 1,
-    mean_range_bps: tuple = (1e9, 3e9),
 ) -> List[np.ndarray]:
     """An ensemble mimicking the paper's CAIDA corpus ("typically ranging
-    from 1 to 3 Gbps")."""
+    from 1 to 3 Gbps"): each trace's mean rate is uniform on 1-3 Gbps."""
     if n_traces < 1:
         raise ValueError(f"need at least one trace, got {n_traces}")
-    low, high = mean_range_bps
     traces = []
     for _ in range(n_traces):
         config = SyntheticTraceConfig(
-            mean_bps=float(rng.uniform(low, high)),
+            mean_bps=float(rng.uniform(1e9, 3e9)),
             minutes=minutes,
             burst_sigma_fraction=float(rng.uniform(0.1, 0.4)),
             sample_ms=sample_ms,

@@ -370,7 +370,7 @@ def legacy_mcf_seed_paths(
     the flow-carrying links for every strip.  Parity oracle for tests."""
     from repro.tm.scale import max_scale_flows
 
-    lam, flows = max_scale_flows(network, tm)
+    lam, flows, _ = max_scale_flows(network, tm)
     demands_from: Dict[str, Dict[str, float]] = {}
     for agg in tm.aggregates():
         demands_from.setdefault(agg.src, {})[agg.dst] = agg.demand_bps

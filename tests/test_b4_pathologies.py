@@ -15,8 +15,6 @@ path-diverse topologies:
   cheap-to-move aggregate.
 """
 
-import pytest
-
 from repro.net.graph import Network, Node
 from repro.net.paths import path_links
 from repro.net.units import Gbps, ms

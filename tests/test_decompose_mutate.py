@@ -1,6 +1,5 @@
 """Unit tests for flow decomposition and topology mutation."""
 
-import numpy as np
 import pytest
 
 from repro.net.graph import Network, Node

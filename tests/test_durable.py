@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro import durable, telemetry
-from repro.core.metrics import ApaParameters
 from repro.durable import cache_path, json_line, sweep_cache_dir, write_atomic
 from repro.experiments.engine import NetworkResult
 from repro.experiments.figures import _grow_network_cached
@@ -167,7 +166,6 @@ class TestCacheDir:
         grow = dict(
             growth_fraction=0.2,
             max_candidates=2,
-            apa_params=ApaParameters(),
             cache_dir=str(tmp_path),
         )
         grown = _grow_network_cached(network, **grow)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import telemetry
 from repro.experiments.engine import (
     ExperimentEngine,
     NetworkResult,

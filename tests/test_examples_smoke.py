@@ -10,7 +10,6 @@ import runpy
 import sys
 from pathlib import Path
 
-import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 

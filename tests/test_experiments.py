@@ -7,8 +7,6 @@ from repro.experiments.render import render_cdf, render_scatter_summary, render_
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.runner import SchemeOutcome, per_network_quantiles
 from repro.experiments.workloads import (
-    NetworkWorkload,
-    ZooWorkload,
     build_traffic_matrices,
     build_zoo_workload,
 )

@@ -79,7 +79,7 @@ class TestFig16:
     def test_classes_partition(self, mini_workload):
         results = fig16_max_stretch_cdfs(
             ExperimentEngine().run_plan(
-                fig16_plan(mini_workload, llpd_split=0.4)
+                fig16_plan(mini_workload)
             )
         )
         assert set(results) == {"low_h0", "high_h0", "high_h10"}

@@ -3,11 +3,10 @@ decomposition robustness, CLI figure runners."""
 
 import textwrap
 
-import numpy as np
 import pytest
 
 from repro.net.io import from_graphml
-from repro.net.units import Gbps, ms
+from repro.net.units import Gbps
 from repro.routing import LinkBasedOptimalRouting
 from repro.routing.decompose import decompose_flow
 from repro.tm import TrafficMatrix

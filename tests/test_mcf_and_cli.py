@@ -1,9 +1,9 @@
 """Tests for the concurrent-flow machinery and the CLI entry point."""
 
-import numpy as np
 import pytest
 
-from repro.net.paths import path_delay_s, path_links
+from repro.experiments.workloads import build_zoo_workload
+from repro.net.flows import concurrent_flow_bound
 from repro.net.units import Gbps
 from repro.net.zoo import generate_zoo
 from repro.routing.minmax import mcf_seed_paths, optimal_max_utilization
@@ -16,7 +16,7 @@ from tests.oracles import legacy_mcf_seed_paths
 class TestMaxScaleFlows:
     def test_flows_route_the_matrix(self, diamond):
         tm = TrafficMatrix({("s", "t"): Gbps(20)})
-        lam, flows = max_scale_flows(diamond, tm)
+        lam, flows, _ = max_scale_flows(diamond, tm)
         assert lam == pytest.approx(2.5)  # 50G of s-t capacity / 20G demand
         per_link = flows["s"]
         # Conservation at the source: everything leaves s.
@@ -25,7 +25,7 @@ class TestMaxScaleFlows:
 
     def test_flows_respect_scaled_capacity(self, diamond):
         tm = TrafficMatrix({("s", "t"): Gbps(20)})
-        lam, flows = max_scale_flows(diamond, tm)
+        lam, flows, _ = max_scale_flows(diamond, tm)
         for key, value in flows["s"].items():
             capacity = diamond.link(*key).capacity_bps
             # Flow at scale 1 on a link is at most capacity / lambda.
@@ -33,9 +33,67 @@ class TestMaxScaleFlows:
 
     def test_want_flows_false_skips(self, diamond):
         tm = TrafficMatrix({("s", "t"): Gbps(1)})
-        lam, flows = max_scale_flows(diamond, tm, want_flows=False)
+        lam, flows, _ = max_scale_flows(diamond, tm, want_flows=False)
         assert flows is None
         assert lam > 0
+
+
+@pytest.fixture(scope="module")
+def zoo_scales():
+    workload = build_zoo_workload(12, 2, seed=0)
+    return [
+        (item.network, tm)
+        for item in workload.networks
+        for tm in item.matrices
+    ]
+
+
+def _check_routes(network, tm, lam, flows):
+    """``flows`` routes ``tm`` itself, and ``lam`` times it fits."""
+    tolerance = 1e-6 * tm.total_demand_bps
+    expected = {}
+    for agg in tm.aggregates():
+        per_source = expected.setdefault(agg.src, {})
+        per_source[agg.src] = per_source.get(agg.src, 0.0) + agg.demand_bps
+        per_source[agg.dst] = per_source.get(agg.dst, 0.0) - agg.demand_bps
+    assert sorted(flows) == sorted(expected)
+    load = {}
+    for src, per_link in flows.items():
+        balance = {}
+        for key, bps in per_link.items():
+            balance[key[0]] = balance.get(key[0], 0.0) + bps
+            balance[key[1]] = balance.get(key[1], 0.0) - bps
+            load[key] = load.get(key, 0.0) + bps
+        for node in network.node_names:
+            assert balance.get(node, 0.0) == pytest.approx(
+                expected[src].get(node, 0.0), abs=tolerance
+            ), (src, node)
+    for key, bps in load.items():
+        assert lam * bps <= network.link(*key).capacity_bps * (1 + 1e-6), key
+
+
+class TestScaleCertificate:
+    """Every TM scale is certified from both sides: the returned flow is a
+    feasible concurrent flow of value λ (so λ* >= λ), and the
+    Garg-Könemann length bound on the capacity duals, computed in bits/s
+    outside the LP's units, closes the gap (λ* <= bound ~= λ)."""
+
+    def test_diamond_bound_is_the_cut(self, diamond):
+        tm = TrafficMatrix({("s", "t"): Gbps(20)})
+        lam, _, lengths = max_scale_flows(diamond, tm)
+        assert lam == pytest.approx(2.5)
+        assert concurrent_flow_bound(diamond, tm, lengths) == pytest.approx(
+            lam, rel=1e-9
+        )
+
+    def test_zoo_scales_are_certified(self, zoo_scales):
+        assert len(zoo_scales) == 30
+        for network, tm in zoo_scales:
+            lam, flows, lengths = max_scale_flows(network, tm)
+            assert lam > 0 and min(lengths) >= 0.0, network.name
+            bound = concurrent_flow_bound(network, tm, lengths)
+            assert abs(bound / lam - 1.0) <= 1e-9, (network.name, bound, lam)
+            _check_routes(network, tm, lam, flows)
 
 
 class TestMcfSeedPaths:

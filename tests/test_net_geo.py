@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net.geo import (
+    DEFAULT_ROUTE_FACTOR,
     EARTH_RADIUS_KM,
     FIBRE_SPEED_KM_PER_S,
     great_circle_km,
@@ -55,23 +56,13 @@ class TestGreatCircle:
 
 class TestPropagationDelay:
     def test_linear_in_distance(self):
-        assert propagation_delay_s(2000, route_factor=1.0) == pytest.approx(
-            2000 / FIBRE_SPEED_KM_PER_S
-        )
-
-    def test_route_factor_inflates(self):
-        base = propagation_delay_s(1000, route_factor=1.0)
-        assert propagation_delay_s(1000, route_factor=1.5) == pytest.approx(
-            base * 1.5
+        assert propagation_delay_s(2000) == pytest.approx(
+            2000 * DEFAULT_ROUTE_FACTOR / FIBRE_SPEED_KM_PER_S
         )
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             propagation_delay_s(-1.0)
-
-    def test_route_factor_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            propagation_delay_s(100.0, route_factor=0.9)
 
     def test_thousand_km_is_roughly_5ms(self):
         # 1000 km of fibre with the default 1.2 route factor: 6 ms.

@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.net import io
+from repro.net.geo import MIN_LINK_DELAY_S
 from repro.net.graph import Link, Network, Node
 from repro.net.ingest import (
     DEFAULT_CAPACITY_BPS,
-    MIN_LINK_DELAY_S,
     degree_histogram,
     distances_jsonable,
     from_distances_json,

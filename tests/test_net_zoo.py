@@ -5,7 +5,6 @@ import pytest
 
 from repro.net.paths import shortest_path_delays
 from repro.net.zoo import (
-    CENTRAL_EUROPE,
     clique_network,
     cogent_like,
     generate_zoo,

@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +12,6 @@ from repro.net.geo import great_circle_km
 from repro.net.graph import Network, Node
 from repro.net.paths import (
     KspCache,
-    NoPathError,
     is_simple,
     k_shortest_paths,
     path_bottleneck_bps,

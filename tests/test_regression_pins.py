@@ -7,7 +7,6 @@ not — and this file makes that visible at review time.
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from repro import telemetry

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.units import Gbps, ms
+from repro.net.units import Gbps
 from repro.routing.base import (
     OVERLOAD_TOLERANCE,
     PathAllocation,

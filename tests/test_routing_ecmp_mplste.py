@@ -5,7 +5,6 @@ import pytest
 from repro.net.graph import Network, Node
 from repro.net.units import Gbps, ms
 from repro.routing import (
-    B4Routing,
     EcmpRouting,
     LatencyOptimalRouting,
     MplsTeRouting,

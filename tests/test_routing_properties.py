@@ -7,7 +7,6 @@ and the optimizing schemes respect capacity whenever the traffic is
 routable at all.
 """
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st

@@ -1,6 +1,5 @@
 """Behavioural tests for the routing schemes on hand-built networks."""
 
-import numpy as np
 import pytest
 
 from repro.net.graph import Network, Node

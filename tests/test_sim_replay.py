@@ -74,14 +74,6 @@ class TestReplayMechanics:
         result = replay_placement(placement, {})
         assert result.per_link[("a", "b")].mean_utilization == pytest.approx(0.4)
 
-    def test_finite_buffer_caps_queue(self, triangle):
-        agg, placement = single_path_placement(
-            triangle, ("a", "b"), Gbps(20), ("a", "b")
-        )
-        samples = {("a", "b"): np.full(50, Gbps(20))}
-        result = replay_placement(placement, samples, drop_horizon_s=0.05)
-        assert result.max_queue_delay_s == pytest.approx(0.05)
-
     def test_validation(self, triangle):
         agg, placement = single_path_placement(
             triangle, ("a", "b"), Gbps(1), ("a", "b")

@@ -13,7 +13,6 @@ from repro.tm.gravity import (
 )
 from repro.tm.matrix import TrafficMatrix
 from repro.tm.regions import (
-    aggregate_by_region,
     geographic_regions,
     maybe_aggregate,
     region_gateways,
@@ -111,12 +110,6 @@ class TestMaybeAggregate:
         assert first.pairs == second.pairs
         for pair in first.pairs:
             assert first.demand(*pair) == second.demand(*pair)
-
-    def test_explicit_region_count(self, internet, internet_tm):
-        _, regional = maybe_aggregate(
-            internet, internet_tm, max_pairs=500, n_regions=5
-        )
-        assert regional.n_regions <= 5
 
     def test_zoo_scale_untouched(self):
         network = gts_like()

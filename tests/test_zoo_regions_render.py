@@ -1,8 +1,5 @@
 """Remaining small units: region sampling and renderer formatting."""
 
-import numpy as np
-import pytest
-
 from repro.experiments.render import render_series
 from repro.net.zoo import CENTRAL_EUROPE, EUROPE, NORTH_AMERICA, Region
 
