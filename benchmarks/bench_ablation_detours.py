@@ -29,7 +29,7 @@ def run_variants(items):
                     item.network, tm, cache=item.cache, use_detours=use_detours
                 )
                 total += 1
-                fits += int(stats.fits)
+                fits += int(result.fits)
                 solves.append(stats.lp_solves)
                 paths.append(stats.total_paths)
         outcomes[label] = {

@@ -15,7 +15,7 @@ within budget.
 import numpy as np
 
 from benchmarks.conftest import emit
-from repro.core.ldr import AggregateTraffic, LdrConfig, LdrController
+from repro.core.ldr import AggregateTraffic, LdrController
 from repro.experiments.workloads import build_traffic_matrices
 from repro.net.zoo import gts_like
 from repro.routing import LatencyOptimalRouting
@@ -57,15 +57,15 @@ def run_validation():
     edge_replay = replay_placement(edge_placement, samples)
 
     # (b) LDR: hedged prediction + multiplexing loop.
-    controller = LdrController(network, LdrConfig(max_rounds=20))
+    controller = LdrController(network)
     result = controller.route(traffic)
     ldr_replay = replay_placement(result.placement, samples)
 
     return {
         "edge_max_queue_ms": edge_replay.max_queue_delay_s * 1000,
         "ldr_max_queue_ms": ldr_replay.max_queue_delay_s * 1000,
-        "edge_links_over_budget": len(edge_replay.links_exceeding(0.010)),
-        "ldr_links_over_budget": len(ldr_replay.links_exceeding(0.010)),
+        "edge_links_over_budget": len(edge_replay.links_over_budget()),
+        "ldr_links_over_budget": len(ldr_replay.links_over_budget()),
         "ldr_converged": result.converged,
         "ldr_rounds": result.rounds,
         "edge_stretch": edge_placement.total_latency_stretch(),

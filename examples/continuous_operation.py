@@ -11,7 +11,6 @@ against the traffic that actually arrived.
 
 import numpy as np
 
-from repro.core.ldr import LdrConfig
 from repro.net.zoo import gts_like
 from repro.sim import TimelineSimulation
 from repro.tm import (
@@ -42,7 +41,7 @@ def main() -> None:
         )
         traces[agg.pair] = synthesize_trace(config, rng)
 
-    simulation = TimelineSimulation(network, traces, LdrConfig(max_rounds=20))
+    simulation = TimelineSimulation(network, traces)
     print(f"{network.name}: {len(traces)} aggregates, "
           f"{MINUTES} minutes of traffic, re-optimizing every minute\n")
     print(f"{'minute':>6s} {'rounds':>7s} {'converged':>10s} "

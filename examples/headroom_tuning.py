@@ -14,7 +14,7 @@ showing how it automatically finds per-aggregate headroom.
 import numpy as np
 
 from repro.core.headroom import minmax_equivalent_headroom
-from repro.core.ldr import AggregateTraffic, LdrConfig, LdrController
+from repro.core.ldr import AggregateTraffic, LdrController
 from repro.net.zoo import gts_like
 from repro.routing import LatencyOptimalRouting, MinMaxRouting
 from repro.tm import (
@@ -60,7 +60,7 @@ def ldr_control_loop(network, tm) -> None:
                 agg.src, agg.dst, trace[-600:], minute_means(trace, 600)
             )
         )
-    controller = LdrController(network, LdrConfig(max_rounds=20))
+    controller = LdrController(network)
     result = controller.route(traffic)
     peak_means = {a.pair: max(a.minute_means_bps) for a in traffic}
     scaled = [

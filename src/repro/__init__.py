@@ -35,7 +35,7 @@ Quickstart::
     print("stretch:", placement.total_latency_stretch())
 """
 
-from repro.core.ldr import AggregateTraffic, LdrConfig, LdrController, LdrResult
+from repro.core.ldr import AggregateTraffic, LdrController, LdrResult
 from repro.core.metrics import ApaParameters, apa_all_pairs, llpd
 from repro.core.prediction import MeanRatePredictor
 from repro.net.graph import Link, Network, Node
@@ -60,7 +60,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AggregateTraffic",
-    "LdrConfig",
     "LdrController",
     "LdrResult",
     "ApaParameters",

@@ -20,7 +20,7 @@ from repro.core.multiplexing import (
     transient_queue_delay_s,
 )
 from repro.core.headroom import minmax_equivalent_headroom
-from repro.core.ldr import LdrConfig, LdrController, LdrResult
+from repro.core.ldr import LdrController, LdrResult
 
 __all__ = [
     "ApaParameters",
@@ -33,7 +33,6 @@ __all__ = [
     "exceedance_probability",
     "transient_queue_delay_s",
     "minmax_equivalent_headroom",
-    "LdrConfig",
     "LdrController",
     "LdrResult",
 ]

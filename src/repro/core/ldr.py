@@ -19,6 +19,11 @@ Demand estimates start from Algorithm 1 predictions over each aggregate's
 measured minute means, so headroom against mean drift (the 10% hedge) and
 headroom against burstiness (the multiplexing loop) compose.
 
+The loop runs the paper's one configuration: at most :data:`MAX_ROUNDS`
+rounds, a :data:`SCALE_UP` tweak per round, and the link check's fixed
+budget, sampling interval and convolution levels
+(:mod:`repro.core.multiplexing`).
+
 The tweak loop re-optimizes with scaled demands over largely unchanged
 path sets: ``warm_counts`` keeps the path-set growth warm across rounds,
 so each extra round starts from the path counts the last one ended
@@ -43,27 +48,10 @@ from repro.tm.matrix import TrafficMatrix
 
 Pair = Tuple[str, str]
 
-
-@dataclass(frozen=True)
-class LdrConfig:
-    """Tuning of the LDR control loop (paper defaults)."""
-
-    #: Transient queueing budget per link.
-    max_queue_s: float = 0.010
-    #: Reporting interval of ingress routers.
-    interval_s: float = 0.1
-    #: Multiplier applied to failing aggregates' demands per round.
-    scale_up: float = 1.1
-    #: Bound on optimize/appraise/tweak rounds.
-    max_rounds: int = 10
-    #: Quantization levels for the convolution test.
-    levels: int = 1024
-
-    def __post_init__(self) -> None:
-        if self.scale_up <= 1.0:
-            raise ValueError(f"scale-up must exceed 1, got {self.scale_up}")
-        if self.max_rounds < 1:
-            raise ValueError(f"need at least one round, got {self.max_rounds}")
+#: Bound on optimize/appraise/tweak rounds per routing cycle.
+MAX_ROUNDS = 20
+#: Multiplier applied to failing aggregates' demands per round.
+SCALE_UP = 1.1
 
 
 @dataclass
@@ -112,13 +100,8 @@ class LdrResult:
 class LdrController:
     """The centralized LDR controller for one network."""
 
-    def __init__(
-        self,
-        network: Network,
-        config: LdrConfig = LdrConfig(),
-    ) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.config = config
         self.cache = KspCache(network)
         # Predictor state persists across routing cycles, one per pair.
         self._predictors: Dict[Pair, MeanRatePredictor] = {}
@@ -153,15 +136,15 @@ class LdrController:
         link_checks: Dict[Tuple[str, str], LinkCheck] = {}
         result = None
         rounds = 0
-        for rounds in range(1, self.config.max_rounds + 1):
+        for rounds in range(1, MAX_ROUNDS + 1):
             demands = {
                 pair: base_demands[pair] * scaling[pair] for pair in base_demands
             }
             tm = TrafficMatrix(demands)
-            result, stats = solve_iterative_latency(
+            result, _ = solve_iterative_latency(
                 self.network, tm, cache=self.cache, warm_counts=self._warm_counts
             )
-            if not stats.fits:
+            if not result.fits:
                 # The scaled demands no longer fit the network at all: no
                 # amount of further scaling can help, so report the best
                 # placement found and stop.  Any checks kept from the
@@ -189,11 +172,7 @@ class LdrController:
             link_checks = {}
             for key, members in link_members.items():
                 check = check_link_multiplexing(
-                    members,
-                    self.network.link(*key).capacity_bps,
-                    max_queue_s=self.config.max_queue_s,
-                    interval_s=self.config.interval_s,
-                    levels=self.config.levels,
+                    members, self.network.link(*key).capacity_bps
                 )
                 if check.decided_by != "peak-filter":
                     link_checks[key] = check
@@ -207,13 +186,10 @@ class LdrController:
                 pair for key in failing for pair in link_aggregates.get(key, [])
             }
             for pair in to_scale:
-                scaling[pair] *= self.config.scale_up
+                scaling[pair] *= SCALE_UP
 
         if result is None:
-            raise RuntimeError(
-                "LDR multiplexing loop completed without an LP solve; "
-                "max_rounds must be >= 1"
-            )
+            raise RuntimeError("LDR multiplexing loop ran no round")
         placement = Placement(self.network, normalize_allocations(result.fractions))
         final_demands = {
             pair: base_demands[pair] * scaling[pair] for pair in base_demands

@@ -2,8 +2,8 @@
 
 Given the 100 ms rate samples of the aggregates sharing a link, the LDR
 controller must decide whether they will multiplex onto the link without
-building transient queues beyond a budget (10 ms by default).  Three layers
-are applied, cheapest first:
+building transient queues beyond a budget (:data:`MAX_QUEUE_S`, 10 ms).
+Three layers are applied, cheapest first:
 
 1. **Peak filter** — if the sum of the aggregates' peak rates fits the
    capacity, both tests below pass trivially and are skipped.
@@ -15,11 +15,12 @@ are applied, cheapest first:
    as an independent probability mass function, convolve the PMFs (via FFT:
    "convolution in the time domain is equivalent to multiplication in the
    frequency domain"), and reject if the probability that the convolved
-   rate exceeds capacity is above ``max_queue_s / measurement_window_s``
+   rate exceeds capacity is above ``MAX_QUEUE_S / measurement_window_s``
    (0.00016 for 10 ms over 60 s).
 
 The paper reports 1024 quantization levels per distribution work well;
-that is the default here.
+that is the default here, and :func:`check_link_multiplexing` always
+uses it.
 """
 
 from __future__ import annotations
@@ -29,13 +30,17 @@ from typing import Sequence
 
 import numpy as np
 
+#: Transient queueing budget per link (paper §5).
+MAX_QUEUE_S = 0.010
+#: Reporting interval of ingress routers: each rate sample is a 100 ms mean.
+INTERVAL_S = 0.1
+#: Quantization levels of the convolution test (paper §5).
 DEFAULT_LEVELS = 1024
 
 
 def transient_queue_delay_s(
     aggregate_samples_bps: Sequence[np.ndarray],
     capacity_bps: float,
-    interval_s: float = 0.1,
 ) -> float:
     """Worst transient queueing delay if these aggregates share the link.
 
@@ -51,7 +56,7 @@ def transient_queue_delay_s(
     if len(lengths) != 1:
         raise ValueError(f"sample arrays must share a length, got {sorted(lengths)}")
     total = np.sum(aggregate_samples_bps, axis=0)
-    excess_bits = (np.asarray(total, dtype=float) - capacity_bps) * interval_s
+    excess_bits = (np.asarray(total, dtype=float) - capacity_bps) * INTERVAL_S
     # The queue follows the Lindley recursion q_t = max(0, q_{t-1} + e_t),
     # whose closed form is S_t - min(0, min_{j<=t} S_j) with S the running
     # sum of excesses — two cumulative scans instead of a Python loop,
@@ -140,25 +145,22 @@ class LinkCheck:
     passed: bool
     #: Which layer decided: "peak-filter", "temporal", or "convolution".
     decided_by: str
-    queue_delay_s: float
     exceed_probability: float
 
 
 def check_link_multiplexing(
     aggregate_samples_bps: Sequence[np.ndarray],
     capacity_bps: float,
-    max_queue_s: float = 0.010,
-    interval_s: float = 0.1,
-    levels: int = DEFAULT_LEVELS,
 ) -> LinkCheck:
     """All three layers on one link: peak filter, then tests B and C.
 
-    The exceedance threshold follows the paper: with a ``max_queue_s``
-    budget over a measurement window of ``n_samples * interval_s`` seconds,
-    allow ``max_queue_s / window_s`` exceedance probability.
+    The exceedance threshold follows the paper: with a
+    :data:`MAX_QUEUE_S` budget over a measurement window of
+    ``n_samples * INTERVAL_S`` seconds, allow ``MAX_QUEUE_S / window_s``
+    exceedance probability.
     """
     if not aggregate_samples_bps:
-        return LinkCheck(True, "peak-filter", 0.0, 0.0)
+        return LinkCheck(True, "peak-filter", 0.0)
     if any(len(samples) == 0 for samples in aggregate_samples_bps):
         raise ValueError(
             "every aggregate needs at least one rate sample "
@@ -167,18 +169,13 @@ def check_link_multiplexing(
 
     peak_sum = sum(float(np.max(samples)) for samples in aggregate_samples_bps)
     if peak_sum <= capacity_bps:
-        return LinkCheck(True, "peak-filter", 0.0, 0.0)
+        return LinkCheck(True, "peak-filter", 0.0)
 
-    queue_delay = transient_queue_delay_s(
-        aggregate_samples_bps, capacity_bps, interval_s
-    )
-    if queue_delay > max_queue_s:
-        return LinkCheck(False, "temporal", queue_delay, 1.0)
+    if transient_queue_delay_s(aggregate_samples_bps, capacity_bps) > MAX_QUEUE_S:
+        return LinkCheck(False, "temporal", 1.0)
 
-    window_s = len(aggregate_samples_bps[0]) * interval_s
-    threshold = max_queue_s / window_s
-    probability = exceedance_probability(
-        aggregate_samples_bps, capacity_bps, levels
-    )
+    window_s = len(aggregate_samples_bps[0]) * INTERVAL_S
+    threshold = MAX_QUEUE_S / window_s
+    probability = exceedance_probability(aggregate_samples_bps, capacity_bps)
     passed = probability <= threshold
-    return LinkCheck(passed, "convolution", queue_delay, probability)
+    return LinkCheck(passed, "convolution", probability)

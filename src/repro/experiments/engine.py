@@ -40,7 +40,9 @@ Sharding/determinism contract
   ``ksp-<network_signature>.json`` when a valid file exists and dumps the
   (possibly extended) cache back after evaluating.  Files are keyed by a
   content hash of the network, so stale caches are rejected, and writes
-  are atomic (:mod:`repro.durable`).
+  are atomic (:mod:`repro.durable`).  A result does not say whether its
+  cache was warm; a traced run does (``ksp.cache_hit`` without
+  ``ksp.cache_miss`` or ``ksp.searches``).
 * With a ``store_dir``, the engine is the one place that decides which
   tasks run and appends their results: each stream's stored results are
   served (counted in :attr:`PlanReport.n_stored`), only the missing
@@ -112,21 +114,11 @@ class NetworkResult:
     """Everything one shard reports back for one network."""
 
     index: int
-    network_name: str
     network_id: str
     outcomes: List[SchemeOutcome]
     #: Wall-clock seconds spent evaluating this network's matrices
     #: (excluding cache load/dump I/O).
     seconds: float
-    #: KSP paths already materialized before evaluation started — nonzero
-    #: means the persistent cache produced a warm start.
-    paths_preloaded: int = 0
-    #: Content hash of the evaluated network
-    #: (:func:`repro.net.paths.network_signature`).  Persisted with the
-    #: result so measured ``seconds`` can be joined to the same network
-    #: under any workload; empty on records written before signatures
-    #: were stored.
-    network_signature: str = ""
 
 
 class ExperimentEngine:
@@ -335,7 +327,6 @@ class ExperimentEngine:
         submitted lazily, a bounded window at a time: a 10^5-task
         scenario fleet must not materialize as 10^5 pending futures.
         """
-        recorder = telemetry.recorder()
         pool = ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("fork")
         )
@@ -354,8 +345,6 @@ class ExperimentEngine:
             }
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                if recorder.enabled:
-                    recorder.gauge("pool.pending", len(pending))
                 for future in done:
                     for task in itertools.islice(remaining, 1):
                         pending.add(submit(task))
@@ -399,7 +388,6 @@ class ExperimentEngine:
                 preloaded = item.cache.total_cached()
 
         uid = network_id(item, index)
-        signature = network_signature(item.network)
         attrs = None
         if recorder.enabled:
             from repro.experiments.store import workload_signature
@@ -408,7 +396,7 @@ class ExperimentEngine:
                 "index": index,
                 "network_id": uid,
                 "scheme": stream.scheme,
-                "network_signature": signature,
+                "network_signature": network_signature(item.network),
                 # Memoized: plan_trace_id hashed it before any task ran.
                 "workload_signature": workload_signature(stream.workload),
             }
@@ -449,13 +437,7 @@ class ExperimentEngine:
                 with recorder.span("cache_dump"):
                     item.cache.dump_file(cache_path)
         return NetworkResult(
-            index=index,
-            network_name=item.network.name,
-            network_id=uid,
-            outcomes=outcomes,
-            seconds=seconds,
-            paths_preloaded=preloaded,
-            network_signature=signature,
+            index=index, network_id=uid, outcomes=outcomes, seconds=seconds
         )
 
 

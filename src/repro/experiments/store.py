@@ -162,10 +162,7 @@ def _result_to_record(result: "NetworkResult") -> dict:
         "kind": "result",
         "index": result.index,
         "network_id": result.network_id,
-        "network_name": result.network_name,
         "seconds": result.seconds,
-        "paths_preloaded": result.paths_preloaded,
-        "network_signature": result.network_signature,
         "outcomes": [asdict(outcome) for outcome in result.outcomes],
     }
 
@@ -179,16 +176,13 @@ def _result_from_record(record: dict) -> "NetworkResult":
     seconds = record["seconds"]
     if not isinstance(seconds, (int, float)):
         raise ValueError(f"non-numeric result seconds {seconds!r}")
+    # Other keys are ignored, so records that also carry
+    # ``network_name``, ``paths_preloaded`` or ``network_signature`` load.
     return NetworkResult(
         index=index,
-        network_name=record["network_name"],
         network_id=record["network_id"],
         outcomes=[SchemeOutcome(**o) for o in record["outcomes"]],
         seconds=seconds,
-        paths_preloaded=record.get("paths_preloaded", 0),
-        # Older records carry no network signature; readers treat ""
-        # as "unknown", never as an error.
-        network_signature=record.get("network_signature", ""),
     )
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.net.geo import link_delay_s
 from repro.net.graph import Link, Network, Node
-from repro.net.units import Gbps
+from repro.net.ingest import DEFAULT_CAPACITY_BPS
 
 JSON_FORMAT_VERSION = 1
 
@@ -106,23 +106,20 @@ def load(path: str) -> Network:
     return from_json(text)
 
 
-def from_graphml(  # analysis: allow[R401] Zoo input; no GraphML file ships
-    path: str,
-    default_capacity_bps: float = Gbps(10),
-    name: Optional[str] = None,
-) -> Network:
+def from_graphml(path: str) -> Network:  # analysis: allow[R401] Zoo input; no GraphML file ships
     """Load a Topology Zoo GraphML file.
 
     Nodes without coordinates are dropped (as are their links), matching
     common practice with the Zoo's partially-annotated files.  Duplicate
     edges between the same PoP pair have their capacities summed into one
     duplex link.  Delays come from great-circle geography; capacities from
-    ``LinkSpeedRaw`` (bits/s) when present, else ``default_capacity_bps``.
+    ``LinkSpeedRaw`` (bits/s) when present, else the ingest default,
+    :data:`~repro.net.ingest.DEFAULT_CAPACITY_BPS`.
     """
     import networkx as nx
 
     graph = nx.read_graphml(path)
-    network = Network(name or str(graph.graph.get("Network", "graphml")))
+    network = Network(str(graph.graph.get("Network", "graphml")))
 
     def coordinates(attrs) -> Optional[tuple]:
         lat, lon = attrs.get("Latitude"), attrs.get("Longitude")
@@ -152,7 +149,7 @@ def from_graphml(  # analysis: allow[R401] Zoo input; no GraphML file ships
         a, b = kept[src_id], kept[dst_id]
         key = (min(a, b), max(a, b))
         speed = attrs.get("LinkSpeedRaw")
-        capacity = float(speed) if speed else default_capacity_bps
+        capacity = float(speed) if speed else DEFAULT_CAPACITY_BPS
         capacities[key] = capacities.get(key, 0.0) + capacity
 
     for (a, b), capacity in capacities.items():

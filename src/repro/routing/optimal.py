@@ -40,12 +40,10 @@ MAX_ITERATIONS = 60
 
 @dataclass
 class IterationStats:
-    """Diagnostics of one iterative solve (useful for the Fig 15 bench)."""
+    """Work one iterative solve took (the detour ablation bench reads it)."""
 
     lp_solves: int
     total_paths: int
-    fits: bool
-    max_overload: float
 
 
 def grow_path_sets(
@@ -203,8 +201,6 @@ def solve_iterative_latency(
     stats = IterationStats(
         lp_solves=solves,
         total_paths=sum(len(paths) for paths in path_sets.values()),
-        fits=result.fits,
-        max_overload=result.max_overload,
     )
     return result, stats
 

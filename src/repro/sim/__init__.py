@@ -8,11 +8,10 @@ actually materialize.  Used by the validation bench and the LDR tests to
 close the loop on the controller's promises.
 """
 
-from repro.sim.replay import LinkQueueStats, ReplayResult, replay_placement
+from repro.sim.replay import ReplayResult, replay_placement
 from repro.sim.timeline import MinuteReport, TimelineSimulation
 
 __all__ = [
-    "LinkQueueStats",
     "ReplayResult",
     "replay_placement",
     "MinuteReport",

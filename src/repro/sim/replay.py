@@ -1,7 +1,8 @@
 """Replay rate samples through a placement and measure real queueing.
 
 The model is the same fluid model the paper's controller assumes: time
-advances in fixed intervals (100 ms by default); within an interval each
+advances in the controller's 100 ms reporting intervals
+(:data:`~repro.core.multiplexing.INTERVAL_S`); within an interval each
 aggregate offers its sampled rate, split across its paths by the
 placement's fractions; each directed link drains at capacity and carries
 excess bits over to the next interval as queue.  Queueing *delay* on a
@@ -20,6 +21,7 @@ from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
+from repro.core.multiplexing import INTERVAL_S, MAX_QUEUE_S
 from repro.net.paths import path_links
 from repro.routing.base import Placement
 
@@ -27,40 +29,24 @@ Pair = Tuple[str, str]
 
 
 @dataclass
-class LinkQueueStats:
-    """Queueing behaviour of one directed link over the replay."""
-
-    max_queue_bits: float
-    max_queue_delay_s: float
-    intervals_with_queue: int
-    mean_utilization: float
-
-
-@dataclass
 class ReplayResult:
     """Outcome of replaying a trace window through a placement."""
 
-    per_link: Dict[Tuple[str, str], LinkQueueStats]
-    interval_s: float
+    #: Worst transient queueing delay (seconds) per directed link.
+    per_link: Dict[Tuple[str, str], float]
 
     @property
     def max_queue_delay_s(self) -> float:
-        if not self.per_link:
-            return 0.0
-        return max(stats.max_queue_delay_s for stats in self.per_link.values())
+        return max(self.per_link.values(), default=0.0)
 
-    def links_exceeding(self, max_queue_s: float) -> List[Tuple[str, str]]:
-        return [
-            key
-            for key, stats in self.per_link.items()
-            if stats.max_queue_delay_s > max_queue_s
-        ]
+    def links_over_budget(self) -> List[Tuple[str, str]]:
+        """Links whose queue exceeded :data:`MAX_QUEUE_S`."""
+        return [key for key, delay in self.per_link.items() if delay > MAX_QUEUE_S]
 
 
 def replay_placement(
     placement: Placement,
     samples_bps: Mapping[Pair, np.ndarray],
-    interval_s: float = 0.1,
 ) -> ReplayResult:
     """Replay per-aggregate rate samples through a placement.
 
@@ -69,8 +55,6 @@ def replay_placement(
     are replayed at their mean demand.  Queues are unbounded: no bits are
     dropped.
     """
-    if interval_s <= 0:
-        raise ValueError(f"interval must be positive, got {interval_s}")
     lengths = {len(v) for v in samples_bps.values()}
     if len(lengths) > 1:
         raise ValueError(f"sample arrays must share a length, got {sorted(lengths)}")
@@ -94,22 +78,13 @@ def replay_placement(
                 else:
                     offered[key] = share.copy()
 
-    per_link: Dict[Tuple[str, str], LinkQueueStats] = {}
+    per_link: Dict[Tuple[str, str], float] = {}
     for key, rates in offered.items():
         capacity = network.link(*key).capacity_bps
         queue_bits = 0.0
         max_queue = 0.0
-        queued_intervals = 0
-        excess = (rates - capacity) * interval_s
-        for delta in excess:
+        for delta in (rates - capacity) * INTERVAL_S:
             queue_bits = max(0.0, queue_bits + delta)
-            if queue_bits > 0:
-                queued_intervals += 1
             max_queue = max(max_queue, queue_bits)
-        per_link[key] = LinkQueueStats(
-            max_queue_bits=max_queue,
-            max_queue_delay_s=max_queue / capacity,
-            intervals_with_queue=queued_intervals,
-            mean_utilization=float(rates.mean() / capacity),
-        )
-    return ReplayResult(per_link=per_link, interval_s=interval_s)
+        per_link[key] = max_queue / capacity
+    return ReplayResult(per_link=per_link)

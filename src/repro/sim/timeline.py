@@ -6,7 +6,10 @@ minute (Algorithm 1), optimizes a placement with the multiplexing checks,
 and installs it — after which the *next* minute's real traffic flows over
 it.  This module simulates exactly that timeline and scores each installed
 placement against the traffic that actually arrived, which is the honest
-test of the whole prediction-plus-headroom machinery.
+test of the whole prediction-plus-headroom machinery.  The controller
+runs the paper's one LDR configuration (:mod:`repro.core.ldr`), and each
+minute's replay counts the links over the controller's own 10 ms queue
+budget.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.ldr import AggregateTraffic, LdrConfig, LdrController
+from repro.core.ldr import AggregateTraffic, LdrController
 from repro.net.graph import Network
 from repro.routing.base import link_loads
 from repro.sim.replay import replay_placement
@@ -50,7 +53,6 @@ class TimelineSimulation:
         self,
         network: Network,
         traces_100ms_bps: Mapping[Pair, np.ndarray],
-        config: LdrConfig = LdrConfig(),
     ) -> None:
         if not traces_100ms_bps:
             raise ValueError("no traces")
@@ -65,7 +67,7 @@ class TimelineSimulation:
         self.total_minutes = lengths.pop() // SAMPLES_PER_MINUTE
         if self.total_minutes < 2:
             raise ValueError("need at least two minutes of trace")
-        self.controller = LdrController(network, config)
+        self.controller = LdrController(network)
 
     def _window(self, pair: Pair, minute: int) -> np.ndarray:
         spm = SAMPLES_PER_MINUTE
@@ -91,11 +93,7 @@ class TimelineSimulation:
             next_samples = {
                 pair: self._window(pair, minute + 1) for pair in self.traces
             }
-            replay = replay_placement(
-                result.placement,
-                next_samples,
-                interval_s=self.controller.config.interval_s,
-            )
+            replay = replay_placement(result.placement, next_samples)
             actual_means = {
                 pair: float(samples.mean())
                 for pair, samples in next_samples.items()
@@ -109,9 +107,7 @@ class TimelineSimulation:
                     converged=result.converged,
                     ldr_rounds=result.rounds,
                     max_queue_delay_s=replay.max_queue_delay_s,
-                    links_over_budget=len(
-                        replay.links_exceeding(self.controller.config.max_queue_s)
-                    ),
+                    links_over_budget=len(replay.links_over_budget()),
                     latency_stretch=result.placement.total_latency_stretch(),
                     actual_max_utilization=utilization,
                 )

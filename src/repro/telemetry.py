@@ -4,7 +4,7 @@ The stack runs work it could not previously *see*: the result store
 keeps one coarse per-network number (the engine's ``seconds``) and
 nothing else answers "where did this run spend its time — LP solves,
 Yen's KSP, store appends, or pool idle?".  This module is that
-monitoring plane: a span-based tracer plus a metrics registry threaded
+monitoring plane: a span-based tracer plus event counters threaded
 through every layer (plan build → per-task evaluation with KSP/LP
 sub-spans → store appends → manifest writes → dispatch workers),
 recording *where* time goes without ever touching *what* is computed.
@@ -66,8 +66,9 @@ Span vocabulary (what :func:`summary` / ``trace critical-path`` report):
 
 Child processes enable tracing automatically through the environment
 (``REPRO_TRACE_DIR`` / ``REPRO_TRACE_ID``): :func:`configure` exports
-both, dispatch worker subprocesses inherit them, and the first
-:func:`recorder` call in the child initializes from them.
+the directory and :meth:`TraceRecorder.begin_trace` the id, dispatch
+worker subprocesses inherit them, and the first :func:`recorder` call in
+the child initializes from them.
 """
 
 from __future__ import annotations
@@ -138,9 +139,6 @@ class Recorder:
     def counter(self, name: str, n: int = 1) -> None:
         pass
 
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
     def begin_trace(self, trace_id: str) -> None:
         pass
 
@@ -174,7 +172,7 @@ class _Span:
 
 
 class TraceRecorder(Recorder):
-    """Active recorder: spans and metrics to per-process JSONL shards.
+    """Active recorder: spans and counters to per-process JSONL shards.
 
     One instance serves a whole process tree: forked children inherit it
     and transparently re-open their own shard file on first use (the
@@ -200,8 +198,8 @@ class TraceRecorder(Recorder):
         self._run: str = ""
         self._handle: Optional[io.TextIOBase] = None
         self._seq = itertools.count()
-        #: (counters, gauges) per trace id this process recorded under.
-        self._metrics: Dict[str, Tuple[Dict[str, float], ...]] = {}
+        #: Counters per trace id this process recorded under.
+        self._counters: Dict[str, Dict[str, float]] = {}
         self._dirty = False
         self._stacks = threading.local()
         if export_env:
@@ -226,7 +224,7 @@ class TraceRecorder(Recorder):
             self._pid = pid
             self._handle = None
             self._seq = itertools.count()
-            self._metrics = {}
+            self._counters = {}
             self._dirty = False
             # Wall-clock stamps annotate traces for humans and order
             # nothing; results never read them.
@@ -234,9 +232,9 @@ class TraceRecorder(Recorder):
             self._stacks = threading.local()
         return pid
 
-    def _trace_metrics(self) -> Tuple[Dict[str, float], ...]:
-        """The current trace's (counters, gauges), created on first use."""
-        return self._metrics.setdefault(self.trace or ADHOC_TRACE, ({}, {}))
+    def _trace_counters(self) -> Dict[str, float]:
+        """The current trace's counters, created on first use."""
+        return self._counters.setdefault(self.trace or ADHOC_TRACE, {})
 
     def _stack(self) -> List[str]:
         stack = getattr(self._stacks, "stack", None)
@@ -309,22 +307,8 @@ class TraceRecorder(Recorder):
     def counter(self, name: str, n: int = 1) -> None:
         with self._lock:
             self._local()
-            counters = self._trace_metrics()[0]
+            counters = self._trace_counters()
             counters[name] = counters.get(name, 0) + n
-            self._dirty = True
-
-    def gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self._local()
-            gauges = self._trace_metrics()[1]
-            previous = gauges.get(name)
-            gauges[name] = value
-            # High-water marks are what the reader reports; keep them
-            # alongside the last value so a draining queue still shows
-            # how deep it got.
-            peak = f"{name}.max"
-            if previous is None or value > gauges.get(peak, value - 1):
-                gauges[peak] = value
             self._dirty = True
 
     def begin_trace(self, trace_id: str) -> None:
@@ -334,9 +318,9 @@ class TraceRecorder(Recorder):
         recorder already writing under the same id keeps its shard.  A
         *different* id flushes and rolls to a new shard file, so one
         process tracing two workloads writes two cleanly-split shards.
-        Counters and gauges are kept per trace id as well: a trace's
-        metrics records count only the work done under it, and returning
-        to an earlier trace continues that trace's totals.
+        Counters are kept per trace id as well: a trace's metrics records
+        count only the work done under it, and returning to an earlier
+        trace continues that trace's totals.
         """
         with self._lock:
             self._local()
@@ -357,7 +341,7 @@ class TraceRecorder(Recorder):
 
     def _flush_locked(self) -> None:
         if self._dirty:
-            counters, gauges = self._trace_metrics()
+            counters = self._trace_counters()
             self._ensure_handle()
             self._write(
                 {
@@ -366,7 +350,6 @@ class TraceRecorder(Recorder):
                     "run": self._run,
                     "pid": self._pid,
                     "counters": dict(counters),
-                    "gauges": dict(gauges),
                 }
             )
             self._dirty = False
@@ -413,16 +396,19 @@ def recorder() -> Recorder:
     return _RECORDER
 
 
-def configure(
-    trace_dir: "os.PathLike[str] | str", trace: Optional[str] = None
-) -> Recorder:
-    """Enable tracing into ``trace_dir`` (exported to child processes)."""
+def configure(trace_dir: "os.PathLike[str] | str") -> Recorder:
+    """Enable tracing into ``trace_dir`` (exported to child processes).
+
+    The trace id comes later, from the first plan the engine runs
+    (:func:`plan_trace_id`); records before it land under
+    :data:`ADHOC_TRACE`.
+    """
     global _RECORDER
     with _RECORDER_LOCK:
         current = _RECORDER
         if isinstance(current, TraceRecorder):
             current.close()
-        _RECORDER = TraceRecorder(trace_dir, trace=trace)
+        _RECORDER = TraceRecorder(trace_dir)
     return _RECORDER
 
 
@@ -515,8 +501,6 @@ class Trace:
     #: Counter totals summed across shards (each shard's records are
     #: cumulative within its process; the last one per shard wins).
     counters: Dict[str, float] = field(default_factory=dict)
-    #: Gauge high-water marks (max across shards' final values).
-    gauges: Dict[str, float] = field(default_factory=dict)
     n_shards: int = 0
     #: Earliest wall-clock stamp any shard recorded (0.0 if none).
     wall_start: float = 0.0
@@ -545,15 +529,16 @@ def list_traces(trace_dir: "os.PathLike[str] | str") -> List[str]:
     )
 
 
-def _scan_shard(path: Path) -> Tuple[List[SpanRecord], Dict, Dict, float]:
-    """Parse one shard: (spans, final counters, final gauges, wall).
+def _scan_shard(path: Path) -> Tuple[List[SpanRecord], Dict, float]:
+    """Parse one shard: (spans, final counters, wall).
 
     Reads the lines :func:`repro.durable.scan_jsonl` yields, as the
     result store does, and also stops at the first malformed span.
+    A metrics record's keys other than ``counters`` are ignored, so
+    shards whose metrics also carry ``gauges`` still load.
     """
     spans: List[SpanRecord] = []
     counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
     wall = 0.0
     for row, _ in scan_jsonl(path):
         kind = row.get("kind")
@@ -576,11 +561,8 @@ def _scan_shard(path: Path) -> Tuple[List[SpanRecord], Dict, Dict, float]:
                 break
         elif kind == "metrics":
             raw_counters = row.get("counters")
-            raw_gauges = row.get("gauges")
             if isinstance(raw_counters, dict):
                 counters = raw_counters
-            if isinstance(raw_gauges, dict):
-                gauges = raw_gauges
         elif kind == "trace":
             try:
                 stamp = float(row.get("wall", 0.0))
@@ -590,7 +572,7 @@ def _scan_shard(path: Path) -> Tuple[List[SpanRecord], Dict, Dict, float]:
                 wall = stamp
         # Records of unknown kind are skipped, not fatal: a newer writer
         # may add annotations an older reader can safely ignore.
-    return spans, counters, gauges, wall
+    return spans, counters, wall
 
 
 def resolve_trace_id(
@@ -628,7 +610,7 @@ def load_trace(
     directory = Path(trace_dir) / trace_id
     for shard in sorted(directory.glob("spans-*.jsonl")):
         try:
-            spans, counters, gauges, wall = _scan_shard(shard)
+            spans, counters, wall = _scan_shard(shard)
         except OSError:
             continue
         merged.n_shards += 1
@@ -636,11 +618,6 @@ def load_trace(
         for name, value in counters.items():
             if isinstance(value, (int, float)):
                 merged.counters[name] = merged.counters.get(name, 0) + value
-        for name, value in gauges.items():
-            if isinstance(value, (int, float)):
-                current = merged.gauges.get(name)
-                if current is None or value > current:
-                    merged.gauges[name] = value
         if wall and (not merged.wall_start or wall < merged.wall_start):
             merged.wall_start = wall
     merged.spans.sort(key=lambda span: (span.pid, span.t0, span.span_id))
@@ -722,7 +699,7 @@ def attribute(trace: Trace) -> Dict[RowKey, Row]:
 
 
 def summary(trace: Trace) -> dict:
-    """Aggregate view: per-name span stats plus counters and gauges."""
+    """Aggregate view: per-name span stats plus counters."""
     by_name: Dict[str, dict] = {}
     for (_, _, name, _, _), row in attribute(trace).items():
         entry = by_name.setdefault(
@@ -741,7 +718,6 @@ def summary(trace: Trace) -> dict:
         "wall_start": trace.wall_start,
         "spans": {name: by_name[name] for name in sorted(by_name)},
         "counters": dict(sorted(trace.counters.items())),
-        "gauges": dict(sorted(trace.gauges.items())),
     }
 
 
@@ -771,9 +747,6 @@ def render_summary(trace: Trace) -> str:
         lines.append("")
         for name, value in data["counters"].items():
             lines.append(f"counter {name:<28s} {value:>12g}")
-    if data["gauges"]:
-        for name, value in data["gauges"].items():
-            lines.append(f"gauge   {name:<28s} {value:>12g}")
     return "\n".join(lines)
 
 

@@ -15,7 +15,7 @@ target network load.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from repro.tm.matrix import TrafficMatrix
 
 #: Total volume of a freshly synthesized matrix, before any load scaling.
 TOTAL_BPS = 1e9
+
+#: Index pairs converted to Python ints at a time by the sparse sampler.
+PAIR_SLICE = 4096
 
 
 def zipf_masses(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -95,7 +98,7 @@ def sparse_gravity_traffic_matrix(
         srcs = rng.choice(n, size=batch, p=probabilities)
         dsts = rng.choice(n, size=batch, p=probabilities)
         before = len(demands)
-        for i, j in zip(srcs.tolist(), dsts.tolist()):
+        for i, j in _index_pairs(srcs, dsts):
             if i == j:
                 continue
             pair = (names[i], names[j])
@@ -132,3 +135,12 @@ def sparse_gravity_traffic_matrix(
     for pair in demands:
         demands[pair] *= factor
     return TrafficMatrix(demands)
+
+
+def _index_pairs(srcs: np.ndarray, dsts: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """``zip(srcs.tolist(), dsts.tolist())``, one :data:`PAIR_SLICE` of
+    Python ints at a time: a whole batch as two lists of ints would
+    outweigh the demand dict it feeds."""
+    for start in range(0, len(srcs), PAIR_SLICE):
+        stop = start + PAIR_SLICE
+        yield from zip(srcs[start:stop].tolist(), dsts[start:stop].tolist())

@@ -44,15 +44,13 @@ DEFAULT_MAX_PAIRS = 4096
 class RegionalDemands:
     """An explicitly approximate, region-aggregated traffic matrix.
 
-    ``matrix`` is the gateway-to-gateway matrix to route; ``node_region``
-    maps every node to its region id; ``gateways[r]`` is region ``r``'s
-    elected gateway.  ``dropped_intra_bps`` is the intra-region volume the
+    ``matrix`` is the gateway-to-gateway matrix to route; ``gateways[r]``
+    is region ``r``'s elected gateway.  ``dropped_intra_bps`` is the intra-region volume the
     aggregation removed from routing.  ``label`` marks results derived
     from this matrix as approximate (``"region~<n>"``).
     """
 
     matrix: TrafficMatrix
-    node_region: Dict[str, int]
     gateways: Tuple[str, ...]
     dropped_intra_bps: float
     label: str
@@ -147,7 +145,6 @@ def aggregate_by_region(
     dropped = tm.total_demand_bps - matrix.total_demand_bps
     return RegionalDemands(
         matrix=matrix,
-        node_region=node_region,
         gateways=gateways,
         dropped_intra_bps=dropped,
         label=f"region~{len(gateways)}",

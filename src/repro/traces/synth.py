@@ -26,6 +26,12 @@ from typing import List
 import numpy as np
 
 MS_PER_MINUTE = 60_000
+#: Per-minute log-step of the burst sigma (Figure 10's clustering).
+SIGMA_DRIFT = 0.05
+#: AR(1) coefficient of bursts, per millisecond.  Coarser sample intervals
+#: compound it (rho_effective = rho ** sample_ms) so a trace has the same
+#: burst correlation *time* at any resolution.
+BURST_CORRELATION = 0.995
 
 
 @dataclass(frozen=True)
@@ -38,12 +44,6 @@ class SyntheticTraceConfig:
     mean_drift: float = 0.03
     #: Burst std-dev as a fraction of the mean level (per-trace baseline).
     burst_sigma_fraction: float = 0.25
-    #: Per-minute log-step of the burst sigma (Figure 10's clustering).
-    sigma_drift: float = 0.05
-    #: AR(1) coefficient of bursts, per millisecond.  Coarser sample
-    #: intervals compound it (rho_effective = rho ** sample_ms) so a trace
-    #: has the same burst correlation *time* at any resolution.
-    burst_correlation: float = 0.995
     #: Milliseconds per sample (1 = the CAIDA-like resolution).
     sample_ms: int = 1
 
@@ -52,10 +52,6 @@ class SyntheticTraceConfig:
             raise ValueError(f"mean rate must be positive, got {self.mean_bps}")
         if self.minutes < 1:
             raise ValueError(f"need at least one minute, got {self.minutes}")
-        if not 0.0 <= self.burst_correlation < 1.0:
-            raise ValueError(
-                f"AR(1) coefficient must be in [0, 1), got {self.burst_correlation}"
-            )
         if MS_PER_MINUTE % self.sample_ms != 0:
             raise ValueError("sample_ms must divide a minute")
 
@@ -79,7 +75,7 @@ def synthesize_trace(
     minute_levels = config.mean_bps * np.exp(np.cumsum(log_steps) - log_steps[0])
 
     # Per-minute burst sigma: its own slow geometric walk.
-    sigma_steps = rng.normal(0.0, config.sigma_drift, size=config.minutes)
+    sigma_steps = rng.normal(0.0, SIGMA_DRIFT, size=config.minutes)
     sigma_levels = (
         config.burst_sigma_fraction
         * minute_levels
@@ -92,7 +88,7 @@ def synthesize_trace(
     # an option.
     from scipy.signal import lfilter
 
-    rho = config.burst_correlation ** config.sample_ms
+    rho = BURST_CORRELATION ** config.sample_ms
     innovations = rng.normal(0.0, np.sqrt(1.0 - rho * rho), size=total)
     initial = float(rng.normal())
     bursts, _ = lfilter([1.0], [1.0, -rho], innovations, zi=[rho * initial])

@@ -21,6 +21,28 @@ def one_stream(factory, workload, scheme="SP"):
     return plan
 
 
+def traced_counters(trace_dir, run):
+    """Call ``run()`` traced into ``trace_dir``; return its result and the
+    counters of the one plan trace it recorded."""
+    telemetry.configure(trace_dir)
+    try:
+        result = run()
+    finally:
+        telemetry.disable()
+    (trace_id,) = [
+        trace for trace in telemetry.list_traces(trace_dir)
+        if trace != telemetry.ADHOC_TRACE
+    ]
+    return result, telemetry.load_trace(trace_dir, trace_id).counters
+
+
+def assert_warm(counters):
+    """The KSP caches served every request: hits, no miss, no Yen search."""
+    assert counters.get("ksp.cache_hit", 0) > 0
+    assert "ksp.cache_miss" not in counters
+    assert "ksp.searches" not in counters
+
+
 def assert_serial_fallback(
     workload, factory, methods, monkeypatch, caplog, trace_dir
 ):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.headroom import minmax_equivalent_headroom
-from repro.core.ldr import AggregateTraffic, LdrConfig, LdrController
+from repro.core.ldr import MAX_ROUNDS, AggregateTraffic, LdrController
 from repro.net.units import Gbps
 from repro.tm import TrafficMatrix
 from repro.traces import SyntheticTraceConfig, minute_means, synthesize_trace
@@ -32,14 +32,6 @@ def bursty_traffic(pairs, mean_bps, rng, sigma_fraction=0.3):
             AggregateTraffic(src, dst, trace[-600:], minute_means(trace, 600))
         )
     return items
-
-
-class TestLdrConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LdrConfig(scale_up=1.0)
-        with pytest.raises(ValueError):
-            LdrConfig(max_rounds=0)
 
 
 class TestAggregateTraffic:
@@ -99,7 +91,7 @@ class TestRoute:
             traffic.append(
                 AggregateTraffic(agg.src, agg.dst, trace[-600:], means)
             )
-        controller = LdrController(gts, LdrConfig(max_rounds=20))
+        controller = LdrController(gts)
         result = controller.route(traffic)
         assert result.converged
         # No link may be overloaded by the (hedged) demand estimates.
@@ -115,7 +107,7 @@ class TestRoute:
         path, where a mean-rate-only optimizer would pack the fast path
         full."""
         traffic = bursty_traffic([("s", "t")], Gbps(8.5), rng, sigma_fraction=0.4)
-        controller = LdrController(diamond, LdrConfig(max_rounds=15))
+        controller = LdrController(diamond)
         result = controller.route(traffic)
         agg = result.placement.aggregates[0]
         used_slow = any(
@@ -125,11 +117,11 @@ class TestRoute:
         assert used_slow or scaled_up
 
     def test_unroutable_demands_stop_early(self, triangle):
-        controller = LdrController(triangle, LdrConfig(max_rounds=5))
+        controller = LdrController(triangle)
         traffic = smooth_traffic([("a", "b")], Gbps(25))
         result = controller.route(traffic)
         assert not result.converged
-        assert result.rounds <= 5
+        assert result.rounds < MAX_ROUNDS
 
     def test_non_fitting_round_reports_overload(self, gts):
         """A cycle that stops because the demands no longer fit must say

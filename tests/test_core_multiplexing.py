@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.multiplexing import (
+    INTERVAL_S,
+    MAX_QUEUE_S,
     _pmf,
     check_link_multiplexing,
     exceedance_probability,
@@ -13,12 +15,12 @@ from repro.core.multiplexing import (
 )
 
 
-def queue_delay_reference(aggregate_samples_bps, capacity_bps, interval_s=0.1):
+def queue_delay_reference(aggregate_samples_bps, capacity_bps):
     """The pre-vectorization per-interval loop, kept as the test oracle."""
     total = np.sum(aggregate_samples_bps, axis=0)
     queue_bits = 0.0
     worst_bits = 0.0
-    for excess in (total - capacity_bps) * interval_s:
+    for excess in (total - capacity_bps) * INTERVAL_S:
         queue_bits = max(0.0, queue_bits + excess)
         worst_bits = max(worst_bits, queue_bits)
     return worst_bits / capacity_bps
@@ -71,13 +73,12 @@ class TestTemporalQueue:
             max_size=4,
         ),
         capacity=st.floats(min_value=0.5, max_value=40.0),
-        interval_s=st.floats(min_value=0.01, max_value=1.0),
     )
-    def test_vectorized_matches_loop(self, samples, capacity, interval_s):
+    def test_vectorized_matches_loop(self, samples, capacity):
         length = min(len(trace) for trace in samples)
         arrays = [np.array(trace[:length]) for trace in samples]
-        expected = queue_delay_reference(arrays, capacity, interval_s)
-        got = transient_queue_delay_s(arrays, capacity, interval_s)
+        expected = queue_delay_reference(arrays, capacity)
+        got = transient_queue_delay_s(arrays, capacity)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
@@ -136,7 +137,7 @@ class TestCheckLink:
         check = check_link_multiplexing([burst, burst], capacity_bps=12.0)
         assert not check.passed
         assert check.decided_by == "temporal"
-        assert check.queue_delay_s > 0.010
+        assert transient_queue_delay_s([burst, burst], 12.0) > MAX_QUEUE_S
 
     def test_convolution_pass_for_independent_bursts(self):
         rng = np.random.default_rng(1)

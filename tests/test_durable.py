@@ -89,7 +89,6 @@ def _store_lines():
             _result_to_record(
                 NetworkResult(
                     index=i,
-                    network_name=f"net-{i}",
                     network_id=f"net-{i}",
                     outcomes=[],
                     seconds=0.5,

@@ -108,9 +108,9 @@ class TestHeadroomExtremes:
         scheme = LatencyOptimalRouting(headroom=0.95)
         placement = scheme.place(diamond, tm)
         # The optimizer's scaled view reports the overload ...
-        _, stats = solve_iterative_latency(scheme.routed(diamond), tm)
-        assert not stats.fits
-        assert stats.max_overload > 1.0
+        result, _ = solve_iterative_latency(scheme.routed(diamond), tm)
+        assert not result.fits
+        assert result.max_overload > 1.0
         # ... but real capacities are never exceeded, and the placement
         # is judged on them: it fits.
         assert placement.max_utilization() <= 1.0

@@ -10,14 +10,24 @@ from repro.experiments.engine import (
 from repro.experiments.spec import SchemeSpec
 from repro.experiments.workloads import ZooWorkload, build_zoo_workload
 from repro.routing import LatencyOptimalRouting, ShortestPathRouting
-from tests.plans import all_outcomes, assert_serial_fallback, one_stream
+from tests.plans import (
+    all_outcomes,
+    assert_serial_fallback,
+    assert_warm,
+    one_stream,
+    traced_counters,
+)
+
+
+def zoo_workload():
+    return build_zoo_workload(
+        n_networks=8, n_matrices=2, seed=3, include_named=False
+    )
 
 
 @pytest.fixture(scope="module")
 def workload():
-    return build_zoo_workload(
-        n_networks=8, n_matrices=2, seed=3, include_named=False
-    )
+    return zoo_workload()
 
 
 def sp_factory(item):
@@ -90,18 +100,28 @@ class TestStreaming:
 
 
 class TestCachePersistence:
-    def test_caches_persist_and_warm_start(self, workload, tmp_path):
-        plan = one_stream(sp_factory, workload)
-        first = ExperimentEngine(n_workers=2, cache_dir=tmp_path).run_plan(
-            plan
+    def test_caches_persist_and_warm_start(self, tmp_path):
+        # Each run gets its own workload, so only the cache files can
+        # carry paths from the first run to the second.
+        cache_dir = tmp_path / "ksp"
+        first, cold = traced_counters(
+            tmp_path / "cold",
+            lambda: ExperimentEngine(n_workers=2, cache_dir=cache_dir).run_plan(
+                one_stream(sp_factory, zoo_workload())
+            ),
         )
-        files = list(tmp_path.glob("ksp-*.json"))
+        files = list(cache_dir.glob("ksp-*.json"))
         assert len(files) == 8
-        assert all(r.paths_preloaded == 0 for r in first.results["SP"])
+        assert cold["ksp.cache_miss"] > 0
 
-        second = ExperimentEngine(cache_dir=tmp_path).run_plan(plan)
+        second, warm = traced_counters(
+            tmp_path / "warm",
+            lambda: ExperimentEngine(cache_dir=cache_dir).run_plan(
+                one_stream(sp_factory, zoo_workload())
+            ),
+        )
         assert second.outcomes("SP") == first.outcomes("SP")
-        assert all(r.paths_preloaded > 0 for r in second.results["SP"])
+        assert_warm(warm)
 
     def test_caller_workload_not_mutated_by_cache_load(self, workload, tmp_path):
         plan = one_stream(sp_factory, workload)
@@ -113,14 +133,22 @@ class TestCachePersistence:
         after = [item.cache for item in workload.networks]
         assert all(a is b for a, b in zip(before, after))
 
-    def test_stale_cache_file_ignored(self, workload, tmp_path):
-        plan = one_stream(sp_factory, workload)
-        ExperimentEngine(cache_dir=tmp_path).run_plan(plan)
-        for path in tmp_path.glob("ksp-*.json"):
+    def test_stale_cache_file_ignored(self, tmp_path):
+        cache_dir = tmp_path / "ksp"
+        first = ExperimentEngine(cache_dir=cache_dir).run_plan(
+            one_stream(sp_factory, zoo_workload())
+        )
+        for path in cache_dir.glob("ksp-*.json"):
             path.write_text("{not json")
-        report = ExperimentEngine(cache_dir=tmp_path).run_plan(plan)
+        report, counters = traced_counters(
+            tmp_path / "trace",
+            lambda: ExperimentEngine(cache_dir=cache_dir).run_plan(
+                one_stream(sp_factory, zoo_workload())
+            ),
+        )
         # Corrupt files fall back to a cold cache instead of crashing.
-        assert all(r.paths_preloaded == 0 for r in report.results["SP"])
+        assert counters["ksp.cache_miss"] > 0
+        assert report.outcomes("SP") == first.outcomes("SP")
 
 
 class TestValidationAndFallback:

@@ -5,6 +5,7 @@ import textwrap
 
 import pytest
 
+from repro.net.ingest import DEFAULT_CAPACITY_BPS
 from repro.net.io import from_graphml
 from repro.net.units import Gbps
 from repro.routing import LinkBasedOptimalRouting
@@ -63,9 +64,9 @@ class TestGraphmlCorners:
         )
 
     def test_missing_speed_uses_default(self, path):
-        net = from_graphml(path, default_capacity_bps=Gbps(40))
-        assert net.link("Frankfurt", "Munich#2").capacity_bps == pytest.approx(
-            Gbps(40)
+        net = from_graphml(path)
+        assert net.link("Frankfurt", "Munich#2").capacity_bps == (
+            DEFAULT_CAPACITY_BPS
         )
 
 

@@ -30,7 +30,7 @@ from repro.net.units import Gbps, ms
 from repro.net.zoo import generate_zoo
 from repro.routing.b4 import B4Routing
 from repro.scenarios import ScenarioGenerator, ScenarioSpec, ScenarioWorkload
-from tests.plans import all_outcomes
+from tests.plans import all_outcomes, assert_warm, traced_counters
 
 KS = (1, 2, 3, 5)
 
@@ -242,15 +242,21 @@ class TestPersistence:
         )
 
         def run(cache_dir):
-            workload = ScenarioWorkload(base, fleet.specs, seed=11)
+            # A fresh base per run: only the cache files carry paths over.
+            workload = ScenarioWorkload(fleet_item(), fleet.specs, seed=11)
             plan = EvalPlan()
             plan.add("B4", SchemeSpec("B4"), workload, scheme="B4")
             return ExperimentEngine(n_workers=1, cache_dir=cache_dir).run_plan(plan)
 
+        cache_dir = tmp_path / "ksp"
         reference = run(None)
-        cold = run(tmp_path)
-        warm = run(tmp_path)
-        assert all(r.paths_preloaded == 0 for r in cold.results["B4"])
-        assert all(r.paths_preloaded > 0 for r in warm.results["B4"])
+        cold, cold_counters = traced_counters(
+            tmp_path / "cold", lambda: run(cache_dir)
+        )
+        warm, warm_counters = traced_counters(
+            tmp_path / "warm", lambda: run(cache_dir)
+        )
+        assert cold_counters["ksp.searches"] > 0
+        assert_warm(warm_counters)
         assert repr(all_outcomes(cold)) == repr(all_outcomes(reference))
         assert repr(all_outcomes(warm)) == repr(all_outcomes(reference))

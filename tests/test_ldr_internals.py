@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.ldr import AggregateTraffic, LdrConfig, LdrController
+from repro.core.ldr import SCALE_UP, AggregateTraffic, LdrController
 from repro.net.units import Gbps
 
 
@@ -19,7 +19,7 @@ class TestResultStructure:
         traffic = [
             AggregateTraffic("s", "t", samples, [float(samples.mean())])
         ]
-        controller = LdrController(diamond, LdrConfig(max_rounds=8))
+        controller = LdrController(diamond)
         result = controller.route(traffic)
         assert len(result.failed_links_history) == result.rounds
         if result.converged:
@@ -66,14 +66,12 @@ class TestResultStructure:
         different placement and must not survive into the result."""
         # Mean 40 Gbps (hedged to 44) fits the 50 Gbps s-cut in round 1;
         # the 80/0 alternation makes every carrying link fail the temporal
-        # test, and the 2x tweak pushes round 2 to 88 Gbps — unroutable.
+        # test, and two 1.1x tweaks push round 3 to 53.2 Gbps — unroutable.
         samples = np.tile([Gbps(80), 0.0], 300)
         traffic = [
             AggregateTraffic("s", "t", samples, [float(samples.mean())])
         ]
-        controller = LdrController(
-            diamond, LdrConfig(max_rounds=6, scale_up=2.0)
-        )
+        controller = LdrController(diamond)
         result = controller.route(traffic)
         assert not result.converged
         # The final round's LP did not fit, so no appraise ran on the
@@ -92,8 +90,7 @@ class TestScalingBehaviour:
         )
 
     def test_scaling_grows_geometrically(self, diamond, rng):
-        config = LdrConfig(max_rounds=3, scale_up=1.25)
-        controller = LdrController(diamond, config)
+        controller = LdrController(diamond)
         samples = np.where(rng.random(600) < 0.5, Gbps(13), Gbps(4))
         traffic = [
             AggregateTraffic("s", "t", samples, [float(samples.mean())])
@@ -101,7 +98,7 @@ class TestScalingBehaviour:
         result = controller.route(traffic)
         base = float(samples.mean()) * 1.1
         demand = result.demands_bps[("s", "t")]
-        # Demand is base * 1.25^k for some integer k in [0, rounds].
-        k = np.log(demand / base) / np.log(1.25)
+        # Demand is base * SCALE_UP^k for some integer k in [0, rounds].
+        k = np.log(demand / base) / np.log(SCALE_UP)
         assert k == pytest.approx(round(k), abs=1e-6)
         assert 0 <= round(k) <= result.rounds

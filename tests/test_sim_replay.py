@@ -22,9 +22,7 @@ class TestReplayMechanics:
         samples = {("a", "b"): np.full(10, Gbps(5))}
         result = replay_placement(placement, samples)
         assert result.max_queue_delay_s == 0.0
-        stats = result.per_link[("a", "b")]
-        assert stats.mean_utilization == pytest.approx(0.5)
-        assert stats.intervals_with_queue == 0
+        assert result.per_link == {("a", "b"): 0.0}
 
     def test_sustained_overload_builds_queue(self, triangle):
         agg, placement = single_path_placement(
@@ -35,22 +33,20 @@ class TestReplayMechanics:
         # 2 Gb/s of excess over 5 intervals of 0.1 s = 1 Gbit of queue;
         # drained at 10 Gb/s that is 100 ms of delay.
         assert result.max_queue_delay_s == pytest.approx(0.1)
-        assert result.per_link[("a", "b")].intervals_with_queue == 5
 
     def test_burst_drains(self, triangle):
         agg, placement = single_path_placement(
             triangle, ("a", "b"), Gbps(5), ("a", "b")
         )
-        burst = np.array([Gbps(20)] + [Gbps(1)] * 9)
+        burst = np.array([Gbps(20), Gbps(1), Gbps(20)] + [Gbps(1)] * 7)
         result = replay_placement(placement, {("a", "b"): burst})
-        stats = result.per_link[("a", "b")]
-        # One interval of +10 Gb/s -> 1 Gbit queue -> 0.1 s delay, then it
-        # drains within the next interval (9 Gb/s of slack drains 0.9 Gbit).
-        assert stats.max_queue_delay_s == pytest.approx(0.1)
-        assert stats.intervals_with_queue == 2
+        # One interval of +10 Gb/s -> 1 Gbit queue; the next interval's
+        # 9 Gb/s of slack drains 0.9 Gbit of it, so the second burst
+        # peaks at 1.1 Gbit -> 0.11 s, not 2 Gbit.
+        assert result.per_link[("a", "b")] == pytest.approx(0.11)
 
     def test_split_traffic_loads_both_paths(self, diamond):
-        agg = Aggregate("s", "t", Gbps(10))
+        agg = Aggregate("s", "t", Gbps(30))
         placement = Placement(
             diamond,
             {
@@ -60,47 +56,53 @@ class TestReplayMechanics:
                 ]
             },
         )
-        samples = {("s", "t"): np.full(4, Gbps(10))}
+        samples = {("s", "t"): np.full(4, Gbps(30))}
         result = replay_placement(placement, samples)
-        assert result.per_link[("s", "x")].mean_utilization == pytest.approx(0.5)
-        assert result.per_link[("s", "y")].mean_utilization == pytest.approx(
-            0.125
-        )
+        # Each path carries 15 Gb/s: 5 Gb/s over the 10 Gb/s fast path for
+        # 4 intervals of 0.1 s queues 2 Gbit (0.2 s); the 40 Gb/s slow
+        # path never queues.
+        assert set(result.per_link) == {
+            ("s", "x"), ("x", "t"), ("s", "y"), ("y", "t")
+        }
+        assert result.per_link[("s", "x")] == pytest.approx(0.2)
+        assert result.per_link[("s", "y")] == 0.0
 
     def test_missing_samples_use_mean_demand(self, triangle):
         agg, placement = single_path_placement(
-            triangle, ("a", "b"), Gbps(4), ("a", "b")
+            triangle, ("a", "b"), Gbps(12), ("a", "b")
         )
         result = replay_placement(placement, {})
-        assert result.per_link[("a", "b")].mean_utilization == pytest.approx(0.4)
+        # One interval at the 12 Gb/s mean: 0.2 Gbit queued -> 20 ms.
+        assert result.per_link[("a", "b")] == pytest.approx(0.02)
 
     def test_validation(self, triangle):
         agg, placement = single_path_placement(
             triangle, ("a", "b"), Gbps(1), ("a", "b")
         )
         with pytest.raises(ValueError):
-            replay_placement(placement, {}, interval_s=0.0)
-        with pytest.raises(ValueError):
             replay_placement(
                 placement,
                 {("a", "b"): np.ones(3), ("b", "c"): np.ones(4)},
             )
 
-    def test_links_exceeding(self, triangle):
+    def test_links_over_budget(self, triangle):
         agg, placement = single_path_placement(
             triangle, ("a", "b"), Gbps(12), ("a", "b")
         )
-        samples = {("a", "b"): np.full(5, Gbps(12))}
-        result = replay_placement(placement, samples)
-        assert result.links_exceeding(0.01) == [("a", "b")]
-        assert result.links_exceeding(1.0) == []
+        # 100 ms of queue is over the 10 ms budget; 5 ms is not.
+        over = replay_placement(placement, {("a", "b"): np.full(5, Gbps(12))})
+        assert over.links_over_budget() == [("a", "b")]
+        under = replay_placement(placement, {("a", "b"): np.full(1, Gbps(10.5))})
+        assert under.per_link[("a", "b")] == pytest.approx(0.005)
+        assert under.links_over_budget() == []
 
 
 class TestLdrClosedLoop:
     def test_converged_ldr_placement_respects_queue_budget(self, gts):
         """The point of the whole control loop: replaying the very samples
         LDR checked against must not exceed the queue budget."""
-        from repro.core.ldr import AggregateTraffic, LdrConfig, LdrController
+        from repro.core.ldr import AggregateTraffic, LdrController
+        from repro.core.multiplexing import MAX_QUEUE_S
         from repro.traces import SyntheticTraceConfig, minute_means, synthesize_trace
         from tests.conftest import loaded_gts_tm
 
@@ -123,12 +125,12 @@ class TestLdrClosedLoop:
                     agg.src, agg.dst, window, minute_means(trace, 600)
                 )
             )
-        controller = LdrController(gts, LdrConfig(max_rounds=20))
+        controller = LdrController(gts)
         result = controller.route(traffic)
         assert result.converged
 
         replay = replay_placement(result.placement, samples)
-        budget = controller.config.max_queue_s
+        budget = MAX_QUEUE_S
         assert replay.max_queue_delay_s <= budget + 1e-9, (
             f"transient queue {replay.max_queue_delay_s * 1000:.2f} ms "
             f"exceeds the {budget * 1000:.0f} ms budget"

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.ldr import LdrConfig
 from repro.net.units import Gbps
 from repro.sim import TimelineSimulation
 from repro.traces import SyntheticTraceConfig, synthesize_trace
@@ -68,7 +67,7 @@ class TestRun:
         next-minute queueing within budget nearly always."""
         tm = loaded_gts_tm(gts, growth_factor=1.65)
         traces = build_traces(gts, tm, rng, minutes=4)
-        sim = TimelineSimulation(gts, traces, LdrConfig(max_rounds=20))
+        sim = TimelineSimulation(gts, traces)
         reports = sim.run()
         assert len(reports) == 3
         converged = [r for r in reports if r.converged]

@@ -518,62 +518,83 @@ class TestLifecycleTooling:
 
 
 class TestTimingReplay:
-    """The per-record timing facet: stored ``seconds`` and network hash."""
-
-    def populate(self, store_dir, workload):
-        report = ExperimentEngine(n_workers=1, store_dir=store_dir).run_plan(
-            one_stream(lambda item: ShortestPathRouting(item.cache), workload)
-        )
-        return workload_signature(workload), report.results["SP"]
-
-    def test_network_signature_round_trips(self, workload, tmp_path):
-        from repro.net.paths import network_signature
-
-        signature, results = self.populate(tmp_path, workload)
-        # Fresh results carry the content hash...
-        expected = [
-            network_signature(item.network) for item in workload.networks
-        ]
-        assert [r.network_signature for r in results] == expected
-        # ...and it round-trips from disk, next to the measured seconds.
-        stored = ResultStore(tmp_path).load_results(signature, "SP")
-        assert [stored[i].network_signature for i in sorted(stored)] \
-            == expected
-        assert [stored[i].seconds for i in sorted(stored)] \
-            == [r.seconds for r in results]
+    """The per-record timing facet: stored ``seconds``."""
 
     def test_every_result_field_round_trips(self, tmp_path):
-        # Non-default values in every optional field: a writer key the
-        # reader does not ask for would load back as the field default.
         result = NetworkResult(
-            index=3,
-            network_name="net",
-            network_id="3:net",
-            outcomes=[],
-            seconds=0.25,
-            paths_preloaded=7,
-            network_signature="abc123",
+            index=3, network_id="3:net", outcomes=[], seconds=0.25
         )
         store = ResultStore(tmp_path)
         with store.open_writer("sig", "SP", n_networks=5) as writer:
             writer.append(result)
         assert store.load_results("sig", "SP") == {3: result}
 
-    def test_pre_signature_records_replay_as_unknown(
-        self, workload, tmp_path
-    ):
-        # Streams written before network signatures existed lack the
-        # field; records still parse, with an empty signature.
-        signature, _ = self.populate(tmp_path, workload)
-        store = ResultStore(tmp_path)
-        path = store.stream_path(signature, "SP")
-        lines = []
-        for line in path.read_text().splitlines():
-            record = json.loads(line)
-            record.pop("network_signature", None)
-            lines.append(json.dumps(record, separators=(",", ":")))
-        path.write_text("\n".join(lines) + "\n")
-        stored = store.load_results(signature, "SP")
-        assert len(stored) == len(workload.networks)
-        assert all(r.network_signature == "" for r in stored.values())
-        assert all(r.seconds >= 0.0 for r in stored.values())
+
+class TestOlderLayouts:
+    """Result records that carry ``network_name``, ``paths_preloaded`` and
+    ``network_signature``, and trace metrics records that carry
+    ``gauges``, as older writers left them, still read."""
+
+    def test_older_store_and_trace_records_still_read(self, tmp_path, capsys):
+        from repro import telemetry
+        from repro.experiments.__main__ import main
+
+        store_dir, trace_dir = tmp_path / "store", tmp_path / "traces"
+        argv = ["fig03", "--networks", "3", "--tms", "1",
+                "--store-dir", str(store_dir)]
+        assert main(argv) == 0
+        figure_text = capsys.readouterr().out
+
+        n_results = 0
+        for path in store_dir.glob("*/*.jsonl"):
+            lines = []
+            for line in path.read_text().splitlines():
+                record = json.loads(line)
+                if record["kind"] == "result":
+                    n_results += 1
+                    record["network_name"] = record["network_id"].split(":")[1]
+                    record["paths_preloaded"] = 0
+                    record["network_signature"] = "0" * 64
+                lines.append(json.dumps(record, separators=(",", ":")))
+            path.write_text("\n".join(lines) + "\n")
+        assert n_results > 0
+
+        assert main(["render"] + argv) == 0
+        assert capsys.readouterr().out == figure_text
+
+        # Resuming evaluates nothing: every task is served from the store.
+        try:
+            assert main(argv + ["--trace-dir", str(trace_dir)]) == 0
+        finally:
+            telemetry.disable()
+        assert capsys.readouterr().out == figure_text
+        (trace_id,) = [
+            trace for trace in telemetry.list_traces(trace_dir)
+            if trace != telemetry.ADHOC_TRACE
+        ]
+        trace = telemetry.load_trace(trace_dir, trace_id)
+        assert trace.by_name("task") == []
+        assert trace.counters["engine.resume_skipped"] == n_results
+
+        # A shard whose metrics record carries gauges loads and summarizes.
+        old_shard = trace_dir / trace_id / "spans-old.jsonl"
+        old_shard.write_text("".join(
+            json.dumps(record) + "\n" for record in (
+                {"kind": "trace", "trace": trace_id, "run": "old",
+                 "pid": 1, "wall": 1.0},
+                {"kind": "span", "trace": trace_id, "run": "old", "pid": 1,
+                 "id": "1:0", "parent": None, "name": "run_plan",
+                 "t0": 0.0, "t1": 1.0},
+                {"kind": "metrics", "trace": trace_id, "run": "old",
+                 "pid": 1, "counters": {"engine.resume_skipped": 2},
+                 "gauges": {"pool.pending": 1, "pool.pending.max": 3}},
+            )
+        ))
+        merged = telemetry.load_trace(trace_dir, trace_id)
+        assert merged.n_shards == trace.n_shards + 1
+        assert merged.counters["engine.resume_skipped"] == n_results + 2
+        assert main(["trace", "summary", "--trace-dir", str(trace_dir),
+                     "--trace", trace_id]) == 0
+        summary = capsys.readouterr().out
+        assert "engine.resume_skipped" in summary
+        assert "pool.pending" not in summary

@@ -72,13 +72,11 @@ class TestNoopPath:
         # Warm up so no lazy first-call state is charged to the loop.
         with recorder.span("warm"):
             recorder.counter("warm")
-            recorder.gauge("warm", 1.0)
         tracemalloc.start()
         before = tracemalloc.take_snapshot()
         for _ in range(200):
             with recorder.span("hot"):
                 recorder.counter("hits")
-                recorder.gauge("depth", 3.0)
         after = tracemalloc.take_snapshot()
         tracemalloc.stop()
         grew = [
@@ -97,7 +95,6 @@ class TestTraceRecorder:
             with recorder.span("inner"):
                 pass
         recorder.counter("hits", 3)
-        recorder.gauge("depth", 2.0)
         recorder.flush()
         trace = telemetry.load_trace(tmp_path)
         assert trace.trace_id == telemetry.ADHOC_TRACE
@@ -108,11 +105,10 @@ class TestTraceRecorder:
         assert outer.attrs == {"k": "v"}
         assert outer.t0 <= inner.t0 <= inner.t1 <= outer.t1
         assert trace.counters["hits"] == 3
-        assert trace.gauges["depth"] == 2.0
         assert trace.wall_start > 0
 
     def test_configure_exports_env_and_disable_clears_it(self, tmp_path):
-        telemetry.configure(tmp_path, trace="abc")
+        telemetry.configure(tmp_path).begin_trace("abc")
         assert os.environ[telemetry.TRACE_DIR_ENV] == os.fspath(tmp_path)
         assert os.environ[telemetry.TRACE_ID_ENV] == "abc"
         telemetry.disable()
@@ -137,7 +133,8 @@ class TestTraceRecorder:
         assert [s.name for s in named.spans] == ["after"]
 
     def test_begin_trace_same_id_keeps_the_shard(self, tmp_path):
-        recorder = telemetry.configure(tmp_path, trace="t1")
+        recorder = telemetry.configure(tmp_path)
+        recorder.begin_trace("t1")
         with recorder.span("a"):
             pass
         recorder.begin_trace("t1")
@@ -147,15 +144,6 @@ class TestTraceRecorder:
         trace = telemetry.load_trace(tmp_path, "t1")
         assert trace.n_shards == 1
         assert sorted(s.name for s in trace.spans) == ["a", "b"]
-
-    def test_gauge_keeps_high_water_mark(self, tmp_path):
-        recorder = telemetry.configure(tmp_path)
-        recorder.gauge("queue", 5.0)
-        recorder.gauge("queue", 2.0)
-        recorder.flush()
-        trace = telemetry.load_trace(tmp_path)
-        assert trace.gauges["queue"] == 2.0
-        assert trace.gauges["queue.max"] == 5.0
 
     def test_counters_are_cumulative_last_record_wins(self, tmp_path):
         recorder = telemetry.configure(tmp_path)
@@ -173,7 +161,6 @@ class TestTraceRecorder:
         recorder.counter("before", 2)
         recorder.begin_trace("x")
         recorder.counter("inside", 3)
-        recorder.gauge("depth", 4.0)
         recorder.begin_trace(telemetry.ADHOC_TRACE)
         recorder.counter("before", 1)
         recorder.counter("after")
@@ -181,9 +168,7 @@ class TestTraceRecorder:
         x = telemetry.load_trace(tmp_path, "x")
         adhoc = telemetry.load_trace(tmp_path, telemetry.ADHOC_TRACE)
         assert x.counters == {"inside": 3}
-        assert x.gauges == {"depth": 4.0, "depth.max": 4.0}
         assert adhoc.counters == {"before": 3, "after": 1}
-        assert adhoc.gauges == {}
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +252,8 @@ class TestShardReader:
         assert sorted(s.name for s in trace.spans) == ["first", "second"]
 
     def test_resolve_trace_id_prefix_and_ambiguity(self, tmp_path):
-        recorder = telemetry.configure(tmp_path, trace="feed00aa")
+        recorder = telemetry.configure(tmp_path)
+        recorder.begin_trace("feed00aa")
         with recorder.span("a"):
             pass
         recorder.begin_trace("feed11bb")
@@ -331,8 +317,6 @@ class TestProcessMerge:
         assert len(tasks) == len(workload.networks)
         assert all(t.attrs.get("network_signature") for t in tasks)
         assert trace.counters.get("ksp.cache_miss", 0) > 0
-        # The pool loop reports its in-flight submission window.
-        assert "pool.pending.max" in trace.gauges
         assert len(report.results["SP"]) == len(workload.networks)
 
     def test_fresh_interpreter_joins_through_environment(self, tmp_path):

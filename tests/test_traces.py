@@ -28,8 +28,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SyntheticTraceConfig(minutes=0)
         with pytest.raises(ValueError):
-            SyntheticTraceConfig(burst_correlation=1.0)
-        with pytest.raises(ValueError):
             SyntheticTraceConfig(sample_ms=7)
 
 
