@@ -10,8 +10,6 @@ Paper shapes:
   without headroom; LDR-with-headroom and MinMax give similar maxima.
 """
 
-import numpy as np
-
 from benchmarks.conftest import N_WORKERS, emit
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.figures import fig16_max_stretch_cdfs, fig16_plan

@@ -6,8 +6,6 @@ not.  At low load B4 is (near) optimal; at high load MinMax and the
 optimal scheme converge.
 """
 
-import numpy as np
-
 from benchmarks.conftest import N_WORKERS, RESULTS_DIR, emit
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.figures import fig17_load_sweep, fig17_plan

@@ -5,8 +5,6 @@ Paper shape: low locality (more long-distance traffic) hurts every scheme
 beyond locality ~1.5.
 """
 
-import numpy as np
-
 from benchmarks.conftest import N_WORKERS, RESULTS_DIR, emit
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.figures import fig18_locality_sweep, fig18_plan

@@ -9,9 +9,12 @@ the runtime tests can only sample:
   ``python -O`` strips.
 * :class:`~repro.analysis.schema.SchemaDriftPass` (C303) —
   ``args.<dest>`` reads against ``add_argument`` dests.
-* :class:`~repro.analysis.reach.ReachabilityPass` (R401) — top-level
-  code, and methods of reached classes, that no CLI, benchmark or
-  example reaches (tests are not roots).
+* :class:`~repro.analysis.reach.ReachabilityPass` (R401, R402) —
+  top-level code, and methods of reached classes, that no CLI, benchmark
+  or example reaches (tests are not roots); defaulted parameters and
+  dataclass fields that no call outside tests passes.
+* :class:`~repro.analysis.reach.UnusedImportPass` (R404) — module-level
+  imports the module never uses.
 
 Every rule here has a live subject in ``src/``.  A contract that Python,
 a runtime check or a round-trip test already enforces (a required
@@ -21,19 +24,17 @@ no rule.
 :func:`analyze_paths` is the library entry point; the CLI in
 :mod:`repro.analysis.__main__` prints the findings and fails on any.
 Intentional violations are allowlisted in source with
-``# analysis: allow[RULE]``; an R401 pragma also says why the code stays,
-and makes it a root.
+``# analysis: allow[RULE]``; an R401 or R402 pragma also says why the
+code or setting stays, and an R401 pragma makes it a root.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.analysis.base import Finding, ModuleSource, Pass
+from repro.analysis.base import Finding, ModuleSource, Pass, collect_modules
 from repro.analysis.determinism import DeterminismPass
-from repro.analysis.reach import ReachabilityPass
+from repro.analysis.reach import ReachabilityPass, UnusedImportPass
 from repro.analysis.schema import SchemaDriftPass
 
 __all__ = [
@@ -48,56 +49,14 @@ __all__ = [
 
 def all_passes() -> List[Pass]:
     """The default pass set, in reporting order."""
-    return [DeterminismPass(), SchemaDriftPass(), ReachabilityPass()]
-
-
-def collect_modules(
-    paths: Sequence[str], root: Optional[str] = None
-) -> Tuple[List[ModuleSource], List[Finding]]:
-    """Parse every ``.py`` file under ``paths``.
-
-    Returns the parsed modules plus parse *failures* as findings (rule
-    ``E001``) — a file the analyzer cannot parse cannot be vouched for,
-    so it must fail the gate rather than vanish from it.  ``root``
-    anchors the relative paths findings render (defaults to the current
-    directory).
-    """
-    root_path = Path(root) if root is not None else Path.cwd()
-    files: List[Path] = []
-    for entry in paths:
-        path = Path(entry)
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        else:
-            files.append(path)
-    modules: List[ModuleSource] = []
-    failures: List[Finding] = []
-    for file_path in files:
-        try:
-            rel = os.path.relpath(file_path, root_path)
-        except ValueError:  # pragma: no cover - cross-drive on Windows
-            rel = os.fspath(file_path)
-        try:
-            text = file_path.read_text(encoding="utf-8")
-            modules.append(
-                ModuleSource(os.fspath(file_path), text, rel_path=rel)
-            )
-        except (OSError, SyntaxError, ValueError) as exc:
-            failures.append(
-                Finding(
-                    rule="E001",
-                    path=rel,
-                    line=getattr(exc, "lineno", None) or 1,
-                    message=f"cannot parse: {exc}",
-                )
-            )
-    return modules, failures
+    return [DeterminismPass(), SchemaDriftPass(), ReachabilityPass(),
+            UnusedImportPass()]
 
 
 def analyze_paths(
     paths: Sequence[str],
-    passes: Optional[Iterable[Pass]] = None,
-    root: Optional[str] = None,
+    passes: Optional[Iterable[Pass]] = None,  # analysis: allow[R402] tests run one pass
+    root: Optional[str] = None,  # analysis: allow[R402] tests analyze planted trees
 ) -> List[Finding]:
     """Run the given passes (default: all) over the paths' ``.py`` files.
 
@@ -112,7 +71,7 @@ def analyze_paths(
     return findings
 
 
-def rule_table(passes: Optional[Iterable[Pass]] = None) -> Dict[str, str]:
+def rule_table(passes: Optional[Iterable[Pass]] = None) -> Dict[str, str]:  # analysis: allow[R402] tests list one pass
     """rule id -> description, across the given (default: all) passes."""
     table: Dict[str, str] = {"E001": "source file fails to parse"}
     for analyzer_pass in passes if passes is not None else all_passes():

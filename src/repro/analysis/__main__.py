@@ -17,7 +17,7 @@ from repro.analysis import analyze_paths, rule_table
 DEFAULT_PATHS = ("src/repro",)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: Optional[List[str]] = None) -> int:  # analysis: allow[R402] tests drive the CLI in-process
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(

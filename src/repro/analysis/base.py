@@ -20,9 +20,11 @@ fails on any.  The plumbing here keeps the passes small:
 from __future__ import annotations
 
 import ast
+import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,49 @@ class ModuleSource:
         )
 
 
+def collect_modules(
+    paths: Sequence[str], root: Optional[str] = None
+) -> Tuple[List[ModuleSource], List[Finding]]:
+    """Parse every ``.py`` file under ``paths``.
+
+    Returns the parsed modules plus parse *failures* as findings (rule
+    ``E001``) — a file the analyzer cannot parse cannot be vouched for,
+    so it must fail the gate rather than vanish from it.  ``root``
+    anchors the relative paths findings render (defaults to the current
+    directory).
+    """
+    root_path = Path(root) if root is not None else Path.cwd()
+    files: List[Path] = []
+    for entry in paths:
+        path = Path(entry)
+        if path.is_dir():
+            files.extend(sorted(path.rglob("*.py")))
+        else:
+            files.append(path)
+    modules: List[ModuleSource] = []
+    failures: List[Finding] = []
+    for file_path in files:
+        try:
+            rel = os.path.relpath(file_path, root_path)
+        except ValueError:  # pragma: no cover - cross-drive on Windows
+            rel = os.fspath(file_path)
+        try:
+            text = file_path.read_text(encoding="utf-8")
+            modules.append(
+                ModuleSource(os.fspath(file_path), text, rel_path=rel)
+            )
+        except (OSError, SyntaxError, ValueError) as exc:
+            failures.append(
+                Finding(
+                    rule="E001",
+                    path=rel,
+                    line=getattr(exc, "lineno", None) or 1,
+                    message=f"cannot parse: {exc}",
+                )
+            )
+    return modules, failures
+
+
 class Pass:
     """One analyzer pass: a named bundle of related rules, run per file."""
 
@@ -129,7 +174,7 @@ class AnnotationScope:
     one level of ``Dict[..., Set[...]]`` subscripting.
     """
 
-    annotations: Dict[str, ast.expr] = field(default_factory=dict)
+    annotations: Dict[str, ast.expr] = field(default_factory=dict, init=False)
 
     @classmethod
     def of(cls, func: ast.AST) -> "AnnotationScope":

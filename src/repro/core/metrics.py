@@ -69,11 +69,11 @@ class ApaParameters:
     """Knobs of the APA computation, with the paper's defaults."""
 
     #: Maximum acceptable delay stretch of a viable alternate (1.4 = 40%).
-    stretch_limit: float = 1.4
+    stretch_limit: float = 1.4  # analysis: allow[R402] tests sweep APA against the legacy oracle
     #: How many lowest-latency alternates may be combined for capacity.
-    max_alternates: int = 8
+    max_alternates: int = 8  # analysis: allow[R402] tests sweep APA against the legacy oracle
     #: APA threshold defining "good" pairs for LLPD.
-    llpd_threshold: float = 0.7
+    llpd_threshold: float = 0.7  # analysis: allow[R402] the paper's threshold; one object defines LLPD
 
     def __post_init__(self) -> None:
         if self.stretch_limit < 1.0:

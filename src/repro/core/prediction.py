@@ -19,7 +19,7 @@ exceeding our target."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -31,7 +31,7 @@ class MeanRatePredictor:
 
     decay_multiplier: float = 0.98
     fixed_hedge: float = 1.1
-    _prev_prediction: Optional[float] = None
+    _prev_prediction: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.decay_multiplier <= 1.0:

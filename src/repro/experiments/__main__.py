@@ -1022,7 +1022,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None) -> int:  # analysis: allow[R402] tests drive the CLI in-process
     args = build_parser().parse_args(argv)
     command = commands()[args.command]
     records = "record" in command.flags and args.trace_dir is not None

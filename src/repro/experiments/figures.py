@@ -558,7 +558,7 @@ def _grow_network_cached(
 @traced("plan_build")
 def fig20_plan(
     items: Sequence[NetworkWorkload],
-    growth_fraction: float = 0.05,
+    growth_fraction: float = 0.05,  # analysis: allow[R402] tests grow by 20 % so small sweeps add links
     max_candidates: int = 20,
     cache_dir: Optional[str] = None,
 ) -> EvalPlan:

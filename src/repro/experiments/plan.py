@@ -185,7 +185,7 @@ class PlanReport:
     )
     #: How many of ``results`` the result store served instead of the
     #: engine (or a dispatch's workers) evaluating them in this run.
-    n_stored: int = 0
+    n_stored: int = field(default=0, init=False)
 
     def outcomes(self, key: Hashable) -> List["SchemeOutcome"]:
         """One stream's outcomes flattened in workload order."""

@@ -418,7 +418,7 @@ class ResultStore:
         self,
         max_age_s: Optional[float] = None,
         keep_signatures: Optional[set] = None,
-        now: Optional[float] = None,
+        now: Optional[float] = None,  # analysis: allow[R402] tests age directories on a fixed clock
     ) -> List[str]:
         """Prune whole workload-signature directories; returns removed dirs.
 

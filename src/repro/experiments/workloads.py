@@ -109,7 +109,7 @@ def build_zoo_workload(
     locality: float = 1.0,
     growth_factor: float = 1.3,
     seed: int = 0,
-    include_named: bool = True,
+    include_named: bool = True,  # analysis: allow[R402] tests build synthetic-only ensembles
 ) -> ZooWorkload:
     """Build the standard evaluation ensemble.
 

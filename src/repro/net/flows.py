@@ -126,7 +126,7 @@ def max_flow_bps(  # analysis: allow[R401] tests check max_flow_ids through it
     network: Network,
     src: str,
     dst: str,
-    restrict_links: Optional[Iterable[Tuple[str, str]]] = None,
+    restrict_links: Optional[Iterable[Tuple[str, str]]] = None,  # analysis: allow[R402] tests check max_flow_ids' restriction
 ) -> float:
     """Maximum flow from ``src`` to ``dst`` in bits per second.
 

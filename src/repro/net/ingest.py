@@ -231,9 +231,9 @@ def synthesize_internet_like(
     """
     if n_nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {n_nodes}")
-    if degree_exponent <= 0:
+    if not 0.0 < degree_exponent < float("inf"):  # NaN fails both bounds
         raise ValueError(
-            f"degree exponent must be positive, got {degree_exponent}"
+            f"degree exponent must be positive and finite, got {degree_exponent}"
         )
     max_degree = max(3, int(round(n_nodes**0.5)))
     rng = np.random.default_rng(seed)

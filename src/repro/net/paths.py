@@ -155,7 +155,7 @@ def shortest_path(
     src: str,
     dst: str,
     excluded_links: Optional[Set[Tuple[str, str]]] = None,
-    excluded_nodes: Optional[Set[str]] = None,
+    excluded_nodes: Optional[Set[str]] = None,  # analysis: allow[R402] tests check node exclusion
 ) -> Path:
     """Lowest-delay path from ``src`` to ``dst``.
 

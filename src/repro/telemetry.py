@@ -497,13 +497,13 @@ class Trace:
     """One merged trace: every shard's spans plus aggregated metrics."""
 
     trace_id: str
-    spans: List[SpanRecord] = field(default_factory=list)
+    spans: List[SpanRecord] = field(default_factory=list, init=False)
     #: Counter totals summed across shards (each shard's records are
     #: cumulative within its process; the last one per shard wins).
-    counters: Dict[str, float] = field(default_factory=dict)
-    n_shards: int = 0
+    counters: Dict[str, float] = field(default_factory=dict, init=False)
+    n_shards: int = field(default=0, init=False)
     #: Earliest wall-clock stamp any shard recorded (0.0 if none).
-    wall_start: float = 0.0
+    wall_start: float = field(default=0.0, init=False)
 
     @property
     def pids(self) -> List[int]:
@@ -642,12 +642,12 @@ RowKey = Tuple[str, int, str, Optional[str], Optional[str]]
 class Row:
     """What the spans of one attribution row add up to."""
 
-    count: int = 0
-    total_s: float = 0.0
-    exclusive_s: float = 0.0
+    count: int = field(default=0, init=False)
+    total_s: float = field(default=0.0, init=False)
+    exclusive_s: float = field(default=0.0, init=False)
     #: Earliest start and latest end over the row's spans.
-    t0: float = float("inf")
-    t1: float = float("-inf")
+    t0: float = field(default=float("inf"), init=False)
+    t1: float = field(default=float("-inf"), init=False)
 
 
 def phase_of(name: str) -> str:
@@ -750,7 +750,7 @@ def render_summary(trace: Trace) -> str:
     return "\n".join(lines)
 
 
-def tree_lines(trace: Trace, max_lines: int = 400) -> List[str]:
+def tree_lines(trace: Trace, max_lines: int = 400) -> List[str]:  # analysis: allow[R402] tests lift the cap
     """The ``trace tree`` view: per-process span hierarchies.
 
     Spans parent through the in-process stack, so each process run

@@ -23,7 +23,7 @@ import pytest
 
 from repro.analysis import all_passes, analyze_paths, rule_table
 from repro.analysis.determinism import DeterminismPass
-from repro.analysis.reach import ReachabilityPass
+from repro.analysis.reach import ReachabilityPass, UnusedImportPass
 from repro.analysis.schema import SchemaDriftPass
 from repro.analysis.__main__ import main as analysis_main
 
@@ -220,22 +220,26 @@ def test_c303_subparsers_dest_is_a_dest(tmp_path):
 # ----------------------------------------------------------------------
 # Reachability pass
 # ----------------------------------------------------------------------
-def reach_findings(tmp_path, files):
+def planted_findings(tmp_path, files):
     """Plant ``files`` (relative path -> source) in a project tree with
     empty ``benchmarks/`` and ``examples/``, analyze its ``src/repro``
-    and return the findings as ``(path, line)`` pairs."""
+    and return the findings."""
     for name in ("benchmarks", "examples"):
         (tmp_path / name).mkdir()
     for rel, source in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-    findings = analyze_paths(
+    return analyze_paths(
         [str(tmp_path / "src" / "repro")],
         passes=[ReachabilityPass()],
         root=str(tmp_path),
     )
-    return [(f.path, f.line) for f in findings]
+
+
+def reach_findings(tmp_path, files):
+    """:func:`planted_findings` as ``(path, line)`` pairs."""
+    return [(f.path, f.line) for f in planted_findings(tmp_path, files)]
 
 
 LIB = "src/repro/lib.py"
@@ -480,28 +484,207 @@ def test_r401_reached_defs_are_clean(tmp_path, lib, example):
     assert reach_findings(tmp_path, files) == []
 
 
-def test_r401_pragmas_in_src_carry_reasons():
+def reach_rules(tmp_path, lib, example):
+    """The ``(rule, line)`` findings of ``lib`` beside one example."""
+    files = {LIB: lib, "examples/use.py": example}
+    return [(f.rule, f.line) for f in planted_findings(tmp_path, files)]
+
+
+def test_r402_parameter_no_root_sets(tmp_path):
+    # ``g``'s parameter ``f`` is a local name, not ``f`` loaded as a value.
+    lib = """
+        def f(x, knob=3, *, other=4):
+            return x * knob * other
+
+        def g(f):
+            return print(f)
+        """
+    example = "from repro.lib import f, g\nf(1, other=2)\ng(0)\n"
+    [finding] = planted_findings(tmp_path, {LIB: lib, "examples/use.py": example})
+    assert (finding.rule, finding.line) == ("R402", 2)
+    assert finding.message.startswith("`f(knob)` is set by no call")
+
+
+def test_r402_dataclass_field_no_caller_passes(tmp_path):
+    found = reach_rules(
+        tmp_path,
+        """
+        from dataclasses import dataclass, field
+
+        @dataclass
+        class Job:
+            name: str
+            retries: int = 3
+            timeout: float = 1.0
+            done: int = field(default=0, init=False)
+        """,
+        # A class loaded as a value (here a type) sets none of its fields.
+        "from repro.lib import Job\nJob('a', timeout=2.0)\nJob('b')\n"
+        "isinstance(None, Job)\n",
+    )
+    assert found == [("R402", 7)]
+
+
+@pytest.mark.parametrize(
+    "lib, example",
+    [
+        pytest.param(
+            """
+            class Base:
+                def __init__(self, headroom=0.0, cache=None):
+                    self.headroom = headroom
+                    self.cache = cache
+
+            class Child(Base):
+                def __init__(self, h):
+                    super().__init__(h, cache={})
+            """,
+            "from repro.lib import Child\nChild(0.1)\n",
+            id="super-init",
+        ),
+        pytest.param(
+            """
+            _REGISTRY = {}
+
+            def register(name):
+                def wrap(builder):
+                    _REGISTRY[name] = builder
+                    return builder
+                return wrap
+
+            @register("x")
+            def _build_x(item, headroom=0.0):
+                return item + headroom
+
+            def build(name, item, **params):
+                return _REGISTRY[name](item, **params)
+            """,
+            "from repro.lib import build\nbuild('x', 1)\n",
+            id="decorated-builder",
+        ),
+        pytest.param(
+            """
+            class Generator:
+                def link_failures(self, budget=None):
+                    return budget
+
+                def node_failures(self, budget=None):
+                    return budget
+
+                def fleet(self, budget):
+                    out = []
+                    for kind, generate in (
+                        ("link", self.link_failures),
+                        ("node", self.node_failures),
+                    ):
+                        out.append(generate(budget))
+                    return out
+            """,
+            "from repro.lib import Generator\nGenerator().fleet(3)\n",
+            id="bound-method-through-tuple-unpacked-name",
+        ),
+        pytest.param(
+            """
+            def f(x, knob=3):
+                return x * knob
+
+            def g(x, knob=3):
+                return x * knob
+
+            def call(*args, **kwargs):
+                return f(*args) + g(**kwargs)
+            """,
+            "from repro.lib import call\ncall(1, x=1)\n",
+            id="star-args",
+        ),
+        pytest.param(
+            """
+            from dataclasses import dataclass, replace
+
+            @dataclass
+            class Box:
+                size: int = 1
+                tag: str = ""
+
+                @classmethod
+                def make(cls):
+                    return cls(2)
+
+            def retag(box):
+                return replace(box, tag="x")
+            """,
+            "from repro.lib import Box, retag\nretag(Box.make())\n",
+            id="cls-and-replace",
+        ),
+    ],
+)
+def test_r402_settings_some_call_may_set_are_clean(tmp_path, lib, example):
+    assert reach_rules(tmp_path, lib, example) == []
+
+
+def test_r404_unused_import(tmp_path):
+    source = """
+        import json
+        import os
+        import numpy.typing as npt
+        from typing import List
+
+        __all__ = ["List"]
+
+
+        def path(where: "os.PathLike[str]") -> "npt.NDArray":
+            return where
+        """
+    path = tmp_path / "snippet.py"
+    path.write_text(textwrap.dedent(source), encoding="utf-8")
+    [finding] = analyze_paths([str(path)], passes=[UnusedImportPass()])
+    assert (finding.rule, finding.line) == ("R404", 2)
+    assert "`json`" in finding.message
+
+
+def test_reach_pragmas_in_src_carry_reasons():
     """Every R401 pragma comment in ``src`` sits on a top-level or member
-    ``def``/``class`` line, where the pass reads it, and says why."""
-    pragma = re.compile(r"#\s*analysis:\s*allow\[[^\]]*\bR401\b[^\]]*\](.*)")
-    reasons = {}
-    defs = {}
+    ``def``/``class`` line, and every R402 pragma on a defaulted
+    parameter's or a dataclass field's line: where the pass reads it.
+    Each says why."""
+    reasons = {"R401": {}, "R402": {}}
+    lines = {"R401": {}, "R402": {}}
     for path in sorted((REPO / "src").rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         rel = path.relative_to(REPO)
         for token in tokenize.generate_tokens(io.StringIO(text).readline):
-            match = pragma.search(token.string)
-            if token.type == tokenize.COMMENT and match:
-                reasons[f"{rel}:{token.start[0]}"] = match.group(1).strip()
+            for rule, found in reasons.items():
+                match = re.search(
+                    rf"#\s*analysis:\s*allow\[[^\]]*\b{rule}\b[^\]]*\](.*)",
+                    token.string,
+                )
+                if token.type == tokenize.COMMENT and match:
+                    found[f"{rel}:{token.start[0]}"] = match.group(1).strip()
         for stmt in ast.parse(text).body:
             members = stmt.body if isinstance(stmt, ast.ClassDef) else []
             for node in [stmt, *members]:
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    defs[f"{rel}:{node.lineno}"] = node is not stmt
-    assert [where for where in reasons if where not in defs] == []
-    assert [where for where, reason in reasons.items() if not reason] == []
-    # Top-level defs and members both carry them.
-    assert {defs[where] for where in reasons} == {False, True}
+                    lines["R401"][f"{rel}:{node.lineno}"] = node is not stmt
+                if isinstance(node, ast.FunctionDef):
+                    for arg in [*node.args.args, *node.args.kwonlyargs]:
+                        lines["R402"][f"{rel}:{arg.lineno}"] = "parameter"
+                elif isinstance(node, ast.AnnAssign) and node.value:
+                    lines["R402"][f"{rel}:{node.lineno}"] = "field"
+    for rule, found in reasons.items():
+        assert [where for where in found if where not in lines[rule]] == []
+        assert [where for where, reason in found.items() if not reason] == []
+    # Top-level defs and members carry R401 pragmas; parameters and
+    # fields carry R402 pragmas.
+    assert {lines["R401"][where] for where in reasons["R401"]} == {False, True}
+    assert {lines["R402"][where] for where in reasons["R402"]} == {
+        "parameter", "field",
+    }
+
+
+def test_r404_tests_benchmarks_and_examples_import_only_what_they_use():
+    paths = [str(REPO / name) for name in ("tests", "benchmarks", "examples")]
+    findings = analyze_paths(paths, passes=[UnusedImportPass()], root=str(REPO))
+    assert [f.render() for f in findings] == []
 
 
 # ----------------------------------------------------------------------
@@ -516,6 +699,7 @@ def test_e001_unparseable_file(tmp_path):
 def test_rule_table_covers_every_pass():
     assert sorted(rule_table()) == [
         "C303", "D101", "D102", "D103", "D104", "D105", "E001", "R401",
+        "R402", "R404",
     ]
 
 

@@ -1,6 +1,7 @@
 """Tests for the Internet-scale topology ingestion layer."""
 
 import json
+import warnings
 
 import pytest
 
@@ -149,6 +150,15 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             synthesize_internet_like(1, seed=0)
 
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf")])
+    def test_non_finite_exponent_rejected(self, exponent):
+        # Rejected before numpy sees it: no "Probabilities contain NaN",
+        # no RuntimeWarning from normalising infinite weights.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive and finite"):
+                synthesize_internet_like(20, seed=0, degree_exponent=exponent)
+
 
 class TestIngestCli:
     def test_synth_summary_json(self, capsys):
@@ -242,8 +252,10 @@ class TestIngestCli:
         [
             (["--synth-nodes", "1"], "need at least 2 nodes"),
             (["--degree-exponent", "0"], "degree exponent must be positive"),
+            (["--degree-exponent", "nan"], "must be positive and finite, got nan"),
+            (["--degree-exponent", "inf"], "must be positive and finite, got inf"),
         ],
-        ids=["synth-nodes", "degree-exponent"],
+        ids=["synth-nodes", "degree-exponent", "nan-exponent", "inf-exponent"],
     )
     def test_bad_synth_parameters_are_runtime_errors(
         self, flags, message, capsys

@@ -421,6 +421,36 @@ class TestGeneration:
         assert "evicted" in capsys.readouterr().out
         assert not list(tmp_path.glob("ksp-*.json"))
 
+    BASE_ARGV = ["scenarios", "--networks", "3", "--tms", "1", "--seed", "7",
+                 "--failures", "1", "--schemes", "SP", "--format", "json"]
+
+    def test_cli_base_network_perturbs_that_network(self, capsys):
+        from repro.experiments.__main__ import main
+
+        networks = build_zoo_workload(
+            n_networks=3, n_matrices=1, seed=7
+        ).networks
+        assert main(self.BASE_ARGV) == 0
+        default = json.loads(capsys.readouterr().out)["network"]
+        base = networks[1].network
+        assert base.name != default
+        assert main(self.BASE_ARGV + ["--base-network", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["network"] == base.name
+        # One single-link failure per physical (bidirectional) link.
+        assert report["kinds"]["link_failure"] == base.num_links // 2
+
+    def test_cli_base_network_out_of_range(self, capsys):
+        from repro.experiments.__main__ import main
+
+        n_networks = len(
+            build_zoo_workload(n_networks=3, n_matrices=1, seed=7).networks
+        )
+        for index in (-1, n_networks):
+            argv = self.BASE_ARGV + ["--base-network", str(index)]
+            assert main(argv) == 2
+            assert "out of range" in capsys.readouterr().err
+
 
 # ----------------------------------------------------------------------
 # Spec identity and composition
