@@ -35,10 +35,16 @@ has no loop of its own: it rebuilds the plan its manifest describes
 coordinator's full-workload signature) and runs
 ``ExperimentEngine.run_plan(plan, indices=<its shard>)``.  Every task
 keeps its *original* workload index, so worker records are
-bit-identical to the in-process engine's.  The engine's store-backed
-stream decides which tasks are already stored, by the same rule with
-which a resumed :func:`dispatch_plan` ships only the tasks its main
-store is missing.
+bit-identical to the in-process engine's.  A worker holds each
+distinct network of its shard once: every item that carries the same
+network text, in any workload entry, shares one network object and
+one KSP cache (:func:`_shared_item`), just as an in-process plan's
+sweep points share their base items' caches.  Warm KSP-cache state
+affects only timing, so the sharing moves no record; it only stops a
+shard from rebuilding and re-warming a network once per sweep point.
+The engine's store-backed stream decides which tasks are already
+stored, by the same rule with which a resumed :func:`dispatch_plan`
+ships only the tasks its main store is missing.
 
 The merge deduplicates by (workload signature, scheme, network index):
 re-merging a worker store is a no-op, and two workers that redundantly
@@ -50,7 +56,6 @@ raises :class:`~repro.experiments.store.StoreMismatchError` — that is two
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
@@ -73,6 +78,7 @@ from repro.experiments.store import (
     workload_signature,
 )
 from repro.experiments.workloads import NetworkWorkload
+from repro.tm.matrix import from_json as tm_from_json
 
 MANIFEST_FORMAT = "repro-shard-manifest"
 #: Version tag of shard manifests (workload, stream and task tables).
@@ -327,14 +333,17 @@ class _ShardWorkload:
     """One workload entry of a shard manifest, as the engine's workload.
 
     ``networks[i]`` is the fleet's variant ``i`` or the rebuilt item
-    ``i``; an item is built on first use and shared by every stream over
-    this entry, so those streams share one KSP cache, as in process.
+    ``i``.  Items are rebuilt through the shard's ``shared`` table
+    (:func:`_shared_item`), so the items of every entry that carry one
+    network share its object and KSP cache, as in process.
     Only the shard's indices resolve.  The length is the full
     workload's and the signature the one the coordinator computed over
     it, so store keys and the trace id are the in-process plan's.
     """
 
-    def __init__(self, entry: dict) -> None:
+    def __init__(
+        self, entry: dict, shared: Dict[str, NetworkWorkload]
+    ) -> None:
         self.networks = self
         self._entry = entry
         if "fleet" in entry:
@@ -344,10 +353,11 @@ class _ShardWorkload:
             fleet = ScenarioWorkload.from_manifest_jsonable(entry["fleet"])
             self._item = fleet.networks.__getitem__
         else:
-            items = entry["items"]
-            self._item = functools.lru_cache(maxsize=None)(
-                lambda index: NetworkWorkload.from_jsonable(items[str(index)])
-            )
+            items = {
+                int(index): _shared_item(payload, shared)
+                for index, payload in entry["items"].items()
+            }
+            self._item = items.__getitem__
 
     def __len__(self) -> int:
         return self._entry["n_networks"]
@@ -359,13 +369,42 @@ class _ShardWorkload:
         return self._entry["signature"]
 
 
+def _shared_item(
+    payload: dict, shared: Dict[str, NetworkWorkload]
+) -> NetworkWorkload:
+    """Rebuild one manifest item, sharing its network through ``shared``.
+
+    ``shared`` maps network JSON text (network content, as the on-disk
+    KSP cache is keyed) to the first item rebuilt with it.  A later item
+    with the same text takes that item's network object, with its
+    graph-index memos and KSP cache, and parses only its own LLPD and
+    matrices.
+    """
+    first = shared.get(payload["network"])
+    if first is None:
+        first = shared[payload["network"]] = NetworkWorkload.from_jsonable(
+            payload
+        )
+        return first
+    return NetworkWorkload(
+        network=first.network,
+        llpd=float(payload["llpd"]),
+        matrices=[tm_from_json(text) for text in payload["matrices"]],
+        cache=first.cache,
+    )
+
+
 def _shard_plan(manifest: dict) -> Tuple[EvalPlan, Dict[int, List[int]]]:
     """The plan a checked shard manifest describes, and its indices.
 
     One plan stream per manifest stream, keyed by its table position,
-    over one :class:`_ShardWorkload` per workload entry.
+    over one :class:`_ShardWorkload` per workload entry, all rebuilt
+    through one ``shared`` network table.
     """
-    workloads = [_ShardWorkload(entry) for entry in manifest["workloads"]]
+    shared: Dict[str, NetworkWorkload] = {}
+    workloads = [
+        _ShardWorkload(entry, shared) for entry in manifest["workloads"]
+    ]
     plan = EvalPlan()
     for sid, stream in enumerate(manifest["streams"]):
         plan.add(

@@ -18,6 +18,7 @@ from repro.experiments.dispatch import (
     write_plan_manifests,
 )
 from repro.experiments.engine import ExperimentEngine
+from repro.experiments.figures import fig17_plan
 from repro.experiments.plan import EvalPlan
 from repro.experiments.spec import SchemeSpec
 from repro.experiments.store import (
@@ -25,9 +26,13 @@ from repro.experiments.store import (
     StoreMismatchError,
     workload_signature,
 )
-from repro.experiments.workloads import NetworkWorkload, build_zoo_workload
+from repro.experiments.workloads import (
+    NetworkWorkload,
+    ZooWorkload,
+    build_zoo_workload,
+)
 from repro.net.io import to_json as network_to_json
-from tests.plans import one_stream
+from tests.plans import all_outcomes, one_stream, traced_counters
 
 
 @pytest.fixture(scope="module")
@@ -425,6 +430,87 @@ class TestWorkerAndMerge:
 
     def test_merge_missing_worker_dir_is_empty(self, tmp_path):
         assert merge_worker_store(tmp_path / "main", tmp_path / "ghost") == {}
+
+
+def _fig17_loads(items):
+    """Figure 17 at two loads: two workload entries over one network
+    list, whose items share each network and its KSP cache in process."""
+    return fig17_plan(items, loads=(0.6, 0.9))
+
+
+def _doubled_capacity(items):
+    """Two entries whose items at each index carry different networks:
+    the same topology and name, every capacity doubled in the second."""
+    doubled = [
+        NetworkWorkload(
+            network=item.network.with_capacity_factor(2.0),
+            llpd=item.llpd,
+            matrices=item.matrices,
+        )
+        for item in items
+    ]
+    plan = EvalPlan()
+    for key, entry in (("base", items), ("doubled", doubled)):
+        workload = ZooWorkload(
+            networks=list(entry), locality=0.0, growth_factor=0.0
+        )
+        plan.add(key, SchemeSpec("SP"), workload, scheme=f"SP@{key}")
+    return plan
+
+
+class TestShardSharing:
+    """A shard holds each distinct network once, as an in-process run."""
+
+    def test_shards_search_as_often_as_in_process(self, tmp_path):
+        # Fresh items: the in-process run must start from cold caches.
+        items = build_zoo_workload(
+            n_networks=4, n_matrices=1, seed=3, include_named=False
+        ).networks
+        plan = _fig17_loads(items)
+        manifests = write_plan_manifests(plan, 2, tmp_path / "manifests")
+        assert len(manifests) == 2
+        _, shard_counters = traced_counters(
+            tmp_path / "shard-traces",
+            lambda: [
+                run_worker(path, tmp_path / f"worker-{i}")
+                for i, path in enumerate(manifests)
+            ],
+        )
+        direct, direct_counters = traced_counters(
+            tmp_path / "direct-traces",
+            lambda: ExperimentEngine(n_workers=1).run_plan(plan),
+        )
+        assert direct_counters["ksp.searches"] > 0
+        assert shard_counters["ksp.searches"] == direct_counters["ksp.searches"]
+        for i in range(len(manifests)):
+            merge_worker_store(tmp_path / "main", tmp_path / f"worker-{i}")
+        served = ExperimentEngine(
+            store_dir=tmp_path / "main", store_only=True
+        ).run_plan(plan)
+        assert all_outcomes(served) == all_outcomes(direct)
+
+    @pytest.mark.parametrize(
+        "build, shared",
+        [(_fig17_loads, True), (_doubled_capacity, False)],
+        ids=["same-network-shares", "distinct-networks-do-not"],
+    )
+    def test_items_share_networks_not_matrices(
+        self, workload, tmp_path, build, shared
+    ):
+        (path,) = write_plan_manifests(build(workload.networks), 1, tmp_path)
+        manifest = load_manifest(path)
+        assert len(manifest["workloads"]) == 2
+        plan, _ = _shard_plan(manifest)
+        first, second = {
+            id(stream.workload): stream.workload
+            for stream in plan.streams.values()
+        }.values()
+        for index in range(len(workload.networks)):
+            a, b = first.networks[index], second.networks[index]
+            assert (a.network is b.network) is shared
+            assert (a.cache is b.cache) is shared
+            assert a.cache.network is a.network
+            assert not any(x is y for x, y in zip(a.matrices, b.matrices))
 
 
 class TestDispatchRun:
